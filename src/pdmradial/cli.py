@@ -41,8 +41,7 @@ from .model import (
     make_linear,
     make_oscillator,
 )
-from .recurrence import RecurrenceKind, generate_coefficients
-from .wavefunction import RadialWavefunction, evaluate, normalize
+from .wavefunction import RadialWavefunction, evaluate
 
 __all__ = ["RunConfig", "load_config", "run_solve", "run_verify", "main"]
 
@@ -318,10 +317,6 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
             continue
         if q.radial_n in states:
             continue
-        sol = generate_coefficients(
-            RecurrenceKind.GENERAL, pot, mass, q, result.energy,
-            sb.truncation_order,
-        )
         states[q.radial_n] = StateRow(
             dim=cfg.quantum.dim,
             ell=ell,
@@ -332,7 +327,8 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
             norm_const=result.norm_const,
             tail_residual=result.tail_residual,
             oracle_gap=result.oracle_gap,
-            solution=sol,
+            message=result.oracle_error or "",
+            solution=result.solution,
         )
     return states
 
@@ -444,9 +440,7 @@ def write_wavefunctions(
     ok = [r for r in rows if r.status == "ok"]
     samples = []
     for row in ok:
-        wave = RadialWavefunction.from_solution(row.solution)
-        r_norm = min(r_max * 2.0, 0.9 * wave.eval_cutoff)
-        wave = normalize(wave, r_norm)
+        wave = RadialWavefunction.from_solution(row.solution.scaled(row.norm_const))
         vals = [
             evaluate(wave, float(x)) if x <= wave.eval_cutoff else None
             for x in radii

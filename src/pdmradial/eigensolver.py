@@ -22,7 +22,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import oracle
-from .errors import BracketError, ConfigurationError, DomainError, WrongStateError
+from .errors import (
+    BracketError,
+    ConfigurationError,
+    DomainError,
+    ResolutionError,
+    WrongStateError,
+)
 from .model import (
     EigenResult,
     MassProfile,
@@ -263,13 +269,19 @@ def find_eigenvalue(
     normalized = normalize(wave, r_norm)
     norm_const = normalized.solution.a0 / sol.a0
 
-    oracle_gap = None
+    # an oracle that cannot check the state (k = 2 channels, for one) leaves
+    # the series result standing and says why
+    oracle_gap = oracle_error = None
     if cfg.run_oracle:
         grid = oracle.default_grid(
             pot, mass, 0.5 * (e_lo + e_hi), cfg.oracle_points
         )
-        e_oracle = oracle.numerov_eigenvalue(pot, mass, q, cfg.e_bracket, grid)
-        oracle_gap = abs(e_star - e_oracle)
+        try:
+            e_oracle = oracle.numerov_eigenvalue(pot, mass, q, cfg.e_bracket, grid)
+        except (BracketError, DomainError, ResolutionError) as exc:
+            oracle_error = f"{type(exc).__name__}: {exc}"
+        else:
+            oracle_gap = abs(e_star - e_oracle)
 
     return EigenResult(
         energy=float(e_star),
@@ -277,6 +289,8 @@ def find_eigenvalue(
         norm_const=float(norm_const),
         tail_residual=abs(residual),
         oracle_gap=oracle_gap,
+        solution=sol,
+        oracle_error=oracle_error,
     )
 
 

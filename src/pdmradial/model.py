@@ -274,13 +274,21 @@ class SeriesSolution:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged eigenvalue with its diagnostics."""
+    """Converged eigenvalue with its diagnostics.
+
+    ``solution`` holds the series at ``energy`` before normalization
+    (``solution.scaled(norm_const)`` is normalized).  ``oracle_error`` names
+    the exception class and message when the oracle was requested but could
+    not check the state; ``oracle_gap`` is then None.
+    """
 
     energy: float
     nodes: int
     norm_const: float
     tail_residual: float
     oracle_gap: float | None = None
+    solution: SeriesSolution | None = None
+    oracle_error: str | None = None
 
     def __post_init__(self):
         if self.norm_const <= 0:

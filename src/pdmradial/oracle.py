@@ -1,13 +1,15 @@
 """Direct numerical integration of the radial equation, independent of the
 series machinery, used as ground truth for eigenvalues and wavefunctions.
 
-The radial operator contains a first-derivative term (m'/m) R' whenever the
-mass varies, so the classic three-point Numerov scheme only applies to
-constant mass; position-dependent profiles are integrated as a first-order
-system with a fixed-step fourth-order Runge-Kutta scheme.  Both paths start
-outward integration from a short origin expansion derived directly from the
-indicial balance of the equation (this module shares no code with the
-recurrence or wavefunction modules beyond the domain types).
+The radial equation R'' = G R' + F R carries a first-derivative term
+G = m'/m whenever the mass varies.  The Liouville substitution R = s y with
+s'/s = G/2 removes it, y'' = (F + G^2/4 - G'/2) y, so one extended-precision
+Numerov scheme integrates every mass profile (for constant mass s = 1 and the
+added term vanishes).  Outward runs start from a short origin expansion
+derived directly from the indicial balance of the equation.  This module
+imports nothing from the recurrence or wavefunction modules beyond the domain
+types; the eigensolver does borrow ``integrate_radial`` for its inward leg,
+so the two share the tail side of the matching.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
 from .errors import BracketError, DomainError, ResolutionError
@@ -177,14 +180,20 @@ def _origin_series(
 
 
 def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers, r: np.ndarray):
-    """G = m'/m and the energy-independent parts of F with R'' = G R' + F R,
-    F(r) = -G (N-1)/(2r) + (k-1)(k-3)/(4 r^2) + 2 m (V - e) = F0 - 2 m e."""
+    """G = m'/m and the energy-independent parts of w with y'' = w y, where
+    R = s y, s'/s = G/2 and R'' = G R' + F R:
+
+        F(r) = -G (N-1)/(2r) + (k-1)(k-3)/(4 r^2) + 2 m (V - e),
+        w(r) = F + G^2/4 - G'/2 = w0 - 2 m e,
+
+    with G' the derivative of the log-derivative series."""
     k = q.k
     g = np.asarray(mass.logderiv_at(r), float)
+    dg = npoly.polyval(r, npoly.polyder(npoly.polytrim(mass.logderiv_series)))
     m = np.asarray(mass.mass_at(r), float)
     v = np.asarray(pot.value(r), float)
     f0 = -g * (q.dim_n - 1) / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r) + 2.0 * m * v
-    return g, f0, 2.0 * m
+    return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m
 
 
 def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
@@ -200,13 +209,6 @@ def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
     for i in (n - 2, n - 1):
         Rp[i] = -np.dot(c, R[i : i - 5 : -1])
     return Rp
-
-
-def _central_derivative(window5: np.ndarray, h: float) -> float:
-    """4th-order central derivative at the middle of a 5-point window."""
-    return float(
-        (window5[0] - 8 * window5[1] + 8 * window5[3] - window5[4]) / (12 * h)
-    )
 
 
 def _numerov(
@@ -253,65 +255,6 @@ def _numerov(
     return R.astype(float)
 
 
-def _rk4(
-    g_full: list,
-    f_full: list,
-    g_half: list,
-    f_half: list,
-    h: float,
-    start: tuple[float, float],
-    outward: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 on the system (R, R')' = (R', G R' + F R) with precomputed
-    coefficients at the full and half grid points."""
-    n = len(g_full)
-    R = np.empty(n)
-    P = np.empty(n)
-    if outward:
-        order = range(n - 1)
-        sh = h
-    else:
-        order = range(n - 1, 0, -1)
-        sh = -h
-    i0 = 0 if outward else n - 1
-    R[i0], P[i0] = start
-    r_cur, p_cur = start
-    for i in order:
-        j = i + 1 if outward else i - 1
-        ih = i if outward else i - 1  # half-point between i and j
-        g0, f0 = g_full[i], f_full[i]
-        gh, fh = g_half[ih], f_half[ih]
-        g1, f1 = g_full[j], f_full[j]
-        k1r = p_cur
-        k1p = g0 * p_cur + f0 * r_cur
-        r2 = r_cur + 0.5 * sh * k1r
-        p2 = p_cur + 0.5 * sh * k1p
-        k2r = p2
-        k2p = gh * p2 + fh * r2
-        r3 = r_cur + 0.5 * sh * k2r
-        p3 = p_cur + 0.5 * sh * k2p
-        k3r = p3
-        k3p = gh * p3 + fh * r3
-        r4 = r_cur + sh * k3r
-        p4 = p_cur + sh * k3p
-        k4r = p4
-        k4p = g1 * p4 + f1 * r4
-        r_cur = r_cur + sh / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        p_cur = p_cur + sh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if abs(r_cur) > _RENORM_LIMIT:
-            if outward:
-                R[: i + 1] /= _RENORM_LIMIT
-                P[: i + 1] /= _RENORM_LIMIT
-            else:
-                R[i:] /= _RENORM_LIMIT
-                P[i:] /= _RENORM_LIMIT
-            r_cur /= _RENORM_LIMIT
-            p_cur /= _RENORM_LIMIT
-        R[j] = r_cur
-        P[j] = p_cur
-    return R, P
-
-
 def integrate_radial(
     pot: PotentialSpec,
     mass: MassProfile,
@@ -351,16 +294,16 @@ def integrate_radial(
         # (beyond it the growing branch dominates and the comparison is
         # meaningless), near the start of travel for inward runs.
         coarse = grid.coarsened()
-        Rc, _ = _integrate_on(pot, mass, q, e, coarse.array(), coarse.h, outward)
+        Rc, Rpc = _integrate_on(pot, mass, q, e, coarse.array(), coarse.h, outward)
         if outward:
             i_cmp = _match_index(pot, mass, q, e, grid)
             i_cmp -= i_cmp % 2
             i_cmp = min(max(i_cmp, 4), grid.points - 5)
         else:
             i_cmp = 4
-        ld_f = _central_derivative(R[i_cmp - 2 : i_cmp + 3], h) / R[i_cmp]
+        ld_f = Rp[i_cmp] / R[i_cmp]
         j = i_cmp // 2
-        ld_c = _central_derivative(Rc[j - 2 : j + 3], coarse.h) / Rc[j]
+        ld_c = Rpc[j] / Rc[j]
         scale = max(1.0, abs(ld_f))
         if abs(ld_f - ld_c) > 1e-8 * scale:
             raise ResolutionError(
@@ -372,13 +315,14 @@ def integrate_radial(
 
 
 def _integrate_on(pot, mass, q, e, r, h, outward):
-    g_full, f0_full, m2_full = _potential_arrays(pot, mass, q, r)
-    f_full = f0_full - m2_full * e
+    g, w0, m2 = _potential_arrays(pot, mass, q, r)
+    # s = exp(int G/2), normalized to 1 where the integration starts
+    big_g = npoly.polyval(r, npoly.polyint(npoly.polytrim(mass.logderiv_series)))
+    s = np.exp(0.5 * (big_g - (big_g[0] if outward else big_g[-1])))
 
     if outward:
         p = (q.k - 1) / 2.0
         c = _origin_series(pot, mass, q, e)
-        r0, r1 = float(r[0]), float(r[1])
 
         def series_val(x: float) -> float:
             acc = 0.0
@@ -386,47 +330,21 @@ def _integrate_on(pot, mass, q, e, r, h, outward):
                 acc = acc * x + cj
             return x**p * acc
 
-        if mass.kind == "constant":
-            start = (series_val(r0), series_val(r1))
-        else:
-            acc = dacc = 0.0
-            for cj in c[::-1]:
-                dacc = dacc * r0 + acc
-                acc = acc * r0 + cj
-            P0 = p * r0 ** (p - 1.0) * acc + r0**p * dacc
-            start = (series_val(r0), P0)
+        start = (series_val(float(r[0])), series_val(float(r[1])) / s[1])
     else:
+        # R'/R = -kappa at the far end, i.e. y'/y = -kappa - G/2
         kappa = math.sqrt(-2.0 * float(mass.mass_at(r[-1])) * e)
-        if mass.kind == "constant":
-            start = (1.0, math.exp(kappa * h))
-        else:
-            start = (1.0, -kappa)
+        start = (1.0, math.exp((kappa + 0.5 * g[-1]) * h))
 
-    if mass.kind == "constant":
-        R = _numerov(f_full, h, start, outward)
-        Rp = _derivative_from_grid(R, h)
-        return R, Rp
-
-    r_half = r[:-1] + 0.5 * h
-    g_half, f0_half, m2_half = _potential_arrays(pot, mass, q, r_half)
-    f_half = f0_half - m2_half * e
-    R, Rp = _rk4(
-        g_full.tolist(),
-        f_full.tolist(),
-        g_half.tolist(),
-        f_half.tolist(),
-        h,
-        start,
-        outward,
-    )
-    return R, Rp
+    y = _numerov(w0 - m2 * e, h, start, outward)
+    return s * y, s * (_derivative_from_grid(y, h) + 0.5 * g * y)
 
 
 def _match_index(pot, mass, q, e, grid: GridSpec) -> int:
     """Grid index of the outermost classical turning point (clamped inside)."""
     r = grid.array()
-    _, f0, m2 = _potential_arrays(pot, mass, q, r)
-    w = f0 - m2 * e
+    _, w0, m2 = _potential_arrays(pot, mass, q, r)
+    w = w0 - m2 * e
     sign_change = np.nonzero(np.diff(np.signbit(w)))[0]
     idx = int(sign_change[-1]) if sign_change.size else grid.points // 2
     return min(max(idx, 8), grid.points - 9)
@@ -438,15 +356,10 @@ def _oracle_mismatch(pot, mass, q, e, grid, i_match) -> float:
     h = grid.h
     # integrate on slices of the full grid so both sides overlap i_match by
     # four points, enough for a central 4th-order derivative stencil there
-    R_out, _ = _integrate_on(pot, mass, q, e, r[: i_match + 5], h, True)
-    R_in, Pin = _integrate_on(pot, mass, q, e, r[i_match - 4 :], h, False)
-    Po = _central_derivative(R_out[i_match - 2 : i_match + 3], h)
-    Ro = R_out[i_match]
-    if mass.kind == "constant":
-        Pi = _central_derivative(R_in[2:7], h)
-    else:
-        Pi = Pin[4]
-    Ri = R_in[4]
+    R_out, P_out = _integrate_on(pot, mass, q, e, r[: i_match + 5], h, True)
+    R_in, P_in = _integrate_on(pot, mass, q, e, r[i_match - 4 :], h, False)
+    Ro, Po = R_out[i_match], P_out[i_match]
+    Ri, Pi = R_in[4], P_in[4]
     w = Po * Ri - Ro * Pi
     norm = math.hypot(Ro, Po) * math.hypot(Ri, Pi)
     return w / norm if norm > 0 else 0.0
@@ -464,9 +377,10 @@ def numerov_eigenvalue(
     """Matching-based eigenvalue from direct integration.
 
     The bracket must enclose exactly one sign change of the outward/inward
-    log-derivative mismatch.  Despite the name this dispatches to the
-    RK-style integrator whenever the mass varies, since Numerov cannot carry
-    the first-derivative term.
+    log-derivative mismatch.  Every mass profile runs on the same Numerov
+    scheme through the Liouville substitution (see the module docstring).
+    Channels with k < 3 usually raise BracketError: the regular and
+    irregular origin branches separate too weakly on a uniform grid.
     """
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0):

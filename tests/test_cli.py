@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdmradial.cli import (
@@ -175,6 +176,52 @@ class TestPdmConfig:
             by_channel.setdefault(r["ell"], []).append(r["energy"])
         for ell, energies in by_channel.items():
             assert energies[0] < energies[1] < 0
+
+
+class TestTwoDimensionalChannels:
+    def test_states_survive_an_unavailable_oracle(self, tmp_path):
+        # the oracle raises for every N = 2 state; the series energies must
+        # still be reported, with the oracle's exception in the message
+        data = {
+            "potential": {"kind": "coulomb", "z": 1.0},
+            "mass": {"kind": "constant", "m0": 1.0},
+            "quantum": {"dim": 2, "ell": [0, 1], "n": [0, 1]},
+            "solver": {"e_lo": -2.4, "e_hi": -0.06, "scan_steps": 160,
+                       "oracle": True},
+            "output": {"directory": str(tmp_path / "n2"), "formats": ["csv", "json"]},
+        }
+        rc = run_solve(str(write_config(tmp_path, data)))
+        assert rc == 0
+        rows = json.loads((tmp_path / "n2" / "energies.json").read_text())
+        assert len(rows) == 4
+        for row in rows:
+            assert row["status"] == "ok"
+            nu = row["radial_n"] + (row["k"] - 1) / 2.0
+            assert abs(row["energy"] + 1.0 / (2.0 * nu * nu)) <= 1e-8
+            if row["oracle_gap"] is None:
+                assert row["message"].split(":")[0].endswith("Error")
+
+
+class TestWavefunctionSamples:
+    def test_samples_are_normalized(self, tmp_path):
+        data = {
+            "potential": {"kind": "oscillator", "omega": 1.0, "v3_offset": -20.0},
+            "mass": {"kind": "constant", "m0": 1.0},
+            "quantum": {"dim": 3, "ell": [0, 1, 2], "n": [0, 1, 2]},
+            "solver": {"e_lo": -19.5, "e_hi": -8.7, "truncation_order": 128,
+                       "scan_steps": 120, "oracle": False},
+            "output": {"directory": str(tmp_path / "osc"), "formats": ["json"],
+                       "wavefunction_grid": {"r_max": 5.0, "points": 201}},
+        }
+        rc = run_solve(str(write_config(tmp_path, data)))
+        assert rc == 0
+        waves = json.loads((tmp_path / "osc" / "wavefunctions.json").read_text())
+        assert len(waves) == 9
+        for w in waves:
+            r = np.array(w["r"])
+            R = np.array(w["R"], dtype=float)
+            assert np.all(np.isfinite(R))
+            assert abs(np.trapezoid(R * R, r) - 1.0) < 1e-3
 
 
 class TestVerify:

@@ -269,6 +269,51 @@ class TestPdm:
         assert res.oracle_gap <= 1e-6 * abs(res.energy)
 
 
+    def test_curved_logderivative_matches_oracle(self):
+        # m = 1 + 0.2 r + 0.01 r^2 has log-derivative series (0.2, -0.02), so
+        # the oracle's Liouville term -G'/2 is nonzero; dropping it moves the
+        # oracle energy by about 5e-4 relative
+        from pdmradial.mass_expansion import mass_from_series
+
+        pot = make_cornell(1.0, 0.2, -2.0)
+        mass = mass_from_series([1.0, 0.2, 0.01])
+        assert mass.logderiv_series[:2] == pytest.approx([0.2, -0.02], rel=1e-12)
+        q = QuantumNumbers(3, 0, 0)
+        (ea, eb), label = scan_spectrum(pot, mass, q, (-2.6, -1.0), 40)[0]
+        assert label == 0
+        res = find_eigenvalue(
+            pot, mass, q,
+            SolverConfig(e_bracket=(ea, eb), run_oracle=True, oracle_points=8001),
+        )
+        assert res.oracle_error is None
+        assert res.oracle_gap <= 1e-8 * abs(res.energy)
+
+
+class TestOracleUnavailable:
+    def test_two_dimensional_ground_state_keeps_series_energy(self):
+        # the oracle cannot separate the origin branches at k = 2; the series
+        # energy stands and the result says why the check is missing
+        res = find_eigenvalue(
+            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 0, 0),
+            SolverConfig(e_bracket=(-2.4, -1.6), run_oracle=True),
+        )
+        assert abs(res.energy + 2.0) <= 1e-8 * 2.0
+        assert res.oracle_gap is None
+        assert res.oracle_error.startswith("BracketError: ")
+
+    def test_solution_is_the_series_at_the_energy(self):
+        from pdmradial.recurrence import RecurrenceKind, generate_coefficients
+
+        pot, mass, q = make_coulomb(1.0), constant_mass(1.0, 64), QuantumNumbers(3, 0, 1)
+        res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-0.15, -0.1)))
+        again = generate_coefficients(
+            RecurrenceKind.GENERAL, pot, mass, q, res.energy, 64
+        )
+        assert res.solution.energy == res.energy
+        assert list(res.solution.coeffs) == list(again.coeffs)
+        assert res.oracle_gap is None and res.oracle_error is None
+
+
 class TestHigherStates:
     def test_eighth_coulomb_state(self):
         q = QuantumNumbers(3, 0, 8)
