@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigensolver import SolverConfig, find_eigenvalue, scan_spectrum
-from .errors import (
-    BracketError,
-    ConfigurationError,
-    DomainError,
-    ResolutionError,
-    WrongStateError,
-)
+from .errors import BracketError, ConfigurationError, DomainError, WrongStateError
 from .identities import DEFAULT_SEED, run_identity_suite
 from .mass_expansion import constant_mass, expand_exponential, mass_from_series
 from .model import (
@@ -276,7 +270,6 @@ class StateRow:
     status: str = "ok"
     message: str = ""
     solution: object = None
-    wave: object = None
 
 
 def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
@@ -298,6 +291,8 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
     wanted = set(cfg.quantum.n)
     states: dict[int, StateRow] = {}
     for (ea, eb), label in brackets:
+        if wanted <= states.keys():
+            break
         if label > max(wanted, default=-1) + 1:
             continue
         sub = replace(base, e_bracket=(ea, eb))
@@ -312,8 +307,7 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
                     continue
                 q = QuantumNumbers(cfg.quantum.dim, ell, exc.found)
                 result = find_eigenvalue(pot, mass, q, sub)
-        except (BracketError, WrongStateError, ConfigurationError,
-                ResolutionError, DomainError):
+        except (BracketError, WrongStateError, ConfigurationError, DomainError):
             continue
         if q.radial_n in states:
             continue
@@ -341,7 +335,7 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
     for ell in cfg.quantum.ell:
         try:
             channel = _solve_channel(pot, mass, cfg, ell)
-        except (BracketError, ConfigurationError, DomainError, ResolutionError) as exc:
+        except (BracketError, ConfigurationError, DomainError) as exc:
             channel = {}
             err = f"channel failed: {exc}"
         else:

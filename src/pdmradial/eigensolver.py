@@ -185,22 +185,30 @@ def _mismatch(
     norm = math.hypot(*vs) * math.hypot(*vi)
     value = w / norm if norm > 0 else 0.0
     if want_solution:
-        return value, sol, R_in
+        return value, sol, R_in, Rp_in
     return value
 
 
-def _combined_node_count(sol, q, geom: _Geometry, R_in: np.ndarray) -> int:
-    """Nodes of the matched eigenfunction: series side on (0, r_match) plus
-    the inward solution beyond, sign-aligned at the match radius."""
+def _combined_node_count(
+    sol, q, geom: _Geometry, R_in: np.ndarray, Rp_in: np.ndarray
+) -> int:
+    """Nodes of the matched eigenfunction: series side on (0, r_match] plus
+    the inward solution beyond.
+
+    The inward solution is oriented by the sign of the dot product of the
+    two (R, R') vectors at the match radius, which stays well defined when a
+    node sits there (R ~ 0, R' large).  Its count starts from the series
+    value at r_match, so the sample the series already counted is not
+    counted again."""
     wave = RadialWavefunction.from_solution(sol)
     n_series = count_nodes(wave, geom.r_match, samples=2048)
 
-    u_match, _ = _series_direction(sol, q, geom.r_match)
-    align = math.copysign(1.0, u_match) * math.copysign(1.0, R_in[geom.i_match])
-    tail = R_in[geom.i_match :] * align
+    u_match, up_match = _series_direction(sol, q, geom.r_match)
+    i = geom.i_match
+    align = math.copysign(1.0, u_match * R_in[i] + up_match * Rp_in[i])
     n_tail = 0
-    prev = 0.0
-    for v in tail:
+    prev = u_match
+    for v in R_in[i + 1 :] * align:
         if v == 0.0:
             continue
         if prev != 0.0 and (prev < 0) != (v < 0):
@@ -247,10 +255,10 @@ def find_eigenvalue(
             maxiter=cfg.max_iter,
         )
 
-    residual, sol, R_in = _mismatch(
+    residual, sol, R_in, Rp_in = _mismatch(
         pot, mass, q, e_star, cfg, geom, want_solution=True
     )
-    nodes = _combined_node_count(sol, q, geom, R_in)
+    nodes = _combined_node_count(sol, q, geom, R_in, Rp_in)
     if nodes != q.radial_n:
         raise WrongStateError(q.radial_n, nodes, e_star)
 
@@ -352,10 +360,10 @@ def scan_spectrum(
             if va == 0.0 or (va < 0) != (vb < 0):
                 ea, eb = float(pts[i]), float(pts[i + 1])
                 mid = 0.5 * (ea + eb)
-                _, sol, R_in = _mismatch(
+                _, sol, R_in, Rp_in = _mismatch(
                     pot, mass, q_family, mid, sub_cfg, geom, want_solution=True
                 )
-                nodes = _combined_node_count(sol, q_family, geom, R_in)
+                nodes = _combined_node_count(sol, q_family, geom, R_in, Rp_in)
                 found.append(((ea, eb), nodes))
 
     # drop duplicates from octave-boundary overlap

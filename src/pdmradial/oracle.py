@@ -3,10 +3,13 @@ series machinery, used as ground truth for eigenvalues and wavefunctions.
 
 The radial equation R'' = G R' + F R carries a first-derivative term
 G = m'/m whenever the mass varies.  The Liouville substitution R = s y with
-s'/s = G/2 removes it, y'' = (F + G^2/4 - G'/2) y, so one extended-precision
-Numerov scheme integrates every mass profile (for constant mass s = 1 and the
-added term vanishes).  Outward runs start from a short origin expansion
-derived directly from the indicial balance of the equation.  This module
+s'/s = G/2 removes it, y'' = (F + G^2/4 - G'/2) y, so one Numerov scheme
+integrates every mass profile (for constant mass s = 1 and the added term
+vanishes).  Inward runs, from the decaying tail toward the origin, travel the
+stable direction and are solved in float64 as banded triangular systems by
+LAPACK.  Outward runs start from a short origin expansion derived directly
+from the indicial balance of the equation and keep an 80-bit per-point loop,
+because past the turning point they amplify rounding noise.  This module
 imports nothing from the recurrence or wavefunction modules beyond the domain
 types; the eigensolver does borrow ``integrate_radial`` for its inward leg,
 so the two share the tail side of the matching.
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
 from .errors import BracketError, DomainError, ResolutionError
@@ -32,6 +36,9 @@ __all__ = [
 ]
 
 _RENORM_LIMIT = 1e250
+# the inward solve starts a new segment wherever the WKB growth exponent has
+# risen by this much (e^300 ~ 1e130, far below the float64 overflow)
+_SEGMENT_EXPONENT = 300.0
 
 
 @dataclass(frozen=True)
@@ -211,48 +218,99 @@ def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
     return Rp
 
 
+def _numerov_coefficients(
+    w: np.ndarray, h: float, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerov weights c = 1 - h^2 w/12 and d = 2 + 10 h^2 w/12 in ``dtype``."""
+    h12 = dtype(h) * dtype(h) / 12.0
+    w = w.astype(dtype)
+    return 1.0 - h12 * w, 2.0 + 10.0 * h12 * w
+
+
 def _numerov(
-    w_arr: np.ndarray, h: float, start: tuple[float, float], outward: bool
+    w_arr: np.ndarray,
+    r: np.ndarray,
+    h: float,
+    start: tuple[float, float],
+    outward: bool,
 ) -> np.ndarray:
-    """Numerov integration of R'' = w(r) R along a uniform grid.
+    """Numerov integration of R'' = w(r) R along the uniform grid ``r``.
 
     ``start`` holds the first two values in the direction of travel; the
-    stored array is always aligned with the ascending grid.  The recurrence
-    runs in extended precision: rounding noise seeded before the turning
-    point is amplified exponentially beyond it, and 80-bit arithmetic keeps
-    that floor around 1e-10 instead of 1e-6.  The running solution is
-    renormalized when it exceeds the overflow guard (earlier samples are
-    rescaled retroactively so one overall scale applies).
+    returned array is always aligned with the ascending grid.
+
+    Inward runs travel the stable direction and are float64 banded solves
+    (``_numerov_inward``).  Outward runs keep an 80-bit per-point loop:
+    beyond the turning point the growing branch amplifies the rounding noise
+    seeded before it, and 80-bit arithmetic keeps that floor near 1e-10
+    where float64 leaves it near 1e-6.  The running solution is renormalized
+    when it exceeds the overflow guard (earlier samples are rescaled
+    retroactively so one overall scale applies).
     """
-    n = w_arr.size
-    h12 = np.longdouble(h) * np.longdouble(h) / 12.0
-    w = w_arr.astype(np.longdouble)
-    c = 1.0 - h12 * w
-    d = 2.0 + 10.0 * h12 * w
-    R = np.zeros(n, dtype=np.longdouble)
-    if outward:
-        idx = range(2, n)
-        R[0], R[1] = start
-        prev2, prev = R[0], R[1]
-    else:
-        idx = range(n - 3, -1, -1)
-        R[n - 1], R[n - 2] = start
-        prev2, prev = R[n - 1], R[n - 2]
-    j2 = 0 if outward else n - 1
-    j1 = 1 if outward else n - 2
-    for i in idx:
-        cur = (d[j1] * prev - c[j2] * prev2) / c[i]
+    if not outward:
+        return _numerov_inward(w_arr, r, h, start)
+    c, d = _numerov_coefficients(w_arr, h, np.longdouble)
+    R = np.zeros(w_arr.size, dtype=np.longdouble)
+    R[0], R[1] = start
+    prev2, prev = R[0], R[1]
+    for i in range(2, w_arr.size):
+        cur = (d[i - 1] * prev - c[i - 2] * prev2) / c[i]
         R[i] = cur
         if abs(cur) > _RENORM_LIMIT:
-            if outward:
-                R[: i + 1] /= _RENORM_LIMIT
-            else:
-                R[i:] /= _RENORM_LIMIT
+            R[: i + 1] /= _RENORM_LIMIT
             cur = R[i]
-            prev = R[j1]
+            prev = R[i - 1]
         prev2, prev = prev, cur
-        j2, j1 = j1, i
     return R.astype(float)
+
+
+def _numerov_inward(
+    w_arr: np.ndarray, r: np.ndarray, h: float, start: tuple[float, float]
+) -> np.ndarray:
+    """Inward Numerov run as float64 banded triangular solves (LAPACK dtbtrs).
+
+    In travel order, z_j = y(r[n-1-j]), the recurrence reads
+    c_j z_j - d_{j-1} z_{j-1} + c_{j-2} z_{j-2} = 0: a lower-triangular system
+    with two subdiagonals whose column j holds (c_j, -d_j, c_j), with the two
+    start values moved to the right-hand side.  The grid is cut beforehand
+    wherever the WKB exponent, the integral of sqrt(max(w, 0)) dr, has grown
+    by another ``_SEGMENT_EXPONENT``.  Each segment starts from the last two
+    values of the previous one scaled to order one, and the earlier samples
+    are rescaled by the same factor, so no value approaches overflow.  A
+    segment that still gives a non-finite value raises DomainError naming
+    the radius.
+    """
+    n = w_arr.size
+    w = w_arr[::-1]
+    c, d = _numerov_coefficients(w, h, np.float64)
+    ab = np.empty((3, n), order="F")  # column slices stay Fortran-contiguous
+    ab[0] = c
+    ab[1] = -d
+    ab[2] = c
+    growth = np.cumsum(np.sqrt(np.maximum(w, 0.0))) * h
+    n_marks = int(growth[-1] // _SEGMENT_EXPONENT)
+    cuts = np.unique(
+        np.searchsorted(growth, _SEGMENT_EXPONENT * np.arange(1, n_marks + 1))
+    )
+    bounds = [2, *cuts[(cuts > 2) & (cuts < n - 1)].tolist(), n]
+
+    z = np.empty(n)
+    z[0], z[1] = start
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        z[:lo] /= max(abs(z[lo - 2]), abs(z[lo - 1]))
+        rhs = np.zeros((hi - lo, 1))
+        rhs[0, 0] = d[lo - 1] * z[lo - 1] - c[lo - 2] * z[lo - 2]
+        rhs[1:2, 0] = -c[lo - 1] * z[lo - 1]  # no-op for a one-point segment
+        x, info = dtbtrs(ab[:, lo:hi], rhs, uplo="L")
+        finite = np.isfinite(x[:, 0])
+        if info != 0 or not finite.all():
+            bad = lo + (info - 1 if info > 0 else int(np.argmin(finite)))
+            raise DomainError(
+                f"inward Numerov solve is not finite at r={r[n - 1 - bad]:.6g} "
+                f"(h^2 w/12 = {1.0 - c[bad]:.3g}); refine the grid"
+            )
+        z[lo:hi] = x[:, 0]
+    return z[::-1]
 
 
 def integrate_radial(
@@ -336,7 +394,7 @@ def _integrate_on(pot, mass, q, e, r, h, outward):
         kappa = math.sqrt(-2.0 * float(mass.mass_at(r[-1])) * e)
         start = (1.0, math.exp((kappa + 0.5 * g[-1]) * h))
 
-    y = _numerov(w0 - m2 * e, h, start, outward)
+    y = _numerov(w0 - m2 * e, r, h, start, outward)
     return s * y, s * (_derivative_from_grid(y, h) + 0.5 * g * y)
 
 

@@ -117,6 +117,22 @@ class TestSolveDemo:
         assert GOLDEN.exists(), "golden file missing from the repository"
         assert (outdir / "energies.csv").read_bytes() == GOLDEN.read_bytes()
 
+    def test_stops_once_every_state_is_found(self, tmp_path, monkeypatch):
+        import pdmradial.cli as cli_mod
+
+        solved = []
+        original = cli_mod.find_eigenvalue
+
+        def counting(pot, mass, q, cfg):
+            solved.append(q.radial_n)
+            return original(pot, mass, q, cfg)
+
+        monkeypatch.setattr(cli_mod, "find_eigenvalue", counting)
+        data = demo_config_dict()
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        assert solved == [0, 1, 2]
+
     def test_csv_header_is_stable(self, demo_run):
         _, outdir = demo_run
         header = (outdir / "energies.csv").read_text().splitlines()[0]

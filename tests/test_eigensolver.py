@@ -82,6 +82,21 @@ class TestFindEigenvalueCoulomb:
         assert res.oracle_gap <= 1e-6 * 0.5
 
 
+class TestNodeAtMatchRadius:
+    # for k = 4, n = 1 the Coulomb node lies at (k-1)/(2b) = 1.5/b, which is
+    # the default match radius: the node must be counted once
+    @pytest.mark.parametrize("dim,ell", [(4, 0), (2, 1)])
+    def test_node_on_the_match_radius_counted_once(self, dim, ell):
+        q = QuantumNumbers(dim, ell, 1)
+        e_ref = coulomb_reference_energy(1.0, 1.0, q)
+        res = find_eigenvalue(
+            make_coulomb(1.0), constant_mass(1.0), q,
+            SolverConfig(e_bracket=bracket_around(e_ref), leg_step=0.005),
+        )
+        assert res.nodes == 1
+        assert abs(res.energy - e_ref) < 1e-10 * abs(e_ref)
+
+
 class TestFindEigenvalueErrors:
     def test_bracket_without_sign_change(self):
         with pytest.raises(BracketError):

@@ -125,6 +125,82 @@ class TestIntegrateRadial:
         assert abs(R[-1]) < abs(R[0])
 
 
+class TestInwardKernel:
+    @staticmethod
+    def _loop_reference(w, h, start):
+        # the per-point long-double recurrence the banded solve replaced
+        n = w.size
+        h12 = np.longdouble(h) ** 2 / 12.0
+        wl = w.astype(np.longdouble)
+        c, d = 1.0 - h12 * wl, 2.0 + 10.0 * h12 * wl
+        y = np.zeros(n, dtype=np.longdouble)
+        y[n - 1], y[n - 2] = start
+        for i in range(n - 3, -1, -1):
+            y[i] = (d[i + 1] * y[i + 1] - c[i + 2] * y[i + 2]) / c[i]
+        return y.astype(float)
+
+    def test_matches_long_double_loop(self):
+        # float64 against 80-bit on a stable inward run: agreement to a
+        # few thousand float64 roundings, up to the arbitrary overall scale.
+        # w is the Liouville form of the l = 0 exponential-mass Cornell
+        # channel (m0 = 1, lambda = 0.2; a = 1, b = 0.2, c = -3) at E = -3.
+        from pdmradial.oracle import _numerov
+
+        grid = GridSpec(0.3, 30.0, 4001)
+        r = grid.array()
+        w = 0.2 / r + 0.01 + 2.0 * np.exp(-0.2 * r) * (0.2 * r - 1.0 / r)
+        start = (1.0, 1.01)
+        ratio = _numerov(w, r, grid.h, start, outward=False) / self._loop_reference(
+            w, grid.h, start
+        )
+        assert np.max(np.abs(ratio / ratio[-1] - 1.0)) < 1e-9
+
+    def test_coulomb_ground_state_tail(self):
+        # R = r e^{-r} at E = -1/2: R / (r e^{-r}) flat over the inward run
+        grid = GridSpec(0.5, 40.0, 8001)
+        R, _ = integrate_radial(
+            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+            -0.5, grid, direction="inward",
+        )
+        r = grid.array()
+        sel = r <= 30.0
+        ratio = R[sel] / (r[sel] * np.exp(-r[sel]))
+        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
+
+    def test_oscillator_growth_spans_several_segments(self):
+        # omega = 1, v3 = -20: the inward solution grows by about e^1131, far
+        # beyond float64, so the solve must be cut into rescaled segments.
+        # The ground state is R = r e^{-r^2/sqrt(2)} at E = 3/sqrt(2) - 20.
+        grid = GridSpec(0.5, 40.0, 16001)
+        R, Rp = integrate_radial(
+            PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
+            QuantumNumbers(3, 0, 0), 3.0 / math.sqrt(2.0) - 20.0, grid,
+            direction="inward",
+        )
+        assert np.all(np.isfinite(R)) and np.all(np.isfinite(Rp))
+        r = grid.array()
+        sel = r <= 30.0
+        shape = np.log(np.abs(R[sel])) + r[sel] ** 2 / math.sqrt(2.0) - np.log(r[sel])
+        drift = np.abs(shape - shape[0])
+        assert np.max(drift[r[sel] <= 6.0]) < 1e-8
+        # segments are cut near r = 18 and 27: a wrong rescale there would
+        # show as a jump of order 300 in the log
+        assert np.max(drift) < 1e-3
+
+    def test_overflow_names_the_radius(self, monkeypatch):
+        # without segment cuts the same run overflows float64; the solver
+        # must say where instead of returning non-finite values
+        import pdmradial.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_SEGMENT_EXPONENT", 1e9)
+        with pytest.raises(DomainError, match=r"not finite at r="):
+            integrate_radial(
+                PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
+                QuantumNumbers(3, 0, 0), 3.0 / math.sqrt(2.0) - 20.0,
+                GridSpec(0.5, 40.0, 16001), direction="inward",
+            )
+
+
 class TestNumerovEigenvalue:
     def test_hydrogen_ground_state(self):
         e = numerov_eigenvalue(
