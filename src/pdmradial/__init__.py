@@ -35,7 +35,6 @@ from .model import (
 )
 from .oracle import GridSpec, integrate_radial, numerov_eigenvalue
 from .recurrence import (
-    ConvolutionTables,
     RecurrenceKind,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
@@ -74,7 +73,6 @@ __all__ = [
     "eval_series",
     "cauchy_product",
     "RecurrenceKind",
-    "ConvolutionTables",
     "generate_coefficients",
     "coefficient_closed_forms_cornell",
     "coefficient_closed_forms_expmass",

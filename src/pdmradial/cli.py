@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import SolverConfig, find_eigenvalue, scan_spectrum
+from .eigensolver import MIN_SCAN_STEPS, SolverConfig, find_eigenvalue, scan_spectrum
 from .errors import BracketError, ConfigurationError, DomainError, WrongStateError
 from .identities import DEFAULT_SEED, run_identity_suite
 from .mass_expansion import constant_mass, expand_exponential, mass_from_series
@@ -124,6 +124,23 @@ class SolverBlock:
     oracle: bool = True
     oracle_points: int = 20001
 
+    def build(self) -> SolverConfig:
+        if self.scan_steps < MIN_SCAN_STEPS:
+            raise ConfigError(f"solver.scan_steps: must be at least {MIN_SCAN_STEPS}")
+        try:
+            return SolverConfig(
+                e_bracket=(self.e_lo, self.e_hi),
+                match_radius=self.match_radius,
+                truncation_order=self.truncation_order,
+                tol_e=self.tol_e,
+                max_iter=self.max_iter,
+                run_oracle=self.oracle,
+                oracle_points=self.oracle_points,
+            )
+        except DomainError as exc:
+            # SolverConfig's messages start with the offending field's name
+            raise ConfigError(f"solver.{exc}") from None
+
 
 @dataclass(frozen=True)
 class OutputBlock:
@@ -224,8 +241,7 @@ def parse_config(data: dict) -> RunConfig:
         oracle=bool(s_raw.get("oracle", True)),
         oracle_points=int(s_raw.get("oracle_points", 20001)),
     )
-    if not solver.e_lo < solver.e_hi < 0:
-        raise ConfigError("solver.e_lo/e_hi: need e_lo < e_hi < 0")
+    solver.build()  # validate eagerly
 
     o_raw = dict(data.get("output", {}))
     formats = tuple(o_raw.get("formats", ("csv", "json")))
@@ -276,15 +292,7 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
     """Solve every requested radial state of one angular channel."""
     sb = cfg.solver
     q_scan = QuantumNumbers(cfg.quantum.dim, ell, 0)
-    base = SolverConfig(
-        e_bracket=(sb.e_lo, sb.e_hi),
-        match_radius=sb.match_radius,
-        truncation_order=sb.truncation_order,
-        tol_e=sb.tol_e,
-        max_iter=sb.max_iter,
-        run_oracle=sb.oracle,
-        oracle_points=sb.oracle_points,
-    )
+    base = sb.build()
     brackets = scan_spectrum(
         pot, mass, q_scan, (sb.e_lo, sb.e_hi), sb.scan_steps, base
     )

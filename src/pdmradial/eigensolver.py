@@ -34,10 +34,17 @@ from .model import (
     MassProfile,
     PotentialSpec,
     QuantumNumbers,
+    _horner,
     b_from_energy,
 )
 from .recurrence import RecurrenceKind, generate_coefficients
-from .wavefunction import RadialWavefunction, count_nodes, normalize, trust_radius
+from .wavefunction import (
+    RadialWavefunction,
+    count_nodes,
+    normalize,
+    sign_changes,
+    trust_radius,
+)
 
 __all__ = [
     "SolverConfig",
@@ -48,6 +55,8 @@ __all__ = [
 
 # The ansatz b = sqrt(-2 m0 E) degenerates as E -> 0-.
 _E_FLOOR = 1e-12
+
+MIN_SCAN_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -71,17 +80,24 @@ class SolverConfig:
     oracle_points: int = 20001
 
     def __post_init__(self):
+        # every message starts with the name of the offending field
         e_lo, e_hi = self.e_bracket
-        if not (e_lo < e_hi < 0):
-            raise DomainError("energy bracket must satisfy e_lo < e_hi < 0")
-        if abs(e_hi) < _E_FLOOR:
-            raise DomainError(
-                f"|E| < {_E_FLOOR}: the decay-rate ansatz breaks down near E = 0"
-            )
-        if self.truncation_order < 4:
-            raise DomainError("truncation_order must be at least 4")
-        if self.tol_e <= 0 or self.max_iter < 10:
-            raise DomainError("need tol_e > 0 and max_iter >= 10")
+        points = oracle.MIN_GRID_POINTS
+        for name, ok, need in (
+            ("e_lo/e_hi", e_lo < e_hi < 0, "ordered as e_lo < e_hi < 0"),
+            ("e_hi", abs(e_hi) >= _E_FLOOR,
+             f"below -{_E_FLOOR}: the decay-rate ansatz breaks down near E = 0"),
+            ("truncation_order", self.truncation_order >= 4, "at least 4"),
+            ("tol_e", self.tol_e > 0, "positive"),
+            ("max_iter", self.max_iter >= 10, "at least 10"),
+            ("match_radius", self.match_radius is None or self.match_radius > 0,
+             "positive"),
+            ("tail_lengths", self.tail_lengths > 0, "positive"),
+            ("leg_step", self.leg_step > 0, "positive"),
+            ("oracle_points", self.oracle_points >= points, f"at least {points}"),
+        ):
+            if not ok:
+                raise DomainError(f"{name}: must be {need}")
 
 
 @dataclass(frozen=True)
@@ -157,10 +173,7 @@ def _series_direction(
     sol, q: QuantumNumbers, r: float
 ) -> tuple[float, float]:
     """(R, R') direction of the series solution at r, up to a positive factor."""
-    u = up = 0.0
-    for c in sol.coeffs[::-1]:
-        up = up * r + u
-        u = u * r + c
+    u, up = _horner(sol.coeffs, r, derivs=1)
     p = (q.k - 1) / 2.0
     g = p / r - sol.b
     return u, up + g * u
@@ -206,15 +219,7 @@ def _combined_node_count(
     u_match, up_match = _series_direction(sol, q, geom.r_match)
     i = geom.i_match
     align = math.copysign(1.0, u_match * R_in[i] + up_match * Rp_in[i])
-    n_tail = 0
-    prev = u_match
-    for v in R_in[i + 1 :] * align:
-        if v == 0.0:
-            continue
-        if prev != 0.0 and (prev < 0) != (v < 0):
-            n_tail += 1
-        prev = v
-    return n_series + n_tail
+    return n_series + sign_changes(np.append(u_match, R_in[i + 1 :] * align))
 
 
 def find_eigenvalue(
@@ -320,8 +325,8 @@ def scan_spectrum(
     e_lo, e_hi = e_range
     if not (e_lo < e_hi < 0):
         raise DomainError("scan range must satisfy e_lo < e_hi < 0")
-    if steps < 10:
-        raise DomainError("need at least 10 scan steps")
+    if steps < MIN_SCAN_STEPS:
+        raise DomainError(f"need at least {MIN_SCAN_STEPS} scan steps")
     if mass.kind != "custom-series":
         order = (cfg.truncation_order if cfg is not None else 64)
         mass = mass.extended(order)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SeriesDivisionError
-from .model import MassProfile
+from .model import MassProfile, _horner
 
 __all__ = [
     "SeriesVector",
@@ -46,12 +46,7 @@ class SeriesVector:
 
 
 def _coeffs(series) -> np.ndarray:
-    if isinstance(series, SeriesVector):
-        return series.coeffs
-    arr = np.asarray(series, float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("series needs a non-empty 1-d coefficient vector")
-    return arr
+    return (series if isinstance(series, SeriesVector) else SeriesVector(series)).coeffs
 
 
 def expand_exponential(m0: float, lam: float, order: int = DEFAULT_ORDER) -> MassProfile:
@@ -89,11 +84,7 @@ def mass_from_series(coeffs) -> MassProfile:
     c = _coeffs(coeffs)
     if c[0] <= 0:
         raise DomainError("mass series must have a positive leading coefficient")
-    logd = logderiv_from_series(c)
-    # keep both series the same length for downstream convolutions
-    pad = c.size - logd.coeffs.size
-    logd_c = np.concatenate([logd.coeffs, np.zeros(pad)]) if pad > 0 else logd.coeffs[: c.size]
-    return MassProfile(float(c[0]), c, logd_c, "custom-series")
+    return MassProfile(float(c[0]), c, logderiv_from_series(c).coeffs, "custom-series")
 
 
 def logderiv_from_series(mass_series, order: int | None = None) -> SeriesVector:
@@ -124,11 +115,7 @@ def logderiv_from_series(mass_series, order: int | None = None) -> SeriesVector:
 
 def eval_series(series, r: float) -> float:
     """Horner evaluation of the truncated partial sum at r >= 0."""
-    c = _coeffs(series)
-    acc = 0.0
-    for v in c[::-1]:
-        acc = acc * r + v
-    return float(acc)
+    return _horner(_coeffs(series), r)
 
 
 def cauchy_product(a, b, order: int | None = None) -> SeriesVector:

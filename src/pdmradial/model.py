@@ -230,11 +230,23 @@ class MassProfile:
         )
 
 
-def _horner(coeffs: np.ndarray, r):
-    acc = np.zeros_like(np.asarray(r, float)) if np.ndim(r) else 0.0
-    for c in coeffs[::-1]:
-        acc = acc * r + c
-    return acc
+def _horner(coeffs, r, derivs: int = 0):
+    """sum_i coeffs[i] r^i at a float or array ``r``, or with ``derivs`` > 0
+    the tuple of it and its first ``derivs`` derivatives.  A scalar ``r`` runs
+    on Python floats, several times faster than numpy scalars."""
+    r = np.asarray(r, float) if np.ndim(r) else float(r)
+    rev = np.asarray(coeffs, float)[::-1].tolist()
+    if derivs == 0:
+        acc = 0.0
+        for c in rev:
+            acc = acc * r + c
+        return acc
+    acc = [0.0] * (derivs + 1)  # acc[j] is the j-th derivative
+    for c in rev:
+        for j in range(derivs, 0, -1):  # each update reads the old acc[j - 1]
+            acc[j] = acc[j] * r + j * acc[j - 1]
+        acc[0] = acc[0] * r + c
+    return tuple(acc)
 
 
 @dataclass(frozen=True)

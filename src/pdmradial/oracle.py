@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _RENORM_LIMIT = 1e250
+MIN_GRID_POINTS = 1000
 # the inward solve starts a new segment wherever the WKB growth exponent has
 # risen by this much (e^300 ~ 1e130, far below the float64 overflow)
 _SEGMENT_EXPONENT = 300.0
@@ -54,8 +55,8 @@ class GridSpec:
             raise DomainError("r_min must be positive (the origin is singular)")
         if self.r_max <= self.r_min:
             raise DomainError("r_max must exceed r_min")
-        if self.points < 1000:
-            raise DomainError("need at least 1000 grid points")
+        if self.points < MIN_GRID_POINTS:
+            raise DomainError(f"need at least {MIN_GRID_POINTS} grid points")
 
     @property
     def h(self) -> float:

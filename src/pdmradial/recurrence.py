@@ -7,7 +7,9 @@ running convolution tables,
     M'_i = sum_{j+nu=i} a_j b'_nu         (wavefunction x log-derivative),
     T_i  = sum_{j+nu=i} j a_j b'_nu       (T_0 = 0),
 
-with every negative-index entry equal to zero.  Specialized steps for the
+with every negative-index entry equal to zero.  The tables are arrays: as
+soon as a_j is fixed it is added into every entry it touches, so entries
+0..n are complete when a_{n+1} is solved for.  Specialized steps for the
 Coulomb, oscillator, linear and Cornell potentials and for the exponentially
 decaying mass are kept as separate code paths so they can be cross-checked
 against the general recurrence.
@@ -16,7 +18,6 @@ against the general recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -33,7 +34,6 @@ from .model import (
 
 __all__ = [
     "RecurrenceKind",
-    "ConvolutionTables",
     "generate_coefficients",
     "coefficient_closed_forms_cornell",
     "coefficient_closed_forms_expmass",
@@ -54,58 +54,6 @@ class RecurrenceKind(Enum):
     LINEAR = "linear"
     CORNELL = "cornell"
     EXP_MASS_CORNELL = "exp_mass_cornell"
-
-
-@dataclass
-class ConvolutionTables:
-    """Running convolutions of the coefficient prefix with the mass series."""
-
-    m_table: list = field(default_factory=list)
-    mprime_table: list = field(default_factory=list)
-    t_table: list = field(default_factory=list)
-    filled_to: int = -1
-
-    def m_at(self, i: int) -> float:
-        return self.m_table[i] if i >= 0 else 0.0
-
-    def mprime_at(self, i: int) -> float:
-        return self.mprime_table[i] if i >= 0 else 0.0
-
-    def t_at(self, i: int) -> float:
-        return self.t_table[i] if i >= 0 else 0.0
-
-    def extend(self, a, bmass, blog) -> None:
-        """Fill index filled_to + 1 from the coefficient prefix a_0..a_{filled_to+1}."""
-        i = self.filled_to + 1
-        m = mp = t = 0.0
-        top = min(i, len(bmass) - 1)
-        for nu in range(top + 1):
-            aj = a[i - nu]
-            m += aj * bmass[nu]
-        top = min(i, len(blog) - 1)
-        for nu in range(top + 1):
-            j = i - nu
-            ab = a[j] * blog[nu]
-            mp += ab
-            t += j * ab
-        self.m_table.append(m)
-        self.mprime_table.append(mp)
-        self.t_table.append(t)
-        self.filled_to = i
-
-    def rescale(self, factor: float) -> None:
-        inv = 1.0 / factor
-        self.m_table = [v * inv for v in self.m_table]
-        self.mprime_table = [v * inv for v in self.mprime_table]
-        self.t_table = [v * inv for v in self.t_table]
-
-    @classmethod
-    def from_prefix(cls, a, bmass, blog) -> "ConvolutionTables":
-        """Recompute every entry from scratch (reference for the incremental path)."""
-        tables = cls()
-        for _ in range(len(a)):
-            tables.extend(a, bmass, blog)
-        return tables
 
 
 def _validate_kind(kind: RecurrenceKind, pot: PotentialSpec, mass: MassProfile) -> None:
@@ -213,11 +161,26 @@ def generate_coefficients(
                 fill_conv(n + 1)
         return SeriesSolution(e, b, np.array(a), a[0], order, q, scale_log10)
 
-    bmass = mass.mass_series
-    blog = mass.logderiv_series
-    tables = ConvolutionTables()
-    tables.extend(a, bmass, blog)
+    # trailing zeros of the mass series (all of a constant mass's beyond m0)
+    # add nothing to the tables, so they are dropped
+    bmass = np.trim_zeros(mass.mass_series, "b")
+    blog = np.trim_zeros(mass.logderiv_series, "b")
+    # room for the last coefficient's whole series, so no slice is cut short
+    size = order + 1 + max(bmass.size, blog.size)
+    m_tab, mp_tab, t_tab = np.zeros(size), np.zeros(size), np.zeros(size)
 
+    def add_to_tables(j: int) -> None:
+        # a_j enters M_i, M'_i and T_i for i = j .. j + len(series) - 1
+        m_tab[j : j + bmass.size] += a[j] * bmass
+        if blog.size:
+            ab = a[j] * blog
+            mp_tab[j : j + blog.size] += ab
+            t_tab[j : j + blog.size] += j * ab
+
+    def at(table: np.ndarray, i: int) -> float:
+        return table[i] if i >= 0 else 0.0
+
+    add_to_tables(0)
     v1, v2, v3 = pot.v1, pot.v2, pot.v3
     alpha, beta = pot.alpha, pot.beta
     b2 = b * b
@@ -227,31 +190,31 @@ def generate_coefficients(
         an1 = a[n - 1] if n >= 1 else 0.0
         base = (
             ((k - 1) + 2.0 * n) * b * an
-            + ell * tables.mprime_at(n)
-            - b * tables.mprime_at(n - 1)
-            + tables.t_at(n)
-            - 2.0 * e * tables.m_at(n - 1)
+            + ell * mp_tab[n]
+            - b * at(mp_tab, n - 1)
+            + t_tab[n]
+            - 2.0 * e * at(m_tab, n - 1)
             - b2 * an1
         )
         if kind is RecurrenceKind.GENERAL:
             num = (
                 base
-                - 2.0 * v1 * tables.m_at(n + alpha - 1)
-                + 2.0 * v2 * tables.m_at(n - beta - 1)
-                + 2.0 * v3 * tables.m_at(n - 1)
+                - 2.0 * v1 * at(m_tab, n + alpha - 1)
+                + 2.0 * v2 * at(m_tab, n - beta - 1)
+                + 2.0 * v3 * at(m_tab, n - 1)
             )
         elif kind is RecurrenceKind.COULOMB:
-            num = base - 2.0 * v1 * tables.m_at(n)
+            num = base - 2.0 * v1 * m_tab[n]
         elif kind is RecurrenceKind.OSCILLATOR:
-            num = base + 2.0 * v2 * tables.m_at(n - 3)
+            num = base + 2.0 * v2 * at(m_tab, n - 3)
         elif kind is RecurrenceKind.LINEAR:
-            num = base + 2.0 * v2 * tables.m_at(n - 2)
+            num = base + 2.0 * v2 * at(m_tab, n - 2)
         elif kind is RecurrenceKind.CORNELL:
             num = (
                 base
-                - 2.0 * v1 * tables.m_at(n)
-                + 2.0 * v2 * tables.m_at(n - 2)
-                + 2.0 * v3 * tables.m_at(n - 1)
+                - 2.0 * v1 * m_tab[n]
+                + 2.0 * v2 * at(m_tab, n - 2)
+                + 2.0 * v3 * at(m_tab, n - 1)
             )
         else:  # pragma: no cover - exhaustive enum
             raise DomainError(f"unhandled recurrence kind {kind}")
@@ -262,9 +225,12 @@ def generate_coefficients(
             s = abs(a[n + 1])
             for j in range(n + 2):
                 a[j] /= s
-            tables.rescale(s)
+            inv = 1.0 / s
+            m_tab *= inv
+            mp_tab *= inv
+            t_tab *= inv
             scale_log10 += math.log10(s)
-        tables.extend(a, bmass, blog)
+        add_to_tables(n + 1)
 
     return SeriesSolution(e, b, np.array(a), a[0], order, q, scale_log10)
 

@@ -22,7 +22,7 @@ from .errors import (
     ExtrapolationWarning,
     SingularPointError,
 )
-from .model import MassProfile, PotentialSpec, SeriesSolution
+from .model import MassProfile, PotentialSpec, SeriesSolution, _horner
 
 __all__ = [
     "RadialWavefunction",
@@ -31,6 +31,7 @@ __all__ = [
     "normalize",
     "ode_residual",
     "count_nodes",
+    "sign_changes",
     "coulomb_a0_reference",
 ]
 
@@ -57,24 +58,20 @@ def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
     abs_coeffs = np.abs(coeffs)
     order = coeffs.size - 1
 
-    def excess(r: float) -> float:
-        env = 0.0
-        for c in abs_coeffs[::-1]:
-            env = env * r + c
-        return last * r**order - ratio * env
+    def excess(r):
+        return last * r**order - ratio * _horner(abs_coeffs, r)
 
-    # overflow in either side of the comparison means the scan ran far past
-    # any usable radius; treating it as "exceeded" keeps the result finite
-    # and conservative
-    lo = 1e-12
-    hi = lo
-    for _ in range(220):
-        val = excess(hi)
-        if val > 0 or not math.isfinite(val):
-            break
-        hi *= 2.0
-    else:
+    # doubling scan from 1e-12 to the first radius where the ratio is
+    # exceeded; overflow in either side of the comparison means the scan ran
+    # far past any usable radius, and treating it as "exceeded" keeps the
+    # result finite and conservative
+    radii = np.ldexp(1e-12, np.arange(220))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = excess(radii)
+    hit = (val > 0) | ~np.isfinite(val)
+    if not hit.any():
         return math.inf
+    hi = float(radii[np.argmax(hit)])
     lo = hi / 2.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -107,16 +104,6 @@ class RadialWavefunction:
         return (self.k - 1) / 2.0
 
 
-def _u_derivs(coeffs: np.ndarray, r: float) -> tuple[float, float, float]:
-    """Horner evaluation of u, u', u'' at a scalar radius."""
-    u = up = upp = 0.0
-    for c in coeffs[::-1]:
-        upp = upp * r + 2.0 * up
-        up = up * r + u
-        u = u * r + c
-    return u, up, upp
-
-
 def _eval_R(w: RadialWavefunction, r: float) -> float:
     p = w.prefactor_power
     if r == 0.0:
@@ -125,7 +112,7 @@ def _eval_R(w: RadialWavefunction, r: float) -> float:
         # k = 1: prefactor is r^0
         return float(w.solution.coeffs[0])
     b = w.solution.b
-    u, _, _ = _u_derivs(w.solution.coeffs, r)
+    u = _horner(w.solution.coeffs, r)
     return math.exp(p * math.log(r) - b * r) * u
 
 
@@ -133,7 +120,7 @@ def _eval_R_derivs(w: RadialWavefunction, r: float) -> tuple[float, float, float
     """R, R', R'' from analytically differentiated series (r > 0)."""
     p = w.prefactor_power
     b = w.solution.b
-    u, up, upp = _u_derivs(w.solution.coeffs, r)
+    u, up, upp = _horner(w.solution.coeffs, r, derivs=2)
     g = p / r - b
     pref = math.exp(p * math.log(r) - b * r)
     R = pref * u
@@ -219,57 +206,28 @@ def ode_residual(
     return abs(res)
 
 
+def sign_changes(values) -> int:
+    """Number of sign changes along ``values``, exact zeros skipped."""
+    v = np.asarray(values, float)
+    neg = v[v != 0.0] < 0
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
+
+
 def count_nodes(w: RadialWavefunction, r_max: float, samples: int = 2048) -> int:
     """Count sign changes of R on (0, r_max).
 
     The prefactor r^((k-1)/2) e^(-br) is positive, so nodes of R are nodes of
-    the series factor u.  Sign changes on a uniform grid are confirmed by
-    bisection refinement; samples that are exactly zero are skipped so that
+    the series factor u, counted as sign changes on a uniform grid of
+    ``samples`` points; samples that are exactly zero are skipped so that
     near-zero touches without an actual crossing are not counted.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
     if r_max <= 0:
         raise DomainError("r_max must be positive")
-    coeffs = w.solution.coeffs
-
-    def u_of(r: float) -> float:
-        acc = 0.0
-        for c in coeffs[::-1]:
-            acc = acc * r + c
-        return acc
-
     grid = np.linspace(0.0, r_max, samples + 1)[1:]
-    values = [u_of(float(r)) for r in grid]
-    count = 0
-    prev_r = None
-    prev_v = 0.0
-    for r, v in zip(grid, values):
-        if v == 0.0:
-            continue
-        if prev_r is not None and (prev_v < 0) != (v < 0):
-            if _confirm_crossing(u_of, prev_r, r):
-                count += 1
-        prev_r, prev_v = float(r), v
-    return count
-
-
-def _confirm_crossing(f, lo: float, hi: float) -> bool:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0 or fhi == 0.0:
-        return True
-    if (flo < 0) == (fhi < 0):
-        return False
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return True
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sign_changes(_horner(w.solution.coeffs, grid))
 
 
 def coulomb_a0_reference(a_coupling: float, m0: float, n: int, ell: int) -> float:

@@ -16,6 +16,8 @@ from pdmradial.cli import (
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = REPO / "configs" / "coulomb_demo.json"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "coulomb_demo_energies.csv"
+EXPMASS_CONFIG = REPO / "configs" / "expmass_cornell_demo.json"
+EXPMASS_GOLDEN = GOLDEN.parent / "expmass_cornell_energies.csv"
 
 
 def demo_config_dict():
@@ -76,6 +78,24 @@ class TestConfigParsing:
         data["solver"]["e_hi"] = -0.6
         with pytest.raises(ConfigError, match="e_lo"):
             parse_config(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("truncation_order", 2),
+            ("scan_steps", 5),
+            ("tol_e", -1),
+            ("max_iter", 3),
+            ("match_radius", -1.0),
+            ("oracle_points", 10),
+        ],
+    )
+    def test_bad_solver_value_is_config_error(self, tmp_path, capsys, field, value):
+        data = demo_config_dict()
+        data["solver"][field] = value
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 2
+        assert f"solver.{field}" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -192,6 +212,15 @@ class TestPdmConfig:
             by_channel.setdefault(r["ell"], []).append(r["energy"])
         for ell, energies in by_channel.items():
             assert energies[0] < energies[1] < 0
+
+
+    def test_golden_energies_file(self, tmp_path):
+        # the only golden file with a varying mass
+        data = json.loads(EXPMASS_CONFIG.read_text())
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        got = (tmp_path / "out" / "energies.csv").read_bytes()
+        assert got == EXPMASS_GOLDEN.read_bytes()
 
 
 class TestTwoDimensionalChannels:

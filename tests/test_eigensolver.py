@@ -135,6 +135,15 @@ class TestFindEigenvalueErrors:
         with pytest.raises(DomainError):
             SolverConfig(e_bracket=(-0.4, -1e-14))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("leg_step", 0.0), ("leg_step", -0.01), ("tail_lengths", 0.0),
+         ("tail_lengths", -10.0)],
+    )
+    def test_nonpositive_lengths_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SolverConfig(e_bracket=(-0.6, -0.4), **{field: value})
+
 
 class TestScanSpectrum:
     def test_coulomb_brackets(self):

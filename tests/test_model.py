@@ -12,6 +12,7 @@ from pdmradial.model import (
     PotentialSpec,
     QuantumNumbers,
     SeriesSolution,
+    _horner,
     b_from_energy,
     make_cornell,
     make_coulomb,
@@ -186,3 +187,24 @@ class TestSeriesSolution:
 def test_eigenresult_requires_positive_norm():
     with pytest.raises(DomainError):
         EigenResult(energy=-1.0, nodes=0, norm_const=0.0, tail_residual=0.0)
+
+
+class TestHorner:
+    COEFFS = np.array([0.7, -1.3, 0.25, 2.0, -0.4, 0.05])
+
+    @pytest.mark.parametrize("r", [0.0, 0.37, 1.9, np.linspace(0.0, 3.0, 7)])
+    def test_value_and_derivatives_match_polyval(self, r):
+        from numpy.polynomial import polynomial as P
+
+        for derivs in (0, 1, 2):
+            got = _horner(self.COEFFS, r, derivs=derivs)
+            values = (got,) if derivs == 0 else got
+            assert len(values) == derivs + 1
+            for d, value in enumerate(values):
+                want = P.polyval(r, P.polyder(self.COEFFS, d))
+                assert np.shape(value) == np.shape(r)
+                np.testing.assert_allclose(value, want, rtol=1e-13, atol=1e-13)
+
+    def test_scalar_radius_gives_python_float(self):
+        assert type(_horner(self.COEFFS, np.float64(0.5))) is float
+        assert all(type(v) is float for v in _horner(self.COEFFS, 0.5, derivs=2))

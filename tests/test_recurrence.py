@@ -16,7 +16,6 @@ from pdmradial.model import (
     make_coulomb,
 )
 from pdmradial.recurrence import (
-    ConvolutionTables,
     RecurrenceKind,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
@@ -197,25 +196,41 @@ class TestGenerateCoefficients:
         scaled = sol.scaled(scale)
         assert scaled.coeffs == pytest.approx(scale * sol.coeffs, rel=1e-15)
 
-    def test_incremental_tables_equal_scratch(self):
+    def test_master_recurrence_from_scratch_tables(self):
+        # rebuild M, M' and T with np.convolve from the final coefficient
+        # vector and check that every generated a_{n+1} satisfies the master
+        # recurrence with them
         pot = make_cornell(0.8, 0.4, -0.1)
         mass = mass_from_series([1.0, -0.5, 0.125, 0.3])
         q = QuantumNumbers(3, 1, 0)
-        sol = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, -0.7, 10)
-        tables = ConvolutionTables.from_prefix(
-            list(sol.coeffs), mass.mass_series, mass.logderiv_series
-        )
-        # rebuild incrementally one entry at a time and compare
-        inc = ConvolutionTables()
-        for _ in range(len(sol.coeffs)):
-            inc.extend(list(sol.coeffs), mass.mass_series, mass.logderiv_series)
-        assert inc.m_table == pytest.approx(tables.m_table)
-        assert inc.mprime_table == pytest.approx(tables.mprime_table)
-        assert inc.t_table == pytest.approx(tables.t_table)
+        e, order = -0.7, 30
+        sol = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, order)
+        a = sol.coeffs
+        m_tab = np.convolve(a, mass.mass_series)[: order + 1]
+        mp_tab = np.convolve(a, mass.logderiv_series)[: order + 1]
+        t_tab = np.convolve(np.arange(order + 1) * a, mass.logderiv_series)[
+            : order + 1
+        ]
 
-    def test_negative_index_reads_are_zero(self):
-        t = ConvolutionTables()
-        assert t.m_at(-1) == 0.0 and t.mprime_at(-2) == 0.0 and t.t_at(-1) == 0.0
+        def at(table, i):
+            return table[i] if i >= 0 else 0.0
+
+        k, ell, b = q.k, q.ell, sol.b
+        running_max = np.maximum.accumulate(np.abs(a))
+        for n in range(order):
+            num = (
+                ((k - 1) + 2.0 * n) * b * a[n]
+                + ell * mp_tab[n]
+                - b * at(mp_tab, n - 1)
+                + t_tab[n]
+                - 2.0 * e * at(m_tab, n - 1)
+                - b * b * at(a, n - 1)
+                - 2.0 * pot.v1 * at(m_tab, n + pot.alpha - 1)
+                + 2.0 * pot.v2 * at(m_tab, n - pot.beta - 1)
+                + 2.0 * pot.v3 * at(m_tab, n - 1)
+            )
+            want = num / ((n + 1) * (n + k - 1))
+            assert abs(a[n + 1] - want) <= 1e-13 * running_max[n + 1]
 
     def test_alpha_two_rejected(self):
         pot = PotentialSpec(1.0, 0.0, 0.0, 2, 0)

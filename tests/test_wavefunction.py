@@ -23,6 +23,7 @@ from pdmradial.wavefunction import (
     evaluate,
     normalize,
     ode_residual,
+    sign_changes,
     trust_radius,
 )
 
@@ -206,6 +207,23 @@ class TestCountNodes:
         sol, _ = coulomb_state()
         with pytest.raises(DomainError):
             count_nodes(RadialWavefunction.from_solution(sol), 10.0, samples=50)
+
+
+class TestSignChanges:
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([0.0, 0.0, -1.0, 2.0], 1),  # leading zeros
+            ([-1.0, 0.0, 0.0, 1.0, 0.0, -2.0], 2),  # interior zeros
+            ([-1.0, 0.0, -1.0], 0),  # a touch at zero is no crossing
+            ([0.0, 0.0, 0.0], 0),  # all zeros
+            ([], 0),
+            ([3.0, -1e-300], 1),  # one sign flip
+            ([-1.0, -2.0, 5.0, 4.0, -0.5], 2),
+        ],
+    )
+    def test_cases(self, values, expected):
+        assert sign_changes(np.array(values)) == expected
 
 
 class TestClosedFormEquivalence:
