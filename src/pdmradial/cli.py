@@ -443,10 +443,9 @@ def write_wavefunctions(
     samples = []
     for row in ok:
         wave = RadialWavefunction.from_solution(row.solution.scaled(row.norm_const))
-        vals = [
-            evaluate(wave, float(x)) if x <= wave.eval_cutoff else None
-            for x in radii
-        ]
+        # radii ascend, so the trusted ones come first; the rest read None
+        trusted = radii[radii <= wave.eval_cutoff]
+        vals = evaluate(wave, trusted).tolist() + [None] * (points - trusted.size)
         samples.append((row, vals))
     if "csv" in formats:
         lines = ["dim,ell,radial_n,r,R"]

@@ -108,6 +108,7 @@ class _Geometry:
     r_match: float
     grid: oracle.GridSpec
     i_match: int  # grid index of r_match
+    leg: oracle.Leg  # the inward leg's energy-independent arrays on grid
 
 
 def _build_geometry(
@@ -166,7 +167,8 @@ def _build_geometry(
             f"far {r_far:.3g}); the bracket or match radius is pathological"
         )
     grid = oracle.GridSpec(r_lo, r_lo + (n_right + 4) * h, n_right + 5)
-    return _Geometry(r_match, grid, 4)
+    leg = oracle.make_leg(pot, mass, q, grid.array(), grid.h, outward=False)
+    return _Geometry(r_match, grid, 4, leg)
 
 
 def _series_direction(
@@ -180,22 +182,32 @@ def _series_direction(
 
 
 def _mismatch(
+    e,
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
-    e: float,
     cfg: SolverConfig,
     geom: _Geometry,
     want_solution: bool = False,
 ):
+    """Normalized Wronskian of the series and the inward leg at the match
+    radius.  An array ``e`` gives one value per energy from one batched
+    recurrence and batched inward solves (``want_solution`` needs a float)."""
     sol = generate_coefficients(
         RecurrenceKind.GENERAL, pot, mass, q, e, cfg.truncation_order
     )
-    vs = _series_direction(sol, q, geom.r_match)
-    R_in, Rp_in = oracle.integrate_radial(pot, mass, q, e, geom.grid, "inward")
+    us, dus = _series_direction(sol, q, geom.r_match)
+    if np.ndim(e):
+        ui, dui = oracle.inward_match(geom.leg, mass, e, geom.i_match)
+        w = dus * ui - us * dui
+        norm = np.hypot(us, dus) * np.hypot(ui, dui)
+        return np.divide(w, norm, out=np.zeros_like(w), where=norm > 0)
+    R_in, Rp_in = oracle.integrate_radial(
+        pot, mass, q, e, geom.grid, "inward", leg=geom.leg
+    )
     vi = (float(R_in[geom.i_match]), float(Rp_in[geom.i_match]))
-    w = vs[1] * vi[0] - vs[0] * vi[1]
-    norm = math.hypot(*vs) * math.hypot(*vi)
+    w = dus * vi[0] - us * vi[1]
+    norm = math.hypot(us, dus) * math.hypot(*vi)
     value = w / norm if norm > 0 else 0.0
     if want_solution:
         return value, sol, R_in, Rp_in
@@ -213,8 +225,7 @@ def _combined_node_count(
     node sits there (R ~ 0, R' large).  Its count starts from the series
     value at r_match, so the sample the series already counted is not
     counted again."""
-    wave = RadialWavefunction.from_solution(sol)
-    n_series = count_nodes(wave, geom.r_match, samples=2048)
+    n_series = count_nodes(sol, geom.r_match, samples=2048)
 
     u_match, up_match = _series_direction(sol, q, geom.r_match)
     i = geom.i_match
@@ -239,10 +250,10 @@ def find_eigenvalue(
     geom = _build_geometry(pot, mass, q, cfg)
     e_lo, e_hi = cfg.e_bracket
 
-    def f(e: float) -> float:
-        return _mismatch(pot, mass, q, e, cfg, geom)
-
-    f_lo, f_hi = f(e_lo), f(e_hi)
+    # passed to brentq as arguments, not held in a closure: brentq keeps its
+    # function alive until the next garbage collection
+    args = (pot, mass, q, cfg, geom)
+    f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)
     if f_lo == 0.0 or f_hi == 0.0:
         e_star = e_lo if f_lo == 0.0 else e_hi
     elif (f_lo < 0) == (f_hi < 0):
@@ -252,16 +263,17 @@ def find_eigenvalue(
         )
     else:
         e_star = brentq(
-            f,
+            _mismatch,
             e_lo,
             e_hi,
+            args=args,
             xtol=abs(e_hi) * 1e-14,
             rtol=max(cfg.tol_e, 1e-15),
             maxiter=cfg.max_iter,
         )
 
     residual, sol, R_in, Rp_in = _mismatch(
-        pot, mass, q, e_star, cfg, geom, want_solution=True
+        e_star, *args, want_solution=True
     )
     nodes = _combined_node_count(sol, q, geom, R_in, Rp_in)
     if nodes != q.radial_n:
@@ -357,16 +369,14 @@ def scan_spectrum(
         pts = energies[mask]
         if pts.size < 2:
             pts = np.array([a, bnd])
-        vals = [
-            _mismatch(pot, mass, q_family, float(e), sub_cfg, geom) for e in pts
-        ]
+        vals = _mismatch(pts, pot, mass, q_family, sub_cfg, geom)
         for i in range(len(pts) - 1):
             va, vb = vals[i], vals[i + 1]
             if va == 0.0 or (va < 0) != (vb < 0):
                 ea, eb = float(pts[i]), float(pts[i + 1])
                 mid = 0.5 * (ea + eb)
                 _, sol, R_in, Rp_in = _mismatch(
-                    pot, mass, q_family, mid, sub_cfg, geom, want_solution=True
+                    mid, pot, mass, q_family, sub_cfg, geom, want_solution=True
                 )
                 nodes = _combined_node_count(sol, q_family, geom, R_in, Rp_in)
                 found.append(((ea, eb), nodes))

@@ -11,8 +11,9 @@ LAPACK.  Outward runs start from a short origin expansion derived directly
 from the indicial balance of the equation and keep an 80-bit per-point loop,
 because past the turning point they amplify rounding noise.  This module
 imports nothing from the recurrence or wavefunction modules beyond the domain
-types; the eigensolver does borrow ``integrate_radial`` for its inward leg,
-so the two share the tail side of the matching.
+types; the eigensolver does borrow ``integrate_radial`` and, for a batch of
+scan energies, ``inward_match`` for its inward leg, so the two share the
+tail side of the matching.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from .model import MassProfile, PotentialSpec, QuantumNumbers, b_from_energy
 
 __all__ = [
     "GridSpec",
+    "Leg",
+    "inward_match",
     "integrate_radial",
+    "make_leg",
     "numerov_eigenvalue",
     "outer_turning_radius",
 ]
@@ -40,6 +44,8 @@ MIN_GRID_POINTS = 1000
 # the inward solve starts a new segment wherever the WKB growth exponent has
 # risen by this much (e^300 ~ 1e130, far below the float64 overflow)
 _SEGMENT_EXPONENT = 300.0
+# most (energies x points) values one batched inward solve holds at a time
+_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -204,6 +210,37 @@ def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers, 
     return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m
 
 
+@dataclass(frozen=True)
+class Leg:
+    """Energy-independent arrays of one Numerov run over the radii ``r``
+    (uniform step ``h``): G = m'/m, w = w0 - m2 e in y'' = w y, and
+    s = exp(int G/2), equal to 1 where the run starts, so that R = s y.
+    Built once per grid and direction, shared by every energy."""
+
+    r: np.ndarray
+    h: float
+    g: np.ndarray
+    w0: np.ndarray
+    m2: np.ndarray
+    s: np.ndarray
+    outward: bool
+
+
+def make_leg(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    q: QuantumNumbers,
+    r: np.ndarray,
+    h: float,
+    outward: bool,
+) -> Leg:
+    """The arrays of a run over the uniform radii ``r`` in one direction."""
+    g, w0, m2 = _potential_arrays(pot, mass, q, r)
+    big_g = npoly.polyval(r, npoly.polyint(npoly.polytrim(mass.logderiv_series)))
+    s = np.exp(0.5 * (big_g - (big_g[0] if outward else big_g[-1])))
+    return Leg(r, h, g, w0, m2, s, outward)
+
+
 def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative on a uniform grid (>= 9 points)."""
     n = R.size
@@ -249,7 +286,7 @@ def _numerov(
     retroactively so one overall scale applies).
     """
     if not outward:
-        return _numerov_inward(w_arr, r, h, start)
+        return _numerov_inward(w_arr, 0.0, 0.0, r, h, start)
     c, d = _numerov_coefficients(w_arr, h, np.longdouble)
     R = np.zeros(w_arr.size, dtype=np.longdouble)
     R[0], R[1] = start
@@ -266,52 +303,118 @@ def _numerov(
 
 
 def _numerov_inward(
-    w_arr: np.ndarray, r: np.ndarray, h: float, start: tuple[float, float]
+    w0: np.ndarray, m2, e, r: np.ndarray, h: float, start
 ) -> np.ndarray:
-    """Inward Numerov run as float64 banded triangular solves (LAPACK dtbtrs).
+    """Inward Numerov runs on w = w0 - m2 e for the energy or energies ``e``
+    as float64 banded triangular solves (LAPACK dtbtrs); y has shape
+    (*e.shape, n), and ``start`` holds the first two values of every run.
 
     In travel order, z_j = y(r[n-1-j]), the recurrence reads
     c_j z_j - d_{j-1} z_{j-1} + c_{j-2} z_{j-2} = 0: a lower-triangular system
     with two subdiagonals whose column j holds (c_j, -d_j, c_j), with the two
     start values moved to the right-hand side.  The grid is cut beforehand
     wherever the WKB exponent, the integral of sqrt(max(w, 0)) dr, has grown
-    by another ``_SEGMENT_EXPONENT``.  Each segment starts from the last two
-    values of the previous one scaled to order one, and the earlier samples
-    are rescaled by the same factor, so no value approaches overflow.  A
-    segment that still gives a non-finite value raises DomainError naming
-    the radius.
+    by another ``_SEGMENT_EXPONENT`` at the deepest energy, whose w is the
+    largest, so the cuts of a single energy are its own.  Each segment starts
+    from the last two values of the previous one scaled to order one, and the
+    earlier samples are rescaled by the same factor, so no value approaches
+    overflow.  Several energies are solved as one block-diagonal system per
+    segment, one uncoupled block per energy.  A segment that still gives a
+    non-finite value raises DomainError naming the radius.
     """
-    n = w_arr.size
-    w = w_arr[::-1]
-    c, d = _numerov_coefficients(w, h, np.float64)
-    ab = np.empty((3, n), order="F")  # column slices stay Fortran-contiguous
-    ab[0] = c
-    ab[1] = -d
-    ab[2] = c
-    growth = np.cumsum(np.sqrt(np.maximum(w, 0.0))) * h
+    shape = np.shape(e)
+    e = np.atleast_1d(e)[:, None]
+    n = r.size
+    w0, m2 = w0[::-1], np.broadcast_to(m2, w0.shape)[::-1]
+    growth = np.cumsum(np.sqrt(np.maximum(w0 - m2 * e.min(), 0.0))) * h
     n_marks = int(growth[-1] // _SEGMENT_EXPONENT)
     cuts = np.unique(
         np.searchsorted(growth, _SEGMENT_EXPONENT * np.arange(1, n_marks + 1))
     )
     bounds = [2, *cuts[(cuts > 2) & (cuts < n - 1)].tolist(), n]
 
-    z = np.empty(n)
-    z[0], z[1] = start
+    h12 = h * h / 12.0
+
+    def numerov_rows(lo: int, hi: int, c: np.ndarray, neg_d: np.ndarray) -> None:
+        # c = 1 - h12 w and -d = -(2 + 10 h12 w) at travel indices lo..hi-1,
+        # written in place, in the operation order of _numerov_coefficients
+        np.multiply(m2[lo:hi], e, out=c)
+        np.subtract(w0[lo:hi], c, out=c)  # w
+        np.multiply(10.0 * h12, c, out=neg_d)
+        np.add(2.0, neg_d, out=neg_d)
+        np.negative(neg_d, out=neg_d)
+        np.multiply(h12, c, out=c)
+        np.subtract(1.0, c, out=c)
+
+    z = np.empty((e.size, n))
+    z[:, 0], z[:, 1] = start
+    # one band and right-hand-side buffer serves every segment
+    longest = max(hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]))
+    ab_all = np.empty((3, e.size * longest), order="F")
+    rhs_all = np.empty((e.size * longest, 1))
+    c0, neg_d0 = np.empty((2, e.size, 2))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        z[:lo] /= max(abs(z[lo - 2]), abs(z[lo - 1]))
-        rhs = np.zeros((hi - lo, 1))
-        rhs[0, 0] = d[lo - 1] * z[lo - 1] - c[lo - 2] * z[lo - 2]
-        rhs[1:2, 0] = -c[lo - 1] * z[lo - 1]  # no-op for a one-point segment
-        x, info = dtbtrs(ab[:, lo:hi], rhs, uplo="L")
+        z[:, :lo] /= np.maximum(abs(z[:, lo - 2]), abs(z[:, lo - 1]))[:, None]
+        m = hi - lo
+        # column (energy, j) of the Fortran-ordered band storage is
+        # ab[:, energy * m + j]; ``band`` views it as [energy, j, row]
+        ab = ab_all[:, : e.size * m]
+        band = ab.T.reshape(e.size, m, 3)
+        numerov_rows(lo, hi, band[:, :, 0], band[:, :, 1])
+        band[:, :, 2] = band[:, :, 0]
+        band[:, -1, 1:] = 0.0  # no coupling into the next energy's block
+        band[:, -2:-1, 2] = 0.0
+        numerov_rows(lo - 2, lo, c0, neg_d0)
+        rhs = rhs_all[: e.size * m]
+        rhs[:] = 0.0
+        first = rhs.reshape(e.size, m)
+        first[:, 0] = -neg_d0[:, 1] * z[:, lo - 1] - c0[:, 0] * z[:, lo - 2]
+        first[:, 1:2] = (-c0[:, 1] * z[:, lo - 1])[:, None]  # none if m = 1
+        x, info = dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
         finite = np.isfinite(x[:, 0])
         if info != 0 or not finite.all():
-            bad = lo + (info - 1 if info > 0 else int(np.argmin(finite)))
+            k, j = divmod(info - 1 if info > 0 else int(np.argmin(finite)), m)
             raise DomainError(
-                f"inward Numerov solve is not finite at r={r[n - 1 - bad]:.6g} "
-                f"(h^2 w/12 = {1.0 - c[bad]:.3g}); refine the grid"
+                f"inward Numerov solve is not finite at r={r[n - 1 - lo - j]:.6g} "
+                f"(h^2 w/12 = {1.0 - band[k, j, 0]:.3g}); refine the grid"
             )
-        z[lo:hi] = x[:, 0]
-    return z[::-1]
+        z[:, lo:hi] = x.reshape(e.size, m)
+    return z[:, ::-1].reshape(*shape, n)
+
+
+def _inward_start(leg: Leg, mass: MassProfile, e: float) -> tuple[float, float]:
+    """First two values of an inward run: R'/R = -kappa at the far end, i.e.
+    y'/y = -kappa - G/2."""
+    kappa = math.sqrt(-2.0 * float(mass.mass_at(leg.r[-1])) * e)
+    return 1.0, math.exp((kappa + 0.5 * leg.g[-1]) * leg.h)
+
+
+def inward_match(
+    leg: Leg, mass: MassProfile, e: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """R and R' at index ``i`` (2 <= i <= n - 3) of the inward runs of
+    ``leg`` at every energy of the 1-d array ``e``, each up to its own
+    positive scale.
+
+    The energies are solved in blocks of at most ``_BLOCK_VALUES`` (energies
+    x points) values, so the transient memory stays bounded however many
+    energies are asked for.  Each equals ``integrate_radial``'s R[i], R'[i]
+    up to that scale; only the segment cuts, taken from each block's deepest
+    energy, move the rounding.
+    """
+    n = leg.r.size
+    assert 2 <= i <= n - 3, "the match index needs the central stencil"
+    R, Rp = np.empty(e.size), np.empty(e.size)
+    per_block = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, e.size, per_block):
+        es = e[lo : lo + per_block]
+        start = np.array([_inward_start(leg, mass, x) for x in es]).T
+        y = _numerov_inward(leg.w0, leg.m2, es, leg.r, leg.h, start)[:, i - 2 : i + 3]
+        # the central fourth-order stencil of _derivative_from_grid
+        dy = (y[:, 0] - 8 * y[:, 1] + 8 * y[:, 3] - y[:, 4]) / (12 * leg.h)
+        R[lo : lo + per_block] = leg.s[i] * y[:, 2]
+        Rp[lo : lo + per_block] = leg.s[i] * (dy + 0.5 * leg.g[i] * y[:, 2])
+    return R, Rp
 
 
 def integrate_radial(
@@ -322,15 +425,18 @@ def integrate_radial(
     grid: GridSpec,
     direction: str = "outward",
     check_resolution: bool = False,
+    leg: Leg | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the radial equation over ``grid``; returns R and R' arrays.
 
     Outward runs start from the origin expansion
     R ~ r^((k-1)/2) (1 + c1 r + ... ) evaluated at the first grid points;
     inward runs start from the local decay R'/R = -sqrt(-2 m(r_max) e).  The
-    overall scale of the solution is arbitrary.  With ``check_resolution``
-    the integration is repeated on the doubled step and a log-derivative
-    disagreement above 1e-8 raises ResolutionError.
+    overall scale of the solution is arbitrary.  ``leg`` may carry the
+    grid's arrays in this direction from ``make_leg``, so a caller that
+    integrates many energies on one grid builds them once.  With
+    ``check_resolution`` the integration is repeated on the doubled step and
+    a log-derivative disagreement above 1e-8 raises ResolutionError.
     """
     if e >= 0:
         raise DomainError("direct integration expects a bound-state energy E < 0")
@@ -343,9 +449,9 @@ def integrate_radial(
             "(the origin branch separation is too weak below that)"
         )
 
-    r = grid.array()
-    h = grid.h
-    R, Rp = _integrate_on(pot, mass, q, e, r, h, outward)
+    if leg is None:
+        leg = make_leg(pot, mass, q, grid.array(), grid.h, outward)
+    R, Rp = _integrate_on(leg, pot, mass, q, e)
 
     if check_resolution:
         # Step-doubling comparison of the log-derivative at an interior,
@@ -353,9 +459,10 @@ def integrate_radial(
         # (beyond it the growing branch dominates and the comparison is
         # meaningless), near the start of travel for inward runs.
         coarse = grid.coarsened()
-        Rc, Rpc = _integrate_on(pot, mass, q, e, coarse.array(), coarse.h, outward)
+        coarse_leg = make_leg(pot, mass, q, coarse.array(), coarse.h, outward)
+        Rc, Rpc = _integrate_on(coarse_leg, pot, mass, q, e)
         if outward:
-            i_cmp = _match_index(pot, mass, q, e, grid)
+            i_cmp = _match_index(leg.w0, leg.m2, e)
             i_cmp -= i_cmp % 2
             i_cmp = min(max(i_cmp, 4), grid.points - 5)
         else:
@@ -367,19 +474,15 @@ def integrate_radial(
         if abs(ld_f - ld_c) > 1e-8 * scale:
             raise ResolutionError(
                 f"step-doubling log-derivative check failed at r="
-                f"{r[i_cmp]:.6g}: |{ld_f:.12g} - {ld_c:.12g}| exceeds "
+                f"{leg.r[i_cmp]:.6g}: |{ld_f:.12g} - {ld_c:.12g}| exceeds "
                 f"1e-8 (relative)"
             )
     return R, Rp
 
 
-def _integrate_on(pot, mass, q, e, r, h, outward):
-    g, w0, m2 = _potential_arrays(pot, mass, q, r)
-    # s = exp(int G/2), normalized to 1 where the integration starts
-    big_g = npoly.polyval(r, npoly.polyint(npoly.polytrim(mass.logderiv_series)))
-    s = np.exp(0.5 * (big_g - (big_g[0] if outward else big_g[-1])))
-
-    if outward:
+def _integrate_on(leg: Leg, pot, mass, q, e):
+    r, h, g, s = leg.r, leg.h, leg.g, leg.s
+    if leg.outward:
         p = (q.k - 1) / 2.0
         c = _origin_series(pot, mass, q, e)
 
@@ -390,34 +493,35 @@ def _integrate_on(pot, mass, q, e, r, h, outward):
             return x**p * acc
 
         start = (series_val(float(r[0])), series_val(float(r[1])) / s[1])
+        y = _numerov(leg.w0 - leg.m2 * e, r, h, start, True)
     else:
-        # R'/R = -kappa at the far end, i.e. y'/y = -kappa - G/2
-        kappa = math.sqrt(-2.0 * float(mass.mass_at(r[-1])) * e)
-        start = (1.0, math.exp((kappa + 0.5 * g[-1]) * h))
-
-    y = _numerov(w0 - m2 * e, r, h, start, outward)
+        y = _numerov_inward(leg.w0, leg.m2, e, r, h, _inward_start(leg, mass, e))
     return s * y, s * (_derivative_from_grid(y, h) + 0.5 * g * y)
 
 
-def _match_index(pot, mass, q, e, grid: GridSpec) -> int:
+def _match_index(w0: np.ndarray, m2: np.ndarray, e: float) -> int:
     """Grid index of the outermost classical turning point (clamped inside)."""
-    r = grid.array()
-    _, w0, m2 = _potential_arrays(pot, mass, q, r)
     w = w0 - m2 * e
     sign_change = np.nonzero(np.diff(np.signbit(w)))[0]
-    idx = int(sign_change[-1]) if sign_change.size else grid.points // 2
-    return min(max(idx, 8), grid.points - 9)
+    idx = int(sign_change[-1]) if sign_change.size else w.size // 2
+    return min(max(idx, 8), w.size - 9)
 
 
-def _oracle_mismatch(pot, mass, q, e, grid, i_match) -> float:
-    """Normalized Wronskian of the outward and inward solutions at i_match."""
+def _oracle_legs(pot, mass, q, grid: GridSpec, i_match: int) -> tuple[Leg, Leg]:
+    """Outward and inward legs on slices of ``grid`` that overlap i_match by
+    four points, enough for a central 4th-order derivative stencil there."""
     r = grid.array()
-    h = grid.h
-    # integrate on slices of the full grid so both sides overlap i_match by
-    # four points, enough for a central 4th-order derivative stencil there
-    R_out, P_out = _integrate_on(pot, mass, q, e, r[: i_match + 5], h, True)
-    R_in, P_in = _integrate_on(pot, mass, q, e, r[i_match - 4 :], h, False)
-    Ro, Po = R_out[i_match], P_out[i_match]
+    return (
+        make_leg(pot, mass, q, r[: i_match + 5], grid.h, True),
+        make_leg(pot, mass, q, r[i_match - 4 :], grid.h, False),
+    )
+
+
+def _oracle_mismatch(e: float, pot, mass, q, legs: tuple[Leg, Leg]) -> float:
+    """Normalized Wronskian of the outward and inward solutions at i_match."""
+    R_out, P_out = _integrate_on(legs[0], pot, mass, q, e)
+    R_in, P_in = _integrate_on(legs[1], pot, mass, q, e)
+    Ro, Po = R_out[-5], P_out[-5]
     Ri, Pi = R_in[4], P_in[4]
     w = Po * Ri - Ro * Pi
     norm = math.hypot(Ro, Po) * math.hypot(Ri, Pi)
@@ -446,12 +550,14 @@ def numerov_eigenvalue(
         raise DomainError("bracket must satisfy e_lo < e_hi < 0")
     if grid is None:
         grid = default_grid(pot, mass, 0.5 * (e_lo + e_hi))
-    i_match = _match_index(pot, mass, q, 0.5 * (e_lo + e_hi), grid)
-
-    def f(e):
-        return _oracle_mismatch(pot, mass, q, e, grid, i_match)
-
-    f_lo, f_hi = f(e_lo), f(e_hi)
+    w0, m2 = _potential_arrays(pot, mass, q, grid.array())[1:]
+    i_match = _match_index(w0, m2, 0.5 * (e_lo + e_hi))
+    del w0, m2  # not kept alive beside the legs
+    # brentq keeps the function it is given in a reference cycle until the
+    # next garbage collection, so the legs go in as arguments, not in a
+    # closure that would keep them alive
+    args = (pot, mass, q, _oracle_legs(pot, mass, q, grid, i_match))
+    f_lo, f_hi = _oracle_mismatch(e_lo, *args), _oracle_mismatch(e_hi, *args)
     if f_lo == 0.0:
         return e_lo
     if f_hi == 0.0:
@@ -461,21 +567,23 @@ def numerov_eigenvalue(
             f"no mismatch sign change in bracket ({e_lo}, {e_hi}): "
             f"f = ({f_lo:.3e}, {f_hi:.3e})"
         )
-    root = brentq(f, e_lo, e_hi, xtol=abs(e_hi) * 1e-14, rtol=rtol, maxiter=200)
+    root = brentq(
+        _oracle_mismatch, e_lo, e_hi, args=args, xtol=abs(e_hi) * 1e-14,
+        rtol=rtol, maxiter=200,
+    )
     if verify_resolution:
         # Richardson-style estimate: re-solve on the doubled step; for a
         # fourth-order scheme the coarse error is ~16x the fine one, so
         # |fine - coarse| / 15 estimates the fine-grid error.
         coarse = grid.coarsened()
         j_match = min(max(i_match // 2, 8), coarse.points - 9)
-
-        def fc(e):
-            return _oracle_mismatch(pot, mass, q, e, coarse, j_match)
-
-        fc_lo, fc_hi = fc(e_lo), fc(e_hi)
+        del args  # the fine legs go before the coarse ones are built
+        args = (pot, mass, q, _oracle_legs(pot, mass, q, coarse, j_match))
+        fc_lo, fc_hi = _oracle_mismatch(e_lo, *args), _oracle_mismatch(e_hi, *args)
         if (fc_lo < 0) != (fc_hi < 0):
             root_c = brentq(
-                fc, e_lo, e_hi, xtol=abs(e_hi) * 1e-14, rtol=rtol, maxiter=200
+                _oracle_mismatch, e_lo, e_hi, args=args, xtol=abs(e_hi) * 1e-14,
+                rtol=rtol, maxiter=200,
             )
             err_est = abs(root - root_c) / 15.0
             if err_est > 1e-8 * abs(root):

@@ -83,7 +83,7 @@ def generate_coefficients(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
-    e: float,
+    e,
     order: int,
 ) -> SeriesSolution:
     """Generate a_0 .. a_order (a_0 = 1) at trial energy e < 0.
@@ -93,10 +93,16 @@ def generate_coefficients(
     involves no coefficient beyond a_n, which restricts alpha to {0, 1}.
     Coefficients exceeding the overflow guard trigger a homogeneous rescale of
     the whole prefix, recorded in ``scale_log10``.
+
+    ``e`` may be an array of energies: every step then runs over a trailing
+    energy axis, so the coefficients have shape (order + 1, *e.shape), and
+    each energy rescales on its own.  A float is the 0-d case of the same
+    loop; every column of a batch equals the scalar call bit for bit.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    if e >= 0:
+    e = np.asarray(e, float)
+    if np.any(e >= 0):
         raise DomainError("coefficient generation requires a bound-state energy E < 0")
     if pot.alpha >= 2:
         raise UnsupportedExponentError(
@@ -111,19 +117,25 @@ def generate_coefficients(
     if mass.order < order and mass.kind != "custom-series":
         mass = mass.extended(order)
 
+    # a 0-d energy runs on numpy scalars, several times faster than 0-d arrays
+    e = e[()]
     b = b_from_energy(e, mass.m0)
     ell = q.ell
     lam = mass.lam
+    batch = np.shape(e)
+    # series along the coefficient axis, broadcast over the energy axes
+    column = (-1,) + (1,) * len(batch)
 
-    a = [1.0] + [0.0] * order
-    scale_log10 = 0.0
+    a = np.zeros((order + 1, *batch))
+    a[0] = 1.0
+    scale_log10 = np.zeros(batch)
 
     if kind is RecurrenceKind.EXP_MASS_CORNELL:
         # Exponentially decaying mass: m'/m = -lam exactly, so the
         # log-derivative convolutions collapse to -lam a_n and -lam n a_n and
         # only the mass convolution survives as a table.
         mseries = mass.mass_series
-        conv = [0.0] * (order + 1)  # running sum_{j+nu=i} m_nu a_j
+        conv = np.zeros_like(a)  # running sum_{j+nu=i} m_nu a_j
 
         def fill_conv(i: int):
             top = min(i, mseries.size - 1)
@@ -133,7 +145,6 @@ def generate_coefficients(
             conv[i] = s
 
         A, B, C = pot.v1, pot.v2, pot.v3
-        m0 = mass.m0
         fill_conv(0)
         for n in range(order):
             an = a[n]
@@ -150,34 +161,28 @@ def generate_coefficients(
                 + 2.0 * C * cn1
             )
             a[n + 1] = num / ((n + 1) * (n + k - 1))
-            if abs(a[n + 1]) > _RESCALE_LIMIT:
-                s = abs(a[n + 1])
-                for j in range(n + 2):
-                    a[j] /= s
-                for j in range(n + 1):
-                    conv[j] /= s
-                scale_log10 += math.log10(s)
-            if n + 1 <= order:
-                fill_conv(n + 1)
-        return SeriesSolution(e, b, np.array(a), a[0], order, q, scale_log10)
+            _guard_overflow(a, n + 1, scale_log10, divide=(conv,))
+            fill_conv(n + 1)
+        return _solution(e, b, a, order, q, scale_log10)
 
     # trailing zeros of the mass series (all of a constant mass's beyond m0)
     # add nothing to the tables, so they are dropped
-    bmass = np.trim_zeros(mass.mass_series, "b")
-    blog = np.trim_zeros(mass.logderiv_series, "b")
+    bmass = np.trim_zeros(mass.mass_series, "b").reshape(column)
+    blog = np.trim_zeros(mass.logderiv_series, "b").reshape(column)
+    lm, lb = len(bmass), len(blog)
     # room for the last coefficient's whole series, so no slice is cut short
-    size = order + 1 + max(bmass.size, blog.size)
-    m_tab, mp_tab, t_tab = np.zeros(size), np.zeros(size), np.zeros(size)
+    size = order + 1 + max(lm, lb)
+    m_tab, mp_tab, t_tab = (np.zeros((size, *batch)) for _ in range(3))
 
     def add_to_tables(j: int) -> None:
         # a_j enters M_i, M'_i and T_i for i = j .. j + len(series) - 1
-        m_tab[j : j + bmass.size] += a[j] * bmass
-        if blog.size:
+        m_tab[j : j + lm] += a[j] * bmass
+        if lb:
             ab = a[j] * blog
-            mp_tab[j : j + blog.size] += ab
-            t_tab[j : j + blog.size] += j * ab
+            mp_tab[j : j + lb] += ab
+            t_tab[j : j + lb] += j * ab
 
-    def at(table: np.ndarray, i: int) -> float:
+    def at(table: np.ndarray, i: int):
         return table[i] if i >= 0 else 0.0
 
     add_to_tables(0)
@@ -221,18 +226,38 @@ def generate_coefficients(
         denom = (n + 1) * (n + k - 1)
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a[n + 1] = num / denom
-        if abs(a[n + 1]) > _RESCALE_LIMIT:
-            s = abs(a[n + 1])
-            for j in range(n + 2):
-                a[j] /= s
-            inv = 1.0 / s
-            m_tab *= inv
-            mp_tab *= inv
-            t_tab *= inv
-            scale_log10 += math.log10(s)
+        _guard_overflow(a, n + 1, scale_log10, multiply=(m_tab, mp_tab, t_tab))
         add_to_tables(n + 1)
 
-    return SeriesSolution(e, b, np.array(a), a[0], order, q, scale_log10)
+    return _solution(e, b, a, order, q, scale_log10)
+
+
+def _guard_overflow(a, i, scale_log10, divide=(), multiply=()) -> None:
+    """Divide every energy column whose a_i exceeds the overflow guard by
+    |a_i|: its coefficients and the ``divide`` tables directly, the
+    ``multiply`` tables through the reciprocal."""
+    big = abs(a[i]) > _RESCALE_LIMIT
+    if not (big.any() if big.ndim else big):  # a numpy scalar reduces slowly
+        return
+    cols = np.flatnonzero(big)
+    flat = a.reshape(a.shape[0], -1)
+    logs = scale_log10.reshape(-1)
+    for col in cols:
+        s = abs(float(flat[i, col]))
+        flat[:, col] /= s
+        for table in divide:
+            table.reshape(table.shape[0], -1)[:, col] /= s
+        inv = 1.0 / s
+        for table in multiply:
+            table.reshape(table.shape[0], -1)[:, col] *= inv
+        logs[col] += math.log10(s)
+
+
+def _solution(e, b, a, order, q, scale_log10) -> SeriesSolution:
+    a0 = a[0]
+    if a.ndim == 1:  # a single energy reports plain floats
+        e, b, a0, scale_log10 = float(e), float(b), float(a0), float(scale_log10)
+    return SeriesSolution(e, b, a, a0, order, q, scale_log10)
 
 
 def _series_at(arr: np.ndarray, i: int) -> float:

@@ -146,7 +146,14 @@ def evaluate(w: RadialWavefunction, r) -> float | np.ndarray:
         )
     if arr.ndim == 0:
         return _eval_R(w, float(arr))
-    return np.array([_eval_R(w, float(x)) for x in arr])
+    out = np.empty_like(arr)
+    pos = arr > 0.0
+    x = arr[pos]
+    out[pos] = np.exp(w.prefactor_power * np.log(x) - w.solution.b * x) * _horner(
+        w.solution.coeffs, x
+    )
+    out[~pos] = _eval_R(w, 0.0)
+    return out
 
 
 def normalize(w: RadialWavefunction, r_max: float) -> RadialWavefunction:
@@ -213,13 +220,17 @@ def sign_changes(values) -> int:
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
-def count_nodes(w: RadialWavefunction, r_max: float, samples: int = 2048) -> int:
+def count_nodes(
+    w: RadialWavefunction | SeriesSolution, r_max: float, samples: int = 2048
+) -> int:
     """Count sign changes of R on (0, r_max).
 
     The prefactor r^((k-1)/2) e^(-br) is positive, so nodes of R are nodes of
     the series factor u, counted as sign changes on a uniform grid of
     ``samples`` points; samples that are exactly zero are skipped so that
-    near-zero touches without an actual crossing are not counted.
+    near-zero touches without an actual crossing are not counted.  The count
+    needs the series alone, so a bare SeriesSolution is accepted as well (no
+    trust radius is computed for it).
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
@@ -227,7 +238,8 @@ def count_nodes(w: RadialWavefunction, r_max: float, samples: int = 2048) -> int
         raise DomainError("r_max must be positive")
     grid = np.linspace(0.0, r_max, samples + 1)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        return sign_changes(_horner(w.solution.coeffs, grid))
+        sol = w.solution if isinstance(w, RadialWavefunction) else w
+        return sign_changes(_horner(sol.coeffs, grid))
 
 
 def coulomb_a0_reference(a_coupling: float, m0: float, n: int, ell: int) -> float:

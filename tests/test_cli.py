@@ -268,6 +268,33 @@ class TestWavefunctionSamples:
             assert np.all(np.isfinite(R))
             assert abs(np.trapezoid(R * R, r) - 1.0) < 1e-3
 
+    def test_one_evaluation_per_state_and_none_past_trust(self, tmp_path, monkeypatch):
+        # the trusted radii of each state are evaluated in one array call,
+        # and radii past the series trust radius read None
+        import pdmradial.cli as cli_mod
+
+        calls = []
+        evaluate = cli_mod.evaluate
+
+        def counting(wave, r):
+            calls.append(np.size(r))
+            return evaluate(wave, r)
+
+        monkeypatch.setattr(cli_mod, "evaluate", counting)
+        data = demo_config_dict()
+        data["quantum"]["n"] = [0, 1]
+        data["solver"]["oracle"] = False
+        data["solver"]["truncation_order"] = 24
+        data["output"]["directory"] = str(tmp_path / "wf")
+        data["output"]["wavefunction_grid"] = {"r_max": 60.0, "points": 121}
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        assert len(calls) == 2
+        waves = json.loads((tmp_path / "wf" / "wavefunctions.json").read_text())
+        for w, n_trusted in zip(waves, calls):
+            assert 0 < n_trusted < 121
+            assert all(v is None for v in w["R"][n_trusted:])
+            assert w["R"][0] == 0.0
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pdmradial.eigensolver import (
@@ -202,6 +203,44 @@ class TestScanSpectrum:
         ]
         for e in covered:
             assert any(ea <= e <= eb for (ea, eb), _ in brackets), e
+
+
+    def test_batched_mismatch_equals_single_energies(self):
+        # the scan's one-call-per-octave mismatch against one call per
+        # energy, on a Cornell problem whose mass varies
+        from pdmradial.eigensolver import _build_geometry, _mismatch
+
+        pot = make_cornell(1.0, 0.2, -3.0)
+        mass = expand_exponential(1.0, 0.2, 64)
+        q = QuantumNumbers(3, 1, 0)
+        cfg = SolverConfig(e_bracket=(-3.4, -0.85))
+        geom = _build_geometry(pot, mass, q, cfg)
+        energies = np.linspace(-3.4, -0.85, 40)
+        batch = _mismatch(energies, pot, mass, q, cfg, geom)
+        single = np.array([_mismatch(float(e), pot, mass, q, cfg, geom) for e in energies])
+        assert np.max(np.abs(batch - single)) < 1e-12
+        assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
+
+    def test_trust_radius_only_where_it_is_read(self, monkeypatch):
+        # two for the bracket ends of the geometry, one for the
+        # normalization; the node count reads the series alone
+        import pdmradial.eigensolver as es_mod
+        import pdmradial.wavefunction as wf_mod
+
+        calls = []
+        trust = wf_mod.trust_radius
+
+        def counting(sol, *args):
+            calls.append(sol.energy)
+            return trust(sol, *args)
+
+        monkeypatch.setattr(es_mod, "trust_radius", counting)
+        monkeypatch.setattr(wf_mod, "trust_radius", counting)
+        find_eigenvalue(
+            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
+            SolverConfig(e_bracket=(-0.14, -0.11)),
+        )
+        assert len(calls) == 3
 
 
 class TestOrdering:

@@ -10,6 +10,8 @@ from pdmradial.oracle import (
     GridSpec,
     default_grid,
     integrate_radial,
+    inward_match,
+    make_leg,
     numerov_eigenvalue,
     outer_turning_radius,
 )
@@ -199,6 +201,59 @@ class TestInwardKernel:
                 QuantumNumbers(3, 0, 0), 3.0 / math.sqrt(2.0) - 20.0,
                 GridSpec(0.5, 40.0, 16001), direction="inward",
             )
+
+
+class TestBatchedInwardLeg:
+    # omega = 1, v3 = -20 out to r = 30: every run crosses segment cuts, and
+    # the deepest energy's cuts differ from those of the shallower ones
+    POT = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
+    Q = QuantumNumbers(3, 0, 0)
+    GRID = GridSpec(0.5, 30.0, 12001)
+
+    @staticmethod
+    def _direction(R, Rp):
+        return np.array([R, Rp]) / math.hypot(R, Rp)
+
+    def _check(self, mass, energies):
+        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h, False)
+        R, Rp = inward_match(leg, mass, energies, 4)
+        for j, e in enumerate(energies):
+            R1, Rp1 = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID, "inward")
+            assert R[j] * R1[4] > 0  # each block keeps its energy's sign
+            gap = self._direction(R[j], Rp[j]) - self._direction(R1[4], Rp1[4])
+            assert np.max(np.abs(gap)) < 1e-12, e
+
+    def test_match_values_equal_single_runs(self):
+        self._check(constant_mass(1.0), np.linspace(-19.0, -9.0, 11))
+
+    def test_varying_mass(self):
+        self._check(expand_exponential(1.0, 0.05, 64), np.linspace(-19.0, -12.0, 5))
+
+    def test_blocks_split_the_energies(self, monkeypatch):
+        # a block limit of three grids' worth of values puts at most three
+        # energies in each solve; the values must not depend on the split
+        import pdmradial.oracle as oracle_mod
+
+        mass = constant_mass(1.0)
+        es = np.linspace(-19.0, -9.0, 7)
+        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h, False)
+        whole = inward_match(leg, mass, es, 4)
+        monkeypatch.setattr(oracle_mod, "_BLOCK_VALUES", 3 * self.GRID.points)
+        split = inward_match(leg, mass, es, 4)
+        for j in range(es.size):
+            gap = self._direction(whole[0][j], whole[1][j]) - self._direction(
+                split[0][j], split[1][j]
+            )
+            assert np.max(np.abs(gap)) < 1e-12
+
+    def test_given_leg_changes_nothing(self):
+        mass = expand_exponential(1.0, 0.05, 64)
+        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h, False)
+        plain = integrate_radial(self.POT, mass, self.Q, -15.0, self.GRID, "inward")
+        given = integrate_radial(
+            self.POT, mass, self.Q, -15.0, self.GRID, "inward", leg=leg
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(plain, given))
 
 
 class TestNumerovEigenvalue:

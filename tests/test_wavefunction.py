@@ -77,6 +77,25 @@ class TestEvaluate:
             evaluate(w, w.eval_cutoff * 1.5)
 
 
+    @pytest.mark.parametrize("dim, ell", [(3, 0), (2, 0), (3, 2)])
+    def test_array_equals_scalar_path(self, dim, ell):
+        # the vectorized path runs np.exp/np.log where the scalar one runs
+        # math.exp/math.log: equal to a few roundings, and R(0) as before
+        pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
+        q = QuantumNumbers(dim, ell, 0)
+        e = math.sqrt(2.0) * (dim + 2 * ell) / 2.0 - 20.0
+        sol = generate_coefficients(
+            RecurrenceKind.GENERAL, pot, constant_mass(1.0), q, e, 64
+        )
+        w = RadialWavefunction.from_solution(sol)
+        radii = np.linspace(0.0, min(w.eval_cutoff, 6.0), 97)
+        values = evaluate(w, radii)
+        assert values.shape == radii.shape and values[0] == evaluate(w, 0.0)
+        for r, v in zip(radii[1:], values[1:]):
+            assert v == pytest.approx(evaluate(w, float(r)), rel=1e-14, abs=1e-300)
+        assert np.array_equal(evaluate(w, radii.reshape(1, -1))[0], values)
+
+
 class TestNormalize:
     def test_coulomb_ground_state_scale(self):
         # integral of a0^2 r^2 e^{-2 A m0 r} over (0, inf) = a0^2/(4 (A m0)^3)
@@ -202,6 +221,18 @@ class TestCountNodes:
         w = RadialWavefunction.from_solution(sol)
         w_neg = RadialWavefunction.from_solution(sol.scaled(-1.0))
         assert count_nodes(w, 40.0) == count_nodes(w_neg, 40.0)
+
+    def test_bare_solution_needs_no_trust_radius(self, monkeypatch):
+        import pdmradial.wavefunction as wf_mod
+
+        sol, _ = coulomb_state(n=2)
+        expected = count_nodes(RadialWavefunction.from_solution(sol), 40.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trust_radius called")
+
+        monkeypatch.setattr(wf_mod, "trust_radius", forbidden)
+        assert count_nodes(sol, 40.0) == expected == 2
 
     def test_requires_enough_samples(self):
         sol, _ = coulomb_state()
