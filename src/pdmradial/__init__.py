@@ -3,7 +3,8 @@ position-dependent mass, for potentials V(r) = -V1 r^-alpha + V2 r^beta + V3.
 
 Energies and radial wavefunctions come from a power-series recurrence about
 the origin, quantized by log-derivative matching against an inward tail
-integration, and are cross-validated by an independent direct ODE integrator.
+integration, and are cross-validated by an independent Chebyshev collocation
+eigensolve.
 """
 
 from .eigensolver import (
@@ -33,7 +34,7 @@ from .model import (
     make_linear,
     make_oscillator,
 )
-from .oracle import GridSpec, integrate_radial, numerov_eigenvalue
+from .oracle import collocation_eigenvalue
 from .recurrence import (
     RecurrenceKind,
     coefficient_closed_forms_cornell,
@@ -42,6 +43,7 @@ from .recurrence import (
     coulomb_expmass_closed_forms,
     generate_coefficients,
 )
+from .tail import GridSpec, integrate_radial
 from .wavefunction import (
     RadialWavefunction,
     coulomb_a0_reference,
@@ -91,5 +93,5 @@ __all__ = [
     "coulomb_reference_energy",
     "GridSpec",
     "integrate_radial",
-    "numerov_eigenvalue",
+    "collocation_eigenvalue",
 ]

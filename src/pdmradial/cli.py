@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,6 @@ class SolverBlock:
     match_radius: float | None = None
     scan_steps: int = 120
     oracle: bool = True
-    oracle_points: int = 20001
 
     def build(self) -> SolverConfig:
         if self.scan_steps < MIN_SCAN_STEPS:
@@ -135,7 +134,6 @@ class SolverBlock:
                 tol_e=self.tol_e,
                 max_iter=self.max_iter,
                 run_oracle=self.oracle,
-                oracle_points=self.oracle_points,
             )
         except DomainError as exc:
             # SolverConfig's messages start with the offending field's name
@@ -182,6 +180,12 @@ class RunConfig:
         return d
 
 
+def _reject_unknown(raw: dict, block: type, where: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in fields(block)})
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+
+
 def _require(block: dict, key: str, where: str):
     if key not in block:
         raise ConfigError(f"{where}.{key}: required field is missing")
@@ -215,6 +219,7 @@ def parse_config(data: dict) -> RunConfig:
     mass.build(order=8)  # validate eagerly
 
     q_raw = dict(data["quantum"])
+    _reject_unknown(q_raw, QuantumBlock, "quantum")
     quantum = QuantumBlock(
         dim=int(_require(q_raw, "dim", "quantum")),
         ell=tuple(int(x) for x in _require(q_raw, "ell", "quantum")),
@@ -226,6 +231,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("quantum.ell / quantum.n: entries must be >= 0")
 
     s_raw = dict(data["solver"])
+    _reject_unknown(s_raw, SolverBlock, "solver")
     solver = SolverBlock(
         e_lo=float(_require(s_raw, "e_lo", "solver")),
         e_hi=float(_require(s_raw, "e_hi", "solver")),
@@ -239,11 +245,11 @@ def parse_config(data: dict) -> RunConfig:
         ),
         scan_steps=int(s_raw.get("scan_steps", 120)),
         oracle=bool(s_raw.get("oracle", True)),
-        oracle_points=int(s_raw.get("oracle_points", 20001)),
     )
     solver.build()  # validate eagerly
 
     o_raw = dict(data.get("output", {}))
+    _reject_unknown(o_raw, OutputBlock, "output")
     formats = tuple(o_raw.get("formats", ("csv", "json")))
     for fmt in formats:
         if fmt not in ("csv", "json"):
@@ -288,8 +294,11 @@ class StateRow:
     solution: object = None
 
 
-def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
-    """Solve every requested radial state of one angular channel."""
+def _solve_channel(
+    pot, mass, cfg: RunConfig, ell: int
+) -> tuple[dict[int, StateRow], Exception | None]:
+    """Solve every requested radial state of one angular channel; also
+    returns the last exception a bracket failed with, or None."""
     sb = cfg.solver
     q_scan = QuantumNumbers(cfg.quantum.dim, ell, 0)
     base = sb.build()
@@ -298,6 +307,7 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
     )
     wanted = set(cfg.quantum.n)
     states: dict[int, StateRow] = {}
+    failure = None
     for (ea, eb), label in brackets:
         if wanted <= states.keys():
             break
@@ -312,10 +322,12 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
                 result = find_eigenvalue(pot, mass, q, sub)
             except WrongStateError as exc:
                 if exc.found < 0 or exc.found in states:
+                    failure = exc
                     continue
                 q = QuantumNumbers(cfg.quantum.dim, ell, exc.found)
                 result = find_eigenvalue(pot, mass, q, sub)
-        except (BracketError, WrongStateError, ConfigurationError, DomainError):
+        except (BracketError, WrongStateError, ConfigurationError, DomainError) as exc:
+            failure = exc
             continue
         if q.radial_n in states:
             continue
@@ -332,7 +344,7 @@ def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
             message=result.oracle_error or "",
             solution=result.solution,
         )
-    return states
+    return states, failure
 
 
 def solve_states(cfg: RunConfig) -> list[StateRow]:
@@ -342,12 +354,14 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
     rows: list[StateRow] = []
     for ell in cfg.quantum.ell:
         try:
-            channel = _solve_channel(pot, mass, cfg, ell)
+            channel, failure = _solve_channel(pot, mass, cfg, ell)
         except (BracketError, ConfigurationError, DomainError) as exc:
             channel = {}
             err = f"channel failed: {exc}"
         else:
             err = "state not found in scan range"
+            if failure is not None:
+                err += f" (last failure: {type(failure).__name__}: {failure})"
         for n in cfg.quantum.n:
             if n in channel:
                 rows.append(channel[n])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from . import oracle
+from . import oracle, tail
 from .errors import (
     BracketError,
     ConfigurationError,
@@ -77,12 +77,10 @@ class SolverConfig:
     tail_lengths: float = 10.0
     leg_step: float = 0.01
     run_oracle: bool = False
-    oracle_points: int = 20001
 
     def __post_init__(self):
         # every message starts with the name of the offending field
         e_lo, e_hi = self.e_bracket
-        points = oracle.MIN_GRID_POINTS
         for name, ok, need in (
             ("e_lo/e_hi", e_lo < e_hi < 0, "ordered as e_lo < e_hi < 0"),
             ("e_hi", abs(e_hi) >= _E_FLOOR,
@@ -94,7 +92,6 @@ class SolverConfig:
              "positive"),
             ("tail_lengths", self.tail_lengths > 0, "positive"),
             ("leg_step", self.leg_step > 0, "positive"),
-            ("oracle_points", self.oracle_points >= points, f"at least {points}"),
         ):
             if not ok:
                 raise DomainError(f"{name}: must be {need}")
@@ -106,9 +103,9 @@ class _Geometry:
     continuous in E; its zeros do not depend on these choices)."""
 
     r_match: float
-    grid: oracle.GridSpec
+    grid: tail.GridSpec
     i_match: int  # grid index of r_match
-    leg: oracle.Leg  # the inward leg's energy-independent arrays on grid
+    leg: tail.Leg  # the inward leg's energy-independent arrays on grid
 
 
 def _build_geometry(
@@ -147,8 +144,8 @@ def _build_geometry(
     # the inward start must sit in the forbidden tail: tail_lengths decay
     # lengths out and past the outer turning point of the shallowest bracket
     # energy
-    r_turn = oracle.outer_turning_radius(pot, mass, e_hi)
-    r_tail = oracle.tail_radius(pot, mass, e_hi)
+    r_turn = tail.outer_turning_radius(pot, mass, e_hi)
+    r_tail = tail.tail_radius(pot, mass, e_hi)
     r_far = max(r_match + cfg.tail_lengths / b_mid, 1.2 * r_turn, r_tail)
 
     h_target = cfg.leg_step / b_mid
@@ -166,8 +163,8 @@ def _build_geometry(
             f"inward leg needs {n_right} points (match {r_match:.3g}, "
             f"far {r_far:.3g}); the bracket or match radius is pathological"
         )
-    grid = oracle.GridSpec(r_lo, r_lo + (n_right + 4) * h, n_right + 5)
-    leg = oracle.make_leg(pot, mass, q, grid.array(), grid.h, outward=False)
+    grid = tail.GridSpec(r_lo, r_lo + (n_right + 4) * h, n_right + 5)
+    leg = tail.make_leg(pot, mass, q, grid.array(), grid.h)
     return _Geometry(r_match, grid, 4, leg)
 
 
@@ -198,13 +195,11 @@ def _mismatch(
     )
     us, dus = _series_direction(sol, q, geom.r_match)
     if np.ndim(e):
-        ui, dui = oracle.inward_match(geom.leg, mass, e, geom.i_match)
+        ui, dui = tail.inward_match(geom.leg, mass, e, geom.i_match)
         w = dus * ui - us * dui
         norm = np.hypot(us, dus) * np.hypot(ui, dui)
         return np.divide(w, norm, out=np.zeros_like(w), where=norm > 0)
-    R_in, Rp_in = oracle.integrate_radial(
-        pot, mass, q, e, geom.grid, "inward", leg=geom.leg
-    )
+    R_in, Rp_in = tail.integrate_radial(pot, mass, q, e, geom.grid, leg=geom.leg)
     vi = (float(R_in[geom.i_match]), float(Rp_in[geom.i_match]))
     w = dus * vi[0] - us * vi[1]
     norm = math.hypot(us, dus) * math.hypot(*vi)
@@ -286,7 +281,7 @@ def find_eigenvalue(
     b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
     r_norm = max(
         geom.r_match + cfg.tail_lengths / b_mid,
-        oracle.tail_radius(pot, mass, e_star, target_exponent=12.0),
+        tail.tail_radius(pot, mass, e_star, target_exponent=12.0),
     )
     if math.isfinite(wave.eval_cutoff):
         r_norm = min(r_norm, 0.9 * wave.eval_cutoff)
@@ -294,15 +289,12 @@ def find_eigenvalue(
     normalized = normalize(wave, r_norm)
     norm_const = normalized.solution.a0 / sol.a0
 
-    # an oracle that cannot check the state (k = 2 channels, for one) leaves
-    # the series result standing and says why
+    # an oracle that cannot check the state leaves the series result
+    # standing and says why
     oracle_gap = oracle_error = None
     if cfg.run_oracle:
-        grid = oracle.default_grid(
-            pot, mass, 0.5 * (e_lo + e_hi), cfg.oracle_points
-        )
         try:
-            e_oracle = oracle.numerov_eigenvalue(pot, mass, q, cfg.e_bracket, grid)
+            e_oracle = oracle.collocation_eigenvalue(pot, mass, q, cfg.e_bracket)
         except (BracketError, DomainError, ResolutionError) as exc:
             oracle_error = f"{type(exc).__name__}: {exc}"
         else:

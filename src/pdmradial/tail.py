@@ -1,0 +1,314 @@
+"""The inward tail leg of the series matching: Numerov integration of the
+radial equation from the decaying tail toward the origin.
+
+The radial equation R'' = G R' + F R carries a first-derivative term
+G = m'/m whenever the mass varies.  The Liouville substitution R = s y with
+s'/s = G/2 removes it, y'' = (F + G^2/4 - G'/2) y, so one Numerov scheme
+integrates every mass profile (for constant mass s = 1 and the added term
+vanishes).  Inward runs travel the stable direction and are solved in
+float64 as banded triangular systems by LAPACK.  The eigensolver uses
+``integrate_radial`` for one energy and ``inward_match`` for a batch of
+scan energies; ``tail_radius`` and ``outer_turning_radius`` place the start
+of the leg in the classically forbidden tail.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+from scipy.linalg.lapack import dtbtrs
+
+from .errors import DomainError
+from .model import MassProfile, PotentialSpec, QuantumNumbers, b_from_energy
+
+__all__ = [
+    "GridSpec",
+    "Leg",
+    "inward_match",
+    "integrate_radial",
+    "make_leg",
+    "outer_turning_radius",
+    "tail_radius",
+]
+
+MIN_GRID_POINTS = 1000
+# the inward solve starts a new segment wherever the WKB growth exponent has
+# risen by this much (e^300 ~ 1e130, far below the float64 overflow)
+_SEGMENT_EXPONENT = 300.0
+# most (energies x points) values one batched inward solve holds at a time
+_BLOCK_VALUES = 2**15
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform radial grid for direct integration."""
+
+    r_min: float
+    r_max: float
+    points: int
+
+    def __post_init__(self):
+        if self.r_min <= 0:
+            raise DomainError("r_min must be positive (the origin is singular)")
+        if self.r_max <= self.r_min:
+            raise DomainError("r_max must exceed r_min")
+        if self.points < MIN_GRID_POINTS:
+            raise DomainError(f"need at least {MIN_GRID_POINTS} grid points")
+
+    @property
+    def h(self) -> float:
+        return (self.r_max - self.r_min) / (self.points - 1)
+
+    def array(self) -> np.ndarray:
+        return np.linspace(self.r_min, self.r_max, self.points)
+
+
+def tail_radius(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    e: float,
+    target_exponent: float = 14.0,
+) -> float:
+    """Radius where the integral of sqrt(2 m (V - e)) past the turning point
+    reaches ``target_exponent`` (capped for slowly decaying tails)."""
+    b = b_from_energy(e, mass.m0)
+    r_turn = outer_turning_radius(pot, mass, e)
+    r = max(r_turn, 1e-3)
+    cap = max(6.0 * r_turn, 40.0 / b)
+    total = 0.0
+    while total < target_exponent and r < cap:
+        dr = 0.01 * max(r, 0.1)
+        q2 = 2.0 * float(mass.mass_at(r)) * (float(pot.value(r)) - e)
+        if q2 > 0:
+            total += math.sqrt(q2) * dr
+        r += dr
+    return r
+
+
+def outer_turning_radius(pot: PotentialSpec, mass: MassProfile, e: float) -> float:
+    """Largest radius where V(r) = e, or 0.0 if V - e never changes sign.
+
+    Found by scanning a geometric grid outward and bisecting the last sign
+    change; used to place matching radii and grid ends in the classically
+    forbidden tail.
+    """
+    probes = np.geomspace(1e-4, 1e7, 500)
+    diff = pot.value(probes) - e
+    neg = np.nonzero(diff <= 0)[0]
+    if neg.size == 0:
+        return 0.0
+    last = int(neg[-1])
+    if last == probes.size - 1:
+        # still classically allowed at the largest probe: no outer turning
+        return float(probes[-1])
+    lo, hi = float(probes[last]), float(probes[last + 1])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if pot.value(mid) - e <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers, r: np.ndarray):
+    """G = m'/m and the energy-independent parts of w with y'' = w y, where
+    R = s y, s'/s = G/2 and R'' = G R' + F R:
+
+        F(r) = -G (N-1)/(2r) + (k-1)(k-3)/(4 r^2) + 2 m (V - e),
+        w(r) = F + G^2/4 - G'/2 = w0 - 2 m e,
+
+    with G' the derivative of the log-derivative series."""
+    k = q.k
+    g = np.asarray(mass.logderiv_at(r), float)
+    dg = npoly.polyval(r, npoly.polyder(npoly.polytrim(mass.logderiv_series)))
+    m = np.asarray(mass.mass_at(r), float)
+    v = np.asarray(pot.value(r), float)
+    f0 = -g * (q.dim_n - 1) / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r) + 2.0 * m * v
+    return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m
+
+
+@dataclass(frozen=True)
+class Leg:
+    """Energy-independent arrays of one inward Numerov run over the radii
+    ``r`` (uniform step ``h``): G = m'/m, w = w0 - m2 e in y'' = w y, and
+    s = exp(int G/2), equal to 1 at the far end where the run starts, so
+    that R = s y.  Built once per grid, shared by every energy."""
+
+    r: np.ndarray
+    h: float
+    g: np.ndarray
+    w0: np.ndarray
+    m2: np.ndarray
+    s: np.ndarray
+
+
+def make_leg(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    q: QuantumNumbers,
+    r: np.ndarray,
+    h: float,
+) -> Leg:
+    """The arrays of an inward run over the uniform radii ``r``."""
+    g, w0, m2 = _potential_arrays(pot, mass, q, r)
+    big_g = npoly.polyval(r, npoly.polyint(npoly.polytrim(mass.logderiv_series)))
+    s = np.exp(0.5 * (big_g - big_g[-1]))
+    return Leg(r, h, g, w0, m2, s)
+
+
+def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order finite-difference derivative on a uniform grid (>= 9 points)."""
+    n = R.size
+    assert n >= 9
+    Rp = np.empty_like(R)
+    Rp[2:-2] = (R[:-4] - 8 * R[1:-3] + 8 * R[3:-1] - R[4:]) / (12 * h)
+    # one-sided 4th-order stencils at the edges
+    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+    for i in (0, 1):
+        Rp[i] = np.dot(c, R[i : i + 5])
+    for i in (n - 2, n - 1):
+        Rp[i] = -np.dot(c, R[i : i - 5 : -1])
+    return Rp
+
+
+def _numerov_inward(
+    w0: np.ndarray, m2, e, r: np.ndarray, h: float, start
+) -> np.ndarray:
+    """Inward Numerov runs on w = w0 - m2 e for the energy or energies ``e``
+    as float64 banded triangular solves (LAPACK dtbtrs); y has shape
+    (*e.shape, n), and ``start`` holds the first two values of every run.
+
+    In travel order, z_j = y(r[n-1-j]), the recurrence reads
+    c_j z_j - d_{j-1} z_{j-1} + c_{j-2} z_{j-2} = 0, with c = 1 - h^2 w/12
+    and d = 2 + 10 h^2 w/12: a lower-triangular system
+    with two subdiagonals whose column j holds (c_j, -d_j, c_j), with the two
+    start values moved to the right-hand side.  The grid is cut beforehand
+    wherever the WKB exponent, the integral of sqrt(max(w, 0)) dr, has grown
+    by another ``_SEGMENT_EXPONENT`` at the deepest energy, whose w is the
+    largest, so the cuts of a single energy are its own.  Each segment starts
+    from the last two values of the previous one scaled to order one, and the
+    earlier samples are rescaled by the same factor, so no value approaches
+    overflow.  Several energies are solved as one block-diagonal system per
+    segment, one uncoupled block per energy.  A segment that still gives a
+    non-finite value raises DomainError naming the radius.
+    """
+    shape = np.shape(e)
+    e = np.atleast_1d(e)[:, None]
+    n = r.size
+    w0, m2 = w0[::-1], np.broadcast_to(m2, w0.shape)[::-1]
+    growth = np.cumsum(np.sqrt(np.maximum(w0 - m2 * e.min(), 0.0))) * h
+    n_marks = int(growth[-1] // _SEGMENT_EXPONENT)
+    cuts = np.unique(
+        np.searchsorted(growth, _SEGMENT_EXPONENT * np.arange(1, n_marks + 1))
+    )
+    bounds = [2, *cuts[(cuts > 2) & (cuts < n - 1)].tolist(), n]
+
+    h12 = h * h / 12.0
+
+    def numerov_rows(lo: int, hi: int, c: np.ndarray, neg_d: np.ndarray) -> None:
+        # c = 1 - h12 w and -d = -(2 + 10 h12 w) at travel indices lo..hi-1,
+        # written in place
+        np.multiply(m2[lo:hi], e, out=c)
+        np.subtract(w0[lo:hi], c, out=c)  # w
+        np.multiply(10.0 * h12, c, out=neg_d)
+        np.add(2.0, neg_d, out=neg_d)
+        np.negative(neg_d, out=neg_d)
+        np.multiply(h12, c, out=c)
+        np.subtract(1.0, c, out=c)
+
+    z = np.empty((e.size, n))
+    z[:, 0], z[:, 1] = start
+    # one band and right-hand-side buffer serves every segment
+    longest = max(hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]))
+    ab_all = np.empty((3, e.size * longest), order="F")
+    rhs_all = np.empty((e.size * longest, 1))
+    c0, neg_d0 = np.empty((2, e.size, 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        z[:, :lo] /= np.maximum(abs(z[:, lo - 2]), abs(z[:, lo - 1]))[:, None]
+        m = hi - lo
+        # column (energy, j) of the Fortran-ordered band storage is
+        # ab[:, energy * m + j]; ``band`` views it as [energy, j, row]
+        ab = ab_all[:, : e.size * m]
+        band = ab.T.reshape(e.size, m, 3)
+        numerov_rows(lo, hi, band[:, :, 0], band[:, :, 1])
+        band[:, :, 2] = band[:, :, 0]
+        band[:, -1, 1:] = 0.0  # no coupling into the next energy's block
+        band[:, -2:-1, 2] = 0.0
+        numerov_rows(lo - 2, lo, c0, neg_d0)
+        rhs = rhs_all[: e.size * m]
+        rhs[:] = 0.0
+        first = rhs.reshape(e.size, m)
+        first[:, 0] = -neg_d0[:, 1] * z[:, lo - 1] - c0[:, 0] * z[:, lo - 2]
+        first[:, 1:2] = (-c0[:, 1] * z[:, lo - 1])[:, None]  # none if m = 1
+        x, info = dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
+        finite = np.isfinite(x[:, 0])
+        if info != 0 or not finite.all():
+            k, j = divmod(info - 1 if info > 0 else int(np.argmin(finite)), m)
+            raise DomainError(
+                f"inward Numerov solve is not finite at r={r[n - 1 - lo - j]:.6g} "
+                f"(h^2 w/12 = {1.0 - band[k, j, 0]:.3g}); refine the grid"
+            )
+        z[:, lo:hi] = x.reshape(e.size, m)
+    return z[:, ::-1].reshape(*shape, n)
+
+
+def _inward_start(leg: Leg, mass: MassProfile, e: float) -> tuple[float, float]:
+    """First two values of an inward run: R'/R = -kappa at the far end, i.e.
+    y'/y = -kappa - G/2."""
+    kappa = math.sqrt(-2.0 * float(mass.mass_at(leg.r[-1])) * e)
+    return 1.0, math.exp((kappa + 0.5 * leg.g[-1]) * leg.h)
+
+
+def inward_match(
+    leg: Leg, mass: MassProfile, e: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """R and R' at index ``i`` (2 <= i <= n - 3) of the inward runs of
+    ``leg`` at every energy of the 1-d array ``e``, each up to its own
+    positive scale.
+
+    The energies are solved in blocks of at most ``_BLOCK_VALUES`` (energies
+    x points) values, so the transient memory stays bounded however many
+    energies are asked for.  Each equals ``integrate_radial``'s R[i], R'[i]
+    up to that scale; only the segment cuts, taken from each block's deepest
+    energy, move the rounding.
+    """
+    n = leg.r.size
+    assert 2 <= i <= n - 3, "the match index needs the central stencil"
+    R, Rp = np.empty(e.size), np.empty(e.size)
+    per_block = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, e.size, per_block):
+        es = e[lo : lo + per_block]
+        start = np.array([_inward_start(leg, mass, x) for x in es]).T
+        y = _numerov_inward(leg.w0, leg.m2, es, leg.r, leg.h, start)[:, i - 2 : i + 3]
+        # the central fourth-order stencil of _derivative_from_grid
+        dy = (y[:, 0] - 8 * y[:, 1] + 8 * y[:, 3] - y[:, 4]) / (12 * leg.h)
+        R[lo : lo + per_block] = leg.s[i] * y[:, 2]
+        Rp[lo : lo + per_block] = leg.s[i] * (dy + 0.5 * leg.g[i] * y[:, 2])
+    return R, Rp
+
+
+def integrate_radial(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    q: QuantumNumbers,
+    e: float,
+    grid: GridSpec,
+    leg: Leg | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the radial equation inward over ``grid``; returns R and R'.
+
+    The run starts from the local decay R'/R = -sqrt(-2 m(r_max) e) at the
+    far end of the grid.  The overall scale of the solution is arbitrary.
+    ``leg`` may carry the grid's arrays from ``make_leg``, so a caller that
+    integrates many energies on one grid builds them once.
+    """
+    if e >= 0:
+        raise DomainError("direct integration expects a bound-state energy E < 0")
+    if leg is None:
+        leg = make_leg(pot, mass, q, grid.array(), grid.h)
+    y = _numerov_inward(leg.w0, leg.m2, e, leg.r, leg.h, _inward_start(leg, mass, e))
+    return leg.s * y, leg.s * (_derivative_from_grid(y, leg.h) + 0.5 * leg.g * y)

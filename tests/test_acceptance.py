@@ -17,7 +17,7 @@ from pdmradial.eigensolver import (
 )
 from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
-from pdmradial.oracle import numerov_eigenvalue
+from pdmradial.oracle import collocation_eigenvalue
 from pdmradial.recurrence import (
     RecurrenceKind,
     coefficient_closed_forms_cornell,
@@ -219,9 +219,7 @@ def test_criterion_06_pdm_oracle_agreement():
                 q = QuantumNumbers(3, ell, label)
                 res = find_eigenvalue(
                     pot, mass, q,
-                    SolverConfig(
-                        e_bracket=bracket, run_oracle=True, oracle_points=8001
-                    ),
+                    SolverConfig(e_bracket=bracket, run_oracle=True),
                 )
                 worst = max(worst, res.oracle_gap / abs(res.energy))
                 count += 1
@@ -318,7 +316,7 @@ def test_criterion_09_oscillator_spacing():
         )
         series.append(res.energy)
         oracle.append(
-            numerov_eigenvalue(pot, mass, QuantumNumbers(3, 0, n), (ea, eb))
+            collocation_eigenvalue(pot, mass, QuantumNumbers(3, 0, n), (ea, eb))
         )
     s_sp = np.diff(series)
     o_sp = np.diff(oracle)

@@ -97,6 +97,19 @@ class TestConfigParsing:
         assert run_solve(str(write_config(tmp_path, data))) == 2
         assert f"solver.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [("quantum", "nn"), ("solver", "tol_E"), ("output", "coeficients")],
+    )
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, block, key):
+        data = demo_config_dict()
+        data[block][key] = 1
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {block}.{key}: unknown field" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("no/such/config.json")
@@ -192,6 +205,27 @@ class TestArtifacts:
         assert by_n[9]["status"] == "error"
         assert "not found" in by_n[9]["message"]
 
+    def test_failed_row_names_the_last_failure(self, tmp_path, monkeypatch):
+        import pdmradial.cli as cli_mod
+        from pdmradial.errors import BracketError
+
+        def failing(pot, mass, q, cfg):
+            raise BracketError(f"no sign change for n={q.radial_n}")
+
+        monkeypatch.setattr(cli_mod, "find_eigenvalue", failing)
+        data = demo_config_dict()
+        data["quantum"]["n"] = [0]
+        data["output"]["directory"] = str(tmp_path / "fail")
+        assert run_solve(str(write_config(tmp_path, data))) == 1
+        rows = json.loads((tmp_path / "fail" / "energies.json").read_text())
+        assert rows[0]["status"] == "error"
+        assert rows[0]["message"].startswith(
+            "state not found in scan range (last failure: BracketError: "
+            "no sign change for n="
+        )
+        csv_rows = (tmp_path / "fail" / "energies.csv").read_text().splitlines()
+        assert csv_rows[1] == "3,0,0,3,,,,,,error"
+
 
 class TestPdmConfig:
     def test_exponential_mass_cornell_solves(self, tmp_path):
@@ -224,9 +258,8 @@ class TestPdmConfig:
 
 
 class TestTwoDimensionalChannels:
-    def test_states_survive_an_unavailable_oracle(self, tmp_path):
-        # the oracle raises for every N = 2 state; the series energies must
-        # still be reported, with the oracle's exception in the message
+    @staticmethod
+    def _solve(tmp_path):
         data = {
             "potential": {"kind": "coulomb", "z": 1.0},
             "mass": {"kind": "constant", "m0": 1.0},
@@ -243,8 +276,23 @@ class TestTwoDimensionalChannels:
             assert row["status"] == "ok"
             nu = row["radial_n"] + (row["k"] - 1) / 2.0
             assert abs(row["energy"] + 1.0 / (2.0 * nu * nu)) <= 1e-8
-            if row["oracle_gap"] is None:
-                assert row["message"].split(":")[0].endswith("Error")
+        return rows
+
+    def test_states_survive_an_unavailable_oracle(self, tmp_path, monkeypatch):
+        # an oracle that fails its own check for every state: the series
+        # energies must still be reported, with the oracle's exception in
+        # the message
+        import pdmradial.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
+        for row in self._solve(tmp_path):
+            assert row["oracle_gap"] is None
+            assert row["message"].startswith("ResolutionError: ")
+
+    def test_oracle_checks_every_state(self, tmp_path):
+        for row in self._solve(tmp_path):
+            assert row["message"] == ""
+            assert row["oracle_gap"] <= 1e-8 * abs(row["energy"])
 
 
 class TestWavefunctionSamples:

@@ -17,7 +17,8 @@ from pdmradial.errors import (
 )
 from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
-from pdmradial.oracle import numerov_eigenvalue
+import pdmradial.oracle as oracle_mod
+from pdmradial.oracle import collocation_eigenvalue
 
 
 def bracket_around(e_ref, width=0.15):
@@ -172,7 +173,7 @@ class TestScanSpectrum:
         assert brackets
         (ea, eb), label = brackets[0]
         assert label == 0
-        e_oracle = numerov_eigenvalue(pot, mass, QuantumNumbers(3, 0, 0), (ea, eb))
+        e_oracle = collocation_eigenvalue(pot, mass, QuantumNumbers(3, 0, 0), (ea, eb))
         assert ea <= e_oracle <= eb
 
     def test_steps_validation(self):
@@ -311,7 +312,7 @@ class TestPdm:
         (ea, eb), _ = brackets[0]
         res = find_eigenvalue(
             pot, mass, QuantumNumbers(3, 0, 0),
-            SolverConfig(e_bracket=(ea, eb), run_oracle=True, oracle_points=8001),
+            SolverConfig(e_bracket=(ea, eb), run_oracle=True),
         )
         assert res.oracle_gap <= 1e-6 * abs(res.energy)
 
@@ -327,7 +328,7 @@ class TestPdm:
         assert label == 0
         res = find_eigenvalue(
             pot, mass, q,
-            SolverConfig(e_bracket=(ea, eb), run_oracle=True, oracle_points=8001),
+            SolverConfig(e_bracket=(ea, eb), run_oracle=True),
         )
         assert res.oracle_gap <= 1e-6 * abs(res.energy)
 
@@ -346,23 +347,24 @@ class TestPdm:
         assert label == 0
         res = find_eigenvalue(
             pot, mass, q,
-            SolverConfig(e_bracket=(ea, eb), run_oracle=True, oracle_points=8001),
+            SolverConfig(e_bracket=(ea, eb), run_oracle=True),
         )
         assert res.oracle_error is None
         assert res.oracle_gap <= 1e-8 * abs(res.energy)
 
 
 class TestOracleUnavailable:
-    def test_two_dimensional_ground_state_keeps_series_energy(self):
-        # the oracle cannot separate the origin branches at k = 2; the series
-        # energy stands and the result says why the check is missing
+    def test_two_dimensional_ground_state_keeps_series_energy(self, monkeypatch):
+        # an oracle too coarse to pass its own check leaves the series energy
+        # standing, and the result says why the check is missing
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
         res = find_eigenvalue(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 0, 0),
             SolverConfig(e_bracket=(-2.4, -1.6), run_oracle=True),
         )
         assert abs(res.energy + 2.0) <= 1e-8 * 2.0
         assert res.oracle_gap is None
-        assert res.oracle_error.startswith("BracketError: ")
+        assert res.oracle_error.startswith("ResolutionError: ")
 
     def test_solution_is_the_series_at_the_energy(self):
         from pdmradial.recurrence import RecurrenceKind, generate_coefficients

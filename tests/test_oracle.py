@@ -3,36 +3,43 @@ import math
 import numpy as np
 import pytest
 
+import pdmradial.oracle as oracle_mod
+import pdmradial.tail as tail_mod
+from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import BracketError, DomainError, ResolutionError
 from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
-from pdmradial.oracle import (
+from pdmradial.oracle import collocation_eigenvalue
+from pdmradial.tail import (
     GridSpec,
-    default_grid,
     integrate_radial,
     inward_match,
     make_leg,
-    numerov_eigenvalue,
     outer_turning_radius,
 )
 
 
 def test_oracle_imports_no_series_machinery():
-    # the direct integrator must stay an independent check: domain types only
+    # the oracle must stay an independent check: domain types, and from the
+    # tail leg only the radius that places r_max
     import ast
     from pathlib import Path
 
-    import pdmradial.oracle as oracle_mod
-
     tree = ast.parse(Path(oracle_mod.__file__).read_text())
-    modules = set()
+    modules, from_tail = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module or "")
             modules.update(alias.name for alias in node.names)
-    assert not any("recurrence" in m or "wavefunction" in m for m in modules)
+            if node.module == "tail":
+                from_tail.update(alias.name for alias in node.names)
+    assert not any(
+        name in m for m in modules
+        for name in ("recurrence", "wavefunction", "eigensolver")
+    )
+    assert from_tail == {"tail_radius"}
 
 
 class TestGridSpec:
@@ -49,11 +56,6 @@ class TestGridSpec:
         r = grid.array()
         assert np.allclose(np.diff(r), grid.h)
 
-    def test_coarsening_needs_odd_points(self):
-        assert GridSpec(1e-6, 10.0, 10001).coarsened().points == 5001
-        with pytest.raises(DomainError):
-            GridSpec(1e-6, 10.0, 10002).coarsened()
-
 
 class TestOuterTurningRadius:
     def test_coulomb(self):
@@ -68,21 +70,8 @@ class TestOuterTurningRadius:
 
 
 class TestIntegrateRadial:
-    def test_outward_proportional_to_closed_form(self):
-        # ground-state Coulomb: R proportional to r e^{-A m0 r} to 1e-7
-        # over (r_min, 10)
-        pot = make_coulomb(1.0)
-        mass = constant_mass(1.0)
-        grid = GridSpec(1e-6, 12.0, 24001)
-        R, _ = integrate_radial(pot, mass, QuantumNumbers(3, 0, 0), -0.5, grid)
-        r = grid.array()
-        exact = r * np.exp(-r)
-        sel = r <= 10.0
-        ratio = R[sel] / exact[sel]
-        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-7
-
     def test_constant_mass_drops_first_derivative_term(self):
-        from pdmradial.oracle import _potential_arrays
+        from pdmradial.tail import _potential_arrays
 
         r = np.linspace(0.1, 5.0, 50)
         g, _, _ = _potential_arrays(
@@ -90,40 +79,11 @@ class TestIntegrateRadial:
         )
         assert np.all(g == 0.0)
 
-    def test_pdm_self_convergence(self):
-        # doubling the resolution moves the interior log-derivative by < 1e-8
-        pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 0.2, 64)
-        grid = GridSpec(1e-6, 8.0, 16001)
-        integrate_radial(
-            pot, mass, QuantumNumbers(3, 0, 0), -3.0, grid,
-            direction="outward", check_resolution=True,
-        )
-
-    def test_resolution_error_on_coarse_grid(self):
-        pot = make_coulomb(1.0)
-        mass = constant_mass(1.0)
-        grid = GridSpec(1e-6, 80.0, 2001)
-        with pytest.raises(ResolutionError):
-            integrate_radial(
-                pot, mass, QuantumNumbers(3, 0, 1), -0.125, grid,
-                direction="outward", check_resolution=True,
-            )
-
-    def test_outward_needs_k_three(self):
-        with pytest.raises(DomainError):
-            integrate_radial(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 0, 0),
-                -0.5, GridSpec(1e-6, 10.0, 2001),
-            )
-
     def test_inward_decays_toward_large_r(self):
         pot = make_coulomb(1.0)
         mass = constant_mass(1.0)
         grid = GridSpec(2.0, 30.0, 4001)
-        R, _ = integrate_radial(
-            pot, mass, QuantumNumbers(3, 0, 0), -0.5, grid, direction="inward"
-        )
+        R, _ = integrate_radial(pot, mass, QuantumNumbers(3, 0, 0), -0.5, grid)
         assert abs(R[-1]) < abs(R[0])
 
 
@@ -146,13 +106,13 @@ class TestInwardKernel:
         # few thousand float64 roundings, up to the arbitrary overall scale.
         # w is the Liouville form of the l = 0 exponential-mass Cornell
         # channel (m0 = 1, lambda = 0.2; a = 1, b = 0.2, c = -3) at E = -3.
-        from pdmradial.oracle import _numerov
+        from pdmradial.tail import _numerov_inward
 
         grid = GridSpec(0.3, 30.0, 4001)
         r = grid.array()
         w = 0.2 / r + 0.01 + 2.0 * np.exp(-0.2 * r) * (0.2 * r - 1.0 / r)
         start = (1.0, 1.01)
-        ratio = _numerov(w, r, grid.h, start, outward=False) / self._loop_reference(
+        ratio = _numerov_inward(w, 0.0, 0.0, r, grid.h, start) / self._loop_reference(
             w, grid.h, start
         )
         assert np.max(np.abs(ratio / ratio[-1] - 1.0)) < 1e-9
@@ -162,7 +122,7 @@ class TestInwardKernel:
         grid = GridSpec(0.5, 40.0, 8001)
         R, _ = integrate_radial(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
-            -0.5, grid, direction="inward",
+            -0.5, grid,
         )
         r = grid.array()
         sel = r <= 30.0
@@ -177,7 +137,6 @@ class TestInwardKernel:
         R, Rp = integrate_radial(
             PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
             QuantumNumbers(3, 0, 0), 3.0 / math.sqrt(2.0) - 20.0, grid,
-            direction="inward",
         )
         assert np.all(np.isfinite(R)) and np.all(np.isfinite(Rp))
         r = grid.array()
@@ -192,14 +151,12 @@ class TestInwardKernel:
     def test_overflow_names_the_radius(self, monkeypatch):
         # without segment cuts the same run overflows float64; the solver
         # must say where instead of returning non-finite values
-        import pdmradial.oracle as oracle_mod
-
-        monkeypatch.setattr(oracle_mod, "_SEGMENT_EXPONENT", 1e9)
+        monkeypatch.setattr(tail_mod, "_SEGMENT_EXPONENT", 1e9)
         with pytest.raises(DomainError, match=r"not finite at r="):
             integrate_radial(
                 PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
                 QuantumNumbers(3, 0, 0), 3.0 / math.sqrt(2.0) - 20.0,
-                GridSpec(0.5, 40.0, 16001), direction="inward",
+                GridSpec(0.5, 40.0, 16001),
             )
 
 
@@ -215,10 +172,10 @@ class TestBatchedInwardLeg:
         return np.array([R, Rp]) / math.hypot(R, Rp)
 
     def _check(self, mass, energies):
-        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h, False)
+        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
         R, Rp = inward_match(leg, mass, energies, 4)
         for j, e in enumerate(energies):
-            R1, Rp1 = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID, "inward")
+            R1, Rp1 = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID)
             assert R[j] * R1[4] > 0  # each block keeps its energy's sign
             gap = self._direction(R[j], Rp[j]) - self._direction(R1[4], Rp1[4])
             assert np.max(np.abs(gap)) < 1e-12, e
@@ -232,13 +189,11 @@ class TestBatchedInwardLeg:
     def test_blocks_split_the_energies(self, monkeypatch):
         # a block limit of three grids' worth of values puts at most three
         # energies in each solve; the values must not depend on the split
-        import pdmradial.oracle as oracle_mod
-
         mass = constant_mass(1.0)
         es = np.linspace(-19.0, -9.0, 7)
-        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h, False)
+        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
         whole = inward_match(leg, mass, es, 4)
-        monkeypatch.setattr(oracle_mod, "_BLOCK_VALUES", 3 * self.GRID.points)
+        monkeypatch.setattr(tail_mod, "_BLOCK_VALUES", 3 * self.GRID.points)
         split = inward_match(leg, mass, es, 4)
         for j in range(es.size):
             gap = self._direction(whole[0][j], whole[1][j]) - self._direction(
@@ -248,21 +203,54 @@ class TestBatchedInwardLeg:
 
     def test_given_leg_changes_nothing(self):
         mass = expand_exponential(1.0, 0.05, 64)
-        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h, False)
-        plain = integrate_radial(self.POT, mass, self.Q, -15.0, self.GRID, "inward")
-        given = integrate_radial(
-            self.POT, mass, self.Q, -15.0, self.GRID, "inward", leg=leg
-        )
+        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
+        plain = integrate_radial(self.POT, mass, self.Q, -15.0, self.GRID)
+        given = integrate_radial(self.POT, mass, self.Q, -15.0, self.GRID, leg=leg)
         assert all(np.array_equal(a, b) for a, b in zip(plain, given))
 
 
+
+
 class TestNumerovEigenvalue:
+    """The oracle's eigenvalue, ``collocation_eigenvalue``."""
+
     def test_hydrogen_ground_state(self):
-        e = numerov_eigenvalue(
+        e = collocation_eigenvalue(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
             (-0.6, -0.4),
         )
-        assert e == pytest.approx(-0.5, rel=1e-8)
+        assert e == pytest.approx(-0.5, rel=1e-10)
+
+    @pytest.mark.parametrize("dim,ell", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
+    def test_coulomb_closed_form(self, dim, ell):
+        # k = 2 and k = 4 included: the regularity row at r = 0 selects the
+        # regular branch however weakly the two origin branches separate
+        for n in range(3):
+            nu = n + (dim + 2 * ell - 1) / 2.0
+            e_ref = -1.0 / (2.0 * nu * nu)
+            e = collocation_eigenvalue(
+                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(dim, ell, n),
+                (1.05 * e_ref, 0.95 * e_ref),
+            )
+            assert abs(e - e_ref) < 1e-10 * abs(e_ref), (n, e)
+
+    @pytest.mark.parametrize("dim,ell", [(2, 0), (2, 1), (4, 0)])
+    def test_expmass_cornell_agrees_with_series(self, dim, ell):
+        # the demo's exponential-mass Cornell channels with k <= 4, against
+        # series energies at a fine inward leg (error about 1e-12)
+        from pdmradial.eigensolver import scan_spectrum
+
+        pot = make_cornell(1.0, 0.2, -3.0)
+        mass = expand_exponential(1.0, 0.2, 64)
+        brackets = scan_spectrum(pot, mass, QuantumNumbers(dim, ell, 0), (-8.0, -0.8), 120)
+        for (ea, eb), label in brackets[:2]:
+            q = QuantumNumbers(dim, ell, label)
+            series = find_eigenvalue(
+                pot, mass, q, SolverConfig(e_bracket=(ea, eb), leg_step=0.0025)
+            ).energy
+            e = collocation_eigenvalue(pot, mass, q, (ea, eb))
+            assert abs(e - series) < 1e-9 * abs(series), (label, e, series)
+        assert [label for _, label in brackets[:2]] == [0, 1]
 
     def test_oscillator_spacing_is_constant(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
@@ -271,7 +259,7 @@ class TestNumerovEigenvalue:
         for n in range(4):
             e_ref = math.sqrt(2.0) * (2 * n + 1.5) - 20.0
             energies.append(
-                numerov_eigenvalue(
+                collocation_eigenvalue(
                     pot, mass, QuantumNumbers(3, 0, n), (e_ref - 0.9, e_ref + 0.9)
                 )
             )
@@ -283,7 +271,7 @@ class TestNumerovEigenvalue:
         # (E and V3 enter the equation through E - V3 alone), so the
         # comparison at a bound-state-friendly offset covers the zero-offset
         # claim exactly
-        from pdmradial.eigensolver import SolverConfig, find_eigenvalue, scan_spectrum
+        from pdmradial.eigensolver import scan_spectrum
 
         pot = make_cornell(0.52, 0.18, -5.0)
         mass = constant_mass(1.0)
@@ -292,40 +280,46 @@ class TestNumerovEigenvalue:
         (ea, eb), label = brackets[0]
         assert label == 0
         res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(ea, eb)))
-        e_oracle = numerov_eigenvalue(pot, mass, q, (ea, eb))
+        e_oracle = collocation_eigenvalue(pot, mass, q, (ea, eb))
         assert abs(res.energy - e_oracle) < 1e-6 * abs(e_oracle)
-
-    def test_fourth_order_self_convergence(self):
-        pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 0.2, 64)
-        q = QuantumNumbers(3, 0, 0)
-        base = default_grid(pot, mass, -3.0, 4001)
-        # Numerov's error on this problem is about 2.5e-13 at 4001 points;
-        # finer grids sit on the ~1e-14 round-off floor of the root, so the
-        # rate is measured on the coarsest admissible grids
-        grids = [
-            GridSpec(base.r_min, base.r_max, 1001),
-            GridSpec(base.r_min, base.r_max, 2001),
-            GridSpec(base.r_min, base.r_max, 4001),
-        ]
-        es = [
-            numerov_eigenvalue(pot, mass, q, (-3.4, -2.6), g, verify_resolution=False)
-            for g in grids
-        ]
-        rich = (16.0 * es[2] - es[1]) / 15.0
-        ratio = abs(es[0] - rich) / abs(es[1] - rich)
-        assert 8.0 < ratio < 32.0  # fourth order: ~16x per halving
 
     def test_bracket_error(self):
         with pytest.raises(BracketError):
-            numerov_eigenvalue(
+            collocation_eigenvalue(
                 make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
                 (-0.45, -0.35),
             )
 
+    def test_bracket_with_two_levels(self):
+        with pytest.raises(BracketError, match="2 collocation levels"):
+            collocation_eigenvalue(
+                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                (-0.6, -0.1),
+            )
+
+    def test_resolution_error_with_too_few_nodes(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
+        with pytest.raises(ResolutionError, match="24 and 20 nodes"):
+            collocation_eigenvalue(
+                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                (-0.6, -0.4),
+            )
+
     def test_invalid_bracket(self):
         with pytest.raises(DomainError):
-            numerov_eigenvalue(
+            collocation_eigenvalue(
                 make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
                 (-0.4, -0.6),
             )
+
+    @pytest.mark.parametrize(
+        "pot,q",
+        [
+            (make_coulomb(1.0), QuantumNumbers(1, 0, 0)),  # k = 1
+            (PotentialSpec(1.0, 0.0, 0.0, 2, 0), QuantumNumbers(3, 0, 0)),
+        ],
+        ids=["k1", "alpha2"],
+    )
+    def test_outside_the_domain(self, pot, q):
+        with pytest.raises(DomainError):
+            collocation_eigenvalue(pot, constant_mass(1.0), q, (-0.6, -0.4))
