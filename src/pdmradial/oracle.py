@@ -41,15 +41,28 @@ _TAIL_EXPONENT = 30.0
 _SELF_CHECK_RTOL = 1e-8
 
 
-def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev differentiation matrix and nodes x_j = cos(pi j / n)."""
+def _cheb(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First and second Chebyshev differentiation matrices and nodes
+    x_j = cos(pi j / n).
+
+    The second matrix comes entrywise from the first, D2_ij = 2 D_ij (D_ii
+    - 1/(x_i - x_j)) off the diagonal and minus the row sum on it (Welfert,
+    SIAM J. Numer. Anal. 34, 1997), not from the product D @ D: a BLAS
+    product's rounding depends on its thread count, and so would every
+    oracle energy.
+    """
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
     c *= (-1.0) ** np.arange(n + 1)
-    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
-    d -= np.diag(d.sum(axis=1))
-    return d, x
+    dx = x[:, None] - x[None, :] + np.eye(n + 1)
+    d = np.outer(c, 1.0 / c) / dx
+    np.fill_diagonal(d, 0.0)
+    d2 = 2.0 * d * (-d.sum(axis=1)[:, None] - 1.0 / dx)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    np.fill_diagonal(d2, 0.0)
+    np.fill_diagonal(d2, -d2.sum(axis=1))
+    return d, d2, x
 
 
 def collocation_levels(
@@ -65,9 +78,9 @@ def collocation_levels(
         raise DomainError("collocation needs k = N + 2l >= 2 (k = 1 has no regularity row)")
     if pot.alpha >= 2:
         raise DomainError("collocation needs alpha <= 1 (r V must stay regular)")
-    d, x = _cheb(nodes)
-    d1 = d * (2.0 / r_max)
-    d2 = d1 @ d1
+    d1, d2, x = _cheb(nodes)
+    d1 = d1 * (2.0 / r_max)
+    d2 = d2 * (2.0 / r_max) ** 2
     # y(r_max) = 0: drop the node x = 1, which comes first
     r, d1, d2 = 0.5 * r_max * (1.0 + x[1:]), d1[1:, 1:], d2[1:, 1:]
     g = np.asarray(mass.logderiv_at(r), float)

@@ -211,6 +211,14 @@ class TestBatchedInwardLeg:
 
 
 
+@pytest.mark.parametrize("n", [8, 80, 120])
+def test_second_derivative_matrix(n):
+    # entrywise D2 equals D @ D up to rounding and differentiates a cubic
+    d, d2, x = oracle_mod._cheb(n)
+    assert np.max(np.abs(d2 - d @ d)) < 1e-13 * np.max(np.abs(d2))
+    assert np.max(np.abs(d2 @ x**3 - 6.0 * x)) < 1e-15 * n**4
+
+
 class TestNumerovEigenvalue:
     """The oracle's eigenvalue, ``collocation_eigenvalue``."""
 
