@@ -11,7 +11,6 @@ from .eigensolver import (
     SolverConfig,
     coulomb_reference_energy,
     find_eigenvalue,
-    scan_spectrum,
 )
 from .mass_expansion import (
     SeriesVector,
@@ -34,7 +33,7 @@ from .model import (
     make_linear,
     make_oscillator,
 )
-from .oracle import collocation_eigenvalue
+from .oracle import ChannelSpectrum, channel_spectrum, collocation_eigenvalue
 from .recurrence import (
     RecurrenceKind,
     coefficient_closed_forms_cornell,
@@ -89,9 +88,10 @@ __all__ = [
     "coulomb_a0_reference",
     "SolverConfig",
     "find_eigenvalue",
-    "scan_spectrum",
     "coulomb_reference_energy",
     "GridSpec",
     "integrate_radial",
+    "ChannelSpectrum",
+    "channel_spectrum",
     "collocation_eigenvalue",
 ]

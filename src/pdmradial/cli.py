@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import MIN_SCAN_STEPS, SolverConfig, find_eigenvalue, scan_spectrum
+from .eigensolver import SolverConfig, find_eigenvalue
 from .errors import BracketError, ConfigurationError, DomainError, WrongStateError
 from .identities import DEFAULT_SEED, run_identity_suite
 from .mass_expansion import constant_mass, expand_exponential, mass_from_series
@@ -35,6 +35,7 @@ from .model import (
     make_linear,
     make_oscillator,
 )
+from .oracle import channel_spectrum
 from .wavefunction import RadialWavefunction, evaluate
 
 __all__ = ["RunConfig", "load_config", "run_solve", "run_verify", "main"]
@@ -120,12 +121,12 @@ class SolverBlock:
     tol_e: float = 1e-10
     max_iter: int = 200
     match_radius: float | None = None
-    scan_steps: int = 120
+    # accepted for older configs and ignored: the brackets come from the
+    # collocation spectrum, not from a scan
+    scan_steps: int | None = None
     oracle: bool = True
 
     def build(self) -> SolverConfig:
-        if self.scan_steps < MIN_SCAN_STEPS:
-            raise ConfigError(f"solver.scan_steps: must be at least {MIN_SCAN_STEPS}")
         try:
             return SolverConfig(
                 e_bracket=(self.e_lo, self.e_hi),
@@ -243,7 +244,7 @@ def parse_config(data: dict) -> RunConfig:
             if s_raw.get("match_radius") is not None
             else None
         ),
-        scan_steps=int(s_raw.get("scan_steps", 120)),
+        scan_steps=s_raw.get("scan_steps"),
         oracle=bool(s_raw.get("oracle", True)),
     )
     solver.build()  # validate eagerly
@@ -294,57 +295,34 @@ class StateRow:
     solution: object = None
 
 
-def _solve_channel(
-    pot, mass, cfg: RunConfig, ell: int
-) -> tuple[dict[int, StateRow], Exception | None]:
-    """Solve every requested radial state of one angular channel; also
-    returns the last exception a bracket failed with, or None."""
+def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
+    """Every requested radial state of one angular channel, bracketed by one
+    collocation spectrum; a state that fails gets an error row naming the
+    exception."""
     sb = cfg.solver
-    q_scan = QuantumNumbers(cfg.quantum.dim, ell, 0)
     base = sb.build()
-    brackets = scan_spectrum(
-        pot, mass, q_scan, (sb.e_lo, sb.e_hi), sb.scan_steps, base
+    dim = cfg.quantum.dim
+    spectrum = channel_spectrum(
+        pot, mass, QuantumNumbers(dim, ell, 0), (sb.e_lo, sb.e_hi)
     )
-    wanted = set(cfg.quantum.n)
     states: dict[int, StateRow] = {}
-    failure = None
-    for (ea, eb), label in brackets:
-        if wanted <= states.keys():
-            break
-        if label > max(wanted, default=-1) + 1:
-            continue
-        sub = replace(base, e_bracket=(ea, eb))
-        # the midpoint label is approximate; a WrongStateError reports the
-        # converged node count, so retry once with that
-        q = QuantumNumbers(cfg.quantum.dim, ell, max(label, 0))
+    for n in dict.fromkeys(cfg.quantum.n):
+        q = QuantumNumbers(dim, ell, n)
+        row = StateRow(dim=dim, ell=ell, radial_n=n, k=q.k)
         try:
-            try:
-                result = find_eigenvalue(pot, mass, q, sub)
-            except WrongStateError as exc:
-                if exc.found < 0 or exc.found in states:
-                    failure = exc
-                    continue
-                q = QuantumNumbers(cfg.quantum.dim, ell, exc.found)
-                result = find_eigenvalue(pot, mass, q, sub)
+            result = find_eigenvalue(pot, mass, q, base, spectrum)
         except (BracketError, WrongStateError, ConfigurationError, DomainError) as exc:
-            failure = exc
-            continue
-        if q.radial_n in states:
-            continue
-        states[q.radial_n] = StateRow(
-            dim=cfg.quantum.dim,
-            ell=ell,
-            radial_n=q.radial_n,
-            k=q.k,
-            energy=result.energy,
-            nodes=result.nodes,
-            norm_const=result.norm_const,
-            tail_residual=result.tail_residual,
-            oracle_gap=result.oracle_gap,
-            message=result.oracle_error or "",
-            solution=result.solution,
-        )
-    return states, failure
+            row.status, row.message = "error", f"{type(exc).__name__}: {exc}"
+        else:
+            row.energy = result.energy
+            row.nodes = result.nodes
+            row.norm_const = result.norm_const
+            row.tail_residual = result.tail_residual
+            row.oracle_gap = result.oracle_gap
+            row.message = result.oracle_error or ""
+            row.solution = result.solution
+        states[n] = row
+    return states
 
 
 def solve_states(cfg: RunConfig) -> list[StateRow]:
@@ -354,28 +332,20 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
     rows: list[StateRow] = []
     for ell in cfg.quantum.ell:
         try:
-            channel, failure = _solve_channel(pot, mass, cfg, ell)
+            channel = _solve_channel(pot, mass, cfg, ell)
         except (BracketError, ConfigurationError, DomainError) as exc:
-            channel = {}
-            err = f"channel failed: {exc}"
-        else:
-            err = "state not found in scan range"
-            if failure is not None:
-                err += f" (last failure: {type(failure).__name__}: {failure})"
-        for n in cfg.quantum.n:
-            if n in channel:
-                rows.append(channel[n])
-            else:
-                rows.append(
-                    StateRow(
-                        dim=cfg.quantum.dim,
-                        ell=ell,
-                        radial_n=n,
-                        k=cfg.quantum.dim + 2 * ell,
-                        status="error",
-                        message=err,
-                    )
+            channel = {
+                n: StateRow(
+                    dim=cfg.quantum.dim,
+                    ell=ell,
+                    radial_n=n,
+                    k=cfg.quantum.dim + 2 * ell,
+                    status="error",
+                    message=f"channel failed: {exc}",
                 )
+                for n in cfg.quantum.n
+            }
+        rows.extend(channel[n] for n in cfg.quantum.n)
     return rows
 
 

@@ -9,14 +9,20 @@ normalized Wronskian
 
 which has the same zeros as the log-derivative difference but no poles:
 it vanishes exactly when the two directions align, changes sign across every
-eigenvalue and stays bounded in between.  Roots are located by bracketed
-bisection/secant (Brent) iteration.
+eigenvalue and stays bounded in between.
+
+The brackets come from the channel's collocation spectrum
+(``oracle.channel_spectrum``): state n is sought in the cell of level n,
+between the midpoints to its neighbours.  Brent iteration runs first on
+E_n +- 1e-6 |E_n| inside the cell and on the whole cell only when that
+narrow bracket shows no sign change.  The node count of the converged state
+is verified on the series side alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,22 +55,23 @@ from .wavefunction import (
 __all__ = [
     "SolverConfig",
     "find_eigenvalue",
-    "scan_spectrum",
     "coulomb_reference_energy",
 ]
 
 # The ansatz b = sqrt(-2 m0 E) degenerates as E -> 0-.
 _E_FLOOR = 1e-12
 
-MIN_SCAN_STEPS = 10
+# half-width of the first Brent bracket around a collocation level, relative
+_NARROW = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the matching eigensolver.
 
-    ``match_radius`` defaults to 1.5/b at the bracket midpoint, clamped to
-    the series trust region.  The inward integration starts at
+    ``e_bracket`` is the energy window in which states are sought.
+    ``match_radius`` defaults to 1.5/b at the midpoint of the state's cell,
+    clamped to the series trust region.  The inward integration starts at
     ``match + tail_lengths/b`` or past the outer turning point, whichever is
     farther.
     """
@@ -75,7 +82,7 @@ class SolverConfig:
     tol_e: float = 1e-10
     max_iter: int = 200
     tail_lengths: float = 10.0
-    leg_step: float = 0.01
+    leg_step: float = 0.005
     run_oracle: bool = False
 
     def __post_init__(self):
@@ -113,12 +120,13 @@ def _build_geometry(
     mass: MassProfile,
     q: QuantumNumbers,
     cfg: SolverConfig,
+    cell: tuple[float, float],
 ) -> _Geometry:
-    e_lo, e_hi = cfg.e_bracket
+    e_lo, e_hi = cell
     e_mid = 0.5 * (e_lo + e_hi)
     b_mid = b_from_energy(e_mid, mass.m0)
 
-    # trust radii at the bracket endpoints bound the admissible match radius
+    # trust radii at the cell endpoints bound the admissible match radius
     trusts = []
     for e in (e_lo, e_hi):
         sol = generate_coefficients(
@@ -132,7 +140,7 @@ def _build_geometry(
         if r_match > trust:
             raise ConfigurationError(
                 f"match_radius {r_match:.6g} exceeds the series trust region "
-                f"{trust:.6g} at the bracket endpoints; raise truncation_order"
+                f"{trust:.6g} at the cell endpoints; raise truncation_order"
             )
     else:
         r_match = 1.5 / b_mid
@@ -142,7 +150,7 @@ def _build_geometry(
         raise ConfigurationError("match radius collapsed to zero")
 
     # the inward start must sit in the forbidden tail: tail_lengths decay
-    # lengths out and past the outer turning point of the shallowest bracket
+    # lengths out and past the outer turning point of the shallowest cell
     # energy
     r_turn = tail.outer_turning_radius(pot, mass, e_hi)
     r_tail = tail.tail_radius(pot, mass, e_hi)
@@ -161,7 +169,7 @@ def _build_geometry(
     if n_right > 400_000:
         raise ConfigurationError(
             f"inward leg needs {n_right} points (match {r_match:.3g}, "
-            f"far {r_far:.3g}); the bracket or match radius is pathological"
+            f"far {r_far:.3g}); the cell or match radius is pathological"
         )
     grid = tail.GridSpec(r_lo, r_lo + (n_right + 4) * h, n_right + 5)
     leg = tail.make_leg(pot, mass, q, grid.array(), grid.h)
@@ -179,7 +187,7 @@ def _series_direction(
 
 
 def _mismatch(
-    e,
+    e: float,
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
@@ -188,17 +196,11 @@ def _mismatch(
     want_solution: bool = False,
 ):
     """Normalized Wronskian of the series and the inward leg at the match
-    radius.  An array ``e`` gives one value per energy from one batched
-    recurrence and batched inward solves (``want_solution`` needs a float)."""
+    radius."""
     sol = generate_coefficients(
         RecurrenceKind.GENERAL, pot, mass, q, e, cfg.truncation_order
     )
     us, dus = _series_direction(sol, q, geom.r_match)
-    if np.ndim(e):
-        ui, dui = tail.inward_match(geom.leg, mass, e, geom.i_match)
-        w = dus * ui - us * dui
-        norm = np.hypot(us, dus) * np.hypot(ui, dui)
-        return np.divide(w, norm, out=np.zeros_like(w), where=norm > 0)
     R_in, Rp_in = tail.integrate_radial(pot, mass, q, e, geom.grid, leg=geom.leg)
     vi = (float(R_in[geom.i_match]), float(Rp_in[geom.i_match]))
     w = dus * vi[0] - us * vi[1]
@@ -233,38 +235,50 @@ def find_eigenvalue(
     mass: MassProfile,
     q: QuantumNumbers,
     cfg: SolverConfig,
+    spectrum: oracle.ChannelSpectrum | None = None,
 ) -> EigenResult:
-    """Locate the bound state inside cfg.e_bracket and verify its node count.
+    """Locate state q.radial_n in the cell of its collocation level and
+    verify its node count.
 
-    The bracket must contain exactly one sign change of the mismatch (use
-    scan_spectrum to build such brackets).  The converged state is rejected
-    with WrongStateError when its node count differs from q.radial_n.
+    ``spectrum`` is the channel's collocation spectrum over the window
+    cfg.e_bracket; it is solved here when not given, so a caller solving
+    several states of one channel should pass it.  BracketError when level
+    q.radial_n lies outside the window or the mismatch has no sign change in
+    its cell; WrongStateError when the converged state's node count differs
+    from q.radial_n.
     """
+    if spectrum is None:
+        spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
+    cell, e_c = spectrum.cell(q.radial_n)
     if mass.kind != "custom-series":
         mass = mass.extended(cfg.truncation_order)
-    geom = _build_geometry(pot, mass, q, cfg)
-    e_lo, e_hi = cfg.e_bracket
+    geom = _build_geometry(pot, mass, q, cfg, cell)
 
     # passed to brentq as arguments, not held in a closure: brentq keeps its
     # function alive until the next garbage collection
     args = (pot, mass, q, cfg, geom)
-    f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)
-    if f_lo == 0.0 or f_hi == 0.0:
-        e_star = e_lo if f_lo == 0.0 else e_hi
-    elif (f_lo < 0) == (f_hi < 0):
-        raise BracketError(
-            f"mismatch does not change sign on ({e_lo}, {e_hi}): "
-            f"({f_lo:.3e}, {f_hi:.3e}); use scan_spectrum to bracket"
-        )
+    half = _NARROW * abs(e_c)
+    narrow = (max(cell[0], e_c - half), min(cell[1], e_c + half))
+    for e_lo, e_hi in (narrow, cell):
+        f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)
+        if f_lo == 0.0 or f_hi == 0.0:
+            e_star = e_lo if f_lo == 0.0 else e_hi
+            break
+        if (f_lo < 0) != (f_hi < 0):
+            e_star = brentq(
+                _mismatch,
+                e_lo,
+                e_hi,
+                args=args,
+                xtol=abs(e_hi) * 1e-14,
+                rtol=max(cfg.tol_e, 1e-15),
+                maxiter=cfg.max_iter,
+            )
+            break
     else:
-        e_star = brentq(
-            _mismatch,
-            e_lo,
-            e_hi,
-            args=args,
-            xtol=abs(e_hi) * 1e-14,
-            rtol=max(cfg.tol_e, 1e-15),
-            maxiter=cfg.max_iter,
+        raise BracketError(
+            f"mismatch does not change sign on the cell ({e_lo}, {e_hi}) of "
+            f"level {q.radial_n} at E={e_c!r}: ({f_lo:.3e}, {f_hi:.3e})"
         )
 
     residual, sol, R_in, Rp_in = _mismatch(
@@ -278,7 +292,7 @@ def find_eigenvalue(
     # boundary-condition suppression, and at the (finitely converged) energy
     # the non-terminating residual coefficients pollute the series out there.
     wave = RadialWavefunction.from_solution(sol)
-    b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
+    b_mid = b_from_energy(0.5 * (cell[0] + cell[1]), mass.m0)
     r_norm = max(
         geom.r_match + cfg.tail_lengths / b_mid,
         tail.tail_radius(pot, mass, e_star, target_exponent=12.0),
@@ -294,11 +308,9 @@ def find_eigenvalue(
     oracle_gap = oracle_error = None
     if cfg.run_oracle:
         try:
-            e_oracle = oracle.collocation_eigenvalue(pot, mass, q, cfg.e_bracket)
-        except (BracketError, DomainError, ResolutionError) as exc:
+            oracle_gap = abs(e_star - spectrum.checked(e_c))
+        except ResolutionError as exc:
             oracle_error = f"{type(exc).__name__}: {exc}"
-        else:
-            oracle_gap = abs(e_star - e_oracle)
 
     return EigenResult(
         energy=float(e_star),
@@ -309,78 +321,6 @@ def find_eigenvalue(
         solution=sol,
         oracle_error=oracle_error,
     )
-
-
-def scan_spectrum(
-    pot: PotentialSpec,
-    mass: MassProfile,
-    q_family: QuantumNumbers,
-    e_range: tuple[float, float],
-    steps: int,
-    cfg: SolverConfig | None = None,
-) -> list[tuple[tuple[float, float], int]]:
-    """Sign-change brackets of the mismatch over a uniform-in-sqrt(-E) grid.
-
-    Returns [( (e_a, e_b), node_count_at_midpoint ), ...] in ascending energy
-    order; the node count labels which radial state the bracket contains.
-    The range is processed in factor-4 energy octaves so a single matching
-    geometry per octave stays well-conditioned across the whole sweep.
-    """
-    e_lo, e_hi = e_range
-    if not (e_lo < e_hi < 0):
-        raise DomainError("scan range must satisfy e_lo < e_hi < 0")
-    if steps < MIN_SCAN_STEPS:
-        raise DomainError(f"need at least {MIN_SCAN_STEPS} scan steps")
-    if mass.kind != "custom-series":
-        order = (cfg.truncation_order if cfg is not None else 64)
-        mass = mass.extended(order)
-
-    s_hi = math.sqrt(-e_lo)
-    s_lo = math.sqrt(-e_hi)
-    energies = -np.linspace(s_hi, s_lo, steps + 1) ** 2  # ascending in E
-
-    # octave edges at |E| ratios of 4
-    edges = [e_lo]
-    while edges[-1] / 4.0 < e_hi:
-        edges.append(edges[-1] / 4.0)
-    edges.append(e_hi)
-
-    found: list[tuple[tuple[float, float], int]] = []
-    for a, bnd in zip(edges[:-1], edges[1:]):
-        if a >= bnd:
-            continue
-        sub_cfg = replace(
-            cfg if cfg is not None else SolverConfig(e_bracket=(a, bnd)),
-            e_bracket=(a, bnd),
-        )
-        try:
-            geom = _build_geometry(pot, mass, q_family, sub_cfg)
-        except ConfigurationError:
-            continue
-        mask = (energies >= a) & (energies <= bnd)
-        pts = energies[mask]
-        if pts.size < 2:
-            pts = np.array([a, bnd])
-        vals = _mismatch(pts, pot, mass, q_family, sub_cfg, geom)
-        for i in range(len(pts) - 1):
-            va, vb = vals[i], vals[i + 1]
-            if va == 0.0 or (va < 0) != (vb < 0):
-                ea, eb = float(pts[i]), float(pts[i + 1])
-                mid = 0.5 * (ea + eb)
-                _, sol, R_in, Rp_in = _mismatch(
-                    mid, pot, mass, q_family, sub_cfg, geom, want_solution=True
-                )
-                nodes = _combined_node_count(sol, q_family, geom, R_in, Rp_in)
-                found.append(((ea, eb), nodes))
-
-    # drop duplicates from octave-boundary overlap
-    found.sort(key=lambda item: item[0][0])
-    deduped: list[tuple[tuple[float, float], int]] = []
-    for item in found:
-        if deduped and item[0][0] < deduped[-1][0][1]:
-            continue
-        deduped.append(item)
-    return deduped
 
 
 def coulomb_reference_energy(a_coupling: float, m0: float, q: QuantumNumbers) -> float:

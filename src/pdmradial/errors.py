@@ -22,7 +22,8 @@ class SingularPointError(DomainError):
 
 
 class BracketError(RuntimeError):
-    """Energy bracket does not enclose a sign change of the matching function."""
+    """No bracket for the state: its level lies outside the energy window, or
+    the bracket does not enclose a sign change of the matching function."""
 
 
 class WrongStateError(RuntimeError):

@@ -233,11 +233,9 @@ class MassProfile:
 def _horner(coeffs, r, derivs: int = 0):
     """sum_i coeffs[i] r^i at a float or array ``r``, or with ``derivs`` > 0
     the tuple of it and its first ``derivs`` derivatives.  A scalar ``r`` runs
-    on Python floats, several times faster than numpy scalars.  Coefficients
-    of shape (order + 1, *batch) give one value per batch column."""
+    on Python floats, several times faster than numpy scalars."""
     r = np.asarray(r, float) if np.ndim(r) else float(r)
-    coeffs = np.asarray(coeffs, float)[::-1]
-    rev = coeffs if coeffs.ndim > 1 else coeffs.tolist()
+    rev = np.asarray(coeffs, float)[::-1].tolist()
     if derivs == 0:
         acc = 0.0
         for c in rev:
@@ -257,9 +255,7 @@ class SeriesSolution:
 
     ``scale_log10`` records any overflow-guard rescaling applied during
     generation; the stored coefficients are the true ones times
-    10**(-scale_log10).  A batch of energies keeps one column per energy:
-    ``energy``, ``b``, ``a0`` and ``scale_log10`` are then arrays and
-    ``coeffs`` has shape (truncation_order + 1, *energy.shape).
+    10**(-scale_log10).
     """
 
     energy: float
@@ -272,13 +268,13 @@ class SeriesSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, float))
-        if np.any(np.asarray(self.energy) >= 0):
+        if self.energy >= 0:
             raise DomainError("series solutions exist for bound states only (E < 0)")
-        if np.any(np.asarray(self.b) <= 0):
+        if self.b <= 0:
             raise DomainError("decay rate b must be positive")
-        if self.coeffs.shape[:1] != (self.truncation_order + 1,):
+        if self.coeffs.shape != (self.truncation_order + 1,):
             raise DomainError("coefficient vector length must be truncation_order + 1")
-        if np.any(np.asarray(self.a0) == 0) or np.any(self.coeffs[0] != self.a0):
+        if self.a0 == 0 or self.coeffs[0] != self.a0:
             raise DomainError("leading coefficient a0 must be nonzero and equal coeffs[0]")
 
     def scaled(self, factor: float) -> "SeriesSolution":
@@ -311,11 +307,10 @@ class EigenResult:
             raise DomainError("norm_const must be positive")
 
 
-def b_from_energy(e, m0: float):
-    """Exponential decay rate b = sqrt(-2 m0 E) of a bound state (of every
-    energy when ``e`` is an array)."""
-    if np.any(np.asarray(e) >= 0):
+def b_from_energy(e: float, m0: float) -> float:
+    """Exponential decay rate b = sqrt(-2 m0 E) of a bound state."""
+    if e >= 0:
         raise DomainError("bound-state decay rate requires E < 0")
     if m0 <= 0:
         raise DomainError("m0 must be positive")
-    return np.sqrt(-2.0 * m0 * e) if np.ndim(e) else math.sqrt(-2.0 * m0 * e)
+    return math.sqrt(-2.0 * m0 * e)

@@ -1,5 +1,5 @@
-"""Independent check of the series energies: one Chebyshev collocation
-eigensolve of the radial equation.
+"""Brackets for the series energies and an independent check of them: one
+Chebyshev collocation spectrum of the radial equation per channel.
 
 With R = r^p y, p = (k-1)/2 and g = m'/m, the radial equation multiplied by
 r reads
@@ -16,26 +16,44 @@ selects the regular branch r^p without any boundary condition at the
 singular point (Boyd, Chebyshev and Fourier Spectral Methods, 2001).  The
 finite real eigenvalues of the pencil are the levels.
 
+``channel_spectrum`` solves the channel once, at two resolutions.  Level n
+places the bracket (its cell) in which the series path looks for state n,
+and the coarser solve checks the level, so one spectrum serves every state
+of the channel.
+
 This module shares no solver code with the series path: it imports only the
 domain types and ``tail_radius``, which places r_max.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import eig
 
-from .errors import BracketError, DomainError, ResolutionError
+from .errors import (
+    BracketError,
+    DegenerateChannelError,
+    DomainError,
+    ResolutionError,
+    UnsupportedExponentError,
+)
 from .model import MassProfile, PotentialSpec, QuantumNumbers
 from .tail import tail_radius
 
-__all__ = ["collocation_eigenvalue", "collocation_levels"]
+__all__ = [
+    "ChannelSpectrum",
+    "channel_spectrum",
+    "collocation_eigenvalue",
+    "collocation_levels",
+]
 
-# The two (nodes, r_max in tail radii) solves of every check.  The levels of
-# the finer one are returned; the coarser one only checks them.
+# The two (nodes, r_max in tail radii) solves of every channel.  The levels
+# of the finer one are used; the coarser one only checks them.
 _RESOLUTIONS = ((80, 1.0), (120, 1.25))
-# WKB exponent of the tail radius at the bracket's upper energy: every level
-# in the bracket has decayed by about e^-30 where y(r_max) = 0 is imposed
+# WKB exponent of the tail radius at the window's upper energy: every level
+# in the window has decayed by about e^-30 where y(r_max) = 0 is imposed
 _TAIL_EXPONENT = 30.0
 # largest relative disagreement of the two solves
 _SELF_CHECK_RTOL = 1e-8
@@ -75,9 +93,13 @@ def collocation_levels(
     """Every finite real eigenvalue, ascending, of the radial equation
     collocated on ``nodes`` + 1 Chebyshev points of [0, r_max]."""
     if q.k < 2:
-        raise DomainError("collocation needs k = N + 2l >= 2 (k = 1 has no regularity row)")
+        raise DegenerateChannelError(
+            "collocation needs k = N + 2l >= 2 (k = 1 has no regularity row)"
+        )
     if pot.alpha >= 2:
-        raise DomainError("collocation needs alpha <= 1 (r V must stay regular)")
+        raise UnsupportedExponentError(
+            "collocation needs alpha <= 1 (r V must stay regular)"
+        )
     d1, d2, x = _cheb(nodes)
     d1 = d1 * (2.0 / r_max)
     d2 = d2 * (2.0 / r_max) ** 2
@@ -96,6 +118,66 @@ def collocation_levels(
     return np.sort(w[np.isfinite(w) & (w.imag == 0)].real)
 
 
+@dataclass(frozen=True)
+class ChannelSpectrum:
+    """The collocation levels of one (N, l) channel for an energy window:
+    ``levels`` from the finer solve, ascending, and ``check`` from the
+    coarser one.  Level n has n nodes (Sturm oscillation), so its index is
+    the radial quantum number of the state it approximates."""
+
+    window: tuple[float, float]
+    levels: np.ndarray
+    check: np.ndarray
+
+    def cell(self, n: int) -> tuple[tuple[float, float], float]:
+        """The cell of level n, from the midpoints to its neighbours clipped
+        to the window, and the level itself.  BracketError when level n is
+        not inside the window."""
+        e_lo, e_hi = self.window
+        lv = self.levels.tolist()
+        if n < len(lv) and e_lo <= lv[n] <= e_hi:
+            lo = 0.5 * (lv[n - 1] + lv[n]) if n > 0 else e_lo
+            hi = 0.5 * (lv[n] + lv[n + 1]) if n + 1 < len(lv) else e_hi
+            return (max(lo, e_lo), min(hi, e_hi)), lv[n]
+        where = (f"its collocation level is at E={lv[n]!r}" if n < len(lv)
+                 else f"the channel has only {len(lv)} collocation levels")
+        raise BracketError(
+            f"state n={n} not found in the window ({e_lo}, {e_hi}): {where}"
+        )
+
+    def checked(self, e: float) -> float:
+        """``e`` once the coarser solve has a level within 1e-8 relative of
+        it, else ResolutionError."""
+        gap = float(np.min(np.abs(self.check - e))) if self.check.size else np.inf
+        if gap > _SELF_CHECK_RTOL * abs(e):
+            (n_check, _), (n_fine, _) = _RESOLUTIONS
+            raise ResolutionError(
+                f"collocation levels at {n_fine} and {n_check} nodes differ by "
+                f"{gap / abs(e):.3e} relative at E={e!r}, above {_SELF_CHECK_RTOL:g}"
+            )
+        return e
+
+
+def channel_spectrum(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    q: QuantumNumbers,
+    window: tuple[float, float],
+) -> ChannelSpectrum:
+    """Both collocation solves of the channel of ``q``, with r_max from the
+    WKB tail of the window's upper energy."""
+    e_lo, e_hi = window
+    if not (e_lo < e_hi < 0):
+        raise DomainError("window must satisfy e_lo < e_hi < 0")
+    r_tail = tail_radius(pot, mass, e_hi, _TAIL_EXPONENT)
+    (n_check, f_check), (n_fine, f_fine) = _RESOLUTIONS
+    return ChannelSpectrum(
+        (e_lo, e_hi),
+        collocation_levels(pot, mass, q, n_fine, f_fine * r_tail),
+        collocation_levels(pot, mass, q, n_check, f_check * r_tail),
+    )
+
+
 def collocation_eigenvalue(
     pot: PotentialSpec,
     mass: MassProfile,
@@ -109,24 +191,12 @@ def collocation_eigenvalue(
     BracketError unless the bracket holds exactly one level, and
     ResolutionError when the coarser solve has no level that close.
     """
+    spectrum = channel_spectrum(pot, mass, q, bracket)
     e_lo, e_hi = bracket
-    if not (e_lo < e_hi < 0):
-        raise DomainError("bracket must satisfy e_lo < e_hi < 0")
-    r_tail = tail_radius(pot, mass, e_hi, _TAIL_EXPONENT)
-    (n_check, f_check), (n_fine, f_fine) = _RESOLUTIONS
-    levels = collocation_levels(pot, mass, q, n_fine, f_fine * r_tail)
-    inside = levels[(levels >= e_lo) & (levels <= e_hi)]
+    inside = spectrum.levels[(spectrum.levels >= e_lo) & (spectrum.levels <= e_hi)]
     if inside.size != 1:
         raise BracketError(
             f"{inside.size} collocation levels in bracket ({e_lo}, {e_hi}), "
             f"need exactly one"
         )
-    e = float(inside[0])
-    check = collocation_levels(pot, mass, q, n_check, f_check * r_tail)
-    gap = float(np.min(np.abs(check - e))) if check.size else np.inf
-    if gap > _SELF_CHECK_RTOL * abs(e):
-        raise ResolutionError(
-            f"collocation levels at {n_fine} and {n_check} nodes differ by "
-            f"{gap / abs(e):.3e} relative at E={e!r}, above {_SELF_CHECK_RTOL:g}"
-        )
-    return e
+    return spectrum.checked(float(inside[0]))

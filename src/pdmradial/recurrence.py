@@ -83,7 +83,7 @@ def generate_coefficients(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
-    e,
+    e: float,
     order: int,
 ) -> SeriesSolution:
     """Generate a_0 .. a_order (a_0 = 1) at trial energy e < 0.
@@ -93,16 +93,11 @@ def generate_coefficients(
     involves no coefficient beyond a_n, which restricts alpha to {0, 1}.
     Coefficients exceeding the overflow guard trigger a homogeneous rescale of
     the whole prefix, recorded in ``scale_log10``.
-
-    ``e`` may be an array of energies: every step then runs over a trailing
-    energy axis, so the coefficients have shape (order + 1, *e.shape), and
-    each energy rescales on its own.  A float is the 0-d case of the same
-    loop; every column of a batch equals the scalar call bit for bit.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    e = np.asarray(e, float)
-    if np.any(e >= 0):
+    e = float(e)
+    if e >= 0:
         raise DomainError("coefficient generation requires a bound-state energy E < 0")
     if pot.alpha >= 2:
         raise UnsupportedExponentError(
@@ -117,18 +112,13 @@ def generate_coefficients(
     if mass.order < order and mass.kind != "custom-series":
         mass = mass.extended(order)
 
-    # a 0-d energy runs on numpy scalars, several times faster than 0-d arrays
-    e = e[()]
     b = b_from_energy(e, mass.m0)
     ell = q.ell
     lam = mass.lam
-    batch = np.shape(e)
-    # series along the coefficient axis, broadcast over the energy axes
-    column = (-1,) + (1,) * len(batch)
 
-    a = np.zeros((order + 1, *batch))
+    a = np.zeros(order + 1)
     a[0] = 1.0
-    scale_log10 = np.zeros(batch)
+    scale_log10 = 0.0
 
     if kind is RecurrenceKind.EXP_MASS_CORNELL:
         # Exponentially decaying mass: m'/m = -lam exactly, so the
@@ -161,18 +151,18 @@ def generate_coefficients(
                 + 2.0 * C * cn1
             )
             a[n + 1] = num / ((n + 1) * (n + k - 1))
-            _guard_overflow(a, n + 1, scale_log10, divide=(conv,))
+            scale_log10 += _guard_overflow(a, n + 1, divide=(conv,))
             fill_conv(n + 1)
-        return _solution(e, b, a, order, q, scale_log10)
+        return SeriesSolution(e, b, a, float(a[0]), order, q, scale_log10)
 
     # trailing zeros of the mass series (all of a constant mass's beyond m0)
     # add nothing to the tables, so they are dropped
-    bmass = np.trim_zeros(mass.mass_series, "b").reshape(column)
-    blog = np.trim_zeros(mass.logderiv_series, "b").reshape(column)
+    bmass = np.trim_zeros(mass.mass_series, "b")
+    blog = np.trim_zeros(mass.logderiv_series, "b")
     lm, lb = len(bmass), len(blog)
     # room for the last coefficient's whole series, so no slice is cut short
     size = order + 1 + max(lm, lb)
-    m_tab, mp_tab, t_tab = (np.zeros((size, *batch)) for _ in range(3))
+    m_tab, mp_tab, t_tab = (np.zeros(size) for _ in range(3))
 
     def add_to_tables(j: int) -> None:
         # a_j enters M_i, M'_i and T_i for i = j .. j + len(series) - 1
@@ -226,38 +216,26 @@ def generate_coefficients(
         denom = (n + 1) * (n + k - 1)
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a[n + 1] = num / denom
-        _guard_overflow(a, n + 1, scale_log10, multiply=(m_tab, mp_tab, t_tab))
+        scale_log10 += _guard_overflow(a, n + 1, multiply=(m_tab, mp_tab, t_tab))
         add_to_tables(n + 1)
 
-    return _solution(e, b, a, order, q, scale_log10)
+    return SeriesSolution(e, b, a, float(a[0]), order, q, scale_log10)
 
 
-def _guard_overflow(a, i, scale_log10, divide=(), multiply=()) -> None:
-    """Divide every energy column whose a_i exceeds the overflow guard by
-    |a_i|: its coefficients and the ``divide`` tables directly, the
-    ``multiply`` tables through the reciprocal."""
-    big = abs(a[i]) > _RESCALE_LIMIT
-    if not (big.any() if big.ndim else big):  # a numpy scalar reduces slowly
-        return
-    cols = np.flatnonzero(big)
-    flat = a.reshape(a.shape[0], -1)
-    logs = scale_log10.reshape(-1)
-    for col in cols:
-        s = abs(float(flat[i, col]))
-        flat[:, col] /= s
-        for table in divide:
-            table.reshape(table.shape[0], -1)[:, col] /= s
-        inv = 1.0 / s
-        for table in multiply:
-            table.reshape(table.shape[0], -1)[:, col] *= inv
-        logs[col] += math.log10(s)
-
-
-def _solution(e, b, a, order, q, scale_log10) -> SeriesSolution:
-    a0 = a[0]
-    if a.ndim == 1:  # a single energy reports plain floats
-        e, b, a0, scale_log10 = float(e), float(b), float(a0), float(scale_log10)
-    return SeriesSolution(e, b, a, a0, order, q, scale_log10)
+def _guard_overflow(a, i, divide=(), multiply=()) -> float:
+    """When a_i exceeds the overflow guard, divide the coefficients and the
+    ``divide`` tables by |a_i| and the ``multiply`` tables through the
+    reciprocal; returns log10 of the divisor, or 0.0."""
+    s = abs(float(a[i]))
+    if not s > _RESCALE_LIMIT:
+        return 0.0
+    a /= s
+    for table in divide:
+        table /= s
+    inv = 1.0 / s
+    for table in multiply:
+        table *= inv
+    return math.log10(s)
 
 
 def _series_at(arr: np.ndarray, i: int) -> float:

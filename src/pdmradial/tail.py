@@ -6,10 +6,10 @@ G = m'/m whenever the mass varies.  The Liouville substitution R = s y with
 s'/s = G/2 removes it, y'' = (F + G^2/4 - G'/2) y, so one Numerov scheme
 integrates every mass profile (for constant mass s = 1 and the added term
 vanishes).  Inward runs travel the stable direction and are solved in
-float64 as banded triangular systems by LAPACK.  The eigensolver uses
-``integrate_radial`` for one energy and ``inward_match`` for a batch of
-scan energies; ``tail_radius`` and ``outer_turning_radius`` place the start
-of the leg in the classically forbidden tail.
+float64 as banded triangular systems by LAPACK.  The eigensolver calls
+``integrate_radial`` once per trial energy; ``tail_radius`` and
+``outer_turning_radius`` place the start of the leg in the classically
+forbidden tail.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .model import MassProfile, PotentialSpec, QuantumNumbers, b_from_energy
 __all__ = [
     "GridSpec",
     "Leg",
-    "inward_match",
     "integrate_radial",
     "make_leg",
     "outer_turning_radius",
@@ -38,8 +37,6 @@ MIN_GRID_POINTS = 1000
 # the inward solve starts a new segment wherever the WKB growth exponent has
 # risen by this much (e^300 ~ 1e130, far below the float64 overflow)
 _SEGMENT_EXPONENT = 300.0
-# most (energies x points) values one batched inward solve holds at a time
-_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -176,11 +173,10 @@ def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
 
 
 def _numerov_inward(
-    w0: np.ndarray, m2, e, r: np.ndarray, h: float, start
+    w0: np.ndarray, m2, e: float, r: np.ndarray, h: float, start
 ) -> np.ndarray:
-    """Inward Numerov runs on w = w0 - m2 e for the energy or energies ``e``
-    as float64 banded triangular solves (LAPACK dtbtrs); y has shape
-    (*e.shape, n), and ``start`` holds the first two values of every run.
+    """Inward Numerov run on w = w0 - m2 e as float64 banded triangular
+    solves (LAPACK dtbtrs); ``start`` holds the run's first two values.
 
     In travel order, z_j = y(r[n-1-j]), the recurrence reads
     c_j z_j - d_{j-1} z_{j-1} + c_{j-2} z_{j-2} = 0, with c = 1 - h^2 w/12
@@ -188,19 +184,15 @@ def _numerov_inward(
     with two subdiagonals whose column j holds (c_j, -d_j, c_j), with the two
     start values moved to the right-hand side.  The grid is cut beforehand
     wherever the WKB exponent, the integral of sqrt(max(w, 0)) dr, has grown
-    by another ``_SEGMENT_EXPONENT`` at the deepest energy, whose w is the
-    largest, so the cuts of a single energy are its own.  Each segment starts
-    from the last two values of the previous one scaled to order one, and the
-    earlier samples are rescaled by the same factor, so no value approaches
-    overflow.  Several energies are solved as one block-diagonal system per
-    segment, one uncoupled block per energy.  A segment that still gives a
-    non-finite value raises DomainError naming the radius.
+    by another ``_SEGMENT_EXPONENT``.  Each segment starts from the last two
+    values of the previous one scaled to order one, and the earlier samples
+    are rescaled by the same factor, so no value approaches overflow.  A
+    segment that still gives a non-finite value raises DomainError naming
+    the radius.
     """
-    shape = np.shape(e)
-    e = np.atleast_1d(e)[:, None]
     n = r.size
-    w0, m2 = w0[::-1], np.broadcast_to(m2, w0.shape)[::-1]
-    growth = np.cumsum(np.sqrt(np.maximum(w0 - m2 * e.min(), 0.0))) * h
+    w = (w0 - m2 * e)[::-1]
+    growth = np.cumsum(np.sqrt(np.maximum(w, 0.0))) * h
     n_marks = int(growth[-1] // _SEGMENT_EXPONENT)
     cuts = np.unique(
         np.searchsorted(growth, _SEGMENT_EXPONENT * np.arange(1, n_marks + 1))
@@ -208,52 +200,26 @@ def _numerov_inward(
     bounds = [2, *cuts[(cuts > 2) & (cuts < n - 1)].tolist(), n]
 
     h12 = h * h / 12.0
-
-    def numerov_rows(lo: int, hi: int, c: np.ndarray, neg_d: np.ndarray) -> None:
-        # c = 1 - h12 w and -d = -(2 + 10 h12 w) at travel indices lo..hi-1,
-        # written in place
-        np.multiply(m2[lo:hi], e, out=c)
-        np.subtract(w0[lo:hi], c, out=c)  # w
-        np.multiply(10.0 * h12, c, out=neg_d)
-        np.add(2.0, neg_d, out=neg_d)
-        np.negative(neg_d, out=neg_d)
-        np.multiply(h12, c, out=c)
-        np.subtract(1.0, c, out=c)
-
-    z = np.empty((e.size, n))
-    z[:, 0], z[:, 1] = start
-    # one band and right-hand-side buffer serves every segment
-    longest = max(hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]))
-    ab_all = np.empty((3, e.size * longest), order="F")
-    rhs_all = np.empty((e.size * longest, 1))
-    c0, neg_d0 = np.empty((2, e.size, 2))
+    c = 1.0 - h12 * w
+    neg_d = -(2.0 + 10.0 * h12 * w)
+    z = np.empty(n)
+    z[0], z[1] = start
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        z[:, :lo] /= np.maximum(abs(z[:, lo - 2]), abs(z[:, lo - 1]))[:, None]
-        m = hi - lo
-        # column (energy, j) of the Fortran-ordered band storage is
-        # ab[:, energy * m + j]; ``band`` views it as [energy, j, row]
-        ab = ab_all[:, : e.size * m]
-        band = ab.T.reshape(e.size, m, 3)
-        numerov_rows(lo, hi, band[:, :, 0], band[:, :, 1])
-        band[:, :, 2] = band[:, :, 0]
-        band[:, -1, 1:] = 0.0  # no coupling into the next energy's block
-        band[:, -2:-1, 2] = 0.0
-        numerov_rows(lo - 2, lo, c0, neg_d0)
-        rhs = rhs_all[: e.size * m]
-        rhs[:] = 0.0
-        first = rhs.reshape(e.size, m)
-        first[:, 0] = -neg_d0[:, 1] * z[:, lo - 1] - c0[:, 0] * z[:, lo - 2]
-        first[:, 1:2] = (-c0[:, 1] * z[:, lo - 1])[:, None]  # none if m = 1
+        z[:lo] /= max(abs(z[lo - 2]), abs(z[lo - 1]))
+        ab = np.array([c[lo:hi], neg_d[lo:hi], c[lo:hi]], order="F")
+        rhs = np.zeros((hi - lo, 1))
+        rhs[0] = -neg_d[lo - 1] * z[lo - 1] - c[lo - 2] * z[lo - 2]
+        rhs[1:2] = -c[lo - 1] * z[lo - 1]  # none if the segment has one point
         x, info = dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
         finite = np.isfinite(x[:, 0])
         if info != 0 or not finite.all():
-            k, j = divmod(info - 1 if info > 0 else int(np.argmin(finite)), m)
+            j = info - 1 if info > 0 else int(np.argmin(finite))
             raise DomainError(
                 f"inward Numerov solve is not finite at r={r[n - 1 - lo - j]:.6g} "
-                f"(h^2 w/12 = {1.0 - band[k, j, 0]:.3g}); refine the grid"
+                f"(h^2 w/12 = {h12 * w[lo + j]:.3g}); refine the grid"
             )
-        z[:, lo:hi] = x.reshape(e.size, m)
-    return z[:, ::-1].reshape(*shape, n)
+        z[lo:hi] = x[:, 0]
+    return z[::-1]
 
 
 def _inward_start(leg: Leg, mass: MassProfile, e: float) -> tuple[float, float]:
@@ -261,34 +227,6 @@ def _inward_start(leg: Leg, mass: MassProfile, e: float) -> tuple[float, float]:
     y'/y = -kappa - G/2."""
     kappa = math.sqrt(-2.0 * float(mass.mass_at(leg.r[-1])) * e)
     return 1.0, math.exp((kappa + 0.5 * leg.g[-1]) * leg.h)
-
-
-def inward_match(
-    leg: Leg, mass: MassProfile, e: np.ndarray, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """R and R' at index ``i`` (2 <= i <= n - 3) of the inward runs of
-    ``leg`` at every energy of the 1-d array ``e``, each up to its own
-    positive scale.
-
-    The energies are solved in blocks of at most ``_BLOCK_VALUES`` (energies
-    x points) values, so the transient memory stays bounded however many
-    energies are asked for.  Each equals ``integrate_radial``'s R[i], R'[i]
-    up to that scale; only the segment cuts, taken from each block's deepest
-    energy, move the rounding.
-    """
-    n = leg.r.size
-    assert 2 <= i <= n - 3, "the match index needs the central stencil"
-    R, Rp = np.empty(e.size), np.empty(e.size)
-    per_block = max(1, _BLOCK_VALUES // n)
-    for lo in range(0, e.size, per_block):
-        es = e[lo : lo + per_block]
-        start = np.array([_inward_start(leg, mass, x) for x in es]).T
-        y = _numerov_inward(leg.w0, leg.m2, es, leg.r, leg.h, start)[:, i - 2 : i + 3]
-        # the central fourth-order stencil of _derivative_from_grid
-        dy = (y[:, 0] - 8 * y[:, 1] + 8 * y[:, 3] - y[:, 4]) / (12 * leg.h)
-        R[lo : lo + per_block] = leg.s[i] * y[:, 2]
-        Rp[lo : lo + per_block] = leg.s[i] * (dy + 0.5 * leg.g[i] * y[:, 2])
-    return R, Rp
 
 
 def integrate_radial(

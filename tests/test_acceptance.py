@@ -13,11 +13,10 @@ from pdmradial.eigensolver import (
     SolverConfig,
     coulomb_reference_energy,
     find_eigenvalue,
-    scan_spectrum,
 )
 from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
-from pdmradial.oracle import collocation_eigenvalue
+from pdmradial.oracle import channel_spectrum, collocation_eigenvalue
 from pdmradial.recurrence import (
     RecurrenceKind,
     coefficient_closed_forms_cornell,
@@ -196,8 +195,7 @@ def test_criterion_05_k_degeneracy():
         energies = []
         for dim, ell in pairs:
             q = QuantumNumbers(dim, ell, 0)
-            brackets = scan_spectrum(pot, mass, q, (-3.95, -0.3), 60)
-            res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=brackets[0][0]))
+            res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-3.95, -0.3)))
             energies.append(res.energy)
         spread = (max(energies) - min(energies)) / abs(energies[0])
         detail.append(f"k={k}: spread {spread:.2e} over {len(pairs)} pairs")
@@ -213,13 +211,10 @@ def test_criterion_06_pdm_oracle_agreement():
     for lam in (0.05, 0.2):
         mass = expand_exponential(1.0, lam, 64)
         for ell in (0, 1):
-            q_scan = QuantumNumbers(3, ell, 0)
-            brackets = scan_spectrum(pot, mass, q_scan, (-3.4, -0.8), 60)
-            for (bracket, label) in brackets[:2]:
-                q = QuantumNumbers(3, ell, label)
+            for n in range(2):
                 res = find_eigenvalue(
-                    pot, mass, q,
-                    SolverConfig(e_bracket=bracket, run_oracle=True),
+                    pot, mass, QuantumNumbers(3, ell, n),
+                    SolverConfig(e_bracket=(-3.4, -0.8), run_oracle=True),
                 )
                 worst = max(worst, res.oracle_gap / abs(res.energy))
                 count += 1
@@ -305,19 +300,16 @@ def test_criterion_09_oscillator_spacing():
     pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
     mass = constant_mass(1.0)
     q0 = QuantumNumbers(3, 0, 0)
-    brackets = scan_spectrum(pot, mass, q0, (-19.0, -4.0), 120)
+    spectrum = channel_spectrum(pot, mass, q0, (-19.0, -4.0))
     series = []
     oracle = []
     for n in range(5):
-        (ea, eb), label = brackets[n]
-        assert label == n
+        q = QuantumNumbers(3, 0, n)
         res = find_eigenvalue(
-            pot, mass, QuantumNumbers(3, 0, n), SolverConfig(e_bracket=(ea, eb))
+            pot, mass, q, SolverConfig(e_bracket=(-19.0, -4.0)), spectrum
         )
         series.append(res.energy)
-        oracle.append(
-            collocation_eigenvalue(pot, mass, QuantumNumbers(3, 0, n), (ea, eb))
-        )
+        oracle.append(collocation_eigenvalue(pot, mass, q, spectrum.cell(n)[0]))
     s_sp = np.diff(series)
     o_sp = np.diff(oracle)
     s_var = float(np.max(np.abs(s_sp / s_sp[0] - 1.0)))

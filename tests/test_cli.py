@@ -83,7 +83,6 @@ class TestConfigParsing:
         "field, value",
         [
             ("truncation_order", 2),
-            ("scan_steps", 5),
             ("tol_e", -1),
             ("max_iter", 3),
             ("match_radius", -1.0),
@@ -109,6 +108,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert f"config error: {block}.{key}: unknown field" in err
         assert not (tmp_path / "out").exists()
+
+    def test_scan_steps_is_accepted_and_ignored(self, tmp_path):
+        # older configs still name scan_steps; the brackets come from the
+        # collocation spectrum, so its value changes no byte of the output
+        outputs = []
+        for steps in (10, 400):
+            data = demo_config_dict()
+            data["solver"]["scan_steps"] = steps
+            data["output"]["directory"] = str(tmp_path / f"steps{steps}")
+            assert run_solve(str(write_config(tmp_path, data))) == 0
+            outputs.append((tmp_path / f"steps{steps}" / "energies.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -156,9 +167,9 @@ class TestSolveDemo:
         solved = []
         original = cli_mod.find_eigenvalue
 
-        def counting(pot, mass, q, cfg):
+        def counting(pot, mass, q, cfg, spectrum):
             solved.append(q.radial_n)
-            return original(pot, mass, q, cfg)
+            return original(pot, mass, q, cfg, spectrum)
 
         monkeypatch.setattr(cli_mod, "find_eigenvalue", counting)
         data = demo_config_dict()
@@ -194,7 +205,7 @@ class TestArtifacts:
 
     def test_solver_failure_writes_partial_results(self, tmp_path, capsys):
         data = demo_config_dict()
-        data["quantum"]["n"] = [0, 9]  # n = 9 lies outside the scan range
+        data["quantum"]["n"] = [0, 9]  # level 9 lies above the window
         data["solver"]["oracle"] = False
         data["output"]["directory"] = str(tmp_path / "part")
         rc = run_solve(str(write_config(tmp_path, data)))
@@ -203,13 +214,16 @@ class TestArtifacts:
         by_n = {r["radial_n"]: r for r in rows}
         assert by_n[0]["status"] == "ok"
         assert by_n[9]["status"] == "error"
-        assert "not found" in by_n[9]["message"]
+        assert by_n[9]["message"].startswith(
+            "BracketError: state n=9 not found in the window (-0.6, -0.03): "
+            "its collocation level is at E="
+        )
 
     def test_failed_row_names_the_last_failure(self, tmp_path, monkeypatch):
         import pdmradial.cli as cli_mod
         from pdmradial.errors import BracketError
 
-        def failing(pot, mass, q, cfg):
+        def failing(pot, mass, q, cfg, spectrum):
             raise BracketError(f"no sign change for n={q.radial_n}")
 
         monkeypatch.setattr(cli_mod, "find_eigenvalue", failing)
@@ -219,10 +233,7 @@ class TestArtifacts:
         assert run_solve(str(write_config(tmp_path, data))) == 1
         rows = json.loads((tmp_path / "fail" / "energies.json").read_text())
         assert rows[0]["status"] == "error"
-        assert rows[0]["message"].startswith(
-            "state not found in scan range (last failure: BracketError: "
-            "no sign change for n="
-        )
+        assert rows[0]["message"] == "BracketError: no sign change for n=0"
         csv_rows = (tmp_path / "fail" / "energies.csv").read_text().splitlines()
         assert csv_rows[1] == "3,0,0,3,,,,,,error"
 
@@ -233,8 +244,7 @@ class TestPdmConfig:
             "potential": {"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
             "mass": {"kind": "exponential", "m0": 1.0, "lambda": 0.2},
             "quantum": {"dim": 3, "ell": [0, 1], "n": [0, 1]},
-            "solver": {"e_lo": -3.4, "e_hi": -0.8, "scan_steps": 60,
-                       "oracle": False},
+            "solver": {"e_lo": -3.4, "e_hi": -0.8, "oracle": False},
             "output": {"directory": str(tmp_path / "pdm"), "formats": ["json"]},
         }
         rc = run_solve(str(write_config(tmp_path, data)))
@@ -264,8 +274,7 @@ class TestTwoDimensionalChannels:
             "potential": {"kind": "coulomb", "z": 1.0},
             "mass": {"kind": "constant", "m0": 1.0},
             "quantum": {"dim": 2, "ell": [0, 1], "n": [0, 1]},
-            "solver": {"e_lo": -2.4, "e_hi": -0.06, "scan_steps": 160,
-                       "oracle": True},
+            "solver": {"e_lo": -2.4, "e_hi": -0.06, "oracle": True},
             "output": {"directory": str(tmp_path / "n2"), "formats": ["csv", "json"]},
         }
         rc = run_solve(str(write_config(tmp_path, data)))
@@ -302,7 +311,7 @@ class TestWavefunctionSamples:
             "mass": {"kind": "constant", "m0": 1.0},
             "quantum": {"dim": 3, "ell": [0, 1, 2], "n": [0, 1, 2]},
             "solver": {"e_lo": -19.5, "e_hi": -8.7, "truncation_order": 128,
-                       "scan_steps": 120, "oracle": False},
+                       "oracle": False},
             "output": {"directory": str(tmp_path / "osc"), "formats": ["json"],
                        "wavefunction_grid": {"r_max": 5.0, "points": 201}},
         }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from pdmradial.eigensolver import (
     SolverConfig,
     coulomb_reference_energy,
     find_eigenvalue,
-    scan_spectrum,
 )
 from pdmradial.errors import (
     BracketError,
@@ -18,7 +18,7 @@ from pdmradial.errors import (
 from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
 import pdmradial.oracle as oracle_mod
-from pdmradial.oracle import collocation_eigenvalue
+from pdmradial.oracle import ChannelSpectrum, channel_spectrum, collocation_eigenvalue
 
 
 def bracket_around(e_ref, width=0.15):
@@ -101,20 +101,64 @@ class TestNodeAtMatchRadius:
 
 class TestFindEigenvalueErrors:
     def test_bracket_without_sign_change(self):
-        with pytest.raises(BracketError):
+        # a level placed where the series has no root: neither the narrow
+        # bracket nor the whole cell shows a sign change
+        spectrum = ChannelSpectrum((-0.45, -0.2), np.array([-0.3, 0.1]), np.array([]))
+        with pytest.raises(BracketError, match="does not change sign on the cell"):
+            find_eigenvalue(
+                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                SolverConfig(e_bracket=(-0.45, -0.2)), spectrum,
+            )
+
+    def test_level_outside_the_window(self):
+        with pytest.raises(BracketError, match=r"state n=0 not found in the window"):
             find_eigenvalue(
                 make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
                 SolverConfig(e_bracket=(-0.45, -0.35)),
             )
 
     def test_wrong_state_reports_found_nodes(self):
+        # three spurious levels below the spectrum label the ground state 3;
+        # the series side counts its nodes on its own and refuses it
+        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        real = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-0.6, -0.4))
+        mislabelled = replace(
+            real, levels=np.concatenate(([-3.0, -2.0, -1.0], real.levels))
+        )
         with pytest.raises(WrongStateError) as exc:
             find_eigenvalue(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 3),
-                SolverConfig(e_bracket=(-0.6, -0.4)),
+                pot, mass, QuantumNumbers(3, 0, 3),
+                SolverConfig(e_bracket=(-0.6, -0.4)), mislabelled,
             )
         assert exc.value.found == 0
         assert exc.value.expected == 3
+
+    def test_narrow_bracket_miss_widens_to_the_cell(self, monkeypatch):
+        # every level 1e-4 relative too deep: the narrow bracket around it
+        # holds no root, and Brent must still find the state in the cell
+        import pdmradial.eigensolver as es_mod
+
+        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        real = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-0.6, -0.03))
+        off = replace(real, levels=real.levels * (1.0 + 1e-4))
+        brackets = []
+        original = es_mod.brentq
+
+        def recording(f, a, b, **kwargs):
+            brackets.append((a, b))
+            return original(f, a, b, **kwargs)
+
+        monkeypatch.setattr(es_mod, "brentq", recording)
+        for n in range(3):
+            q = QuantumNumbers(3, 0, n)
+            res = find_eigenvalue(
+                pot, mass, q, SolverConfig(e_bracket=(-0.6, -0.03)), off
+            )
+            e_ref = coulomb_reference_energy(1.0, 1.0, q)
+            assert abs(res.energy - e_ref) < 1e-10 * abs(e_ref)
+            assert res.nodes == n
+            assert brackets[-1] == off.cell(n)[0]
+        assert len(brackets) == 3
 
     def test_match_radius_beyond_trust_region(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
@@ -148,82 +192,58 @@ class TestFindEigenvalueErrors:
 
 
 class TestScanSpectrum:
+    """Brackets from the channel's collocation spectrum: the cell of each
+    level."""
+
     def test_coulomb_brackets(self):
-        brackets = scan_spectrum(
+        spectrum = channel_spectrum(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
-            (-0.6, -0.01), 200,
+            (-0.6, -0.01),
         )
-        found = []
-        for (ea, eb), _ in brackets:
-            found.append((ea, eb))
-        for target in (-0.5, -0.125, -1.0 / 18.0, -1.0 / 32.0):
-            assert any(ea <= target <= eb for ea, eb in found), target
+        for n, target in enumerate((-0.5, -0.125, -1.0 / 18.0, -1.0 / 32.0)):
+            (ea, eb), e_c = spectrum.cell(n)
+            assert ea <= target <= eb, target
+            assert abs(e_c - target) < 1e-10 * abs(target)
 
     def test_range_below_spectrum_is_empty(self):
-        brackets = scan_spectrum(
+        spectrum = channel_spectrum(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
-            (-5.0, -1.0), 60,
+            (-5.0, -1.0),
         )
-        assert brackets == []
+        assert not np.any((spectrum.levels >= -5.0) & (spectrum.levels <= -1.0))
+        with pytest.raises(BracketError):
+            spectrum.cell(0)
 
     def test_cornell_bracket_exists_and_matches_oracle(self):
         pot = make_cornell(0.52, 0.18, -5.0)
         mass = constant_mass(1.0)
-        brackets = scan_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-4.9, -0.5), 80)
-        assert brackets
-        (ea, eb), label = brackets[0]
-        assert label == 0
+        spectrum = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-4.9, -0.5))
+        (ea, eb), _ = spectrum.cell(0)
         e_oracle = collocation_eigenvalue(pot, mass, QuantumNumbers(3, 0, 0), (ea, eb))
         assert ea <= e_oracle <= eb
 
-    def test_steps_validation(self):
-        with pytest.raises(DomainError):
-            scan_spectrum(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
-                (-0.6, -0.01), 5,
-            )
-
     def test_every_bracket_contains_exactly_one_eigenvalue(self):
-        # no spurious sign changes: each Coulomb bracket holds exactly one
-        # level of the known spectrum, and levels inside the range are not
-        # missed
+        # each Coulomb cell holds exactly one level of the known spectrum,
+        # and levels inside the range are not missed
         a_c = 1.3
-        brackets = scan_spectrum(
+        spectrum = channel_spectrum(
             make_coulomb(a_c), constant_mass(1.0), QuantumNumbers(3, 1, 0),
-            (-0.5, -0.02), 150,
+            (-0.5, -0.02),
         )
         levels = [
             coulomb_reference_energy(a_c, 1.0, QuantumNumbers(3, 1, n))
             for n in range(12)
         ]
-        for (ea, eb), _ in brackets:
-            inside = [e for e in levels if ea <= e <= eb]
-            assert len(inside) == 1, (ea, eb, inside)
-        covered = [
-            e for e in levels if -0.5 <= e <= -0.02
-        ]
-        for e in covered:
-            assert any(ea <= e <= eb for (ea, eb), _ in brackets), e
-
-
-    def test_batched_mismatch_equals_single_energies(self):
-        # the scan's one-call-per-octave mismatch against one call per
-        # energy, on a Cornell problem whose mass varies
-        from pdmradial.eigensolver import _build_geometry, _mismatch
-
-        pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 0.2, 64)
-        q = QuantumNumbers(3, 1, 0)
-        cfg = SolverConfig(e_bracket=(-3.4, -0.85))
-        geom = _build_geometry(pot, mass, q, cfg)
-        energies = np.linspace(-3.4, -0.85, 40)
-        batch = _mismatch(energies, pot, mass, q, cfg, geom)
-        single = np.array([_mismatch(float(e), pot, mass, q, cfg, geom) for e in energies])
-        assert np.max(np.abs(batch - single)) < 1e-12
-        assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
+        covered = [e for e in levels if -0.5 <= e <= -0.02]
+        for n, e in enumerate(covered):
+            (ea, eb), _ = spectrum.cell(n)
+            inside = [x for x in levels if ea <= x <= eb]
+            assert inside == [e], (ea, eb, inside)
+        with pytest.raises(BracketError):
+            spectrum.cell(len(covered))
 
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
-        # two for the bracket ends of the geometry, one for the
+        # two for the cell ends of the geometry, one for the
         # normalization; the node count reads the series alone
         import pdmradial.eigensolver as es_mod
         import pdmradial.wavefunction as wf_mod
@@ -248,13 +268,12 @@ class TestOrdering:
     def test_cornell_states_ordered_with_exact_node_counts(self):
         pot = make_cornell(1.0, 0.3, -5.0)
         mass = constant_mass(1.0)
-        brackets = scan_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-5.4, -0.3), 120)
+        spectrum = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-5.4, -0.3))
         energies = []
         for n in range(3):
-            (ea, eb), label = brackets[n]
             res = find_eigenvalue(
                 pot, mass, QuantumNumbers(3, 0, n),
-                SolverConfig(e_bracket=(ea, eb)),
+                SolverConfig(e_bracket=(-5.4, -0.3)), spectrum,
             )
             assert res.nodes == n
             energies.append(res.energy)
@@ -272,13 +291,9 @@ class TestKDegeneracy:
         energies = []
         for dim, ell in pairs:
             assert dim + 2 * ell == k
-            brackets = scan_spectrum(
-                pot, mass, QuantumNumbers(dim, ell, 0), (-3.9, -0.3), 60
-            )
-            (ea, eb), _ = brackets[0]
             res = find_eigenvalue(
                 pot, mass, QuantumNumbers(dim, ell, 0),
-                SolverConfig(e_bracket=(ea, eb)),
+                SolverConfig(e_bracket=(-3.9, -0.3)),
             )
             energies.append(res.energy)
         spread = max(energies) - min(energies)
@@ -289,18 +304,12 @@ class TestPdm:
     def test_lambda_continuity(self):
         pot = make_cornell(1.0, 0.2, -3.0)
         mass0 = constant_mass(1.0)
-        b0 = scan_spectrum(pot, mass0, QuantumNumbers(3, 0, 0), (-3.4, -2.5), 40)
-        assert b0[0][1] == 0
-        res0 = find_eigenvalue(
-            pot, mass0, QuantumNumbers(3, 0, 0), SolverConfig(e_bracket=b0[0][0])
-        )
+        window = SolverConfig(e_bracket=(-3.4, -2.5))
+        res0 = find_eigenvalue(pot, mass0, QuantumNumbers(3, 0, 0), window)
         gaps = []
         for lam in (0.1, 0.01, 0.001):
             mass = expand_exponential(1.0, lam, 64)
-            br = scan_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-3.4, -2.5), 40)
-            res = find_eigenvalue(
-                pot, mass, QuantumNumbers(3, 0, 0), SolverConfig(e_bracket=br[0][0])
-            )
+            res = find_eigenvalue(pot, mass, QuantumNumbers(3, 0, 0), window)
             gaps.append(abs(res.energy - res0.energy))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.05 * gaps[0]
@@ -308,11 +317,9 @@ class TestPdm:
     def test_pdm_matches_oracle(self):
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = expand_exponential(1.0, 0.2, 64)
-        brackets = scan_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-3.2, -1.0), 40)
-        (ea, eb), _ = brackets[0]
         res = find_eigenvalue(
             pot, mass, QuantumNumbers(3, 0, 0),
-            SolverConfig(e_bracket=(ea, eb), run_oracle=True),
+            SolverConfig(e_bracket=(-3.2, -1.0), run_oracle=True),
         )
         assert res.oracle_gap <= 1e-6 * abs(res.energy)
 
@@ -323,12 +330,9 @@ class TestPdm:
         pot = make_cornell(1.0, 0.2, -2.0)
         mass = mass_from_series([1.0, 0.1])
         q = QuantumNumbers(3, 0, 0)
-        brackets = scan_spectrum(pot, mass, q, (-2.6, -1.0), 40)
-        (ea, eb), label = brackets[0]
-        assert label == 0
         res = find_eigenvalue(
             pot, mass, q,
-            SolverConfig(e_bracket=(ea, eb), run_oracle=True),
+            SolverConfig(e_bracket=(-2.6, -1.0), run_oracle=True),
         )
         assert res.oracle_gap <= 1e-6 * abs(res.energy)
 
@@ -343,11 +347,9 @@ class TestPdm:
         mass = mass_from_series([1.0, 0.2, 0.01])
         assert mass.logderiv_series[:2] == pytest.approx([0.2, -0.02], rel=1e-12)
         q = QuantumNumbers(3, 0, 0)
-        (ea, eb), label = scan_spectrum(pot, mass, q, (-2.6, -1.0), 40)[0]
-        assert label == 0
         res = find_eigenvalue(
             pot, mass, q,
-            SolverConfig(e_bracket=(ea, eb), run_oracle=True),
+            SolverConfig(e_bracket=(-2.6, -1.0), run_oracle=True),
         )
         assert res.oracle_error is None
         assert res.oracle_gap <= 1e-8 * abs(res.energy)

@@ -9,11 +9,10 @@ from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import BracketError, DomainError, ResolutionError
 from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
-from pdmradial.oracle import collocation_eigenvalue
+from pdmradial.oracle import channel_spectrum, collocation_eigenvalue
 from pdmradial.tail import (
     GridSpec,
     integrate_radial,
-    inward_match,
     make_leg,
     outer_turning_radius,
 )
@@ -161,45 +160,11 @@ class TestInwardKernel:
 
 
 class TestBatchedInwardLeg:
-    # omega = 1, v3 = -20 out to r = 30: every run crosses segment cuts, and
-    # the deepest energy's cuts differ from those of the shallower ones
+    """The inward leg's energy-independent arrays, built once and shared."""
+
     POT = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
     Q = QuantumNumbers(3, 0, 0)
     GRID = GridSpec(0.5, 30.0, 12001)
-
-    @staticmethod
-    def _direction(R, Rp):
-        return np.array([R, Rp]) / math.hypot(R, Rp)
-
-    def _check(self, mass, energies):
-        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
-        R, Rp = inward_match(leg, mass, energies, 4)
-        for j, e in enumerate(energies):
-            R1, Rp1 = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID)
-            assert R[j] * R1[4] > 0  # each block keeps its energy's sign
-            gap = self._direction(R[j], Rp[j]) - self._direction(R1[4], Rp1[4])
-            assert np.max(np.abs(gap)) < 1e-12, e
-
-    def test_match_values_equal_single_runs(self):
-        self._check(constant_mass(1.0), np.linspace(-19.0, -9.0, 11))
-
-    def test_varying_mass(self):
-        self._check(expand_exponential(1.0, 0.05, 64), np.linspace(-19.0, -12.0, 5))
-
-    def test_blocks_split_the_energies(self, monkeypatch):
-        # a block limit of three grids' worth of values puts at most three
-        # energies in each solve; the values must not depend on the split
-        mass = constant_mass(1.0)
-        es = np.linspace(-19.0, -9.0, 7)
-        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
-        whole = inward_match(leg, mass, es, 4)
-        monkeypatch.setattr(tail_mod, "_BLOCK_VALUES", 3 * self.GRID.points)
-        split = inward_match(leg, mass, es, 4)
-        for j in range(es.size):
-            gap = self._direction(whole[0][j], whole[1][j]) - self._direction(
-                split[0][j], split[1][j]
-            )
-            assert np.max(np.abs(gap)) < 1e-12
 
     def test_given_leg_changes_nothing(self):
         mass = expand_exponential(1.0, 0.05, 64)
@@ -246,19 +211,17 @@ class TestNumerovEigenvalue:
     def test_expmass_cornell_agrees_with_series(self, dim, ell):
         # the demo's exponential-mass Cornell channels with k <= 4, against
         # series energies at a fine inward leg (error about 1e-12)
-        from pdmradial.eigensolver import scan_spectrum
-
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = expand_exponential(1.0, 0.2, 64)
-        brackets = scan_spectrum(pot, mass, QuantumNumbers(dim, ell, 0), (-8.0, -0.8), 120)
-        for (ea, eb), label in brackets[:2]:
-            q = QuantumNumbers(dim, ell, label)
-            series = find_eigenvalue(
-                pot, mass, q, SolverConfig(e_bracket=(ea, eb), leg_step=0.0025)
-            ).energy
-            e = collocation_eigenvalue(pot, mass, q, (ea, eb))
-            assert abs(e - series) < 1e-9 * abs(series), (label, e, series)
-        assert [label for _, label in brackets[:2]] == [0, 1]
+        cfg = SolverConfig(e_bracket=(-8.0, -0.8), leg_step=0.0025)
+        spectrum = channel_spectrum(
+            pot, mass, QuantumNumbers(dim, ell, 0), cfg.e_bracket
+        )
+        for n in range(2):
+            q = QuantumNumbers(dim, ell, n)
+            series = find_eigenvalue(pot, mass, q, cfg, spectrum).energy
+            e = collocation_eigenvalue(pot, mass, q, spectrum.cell(n)[0])
+            assert abs(e - series) < 1e-9 * abs(series), (n, e, series)
 
     def test_oscillator_spacing_is_constant(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
@@ -279,15 +242,11 @@ class TestNumerovEigenvalue:
         # (E and V3 enter the equation through E - V3 alone), so the
         # comparison at a bound-state-friendly offset covers the zero-offset
         # claim exactly
-        from pdmradial.eigensolver import scan_spectrum
-
         pot = make_cornell(0.52, 0.18, -5.0)
         mass = constant_mass(1.0)
         q = QuantumNumbers(3, 0, 0)
-        brackets = scan_spectrum(pot, mass, q, (-4.95, -2.0), 60)
-        (ea, eb), label = brackets[0]
-        assert label == 0
-        res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(ea, eb)))
+        (ea, eb), _ = channel_spectrum(pot, mass, q, (-4.95, -2.0)).cell(0)
+        res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-4.95, -2.0)))
         e_oracle = collocation_eigenvalue(pot, mass, q, (ea, eb))
         assert abs(res.energy - e_oracle) < 1e-6 * abs(e_oracle)
 

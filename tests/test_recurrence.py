@@ -14,8 +14,6 @@ from pdmradial.model import (
     b_from_energy,
     make_cornell,
     make_coulomb,
-    make_linear,
-    make_oscillator,
 )
 from pdmradial.recurrence import (
     RecurrenceKind,
@@ -291,58 +289,12 @@ class TestGenerateCoefficients:
         assert sol.scale_log10 > 0
 
 
-_EXP_MASS = expand_exponential(1.0, 0.2, 64)
-_BATCH_CASES = [
-    (RecurrenceKind.GENERAL, make_cornell(1.0, 0.2, -3.0),
-     mass_from_series([1.0, 0.2, 0.01]), QuantumNumbers(4, 0, 0)),
-    (RecurrenceKind.COULOMB, make_coulomb(1.3), constant_mass(0.9),
-     QuantumNumbers(3, 1, 0)),
-    (RecurrenceKind.OSCILLATOR, make_oscillator(1.0), constant_mass(1.0),
-     QuantumNumbers(3, 0, 0)),
-    (RecurrenceKind.LINEAR, make_linear(0.5), constant_mass(1.0),
-     QuantumNumbers(2, 0, 0)),
-    (RecurrenceKind.CORNELL, make_cornell(1.0, 0.2, -3.0), _EXP_MASS,
-     QuantumNumbers(3, 1, 0)),
-    (RecurrenceKind.EXP_MASS_CORNELL, make_cornell(1.0, 0.2, -3.0), _EXP_MASS,
-     QuantumNumbers(3, 0, 0)),
-]
-
-
 class TestBatchedEnergies:
-    @pytest.mark.parametrize(
-        "kind, pot, mass, q", _BATCH_CASES, ids=[c[0].value for c in _BATCH_CASES]
-    )
-    def test_columns_equal_scalar_calls(self, kind, pot, mass, q):
-        # at order 128 the two deepest energies pass the 1e150 overflow guard
-        # and the others do not, so each column must rescale on its own
-        es = -np.array([0.05, 0.7, 3.0, 1e6, 1e9])
-        batch = generate_coefficients(kind, pot, mass, q, es, 128)
-        assert batch.coeffs.shape == (129, es.size)
-        rescaled = 0
-        for j, e in enumerate(es):
-            one = generate_coefficients(kind, pot, mass, q, float(e), 128)
-            assert np.array_equal(batch.coeffs[:, j], one.coeffs)
-            assert batch.scale_log10[j] == one.scale_log10
-            assert (batch.energy[j], batch.b[j], batch.a0[j]) == (e, one.b, one.a0)
-            rescaled += one.scale_log10 != 0.0
-        assert rescaled == 2
-
-    def test_any_batch_shape(self):
-        kind, pot, mass, q = _BATCH_CASES[0]
-        es = -np.geomspace(0.1, 10.0, 6)
-        flat = generate_coefficients(kind, pot, mass, q, es, 32)
-        square = generate_coefficients(kind, pot, mass, q, es.reshape(2, 3), 32)
-        assert square.coeffs.shape == (33, 2, 3)
-        assert np.array_equal(square.coeffs.reshape(33, 6), flat.coeffs)
-
     def test_scalar_call_reports_floats(self):
-        kind, pot, mass, q = _BATCH_CASES[1]
-        sol = generate_coefficients(kind, pot, mass, q, -0.4, 16)
+        sol = generate_coefficients(
+            RecurrenceKind.COULOMB, make_coulomb(1.3), constant_mass(0.9),
+            QuantumNumbers(3, 1, 0), -0.4, 16,
+        )
         assert sol.coeffs.shape == (17,)
         for value in (sol.energy, sol.b, sol.a0, sol.scale_log10):
             assert type(value) is float
-
-    def test_batch_rejects_any_unbound_energy(self):
-        kind, pot, mass, q = _BATCH_CASES[1]
-        with pytest.raises(DomainError):
-            generate_coefficients(kind, pot, mass, q, np.array([-1.0, 0.0]), 16)

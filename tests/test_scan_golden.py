@@ -1,9 +1,14 @@
-"""The batched scan against brackets frozen before it was batched.
+"""The collocation cells against the brackets of the retired energy scan.
 
 ``tests/golden/scan_brackets.json`` holds every bracket and node label that
-``scan_spectrum`` returned, one energy at a time, on both demo configs and
-on the centre problems of the three benchmark workloads.  The batched scan
-must give the same brackets, bit for bit, with the same labels.
+the series-mismatch scan, since replaced by the collocation cells, found on
+both demo configs and on the centre problems of the three benchmark
+workloads.  Each frozen bracket holds one sign change of the series
+mismatch, labelled by the node count of its midpoint.  The channel's
+collocation spectrum must label the same states: level n lies in the frozen
+bracket labelled n, and the window holds as many levels as there are
+frozen brackets.  The cell of each requested state must hold exactly one
+level and one sign change of the mismatch.
 """
 
 import json
@@ -12,9 +17,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from pdmradial import cli
-from pdmradial.eigensolver import scan_spectrum
+from pdmradial.eigensolver import _build_geometry, _mismatch
 from pdmradial.model import QuantumNumbers
+from pdmradial.oracle import channel_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden" / "scan_brackets.json"
@@ -36,58 +44,91 @@ def problems() -> dict:
     centres = {
         "coulomb_oracle": _centre(
             coulomb, unit_mass, {"dim": 3, "ell": [0, 1], "n": [0, 1, 2]},
-            {"e_lo": -0.6, "e_hi": -0.027, "truncation_order": 64,
-             "scan_steps": 160, "oracle": True}),
+            {"e_lo": -0.6, "e_hi": -0.027, "truncation_order": 64, "oracle": True}),
         "coulomb_oracle_dim2": _centre(
             coulomb, unit_mass, {"dim": 2, "ell": [0, 1], "n": [0, 1]},
-            {"e_lo": -2.4, "e_hi": -0.06, "truncation_order": 64,
-             "scan_steps": 160, "oracle": True}),
+            {"e_lo": -2.4, "e_hi": -0.06, "truncation_order": 64, "oracle": True}),
         "expmass_cornell": _centre(
             {"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
             {"kind": "exponential", "m0": 1.0, "lambda": 0.2},
             {"dim": 3, "ell": [0, 1], "n": [0, 1, 2]},
-            {"e_lo": -3.4, "e_hi": -0.8, "truncation_order": 64,
-             "scan_steps": 60, "oracle": True}),
+            {"e_lo": -3.4, "e_hi": -0.8, "truncation_order": 64, "oracle": True}),
         "oscillator_series": _centre(
             {"kind": "oscillator", "omega": 1.0, "v3_offset": V3}, unit_mass,
             {"dim": 3, "ell": [0, 1, 2], "n": [0, 1, 2]},
             {"e_lo": V3 + 0.5, "e_hi": V3 + 11.3, "truncation_order": 128,
-             "scan_steps": 120, "oracle": False}),
+             "oracle": False}),
     }
     out = {p.stem: cli.load_config(p) for p in sorted((ROOT / "configs").glob("*.json"))}
     out.update({name: cli.parse_config(c) for name, c in centres.items()})
     return out
 
 
-def scan_all() -> dict:
-    """Problem:ell -> [[e_a, e_b, label], ...] for every channel."""
-    found = {}
+def spectra() -> dict:
+    """Problem:ell -> (parsed config, ell, the channel's collocation spectrum)."""
+    out = {}
     for name, cfg in problems().items():
         pot = cfg.potential.build()
         mass = cfg.mass.build(order=cfg.solver.truncation_order)
         sb = cfg.solver
         for ell in cfg.quantum.ell:
-            brackets = scan_spectrum(
+            out[f"{name}:ell={ell}"] = (cfg, ell, channel_spectrum(
                 pot, mass, QuantumNumbers(cfg.quantum.dim, ell, 0),
-                (sb.e_lo, sb.e_hi), sb.scan_steps, sb.build(),
-            )
-            found[f"{name}:ell={ell}"] = [[ea, eb, n] for (ea, eb), n in brackets]
-    return found
+                (sb.e_lo, sb.e_hi),
+            ))
+    return out
 
 
 @pytest.fixture(scope="module")
-def scanned():
-    return scan_all()
+def solved():
+    return spectra()
 
 
-def test_every_channel_is_frozen(scanned):
-    assert sorted(scanned) == sorted(json.loads(GOLDEN.read_text()))
+FROZEN = json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("channel", sorted(json.loads(GOLDEN.read_text())))
-def test_brackets_and_labels_unchanged(scanned, channel):
-    frozen = json.loads(GOLDEN.read_text())[channel]
+def test_every_channel_is_frozen(solved):
+    assert sorted(solved) == sorted(FROZEN)
+
+
+# The scan labelled each bracket by the node count at its midpoint, which
+# can miss: it labelled the oscillator's l = 2 ground state 1, and the
+# command line corrected that with a second solve.  Bracket position -> label.
+MISLABELLED = {"oscillator_series:ell=2": {0: 1}}
+
+
+@pytest.mark.parametrize("channel", sorted(FROZEN))
+def test_brackets_and_labels_unchanged(solved, channel):
+    frozen = FROZEN[channel]
     assert frozen, "every frozen channel holds at least one bracket"
-    assert scanned[channel] == frozen
-    for ea, eb, _ in frozen:
+    _, _, spectrum = solved[channel]
+    e_lo, e_hi = spectrum.window
+    levels = spectrum.levels
+    assert np.count_nonzero((levels >= e_lo) & (levels <= e_hi)) == len(frozen)
+    wrong = MISLABELLED.get(channel, {})
+    for n, (ea, eb, label) in enumerate(frozen):
         assert math.isfinite(ea) and ea < eb < 0
+        # level n is the only level in the n-th frozen bracket
+        inside = np.flatnonzero((levels >= ea) & (levels <= eb))
+        assert inside.tolist() == [n], (n, ea, eb)
+        assert label == wrong.get(n, n)
+        (lo, hi), _ = spectrum.cell(n)
+        assert lo <= ea and eb <= hi  # the cell is wider than the scan step
+
+
+@pytest.mark.parametrize("channel", sorted(FROZEN))
+def test_each_cell_holds_one_level_and_one_sign_change(solved, channel):
+    cfg, ell, spectrum = solved[channel]
+    pot = cfg.potential.build()
+    mass = cfg.mass.build(order=cfg.solver.truncation_order)
+    solver = cfg.solver.build()
+    for n in cfg.quantum.n:
+        q = QuantumNumbers(cfg.quantum.dim, ell, n)
+        (lo, hi), e_c = spectrum.cell(n)
+        assert lo < e_c < hi
+        inside = spectrum.levels[(spectrum.levels >= lo) & (spectrum.levels <= hi)]
+        assert inside.tolist() == [e_c]
+        geom = _build_geometry(pot, mass, q, solver, (lo, hi))
+        values = [_mismatch(e, pot, mass, q, solver, geom)
+                  for e in np.linspace(lo, hi, 33)]
+        assert np.count_nonzero(np.diff(np.sign(values))) == 1, (n, values)
