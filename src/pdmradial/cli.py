@@ -122,11 +122,14 @@ class SolverBlock:
     max_iter: int = 200
     match_radius: float | None = None
     # accepted for older configs and ignored: the brackets come from the
-    # collocation spectrum, not from a scan
+    # collocation spectrum, not from a scan.  A value older versions refused
+    # is still refused, so no config changes from invalid to valid.
     scan_steps: int | None = None
     oracle: bool = True
 
     def build(self) -> SolverConfig:
+        if self.scan_steps is not None and self.scan_steps < 10:
+            raise ConfigError("solver.scan_steps: must be at least 10")
         try:
             return SolverConfig(
                 e_bracket=(self.e_lo, self.e_hi),
@@ -244,7 +247,11 @@ def parse_config(data: dict) -> RunConfig:
             if s_raw.get("match_radius") is not None
             else None
         ),
-        scan_steps=s_raw.get("scan_steps"),
+        scan_steps=(
+            int(s_raw["scan_steps"])
+            if s_raw.get("scan_steps") is not None
+            else None
+        ),
         oracle=bool(s_raw.get("oracle", True)),
     )
     solver.build()  # validate eagerly

@@ -83,6 +83,7 @@ class TestConfigParsing:
         "field, value",
         [
             ("truncation_order", 2),
+            ("scan_steps", 5),
             ("tol_e", -1),
             ("max_iter", 3),
             ("match_radius", -1.0),

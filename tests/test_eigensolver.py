@@ -242,6 +242,29 @@ class TestScanSpectrum:
         with pytest.raises(BracketError):
             spectrum.cell(len(covered))
 
+    def test_batched_mismatch_equals_single_energies(self):
+        # Brent's trial energies share one geometry; on a Cornell problem
+        # whose mass varies, the mismatch it gives at every energy equals
+        # the one from a geometry built for that energy alone
+        from pdmradial.eigensolver import _build_geometry, _mismatch
+
+        pot = make_cornell(1.0, 0.2, -3.0)
+        mass = expand_exponential(1.0, 0.2, 64)
+        q = QuantumNumbers(3, 1, 0)
+        cfg = SolverConfig(e_bracket=(-3.4, -0.85))
+        geom = _build_geometry(pot, mass, q, cfg, cfg.e_bracket)
+        energies = np.linspace(-3.4, -0.85, 40)
+        batch = np.array([_mismatch(float(e), pot, mass, q, cfg, geom) for e in energies])
+        single = np.array([
+            _mismatch(
+                float(e), pot, mass, q, cfg,
+                _build_geometry(pot, mass, q, cfg, cfg.e_bracket),
+            )
+            for e in energies
+        ])
+        assert np.max(np.abs(batch - single)) < 1e-12
+        assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
+
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
         # two for the cell ends of the geometry, one for the
         # normalization; the node count reads the series alone

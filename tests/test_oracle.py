@@ -166,6 +166,24 @@ class TestBatchedInwardLeg:
     Q = QuantumNumbers(3, 0, 0)
     GRID = GridSpec(0.5, 30.0, 12001)
 
+    def _check(self, mass, energies):
+        # one leg serves every trial energy of a root solve; each run on it
+        # must equal a run that builds its own, and leave the leg as it was
+        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
+        before = [np.copy(a) for a in (leg.r, leg.w0, leg.m2, leg.s, leg.g)]
+        for e in energies:
+            shared = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID, leg=leg)
+            single = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID)
+            assert all(np.array_equal(a, b) for a, b in zip(shared, single)), e
+        after = (leg.r, leg.w0, leg.m2, leg.s, leg.g)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_match_values_equal_single_runs(self):
+        self._check(constant_mass(1.0), np.linspace(-19.0, -9.0, 11))
+
+    def test_varying_mass(self):
+        self._check(expand_exponential(1.0, 0.05, 64), np.linspace(-19.0, -12.0, 5))
+
     def test_given_leg_changes_nothing(self):
         mass = expand_exponential(1.0, 0.05, 64)
         leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
