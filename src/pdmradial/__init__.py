@@ -42,7 +42,7 @@ from .recurrence import (
     coulomb_expmass_closed_forms,
     generate_coefficients,
 )
-from .tail import GridSpec, integrate_radial
+from .tail import integrate_radial, make_leg
 from .wavefunction import (
     RadialWavefunction,
     coulomb_a0_reference,
@@ -89,7 +89,7 @@ __all__ = [
     "SolverConfig",
     "find_eigenvalue",
     "coulomb_reference_energy",
-    "GridSpec",
+    "make_leg",
     "integrate_radial",
     "ChannelSpectrum",
     "channel_spectrum",

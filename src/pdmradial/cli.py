@@ -45,6 +45,20 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+def _general(v1, v2, v3, alpha, beta) -> PotentialSpec:
+    return PotentialSpec(v1, v2, v3, int(alpha), int(beta))
+
+
+# kind -> (constructor, its parameters in call order, those it checks)
+_POTENTIALS = {
+    "coulomb": (make_coulomb, ("z",), "z"),
+    "oscillator": (make_oscillator, ("omega",), "omega"),
+    "linear": (make_linear, ("b_lin",), "b_lin"),
+    "cornell": (make_cornell, ("a", "b_lin", "c"), "a/b_lin"),
+    "general": (_general, ("v1", "v2", "v3", "alpha", "beta"), "v1/v2/alpha/beta"),
+}
+
+
 @dataclass(frozen=True)
 class PotentialBlock:
     kind: str
@@ -53,29 +67,15 @@ class PotentialBlock:
     def build(self) -> PotentialSpec:
         p = dict(self.params)
         offset = float(p.pop("v3_offset", 0.0))
+        if self.kind not in _POTENTIALS:
+            raise ConfigError(f"potential.kind: unknown kind {self.kind!r}")
+        make, names, checked = _POTENTIALS[self.kind]
         try:
-            if self.kind == "coulomb":
-                pot = make_coulomb(float(p.pop("z")))
-            elif self.kind == "oscillator":
-                pot = make_oscillator(float(p.pop("omega")))
-            elif self.kind == "linear":
-                pot = make_linear(float(p.pop("b_lin")))
-            elif self.kind == "cornell":
-                pot = make_cornell(
-                    float(p.pop("a")), float(p.pop("b_lin")), float(p.pop("c"))
-                )
-            elif self.kind == "general":
-                pot = PotentialSpec(
-                    float(p.pop("v1")),
-                    float(p.pop("v2")),
-                    float(p.pop("v3")),
-                    int(p.pop("alpha")),
-                    int(p.pop("beta")),
-                )
-            else:
-                raise ConfigError(f"potential.kind: unknown kind {self.kind!r}")
+            pot = make(*[float(p.pop(name)) for name in names])
         except KeyError as exc:
             raise ConfigError(f"potential: missing parameter {exc.args[0]!r}") from None
+        except DomainError as exc:
+            raise ConfigError(f"potential.{checked}: {exc}") from None
         if p:
             raise ConfigError(
                 f"potential: unknown parameter(s) {sorted(p)} for kind {self.kind!r}"
@@ -93,16 +93,22 @@ class MassBlock:
     coeffs: tuple = ()
 
     def build(self, order: int) -> MassProfile:
-        if self.kind == "constant":
-            return constant_mass(self.m0, order)
-        if self.kind == "exponential":
-            if self.lam is None:
-                raise ConfigError("mass.lambda: required for exponential mass")
-            return expand_exponential(self.m0, self.lam, order)
-        if self.kind == "series":
-            if not self.coeffs:
-                raise ConfigError("mass.coeffs: required for series mass")
-            return mass_from_series(list(self.coeffs))
+        try:
+            if self.kind == "constant":
+                return constant_mass(self.m0, order)
+            if self.kind == "exponential":
+                if self.lam is None:
+                    raise ConfigError("mass.lambda: required for exponential mass")
+                return expand_exponential(self.m0, self.lam, order)
+            if self.kind == "series":
+                if not self.coeffs:
+                    raise ConfigError("mass.coeffs: required for series mass")
+                return mass_from_series(list(self.coeffs))
+        except DomainError as exc:
+            # the constructors check m0 before lambda
+            field = ("coeffs" if self.kind == "series"
+                     else "lambda" if self.m0 > 0 else "m0")
+            raise ConfigError(f"mass.{field}: {exc}") from None
         raise ConfigError(f"mass.kind: unknown kind {self.kind!r}")
 
 
@@ -196,6 +202,28 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _flag(block: dict, key: str, default: bool, where: str) -> bool:
+    """A JSON boolean: bool("false") would be true."""
+    value = block.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: must be true or false")
+    return value
+
+
+def _wavefunction_grid(grid) -> dict | None:
+    where = "output.wavefunction_grid"
+    if grid is None:
+        return None
+    if not isinstance(grid, dict) or "r_max" not in grid or "points" not in grid:
+        raise ConfigError(f"{where}: needs r_max and points")
+    # type() rather than isinstance(): JSON true must not pass as 1
+    if type(grid["r_max"]) not in (int, float) or not 0 < grid["r_max"] < np.inf:
+        raise ConfigError(f"{where}.r_max: must be a positive number")
+    if type(grid["points"]) is not int or grid["points"] < 2:
+        raise ConfigError(f"{where}.points: must be an integer of at least 2")
+    return grid
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: config must be a JSON object")
@@ -252,7 +280,7 @@ def parse_config(data: dict) -> RunConfig:
             if s_raw.get("scan_steps") is not None
             else None
         ),
-        oracle=bool(s_raw.get("oracle", True)),
+        oracle=_flag(s_raw, "oracle", True, "solver"),
     )
     solver.build()  # validate eagerly
 
@@ -265,13 +293,9 @@ def parse_config(data: dict) -> RunConfig:
     output = OutputBlock(
         directory=str(o_raw.get("directory", "out")),
         formats=formats,
-        coefficients=bool(o_raw.get("coefficients", False)),
-        wavefunction_grid=o_raw.get("wavefunction_grid"),
+        coefficients=_flag(o_raw, "coefficients", False, "output"),
+        wavefunction_grid=_wavefunction_grid(o_raw.get("wavefunction_grid")),
     )
-    if output.wavefunction_grid is not None:
-        g = output.wavefunction_grid
-        if "r_max" not in g or "points" not in g:
-            raise ConfigError("output.wavefunction_grid: needs r_max and points")
 
     return RunConfig(potential, mass, quantum, solver, output)
 

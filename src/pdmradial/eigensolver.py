@@ -64,6 +64,13 @@ _E_FLOOR = 1e-12
 # half-width of the first Brent bracket around a collocation level, relative
 _NARROW = 1e-6
 
+# decay lengths 1/b from the match radius to the inward start, at least
+_TAIL_LENGTHS = 10.0
+
+# inward-leg points inside the match radius, for the derivative stencil:
+# r_match is the leg's point _STENCIL
+_STENCIL = 4
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -71,9 +78,9 @@ class SolverConfig:
 
     ``e_bracket`` is the energy window in which states are sought.
     ``match_radius`` defaults to 1.5/b at the midpoint of the state's cell,
-    clamped to the series trust region.  The inward integration starts at
-    ``match + tail_lengths/b`` or past the outer turning point, whichever is
-    farther.
+    clamped to the series trust region at the state's collocation level.
+    The inward integration starts ten decay lengths 1/b past the match
+    radius or past the outer turning point, whichever is farther.
     """
 
     e_bracket: tuple[float, float]
@@ -81,7 +88,6 @@ class SolverConfig:
     truncation_order: int = 64
     tol_e: float = 1e-10
     max_iter: int = 200
-    tail_lengths: float = 10.0
     leg_step: float = 0.005
     run_oracle: bool = False
 
@@ -97,7 +103,6 @@ class SolverConfig:
             ("max_iter", self.max_iter >= 10, "at least 10"),
             ("match_radius", self.match_radius is None or self.match_radius > 0,
              "positive"),
-            ("tail_lengths", self.tail_lengths > 0, "positive"),
             ("leg_step", self.leg_step > 0, "positive"),
         ):
             if not ok:
@@ -110,9 +115,7 @@ class _Geometry:
     continuous in E; its zeros do not depend on these choices)."""
 
     r_match: float
-    grid: tail.GridSpec
-    i_match: int  # grid index of r_match
-    leg: tail.Leg  # the inward leg's energy-independent arrays on grid
+    leg: tail.Leg
 
 
 def _build_geometry(
@@ -121,26 +124,23 @@ def _build_geometry(
     q: QuantumNumbers,
     cfg: SolverConfig,
     cell: tuple[float, float],
+    e_c: float,
 ) -> _Geometry:
     e_lo, e_hi = cell
-    e_mid = 0.5 * (e_lo + e_hi)
-    b_mid = b_from_energy(e_mid, mass.m0)
+    b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
 
-    # trust radii at the cell endpoints bound the admissible match radius
-    trusts = []
-    for e in (e_lo, e_hi):
-        sol = generate_coefficients(
-            RecurrenceKind.GENERAL, pot, mass, q, e, cfg.truncation_order
-        )
-        trusts.append(trust_radius(sol))
-    trust = min(trusts)
+    # the series at the collocation level bounds the admissible match radius
+    sol = generate_coefficients(
+        RecurrenceKind.GENERAL, pot, mass, q, e_c, cfg.truncation_order
+    )
+    trust = trust_radius(sol)
 
     if cfg.match_radius is not None:
         r_match = cfg.match_radius
         if r_match > trust:
             raise ConfigurationError(
                 f"match_radius {r_match:.6g} exceeds the series trust region "
-                f"{trust:.6g} at the cell endpoints; raise truncation_order"
+                f"{trust:.6g} at the level E={e_c!r}; raise truncation_order"
             )
     else:
         r_match = 1.5 / b_mid
@@ -149,31 +149,31 @@ def _build_geometry(
     if r_match <= 0:
         raise ConfigurationError("match radius collapsed to zero")
 
-    # the inward start must sit in the forbidden tail: tail_lengths decay
+    # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
     # lengths out and past the outer turning point of the shallowest cell
     # energy
     r_turn = tail.outer_turning_radius(pot, mass, e_hi)
     r_tail = tail.tail_radius(pot, mass, e_hi)
-    r_far = max(r_match + cfg.tail_lengths / b_mid, 1.2 * r_turn, r_tail)
+    r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
 
     h_target = cfg.leg_step / b_mid
     n_right = max(int(math.ceil((r_far - r_match) / h_target)), 995)
     h = (r_far - r_match) / n_right
-    r_lo = r_match - 4.0 * h
+    r_lo = r_match - _STENCIL * h
     if r_lo <= 0:
         # match radius sits very close to the origin; shrink the stencil
         # margin by using a finer step
         h = r_match / 8.0
         n_right = int(math.ceil((r_far - r_match) / h))
-        r_lo = r_match - 4.0 * h
+        r_lo = r_match - _STENCIL * h
     if n_right > 400_000:
         raise ConfigurationError(
             f"inward leg needs {n_right} points (match {r_match:.3g}, "
             f"far {r_far:.3g}); the cell or match radius is pathological"
         )
-    grid = tail.GridSpec(r_lo, r_lo + (n_right + 4) * h, n_right + 5)
-    leg = tail.make_leg(pot, mass, q, grid.array(), grid.h)
-    return _Geometry(r_match, grid, 4, leg)
+    n = n_right + _STENCIL
+    leg = tail.make_leg(pot, mass, q, r_lo, r_lo + n * h, n + 1)
+    return _Geometry(r_match, leg)
 
 
 def _series_direction(
@@ -201,8 +201,8 @@ def _mismatch(
         RecurrenceKind.GENERAL, pot, mass, q, e, cfg.truncation_order
     )
     us, dus = _series_direction(sol, q, geom.r_match)
-    R_in, Rp_in = tail.integrate_radial(pot, mass, q, e, geom.grid, leg=geom.leg)
-    vi = (float(R_in[geom.i_match]), float(Rp_in[geom.i_match]))
+    R_in, Rp_in = tail.integrate_radial(geom.leg, e)
+    vi = (float(R_in[_STENCIL]), float(Rp_in[_STENCIL]))
     w = dus * vi[0] - us * vi[1]
     norm = math.hypot(us, dus) * math.hypot(*vi)
     value = w / norm if norm > 0 else 0.0
@@ -225,7 +225,7 @@ def _combined_node_count(
     n_series = count_nodes(sol, geom.r_match, samples=2048)
 
     u_match, up_match = _series_direction(sol, q, geom.r_match)
-    i = geom.i_match
+    i = _STENCIL
     align = math.copysign(1.0, u_match * R_in[i] + up_match * Rp_in[i])
     return n_series + sign_changes(np.append(u_match, R_in[i + 1 :] * align))
 
@@ -252,7 +252,7 @@ def find_eigenvalue(
     cell, e_c = spectrum.cell(q.radial_n)
     if mass.kind != "custom-series":
         mass = mass.extended(cfg.truncation_order)
-    geom = _build_geometry(pot, mass, q, cfg, cell)
+    geom = _build_geometry(pot, mass, q, cfg, cell, e_c)
 
     # passed to brentq as arguments, not held in a closure: brentq keeps its
     # function alive until the next garbage collection
@@ -260,11 +260,7 @@ def find_eigenvalue(
     half = _NARROW * abs(e_c)
     narrow = (max(cell[0], e_c - half), min(cell[1], e_c + half))
     for e_lo, e_hi in (narrow, cell):
-        f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)
-        if f_lo == 0.0 or f_hi == 0.0:
-            e_star = e_lo if f_lo == 0.0 else e_hi
-            break
-        if (f_lo < 0) != (f_hi < 0):
+        try:
             e_star = brentq(
                 _mismatch,
                 e_lo,
@@ -275,7 +271,12 @@ def find_eigenvalue(
                 maxiter=cfg.max_iter,
             )
             break
+        except DomainError:
+            raise
+        except ValueError:  # brentq: no sign change between the ends
+            continue
     else:
+        f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)
         raise BracketError(
             f"mismatch does not change sign on the cell ({e_lo}, {e_hi}) of "
             f"level {q.radial_n} at E={e_c!r}: ({f_lo:.3e}, {f_hi:.3e})"
@@ -294,7 +295,7 @@ def find_eigenvalue(
     wave = RadialWavefunction.from_solution(sol)
     b_mid = b_from_energy(0.5 * (cell[0] + cell[1]), mass.m0)
     r_norm = max(
-        geom.r_match + cfg.tail_lengths / b_mid,
+        geom.r_match + _TAIL_LENGTHS / b_mid,
         tail.tail_radius(pot, mass, e_star, target_exponent=12.0),
     )
     if math.isfinite(wave.eval_cutoff):

@@ -25,7 +25,6 @@ from .errors import DomainError
 from .model import MassProfile, PotentialSpec, QuantumNumbers, b_from_energy
 
 __all__ = [
-    "GridSpec",
     "Leg",
     "integrate_radial",
     "make_leg",
@@ -37,30 +36,6 @@ MIN_GRID_POINTS = 1000
 # the inward solve starts a new segment wherever the WKB growth exponent has
 # risen by this much (e^300 ~ 1e130, far below the float64 overflow)
 _SEGMENT_EXPONENT = 300.0
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform radial grid for direct integration."""
-
-    r_min: float
-    r_max: float
-    points: int
-
-    def __post_init__(self):
-        if self.r_min <= 0:
-            raise DomainError("r_min must be positive (the origin is singular)")
-        if self.r_max <= self.r_min:
-            raise DomainError("r_max must exceed r_min")
-        if self.points < MIN_GRID_POINTS:
-            raise DomainError(f"need at least {MIN_GRID_POINTS} grid points")
-
-    @property
-    def h(self) -> float:
-        return (self.r_max - self.r_min) / (self.points - 1)
-
-    def array(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.points)
 
 
 def tail_radius(
@@ -130,10 +105,11 @@ def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers, 
 
 @dataclass(frozen=True)
 class Leg:
-    """Energy-independent arrays of one inward Numerov run over the radii
-    ``r`` (uniform step ``h``): G = m'/m, w = w0 - m2 e in y'' = w y, and
+    """Energy-independent arrays of one inward Numerov run over the uniform
+    radii ``r`` (step ``h``): G = m'/m, w = w0 - m2 e in y'' = w y, and
     s = exp(int G/2), equal to 1 at the far end where the run starts, so
-    that R = s y.  Built once per grid, shared by every energy."""
+    that R = s y; ``m_far`` is the mass there.  Built once per grid, shared
+    by every energy."""
 
     r: np.ndarray
     h: float
@@ -141,20 +117,31 @@ class Leg:
     w0: np.ndarray
     m2: np.ndarray
     s: np.ndarray
+    m_far: float
 
 
 def make_leg(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
-    r: np.ndarray,
-    h: float,
+    r_min: float,
+    r_max: float,
+    points: int,
 ) -> Leg:
-    """The arrays of an inward run over the uniform radii ``r``."""
+    """The arrays of an inward run over ``points`` uniform radii from
+    ``r_min`` to ``r_max``."""
+    if r_min <= 0:
+        raise DomainError("r_min must be positive (the origin is singular)")
+    if r_max <= r_min:
+        raise DomainError("r_max must exceed r_min")
+    if points < MIN_GRID_POINTS:
+        raise DomainError(f"need at least {MIN_GRID_POINTS} grid points")
+    r = np.linspace(r_min, r_max, points)
     g, w0, m2 = _potential_arrays(pot, mass, q, r)
     big_g = npoly.polyval(r, npoly.polyint(npoly.polytrim(mass.logderiv_series)))
     s = np.exp(0.5 * (big_g - big_g[-1]))
-    return Leg(r, h, g, w0, m2, s)
+    h = (r_max - r_min) / (points - 1)
+    return Leg(r, h, g, w0, m2, s, float(mass.mass_at(r[-1])))
 
 
 def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
@@ -222,31 +209,16 @@ def _numerov_inward(
     return z[::-1]
 
 
-def _inward_start(leg: Leg, mass: MassProfile, e: float) -> tuple[float, float]:
-    """First two values of an inward run: R'/R = -kappa at the far end, i.e.
-    y'/y = -kappa - G/2."""
-    kappa = math.sqrt(-2.0 * float(mass.mass_at(leg.r[-1])) * e)
-    return 1.0, math.exp((kappa + 0.5 * leg.g[-1]) * leg.h)
+def integrate_radial(leg: Leg, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the radial equation inward over ``leg``; returns R and R'.
 
-
-def integrate_radial(
-    pot: PotentialSpec,
-    mass: MassProfile,
-    q: QuantumNumbers,
-    e: float,
-    grid: GridSpec,
-    leg: Leg | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the radial equation inward over ``grid``; returns R and R'.
-
-    The run starts from the local decay R'/R = -sqrt(-2 m(r_max) e) at the
-    far end of the grid.  The overall scale of the solution is arbitrary.
-    ``leg`` may carry the grid's arrays from ``make_leg``, so a caller that
-    integrates many energies on one grid builds them once.
+    The run starts from the local decay R'/R = -kappa, kappa =
+    sqrt(-2 m(r_max) e), at the far end of the leg, so y'/y = -kappa - G/2
+    there.  The overall scale of the solution is arbitrary.
     """
     if e >= 0:
         raise DomainError("direct integration expects a bound-state energy E < 0")
-    if leg is None:
-        leg = make_leg(pot, mass, q, grid.array(), grid.h)
-    y = _numerov_inward(leg.w0, leg.m2, e, leg.r, leg.h, _inward_start(leg, mass, e))
+    kappa = math.sqrt(-2.0 * leg.m_far * e)
+    start = 1.0, math.exp((kappa + 0.5 * leg.g[-1]) * leg.h)
+    y = _numerov_inward(leg.w0, leg.m2, e, leg.r, leg.h, start)
     return leg.s * y, leg.s * (_derivative_from_grid(y, leg.h) + 0.5 * leg.g * y)

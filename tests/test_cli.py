@@ -98,6 +98,58 @@ class TestConfigParsing:
         assert f"solver.{field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "block, changes, field",
+        [
+            ("potential", {"z": -1}, "potential.z"),
+            ("potential", {"kind": "cornell", "a": -1.0, "b_lin": 0.2, "c": -3.0},
+             "potential.a/b_lin"),
+            ("mass", {"kind": "exponential", "lambda": -0.2}, "mass.lambda"),
+            ("mass", {"m0": -1}, "mass.m0"),
+            ("mass", {"kind": "exponential", "m0": -1, "lambda": 0.2}, "mass.m0"),
+        ],
+        ids=["coulomb-z", "cornell-a", "exponential-lambda", "constant-m0",
+             "exponential-m0"],
+    )
+    def test_bad_model_value_is_config_error(self, tmp_path, capsys, block, changes,
+                                             field):
+        data = demo_config_dict()
+        if "kind" in changes:
+            data[block] = {}
+        data[block].update(changes)
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "block, changes, field",
+        [
+            ("output", {"wavefunction_grid": {"r_max": 10.0, "points": -3}},
+             "output.wavefunction_grid.points"),
+            ("output", {"wavefunction_grid": {"r_max": 10.0, "points": 20.5}},
+             "output.wavefunction_grid.points"),
+            ("output", {"wavefunction_grid": {"r_max": -5, "points": 201}},
+             "output.wavefunction_grid.r_max"),
+            ("output", {"wavefunction_grid": {"r_max": 10.0}},
+             "output.wavefunction_grid"),
+            ("solver", {"oracle": "false"}, "solver.oracle"),
+            ("output", {"coefficients": 1}, "output.coefficients"),
+        ],
+        ids=["points-negative", "points-fraction", "r_max-negative", "r_max-missing",
+             "oracle-string", "coefficients-integer"],
+    )
+    def test_bad_output_or_flag_is_config_error(self, tmp_path, capsys, block,
+                                                changes, field):
+        # refused at load, before any solve and before the output directory
+        # is made
+        data = demo_config_dict()
+        data[block].update(changes)
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "block, key",
         [("quantum", "nn"), ("solver", "tol_E"), ("output", "coeficients")],
     )

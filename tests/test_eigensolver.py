@@ -135,7 +135,8 @@ class TestFindEigenvalueErrors:
 
     def test_narrow_bracket_miss_widens_to_the_cell(self, monkeypatch):
         # every level 1e-4 relative too deep: the narrow bracket around it
-        # holds no root, and Brent must still find the state in the cell
+        # holds no root, Brent refuses it, and must still find the state in
+        # the cell
         import pdmradial.eigensolver as es_mod
 
         pot, mass = make_coulomb(1.0), constant_mass(1.0)
@@ -157,8 +158,11 @@ class TestFindEigenvalueErrors:
             e_ref = coulomb_reference_energy(1.0, 1.0, q)
             assert abs(res.energy - e_ref) < 1e-10 * abs(e_ref)
             assert res.nodes == n
-            assert brackets[-1] == off.cell(n)[0]
-        assert len(brackets) == 3
+            (lo, hi), e_c = off.cell(n)
+            half = 1e-6 * abs(e_c)
+            narrow = (max(lo, e_c - half), min(hi, e_c + half))
+            assert brackets[-2:] == [narrow, (lo, hi)]
+        assert len(brackets) == 6
 
     def test_match_radius_beyond_trust_region(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
@@ -183,8 +187,7 @@ class TestFindEigenvalueErrors:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("leg_step", 0.0), ("leg_step", -0.01), ("tail_lengths", 0.0),
-         ("tail_lengths", -10.0)],
+        [("leg_step", 0.0), ("leg_step", -0.01)],
     )
     def test_nonpositive_lengths_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
@@ -252,13 +255,14 @@ class TestScanSpectrum:
         mass = expand_exponential(1.0, 0.2, 64)
         q = QuantumNumbers(3, 1, 0)
         cfg = SolverConfig(e_bracket=(-3.4, -0.85))
-        geom = _build_geometry(pot, mass, q, cfg, cfg.e_bracket)
+        e_c = -2.0  # stands for the level; it only sets the trust radius
+        geom = _build_geometry(pot, mass, q, cfg, cfg.e_bracket, e_c)
         energies = np.linspace(-3.4, -0.85, 40)
         batch = np.array([_mismatch(float(e), pot, mass, q, cfg, geom) for e in energies])
         single = np.array([
             _mismatch(
                 float(e), pot, mass, q, cfg,
-                _build_geometry(pot, mass, q, cfg, cfg.e_bracket),
+                _build_geometry(pot, mass, q, cfg, cfg.e_bracket, e_c),
             )
             for e in energies
         ])
@@ -266,7 +270,7 @@ class TestScanSpectrum:
         assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
 
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
-        # two for the cell ends of the geometry, one for the
+        # one for the geometry, at the level, and one for the
         # normalization; the node count reads the series alone
         import pdmradial.eigensolver as es_mod
         import pdmradial.wavefunction as wf_mod
@@ -284,7 +288,41 @@ class TestScanSpectrum:
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_one_evaluation_outside_brent_per_state(self, monkeypatch):
+        # a narrow-bracket hit: past Brent's own evaluations, one mismatch
+        # (the converged state's solution) and, past the mismatches, one
+        # series (the trust radius at the level)
+        import pdmradial.eigensolver as es_mod
+
+        # seen[name]: calls of name made while no call of `inside` is open
+        seen = {"brent": 0, "mismatch": 0, "series": 0}
+        depth = {"brent": 0, "mismatch": 0}
+
+        def counting(name, fn, inside):
+            def wrapper(*args, **kwargs):
+                if not depth[inside]:
+                    seen[name] += 1
+                depth[name] = depth.get(name, 0) + 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[name] -= 1
+            return wrapper
+
+        monkeypatch.setattr(es_mod, "brentq", counting("brent", es_mod.brentq, "brent"))
+        monkeypatch.setattr(es_mod, "_mismatch", counting("mismatch", es_mod._mismatch, "brent"))
+        monkeypatch.setattr(
+            es_mod, "generate_coefficients",
+            counting("series", es_mod.generate_coefficients, "mismatch"),
+        )
+        res = find_eigenvalue(
+            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
+            SolverConfig(e_bracket=(-0.14, -0.11)),
+        )
+        assert abs(res.energy + 0.125) < 1e-10 * 0.125
+        assert seen == {"brent": 1, "mismatch": 1, "series": 1}
 
 
 class TestOrdering:

@@ -11,7 +11,6 @@ from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
 from pdmradial.oracle import channel_spectrum, collocation_eigenvalue
 from pdmradial.tail import (
-    GridSpec,
     integrate_radial,
     make_leg,
     outer_turning_radius,
@@ -41,19 +40,22 @@ def test_oracle_imports_no_series_machinery():
     assert from_tail == {"tail_radius"}
 
 
-class TestGridSpec:
+COULOMB = make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0)
+
+
+class TestMakeLeg:
     def test_validation(self):
         with pytest.raises(DomainError):
-            GridSpec(0.0, 10.0, 2000)
+            make_leg(*COULOMB, 0.0, 10.0, 2000)
         with pytest.raises(DomainError):
-            GridSpec(1e-6, 10.0, 500)
+            make_leg(*COULOMB, 1e-6, 10.0, 500)
         with pytest.raises(DomainError):
-            GridSpec(1.0, 0.5, 2000)
+            make_leg(*COULOMB, 1.0, 0.5, 2000)
 
     def test_step_is_uniform(self):
-        grid = GridSpec(1e-6, 10.0, 10001)
-        r = grid.array()
-        assert np.allclose(np.diff(r), grid.h)
+        leg = make_leg(*COULOMB, 1e-6, 10.0, 10001)
+        assert leg.r[0] == 1e-6 and leg.r[-1] == 10.0
+        assert np.allclose(np.diff(leg.r), leg.h)
 
 
 class TestOuterTurningRadius:
@@ -79,10 +81,7 @@ class TestIntegrateRadial:
         assert np.all(g == 0.0)
 
     def test_inward_decays_toward_large_r(self):
-        pot = make_coulomb(1.0)
-        mass = constant_mass(1.0)
-        grid = GridSpec(2.0, 30.0, 4001)
-        R, _ = integrate_radial(pot, mass, QuantumNumbers(3, 0, 0), -0.5, grid)
+        R, _ = integrate_radial(make_leg(*COULOMB, 2.0, 30.0, 4001), -0.5)
         assert abs(R[-1]) < abs(R[0])
 
 
@@ -107,23 +106,19 @@ class TestInwardKernel:
         # channel (m0 = 1, lambda = 0.2; a = 1, b = 0.2, c = -3) at E = -3.
         from pdmradial.tail import _numerov_inward
 
-        grid = GridSpec(0.3, 30.0, 4001)
-        r = grid.array()
+        r, h = np.linspace(0.3, 30.0, 4001), (30.0 - 0.3) / 4000
         w = 0.2 / r + 0.01 + 2.0 * np.exp(-0.2 * r) * (0.2 * r - 1.0 / r)
         start = (1.0, 1.01)
-        ratio = _numerov_inward(w, 0.0, 0.0, r, grid.h, start) / self._loop_reference(
-            w, grid.h, start
+        ratio = _numerov_inward(w, 0.0, 0.0, r, h, start) / self._loop_reference(
+            w, h, start
         )
         assert np.max(np.abs(ratio / ratio[-1] - 1.0)) < 1e-9
 
     def test_coulomb_ground_state_tail(self):
         # R = r e^{-r} at E = -1/2: R / (r e^{-r}) flat over the inward run
-        grid = GridSpec(0.5, 40.0, 8001)
-        R, _ = integrate_radial(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
-            -0.5, grid,
-        )
-        r = grid.array()
+        leg = make_leg(*COULOMB, 0.5, 40.0, 8001)
+        R, _ = integrate_radial(leg, -0.5)
+        r = leg.r
         sel = r <= 30.0
         ratio = R[sel] / (r[sel] * np.exp(-r[sel]))
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
@@ -132,13 +127,13 @@ class TestInwardKernel:
         # omega = 1, v3 = -20: the inward solution grows by about e^1131, far
         # beyond float64, so the solve must be cut into rescaled segments.
         # The ground state is R = r e^{-r^2/sqrt(2)} at E = 3/sqrt(2) - 20.
-        grid = GridSpec(0.5, 40.0, 16001)
-        R, Rp = integrate_radial(
+        leg = make_leg(
             PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
-            QuantumNumbers(3, 0, 0), 3.0 / math.sqrt(2.0) - 20.0, grid,
+            QuantumNumbers(3, 0, 0), 0.5, 40.0, 16001,
         )
+        R, Rp = integrate_radial(leg, 3.0 / math.sqrt(2.0) - 20.0)
         assert np.all(np.isfinite(R)) and np.all(np.isfinite(Rp))
-        r = grid.array()
+        r = leg.r
         sel = r <= 30.0
         shape = np.log(np.abs(R[sel])) + r[sel] ** 2 / math.sqrt(2.0) - np.log(r[sel])
         drift = np.abs(shape - shape[0])
@@ -151,12 +146,12 @@ class TestInwardKernel:
         # without segment cuts the same run overflows float64; the solver
         # must say where instead of returning non-finite values
         monkeypatch.setattr(tail_mod, "_SEGMENT_EXPONENT", 1e9)
+        leg = make_leg(
+            PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
+            QuantumNumbers(3, 0, 0), 0.5, 40.0, 16001,
+        )
         with pytest.raises(DomainError, match=r"not finite at r="):
-            integrate_radial(
-                PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
-                QuantumNumbers(3, 0, 0), 3.0 / math.sqrt(2.0) - 20.0,
-                GridSpec(0.5, 40.0, 16001),
-            )
+            integrate_radial(leg, 3.0 / math.sqrt(2.0) - 20.0)
 
 
 class TestBatchedInwardLeg:
@@ -164,16 +159,17 @@ class TestBatchedInwardLeg:
 
     POT = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
     Q = QuantumNumbers(3, 0, 0)
-    GRID = GridSpec(0.5, 30.0, 12001)
+    GRID = 0.5, 30.0, 12001
 
     def _check(self, mass, energies):
         # one leg serves every trial energy of a root solve; each run on it
-        # must equal a run that builds its own, and leave the leg as it was
-        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
+        # must equal a run on a leg built for that energy alone, and leave
+        # the leg as it was
+        leg = make_leg(self.POT, mass, self.Q, *self.GRID)
         before = [np.copy(a) for a in (leg.r, leg.w0, leg.m2, leg.s, leg.g)]
         for e in energies:
-            shared = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID, leg=leg)
-            single = integrate_radial(self.POT, mass, self.Q, float(e), self.GRID)
+            shared = integrate_radial(leg, float(e))
+            single = integrate_radial(make_leg(self.POT, mass, self.Q, *self.GRID), float(e))
             assert all(np.array_equal(a, b) for a, b in zip(shared, single)), e
         after = (leg.r, leg.w0, leg.m2, leg.s, leg.g)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -183,15 +179,6 @@ class TestBatchedInwardLeg:
 
     def test_varying_mass(self):
         self._check(expand_exponential(1.0, 0.05, 64), np.linspace(-19.0, -12.0, 5))
-
-    def test_given_leg_changes_nothing(self):
-        mass = expand_exponential(1.0, 0.05, 64)
-        leg = make_leg(self.POT, mass, self.Q, self.GRID.array(), self.GRID.h)
-        plain = integrate_radial(self.POT, mass, self.Q, -15.0, self.GRID)
-        given = integrate_radial(self.POT, mass, self.Q, -15.0, self.GRID, leg=leg)
-        assert all(np.array_equal(a, b) for a, b in zip(plain, given))
-
-
 
 
 @pytest.mark.parametrize("n", [8, 80, 120])
