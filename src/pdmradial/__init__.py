@@ -13,10 +13,7 @@ from .eigensolver import (
     find_eigenvalue,
 )
 from .mass_expansion import (
-    SeriesVector,
-    cauchy_product,
     constant_mass,
-    eval_series,
     expand_exponential,
     logderiv_from_series,
     mass_from_series,
@@ -35,11 +32,11 @@ from .model import (
 )
 from .oracle import ChannelSpectrum, channel_spectrum, collocation_eigenvalue
 from .recurrence import (
-    RecurrenceKind,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
     coulomb_closed_form_coefficients,
     coulomb_expmass_closed_forms,
+    expmass_cornell_coefficients,
     generate_coefficients,
 )
 from .tail import integrate_radial, make_leg
@@ -66,15 +63,12 @@ __all__ = [
     "make_oscillator",
     "make_linear",
     "b_from_energy",
-    "SeriesVector",
     "expand_exponential",
     "constant_mass",
     "mass_from_series",
     "logderiv_from_series",
-    "eval_series",
-    "cauchy_product",
-    "RecurrenceKind",
     "generate_coefficients",
+    "expmass_cornell_coefficients",
     "coefficient_closed_forms_cornell",
     "coefficient_closed_forms_expmass",
     "coulomb_closed_form_coefficients",

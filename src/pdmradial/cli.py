@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -45,8 +46,29 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def _general(v1, v2, v3, alpha, beta) -> PotentialSpec:
-    return PotentialSpec(v1, v2, v3, int(alpha), int(beta))
+def _number(value, field: str, integer: bool = False):
+    """A config number: a JSON number, or with ``integer`` a JSON integer.
+    type() rather than isinstance(): JSON true must not pass as 1.  NaN and
+    Infinity, which Python's JSON reader accepts, are not JSON numbers."""
+    if integer:
+        if type(value) is not int:
+            raise ConfigError(f"{field}: must be an integer")
+        return value
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{field}: must be a number")
+    return float(value)
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: must be a list")
+    return value
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: must be an object")
+    return dict(value)
 
 
 # kind -> (constructor, its parameters in call order, those it checks)
@@ -55,7 +77,7 @@ _POTENTIALS = {
     "oscillator": (make_oscillator, ("omega",), "omega"),
     "linear": (make_linear, ("b_lin",), "b_lin"),
     "cornell": (make_cornell, ("a", "b_lin", "c"), "a/b_lin"),
-    "general": (_general, ("v1", "v2", "v3", "alpha", "beta"), "v1/v2/alpha/beta"),
+    "general": (PotentialSpec, ("v1", "v2", "v3", "alpha", "beta"), "v1/v2/alpha/beta"),
 }
 
 
@@ -66,12 +88,15 @@ class PotentialBlock:
 
     def build(self) -> PotentialSpec:
         p = dict(self.params)
-        offset = float(p.pop("v3_offset", 0.0))
+        offset = _number(p.pop("v3_offset", 0.0), "potential.v3_offset")
         if self.kind not in _POTENTIALS:
             raise ConfigError(f"potential.kind: unknown kind {self.kind!r}")
         make, names, checked = _POTENTIALS[self.kind]
         try:
-            pot = make(*[float(p.pop(name)) for name in names])
+            pot = make(*[
+                _number(p.pop(name), f"potential.{name}", name in ("alpha", "beta"))
+                for name in names
+            ])
         except KeyError as exc:
             raise ConfigError(f"potential: missing parameter {exc.args[0]!r}") from None
         except DomainError as exc:
@@ -216,10 +241,9 @@ def _wavefunction_grid(grid) -> dict | None:
         return None
     if not isinstance(grid, dict) or "r_max" not in grid or "points" not in grid:
         raise ConfigError(f"{where}: needs r_max and points")
-    # type() rather than isinstance(): JSON true must not pass as 1
-    if type(grid["r_max"]) not in (int, float) or not 0 < grid["r_max"] < np.inf:
+    if _number(grid["r_max"], f"{where}.r_max") <= 0:
         raise ConfigError(f"{where}.r_max: must be a positive number")
-    if type(grid["points"]) is not int or grid["points"] < 2:
+    if _number(grid["points"], f"{where}.points", integer=True) < 2:
         raise ConfigError(f"{where}.points: must be an integer of at least 2")
     return grid
 
@@ -231,67 +255,78 @@ def parse_config(data: dict) -> RunConfig:
         if name not in data:
             raise ConfigError(f"{name}: required block is missing")
 
-    pot_raw = dict(data["potential"])
+    pot_raw = _object(data["potential"], "potential")
     kind = pot_raw.pop("kind", None)
     if kind is None:
         raise ConfigError("potential.kind: required field is missing")
     potential = PotentialBlock(kind=str(kind), params=pot_raw)
     potential.build()  # validate eagerly
 
-    mass_raw = dict(data["mass"])
+    mass_raw = _object(data["mass"], "mass")
     mkind = str(mass_raw.pop("kind", "constant"))
     mass = MassBlock(
         kind=mkind,
-        m0=float(mass_raw.pop("m0", 1.0)),
-        lam=(float(mass_raw.pop("lambda")) if "lambda" in mass_raw else None),
-        coeffs=tuple(mass_raw.pop("coeffs", ())),
+        m0=_number(mass_raw.pop("m0", 1.0), "mass.m0"),
+        lam=(_number(mass_raw.pop("lambda"), "mass.lambda")
+             if "lambda" in mass_raw else None),
+        coeffs=tuple(_number(c, "mass.coeffs")
+                     for c in _list(mass_raw.pop("coeffs", []), "mass.coeffs")),
     )
     if mass_raw:
         raise ConfigError(f"mass: unknown parameter(s) {sorted(mass_raw)}")
     mass.build(order=8)  # validate eagerly
 
-    q_raw = dict(data["quantum"])
+    q_raw = _object(data["quantum"], "quantum")
     _reject_unknown(q_raw, QuantumBlock, "quantum")
+
+    def integers(key):
+        field = f"quantum.{key}"
+        return tuple(_number(x, field, integer=True)
+                     for x in _list(_require(q_raw, key, "quantum"), field))
+
     quantum = QuantumBlock(
-        dim=int(_require(q_raw, "dim", "quantum")),
-        ell=tuple(int(x) for x in _require(q_raw, "ell", "quantum")),
-        n=tuple(int(x) for x in _require(q_raw, "n", "quantum")),
+        dim=_number(_require(q_raw, "dim", "quantum"), "quantum.dim", integer=True),
+        ell=integers("ell"),
+        n=integers("n"),
     )
     if quantum.dim < 1:
         raise ConfigError("quantum.dim: must be >= 1")
     if any(l < 0 for l in quantum.ell) or any(n < 0 for n in quantum.n):
         raise ConfigError("quantum.ell / quantum.n: entries must be >= 0")
 
-    s_raw = dict(data["solver"])
+    s_raw = _object(data["solver"], "solver")
     _reject_unknown(s_raw, SolverBlock, "solver")
+
+    def number(key, default, integer=False):
+        # a missing field, or null where the default is null, takes the default
+        value = s_raw.get(key, default)
+        if value is None and default is None:
+            return None
+        return _number(value, f"solver.{key}", integer)
+
     solver = SolverBlock(
-        e_lo=float(_require(s_raw, "e_lo", "solver")),
-        e_hi=float(_require(s_raw, "e_hi", "solver")),
-        truncation_order=int(s_raw.get("truncation_order", 64)),
-        tol_e=float(s_raw.get("tol_e", 1e-10)),
-        max_iter=int(s_raw.get("max_iter", 200)),
-        match_radius=(
-            float(s_raw["match_radius"])
-            if s_raw.get("match_radius") is not None
-            else None
-        ),
-        scan_steps=(
-            int(s_raw["scan_steps"])
-            if s_raw.get("scan_steps") is not None
-            else None
-        ),
+        e_lo=_number(_require(s_raw, "e_lo", "solver"), "solver.e_lo"),
+        e_hi=_number(_require(s_raw, "e_hi", "solver"), "solver.e_hi"),
+        truncation_order=number("truncation_order", 64, integer=True),
+        tol_e=number("tol_e", 1e-10),
+        max_iter=number("max_iter", 200, integer=True),
+        match_radius=number("match_radius", None),
+        scan_steps=number("scan_steps", None, integer=True),
         oracle=_flag(s_raw, "oracle", True, "solver"),
     )
     solver.build()  # validate eagerly
 
-    o_raw = dict(data.get("output", {}))
+    o_raw = _object(data.get("output", {}), "output")
     _reject_unknown(o_raw, OutputBlock, "output")
-    formats = tuple(o_raw.get("formats", ("csv", "json")))
+    formats = tuple(_list(o_raw.get("formats", ["csv", "json"]), "output.formats"))
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
+    directory = o_raw.get("directory", "out")
+    if not isinstance(directory, str):
+        raise ConfigError("output.directory: must be a string")
     output = OutputBlock(
-        directory=str(o_raw.get("directory", "out")),
+        directory=directory,
         formats=formats,
         coefficients=_flag(o_raw, "coefficients", False, "output"),
         wavefunction_grid=_wavefunction_grid(o_raw.get("wavefunction_grid")),

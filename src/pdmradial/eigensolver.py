@@ -43,7 +43,7 @@ from .model import (
     _horner,
     b_from_energy,
 )
-from .recurrence import RecurrenceKind, generate_coefficients
+from .recurrence import generate_coefficients
 from .wavefunction import (
     RadialWavefunction,
     count_nodes,
@@ -130,9 +130,7 @@ def _build_geometry(
     b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
 
     # the series at the collocation level bounds the admissible match radius
-    sol = generate_coefficients(
-        RecurrenceKind.GENERAL, pot, mass, q, e_c, cfg.truncation_order
-    )
+    sol = generate_coefficients(pot, mass, q, e_c, cfg.truncation_order)
     trust = trust_radius(sol)
 
     if cfg.match_radius is not None:
@@ -197,9 +195,7 @@ def _mismatch(
 ):
     """Normalized Wronskian of the series and the inward leg at the match
     radius."""
-    sol = generate_coefficients(
-        RecurrenceKind.GENERAL, pot, mass, q, e, cfg.truncation_order
-    )
+    sol = generate_coefficients(pot, mass, q, e, cfg.truncation_order)
     us, dus = _series_direction(sol, q, geom.r_match)
     R_in, Rp_in = tail.integrate_radial(geom.leg, e)
     vi = (float(R_in[_STENCIL]), float(Rp_in[_STENCIL]))
@@ -209,6 +205,13 @@ def _mismatch(
     if want_solution:
         return value, sol, R_in, Rp_in
     return value
+
+
+def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
+    """``_mismatch`` for brentq, keeping each evaluation's series and inward
+    solution under its energy."""
+    evaluated[e] = out = _mismatch(e, *args, want_solution=True)
+    return out[0]
 
 
 def _combined_node_count(
@@ -257,15 +260,16 @@ def find_eigenvalue(
     # passed to brentq as arguments, not held in a closure: brentq keeps its
     # function alive until the next garbage collection
     args = (pot, mass, q, cfg, geom)
+    evaluated: dict = {}
     half = _NARROW * abs(e_c)
     narrow = (max(cell[0], e_c - half), min(cell[1], e_c + half))
     for e_lo, e_hi in (narrow, cell):
         try:
             e_star = brentq(
-                _mismatch,
+                _recorded_mismatch,
                 e_lo,
                 e_hi,
-                args=args,
+                args=(evaluated, *args),
                 xtol=abs(e_hi) * 1e-14,
                 rtol=max(cfg.tol_e, 1e-15),
                 maxiter=cfg.max_iter,
@@ -282,9 +286,9 @@ def find_eigenvalue(
             f"level {q.radial_n} at E={e_c!r}: ({f_lo:.3e}, {f_hi:.3e})"
         )
 
-    residual, sol, R_in, Rp_in = _mismatch(
-        e_star, *args, want_solution=True
-    )
+    # brentq returns an energy it has evaluated: that evaluation holds the
+    # converged state's series and inward solution
+    residual, sol, R_in, Rp_in = evaluated[e_star]
     nodes = _combined_node_count(sol, q, geom, R_in, Rp_in)
     if nodes != q.radial_n:
         raise WrongStateError(q.radial_n, nodes, e_star)

@@ -16,11 +16,11 @@ import numpy as np
 from .mass_expansion import constant_mass, expand_exponential, mass_from_series
 from .model import PotentialSpec, QuantumNumbers, make_cornell
 from .recurrence import (
-    RecurrenceKind,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
     coulomb_closed_form_coefficients,
     coulomb_expmass_closed_forms,
+    expmass_cornell_coefficients,
     generate_coefficients,
 )
 
@@ -77,15 +77,15 @@ def _random_cornell(rng) -> PotentialSpec:
 
 
 def check_cornell_closed_forms(rng, trials: int = 50) -> IdentityResult:
-    """First three master-recurrence coefficients vs the Cornell closed forms,
-    with a general (randomized) mass series."""
+    """First three coefficients of the solver's master recurrence vs the
+    Cornell closed forms, with a general (randomized) mass series."""
     worst = 0.0
     for _ in range(trials):
         pot = _random_cornell(rng)
         mass = _random_custom_mass(rng)
         q = _random_quantum(rng)
         e = -float(rng.uniform(0.1, 3.0))
-        sol = generate_coefficients(RecurrenceKind.CORNELL, pot, mass, q, e, 4)
+        sol = generate_coefficients(pot, mass, q, e, 4)
         closed = coefficient_closed_forms_cornell(pot, mass, q, e)
         worst = max(
             worst, max(abs(sol.coeffs[i + 1] - closed[i]) for i in range(3))
@@ -94,8 +94,8 @@ def check_cornell_closed_forms(rng, trials: int = 50) -> IdentityResult:
 
 
 def check_expmass_closed_forms(rng, trials: int = 50) -> IdentityResult:
-    """First three coefficients of the exponential-mass recursion vs its
-    closed forms."""
+    """First three coefficients of the paper's exponential-mass recursion vs
+    its closed forms."""
     worst = 0.0
     for _ in range(trials):
         pot = _random_cornell(rng)
@@ -104,7 +104,7 @@ def check_expmass_closed_forms(rng, trials: int = 50) -> IdentityResult:
         mass = expand_exponential(m0, lam, 8)
         q = _random_quantum(rng)
         e = -float(rng.uniform(0.1, 3.0))
-        sol = generate_coefficients(RecurrenceKind.EXP_MASS_CORNELL, pot, mass, q, e, 4)
+        sol = expmass_cornell_coefficients(pot, mass, q, e, 4)
         closed = coefficient_closed_forms_expmass(pot, m0, lam, q, e)
         worst = max(
             worst, max(abs(sol.coeffs[i + 1] - closed[i]) for i in range(3))
@@ -113,9 +113,9 @@ def check_expmass_closed_forms(rng, trials: int = 50) -> IdentityResult:
 
 
 def check_expmass_vs_general(rng, trials: int = 20, order: int = 20) -> IdentityResult:
-    """Dual-derivation consistency: the dedicated exponential-mass recursion
-    must reproduce the general recurrence fed with the exponential mass and
-    log-derivative series, coefficient by coefficient."""
+    """Dual-derivation consistency: the solver's master recurrence fed with
+    the exponential mass and log-derivative series must reproduce the paper's
+    exponential-mass recursion, coefficient by coefficient."""
     worst = 0.0
     for _ in range(trials):
         pot = _random_cornell(rng)
@@ -124,39 +124,16 @@ def check_expmass_vs_general(rng, trials: int = 20, order: int = 20) -> Identity
         mass = expand_exponential(m0, lam, order)
         q = _random_quantum(rng)
         e = -float(rng.uniform(0.1, 3.0))
-        s_exp = generate_coefficients(
-            RecurrenceKind.EXP_MASS_CORNELL, pot, mass, q, e, order
-        )
-        s_gen = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, order)
+        s_exp = expmass_cornell_coefficients(pot, mass, q, e, order)
+        s_gen = generate_coefficients(pot, mass, q, e, order)
         worst = max(worst, _runmax_relative(s_exp.coeffs, s_gen.coeffs))
     return IdentityResult("expmass-recursion-vs-general", worst, 1e-12, trials)
 
 
-def check_specializations_vs_general(rng, trials: int = 25) -> IdentityResult:
-    """Coulomb/oscillator/linear/Cornell specialized steps vs the general
-    recurrence with the corresponding parameter substitutions."""
-    worst = 0.0
-    cases = [
-        (RecurrenceKind.COULOMB, lambda r: PotentialSpec(r.uniform(0.1, 2.0), 0.0, 0.0, 1, 0)),
-        (RecurrenceKind.OSCILLATOR, lambda r: PotentialSpec(0.0, r.uniform(0.1, 2.0), 0.0, 0, 2)),
-        (RecurrenceKind.LINEAR, lambda r: PotentialSpec(0.0, r.uniform(0.1, 2.0), 0.0, 0, 1)),
-        (RecurrenceKind.CORNELL, lambda r: _random_cornell(r)),
-    ]
-    for _ in range(trials):
-        for kind, make_pot in cases:
-            pot = make_pot(rng)
-            mass = _random_custom_mass(rng)
-            q = _random_quantum(rng)
-            e = -float(rng.uniform(0.1, 3.0))
-            s_spec = generate_coefficients(kind, pot, mass, q, e, 16)
-            s_gen = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, 16)
-            worst = max(worst, _runmax_relative(s_spec.coeffs, s_gen.coeffs))
-    return IdentityResult("specialized-vs-general-recurrence", worst, 1e-14, trials)
-
-
 def check_coulomb_polynomial(rng, trials: int = 25) -> IdentityResult:
-    """Constant-mass 3-d Coulomb coefficients vs the terminating closed form
-    (both the printed low orders and the general factorial formula)."""
+    """Constant-mass 3-d Coulomb coefficients of the solver's master
+    recurrence vs the terminating closed form (the general factorial
+    formula)."""
     worst = 0.0
     for _ in range(trials):
         a_c = float(rng.uniform(0.3, 2.0))
@@ -167,7 +144,6 @@ def check_coulomb_polynomial(rng, trials: int = 25) -> IdentityResult:
         e = -(a_c**2) * m0 / (2.0 * (n + ell + 1) ** 2)
         order = max(n + 6, 10)
         sol = generate_coefficients(
-            RecurrenceKind.COULOMB,
             PotentialSpec(a_c, 0.0, 0.0, 1, 0),
             constant_mass(m0),
             q,
@@ -207,7 +183,6 @@ def run_identity_suite(seed: int = DEFAULT_SEED) -> list[IdentityResult]:
         check_cornell_closed_forms,
         check_expmass_closed_forms,
         check_expmass_vs_general,
-        check_specializations_vs_general,
         check_coulomb_polynomial,
         check_pdm_coulomb_closed_forms,
     ]

@@ -9,44 +9,26 @@ which is the unique definition consistent with the Cauchy-product identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, SeriesDivisionError
-from .model import MassProfile, _horner
+from .model import MassProfile
 
 __all__ = [
-    "SeriesVector",
     "expand_exponential",
     "constant_mass",
     "mass_from_series",
     "logderiv_from_series",
-    "eval_series",
-    "cauchy_product",
 ]
 
 DEFAULT_ORDER = 64
 
 
-@dataclass(frozen=True)
-class SeriesVector:
-    """Coefficient vector c_0 ... c_order of a truncated power series."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, float))
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise DomainError("series needs a non-empty 1-d coefficient vector")
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-
 def _coeffs(series) -> np.ndarray:
-    return (series if isinstance(series, SeriesVector) else SeriesVector(series)).coeffs
+    c = np.asarray(series, float)
+    if c.ndim != 1 or c.size == 0:
+        raise DomainError("series needs a non-empty 1-d coefficient vector")
+    return c
 
 
 def expand_exponential(m0: float, lam: float, order: int = DEFAULT_ORDER) -> MassProfile:
@@ -84,13 +66,13 @@ def mass_from_series(coeffs) -> MassProfile:
     c = _coeffs(coeffs)
     if c[0] <= 0:
         raise DomainError("mass series must have a positive leading coefficient")
-    return MassProfile(float(c[0]), c, logderiv_from_series(c).coeffs, "custom-series")
+    return MassProfile(float(c[0]), c, logderiv_from_series(c), "custom-series")
 
 
-def logderiv_from_series(mass_series, order: int | None = None) -> SeriesVector:
+def logderiv_from_series(mass_series, order: int | None = None) -> np.ndarray:
     """Formal division m'(r)/m(r) of a mass series.
 
-    Solves cauchy_product(result, mass)[nu] = (nu+1) * mass[nu+1] order by
+    Solves (result * mass)[nu] = (nu+1) * mass[nu+1] (Cauchy product) order by
     order; the input series is treated as an exact polynomial (zero-extended)
     when ``order`` exceeds its length.
     """
@@ -110,21 +92,4 @@ def logderiv_from_series(mass_series, order: int | None = None) -> SeriesVector:
             bi = b[nu - j] if nu - j <= m else 0.0
             acc -= out[j] * bi
         out[nu] = acc / b[0]
-    return SeriesVector(out)
-
-
-def eval_series(series, r: float) -> float:
-    """Horner evaluation of the truncated partial sum at r >= 0."""
-    return _horner(_coeffs(series), r)
-
-
-def cauchy_product(a, b, order: int | None = None) -> SeriesVector:
-    """Truncated Cauchy product of two coefficient vectors."""
-    ca, cb = _coeffs(a), _coeffs(b)
-    full = np.convolve(ca, cb)
-    if order is None:
-        order = min(ca.size, cb.size) - 1
-    out = np.zeros(order + 1)
-    n = min(order + 1, full.size)
-    out[:n] = full[:n]
-    return SeriesVector(out)
+    return out

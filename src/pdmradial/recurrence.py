@@ -9,16 +9,15 @@ running convolution tables,
 
 with every negative-index entry equal to zero.  The tables are arrays: as
 soon as a_j is fixed it is added into every entry it touches, so entries
-0..n are complete when a_{n+1} is solved for.  Specialized steps for the
-Coulomb, oscillator, linear and Cornell potentials and for the exponentially
-decaying mass are kept as separate code paths so they can be cross-checked
-against the general recurrence.
+0..n are complete when a_{n+1} is solved for.  The master recurrence is the
+only generator the solver runs.  The paper's own recursion for the
+exponentially decaying mass and the closed forms below are derived apart
+from it and serve as its references.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,8 +32,8 @@ from .model import (
 )
 
 __all__ = [
-    "RecurrenceKind",
     "generate_coefficients",
+    "expmass_cornell_coefficients",
     "coefficient_closed_forms_cornell",
     "coefficient_closed_forms_expmass",
     "coulomb_closed_form_coefficients",
@@ -45,41 +44,22 @@ __all__ = [
 _RESCALE_LIMIT = 1e150
 
 
-class RecurrenceKind(Enum):
-    """Which recurrence drives coefficient generation."""
-
-    GENERAL = "general"
-    COULOMB = "coulomb"
-    OSCILLATOR = "oscillator"
-    LINEAR = "linear"
-    CORNELL = "cornell"
-    EXP_MASS_CORNELL = "exp_mass_cornell"
-
-
-def _validate_kind(kind: RecurrenceKind, pot: PotentialSpec, mass: MassProfile) -> None:
-    def need(cond: bool, what: str):
-        if not cond:
-            raise DomainError(f"potential does not match {kind.value} recurrence: {what}")
-
-    if kind is RecurrenceKind.COULOMB:
-        need(pot.alpha == 1 and pot.beta == 0, "requires alpha=1, beta=0")
-        need(pot.v2 == 0 and pot.v3 == 0, "requires v2 = v3 = 0")
-    elif kind is RecurrenceKind.OSCILLATOR:
-        need(pot.alpha == 0 and pot.beta == 2, "requires alpha=0, beta=2")
-        need(pot.v1 == 0 and pot.v3 == 0, "requires v1 = v3 = 0")
-    elif kind is RecurrenceKind.LINEAR:
-        need(pot.alpha == 0 and pot.beta == 1, "requires alpha=0, beta=1")
-        need(pot.v1 == 0 and pot.v3 == 0, "requires v1 = v3 = 0")
-    elif kind is RecurrenceKind.CORNELL:
-        need(pot.alpha == 1 and pot.beta == 1, "requires alpha=1, beta=1")
-    elif kind is RecurrenceKind.EXP_MASS_CORNELL:
-        need(pot.alpha == 1 and pot.beta == 1, "requires alpha=1, beta=1")
-        if mass.kind != "exponential":
-            raise DomainError("exp-mass recurrence requires an exponential mass profile")
+def _check_inputs(pot, q, e, order) -> None:
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    if e >= 0:
+        raise DomainError("coefficient generation requires a bound-state energy E < 0")
+    if pot.alpha >= 2:
+        raise UnsupportedExponentError(
+            "alpha >= 2 makes the recurrence implicit (a_{n+1} enters M_{n+alpha-1})"
+        )
+    if q.k == 1:
+        raise DegenerateChannelError(
+            "k = N + 2l = 1: leading recurrence denominator vanishes at n = 0"
+        )
 
 
 def generate_coefficients(
-    kind: RecurrenceKind,
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
@@ -94,66 +74,18 @@ def generate_coefficients(
     Coefficients exceeding the overflow guard trigger a homogeneous rescale of
     the whole prefix, recorded in ``scale_log10``.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
     e = float(e)
-    if e >= 0:
-        raise DomainError("coefficient generation requires a bound-state energy E < 0")
-    if pot.alpha >= 2:
-        raise UnsupportedExponentError(
-            "alpha >= 2 makes the recurrence implicit (a_{n+1} enters M_{n+alpha-1})"
-        )
-    _validate_kind(kind, pot, mass)
+    _check_inputs(pot, q, e, order)
     k = q.k
-    if k == 1:
-        raise DegenerateChannelError(
-            "k = N + 2l = 1: leading recurrence denominator vanishes at n = 0"
-        )
     if mass.order < order and mass.kind != "custom-series":
         mass = mass.extended(order)
 
     b = b_from_energy(e, mass.m0)
     ell = q.ell
-    lam = mass.lam
 
     a = np.zeros(order + 1)
     a[0] = 1.0
     scale_log10 = 0.0
-
-    if kind is RecurrenceKind.EXP_MASS_CORNELL:
-        # Exponentially decaying mass: m'/m = -lam exactly, so the
-        # log-derivative convolutions collapse to -lam a_n and -lam n a_n and
-        # only the mass convolution survives as a table.
-        mseries = mass.mass_series
-        conv = np.zeros_like(a)  # running sum_{j+nu=i} m_nu a_j
-
-        def fill_conv(i: int):
-            top = min(i, mseries.size - 1)
-            s = 0.0
-            for nu in range(top + 1):
-                s += a[i - nu] * mseries[nu]
-            conv[i] = s
-
-        A, B, C = pot.v1, pot.v2, pot.v3
-        fill_conv(0)
-        for n in range(order):
-            an = a[n]
-            an1 = a[n - 1] if n >= 1 else 0.0
-            cn = conv[n]
-            cn1 = conv[n - 1] if n >= 1 else 0.0
-            cn2 = conv[n - 2] if n >= 2 else 0.0
-            num = (
-                (b * (k - 1) + (2.0 * b - lam) * n - ell * lam) * an
-                - b * (b - lam) * an1
-                - 2.0 * e * cn1
-                - 2.0 * A * cn
-                + 2.0 * B * cn2
-                + 2.0 * C * cn1
-            )
-            a[n + 1] = num / ((n + 1) * (n + k - 1))
-            scale_log10 += _guard_overflow(a, n + 1, divide=(conv,))
-            fill_conv(n + 1)
-        return SeriesSolution(e, b, a, float(a[0]), order, q, scale_log10)
 
     # trailing zeros of the mass series (all of a constant mass's beyond m0)
     # add nothing to the tables, so they are dropped
@@ -191,34 +123,83 @@ def generate_coefficients(
             - 2.0 * e * at(m_tab, n - 1)
             - b2 * an1
         )
-        if kind is RecurrenceKind.GENERAL:
-            num = (
-                base
-                - 2.0 * v1 * at(m_tab, n + alpha - 1)
-                + 2.0 * v2 * at(m_tab, n - beta - 1)
-                + 2.0 * v3 * at(m_tab, n - 1)
-            )
-        elif kind is RecurrenceKind.COULOMB:
-            num = base - 2.0 * v1 * m_tab[n]
-        elif kind is RecurrenceKind.OSCILLATOR:
-            num = base + 2.0 * v2 * at(m_tab, n - 3)
-        elif kind is RecurrenceKind.LINEAR:
-            num = base + 2.0 * v2 * at(m_tab, n - 2)
-        elif kind is RecurrenceKind.CORNELL:
-            num = (
-                base
-                - 2.0 * v1 * m_tab[n]
-                + 2.0 * v2 * at(m_tab, n - 2)
-                + 2.0 * v3 * at(m_tab, n - 1)
-            )
-        else:  # pragma: no cover - exhaustive enum
-            raise DomainError(f"unhandled recurrence kind {kind}")
+        num = (
+            base
+            - 2.0 * v1 * at(m_tab, n + alpha - 1)
+            + 2.0 * v2 * at(m_tab, n - beta - 1)
+            + 2.0 * v3 * at(m_tab, n - 1)
+        )
         denom = (n + 1) * (n + k - 1)
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a[n + 1] = num / denom
         scale_log10 += _guard_overflow(a, n + 1, multiply=(m_tab, mp_tab, t_tab))
         add_to_tables(n + 1)
 
+    return SeriesSolution(e, b, a, float(a[0]), order, q, scale_log10)
+
+
+def expmass_cornell_coefficients(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    q: QuantumNumbers,
+    e: float,
+    order: int,
+) -> SeriesSolution:
+    """The paper's recursion for the Cornell potential (alpha = beta = 1)
+    with the exponentially decaying mass m = m0 e^(-lam r).
+
+    Derived apart from the master recurrence: m'/m = -lam exactly, so the
+    log-derivative convolutions collapse to -lam a_n and -lam n a_n and only
+    the mass convolution survives as a table.  Kept as the reference the
+    master recurrence is checked against; the solver never runs it.
+    """
+    e = float(e)
+    if pot.alpha != 1 or pot.beta != 1:
+        raise DomainError("exp-mass Cornell recursion requires alpha = beta = 1")
+    if mass.kind != "exponential":
+        raise DomainError("exp-mass Cornell recursion requires an exponential mass profile")
+    _check_inputs(pot, q, e, order)
+    k = q.k
+    if mass.order < order:
+        mass = mass.extended(order)
+
+    b = b_from_energy(e, mass.m0)
+    ell = q.ell
+    lam = mass.lam
+
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    scale_log10 = 0.0
+
+    mseries = mass.mass_series
+    conv = np.zeros_like(a)  # running sum_{j+nu=i} m_nu a_j
+
+    def fill_conv(i: int):
+        top = min(i, mseries.size - 1)
+        s = 0.0
+        for nu in range(top + 1):
+            s += a[i - nu] * mseries[nu]
+        conv[i] = s
+
+    A, B, C = pot.v1, pot.v2, pot.v3
+    fill_conv(0)
+    for n in range(order):
+        an = a[n]
+        an1 = a[n - 1] if n >= 1 else 0.0
+        cn = conv[n]
+        cn1 = conv[n - 1] if n >= 1 else 0.0
+        cn2 = conv[n - 2] if n >= 2 else 0.0
+        num = (
+            (b * (k - 1) + (2.0 * b - lam) * n - ell * lam) * an
+            - b * (b - lam) * an1
+            - 2.0 * e * cn1
+            - 2.0 * A * cn
+            + 2.0 * B * cn2
+            + 2.0 * C * cn1
+        )
+        a[n + 1] = num / ((n + 1) * (n + k - 1))
+        scale_log10 += _guard_overflow(a, n + 1, divide=(conv,))
+        fill_conv(n + 1)
     return SeriesSolution(e, b, a, float(a[0]), order, q, scale_log10)
 
 

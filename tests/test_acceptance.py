@@ -18,10 +18,10 @@ from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_fro
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
 from pdmradial.oracle import channel_spectrum, collocation_eigenvalue
 from pdmradial.recurrence import (
-    RecurrenceKind,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
     coulomb_closed_form_coefficients,
+    expmass_cornell_coefficients,
     generate_coefficients,
 )
 from pdmradial.wavefunction import (
@@ -61,7 +61,7 @@ def test_criterion_01_closed_form_coefficient_identities():
         mass = mass_from_series(
             np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.3, 0.3, 3)])
         )
-        sol = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, 4)
+        sol = generate_coefficients(pot, mass, q, e, 4)
         closed = coefficient_closed_forms_cornell(pot, mass, q, e)
         worst = max(worst, max(abs(sol.coeffs[i + 1] - closed[i]) for i in range(3)))
 
@@ -69,7 +69,7 @@ def test_criterion_01_closed_form_coefficient_identities():
         m0 = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(0.02, 1.0))
         mass_e = expand_exponential(m0, lam, 8)
-        sol_e = generate_coefficients(RecurrenceKind.GENERAL, pot, mass_e, q, e, 4)
+        sol_e = generate_coefficients(pot, mass_e, q, e, 4)
         closed_e = coefficient_closed_forms_expmass(pot, m0, lam, q, e)
         worst = max(
             worst, max(abs(sol_e.coeffs[i + 1] - closed_e[i]) for i in range(3))
@@ -95,8 +95,8 @@ def test_criterion_02_dual_derivation_consistency():
         mass = expand_exponential(m0, lam, 20)
         q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
         e = -float(rng.uniform(0.1, 3.0))
-        s_exp = generate_coefficients(RecurrenceKind.EXP_MASS_CORNELL, pot, mass, q, e, 20)
-        s_gen = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, 20)
+        s_exp = expmass_cornell_coefficients(pot, mass, q, e, 20)
+        s_gen = generate_coefficients(pot, mass, q, e, 20)
         scale = np.maximum.accumulate(
             np.maximum(np.abs(s_gen.coeffs), np.abs(s_exp.coeffs))
         )
@@ -145,7 +145,7 @@ def test_criterion_04_coulomb_wavefunction_closed_form():
         for n in range(5 - ell):
             q = QuantumNumbers(3, ell, n)
             e = coulomb_reference_energy(a_c, m0, q)
-            sol = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, 24)
+            sol = generate_coefficients(pot, mass, q, e, 24)
             ref = np.array(
                 [coulomb_closed_form_coefficients(a_c, m0, q, i) for i in range(25)]
             )
@@ -243,9 +243,7 @@ def test_criterion_07_residual_convergence():
         )
         e = res.energy
         b = math.sqrt(-2.0 * e)
-        sol8 = generate_coefficients(
-            RecurrenceKind.GENERAL, pot, mass, QuantumNumbers(3, 0, 0), e, 8
-        )
+        sol8 = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), e, 8)
         r_base = min(trust_radius(sol8), 3.0 / b)
         radii = [0.25 * r_base, 0.45 * r_base, 0.7 * r_base]
         ok = True
@@ -254,7 +252,7 @@ def test_criterion_07_residual_convergence():
             prev = None
             for order in (8, 16, 32, 64):
                 sol = generate_coefficients(
-                    RecurrenceKind.GENERAL, pot, mass, QuantumNumbers(3, 0, 0), e, order
+                    pot, mass, QuantumNumbers(3, 0, 0), e, order
                 )
                 res_val = ode_residual(
                     RadialWavefunction.from_solution(sol), pot, mass, e, r
@@ -280,9 +278,7 @@ def test_criterion_08_normalization():
     for a_c, m0 in [(1.0, 1.0), (1.4, 0.8)]:
         q = QuantumNumbers(3, 0, 0)
         e = coulomb_reference_energy(a_c, m0, q)
-        sol = generate_coefficients(
-            RecurrenceKind.GENERAL, make_coulomb(a_c), constant_mass(m0), q, e, 32
-        )
+        sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, 32)
         wave = normalize(RadialWavefunction.from_solution(sol), 25.0 / (a_c * m0))
         target = 2.0 * (a_c * m0) ** 1.5
         err = abs(wave.solution.a0 - target) / target

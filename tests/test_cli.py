@@ -72,6 +72,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mass"):
             parse_config(data)
 
+    def test_output_directory_must_be_a_string(self):
+        data = demo_config_dict()
+        data["output"]["directory"] = 7
+        with pytest.raises(ConfigError, match="output.directory: must be a string"):
+            parse_config(data)
+
     def test_bad_bracket_rejected(self):
         data = demo_config_dict()
         data["solver"]["e_lo"] = -0.01
@@ -88,6 +94,10 @@ class TestConfigParsing:
             ("max_iter", 3),
             ("match_radius", -1.0),
             ("oracle_points", 10),
+            ("tol_e", None),
+            ("truncation_order", 64.5),
+            ("e_lo", float("-inf")),
+            ("max_iter", 200.5),
         ],
     )
     def test_bad_solver_value_is_config_error(self, tmp_path, capsys, field, value):
@@ -106,16 +116,37 @@ class TestConfigParsing:
             ("mass", {"kind": "exponential", "lambda": -0.2}, "mass.lambda"),
             ("mass", {"m0": -1}, "mass.m0"),
             ("mass", {"kind": "exponential", "m0": -1, "lambda": 0.2}, "mass.m0"),
+            # values of the wrong JSON type: a block that is not an object,
+            # strings and lists for numbers, and fractions or booleans for
+            # integers, which int() would truncate
+            ("potential", "coulomb", "potential"),
+            ("potential", {"z": "abc"}, "potential.z"),
+            ("potential", {"z": float("nan")}, "potential.z"),
+            ("potential", {"kind": "general", "v1": 1.0, "v2": 0.0, "v3": 0.0,
+                           "alpha": 1.5, "beta": 0}, "potential.alpha"),
+            ("mass", {"m0": "heavy"}, "mass.m0"),
+            ("mass", {"kind": "series", "coeffs": "ab"}, "mass.coeffs"),
+            ("mass", {"kind": "series", "coeffs": [1.0, "x"]}, "mass.coeffs"),
+            ("quantum", {"n": ["x"]}, "quantum.n"),
+            ("quantum", {"ell": 0}, "quantum.ell"),
+            ("quantum", {"ell": [0.5]}, "quantum.ell"),
+            ("quantum", {"dim": 3.7}, "quantum.dim"),
+            ("quantum", {"dim": True}, "quantum.dim"),
         ],
         ids=["coulomb-z", "cornell-a", "exponential-lambda", "constant-m0",
-             "exponential-m0"],
+             "exponential-m0", "potential-string", "z-string", "z-nan", "general-alpha-fraction",
+             "m0-string", "coeffs-string", "coeffs-entry-string", "n-string",
+             "ell-integer-not-list", "ell-fraction", "dim-fraction", "dim-boolean"],
     )
     def test_bad_model_value_is_config_error(self, tmp_path, capsys, block, changes,
                                              field):
         data = demo_config_dict()
-        if "kind" in changes:
-            data[block] = {}
-        data[block].update(changes)
+        if not isinstance(changes, dict):
+            data[block] = changes
+        elif "kind" in changes:
+            data[block] = dict(changes)
+        else:
+            data[block].update(changes)
         data["output"]["directory"] = str(tmp_path / "out")
         assert run_solve(str(write_config(tmp_path, data))) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
@@ -134,9 +165,10 @@ class TestConfigParsing:
              "output.wavefunction_grid"),
             ("solver", {"oracle": "false"}, "solver.oracle"),
             ("output", {"coefficients": 1}, "output.coefficients"),
+            ("output", {"formats": "csv"}, "output.formats"),
         ],
         ids=["points-negative", "points-fraction", "r_max-negative", "r_max-missing",
-             "oracle-string", "coefficients-integer"],
+             "oracle-string", "coefficients-integer", "formats-string"],
     )
     def test_bad_output_or_flag_is_config_error(self, tmp_path, capsys, block,
                                                 changes, field):

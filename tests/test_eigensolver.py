@@ -291,9 +291,10 @@ class TestScanSpectrum:
         assert len(calls) == 2
 
     def test_one_evaluation_outside_brent_per_state(self, monkeypatch):
-        # a narrow-bracket hit: past Brent's own evaluations, one mismatch
-        # (the converged state's solution) and, past the mismatches, one
-        # series (the trust radius at the level)
+        # a narrow-bracket hit: no mismatch past Brent's own evaluations
+        # (the converged state's solution is Brent's evaluation at the root)
+        # and, past the mismatches, one series (the trust radius at the
+        # level)
         import pdmradial.eigensolver as es_mod
 
         # seen[name]: calls of name made while no call of `inside` is open
@@ -322,7 +323,7 @@ class TestScanSpectrum:
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
         assert abs(res.energy + 0.125) < 1e-10 * 0.125
-        assert seen == {"brent": 1, "mismatch": 1, "series": 1}
+        assert seen == {"brent": 1, "mismatch": 0, "series": 1}
 
 
 class TestOrdering:
@@ -430,13 +431,11 @@ class TestOracleUnavailable:
         assert res.oracle_error.startswith("ResolutionError: ")
 
     def test_solution_is_the_series_at_the_energy(self):
-        from pdmradial.recurrence import RecurrenceKind, generate_coefficients
+        from pdmradial.recurrence import generate_coefficients
 
         pot, mass, q = make_coulomb(1.0), constant_mass(1.0, 64), QuantumNumbers(3, 0, 1)
         res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-0.15, -0.1)))
-        again = generate_coefficients(
-            RecurrenceKind.GENERAL, pot, mass, q, res.energy, 64
-        )
+        again = generate_coefficients(pot, mass, q, res.energy, 64)
         assert res.solution.energy == res.energy
         assert list(res.solution.coeffs) == list(again.coeffs)
         assert res.oracle_gap is None and res.oracle_error is None

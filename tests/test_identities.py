@@ -3,7 +3,7 @@ from pdmradial.identities import DEFAULT_SEED, run_identity_suite
 
 def test_default_seed_all_pass():
     results = run_identity_suite(DEFAULT_SEED)
-    assert len(results) == 6
+    assert len(results) == 5
     for r in results:
         assert r.passed, f"{r.name}: {r.max_deviation} >= {r.tolerance}"
 

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from pdmradial.errors import DomainError, SeriesDivisionError
 from pdmradial.mass_expansion import (
-    SeriesVector,
-    cauchy_product,
     constant_mass,
-    eval_series,
     expand_exponential,
     logderiv_from_series,
     mass_from_series,
 )
+from pdmradial.model import _horner
 
 
 class TestExpandExponential:
@@ -39,7 +37,7 @@ class TestExpandExponential:
 
 class TestLogderivFromSeries:
     def test_constant_mass_is_zero(self):
-        assert logderiv_from_series([2.0]).coeffs == pytest.approx([0.0])
+        assert logderiv_from_series([2.0]) == pytest.approx([0.0])
 
     def test_exponential_series_gives_constant(self):
         lam = 0.37
@@ -47,12 +45,12 @@ class TestLogderivFromSeries:
         logd = logderiv_from_series(mass.mass_series)
         expected = np.zeros(4)
         expected[0] = -lam
-        assert logd.coeffs == pytest.approx(expected, abs=1e-12)
+        assert logd == pytest.approx(expected, abs=1e-12)
 
     def test_one_plus_r(self):
         # m = 1 + r: m'/m = 1/(1+r) = 1 - r + r^2 - ... by long division
         logd = logderiv_from_series([1.0, 1.0], order=2)
-        assert logd.coeffs == pytest.approx([1.0, -1.0, 1.0])
+        assert logd == pytest.approx([1.0, -1.0, 1.0])
 
     def test_rejects_degenerate_leading_coefficient(self):
         with pytest.raises(SeriesDivisionError):
@@ -71,46 +69,46 @@ class TestLogderivFromSeries:
         order = coeffs.size - 1
         logd = logderiv_from_series(coeffs)
         if order == 0:
-            assert logd.coeffs == pytest.approx([0.0])
+            assert logd == pytest.approx([0.0])
             return
-        prod = np.convolve(logd.coeffs, coeffs)[:order]
+        prod = np.convolve(logd, coeffs)[:order]
         deriv = np.arange(1, order + 1) * coeffs[1:]
-        scale = max(1.0, float(np.max(np.abs(coeffs))), float(np.max(np.abs(logd.coeffs))))
+        scale = max(1.0, float(np.max(np.abs(coeffs))), float(np.max(np.abs(logd))))
         assert prod == pytest.approx(deriv, abs=1e-12 * scale)
 
 
 class TestEvalSeries:
+    # the one series evaluator, model._horner, on mass series
     def test_constant_term_at_origin(self):
-        assert eval_series([1.0, -1.0, 0.5], 0.0) == 1.0
+        assert _horner(np.array([1.0, -1.0, 0.5]), 0.0) == 1.0
 
     def test_exponential_partial_sum(self):
         mass = expand_exponential(1.0, 1.0, 20)
-        assert eval_series(mass.mass_series, 1.0) == pytest.approx(
+        assert _horner(mass.mass_series, 1.0) == pytest.approx(
             math.exp(-1.0), abs=1e-12
         )
 
     def test_degree_zero(self):
         for r in (0.0, 1.0, 17.3):
-            assert eval_series([5.0], r) == 5.0
+            assert _horner(np.array([5.0]), r) == 5.0
 
     def test_exponential_profile_matches_closed_form(self):
         lam = 0.8
         mass = expand_exponential(1.3, lam, 40)
         for r in np.linspace(0.1, 5.0 / lam, 7):
-            assert eval_series(mass.mass_series, r) == pytest.approx(
+            assert _horner(mass.mass_series, r) == pytest.approx(
                 1.3 * math.exp(-lam * r), rel=1e-10
             )
 
 
 class TestSeriesVector:
     def test_validates_shape(self):
+        # mass coefficients come from a config: a 2-d or empty array is refused
         with pytest.raises(DomainError):
-            SeriesVector(np.zeros((2, 2)))
-        assert SeriesVector([1.0, 2.0]).order == 1
-
-    def test_cauchy_product_truncates(self):
-        prod = cauchy_product([1.0, 1.0], [1.0, -1.0, 0.5], order=2)
-        assert prod.coeffs == pytest.approx([1.0, 0.0, -0.5])
+            mass_from_series(np.ones((2, 2)))
+        with pytest.raises(DomainError):
+            mass_from_series([])
+        assert mass_from_series([1.0, 2.0]).mass_series.size == 2
 
 
 def test_mass_from_series_requires_positive_leading():

@@ -16,11 +16,11 @@ from pdmradial.model import (
     make_coulomb,
 )
 from pdmradial.recurrence import (
-    RecurrenceKind,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
     coulomb_closed_form_coefficients,
     coulomb_expmass_closed_forms,
+    expmass_cornell_coefficients,
     generate_coefficients,
 )
 from pdmradial.wavefunction import RadialWavefunction, ode_residual
@@ -31,9 +31,7 @@ class TestFirstCoefficients:
         A, m0, e = 0.9, 1.2, -0.8
         pot = make_cornell(A, 0.4, 0.1)
         q = QuantumNumbers(3, 1, 0)  # k = 5
-        sol = generate_coefficients(
-            RecurrenceKind.CORNELL, pot, constant_mass(m0), q, e, 4
-        )
+        sol = generate_coefficients(pot, constant_mass(m0), q, e, 4)
         b = b_from_energy(e, m0)
         assert sol.coeffs[1] == pytest.approx(b - 2 * A * m0 / (q.k - 1), rel=1e-14)
 
@@ -41,9 +39,7 @@ class TestFirstCoefficients:
         A, B, C, m0, e = 0.7, 0.3, -0.2, 1.0, -1.1
         pot = make_cornell(A, B, C)
         q = QuantumNumbers(4, 0, 0)  # k = 4
-        sol = generate_coefficients(
-            RecurrenceKind.CORNELL, pot, constant_mass(m0), q, e, 4
-        )
+        sol = generate_coefficients(pot, constant_mass(m0), q, e, 4)
         b = b_from_energy(e, m0)
         k = q.k
         a1 = b - 2 * A * m0 / (k - 1)
@@ -55,7 +51,7 @@ class TestFirstCoefficients:
         pot = make_cornell(A, 0.2, 0.0)
         q = QuantumNumbers(3, 2, 0)  # k = 7, l = 2
         mass = expand_exponential(m0, lam, 8)
-        sol = generate_coefficients(RecurrenceKind.EXP_MASS_CORNELL, pot, mass, q, e, 4)
+        sol = expmass_cornell_coefficients(pot, mass, q, e, 4)
         b = b_from_energy(e, m0)
         expected = b - (q.ell * lam + 2 * A * m0) / (q.k - 1)
         assert sol.coeffs[1] == pytest.approx(expected, rel=1e-14)
@@ -65,7 +61,7 @@ class TestFirstCoefficients:
         mass = constant_mass(1.0)
         q = QuantumNumbers(3, 0, 0)
         e = -0.7
-        sol = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, 48)
+        sol = generate_coefficients(pot, mass, q, e, 48)
         wave = RadialWavefunction.from_solution(sol)
         for r in (0.1, 0.4, 0.8, 1.0):
             assert ode_residual(wave, pot, mass, e, r) < 1e-10
@@ -83,7 +79,7 @@ class TestClosedFormsCornell:
             )
             q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
             e = -rng.uniform(0.1, 3.0)
-            sol = generate_coefficients(RecurrenceKind.CORNELL, pot, mass, q, e, 4)
+            sol = generate_coefficients(pot, mass, q, e, 4)
             closed = coefficient_closed_forms_cornell(pot, mass, q, e)
             for i in range(3):
                 assert abs(sol.coeffs[i + 1] - closed[i]) < 1e-12
@@ -132,7 +128,7 @@ class TestClosedFormsExpmass:
         q = QuantumNumbers(5, 0, 0)
         m0, lam, e = 0.8, 0.22, -1.4
         mass = expand_exponential(m0, lam, 8)
-        sol = generate_coefficients(RecurrenceKind.EXP_MASS_CORNELL, pot, mass, q, e, 4)
+        sol = expmass_cornell_coefficients(pot, mass, q, e, 4)
         closed = coefficient_closed_forms_expmass(pot, m0, lam, q, e)
         for i in range(3):
             assert abs(sol.coeffs[i + 1] - closed[i]) < 1e-12
@@ -161,9 +157,7 @@ class TestCoulombClosedForm:
         for n, ell in [(0, 0), (1, 0), (2, 1), (4, 0)]:
             q = QuantumNumbers(3, ell, n)
             e = -(a_c**2) * m0 / (2.0 * (n + ell + 1) ** 2)
-            sol = generate_coefficients(
-                RecurrenceKind.COULOMB, make_coulomb(a_c), constant_mass(m0), q, e, 24
-            )
+            sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, 24)
             scale = np.max(np.abs(sol.coeffs))
             assert np.max(np.abs(sol.coeffs[n + 1 :])) < 1e-10 * scale
 
@@ -192,7 +186,7 @@ class TestGenerateCoefficients:
         pot = make_cornell(1.0, 0.2, 0.0)
         mass = constant_mass(1.0)
         q = QuantumNumbers(3, 0, 0)
-        sol = generate_coefficients(RecurrenceKind.CORNELL, pot, mass, q, -0.8, 12)
+        sol = generate_coefficients(pot, mass, q, -0.8, 12)
         scaled = sol.scaled(scale)
         assert scaled.coeffs == pytest.approx(scale * sol.coeffs, rel=1e-15)
 
@@ -204,7 +198,7 @@ class TestGenerateCoefficients:
         mass = mass_from_series([1.0, -0.5, 0.125, 0.3])
         q = QuantumNumbers(3, 1, 0)
         e, order = -0.7, 30
-        sol = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, order)
+        sol = generate_coefficients(pot, mass, q, e, order)
         a = sol.coeffs
         m_tab = np.convolve(a, mass.mass_series)[: order + 1]
         mp_tab = np.convolve(a, mass.logderiv_series)[: order + 1]
@@ -236,28 +230,35 @@ class TestGenerateCoefficients:
         pot = PotentialSpec(1.0, 0.0, 0.0, 2, 0)
         with pytest.raises(UnsupportedExponentError):
             generate_coefficients(
-                RecurrenceKind.GENERAL, pot, constant_mass(1.0),
+                pot, constant_mass(1.0),
                 QuantumNumbers(3, 0, 0), -0.5, 8,
             )
 
     def test_k_one_rejected(self):
         with pytest.raises(DegenerateChannelError):
             generate_coefficients(
-                RecurrenceKind.GENERAL, make_coulomb(1.0), constant_mass(1.0),
+                make_coulomb(1.0), constant_mass(1.0),
                 QuantumNumbers(1, 0, 0), -0.5, 8,
             )
 
     def test_nonnegative_energy_rejected(self):
         with pytest.raises(DomainError):
             generate_coefficients(
-                RecurrenceKind.GENERAL, make_coulomb(1.0), constant_mass(1.0),
+                make_coulomb(1.0), constant_mass(1.0),
                 QuantumNumbers(3, 0, 0), 0.5, 8,
             )
 
     def test_kind_potential_mismatch_rejected(self):
+        # the exp-mass Cornell recursion holds only for alpha = beta = 1 and
+        # an exponential mass
         with pytest.raises(DomainError):
-            generate_coefficients(
-                RecurrenceKind.COULOMB, make_cornell(1.0, 0.5, 0.0),
+            expmass_cornell_coefficients(
+                make_coulomb(1.0),
+                expand_exponential(1.0, 0.2, 8), QuantumNumbers(3, 0, 0), -0.5, 8,
+            )
+        with pytest.raises(DomainError):
+            expmass_cornell_coefficients(
+                make_cornell(1.0, 0.5, 0.0),
                 constant_mass(1.0), QuantumNumbers(3, 0, 0), -0.5, 8,
             )
 
@@ -271,8 +272,8 @@ class TestGenerateCoefficients:
             mass = expand_exponential(m0, lam, 20)
             q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
             e = -rng.uniform(0.1, 3.0)
-            s1 = generate_coefficients(RecurrenceKind.EXP_MASS_CORNELL, pot, mass, q, e, 20)
-            s2 = generate_coefficients(RecurrenceKind.GENERAL, pot, mass, q, e, 20)
+            s1 = expmass_cornell_coefficients(pot, mass, q, e, 20)
+            s2 = generate_coefficients(pot, mass, q, e, 20)
             scale = np.maximum.accumulate(np.abs(s2.coeffs))
             rel = np.abs(s1.coeffs - s2.coeffs) / np.maximum(scale, 1e-300)
             assert np.max(rel) < 1e-12
@@ -282,9 +283,7 @@ class TestGenerateCoefficients:
         pot = make_coulomb(1.0)
         mass = constant_mass(1.0)
         e = -16000.0  # b ~ 179, peak coefficient ~ e^358
-        sol = generate_coefficients(
-            RecurrenceKind.COULOMB, pot, mass, QuantumNumbers(3, 0, 0), e, 500
-        )
+        sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), e, 500)
         assert np.all(np.isfinite(sol.coeffs))
         assert sol.scale_log10 > 0
 
@@ -292,7 +291,7 @@ class TestGenerateCoefficients:
 class TestBatchedEnergies:
     def test_scalar_call_reports_floats(self):
         sol = generate_coefficients(
-            RecurrenceKind.COULOMB, make_coulomb(1.3), constant_mass(0.9),
+            make_coulomb(1.3), constant_mass(0.9),
             QuantumNumbers(3, 1, 0), -0.4, 16,
         )
         assert sol.coeffs.shape == (17,)

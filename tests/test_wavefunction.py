@@ -12,7 +12,6 @@ from pdmradial.errors import (
 from pdmradial.mass_expansion import constant_mass
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_coulomb, make_cornell
 from pdmradial.recurrence import (
-    RecurrenceKind,
     coulomb_closed_form_coefficients,
     generate_coefficients,
 )
@@ -32,9 +31,7 @@ def coulomb_state(a_c=1.0, m0=1.0, n=0, ell=0, order=32):
     """Exact terminating Coulomb series state at its eigenvalue (N = 3)."""
     q = QuantumNumbers(3, ell, n)
     e = -(a_c**2) * m0 / (2.0 * (n + ell + 1) ** 2)
-    sol = generate_coefficients(
-        RecurrenceKind.COULOMB, make_coulomb(a_c), constant_mass(m0), q, e, order
-    )
+    sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, order)
     return sol, e
 
 
@@ -68,7 +65,7 @@ class TestEvaluate:
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         e = math.sqrt(2.0) * 1.5 - 20.0
         sol = generate_coefficients(
-            RecurrenceKind.GENERAL, pot, constant_mass(1.0),
+            pot, constant_mass(1.0),
             QuantumNumbers(3, 0, 0), e, 16,
         )
         w = RadialWavefunction.from_solution(sol)
@@ -84,9 +81,7 @@ class TestEvaluate:
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         q = QuantumNumbers(dim, ell, 0)
         e = math.sqrt(2.0) * (dim + 2 * ell) / 2.0 - 20.0
-        sol = generate_coefficients(
-            RecurrenceKind.GENERAL, pot, constant_mass(1.0), q, e, 64
-        )
+        sol = generate_coefficients(pot, constant_mass(1.0), q, e, 64)
         w = RadialWavefunction.from_solution(sol)
         radii = np.linspace(0.0, min(w.eval_cutoff, 6.0), 97)
         values = evaluate(w, radii)
@@ -148,9 +143,7 @@ class TestOdeResidual:
         # the series solves the equation formally about the origin for any E
         pot = make_coulomb(1.0)
         mass = constant_mass(1.0)
-        sol = generate_coefficients(
-            RecurrenceKind.COULOMB, pot, mass, QuantumNumbers(3, 0, 0), -0.41, 48
-        )
+        sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), -0.41, 48)
         w = RadialWavefunction.from_solution(sol)
         assert ode_residual(w, pot, mass, -0.41, 0.05) < 1e-9
 
@@ -160,12 +153,8 @@ class TestOdeResidual:
         pot = make_cornell(1.0, 0.3, -0.5)
         mass = constant_mass(1.0)
         e = -0.9
-        sol_a = generate_coefficients(
-            RecurrenceKind.CORNELL, pot, mass, QuantumNumbers(3, 1, 0), e, 24
-        )
-        sol_b = generate_coefficients(
-            RecurrenceKind.CORNELL, pot, mass, QuantumNumbers(5, 0, 0), e, 24
-        )
+        sol_a = generate_coefficients(pot, mass, QuantumNumbers(3, 1, 0), e, 24)
+        sol_b = generate_coefficients(pot, mass, QuantumNumbers(5, 0, 0), e, 24)
         wa = RadialWavefunction.from_solution(sol_a)
         wb = RadialWavefunction.from_solution(sol_b)
         for r in (0.2, 0.8, 1.5):
@@ -194,9 +183,7 @@ class TestOdeResidual:
         e = math.sqrt(2.0) * 1.5 - 20.0
         prev = None
         for order in (8, 16, 32, 64):
-            sol = generate_coefficients(
-                RecurrenceKind.GENERAL, pot, mass, QuantumNumbers(3, 0, 0), e, order
-            )
+            sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), e, order)
             w = RadialWavefunction.from_solution(sol)
             res = ode_residual(w, pot, mass, e, 0.15)
             if prev is not None:
@@ -296,13 +283,13 @@ class TestTrustRadius:
         e = math.sqrt(2.0) * 1.5 - 20.0
         r8 = trust_radius(
             generate_coefficients(
-                RecurrenceKind.GENERAL, pot, constant_mass(1.0),
+                pot, constant_mass(1.0),
                 QuantumNumbers(3, 0, 0), e, 8,
             )
         )
         r32 = trust_radius(
             generate_coefficients(
-                RecurrenceKind.GENERAL, pot, constant_mass(1.0),
+                pot, constant_mass(1.0),
                 QuantumNumbers(3, 0, 0), e, 32,
             )
         )
