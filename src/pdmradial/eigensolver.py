@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import oracle, tail
 from .errors import (
@@ -54,6 +53,7 @@ from .wavefunction import (
 
 __all__ = [
     "SolverConfig",
+    "brentq",
     "find_eigenvalue",
     "coulomb_reference_energy",
 ]
@@ -70,6 +70,71 @@ _TAIL_LENGTHS = 10.0
 # inward-leg points inside the match radius, for the derivative stencil:
 # r_match is the leg's point _STENCIL
 _STENCIL = 4
+
+
+def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
+           maxiter=100):
+    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    Follows scipy.optimize.brentq (its C routine in ``zeros.c``) operation
+    for operation, so it evaluates f at the same points and returns the same
+    root bit for bit.  ValueError when f(xa) and f(xb) have the same sign or
+    an evaluation is NaN; RuntimeError after ``maxiter`` iterations.  The
+    tolerances are not checked: scipy requires xtol > 0 and rtol >= 4 eps.
+    """
+
+    def call(x):
+        fx = float(f(x, *args))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"failed to converge after {maxiter} iterations, value is {xcur}"
+    )
 
 
 @dataclass(frozen=True)
@@ -257,8 +322,6 @@ def find_eigenvalue(
         mass = mass.extended(cfg.truncation_order)
     geom = _build_geometry(pot, mass, q, cfg, cell, e_c)
 
-    # passed to brentq as arguments, not held in a closure: brentq keeps its
-    # function alive until the next garbage collection
     args = (pot, mass, q, cfg, geom)
     evaluated: dict = {}
     half = _NARROW * abs(e_c)
@@ -277,7 +340,7 @@ def find_eigenvalue(
             break
         except DomainError:
             raise
-        except ValueError:  # brentq: no sign change between the ends
+        except ValueError:  # no sign change between the ends, or a NaN
             continue
     else:
         f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)

@@ -9,6 +9,7 @@ seed.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,17 +178,22 @@ def check_pdm_coulomb_closed_forms(rng, trials: int = 25) -> IdentityResult:
     return IdentityResult("pdm-coulomb-closed-forms", worst, 1e-12, trials)
 
 
+_CHECKS = (
+    check_cornell_closed_forms,
+    check_expmass_closed_forms,
+    check_expmass_vs_general,
+    check_coulomb_polynomial,
+    check_pdm_coulomb_closed_forms,
+)
+
+
+def _check_rng(check, seed: int) -> np.random.Generator:
+    """The generator of ``check`` under ``seed``: keyed by a CRC of the
+    check's name, so adding, removing or reordering checks leaves the draws
+    of every other check alone."""
+    return np.random.default_rng([seed, zlib.crc32(check.__name__.encode())])
+
+
 def run_identity_suite(seed: int = DEFAULT_SEED) -> list[IdentityResult]:
-    """Run every identity check with a fresh seeded generator per check."""
-    checks = [
-        check_cornell_closed_forms,
-        check_expmass_closed_forms,
-        check_expmass_vs_general,
-        check_coulomb_polynomial,
-        check_pdm_coulomb_closed_forms,
-    ]
-    results = []
-    for i, check in enumerate(checks):
-        rng = np.random.default_rng(seed + i)
-        results.append(check(rng))
-    return results
+    """Run every identity check with its own seeded generator."""
+    return [check(_check_rng(check, seed)) for check in _CHECKS]

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import (
@@ -75,6 +75,8 @@ def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
     lo = hi / 2.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         val = excess(mid)
         if val > 0 or not math.isfinite(val):
             hi = mid
@@ -116,6 +118,13 @@ def _eval_R(w: RadialWavefunction, r: float) -> float:
     return math.exp(p * math.log(r) - b * r) * u
 
 
+def _eval_R_positive(w: RadialWavefunction, r: np.ndarray) -> np.ndarray:
+    """R at an array of radii r > 0."""
+    return np.exp(w.prefactor_power * np.log(r) - w.solution.b * r) * _horner(
+        w.solution.coeffs, r
+    )
+
+
 def _eval_R_derivs(w: RadialWavefunction, r: float) -> tuple[float, float, float]:
     """R, R', R'' from analytically differentiated series (r > 0)."""
     p = w.prefactor_power
@@ -148,31 +157,41 @@ def evaluate(w: RadialWavefunction, r) -> float | np.ndarray:
         return _eval_R(w, float(arr))
     out = np.empty_like(arr)
     pos = arr > 0.0
-    x = arr[pos]
-    out[pos] = np.exp(w.prefactor_power * np.log(x) - w.solution.b * x) * _horner(
-        w.solution.coeffs, x
-    )
+    out[pos] = _eval_R_positive(w, arr[pos])
     out[~pos] = _eval_R(w, 0.0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``size`` points on [0, 1], read
+    only: every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(size)
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def normalize(w: RadialWavefunction, r_max: float) -> RadialWavefunction:
     """Rescale a0 so that the norm of R over (0, infinity) is one.
 
-    The integral is adaptive quadrature of R^2 over (0, r_max) plus the
+    The integral is a Gauss-Legendre rule for R^2 over (0, r_max) plus the
     exponential-envelope tail estimate R(r_max)^2 / (2b) for the remainder.
+    R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an exponential, so
+    a fixed rule converges spectrally; it has as many nodes as the series
+    has terms, and at least 64.
     """
     if r_max <= 0:
         raise DomainError("r_max must be positive")
-    def integrand(x: float) -> float:
-        v = float(_eval_R(w, x))
-        return min(v * v, 1e300)  # cap instead of overflowing inside quad
-
+    sol = w.solution
+    t, weights = _gauss_legendre(max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        integral, _ = quad(
-            integrand, 0.0, r_max, epsabs=1e-10, epsrel=1e-12, limit=400
-        )
-        integral += integrand(r_max) / (2.0 * w.solution.b)
+        v = _eval_R_positive(w, r_max * t)
+        # cap instead of overflowing in the sum
+        integral = r_max * float((weights * np.minimum(v * v, 1e300)).sum())
+        v_max = _eval_R(w, r_max)
+        integral += min(v_max * v_max, 1e300) / (2.0 * sol.b)
     if integral >= 1e299:
         integral = math.inf
     if not math.isfinite(integral) or integral <= 0.0:
@@ -180,7 +199,7 @@ def normalize(w: RadialWavefunction, r_max: float) -> RadialWavefunction:
             f"normalization integral is degenerate ({integral!r})"
         )
     scale = 1.0 / math.sqrt(integral)
-    return replace(w, solution=w.solution.scaled(scale), normalized=True)
+    return replace(w, solution=sol.scaled(scale), normalized=True)
 
 
 def ode_residual(

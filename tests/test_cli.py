@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -466,3 +469,22 @@ class TestMain:
         assert rc == 0
         assert (tmp_path / "s" / "wavefunctions.csv").exists()
         assert not (tmp_path / "s" / "energies.csv").exists()
+
+    def test_solve_loads_no_scipy_optimize_or_integrate(self, tmp_path):
+        # a fresh interpreter, so modules other tests imported do not count
+        data = demo_config_dict()
+        data["output"]["directory"] = str(tmp_path / "out")
+        config = write_config(tmp_path, data)
+        script = (
+            "import sys\n"
+            "from pdmradial.cli import main\n"
+            f"assert main(['solve', {str(config)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'optimize'], ['scipy', 'integrate'])))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "energies.csv").exists()

@@ -451,3 +451,88 @@ class TestHigherStates:
         )
         assert res.energy == pytest.approx(e_ref, rel=1e-7)
         assert res.nodes == 8
+
+
+def _brent_trace(solver, f, a, b, **kwargs):
+    """Root or exception type of ``solver`` with every x it evaluated."""
+    xs = []
+
+    def traced(x, *args):
+        xs.append(x)
+        return f(x, *args)
+
+    try:
+        out = solver(traced, a, b, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        out = type(exc)
+    return out, xs
+
+
+class TestBrentPort:
+    # the port must evaluate exactly where scipy.optimize.brentq does and
+    # return its root bit for bit, errors included
+    @pytest.mark.parametrize("f, a, b, kwargs", [
+        (lambda x: x - 1.0, 0.0, 1.0, {}),  # root at the upper end
+        (lambda x: x, 0.0, 1.0, {}),  # root at the lower end
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, {}),  # takes extrapolation steps
+        (lambda x: math.exp(x) - 3.0, 0.0, 5.0, {"xtol": 1e-14, "rtol": 1e-15}),
+        (lambda x: math.atan(50 * (x - 0.123)), -3.0, 7.0, {}),
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, {"maxiter": 3}),  # RuntimeError
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}),  # no sign change
+        (lambda x: 1e-200, 0.0, 1.0, {}),  # same sign, product underflows
+        # NaN at the first secant step
+        (lambda x: math.nan if 0.45 < x < 0.55 else x - 0.5, 0.0, 1.5, {}),
+    ], ids=["root-at-b", "root-at-a", "extrapolating", "tight", "steep",
+            "maxiter", "no-sign-change", "tiny-same-sign", "nan"])
+    def test_same_steps_as_scipy(self, f, a, b, kwargs):
+        from scipy.optimize import brentq as scipy_brentq
+
+        import pdmradial.eigensolver as es_mod
+
+        ours = _brent_trace(es_mod.brentq, f, a, b, **kwargs)
+        theirs = _brent_trace(scipy_brentq, f, a, b, **kwargs)
+        assert ours == theirs
+
+    def test_same_steps_on_random_functions(self):
+        # polynomials plus a sine, with random ends, tolerances and
+        # iteration caps: they reach what the cases above miss, such as a
+        # step refused against 3 |sbis| - delta
+        from scipy.optimize import brentq as scipy_brentq
+
+        import pdmradial.eigensolver as es_mod
+
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            c = rng.uniform(-3.0, 3.0, 5)
+
+            def f(x, c=c):
+                return float(np.polynomial.polynomial.polyval(x, c)
+                             + math.sin(7.0 * c[0] * x))
+
+            a, b = rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0)
+            kwargs = {"xtol": 10.0 ** rng.uniform(-15.0, -3.0),
+                      "maxiter": int(rng.integers(1, 60))}
+            ours = _brent_trace(es_mod.brentq, f, a, b, **kwargs)
+            theirs = _brent_trace(scipy_brentq, f, a, b, **kwargs)
+            assert ours == theirs
+
+    def test_same_steps_on_a_coulomb_mismatch(self):
+        from scipy.optimize import brentq as scipy_brentq
+
+        import pdmradial.eigensolver as es_mod
+
+        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        cfg = SolverConfig(e_bracket=(-0.6, -0.03))
+        for n in range(3):
+            q = QuantumNumbers(3, 0, n)
+            cell, e_c = channel_spectrum(pot, mass, q, cfg.e_bracket).cell(n)
+            geom = es_mod._build_geometry(
+                pot, mass.extended(64), q, cfg, cell, e_c
+            )
+            kwargs = dict(args=(pot, mass.extended(64), q, cfg, geom),
+                          xtol=abs(cell[1]) * 1e-14, rtol=cfg.tol_e,
+                          maxiter=cfg.max_iter)
+            ours = _brent_trace(es_mod.brentq, es_mod._mismatch, *cell, **kwargs)
+            theirs = _brent_trace(scipy_brentq, es_mod._mismatch, *cell, **kwargs)
+            assert ours == theirs
+            assert len(ours[1]) > 5

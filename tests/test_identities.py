@@ -21,3 +21,20 @@ def test_verdicts_do_not_depend_on_seed():
 def test_dual_derivation_check_is_included():
     names = [r.name for r in run_identity_suite()]
     assert "expmass-recursion-vs-general" in names
+
+
+def test_each_check_draws_the_same_alone_and_in_the_suite(monkeypatch):
+    # a check's generator depends on the seed and the check, not on its
+    # place in the list: alone, or with the list reversed, it reports the
+    # same deviation as in the suite
+    import pdmradial.identities as ids
+
+    for seed in (DEFAULT_SEED, 1234):
+        in_suite = {r.name: r.max_deviation for r in run_identity_suite(seed)}
+        for check in ids._CHECKS:
+            alone = check(ids._check_rng(check, seed))
+            assert alone.max_deviation == in_suite[alone.name]
+        monkeypatch.setattr(ids, "_CHECKS", ids._CHECKS[::-1])
+        reversed_order = {r.name: r.max_deviation for r in run_identity_suite(seed)}
+        monkeypatch.undo()
+        assert reversed_order == in_suite

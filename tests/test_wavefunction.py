@@ -9,7 +9,7 @@ from pdmradial.errors import (
     ExtrapolationWarning,
     SingularPointError,
 )
-from pdmradial.mass_expansion import constant_mass
+from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_coulomb, make_cornell
 from pdmradial.recurrence import (
     coulomb_closed_form_coefficients,
@@ -126,6 +126,59 @@ class TestNormalize:
         huge = RadialWavefunction.from_solution(sol.scaled(1e200))
         with pytest.raises(DegenerateWavefunctionError):
             normalize(huge, 40.0)
+
+
+class TestNormalizeRule:
+    # the fixed Gauss-Legendre rule against a tight adaptive quadrature, on
+    # the (wavefunction, r_max) pairs the eigensolver normalizes: the first
+    # excited state of every channel k = 2..6.  (Higher states can end at
+    # radii where the series has lost digits to cancellation; there neither
+    # rule nor quad is better than a few 1e-13.)
+    FAMILIES = {
+        "coulomb": (lambda: (make_coulomb(1.0), constant_mass(1.0)),
+                    lambda k: (-2.4 / (k - 1) ** 2, -2.0 / (k + 5) ** 2)),
+        "oscillator": (lambda: (PotentialSpec(0.0, 1.0, -20.0, 0, 2),
+                                constant_mass(1.0)),
+                       lambda k: (-19.5, -1.0)),
+        "expmass-cornell": (lambda: (make_cornell(1.0, 0.2, -3.0),
+                                     expand_exponential(1.0, 0.2)),
+                            lambda k: (-4.4, -0.8)),
+    }
+
+    @pytest.mark.parametrize("order", [64, 128])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_agrees_with_tight_quad(self, family, order, monkeypatch):
+        from scipy.integrate import quad
+
+        import pdmradial.eigensolver as es_mod
+        from pdmradial.eigensolver import SolverConfig, find_eigenvalue
+
+        seen = []
+
+        def recording(w, r_max):
+            seen.append((w, r_max))
+            return normalize(w, r_max)
+
+        monkeypatch.setattr(es_mod, "normalize", recording)
+        make, window = self.FAMILIES[family]
+        pot, mass = make()
+        for k in range(2, 7):
+            q = QuantumNumbers(2 + k % 2, (k - 2) // 2, 1)
+            assert q.k == k
+            find_eigenvalue(
+                pot, mass, q,
+                SolverConfig(e_bracket=window(k), truncation_order=order),
+            )
+            w, r_max = seen[-1]
+            ours = (w.solution.a0 / normalize(w, r_max).solution.a0) ** 2
+
+            def r2(x):
+                return evaluate(w, x) ** 2
+
+            body, _ = quad(r2, 0.0, r_max, epsabs=0.0, epsrel=1e-13, limit=2000)
+            ref = body + r2(r_max) / (2.0 * w.solution.b)
+            assert abs(ours / ref - 1.0) < 1e-13, (k, ours, ref)
+        assert len(seen) == 5
 
 
 class TestOdeResidual:
