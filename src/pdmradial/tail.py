@@ -50,14 +50,19 @@ def tail_radius(
     r_turn = outer_turning_radius(pot, mass, e)
     r = max(r_turn, 1e-3)
     cap = max(6.0 * r_turn, 40.0 / b)
-    total = 0.0
-    while total < target_exponent and r < cap:
+    # march the radii to the cap in floats, then take the exponent's running
+    # sum (sequential, as a loop would add it) in one array evaluation
+    radii, steps = [r], []
+    while r < cap:
         dr = 0.01 * max(r, 0.1)
-        q2 = 2.0 * float(mass.mass_at(r)) * (float(pot.value(r)) - e)
-        if q2 > 0:
-            total += math.sqrt(q2) * dr
+        steps.append(dr)
         r += dr
-    return r
+        radii.append(r)
+    x = np.asarray(radii[:-1])
+    q2 = 2.0 * np.asarray(mass.mass_at(x), float) * (pot.value(x) - e)
+    total = np.cumsum(np.sqrt(np.where(q2 > 0, q2, 0.0)) * np.asarray(steps))
+    reached = np.flatnonzero(total >= target_exponent)
+    return radii[int(reached[0]) + 1] if reached.size else radii[-1]
 
 
 def outer_turning_radius(pot: PotentialSpec, mass: MassProfile, e: float) -> float:
@@ -79,6 +84,8 @@ def outer_turning_radius(pot: PotentialSpec, mass: MassProfile, e: float) -> flo
     lo, hi = float(probes[last]), float(probes[last + 1])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: nothing left to halve
+            break
         if pot.value(mid) - e <= 0:
             lo = mid
         else:
