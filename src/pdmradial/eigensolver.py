@@ -1,9 +1,9 @@
 """Bound-state energies from the series solution by tail matching.
 
 At a trial energy the origin side is represented by the generated power
-series and the infinity side by a direct inward integration started from the
-local decay rate.  The two are compared at a match radius through the
-normalized Wronskian
+series and the infinity side by the decaying solution of the tail leg
+(``tail.integrate_radial``), a chain of Chebyshev solves from r_far inward.
+The two are compared at a match radius through the normalized Wronskian
 
     w(E) = (R_s' R_i - R_s R_i') / (|(R_s, R_s')| |(R_i, R_i')|),
 
@@ -67,9 +67,8 @@ _NARROW = 1e-6
 # decay lengths 1/b from the match radius to the inward start, at least
 _TAIL_LENGTHS = 10.0
 
-# inward-leg points inside the match radius, for the derivative stencil:
-# r_match is the leg's point _STENCIL
-_STENCIL = 4
+# samples per piece of the inward solution when its nodes are counted
+_NODE_SAMPLES = 2048
 
 
 def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
@@ -153,7 +152,6 @@ class SolverConfig:
     truncation_order: int = 64
     tol_e: float = 1e-10
     max_iter: int = 200
-    leg_step: float = 0.005
     run_oracle: bool = False
 
     def __post_init__(self):
@@ -168,19 +166,9 @@ class SolverConfig:
             ("max_iter", self.max_iter >= 10, "at least 10"),
             ("match_radius", self.match_radius is None or self.match_radius > 0,
              "positive"),
-            ("leg_step", self.leg_step > 0, "positive"),
         ):
             if not ok:
                 raise DomainError(f"{name}: must be {need}")
-
-
-@dataclass(frozen=True)
-class _Geometry:
-    """Fixed matching geometry for one root solve (keeps the mismatch
-    continuous in E; its zeros do not depend on these choices)."""
-
-    r_match: float
-    leg: tail.Leg
 
 
 def _build_geometry(
@@ -190,7 +178,10 @@ def _build_geometry(
     cfg: SolverConfig,
     cell: tuple[float, float],
     e_c: float,
-) -> _Geometry:
+) -> tail.Leg:
+    """The fixed matching geometry of one root solve, the inward leg from
+    r_match to r_far (fixed, it keeps the mismatch continuous in E; its zeros
+    do not depend on these choices)."""
     e_lo, e_hi = cell
     b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
 
@@ -214,29 +205,11 @@ def _build_geometry(
 
     # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
     # lengths out and past the outer turning point of the shallowest cell
-    # energy
+    # energy; the leg is cut into pieces at the deepest one
     r_turn = tail.outer_turning_radius(pot, mass, e_hi)
     r_tail = tail.tail_radius(pot, mass, e_hi)
     r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
-
-    h_target = cfg.leg_step / b_mid
-    n_right = max(int(math.ceil((r_far - r_match) / h_target)), 995)
-    h = (r_far - r_match) / n_right
-    r_lo = r_match - _STENCIL * h
-    if r_lo <= 0:
-        # match radius sits very close to the origin; shrink the stencil
-        # margin by using a finer step
-        h = r_match / 8.0
-        n_right = int(math.ceil((r_far - r_match) / h))
-        r_lo = r_match - _STENCIL * h
-    if n_right > 400_000:
-        raise ConfigurationError(
-            f"inward leg needs {n_right} points (match {r_match:.3g}, "
-            f"far {r_far:.3g}); the cell or match radius is pathological"
-        )
-    n = n_right + _STENCIL
-    leg = tail.make_leg(pot, mass, q, r_lo, r_lo + n * h, n + 1)
-    return _Geometry(r_match, leg)
+    return tail.make_leg(pot, mass, q, r_match, r_far, e_lo)
 
 
 def _series_direction(
@@ -255,20 +228,19 @@ def _mismatch(
     mass: MassProfile,
     q: QuantumNumbers,
     cfg: SolverConfig,
-    geom: _Geometry,
+    geom: tail.Leg,
     want_solution: bool = False,
 ):
     """Normalized Wronskian of the series and the inward leg at the match
     radius."""
     sol = generate_coefficients(pot, mass, q, e, cfg.truncation_order)
     us, dus = _series_direction(sol, q, geom.r_match)
-    R_in, Rp_in = tail.integrate_radial(geom.leg, e)
-    vi = (float(R_in[_STENCIL]), float(Rp_in[_STENCIL]))
-    w = dus * vi[0] - us * vi[1]
-    norm = math.hypot(us, dus) * math.hypot(*vi)
+    inward = tail.integrate_radial(geom, e)
+    w = dus * inward.R - us * inward.dR
+    norm = math.hypot(us, dus) * math.hypot(inward.R, inward.dR)
     value = w / norm if norm > 0 else 0.0
     if want_solution:
-        return value, sol, R_in, Rp_in
+        return value, sol, inward
     return value
 
 
@@ -279,23 +251,21 @@ def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
     return out[0]
 
 
-def _combined_node_count(
-    sol, q, geom: _Geometry, R_in: np.ndarray, Rp_in: np.ndarray
-) -> int:
+def _combined_node_count(sol, q, geom: tail.Leg, inward: tail.Inward) -> int:
     """Nodes of the matched eigenfunction: series side on (0, r_match] plus
-    the inward solution beyond.
+    the inward solution's pieces beyond.
 
     The inward solution is oriented by the sign of the dot product of the
     two (R, R') vectors at the match radius, which stays well defined when a
     node sits there (R ~ 0, R' large).  Its count starts from the series
     value at r_match, so the sample the series already counted is not
     counted again."""
-    n_series = count_nodes(sol, geom.r_match, samples=2048)
+    n_series = count_nodes(sol, geom.r_match, samples=_NODE_SAMPLES)
 
     u_match, up_match = _series_direction(sol, q, geom.r_match)
-    i = _STENCIL
-    align = math.copysign(1.0, u_match * R_in[i] + up_match * Rp_in[i])
-    return n_series + sign_changes(np.append(u_match, R_in[i + 1 :] * align))
+    align = math.copysign(1.0, u_match * inward.R + up_match * inward.dR)
+    beyond = inward.samples(_NODE_SAMPLES) * align
+    return n_series + sign_changes(np.append(u_match, beyond))
 
 
 def find_eigenvalue(
@@ -351,8 +321,8 @@ def find_eigenvalue(
 
     # brentq returns an energy it has evaluated: that evaluation holds the
     # converged state's series and inward solution
-    residual, sol, R_in, Rp_in = evaluated[e_star]
-    nodes = _combined_node_count(sol, q, geom, R_in, Rp_in)
+    residual, sol, inward = evaluated[e_star]
+    nodes = _combined_node_count(sol, q, geom, inward)
     if nodes != q.radial_n:
         raise WrongStateError(q.radial_n, nodes, e_star)
 

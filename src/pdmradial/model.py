@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -220,7 +219,8 @@ class MassProfile:
             # m0 (-lam)^nu / nu! via exp/log-gamma so large orders stay finite
             nu = np.arange(order + 1)
             signs = np.where(nu % 2 == 0, 1.0, -1.0)
-            series = self.m0 * signs * np.exp(nu * math.log(self.lam) - gammaln(nu + 1))
+            log_fact = np.array([math.lgamma(v + 1.0) for v in range(order + 1)])
+            series = self.m0 * signs * np.exp(nu * math.log(self.lam) - log_fact)
             logd = np.zeros(order + 1)
             logd[0] = -self.lam
             return MassProfile(self.m0, series, logd, "exponential", self.lam)

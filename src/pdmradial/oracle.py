@@ -13,8 +13,10 @@ y(r_max) = 0 (Trefethen, Spectral Methods in MATLAB, 2000, ``cheb.m``).  The
 r = 0 row is kept: there the equation is the regularity condition
 2p y'(0) = (l g(0) + 2 m(0) rV(0)) y(0), with a zero right-hand side, which
 selects the regular branch r^p without any boundary condition at the
-singular point (Boyd, Chebyshev and Fourier Spectral Methods, 2001).  The
-finite real eigenvalues of the pencil are the levels.
+singular point (Boyd, Chebyshev and Fourier Spectral Methods, 2001).  That
+row is eliminated by its Schur complement and every other row divided by
+its -2 m r, which leaves a standard eigenproblem; its real eigenvalues are
+the levels.
 
 ``channel_spectrum`` solves the channel once, at two resolutions.  Level n
 places the bracket (its cell) in which the series path looks for state n,
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig
 
 from .errors import (
     BracketError,
@@ -90,8 +91,8 @@ def collocation_levels(
     nodes: int,
     r_max: float,
 ) -> np.ndarray:
-    """Every finite real eigenvalue, ascending, of the radial equation
-    collocated on ``nodes`` + 1 Chebyshev points of [0, r_max]."""
+    """Every real eigenvalue, ascending, of the radial equation collocated
+    on ``nodes`` + 1 Chebyshev points of [0, r_max]."""
     if q.k < 2:
         raise DegenerateChannelError(
             "collocation needs k = N + 2l >= 2 (k = 1 has no regularity row)"
@@ -114,8 +115,12 @@ def collocation_levels(
         rv = rv + pot.v2 * r ** (1.0 + pot.beta)
     a = r[:, None] * d2 + (q.k - 1.0 - g * r)[:, None] * d1  # 2p = k - 1
     a[np.diag_indices_from(a)] -= q.ell * g + 2.0 * m * rv
-    w = eig(a, np.diag(-2.0 * m * r), right=False, overwrite_a=True, overwrite_b=True)
-    return np.sort(w[np.isfinite(w) & (w.imag == 0)].real)
+    # the r = 0 row, last, has a zero right-hand side: eliminate its unknown
+    # by the Schur complement, then divide each row by its -2 m r
+    red = a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1] / a[-1, -1])
+    red /= (-2.0 * m[:-1] * r[:-1])[:, None]
+    w = np.linalg.eigvals(red)
+    return np.sort(w[w.imag == 0].real)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateChannelError, DomainError, UnsupportedExponentError
 from .model import (
@@ -339,11 +338,11 @@ def coulomb_closed_form_coefficients(
     sign = -1.0 if i % 2 else 1.0
     log_mag = (
         i * math.log(ratio)
-        + gammaln(2 * ell + 2)
-        + gammaln(n + 1)
-        - gammaln(2 * ell + 2 + i)
-        - gammaln(n - i + 1)
-        - gammaln(i + 1)
+        + math.lgamma(2 * ell + 2)
+        + math.lgamma(n + 1)
+        - math.lgamma(2 * ell + 2 + i)
+        - math.lgamma(n - i + 1)
+        - math.lgamma(i + 1)
     )
     return sign * math.exp(log_mag) * a0
 

@@ -1,41 +1,63 @@
-"""The inward tail leg of the series matching: Numerov integration of the
-radial equation from the decaying tail toward the origin.
+"""The inward tail leg of the series matching: the decaying solution of the
+radial equation on [r_match, r_far], from a chain of Chebyshev
+boundary-value solves.
 
 The radial equation R'' = G R' + F R carries a first-derivative term
 G = m'/m whenever the mass varies.  The Liouville substitution R = s y with
-s'/s = G/2 removes it, y'' = (F + G^2/4 - G'/2) y, so one Numerov scheme
-integrates every mass profile (for constant mass s = 1 and the added term
-vanishes).  Inward runs travel the stable direction and are solved in
-float64 as banded triangular systems by LAPACK.  The eigensolver calls
-``integrate_radial`` once per trial energy; ``tail_radius`` and
-``outer_turning_radius`` place the start of the leg in the classically
-forbidden tail.
+s'/s = G/2 removes it, y'' = (F + G^2/4 - G'/2) y = (w0 - m2 E) y, so one
+scheme serves every mass profile (for constant mass s = 1 and the added term
+vanishes).
+
+The leg is cut into pieces across each of which the WKB exponent, the
+integral of sqrt(max(w, 0)) dr, grows by about ``_PIECE_EXPONENT`` at the
+lowest energy of the cell; the cuts do not depend on E, so the solution
+stays continuous in E.  Each piece is one Chebyshev collocation solve in
+coefficient space (Trefethen, Spectral Methods in MATLAB, 2000; Boyd,
+Chebyshev and Fourier Spectral Methods, 2001) with y = 1 at its left end and
+y' = rho y at its right end.  The far piece decays as the WKB tail, rho =
+-sqrt(w(r_far)); every other piece takes rho from the log-derivative at the
+left end of its right neighbour.  Solved from the far end inward, no piece
+spans more than e^25 or so, so none loses its far-end sign to rounding, and
+the sign of R at r_match is the product of the pieces' signs of y at their
+right ends.
+
+The eigensolver calls ``integrate_radial`` once per trial energy;
+``tail_radius`` and ``outer_turning_radius`` place the start of the leg in
+the classically forbidden tail.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import DomainError
 from .model import MassProfile, PotentialSpec, QuantumNumbers, b_from_energy
 
 __all__ = [
+    "Inward",
     "Leg",
+    "Piece",
     "integrate_radial",
     "make_leg",
     "outer_turning_radius",
     "tail_radius",
 ]
 
-MIN_GRID_POINTS = 1000
-# the inward solve starts a new segment wherever the WKB growth exponent has
-# risen by this much (e^300 ~ 1e130, far below the float64 overflow)
-_SEGMENT_EXPONENT = 300.0
+# Chebyshev coefficients (and conditions) of each piece's solve.  With Brent
+# run to 1e-15, the exp-mass Cornell demo channels (l = 0, 1; n = 0..2) give
+# the same energies at 96 and 140, within 1.3e-13 of an independent shooting
+# solve; 64 leave up to 3e-10 relative
+_NODES = 96
+# WKB exponent spanned by one piece, at most e^25 ~ 7e10 of growth
+_PIECE_EXPONENT = 25.0
+# samples of the exponent integral that places the cuts
+_CUT_SAMPLES = 1025
 
 
 def tail_radius(
@@ -110,122 +132,142 @@ def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers, 
     return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m
 
 
+@lru_cache(maxsize=None)
+def _operators(n: int):
+    """Coefficient-space operators of an n-coefficient Chebyshev series on
+    [-1, 1]: the values and second derivatives of T_0 .. T_{n-1} at the n - 2
+    interior Gauss-Lobatto points, the values and first derivatives at
+    x = -1 and the first derivatives at x = 1 (where every T_k is 1).  Each
+    comes from an elementwise recurrence (Clenshaw),
+    not a BLAS product, so it does not depend on the thread count."""
+    x = np.cos(np.pi * np.arange(1, n - 1) / (n - 1))
+    k = np.arange(n, dtype=float)
+    alt = (-1.0) ** k
+    ops = (
+        npcheb.chebvander(x, n - 1),
+        npcheb.chebval(x, npcheb.chebder(np.eye(n), 2)).T,
+        alt, -alt * k * k, k * k,
+    )
+    for a in ops:
+        a.flags.writeable = False
+    return x, ops
+
+
+@dataclass(frozen=True)
+class Piece:
+    """One piece [left, right] of the leg: its collocation rows are
+    ``rows0 + e * rows_e`` at energy e, from y'' = (w0 - m2 e) y on the
+    interior nodes, and ``scale`` = 2 / (right - left) maps d/dx to d/dr."""
+
+    left: float
+    right: float
+    scale: float
+    rows0: np.ndarray
+    rows_e: np.ndarray
+
+
 @dataclass(frozen=True)
 class Leg:
-    """Energy-independent arrays of one inward Numerov run over the uniform
-    radii ``r`` (step ``h``): G = m'/m, w = w0 - m2 e in y'' = w y, and
-    s = exp(int G/2), equal to 1 at the far end where the run starts, so
-    that R = s y; ``m_far`` is the mass there.  Built once per grid, shared
-    by every energy."""
+    """Energy-independent parts of the inward solve over [r_match, r_far]:
+    the pieces, inner first, G = m'/m at r_match, and w0, m2 at r_far for the
+    decay condition there.  Built once per matching geometry, shared by every
+    energy."""
 
-    r: np.ndarray
-    h: float
-    g: np.ndarray
-    w0: np.ndarray
-    m2: np.ndarray
-    s: np.ndarray
-    m_far: float
+    r_match: float
+    r_far: float
+    pieces: tuple[Piece, ...]
+    g_match: float
+    w0_far: float
+    m2_far: float
+
+
+@dataclass(frozen=True)
+class Inward:
+    """The decaying solution at one energy: ``R`` and ``dR`` at r_match, up
+    to a common positive factor, and each piece's Chebyshev coefficients of y
+    (with y = 1 at the piece's left end) with its ``signs``, the sign of R on
+    the piece relative to y, inner piece first."""
+
+    R: float
+    dR: float
+    coeffs: tuple[np.ndarray, ...]
+    signs: tuple[float, ...]
+
+    def samples(self, per_piece: int) -> np.ndarray:
+        """Values with the signs of R at ``per_piece`` uniform points of
+        each piece, r_match itself left out (their magnitudes are on each
+        piece's own scale)."""
+        x = np.linspace(-1.0, 1.0, per_piece)
+        parts = [s * npcheb.chebval(x, c) for c, s in zip(self.coeffs, self.signs)]
+        return np.concatenate(parts)[1:]
+
+
+def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float) -> np.ndarray:
+    """Radii from r_match to r_far, cut where the WKB exponent at ``e_ref``
+    has grown by equal shares of at most ``_PIECE_EXPONENT``."""
+    r = np.linspace(r_match, r_far, _CUT_SAMPLES)
+    _, w0, m2 = _potential_arrays(pot, mass, q, r)
+    k = np.sqrt(np.maximum(w0 - m2 * e_ref, 0.0))
+    growth = np.concatenate(([0.0], np.cumsum(0.5 * (k[1:] + k[:-1]) * np.diff(r))))
+    pieces = max(1, math.ceil(growth[-1] / _PIECE_EXPONENT))
+    marks = growth[-1] * np.arange(1, pieces) / pieces
+    return np.concatenate(([r_match], np.interp(marks, growth, r), [r_far]))
 
 
 def make_leg(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
-    r_min: float,
-    r_max: float,
-    points: int,
+    r_match: float,
+    r_far: float,
+    e_ref: float,
 ) -> Leg:
-    """The arrays of an inward run over ``points`` uniform radii from
-    ``r_min`` to ``r_max``."""
-    if r_min <= 0:
-        raise DomainError("r_min must be positive (the origin is singular)")
-    if r_max <= r_min:
-        raise DomainError("r_max must exceed r_min")
-    if points < MIN_GRID_POINTS:
-        raise DomainError(f"need at least {MIN_GRID_POINTS} grid points")
-    r = np.linspace(r_min, r_max, points)
-    g, w0, m2 = _potential_arrays(pot, mass, q, r)
-    big_g = npoly.polyval(r, npoly.polyint(npoly.polytrim(mass.logderiv_series)))
-    s = np.exp(0.5 * (big_g - big_g[-1]))
-    h = (r_max - r_min) / (points - 1)
-    return Leg(r, h, g, w0, m2, s, float(mass.mass_at(r[-1])))
+    """The pieces of the inward solve over [r_match, r_far], cut by the WKB
+    exponent at ``e_ref`` (the lowest energy it will be solved at, where the
+    tail decays fastest)."""
+    if r_match <= 0:
+        raise DomainError("r_match must be positive (the origin is singular)")
+    if r_far <= r_match:
+        raise DomainError("r_far must exceed r_match")
+    x, (val, d2, *_) = _operators(_NODES)
+    cuts = _cuts(pot, mass, q, r_match, r_far, e_ref)
+    pieces = []
+    for left, right in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        scale = 2.0 / (right - left)
+        r = left + (x + 1.0) / scale
+        _, w0, m2 = _potential_arrays(pot, mass, q, r)
+        pieces.append(Piece(left, right, scale,
+                            scale * scale * d2 - w0[:, None] * val,
+                            m2[:, None] * val))
+    g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]))
+    return Leg(float(r_match), float(r_far), tuple(pieces), float(g[0]),
+               float(w0[1]), float(m2[1]))
 
 
-def _derivative_from_grid(R: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite-difference derivative on a uniform grid (>= 9 points)."""
-    n = R.size
-    assert n >= 9
-    Rp = np.empty_like(R)
-    Rp[2:-2] = (R[:-4] - 8 * R[1:-3] + 8 * R[3:-1] - R[4:]) / (12 * h)
-    # one-sided 4th-order stencils at the edges
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    for i in (0, 1):
-        Rp[i] = np.dot(c, R[i : i + 5])
-    for i in (n - 2, n - 1):
-        Rp[i] = -np.dot(c, R[i : i - 5 : -1])
-    return Rp
-
-
-def _numerov_inward(
-    w0: np.ndarray, m2, e: float, r: np.ndarray, h: float, start
-) -> np.ndarray:
-    """Inward Numerov run on w = w0 - m2 e as float64 banded triangular
-    solves (LAPACK dtbtrs); ``start`` holds the run's first two values.
-
-    In travel order, z_j = y(r[n-1-j]), the recurrence reads
-    c_j z_j - d_{j-1} z_{j-1} + c_{j-2} z_{j-2} = 0, with c = 1 - h^2 w/12
-    and d = 2 + 10 h^2 w/12: a lower-triangular system
-    with two subdiagonals whose column j holds (c_j, -d_j, c_j), with the two
-    start values moved to the right-hand side.  The grid is cut beforehand
-    wherever the WKB exponent, the integral of sqrt(max(w, 0)) dr, has grown
-    by another ``_SEGMENT_EXPONENT``.  Each segment starts from the last two
-    values of the previous one scaled to order one, and the earlier samples
-    are rescaled by the same factor, so no value approaches overflow.  A
-    segment that still gives a non-finite value raises DomainError naming
-    the radius.
-    """
-    n = r.size
-    w = (w0 - m2 * e)[::-1]
-    growth = np.cumsum(np.sqrt(np.maximum(w, 0.0))) * h
-    n_marks = int(growth[-1] // _SEGMENT_EXPONENT)
-    cuts = np.unique(
-        np.searchsorted(growth, _SEGMENT_EXPONENT * np.arange(1, n_marks + 1))
-    )
-    bounds = [2, *cuts[(cuts > 2) & (cuts < n - 1)].tolist(), n]
-
-    h12 = h * h / 12.0
-    c = 1.0 - h12 * w
-    neg_d = -(2.0 + 10.0 * h12 * w)
-    z = np.empty(n)
-    z[0], z[1] = start
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        z[:lo] /= max(abs(z[lo - 2]), abs(z[lo - 1]))
-        ab = np.array([c[lo:hi], neg_d[lo:hi], c[lo:hi]], order="F")
-        rhs = np.zeros((hi - lo, 1))
-        rhs[0] = -neg_d[lo - 1] * z[lo - 1] - c[lo - 2] * z[lo - 2]
-        rhs[1:2] = -c[lo - 1] * z[lo - 1]  # none if the segment has one point
-        x, info = dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
-        finite = np.isfinite(x[:, 0])
-        if info != 0 or not finite.all():
-            j = info - 1 if info > 0 else int(np.argmin(finite))
-            raise DomainError(
-                f"inward Numerov solve is not finite at r={r[n - 1 - lo - j]:.6g} "
-                f"(h^2 w/12 = {h12 * w[lo + j]:.3g}); refine the grid"
-            )
-        z[lo:hi] = x[:, 0]
-    return z[::-1]
-
-
-def integrate_radial(leg: Leg, e: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the radial equation inward over ``leg``; returns R and R'.
-
-    The run starts from the local decay R'/R = -kappa, kappa =
-    sqrt(-2 m(r_max) e), at the far end of the leg, so y'/y = -kappa - G/2
-    there.  The overall scale of the solution is arbitrary.
-    """
-    if e >= 0:
-        raise DomainError("direct integration expects a bound-state energy E < 0")
-    kappa = math.sqrt(-2.0 * leg.m_far * e)
-    start = 1.0, math.exp((kappa + 0.5 * leg.g[-1]) * leg.h)
-    y = _numerov_inward(leg.w0, leg.m2, e, leg.r, leg.h, start)
-    return leg.s * y, leg.s * (_derivative_from_grid(y, leg.h) + 0.5 * leg.g * y)
+def integrate_radial(leg: Leg, e: float) -> Inward:
+    """The decaying solution of the radial equation over ``leg`` at energy
+    ``e``, solved piece by piece from the far end inward.  DomainError when
+    r_far is not in the classically forbidden tail at ``e``."""
+    w_far = leg.w0_far - leg.m2_far * e
+    if not w_far > 0:
+        raise DomainError(
+            f"the inward leg's far end r={leg.r_far:.6g} is not in the "
+            f"forbidden tail at E={e!r} (w = {w_far:.3g})"
+        )
+    _, (_, _, t_left, dt_left, dt_right) = _operators(_NODES)
+    rhs = np.zeros(_NODES)
+    rhs[0] = 1.0
+    a = np.empty((_NODES, _NODES))
+    rho, sign = -math.sqrt(w_far), 1.0
+    coeffs, signs = [], []
+    for piece in reversed(leg.pieces):
+        a[0] = t_left
+        np.add(piece.rows0, e * piece.rows_e, out=a[1:-1])
+        a[-1] = piece.scale * dt_right - rho
+        c = np.linalg.solve(a, rhs)
+        sign *= math.copysign(1.0, float(c.sum()))  # y(right) = sum of c
+        rho = piece.scale * float(dt_left @ c)
+        coeffs.append(c)
+        signs.append(sign)
+    return Inward(sign, sign * (rho + 0.5 * leg.g_match),
+                  tuple(reversed(coeffs)), tuple(reversed(signs)))

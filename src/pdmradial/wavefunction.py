@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateWavefunctionError,
@@ -273,6 +272,6 @@ def coulomb_a0_reference(a_coupling: float, m0: float, n: int, ell: int) -> floa
     nlp = n + ell + 1
     base = 2.0 * a_coupling * m0 / nlp
     log_fact = 0.5 * (
-        math.log(a_coupling * m0) + gammaln(n + 1) - gammaln(n + 2 * ell + 2)
+        math.log(a_coupling * m0) + math.lgamma(n + 1) - math.lgamma(n + 2 * ell + 2)
     )
     return (base ** (ell + 1)) / nlp * math.exp(log_fact)

@@ -488,3 +488,26 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "energies.csv").exists()
+
+    def test_solve_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with every scipy import made
+        # to fail, both demo configs still solve, checked by the oracle
+        configs = []
+        for source in (DEMO_CONFIG, EXPMASS_CONFIG):
+            data = json.loads(source.read_text())
+            data["output"]["directory"] = str(tmp_path / source.stem)
+            configs.append(str(write_config(tmp_path, data, f"{source.stem}.json")))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from pdmradial.cli import main\n"
+            f"for config in {configs!r}:\n"
+            "    assert main(['solve', config]) == 0, config\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        for source in (DEMO_CONFIG, EXPMASS_CONFIG):
+            rows = json.loads((tmp_path / source.stem / "energies.json").read_text())
+            assert rows and all(r["status"] == "ok" for r in rows)

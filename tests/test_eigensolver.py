@@ -93,7 +93,7 @@ class TestNodeAtMatchRadius:
         e_ref = coulomb_reference_energy(1.0, 1.0, q)
         res = find_eigenvalue(
             make_coulomb(1.0), constant_mass(1.0), q,
-            SolverConfig(e_bracket=bracket_around(e_ref), leg_step=0.005),
+            SolverConfig(e_bracket=bracket_around(e_ref)),
         )
         assert res.nodes == 1
         assert abs(res.energy - e_ref) < 1e-10 * abs(e_ref)
@@ -187,7 +187,7 @@ class TestFindEigenvalueErrors:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("leg_step", 0.0), ("leg_step", -0.01)],
+        [("match_radius", 0.0), ("match_radius", -0.01)],
     )
     def test_nonpositive_lengths_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):

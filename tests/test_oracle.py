@@ -43,19 +43,56 @@ def test_oracle_imports_no_series_machinery():
 COULOMB = make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0)
 
 
+def _piece_values(piece, coeffs, x):
+    """r and y on ``piece`` at reference points x in [-1, 1]."""
+    r = piece.left + (x + 1.0) / piece.scale
+    return r, np.polynomial.chebyshev.chebval(x, coeffs)
+
+
+def _exponent(pot, mass, q, a, b, e):
+    # the WKB exponent over [a, b] by a fine trapezoid rule
+    from pdmradial.tail import _potential_arrays
+
+    r = np.linspace(a, b, 20001)
+    _, w0, m2 = _potential_arrays(pot, mass, q, r)
+    k = np.sqrt(np.maximum(w0 - m2 * e, 0.0))
+    return float(np.sum(0.5 * (k[1:] + k[:-1]) * np.diff(r)))
+
+
+OSCILLATOR = (PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
+              QuantumNumbers(3, 0, 0))
+# the oscillator's ground state, R = r e^{-r^2/sqrt(2)}
+OSCILLATOR_E0 = 3.0 / math.sqrt(2.0) - 20.0
+
+
 class TestMakeLeg:
     def test_validation(self):
         with pytest.raises(DomainError):
-            make_leg(*COULOMB, 0.0, 10.0, 2000)
+            make_leg(*COULOMB, 0.0, 10.0, -0.5)
         with pytest.raises(DomainError):
-            make_leg(*COULOMB, 1e-6, 10.0, 500)
+            make_leg(*COULOMB, 1.0, 0.5, -0.5)
         with pytest.raises(DomainError):
-            make_leg(*COULOMB, 1.0, 0.5, 2000)
+            make_leg(*COULOMB, 1.0, 1.0, -0.5)
 
-    def test_step_is_uniform(self):
-        leg = make_leg(*COULOMB, 1e-6, 10.0, 10001)
-        assert leg.r[0] == 1e-6 and leg.r[-1] == 10.0
-        assert np.allclose(np.diff(leg.r), leg.h)
+    def test_pieces_tile_the_leg(self):
+        # the pieces run from r_match to r_far without gap or overlap, and
+        # the WKB exponent at the reference energy is shared equally among
+        # them, none above 25 (plus the cut's sampling error)
+        leg = make_leg(*OSCILLATOR, 0.5, 12.0, OSCILLATOR_E0)
+        ends = [(p.left, p.right) for p in leg.pieces]
+        assert ends[0][0] == 0.5 and ends[-1][1] == 12.0
+        assert all(a[1] == b[0] for a, b in zip(ends[:-1], ends[1:]))
+        total = _exponent(*OSCILLATOR, 0.5, 12.0, OSCILLATOR_E0)
+        assert len(leg.pieces) == math.ceil(total / 25.0) > 1
+        shares = [_exponent(*OSCILLATOR, a, b, OSCILLATOR_E0) for a, b in ends]
+        assert max(shares) < 25.0 * (1 + 1e-3)
+        assert np.allclose(shares, total / len(shares), rtol=1e-3)
+
+    def test_short_leg_is_one_piece(self):
+        # e^-14 of decay fits one solve
+        leg = make_leg(*COULOMB, 2.0, 16.0, -0.5)
+        assert len(leg.pieces) == 1
+        assert (leg.pieces[0].left, leg.pieces[0].right) == (2.0, 16.0)
 
 
 class TestOuterTurningRadius:
@@ -81,77 +118,118 @@ class TestIntegrateRadial:
         assert np.all(g == 0.0)
 
     def test_inward_decays_toward_large_r(self):
-        R, _ = integrate_radial(make_leg(*COULOMB, 2.0, 30.0, 4001), -0.5)
-        assert abs(R[-1]) < abs(R[0])
+        sol = integrate_radial(make_leg(*COULOMB, 2.0, 60.0, -0.5), -0.5)
+        assert len(sol.coeffs) > 1
+        for c in sol.coeffs:
+            y = np.polynomial.chebyshev.chebval(np.array([-1.0, 1.0]), c)
+            assert y[0] == pytest.approx(1.0, abs=1e-14) and abs(y[1]) < 1e-3
+
+    @pytest.mark.parametrize(
+        "e, shape, log_derivative",
+        [(-0.5, lambda r: r, lambda r: 1.0 / r - 1.0),
+         (-0.125, lambda r: r * (1.0 - 0.5 * r),
+          lambda r: 1.0 / r - 0.5 - 1.0 / (2.0 - r))],
+        ids=["ground", "first-excited"],
+    )
+    def test_hydrogen_log_derivative(self, e, shape, log_derivative):
+        # R = r e^{-r} and R = r (1 - r/2) e^{-r/2}: R'/R at the match radius
+        # from the closed forms, on legs of one to three pieces reaching 20
+        # to 70 decay lengths 1/b past r_match, and R with the sign it has
+        # relative to R(r_far)
+        decay = 1.0 / math.sqrt(-2.0 * e)
+        pieces = set()
+        for r_match, lengths in ((1.0, 20.0), (3.0, 40.0), (0.5, 70.0)):
+            r_far = r_match + lengths * decay
+            leg = make_leg(*COULOMB, r_match, r_far, e)
+            sol = integrate_radial(leg, e)
+            pieces.add(len(leg.pieces))
+            assert sol.R == math.copysign(1.0, shape(r_match) * shape(r_far))
+            assert abs(sol.dR / sol.R - log_derivative(r_match)) < 1e-12, r_match
+        assert pieces == {1, 2, 3}
+
+    def test_varying_mass_matches_a_direct_inward_integration(self):
+        # exp-mass Cornell (m0 = 1, lambda = 0.2; a = 1, b = 0.2, c = -3),
+        # N = 3, l = 1: R'/R at r_match against DOP853 on R'' = G R' + F R,
+        # started at r_far from the same decay condition the tail imposes
+        from scipy.integrate import solve_ivp
+
+        from pdmradial.tail import _potential_arrays
+
+        pot, mass = make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64)
+        q, e, r_match, r_far = QuantumNumbers(3, 1, 0), -2.0, 1.2, 45.0
+        sol = integrate_radial(make_leg(pot, mass, q, r_match, r_far, -3.4), e)
+
+        def f_of(r):
+            g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r]))
+            # w = F + G^2/4 - G'/2, and G' = 0 for the exponential mass
+            return g[0], w0[0] - m2[0] * e - 0.25 * g[0] ** 2
+
+        g_far, f_far = f_of(r_far)
+        rho = -math.sqrt(f_far + 0.25 * g_far**2) + 0.5 * g_far
+        run = solve_ivp(
+            lambda r, u: (u[1], f_of(r)[0] * u[1] + f_of(r)[1] * u[0]),
+            (r_far, r_match), (1e-30, rho * 1e-30),
+            method="DOP853", rtol=1e-13, atol=0.0,
+        )
+        R, dR = run.y[:, -1]
+        assert abs(sol.dR / sol.R - dR / R) < 1e-9 * abs(dR / R)
+        assert math.copysign(1.0, sol.R) == math.copysign(1.0, R)
 
 
 class TestInwardKernel:
-    @staticmethod
-    def _loop_reference(w, h, start):
-        # the per-point long-double recurrence the banded solve replaced
-        n = w.size
-        h12 = np.longdouble(h) ** 2 / 12.0
-        wl = w.astype(np.longdouble)
-        c, d = 1.0 - h12 * wl, 2.0 + 10.0 * h12 * wl
-        y = np.zeros(n, dtype=np.longdouble)
-        y[n - 1], y[n - 2] = start
-        for i in range(n - 3, -1, -1):
-            y[i] = (d[i + 1] * y[i + 1] - c[i + 2] * y[i + 2]) / c[i]
-        return y.astype(float)
-
-    def test_matches_long_double_loop(self):
-        # float64 against 80-bit on a stable inward run: agreement to a
-        # few thousand float64 roundings, up to the arbitrary overall scale.
-        # w is the Liouville form of the l = 0 exponential-mass Cornell
-        # channel (m0 = 1, lambda = 0.2; a = 1, b = 0.2, c = -3) at E = -3.
-        from pdmradial.tail import _numerov_inward
-
-        r, h = np.linspace(0.3, 30.0, 4001), (30.0 - 0.3) / 4000
-        w = 0.2 / r + 0.01 + 2.0 * np.exp(-0.2 * r) * (0.2 * r - 1.0 / r)
-        start = (1.0, 1.01)
-        ratio = _numerov_inward(w, 0.0, 0.0, r, h, start) / self._loop_reference(
-            w, h, start
-        )
-        assert np.max(np.abs(ratio / ratio[-1] - 1.0)) < 1e-9
-
     def test_coulomb_ground_state_tail(self):
-        # R = r e^{-r} at E = -1/2: R / (r e^{-r}) flat over the inward run
-        leg = make_leg(*COULOMB, 0.5, 40.0, 8001)
-        R, _ = integrate_radial(leg, -0.5)
-        r = leg.r
-        sel = r <= 30.0
-        ratio = R[sel] / (r[sel] * np.exp(-r[sel]))
-        assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
+        # R = r e^{-r} at E = -1/2: on every piece y is the closed form
+        # scaled to 1 at the piece's left end, to rounding of that scale
+        leg = make_leg(*COULOMB, 0.5, 40.0, -0.5)
+        sol = integrate_radial(leg, -0.5)
+        assert len(leg.pieces) > 1
+        x = np.linspace(-1.0, 1.0, 201)
+        for piece, c in zip(leg.pieces, sol.coeffs):
+            r, y = _piece_values(piece, c, x)
+            exact = r * np.exp(piece.left - r) / piece.left
+            # the decay condition at r_far is WKB's, exact only far inward
+            sel = r <= 30.0
+            assert np.max(np.abs(y[sel] - exact[sel]), initial=0.0) < 1e-14
 
     def test_oscillator_growth_spans_several_segments(self):
         # omega = 1, v3 = -20: the inward solution grows by about e^1131, far
-        # beyond float64, so the solve must be cut into rescaled segments.
-        # The ground state is R = r e^{-r^2/sqrt(2)} at E = 3/sqrt(2) - 20.
-        leg = make_leg(
-            PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
-            QuantumNumbers(3, 0, 0), 0.5, 40.0, 16001,
-        )
-        R, Rp = integrate_radial(leg, 3.0 / math.sqrt(2.0) - 20.0)
-        assert np.all(np.isfinite(R)) and np.all(np.isfinite(Rp))
-        r = leg.r
-        sel = r <= 30.0
-        shape = np.log(np.abs(R[sel])) + r[sel] ** 2 / math.sqrt(2.0) - np.log(r[sel])
-        drift = np.abs(shape - shape[0])
-        assert np.max(drift[r[sel] <= 6.0]) < 1e-8
-        # segments are cut near r = 18 and 27: a wrong rescale there would
-        # show as a jump of order 300 in the log
-        assert np.max(drift) < 1e-3
+        # beyond float64, so the leg is cut into pieces, each on its own
+        # scale.  On each, log|y| of the ground state must follow
+        # ln r - r^2/sqrt(2) wherever y stands clear of rounding, and the
+        # log-derivatives handed from piece to piece must arrive intact.
+        leg = make_leg(*OSCILLATOR, 0.5, 40.0, OSCILLATOR_E0)
+        sol = integrate_radial(leg, OSCILLATOR_E0)
+        assert len(leg.pieces) > 30
+        assert all(s == 1.0 for s in sol.signs)
+        assert abs(sol.dR / sol.R - (2.0 - math.sqrt(2.0) * 0.5)) < 1e-12
+        x = np.linspace(-1.0, 1.0, 101)
+        for piece, c in zip(leg.pieces, sol.coeffs):
+            r, y = _piece_values(piece, c, x)
+            shape = np.log(np.abs(y)) + r**2 / math.sqrt(2.0) - np.log(r)
+            clear = np.abs(y) > 1e-6
+            assert np.max(np.abs(shape[clear] - shape[0])) < 1e-9, piece.left
 
-    def test_overflow_names_the_radius(self, monkeypatch):
-        # without segment cuts the same run overflows float64; the solver
-        # must say where instead of returning non-finite values
-        monkeypatch.setattr(tail_mod, "_SEGMENT_EXPONENT", 1e9)
-        leg = make_leg(
-            PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
-            QuantumNumbers(3, 0, 0), 0.5, 40.0, 16001,
-        )
-        with pytest.raises(DomainError, match=r"not finite at r="):
-            integrate_radial(leg, 3.0 / math.sqrt(2.0) - 20.0)
+    def test_sign_continuous_across_a_node_at_r_match(self):
+        # the first excited k = 3 Coulomb state has its node at r = 2, so
+        # near E = -1/8 the node of the inward solution crosses r_match = 2:
+        # R changes sign there while R' keeps its sign, and the direction
+        # (R, R') turns smoothly instead of flipping
+        leg = make_leg(*COULOMB, 2.0, 40.0, -0.13)
+        directions = []
+        for e in np.linspace(-0.1252, -0.1248, 41):
+            sol = integrate_radial(leg, float(e))
+            directions.append(np.array([sol.R, sol.dR]) / math.hypot(sol.R, sol.dR))
+        d = np.array(directions)
+        assert np.count_nonzero(np.diff(np.sign(d[:, 0]))) == 1
+        assert np.all(d[:, 1] > 0)
+        assert np.max(np.linalg.norm(np.diff(d, axis=0), axis=1)) < 0.05
+
+    def test_far_end_in_the_allowed_region_names_the_radius(self):
+        # at E = -1/2 the Coulomb turning point is r = 2: a leg ending at
+        # r = 1.5 cannot start from a decaying tail
+        leg = make_leg(*COULOMB, 0.5, 1.5, -0.5)
+        with pytest.raises(DomainError, match=r"far end r=1\.5 "):
+            integrate_radial(leg, -0.5)
 
 
 class TestBatchedInwardLeg:
@@ -159,19 +237,21 @@ class TestBatchedInwardLeg:
 
     POT = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
     Q = QuantumNumbers(3, 0, 0)
-    GRID = 0.5, 30.0, 12001
+    GEOMETRY = 0.5, 12.0, -19.5
 
     def _check(self, mass, energies):
-        # one leg serves every trial energy of a root solve; each run on it
-        # must equal a run on a leg built for that energy alone, and leave
+        # one leg serves every trial energy of a root solve; each solve on it
+        # must equal a solve on a leg built for that energy alone, and leave
         # the leg as it was
-        leg = make_leg(self.POT, mass, self.Q, *self.GRID)
-        before = [np.copy(a) for a in (leg.r, leg.w0, leg.m2, leg.s, leg.g)]
+        leg = make_leg(self.POT, mass, self.Q, *self.GEOMETRY)
+        before = [np.copy(a) for p in leg.pieces for a in (p.rows0, p.rows_e)]
         for e in energies:
             shared = integrate_radial(leg, float(e))
-            single = integrate_radial(make_leg(self.POT, mass, self.Q, *self.GRID), float(e))
-            assert all(np.array_equal(a, b) for a, b in zip(shared, single)), e
-        after = (leg.r, leg.w0, leg.m2, leg.s, leg.g)
+            single = integrate_radial(
+                make_leg(self.POT, mass, self.Q, *self.GEOMETRY), float(e))
+            assert (shared.R, shared.dR, shared.signs) == (single.R, single.dR, single.signs)
+            assert all(np.array_equal(a, b) for a, b in zip(shared.coeffs, single.coeffs))
+        after = [a for p in leg.pieces for a in (p.rows0, p.rows_e)]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_match_values_equal_single_runs(self):
@@ -187,6 +267,37 @@ def test_second_derivative_matrix(n):
     d, d2, x = oracle_mod._cheb(n)
     assert np.max(np.abs(d2 - d @ d)) < 1e-13 * np.max(np.abs(d2))
     assert np.max(np.abs(d2 @ x**3 - 6.0 * x)) < 1e-15 * n**4
+
+
+def test_levels_do_not_depend_on_blas_threads():
+    # the reduced eigenproblem goes through LAPACK: its levels, which place
+    # every series bracket, must be the same bits at 1 and 2 BLAS threads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from pdmradial.mass_expansion import constant_mass, expand_exponential\n"
+        "from pdmradial.model import QuantumNumbers, make_cornell, make_coulomb\n"
+        "from pdmradial.oracle import channel_spectrum\n"
+        "for pot, mass, q, window in (\n"
+        "    (make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 1, 0), (-0.6, -0.03)),\n"
+        "    (make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64),\n"
+        "     QuantumNumbers(3, 1, 0), (-3.4, -0.8))):\n"
+        "    s = channel_spectrum(pot, mass, q, window)\n"
+        "    print(s.levels.tolist(), s.check.tolist())\n"
+    )
+    src = str(Path(oracle_mod.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestNumerovEigenvalue:
@@ -215,10 +326,10 @@ class TestNumerovEigenvalue:
     @pytest.mark.parametrize("dim,ell", [(2, 0), (2, 1), (4, 0)])
     def test_expmass_cornell_agrees_with_series(self, dim, ell):
         # the demo's exponential-mass Cornell channels with k <= 4, against
-        # series energies at a fine inward leg (error about 1e-12)
+        # the series energies (error about 1e-12)
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = expand_exponential(1.0, 0.2, 64)
-        cfg = SolverConfig(e_bracket=(-8.0, -0.8), leg_step=0.0025)
+        cfg = SolverConfig(e_bracket=(-8.0, -0.8))
         spectrum = channel_spectrum(
             pot, mass, QuantumNumbers(dim, ell, 0), cfg.e_bracket
         )
