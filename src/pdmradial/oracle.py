@@ -10,7 +10,7 @@ where the centrifugal term has cancelled and rV = -v1 r^(1-alpha)
 + v2 r^(1+beta) + v3 r is regular for alpha <= 1.  It is collocated on
 Chebyshev-Gauss-Lobatto nodes mapped linearly onto [0, r_max], with
 y(r_max) = 0 (Trefethen, Spectral Methods in MATLAB, 2000, ``cheb.m``).  The
-r = 0 row is kept: there the equation is the regularity condition
+r = 0 node is kept: there the equation is the regularity condition
 2p y'(0) = (l g(0) + 2 m(0) rV(0)) y(0), with a zero right-hand side, which
 selects the regular branch r^p without any boundary condition at the
 singular point (Boyd, Chebyshev and Fourier Spectral Methods, 2001).  That

@@ -38,6 +38,15 @@ def test_oracle_imports_no_series_machinery():
         for name in ("recurrence", "wavefunction", "eigensolver")
     )
     assert from_tail == {"tail_radius"}
+    # and the tail builds its own Chebyshev operators: a fault in one
+    # differentiation matrix must not move both answers the same way
+    tail_tree = ast.parse(Path(tail_mod.__file__).read_text())
+    assert not any(
+        "oracle" in (getattr(node, "module", None) or "")
+        or any("oracle" in a.name for a in node.names)
+        for node in ast.walk(tail_tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
 
 
 COULOMB = make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0)
@@ -153,26 +162,26 @@ class TestIntegrateRadial:
         # started at r_far from the same decay condition the tail imposes
         from scipy.integrate import solve_ivp
 
-        from pdmradial.tail import _potential_arrays
-
         pot, mass = make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64)
         q, e, r_match, r_far = QuantumNumbers(3, 1, 0), -2.0, 1.2, 45.0
         sol = integrate_radial(make_leg(pot, mass, q, r_match, r_far, -3.4), e)
 
-        def f_of(r):
-            g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r]))
-            # w = F + G^2/4 - G'/2, and G' = 0 for the exponential mass
-            return g[0], w0[0] - m2[0] * e - 0.25 * g[0] ** 2
+        g, k = -0.2, 5  # G = m'/m, k = N + 2l
 
-        g_far, f_far = f_of(r_far)
-        rho = -math.sqrt(f_far + 0.25 * g_far**2) + 0.5 * g_far
+        def f_of(r):
+            v = -1.0 / r + 0.2 * r - 3.0
+            return (-g * 2 / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r)
+                    + 2.0 * math.exp(-0.2 * r) * (v - e))
+
+        # the tail's condition y'/y = -sqrt(w), w = F + G^2/4, as R'/R
+        rho = -math.sqrt(f_of(r_far) + 0.25 * g * g) + 0.5 * g
         run = solve_ivp(
-            lambda r, u: (u[1], f_of(r)[0] * u[1] + f_of(r)[1] * u[0]),
+            lambda r, u: (u[1], g * u[1] + f_of(r) * u[0]),
             (r_far, r_match), (1e-30, rho * 1e-30),
             method="DOP853", rtol=1e-13, atol=0.0,
         )
         R, dR = run.y[:, -1]
-        assert abs(sol.dR / sol.R - dR / R) < 1e-9 * abs(dR / R)
+        assert abs(sol.dR / sol.R - dR / R) < 1e-11 * abs(dR / R)
         assert math.copysign(1.0, sol.R) == math.copysign(1.0, R)
 
 
@@ -190,6 +199,13 @@ class TestInwardKernel:
             # the decay condition at r_far is WKB's, exact only far inward
             sel = r <= 30.0
             assert np.max(np.abs(y[sel] - exact[sel]), initial=0.0) < 1e-14
+        # which is y'/y = -sqrt(w) with w = -2E - 2/r at r_far = 40, met to
+        # the rounding of y there (about e^-25 of the piece's scale)
+        c = sol.coeffs[-1]
+        y, dy = (np.polynomial.chebyshev.chebval(1.0, a)
+                 for a in (c, np.polynomial.chebyshev.chebder(c)))
+        rho = leg.pieces[-1].scale * dy / y
+        assert abs(rho + math.sqrt(1.0 - 2.0 / 40.0)) < 1e-6
 
     def test_oscillator_growth_spans_several_segments(self):
         # omega = 1, v3 = -20: the inward solution grows by about e^1131, far
