@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import BracketError, ConfigurationError, DomainError, WrongStateErr
 from .identities import DEFAULT_SEED, run_identity_suite
 from .mass_expansion import constant_mass, expand_exponential, mass_from_series
 from .model import (
+    EigenResult,
     MassProfile,
     PotentialSpec,
     QuantumNumbers,
@@ -80,61 +81,11 @@ _POTENTIALS = {
     "general": (PotentialSpec, ("v1", "v2", "v3", "alpha", "beta"), "v1/v2/alpha/beta"),
 }
 
+# mass kind -> the fields it reads
+_MASSES = {"constant": ("m0",), "exponential": ("m0", "lambda"), "series": ("coeffs",)}
 
-@dataclass(frozen=True)
-class PotentialBlock:
-    kind: str
-    params: dict
-
-    def build(self) -> PotentialSpec:
-        p = dict(self.params)
-        offset = _number(p.pop("v3_offset", 0.0), "potential.v3_offset")
-        if self.kind not in _POTENTIALS:
-            raise ConfigError(f"potential.kind: unknown kind {self.kind!r}")
-        make, names, checked = _POTENTIALS[self.kind]
-        try:
-            pot = make(*[
-                _number(p.pop(name), f"potential.{name}", name in ("alpha", "beta"))
-                for name in names
-            ])
-        except KeyError as exc:
-            raise ConfigError(f"potential: missing parameter {exc.args[0]!r}") from None
-        except DomainError as exc:
-            raise ConfigError(f"potential.{checked}: {exc}") from None
-        if p:
-            raise ConfigError(
-                f"potential: unknown parameter(s) {sorted(p)} for kind {self.kind!r}"
-            )
-        if offset:
-            pot = replace(pot, v3=pot.v3 + offset)
-        return pot
-
-
-@dataclass(frozen=True)
-class MassBlock:
-    kind: str
-    m0: float = 1.0
-    lam: float | None = None
-    coeffs: tuple = ()
-
-    def build(self, order: int) -> MassProfile:
-        try:
-            if self.kind == "constant":
-                return constant_mass(self.m0, order)
-            if self.kind == "exponential":
-                if self.lam is None:
-                    raise ConfigError("mass.lambda: required for exponential mass")
-                return expand_exponential(self.m0, self.lam, order)
-            if self.kind == "series":
-                if not self.coeffs:
-                    raise ConfigError("mass.coeffs: required for series mass")
-                return mass_from_series(list(self.coeffs))
-        except DomainError as exc:
-            # the constructors check m0 before lambda
-            field = ("coeffs" if self.kind == "series"
-                     else "lambda" if self.m0 > 0 else "m0")
-            raise ConfigError(f"mass.{field}: {exc}") from None
-        raise ConfigError(f"mass.kind: unknown kind {self.kind!r}")
+_SOLVER_FIELDS = ("e_lo", "e_hi", "truncation_order", "tol_e", "max_iter",
+                  "match_radius", "scan_steps", "oracle")
 
 
 @dataclass(frozen=True)
@@ -142,37 +93,6 @@ class QuantumBlock:
     dim: int
     ell: tuple
     n: tuple
-
-
-@dataclass(frozen=True)
-class SolverBlock:
-    e_lo: float
-    e_hi: float
-    truncation_order: int = 64
-    tol_e: float = 1e-10
-    max_iter: int = 200
-    match_radius: float | None = None
-    # accepted for older configs and ignored: the brackets come from the
-    # collocation spectrum, not from a scan.  A value older versions refused
-    # is still refused, so no config changes from invalid to valid.
-    scan_steps: int | None = None
-    oracle: bool = True
-
-    def build(self) -> SolverConfig:
-        if self.scan_steps is not None and self.scan_steps < 10:
-            raise ConfigError("solver.scan_steps: must be at least 10")
-        try:
-            return SolverConfig(
-                e_bracket=(self.e_lo, self.e_hi),
-                match_radius=self.match_radius,
-                truncation_order=self.truncation_order,
-                tol_e=self.tol_e,
-                max_iter=self.max_iter,
-                run_oracle=self.oracle,
-            )
-        except DomainError as exc:
-            # SolverConfig's messages start with the offending field's name
-            raise ConfigError(f"solver.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -185,38 +105,17 @@ class OutputBlock:
 
 @dataclass(frozen=True)
 class RunConfig:
-    potential: PotentialBlock
-    mass: MassBlock
+    """A parsed config: the objects the solve runs on, and where to write."""
+
+    potential: PotentialSpec
+    mass: MassProfile
     quantum: QuantumBlock
-    solver: SolverBlock
+    solver: SolverConfig
     output: OutputBlock
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["potential"] = {"kind": self.potential.kind, **self.potential.params}
-        mass = {"kind": self.mass.kind, "m0": self.mass.m0}
-        if self.mass.lam is not None:
-            mass["lambda"] = self.mass.lam
-        if self.mass.coeffs:
-            mass["coeffs"] = list(self.mass.coeffs)
-        d["mass"] = mass
-        d["quantum"] = {
-            "dim": self.quantum.dim,
-            "ell": list(self.quantum.ell),
-            "n": list(self.quantum.n),
-        }
-        d["output"] = {
-            "directory": self.output.directory,
-            "formats": list(self.output.formats),
-            "coefficients": self.output.coefficients,
-        }
-        if self.output.wavefunction_grid is not None:
-            d["output"]["wavefunction_grid"] = dict(self.output.wavefunction_grid)
-        return d
 
-
-def _reject_unknown(raw: dict, block: type, where: str) -> None:
-    unknown = sorted(set(raw) - {f.name for f in fields(block)})
+def _reject_unknown(raw: dict, known, where: str) -> None:
+    unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]}: unknown field")
 
@@ -235,12 +134,121 @@ def _flag(block: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
+def _potential(raw) -> PotentialSpec:
+    p = _object(raw, "potential")
+    kind = p.pop("kind", None)
+    if kind is None:
+        raise ConfigError("potential.kind: required field is missing")
+    kind = str(kind)
+    offset = _number(p.pop("v3_offset", 0.0), "potential.v3_offset")
+    if kind not in _POTENTIALS:
+        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    make, names, checked = _POTENTIALS[kind]
+    try:
+        pot = make(*[
+            _number(p.pop(name), f"potential.{name}", name in ("alpha", "beta"))
+            for name in names
+        ])
+    except KeyError as exc:
+        raise ConfigError(f"potential: missing parameter {exc.args[0]!r}") from None
+    except DomainError as exc:
+        raise ConfigError(f"potential.{checked}: {exc}") from None
+    if p:
+        raise ConfigError(f"potential: unknown parameter(s) {sorted(p)} for kind {kind!r}")
+    return replace(pot, v3=pot.v3 + offset) if offset else pot
+
+
+def _mass(raw) -> MassProfile:
+    """The mass profile at its lowest order; parse_config carries it to the
+    truncation order once the solver block is read."""
+    given = _object(raw, "mass")
+    kind = str(given.pop("kind", "constant"))
+    m0 = _number(given.get("m0", 1.0), "mass.m0")
+    lam = _number(given["lambda"], "mass.lambda") if "lambda" in given else None
+    coeffs = [_number(c, "mass.coeffs")
+              for c in _list(given.get("coeffs", []), "mass.coeffs")]
+    unknown = sorted(set(given) - {"m0", "lambda", "coeffs"})
+    if unknown:
+        raise ConfigError(f"mass: unknown parameter(s) {unknown}")
+    if kind not in _MASSES:
+        raise ConfigError(f"mass.kind: unknown kind {kind!r}")
+    unused = sorted(set(given) - set(_MASSES[kind]))
+    if unused:
+        raise ConfigError(f"mass.{unused[0]}: not used by kind {kind!r}")
+    try:
+        if kind == "constant":
+            return constant_mass(m0)
+        if kind == "exponential":
+            if lam is None:
+                raise ConfigError("mass.lambda: required for exponential mass")
+            return expand_exponential(m0, lam, 0)
+        if not coeffs:
+            raise ConfigError("mass.coeffs: required for series mass")
+        return mass_from_series(coeffs)
+    except DomainError as exc:
+        # the constructors check m0 before lambda
+        field = "coeffs" if kind == "series" else "lambda" if m0 > 0 else "m0"
+        raise ConfigError(f"mass.{field}: {exc}") from None
+
+
+def _quantum(raw) -> QuantumBlock:
+    q = _object(raw, "quantum")
+    _reject_unknown(q, ("dim", "ell", "n"), "quantum")
+
+    def integers(key):
+        field = f"quantum.{key}"
+        return tuple(_number(x, field, integer=True)
+                     for x in _list(_require(q, key, "quantum"), field))
+
+    dim = _number(_require(q, "dim", "quantum"), "quantum.dim", integer=True)
+    ell, n = integers("ell"), integers("n")
+    if dim < 1:
+        raise ConfigError("quantum.dim: must be >= 1")
+    if min(ell + n, default=0) < 0:
+        raise ConfigError("quantum.ell / quantum.n: entries must be >= 0")
+    return QuantumBlock(dim, ell, n)
+
+
+def _solver(raw) -> SolverConfig:
+    s = _object(raw, "solver")
+    _reject_unknown(s, _SOLVER_FIELDS, "solver")
+
+    def number(key, default, integer=False):
+        # a missing field, or null where the default is null, takes the default
+        value = s.get(key, default)
+        if value is None and default is None:
+            return None
+        return _number(value, f"solver.{key}", integer)
+
+    bracket = (_number(_require(s, "e_lo", "solver"), "solver.e_lo"),
+               _number(_require(s, "e_hi", "solver"), "solver.e_hi"))
+    settings = dict(
+        truncation_order=number("truncation_order", 64, integer=True),
+        tol_e=number("tol_e", 1e-10),
+        max_iter=number("max_iter", 200, integer=True),
+        match_radius=number("match_radius", None),
+    )
+    # accepted for older configs and ignored: the brackets come from the
+    # collocation spectrum, not from a scan.  A value older versions refused
+    # is still refused, so no config changes from invalid to valid.
+    scan_steps = number("scan_steps", None, integer=True)
+    run_oracle = _flag(s, "oracle", True, "solver")
+    if scan_steps is not None and scan_steps < 10:
+        raise ConfigError("solver.scan_steps: must be at least 10")
+    try:
+        return SolverConfig(e_bracket=bracket, run_oracle=run_oracle, **settings)
+    except DomainError as exc:
+        # SolverConfig's messages start with the offending field's name
+        raise ConfigError(f"solver.{exc}") from None
+
+
 def _wavefunction_grid(grid) -> dict | None:
     where = "output.wavefunction_grid"
     if grid is None:
         return None
     if not isinstance(grid, dict) or "r_max" not in grid or "points" not in grid:
         raise ConfigError(f"{where}: needs r_max and points")
+    _reject_unknown(grid, ("r_max", "points"), where)
     if _number(grid["r_max"], f"{where}.r_max") <= 0:
         raise ConfigError(f"{where}.r_max: must be a positive number")
     if _number(grid["points"], f"{where}.points", integer=True) < 2:
@@ -248,90 +256,42 @@ def _wavefunction_grid(grid) -> dict | None:
     return grid
 
 
+def _output(raw) -> OutputBlock:
+    o = _object(raw, "output")
+    _reject_unknown(o, [f.name for f in fields(OutputBlock)], "output")
+    formats = tuple(_list(o.get("formats", ["csv", "json"]), "output.formats"))
+    for fmt in formats:
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"output.formats: unknown format {fmt!r}")
+    directory = o.get("directory", "out")
+    if not isinstance(directory, str):
+        raise ConfigError("output.directory: must be a string")
+    return OutputBlock(
+        directory=directory,
+        formats=formats,
+        coefficients=_flag(o, "coefficients", False, "output"),
+        wavefunction_grid=_wavefunction_grid(o.get("wavefunction_grid")),
+    )
+
+
 def parse_config(data: dict) -> RunConfig:
+    """Check every block, in potential, mass, quantum, solver, output order,
+    and build each model object once."""
     if not isinstance(data, dict):
         raise ConfigError("top level: config must be a JSON object")
     for name in ("potential", "mass", "quantum", "solver"):
         if name not in data:
             raise ConfigError(f"{name}: required block is missing")
-
-    pot_raw = _object(data["potential"], "potential")
-    kind = pot_raw.pop("kind", None)
-    if kind is None:
-        raise ConfigError("potential.kind: required field is missing")
-    potential = PotentialBlock(kind=str(kind), params=pot_raw)
-    potential.build()  # validate eagerly
-
-    mass_raw = _object(data["mass"], "mass")
-    mkind = str(mass_raw.pop("kind", "constant"))
-    mass = MassBlock(
-        kind=mkind,
-        m0=_number(mass_raw.pop("m0", 1.0), "mass.m0"),
-        lam=(_number(mass_raw.pop("lambda"), "mass.lambda")
-             if "lambda" in mass_raw else None),
-        coeffs=tuple(_number(c, "mass.coeffs")
-                     for c in _list(mass_raw.pop("coeffs", []), "mass.coeffs")),
-    )
-    if mass_raw:
-        raise ConfigError(f"mass: unknown parameter(s) {sorted(mass_raw)}")
-    mass.build(order=8)  # validate eagerly
-
-    q_raw = _object(data["quantum"], "quantum")
-    _reject_unknown(q_raw, QuantumBlock, "quantum")
-
-    def integers(key):
-        field = f"quantum.{key}"
-        return tuple(_number(x, field, integer=True)
-                     for x in _list(_require(q_raw, key, "quantum"), field))
-
-    quantum = QuantumBlock(
-        dim=_number(_require(q_raw, "dim", "quantum"), "quantum.dim", integer=True),
-        ell=integers("ell"),
-        n=integers("n"),
-    )
-    if quantum.dim < 1:
-        raise ConfigError("quantum.dim: must be >= 1")
-    if any(l < 0 for l in quantum.ell) or any(n < 0 for n in quantum.n):
-        raise ConfigError("quantum.ell / quantum.n: entries must be >= 0")
-
-    s_raw = _object(data["solver"], "solver")
-    _reject_unknown(s_raw, SolverBlock, "solver")
-
-    def number(key, default, integer=False):
-        # a missing field, or null where the default is null, takes the default
-        value = s_raw.get(key, default)
-        if value is None and default is None:
-            return None
-        return _number(value, f"solver.{key}", integer)
-
-    solver = SolverBlock(
-        e_lo=_number(_require(s_raw, "e_lo", "solver"), "solver.e_lo"),
-        e_hi=_number(_require(s_raw, "e_hi", "solver"), "solver.e_hi"),
-        truncation_order=number("truncation_order", 64, integer=True),
-        tol_e=number("tol_e", 1e-10),
-        max_iter=number("max_iter", 200, integer=True),
-        match_radius=number("match_radius", None),
-        scan_steps=number("scan_steps", None, integer=True),
-        oracle=_flag(s_raw, "oracle", True, "solver"),
-    )
-    solver.build()  # validate eagerly
-
-    o_raw = _object(data.get("output", {}), "output")
-    _reject_unknown(o_raw, OutputBlock, "output")
-    formats = tuple(_list(o_raw.get("formats", ["csv", "json"]), "output.formats"))
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.formats: unknown format {fmt!r}")
-    directory = o_raw.get("directory", "out")
-    if not isinstance(directory, str):
-        raise ConfigError("output.directory: must be a string")
-    output = OutputBlock(
-        directory=directory,
-        formats=formats,
-        coefficients=_flag(o_raw, "coefficients", False, "output"),
-        wavefunction_grid=_wavefunction_grid(o_raw.get("wavefunction_grid")),
-    )
-
+    potential = _potential(data["potential"])
+    mass = _mass(data["mass"])
+    quantum = _quantum(data["quantum"])
+    solver = _solver(data["solver"])
+    if mass.kind != "custom-series":  # a closed form extends exactly
+        try:
+            mass = mass.extended(solver.truncation_order)
+        except DomainError as exc:  # only an exponential series can fail
+            raise ConfigError(f"mass.lambda: {exc}") from None
+    output = _output(data.get("output", {}))
     return RunConfig(potential, mass, quantum, solver, output)
 
 
@@ -345,70 +305,67 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(data)
 
 
-@dataclass
+_RESULT_COLUMNS = ("energy", "nodes", "norm_const", "tail_residual", "oracle_gap")
+
+
+@dataclass(frozen=True)
 class StateRow:
-    dim: int
-    ell: int
-    radial_n: int
-    k: int
-    energy: float | None = None
-    nodes: int | None = None
-    norm_const: float | None = None
-    tail_residual: float | None = None
-    oracle_gap: float | None = None
-    status: str = "ok"
+    """One requested state: its result, or the message of its failure.  A
+    solved state's message is the oracle's error, if any."""
+
+    q: QuantumNumbers
+    result: EigenResult | None = None
     message: str = ""
-    solution: object = None
+
+    @property
+    def ok(self) -> bool:
+        return self.result is not None
+
+    def state(self) -> dict:
+        return {"dim": self.q.dim_n, "ell": self.q.ell, "radial_n": self.q.radial_n}
+
+    def record(self) -> dict:
+        """The row of energies.json; energies.csv drops the message."""
+        return {
+            **self.state(),
+            "k": self.q.k,
+            # every result column of a failed row reads None
+            **{c: getattr(self.result, c, None) for c in _RESULT_COLUMNS},
+            "status": "ok" if self.ok else "error",
+            "message": self.message,
+        }
 
 
-def _solve_channel(pot, mass, cfg: RunConfig, ell: int) -> dict[int, StateRow]:
+def _solve_channel(cfg: RunConfig, ell: int) -> dict[int, StateRow]:
     """Every requested radial state of one angular channel, bracketed by one
     collocation spectrum; a state that fails gets an error row naming the
     exception."""
-    sb = cfg.solver
-    base = sb.build()
     dim = cfg.quantum.dim
     spectrum = channel_spectrum(
-        pot, mass, QuantumNumbers(dim, ell, 0), (sb.e_lo, sb.e_hi)
+        cfg.potential, cfg.mass, QuantumNumbers(dim, ell, 0), cfg.solver.e_bracket
     )
     states: dict[int, StateRow] = {}
     for n in dict.fromkeys(cfg.quantum.n):
         q = QuantumNumbers(dim, ell, n)
-        row = StateRow(dim=dim, ell=ell, radial_n=n, k=q.k)
         try:
-            result = find_eigenvalue(pot, mass, q, base, spectrum)
+            result = find_eigenvalue(cfg.potential, cfg.mass, q, cfg.solver, spectrum)
         except (BracketError, WrongStateError, ConfigurationError, DomainError) as exc:
-            row.status, row.message = "error", f"{type(exc).__name__}: {exc}"
+            states[n] = StateRow(q, message=f"{type(exc).__name__}: {exc}")
         else:
-            row.energy = result.energy
-            row.nodes = result.nodes
-            row.norm_const = result.norm_const
-            row.tail_residual = result.tail_residual
-            row.oracle_gap = result.oracle_gap
-            row.message = result.oracle_error or ""
-            row.solution = result.solution
-        states[n] = row
+            states[n] = StateRow(q, result, result.oracle_error or "")
     return states
 
 
 def solve_states(cfg: RunConfig) -> list[StateRow]:
     """Solve all (ell, n) rows requested by the config, in config order."""
-    pot = cfg.potential.build()
-    mass = cfg.mass.build(order=cfg.solver.truncation_order)
     rows: list[StateRow] = []
     for ell in cfg.quantum.ell:
         try:
-            channel = _solve_channel(pot, mass, cfg, ell)
+            channel = _solve_channel(cfg, ell)
         except (BracketError, ConfigurationError, DomainError) as exc:
             channel = {
-                n: StateRow(
-                    dim=cfg.quantum.dim,
-                    ell=ell,
-                    radial_n=n,
-                    k=cfg.quantum.dim + 2 * ell,
-                    status="error",
-                    message=f"channel failed: {exc}",
-                )
+                n: StateRow(QuantumNumbers(cfg.quantum.dim, ell, n),
+                            message=f"channel failed: {exc}")
                 for n in cfg.quantum.n
             }
         rows.extend(channel[n] for n in cfg.quantum.n)
@@ -423,104 +380,57 @@ def _fmt_csv(x) -> str:
     return str(x)
 
 
-_ENERGY_COLUMNS = (
-    "dim,ell,radial_n,k,energy,nodes,norm_const,tail_residual,oracle_gap,status"
-)
+def _write(outdir: Path, stem: str, formats, columns, lines, payload) -> None:
+    """``stem``.csv, the ``columns`` header and one line per tuple of
+    ``lines`` (read only for csv), and ``stem``.json from ``payload``, in
+    the requested formats."""
+    if "csv" in formats:
+        text = [",".join(columns)]
+        text.extend(",".join(_fmt_csv(v) for v in line) for line in lines)
+        (outdir / f"{stem}.csv").write_text("\n".join(text) + "\n")
+    if "json" in formats:
+        (outdir / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+_ENERGY_COLUMNS = ("dim", "ell", "radial_n", "k", *_RESULT_COLUMNS, "status")
 
 
 def write_energies(rows: list[StateRow], outdir: Path, formats) -> None:
-    if "csv" in formats:
-        lines = [_ENERGY_COLUMNS]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    _fmt_csv(v)
-                    for v in (
-                        r.dim, r.ell, r.radial_n, r.k, r.energy, r.nodes,
-                        r.norm_const, r.tail_residual, r.oracle_gap, r.status,
-                    )
-                )
-            )
-        (outdir / "energies.csv").write_text("\n".join(lines) + "\n")
-    if "json" in formats:
-        payload = [
-            {
-                "dim": r.dim,
-                "ell": r.ell,
-                "radial_n": r.radial_n,
-                "k": r.k,
-                "energy": r.energy,
-                "nodes": r.nodes,
-                "norm_const": r.norm_const,
-                "tail_residual": r.tail_residual,
-                "oracle_gap": r.oracle_gap,
-                "status": r.status,
-                "message": r.message,
-            }
-            for r in rows
-        ]
-        (outdir / "energies.json").write_text(json.dumps(payload, indent=2) + "\n")
+    records = [r.record() for r in rows]
+    lines = ([rec[c] for c in _ENERGY_COLUMNS] for rec in records)
+    _write(outdir, "energies", formats, _ENERGY_COLUMNS, lines, records)
 
 
 def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> None:
-    ok = [r for r in rows if r.status == "ok"]
-    if "csv" in formats:
-        lines = ["dim,ell,radial_n,i,a_i"]
-        for r in ok:
-            for i, a in enumerate(r.solution.coeffs):
-                lines.append(f"{r.dim},{r.ell},{r.radial_n},{i},{a:.12g}")
-        (outdir / "coefficients.csv").write_text("\n".join(lines) + "\n")
-    if "json" in formats:
-        payload = [
-            {
-                "dim": r.dim,
-                "ell": r.ell,
-                "radial_n": r.radial_n,
-                "coefficients": list(r.solution.coeffs),
-            }
-            for r in ok
-        ]
-        (outdir / "coefficients.json").write_text(json.dumps(payload, indent=2) + "\n")
+    ok = [(r.state(), r.result.solution.coeffs) for r in rows if r.ok]
+    lines = ((*state.values(), i, a) for state, coeffs in ok
+             for i, a in enumerate(coeffs))
+    payload = [{**state, "coefficients": list(coeffs)} for state, coeffs in ok]
+    _write(outdir, "coefficients", formats, ("dim", "ell", "radial_n", "i", "a_i"),
+           lines, payload)
 
 
-def write_wavefunctions(
-    rows: list[StateRow], grid: dict, outdir: Path, formats
-) -> None:
-    r_max = float(grid["r_max"])
+def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats) -> None:
     points = int(grid["points"])
-    radii = np.linspace(0.0, r_max, points)
-    ok = [r for r in rows if r.status == "ok"]
+    radii = np.linspace(0.0, float(grid["r_max"]), points)
     samples = []
-    for row in ok:
-        wave = RadialWavefunction.from_solution(row.solution.scaled(row.norm_const))
+    for res, state in ((r.result, r.state()) for r in rows if r.ok):
+        wave = RadialWavefunction.from_solution(res.solution.scaled(res.norm_const))
         # radii ascend, so the trusted ones come first; the rest read None
         trusted = radii[radii <= wave.eval_cutoff]
         vals = evaluate(wave, trusted).tolist() + [None] * (points - trusted.size)
-        samples.append((row, vals))
-    if "csv" in formats:
-        lines = ["dim,ell,radial_n,r,R"]
-        for row, vals in samples:
-            for x, v in zip(radii, vals):
-                if v is None:
-                    continue
-                lines.append(
-                    f"{row.dim},{row.ell},{row.radial_n},{x:.12g},{v:.12g}"
-                )
-        (outdir / "wavefunctions.csv").write_text("\n".join(lines) + "\n")
-    if "json" in formats:
-        payload = [
-            {
-                "dim": row.dim,
-                "ell": row.ell,
-                "radial_n": row.radial_n,
-                "r": [float(x) for x in radii],
-                "R": vals,
-            }
-            for row, vals in samples
-        ]
-        (outdir / "wavefunctions.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
+        samples.append((state, vals))
+    lines = ((*state.values(), x, v) for state, vals in samples
+             for x, v in zip(radii, vals) if v is not None)
+    r = [float(x) for x in radii]
+    payload = [{**state, "r": r, "R": vals} for state, vals in samples]
+    _write(outdir, "wavefunctions", formats, ("dim", "ell", "radial_n", "r", "R"),
+           lines, payload)
+
+
+# subcommand -> the artifacts it writes
+_ARTIFACTS = {"solve": ("energies",), "coefficients": ("coefficients",),
+              "sample": ("wavefunctions",)}
 
 
 def run_solve(config_path: str, artifacts: tuple = ("energies",)) -> int:
@@ -537,20 +447,21 @@ def run_solve(config_path: str, artifacts: tuple = ("energies",)) -> int:
     wanted = set(artifacts)
     if "energies" in wanted:
         write_energies(rows, outdir, cfg.output.formats)
-    if "coefficients" in wanted or (
-        "energies" in wanted and cfg.output.coefficients
-    ):
+        # the config's optional dumps come with the energies
+        if cfg.output.coefficients:
+            wanted.add("coefficients")
+        if cfg.output.wavefunction_grid is not None:
+            wanted.add("wavefunctions")
+    if "coefficients" in wanted:
         write_coefficients(rows, outdir, cfg.output.formats)
-    if "wavefunctions" in wanted or (
-        "energies" in wanted and cfg.output.wavefunction_grid is not None
-    ):
+    if "wavefunctions" in wanted:
         grid = cfg.output.wavefunction_grid or {"r_max": 10.0, "points": 201}
         write_wavefunctions(rows, grid, outdir, cfg.output.formats)
 
-    failures = [r for r in rows if r.status != "ok"]
+    failures = [r for r in rows if not r.ok]
     for r in failures:
         print(
-            f"state dim={r.dim} ell={r.ell} n={r.radial_n} failed: {r.message}",
+            f"state dim={r.q.dim_n} ell={r.q.ell} n={r.q.radial_n} failed: {r.message}",
             file=sys.stderr,
         )
     return 1 if failures else 0
@@ -579,29 +490,16 @@ def main(argv: list[str] | None = None) -> int:
         "radial Schrodinger equation via series recurrences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve energies per config")
-    p_solve.add_argument("config")
-
-    p_verify = sub.add_parser("verify", help="run the closed-form identity suite")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p_coeff = sub.add_parser("coefficients", help="dump series coefficients")
-    p_coeff.add_argument("config")
-
-    p_sample = sub.add_parser("sample", help="dump wavefunction samples")
-    p_sample.add_argument("config")
+    sub.add_parser("solve", help="solve energies per config").add_argument("config")
+    sub.add_parser("verify", help="run the closed-form identity suite").add_argument(
+        "--seed", type=int, default=DEFAULT_SEED)
+    sub.add_parser("coefficients", help="dump series coefficients").add_argument("config")
+    sub.add_parser("sample", help="dump wavefunction samples").add_argument("config")
 
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        return run_solve(args.config)
     if args.command == "verify":
         return run_verify(args.seed)
-    if args.command == "coefficients":
-        return run_solve(args.config, artifacts=("coefficients",))
-    if args.command == "sample":
-        return run_solve(args.config, artifacts=("wavefunctions",))
-    return 2
+    return run_solve(args.config, _ARTIFACTS[args.command])
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ The brackets come from the channel's collocation spectrum
 between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-6 |E_n| inside the cell and on the whole cell only when that
 narrow bracket shows no sign change.  The node count of the converged state
-is verified on the series side alone.
+is verified on the series and on the inward pieces past the match radius.
 """
 
 from __future__ import annotations
@@ -143,8 +143,9 @@ class SolverConfig:
     ``e_bracket`` is the energy window in which states are sought.
     ``match_radius`` defaults to 1.5/b at the midpoint of the state's cell,
     clamped to the series trust region at the state's collocation level.
-    The inward integration starts ten decay lengths 1/b past the match
-    radius or past the outer turning point, whichever is farther.
+    The inward integration starts at r_far, the farthest of ten decay
+    lengths 1/b past the match radius, and 1.2 times the outer turning
+    radius and ``tail.tail_radius``, both at the cell's upper energy.
     """
 
     e_bracket: tuple[float, float]

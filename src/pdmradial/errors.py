@@ -43,7 +43,7 @@ class ConfigurationError(RuntimeError):
 
 
 class ResolutionError(RuntimeError):
-    """Grid resolution check failed: integration error estimate above tolerance."""
+    """Resolution check failed: the oracle's two collocation solves disagree."""
 
 
 class DegenerateWavefunctionError(RuntimeError):

@@ -15,6 +15,7 @@ from pdmradial.cli import (
     run_solve,
     run_verify,
 )
+from pdmradial.model import make_coulomb
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = REPO / "configs" / "coulomb_demo.json"
@@ -48,13 +49,8 @@ def demo_run(tmp_path_factory):
 class TestConfigParsing:
     def test_demo_config_parses(self):
         cfg = load_config(DEMO_CONFIG)
-        assert cfg.potential.kind == "coulomb"
+        assert cfg.potential == make_coulomb(1.0)
         assert cfg.quantum.n == (0, 1, 2)
-
-    def test_round_trip(self):
-        cfg = load_config(DEMO_CONFIG)
-        again = parse_config(cfg.to_dict())
-        assert again == cfg
 
     def test_unknown_potential_kind_names_field(self, tmp_path, capsys):
         data = demo_config_dict()
@@ -117,8 +113,17 @@ class TestConfigParsing:
             ("potential", {"kind": "cornell", "a": -1.0, "b_lin": 0.2, "c": -3.0},
              "potential.a/b_lin"),
             ("mass", {"kind": "exponential", "lambda": -0.2}, "mass.lambda"),
-            ("mass", {"m0": -1}, "mass.m0"),
+            ("mass", {"kind": "constant", "m0": -1}, "mass.m0"),
             ("mass", {"kind": "exponential", "m0": -1, "lambda": 0.2}, "mass.m0"),
+            # a field the kind does not read, the default kind included
+            ("mass", {"kind": "constant", "m0": 1.0, "lambda": 0.2}, "mass.lambda"),
+            ("mass", {"m0": 1.0, "lambda": 0.2}, "mass.lambda"),
+            ("mass", {"kind": "constant", "coeffs": [1.0]}, "mass.coeffs"),
+            ("mass", {"kind": "exponential", "m0": 1.0, "lambda": 0.2,
+                      "coeffs": [1.0, -0.2]}, "mass.coeffs"),
+            ("mass", {"kind": "series", "m0": 1.0, "coeffs": [1.0, -0.2]}, "mass.m0"),
+            # a series that fails only at the solver's truncation order
+            ("mass", {"kind": "exponential", "m0": 1.0, "lambda": 50.0}, "mass.lambda"),
             # values of the wrong JSON type: a block that is not an object,
             # strings and lists for numbers, and fractions or booleans for
             # integers, which int() would truncate
@@ -137,7 +142,9 @@ class TestConfigParsing:
             ("quantum", {"dim": True}, "quantum.dim"),
         ],
         ids=["coulomb-z", "cornell-a", "exponential-lambda", "constant-m0",
-             "exponential-m0", "potential-string", "z-string", "z-nan", "general-alpha-fraction",
+             "exponential-m0", "constant-lambda", "default-kind-lambda",
+             "constant-coeffs", "exponential-coeffs", "series-m0",
+             "exponential-lambda-at-order", "potential-string", "z-string", "z-nan", "general-alpha-fraction",
              "m0-string", "coeffs-string", "coeffs-entry-string", "n-string",
              "ell-integer-not-list", "ell-fraction", "dim-fraction", "dim-boolean"],
     )
@@ -146,7 +153,7 @@ class TestConfigParsing:
         data = demo_config_dict()
         if not isinstance(changes, dict):
             data[block] = changes
-        elif "kind" in changes:
+        elif "kind" in changes or block == "mass":  # the whole mass block
             data[block] = dict(changes)
         else:
             data[block].update(changes)
@@ -169,9 +176,12 @@ class TestConfigParsing:
             ("solver", {"oracle": "false"}, "solver.oracle"),
             ("output", {"coefficients": 1}, "output.coefficients"),
             ("output", {"formats": "csv"}, "output.formats"),
+            ("output", {"wavefunction_grid": {"r_max": 5, "points": 11, "pts": 3}},
+             "output.wavefunction_grid.pts"),
         ],
         ids=["points-negative", "points-fraction", "r_max-negative", "r_max-missing",
-             "oracle-string", "coefficients-integer", "formats-string"],
+             "oracle-string", "coefficients-integer", "formats-string",
+             "grid-unknown-field"],
     )
     def test_bad_output_or_flag_is_config_error(self, tmp_path, capsys, block,
                                                 changes, field):
@@ -290,6 +300,44 @@ class TestArtifacts:
         wf = json.loads((tmp_path / "art" / "wavefunctions.json").read_text())
         assert wf[0]["r"][0] == 0.0
         assert wf[0]["R"][0] == 0.0  # R(0) = 0 for k > 1
+
+    def test_writers_match_golden_files(self, tmp_path):
+        # a small Coulomb run whose samples reach past the trust radius, so
+        # the omitted CSV rows and the JSON nulls are pinned too
+        data = demo_config_dict()
+        data["quantum"]["n"] = [0, 1]
+        data["solver"]["truncation_order"] = 24
+        data["output"]["directory"] = str(tmp_path / "out")
+        data["output"]["coefficients"] = True
+        data["output"]["wavefunction_grid"] = {"r_max": 40.0, "points": 41}
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        for name in ("coefficients.csv", "coefficients.json",
+                     "wavefunctions.csv", "wavefunctions.json"):
+            golden = GOLDEN.parent / f"coulomb_demo_{name}"
+            assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
+
+    def test_solve_runs_on_the_parsed_objects(self, monkeypatch):
+        # the config is built once: every state of every channel is solved
+        # with the very potential, mass and solver settings parse_config made
+        import pdmradial.cli as cli_mod
+
+        seen = []
+        original = cli_mod.find_eigenvalue
+
+        def recording(pot, mass, q, cfg, spectrum):
+            seen.append((pot, mass, cfg))
+            return original(pot, mass, q, cfg, spectrum)
+
+        monkeypatch.setattr(cli_mod, "find_eigenvalue", recording)
+        data = json.loads(EXPMASS_CONFIG.read_text())
+        data["solver"]["oracle"] = False
+        cfg = parse_config(data)
+        rows = cli_mod.solve_states(cfg)
+        assert len(seen) == len(rows) == 4
+        for pot, mass, solver in seen:
+            assert pot is cfg.potential
+            assert mass is cfg.mass
+            assert solver is cfg.solver
 
     def test_solver_failure_writes_partial_results(self, tmp_path, capsys):
         data = demo_config_dict()

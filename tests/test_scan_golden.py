@@ -68,13 +68,10 @@ def spectra() -> dict:
     """Problem:ell -> (parsed config, ell, the channel's collocation spectrum)."""
     out = {}
     for name, cfg in problems().items():
-        pot = cfg.potential.build()
-        mass = cfg.mass.build(order=cfg.solver.truncation_order)
-        sb = cfg.solver
         for ell in cfg.quantum.ell:
             out[f"{name}:ell={ell}"] = (cfg, ell, channel_spectrum(
-                pot, mass, QuantumNumbers(cfg.quantum.dim, ell, 0),
-                (sb.e_lo, sb.e_hi),
+                cfg.potential, cfg.mass, QuantumNumbers(cfg.quantum.dim, ell, 0),
+                cfg.solver.e_bracket,
             ))
     return out
 
@@ -119,9 +116,7 @@ def test_brackets_and_labels_unchanged(solved, channel):
 @pytest.mark.parametrize("channel", sorted(FROZEN))
 def test_each_cell_holds_one_level_and_one_sign_change(solved, channel):
     cfg, ell, spectrum = solved[channel]
-    pot = cfg.potential.build()
-    mass = cfg.mass.build(order=cfg.solver.truncation_order)
-    solver = cfg.solver.build()
+    pot, mass, solver = cfg.potential, cfg.mass, cfg.solver
     for n in cfg.quantum.n:
         q = QuantumNumbers(cfg.quantum.dim, ell, n)
         (lo, hi), e_c = spectrum.cell(n)
