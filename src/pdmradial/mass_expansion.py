@@ -66,7 +66,9 @@ def mass_from_series(coeffs) -> MassProfile:
     c = _coeffs(coeffs)
     if c[0] <= 0:
         raise DomainError("mass series must have a positive leading coefficient")
-    return MassProfile(float(c[0]), c, logderiv_from_series(c), "custom-series")
+    with np.errstate(over="ignore", invalid="ignore"):  # MassProfile refuses it
+        logderiv = logderiv_from_series(c)
+    return MassProfile(float(c[0]), c, logderiv, "custom-series")
 
 
 def logderiv_from_series(mass_series, order: int | None = None) -> np.ndarray:

@@ -169,6 +169,13 @@ class MassProfile:
         # of m, coefficient by coefficient, for every retained order.
         b = self.mass_series
         bp = self.logderiv_series
+        # an overflowed series would make the residual NaN, which no
+        # comparison refuses
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(bp))):
+            raise DomainError(
+                "inconsistent mass profile: mass_series or logderiv_series "
+                "is not finite"
+            )
         order = b.size - 1
         if order == 0:
             return
@@ -220,7 +227,8 @@ class MassProfile:
             nu = np.arange(order + 1)
             signs = np.where(nu % 2 == 0, 1.0, -1.0)
             log_fact = np.array([math.lgamma(v + 1.0) for v in range(order + 1)])
-            series = self.m0 * signs * np.exp(nu * math.log(self.lam) - log_fact)
+            with np.errstate(over="ignore"):  # refused as not finite below
+                series = self.m0 * signs * np.exp(nu * math.log(self.lam) - log_fact)
             logd = np.zeros(order + 1)
             logd[0] = -self.lam
             return MassProfile(self.m0, series, logd, "exponential", self.lam)

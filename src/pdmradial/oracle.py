@@ -21,7 +21,8 @@ the levels.
 ``channel_spectrum`` solves the channel once, at two resolutions.  Level n
 places the bracket (its cell) in which the series path looks for state n,
 and the coarser solve checks the level, so one spectrum serves every state
-of the channel.
+of the channel.  The coarser solve runs on the first check, so a solve that
+checks nothing makes only the finer one.
 
 This module shares no solver code with the series path: it imports only the
 domain types and ``tail_radius``, which places r_max.
@@ -29,7 +30,9 @@ domain types and ``tail_radius``, which places r_max.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,7 +54,8 @@ __all__ = [
 ]
 
 # The two (nodes, r_max in tail radii) solves of every channel.  The levels
-# of the finer one are used; the coarser one only checks them.
+# of the finer one are used; the coarser one only checks them, and runs only
+# when a level is checked.
 _RESOLUTIONS = ((80, 1.0), (120, 1.25))
 # WKB exponent of the tail radius at the window's upper energy: every level
 # in the window has decayed by about e^-30 where y(r_max) = 0 is imposed
@@ -126,13 +130,20 @@ def collocation_levels(
 @dataclass(frozen=True)
 class ChannelSpectrum:
     """The collocation levels of one (N, l) channel for an energy window:
-    ``levels`` from the finer solve, ascending, and ``check`` from the
-    coarser one.  Level n has n nodes (Sturm oscillation), so its index is
-    the radial quantum number of the state it approximates."""
+    ``levels`` from the finer solve, ascending, and ``coarse`` from the
+    coarser one, or a function that solves for them.  Level n has n nodes
+    (Sturm oscillation), so its index is the radial quantum number of the
+    state it approximates."""
 
     window: tuple[float, float]
     levels: np.ndarray
-    check: np.ndarray
+    coarse: np.ndarray | Callable[[], np.ndarray]
+
+    @cached_property
+    def check(self) -> np.ndarray:
+        """The coarser solve's levels, solved on first use: only ``checked``
+        reads them."""
+        return self.coarse() if callable(self.coarse) else self.coarse
 
     def cell(self, n: int) -> tuple[tuple[float, float], float]:
         """The cell of level n, from the midpoints to its neighbours clipped
@@ -169,8 +180,9 @@ def channel_spectrum(
     q: QuantumNumbers,
     window: tuple[float, float],
 ) -> ChannelSpectrum:
-    """Both collocation solves of the channel of ``q``, with r_max from the
-    WKB tail of the window's upper energy."""
+    """The collocation solves of the channel of ``q``, the coarser one
+    deferred to the first check, with r_max from the WKB tail of the
+    window's upper energy."""
     e_lo, e_hi = window
     if not (e_lo < e_hi < 0):
         raise DomainError("window must satisfy e_lo < e_hi < 0")
@@ -179,7 +191,7 @@ def channel_spectrum(
     return ChannelSpectrum(
         (e_lo, e_hi),
         collocation_levels(pot, mass, q, n_fine, f_fine * r_tail),
-        collocation_levels(pot, mass, q, n_check, f_check * r_tail),
+        partial(collocation_levels, pot, mass, q, n_check, f_check * r_tail),
     )
 
 

@@ -7,12 +7,16 @@ running convolution tables,
     M'_i = sum_{j+nu=i} a_j b'_nu         (wavefunction x log-derivative),
     T_i  = sum_{j+nu=i} j a_j b'_nu       (T_0 = 0),
 
-with every negative-index entry equal to zero.  The tables are arrays: as
-soon as a_j is fixed it is added into every entry it touches, so entries
-0..n are complete when a_{n+1} is solved for.  The master recurrence is the
-only generator the solver runs.  The paper's own recursion for the
-exponentially decaying mass and the closed forms below are derived apart
-from it and serve as its references.
+with every negative-index entry equal to zero.  As soon as a_j is fixed it
+is added into every entry it touches, so entries 0..n are complete when
+a_{n+1} is solved for.  The coefficients and the tables are Python lists:
+each step reads a handful of scalars and adds one short product into each
+table, where numpy's cost per call outweighs its arithmetic.  Every sum and
+product is the one an array-slice version performs, in the same order, so
+the two give the same bits; the tests keep that version as the reference.
+The master recurrence is the only generator the solver runs.  The paper's
+own recursion for the exponentially decaying mass and the closed forms below
+are derived apart from it and serve as its references.
 """
 
 from __future__ import annotations
@@ -81,60 +85,60 @@ def generate_coefficients(
 
     b = b_from_energy(e, mass.m0)
     ell = q.ell
-
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    scale_log10 = 0.0
+    alpha, beta = int(pot.alpha), int(pot.beta)
+    # the products left to right as the recurrence reads, 2 v1 M = (2 v1) M
+    e2, v1_2, v2_2, v3_2 = 2.0 * e, 2.0 * pot.v1, 2.0 * pot.v2, 2.0 * pot.v3
+    b2 = b * b
 
     # trailing zeros of the mass series (all of a constant mass's beyond m0)
     # add nothing to the tables, so they are dropped
-    bmass = np.trim_zeros(mass.mass_series, "b")
-    blog = np.trim_zeros(mass.logderiv_series, "b")
+    bmass, blog = (_trimmed(c) for c in (mass.mass_series, mass.logderiv_series))
     lm, lb = len(bmass), len(blog)
-    # room for the last coefficient's whole series, so no slice is cut short
-    size = order + 1 + max(lm, lb)
-    m_tab, mp_tab, t_tab = (np.zeros(size) for _ in range(3))
+    # table entry i sits at list index i + pad, so the lowest index read,
+    # n - beta - 1 at n = 0, lands on a leading zero and none wraps; entries
+    # from order on are never read and are not kept
+    pad = beta + 1
+    m_tab, mp_tab, t_tab = ([0.0] * (order + pad) for _ in range(3))
 
-    def add_to_tables(j: int) -> None:
-        # a_j enters M_i, M'_i and T_i for i = j .. j + len(series) - 1
-        m_tab[j : j + lm] += a[j] * bmass
-        if lb:
-            ab = a[j] * blog
-            mp_tab[j : j + lb] += ab
-            t_tab[j : j + lb] += j * ab
-
-    def at(table: np.ndarray, i: int):
-        return table[i] if i >= 0 else 0.0
-
-    add_to_tables(0)
-    v1, v2, v3 = pot.v1, pot.v2, pot.v3
-    alpha, beta = pot.alpha, pot.beta
-    b2 = b * b
-
+    a = [1.0]
+    scale_log10 = 0.0
     for n in range(order):
         an = a[n]
+        i = n + pad  # list index of table entry n
+        # a_n enters M_i, M'_i and T_i for i = n .. n + len(series) - 1; T
+        # takes n times the product M' takes, n (a_n b'_nu)
+        m_tab[i : i + lm] = [x + an * y for x, y in zip(m_tab[i : i + lm], bmass)]
+        if lb:
+            mp_tab[i : i + lb] = [x + an * y for x, y in zip(mp_tab[i : i + lb], blog)]
+            t_tab[i : i + lb] = [x + n * (an * y) for x, y in zip(t_tab[i : i + lb], blog)]
         an1 = a[n - 1] if n >= 1 else 0.0
         base = (
             ((k - 1) + 2.0 * n) * b * an
-            + ell * mp_tab[n]
-            - b * at(mp_tab, n - 1)
-            + t_tab[n]
-            - 2.0 * e * at(m_tab, n - 1)
+            + ell * mp_tab[i]
+            - b * mp_tab[i - 1]
+            + t_tab[i]
+            - e2 * m_tab[i - 1]
             - b2 * an1
         )
         num = (
             base
-            - 2.0 * v1 * at(m_tab, n + alpha - 1)
-            + 2.0 * v2 * at(m_tab, n - beta - 1)
-            + 2.0 * v3 * at(m_tab, n - 1)
+            - v1_2 * m_tab[i + alpha - 1]
+            + v2_2 * m_tab[i - beta - 1]
+            + v3_2 * m_tab[i - 1]
         )
         denom = (n + 1) * (n + k - 1)
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
-        a[n + 1] = num / denom
-        scale_log10 += _guard_overflow(a, n + 1, multiply=(m_tab, mp_tab, t_tab))
-        add_to_tables(n + 1)
+        a.append(num / denom)
+        if abs(a[-1]) > _RESCALE_LIMIT:
+            scale_log10 += _guard_overflow(a, n + 1, multiply=(m_tab, mp_tab, t_tab))
 
-    return SeriesSolution(e, b, a, float(a[0]), order, q, scale_log10)
+    return SeriesSolution(e, b, np.array(a), a[0], order, q, scale_log10)
+
+
+def _trimmed(series: np.ndarray) -> list[float]:
+    """``series`` without its trailing zeros, as a list."""
+    nonzero = np.flatnonzero(series)
+    return series[: nonzero[-1] + 1].tolist() if nonzero.size else []
 
 
 def expmass_cornell_coefficients(
@@ -205,16 +209,16 @@ def expmass_cornell_coefficients(
 def _guard_overflow(a, i, divide=(), multiply=()) -> float:
     """When a_i exceeds the overflow guard, divide the coefficients and the
     ``divide`` tables by |a_i| and the ``multiply`` tables through the
-    reciprocal; returns log10 of the divisor, or 0.0."""
+    reciprocal, in place (lists or arrays); returns log10 of the divisor, or
+    0.0."""
     s = abs(float(a[i]))
     if not s > _RESCALE_LIMIT:
         return 0.0
-    a /= s
-    for table in divide:
-        table /= s
+    for seq in (a, *divide):
+        seq[:] = [x / s for x in seq]
     inv = 1.0 / s
-    for table in multiply:
-        table *= inv
+    for seq in multiply:
+        seq[:] = [x * inv for x in seq]
     return math.log10(s)
 
 

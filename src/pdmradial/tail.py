@@ -153,6 +153,15 @@ def _operators(n: int):
     return x, ops
 
 
+@lru_cache(maxsize=None)
+def _uniform_vander(points: int, n: int) -> np.ndarray:
+    """T_0 .. T_{n-1} at ``points`` uniform points of [-1, 1], read only:
+    every caller shares it."""
+    vander = npcheb.chebvander(np.linspace(-1.0, 1.0, points), n - 1)
+    vander.flags.writeable = False
+    return vander
+
+
 @dataclass(frozen=True)
 class Piece:
     """One piece [left, right] of the leg: its collocation rows are
@@ -196,10 +205,12 @@ class Inward:
     def samples(self, per_piece: int) -> np.ndarray:
         """Values with the signs of R at ``per_piece`` uniform points of
         each piece, r_match itself left out (their magnitudes are on each
-        piece's own scale)."""
-        x = np.linspace(-1.0, 1.0, per_piece)
-        parts = [s * npcheb.chebval(x, c) for c, s in zip(self.coeffs, self.signs)]
-        return np.concatenate(parts)[1:]
+        piece's own scale), from one product with a cached Chebyshev matrix
+        of the points.  Callers read only the signs: the product's rounding
+        may follow the BLAS, which only a value at rounding level could show."""
+        coeffs = np.stack(self.coeffs)
+        values = coeffs @ _uniform_vander(per_piece, coeffs.shape[1]).T
+        return (values * np.array(self.signs)[:, None]).ravel()[1:]
 
 
 def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float) -> np.ndarray:

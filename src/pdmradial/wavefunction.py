@@ -57,26 +57,29 @@ def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
     abs_coeffs = np.abs(coeffs)
     order = coeffs.size - 1
 
-    def excess(r):
-        return last * r**order - ratio * _horner(abs_coeffs, r)
-
     # doubling scan from 1e-12 to the first radius where the ratio is
     # exceeded; overflow in either side of the comparison means the scan ran
     # far past any usable radius, and treating it as "exceeded" keeps the
     # result finite and conservative
     radii = np.ldexp(1e-12, np.arange(220))
     with np.errstate(over="ignore", invalid="ignore"):
-        val = excess(radii)
+        val = last * radii**order - ratio * _horner(abs_coeffs, radii)
     hit = (val > 0) | ~np.isfinite(val)
     if not hit.any():
         return math.inf
+    # the bisection evaluates the envelope on Python floats, with _horner's
+    # operations on a reversed coefficient list built once
+    rev = abs_coeffs[::-1].tolist()
     hi = float(radii[np.argmax(hit)])
     lo = hi / 2.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        val = excess(mid)
+        envelope = 0.0
+        for c in rev:
+            envelope = envelope * mid + c
+        val = last * mid**order - ratio * envelope
         if val > 0 or not math.isfinite(val):
             hi = mid
         else:

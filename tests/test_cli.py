@@ -124,6 +124,10 @@ class TestConfigParsing:
             ("mass", {"kind": "series", "m0": 1.0, "coeffs": [1.0, -0.2]}, "mass.m0"),
             # a series that fails only at the solver's truncation order
             ("mass", {"kind": "exponential", "m0": 1.0, "lambda": 50.0}, "mass.lambda"),
+            # a series that overflows: its residual is NaN, which no
+            # tolerance comparison refuses
+            ("mass", {"kind": "exponential", "m0": 1.0, "lambda": 1e300}, "mass.lambda"),
+            ("mass", {"kind": "series", "coeffs": [1.0, 1e300, 1e300]}, "mass.coeffs"),
             # values of the wrong JSON type: a block that is not an object,
             # strings and lists for numbers, and fractions or booleans for
             # integers, which int() would truncate
@@ -144,7 +148,8 @@ class TestConfigParsing:
         ids=["coulomb-z", "cornell-a", "exponential-lambda", "constant-m0",
              "exponential-m0", "constant-lambda", "default-kind-lambda",
              "constant-coeffs", "exponential-coeffs", "series-m0",
-             "exponential-lambda-at-order", "potential-string", "z-string", "z-nan", "general-alpha-fraction",
+             "exponential-lambda-at-order", "exponential-lambda-overflow",
+             "series-overflow", "potential-string", "z-string", "z-nan", "general-alpha-fraction",
              "m0-string", "coeffs-string", "coeffs-entry-string", "n-string",
              "ell-integer-not-list", "ell-fraction", "dim-fraction", "dim-boolean"],
     )
@@ -339,6 +344,34 @@ class TestArtifacts:
             assert mass is cfg.mass
             assert solver is cfg.solver
 
+    def test_coarse_collocation_solve_only_when_the_oracle_checks(self, monkeypatch):
+        # the 80-node solve only checks the levels: with the oracle off each
+        # channel makes the 120-node solve alone, with the oracle on both,
+        # and the energies are the same bits either way
+        import pdmradial.cli as cli_mod
+        import pdmradial.oracle as oracle_mod
+
+        nodes = []
+        original = oracle_mod.collocation_levels
+
+        def counting(pot, mass, q, n, r_max):
+            nodes.append(n)
+            return original(pot, mass, q, n, r_max)
+
+        monkeypatch.setattr(oracle_mod, "collocation_levels", counting)
+        energies = {}
+        for run_oracle in (False, True):
+            data = json.loads(EXPMASS_CONFIG.read_text())
+            data["solver"]["oracle"] = run_oracle
+            nodes.clear()
+            rows = cli_mod.solve_states(parse_config(data))
+            assert all(row.ok for row in rows)
+            channels = len(data["quantum"]["ell"])
+            assert sorted(nodes) == ([120] * channels if not run_oracle
+                                     else [80] * channels + [120] * channels)
+            energies[run_oracle] = [row.result.energy for row in rows]
+        assert energies[False] == energies[True]
+
     def test_solver_failure_writes_partial_results(self, tmp_path, capsys):
         data = demo_config_dict()
         data["quantum"]["n"] = [0, 9]  # level 9 lies above the window
@@ -401,6 +434,17 @@ class TestPdmConfig:
         assert run_solve(str(write_config(tmp_path, data))) == 0
         got = (tmp_path / "out" / "energies.csv").read_bytes()
         assert got == EXPMASS_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("command, name", [("coefficients", "coefficients.csv"),
+                                               ("sample", "wavefunctions.csv")])
+    def test_golden_coefficients_and_samples(self, tmp_path, command, name):
+        # the demo's series at order 64 with its whole exp-mass table, and its
+        # samples on the default grid, cut at each state's trust radius
+        data = json.loads(EXPMASS_CONFIG.read_text())
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert main([command, str(write_config(tmp_path, data))]) == 0
+        golden = EXPMASS_GOLDEN.parent / f"expmass_cornell_{name}"
+        assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes()
 
 
 class TestTwoDimensionalChannels:

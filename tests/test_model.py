@@ -135,6 +135,16 @@ class TestMassProfile:
         with pytest.raises(DomainError):
             MassProfile(1.0, [1.0, -1.0], [0.5, 0.0], "custom-series")
 
+    def test_non_finite_series_rejected(self):
+        # the residual of an overflowed series is NaN, which passes any
+        # tolerance comparison; the series itself is refused
+        with pytest.raises(DomainError, match="not finite"):
+            expand_exponential(1.0, 1e300, 64)
+        with pytest.raises(DomainError, match="not finite"):
+            MassProfile(1.0, [1.0, np.inf], [np.inf, np.nan], "custom-series")
+        with pytest.raises(DomainError, match="not finite"):
+            MassProfile(1.0, [1.0], [np.nan], "custom-series")
+
     def test_custom_profile_consistency(self):
         mass = mass_from_series([1.0, 0.3, -0.2, 0.05])
         b, bp = mass.mass_series, mass.logderiv_series

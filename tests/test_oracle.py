@@ -240,6 +240,29 @@ class TestInwardKernel:
         assert np.all(d[:, 1] > 0)
         assert np.max(np.linalg.norm(np.diff(d, axis=0), axis=1)) < 0.05
 
+    @pytest.mark.parametrize(
+        "system, geometry",
+        [("coulomb", (0.5, 40.0, -0.5)), ("coulomb", (0.5, 40.0, -0.125)),
+         ("oscillator", (0.5, 40.0, OSCILLATOR_E0))],
+        ids=["coulomb-two-pieces", "coulomb-node", "oscillator-many-pieces"],
+    )
+    def test_samples_are_each_piece_at_uniform_points(self, system, geometry):
+        # the node-count samples: per_piece uniform points of every piece,
+        # inner piece first, with the piece's sign, r_match left out
+        leg = make_leg(*(COULOMB if system == "coulomb" else OSCILLATOR), *geometry)
+        sol = integrate_radial(leg, geometry[2])
+        per_piece = 257
+        x = np.linspace(-1.0, 1.0, per_piece)
+        rows = np.array([sign * np.polynomial.chebyshev.chebval(x, c)
+                         for c, sign in zip(sol.coeffs, sol.signs)])
+        # each piece's values on its own scale
+        scale = np.repeat(np.max(np.abs(rows), axis=1), per_piece)[1:]
+        want, got = rows.ravel()[1:], sol.samples(per_piece)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        clear = np.abs(want) > 1e-10 * scale
+        assert np.array_equal(np.sign(got[clear]), np.sign(want[clear]))
+
     def test_far_end_in_the_allowed_region_names_the_radius(self):
         # at E = -1/2 the Coulomb turning point is r = 2: a leg ending at
         # r = 1.5 cannot start from a decaying tail

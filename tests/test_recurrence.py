@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,10 @@ from pdmradial.model import (
     b_from_energy,
     make_cornell,
     make_coulomb,
+    make_oscillator,
 )
 from pdmradial.recurrence import (
+    _RESCALE_LIMIT,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
     coulomb_closed_form_coefficients,
@@ -297,3 +301,123 @@ class TestBatchedEnergies:
         assert sol.coeffs.shape == (17,)
         for value in (sol.energy, sol.b, sol.a0, sol.scale_log10):
             assert type(value) is float
+
+
+def _array_table_recurrence(pot, mass, q, e, order):
+    """The master recurrence on numpy tables, as the solver ran it before it
+    moved to Python lists: (coefficients, b, scale_log10).  Frozen here as
+    the reference the list version must match bit for bit."""
+    k, ell = q.k, q.ell
+    if mass.order < order and mass.kind != "custom-series":
+        mass = mass.extended(order)
+    b = b_from_energy(e, mass.m0)
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    scale_log10 = 0.0
+    bmass = np.trim_zeros(mass.mass_series, "b")
+    blog = np.trim_zeros(mass.logderiv_series, "b")
+    lm, lb = len(bmass), len(blog)
+    size = order + 1 + max(lm, lb)
+    m_tab, mp_tab, t_tab = (np.zeros(size) for _ in range(3))
+
+    def add_to_tables(j):
+        m_tab[j : j + lm] += a[j] * bmass
+        if lb:
+            ab = a[j] * blog
+            mp_tab[j : j + lb] += ab
+            t_tab[j : j + lb] += j * ab
+
+    def at(table, i):
+        return table[i] if i >= 0 else 0.0
+
+    add_to_tables(0)
+    for n in range(order):
+        an = a[n]
+        an1 = a[n - 1] if n >= 1 else 0.0
+        num = (
+            ((k - 1) + 2.0 * n) * b * an
+            + ell * mp_tab[n]
+            - b * at(mp_tab, n - 1)
+            + t_tab[n]
+            - 2.0 * e * at(m_tab, n - 1)
+            - b * b * an1
+            - 2.0 * pot.v1 * at(m_tab, n + pot.alpha - 1)
+            + 2.0 * pot.v2 * at(m_tab, n - pot.beta - 1)
+            + 2.0 * pot.v3 * at(m_tab, n - 1)
+        )
+        a[n + 1] = num / ((n + 1) * (n + k - 1))
+        s = abs(float(a[n + 1]))
+        if s > _RESCALE_LIMIT:
+            a /= s
+            for table in (m_tab, mp_tab, t_tab):
+                table *= 1.0 / s
+            scale_log10 += math.log10(s)
+        add_to_tables(n + 1)
+    return a, b, scale_log10
+
+
+def _random_case(rng):
+    """A potential, mass, channel, energy and order drawn over alpha 0/1,
+    beta 0-4, the three mass kinds, orders 4-128 and |E| 1e-2 to 3e3."""
+    pot = PotentialSpec(
+        float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.05, 2.0)),
+        float(rng.uniform(-3.0, 3.0)), int(rng.integers(0, 2)), int(rng.integers(0, 5)),
+    )
+    kind = int(rng.integers(0, 3))
+    m0 = float(rng.uniform(0.5, 2.0))
+    if kind == 0:
+        mass = constant_mass(m0)
+    elif kind == 1:
+        mass = expand_exponential(m0, float(rng.uniform(0.01, 1.0)), 0)
+    else:  # a polynomial mass, sometimes with zero entries inside or at the end
+        tail = rng.uniform(-0.3, 0.3, int(rng.integers(0, 6)))
+        tail[rng.uniform(size=tail.size) < 0.3] = 0.0
+        mass = mass_from_series([m0, *tail.tolist()])
+    q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
+    e = -float(10.0 ** rng.uniform(-2.0, math.log10(3e3)))
+    return pot, mass, q, e, int(rng.integers(4, 129))
+
+
+class TestListRecurrenceMatchesArrayTables:
+    """The recurrence on Python lists gives the coefficients, decay rate and
+    rescale record of the array-table recurrence bit for bit."""
+
+    @staticmethod
+    def _assert_same_bits(pot, mass, q, e, order):
+        want, b, scale_log10 = _array_table_recurrence(pot, mass, q, e, order)
+        sol = generate_coefficients(pot, mass, q, e, order)
+        assert np.array_equal(sol.coeffs, want)
+        assert sol.b == b
+        assert sol.scale_log10 == scale_log10
+        assert type(sol.a0) is float and type(sol.scale_log10) is float
+        return sol
+
+    def test_seeded_random_cases(self):
+        rng = np.random.default_rng(20261018)
+        kinds, alphas, betas = set(), set(), set()
+        for _ in range(320):
+            pot, mass, q, e, order = _random_case(rng)
+            self._assert_same_bits(pot, mass, q, e, order)
+            kinds.add(mass.kind)
+            alphas.add(pot.alpha)
+            betas.add(pot.beta)
+        assert kinds == {"constant", "exponential", "custom-series"}
+        assert alphas == {0, 1} and betas == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "pot, mass, e",
+        [
+            (make_coulomb(1.0), constant_mass(1.0), -16000.0),
+            (make_oscillator(1.0), constant_mass(1.0), -16000.0),
+            (make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 0), -1e5),
+            (make_coulomb(1.0), mass_from_series([1.0, 0.5, 0.125]), -16000.0),
+            (make_coulomb(1.0), mass_from_series([1.0, -0.5, 0.125]), -1e5),
+        ],
+        ids=["coulomb", "oscillator", "expmass-cornell", "series-mass",
+             "series-mass-twice"],
+    )
+    def test_deep_energy_rescales_identically(self, pot, mass, e):
+        # b >= 179: the coefficients pass the overflow guard at order 500,
+        # and the tables are rescaled part way through their sums
+        sol = self._assert_same_bits(pot, mass, QuantumNumbers(3, 0, 0), e, 500)
+        assert sol.scale_log10 > 0
