@@ -208,7 +208,7 @@ def _build_geometry(
     # lengths out and past the outer turning point of the shallowest cell
     # energy; the leg is cut into pieces at the deepest one
     r_turn = tail.outer_turning_radius(pot, mass, e_hi)
-    r_tail = tail.tail_radius(pot, mass, e_hi)
+    r_tail = tail.tail_radius(pot, mass, e_hi, r_turn=r_turn)
     r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
     return tail.make_leg(pot, mass, q, r_match, r_far, e_lo)
 

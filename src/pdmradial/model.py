@@ -66,7 +66,22 @@ class PotentialSpec:
         return cls(0.0, 0.0, v3, 1, 1, allow_free=True)
 
     def value(self, r):
-        """Evaluate V at radius ``r`` (scalar or array, r > 0 when alpha > 0)."""
+        """Evaluate V at radius ``r`` (scalar or array, r > 0 when alpha > 0).
+
+        A Python float runs on Python floats when both powers are ones numpy
+        computes without ``pow`` (r^-1 as 1/r, r^0 as 1, r^1 as r, r^2 as
+        r*r), with the array path's operations in its order, so it gives the
+        same bits.  Other powers take the array path: numpy's ``pow`` and
+        libm's round differently on some radii."""
+        if isinstance(r, float) and self.alpha <= 1 and self.beta <= 2:
+            out = float(self.v3)
+            if self.v1 != 0.0:
+                # 1/0 is inf on the array path, not an exception
+                recip = 1.0 / r if r else math.copysign(math.inf, r)
+                out = out - self.v1 * (recip if self.alpha else 1.0)
+            if self.v2 != 0.0:
+                out = out + self.v2 * (1.0, r, r * r)[self.beta]
+            return out
         r = np.asarray(r, dtype=float)
         out = np.full_like(r, self.v3)
         if self.v1 != 0.0:

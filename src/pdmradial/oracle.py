@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -64,9 +64,11 @@ _TAIL_EXPONENT = 30.0
 _SELF_CHECK_RTOL = 1e-8
 
 
+@lru_cache(maxsize=None)
 def _cheb(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First and second Chebyshev differentiation matrices and nodes
-    x_j = cos(pi j / n).
+    x_j = cos(pi j / n), built once per n and read only: every channel
+    shares them.
 
     The second matrix comes entrywise from the first, D2_ij = 2 D_ij (D_ii
     - 1/(x_i - x_j)) off the diagonal and minus the row sum on it (Welfert,
@@ -85,6 +87,8 @@ def _cheb(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.fill_diagonal(d, -d.sum(axis=1))
     np.fill_diagonal(d2, 0.0)
     np.fill_diagonal(d2, -d2.sum(axis=1))
+    for a in (d, d2, x):
+        a.flags.writeable = False
     return d, d2, x
 
 

@@ -131,6 +131,13 @@ def generate_coefficients(
         a.append(num / denom)
         if abs(a[-1]) > _RESCALE_LIMIT:
             scale_log10 += _guard_overflow(a, n + 1, multiply=(m_tab, mp_tab, t_tab))
+            if a[0] == 0.0:
+                raise DomainError(
+                    f"the series at E={e!r} outgrows the float range: the "
+                    f"overflow guard has divided a_0 by 10^{scale_log10:.1f} "
+                    f"(scale_log10 = {scale_log10:.1f}) and it underflows to "
+                    f"zero at a_{n + 1} of truncation_order {order}"
+                )
 
     return SeriesSolution(e, b, np.array(a), a[0], order, q, scale_log10)
 

@@ -58,6 +58,10 @@ _NODES = 96
 _PIECE_EXPONENT = 25.0
 # samples of the exponent integral that places the cuts
 _CUT_SAMPLES = 1025
+# the geometric grid whose last sign change of V - e brackets the outer
+# turning point, read only
+_PROBES = np.geomspace(1e-4, 1e7, 500)
+_PROBES.flags.writeable = False
 
 
 def tail_radius(
@@ -65,11 +69,15 @@ def tail_radius(
     mass: MassProfile,
     e: float,
     target_exponent: float = 14.0,
+    r_turn: float | None = None,
 ) -> float:
     """Radius where the integral of sqrt(2 m (V - e)) past the turning point
-    reaches ``target_exponent`` (capped for slowly decaying tails)."""
+    reaches ``target_exponent`` (capped for slowly decaying tails).
+    ``r_turn``, when given, is ``outer_turning_radius`` at ``e``, which a
+    caller that has it need not have found again."""
     b = b_from_energy(e, mass.m0)
-    r_turn = outer_turning_radius(pot, mass, e)
+    if r_turn is None:
+        r_turn = outer_turning_radius(pot, mass, e)
     r = max(r_turn, 1e-3)
     cap = max(6.0 * r_turn, 40.0 / b)
     # march the radii to the cap in floats, then take the exponent's running
@@ -94,16 +102,15 @@ def outer_turning_radius(pot: PotentialSpec, mass: MassProfile, e: float) -> flo
     change; used to place matching radii and grid ends in the classically
     forbidden tail.
     """
-    probes = np.geomspace(1e-4, 1e7, 500)
-    diff = pot.value(probes) - e
+    diff = pot.value(_PROBES) - e
     neg = np.nonzero(diff <= 0)[0]
     if neg.size == 0:
         return 0.0
     last = int(neg[-1])
-    if last == probes.size - 1:
+    if last == _PROBES.size - 1:
         # still classically allowed at the largest probe: no outer turning
-        return float(probes[-1])
-    lo, hi = float(probes[last]), float(probes[last + 1])
+        return float(_PROBES[-1])
+    lo, hi = float(_PROBES[last]), float(_PROBES[last + 1])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # adjacent floats: nothing left to halve
@@ -115,21 +122,28 @@ def outer_turning_radius(pot: PotentialSpec, mass: MassProfile, e: float) -> flo
     return 0.5 * (lo + hi)
 
 
-def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers, r: np.ndarray):
+def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers,
+                      r: np.ndarray, dlog: np.ndarray):
     """G = m'/m and the energy-independent parts of w with y'' = w y, where
     R = s y, s'/s = G/2 and R'' = G R' + F R:
 
         F(r) = -G (N-1)/(2r) + (k-1)(k-3)/(4 r^2) + 2 m (V - e),
         w(r) = F + G^2/4 - G'/2 = w0 - 2 m e,
 
-    with G' the derivative of the log-derivative series."""
+    with G' from ``dlog``, the series of the derivative of m'/m
+    (``_dlog_series``)."""
     k = q.k
     g = np.asarray(mass.logderiv_at(r), float)
-    dg = npoly.polyval(r, npoly.polyder(npoly.polytrim(mass.logderiv_series)))
+    dg = npoly.polyval(r, dlog)
     m = np.asarray(mass.mass_at(r), float)
     v = np.asarray(pot.value(r), float)
     f0 = -g * (q.dim_n - 1) / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r) + 2.0 * m * v
     return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m
+
+
+def _dlog_series(mass: MassProfile) -> np.ndarray:
+    """The series of G', the derivative of m'/m."""
+    return npoly.polyder(npoly.polytrim(mass.logderiv_series))
 
 
 @lru_cache(maxsize=None)
@@ -213,11 +227,11 @@ class Inward:
         return (values * np.array(self.signs)[:, None]).ravel()[1:]
 
 
-def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float) -> np.ndarray:
+def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float, dlog) -> np.ndarray:
     """Radii from r_match to r_far, cut where the WKB exponent at ``e_ref``
     has grown by equal shares of at most ``_PIECE_EXPONENT``."""
     r = np.linspace(r_match, r_far, _CUT_SAMPLES)
-    _, w0, m2 = _potential_arrays(pot, mass, q, r)
+    _, w0, m2 = _potential_arrays(pot, mass, q, r, dlog)
     k = np.sqrt(np.maximum(w0 - m2 * e_ref, 0.0))
     growth = np.concatenate(([0.0], np.cumsum(0.5 * (k[1:] + k[:-1]) * np.diff(r))))
     pieces = max(1, math.ceil(growth[-1] / _PIECE_EXPONENT))
@@ -241,16 +255,17 @@ def make_leg(
     if r_far <= r_match:
         raise DomainError("r_far must exceed r_match")
     x, (val, d2, *_) = _operators(_NODES)
-    cuts = _cuts(pot, mass, q, r_match, r_far, e_ref)
+    dlog = _dlog_series(mass)
+    cuts = _cuts(pot, mass, q, r_match, r_far, e_ref, dlog)
     pieces = []
     for left, right in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         scale = 2.0 / (right - left)
         r = left + (x + 1.0) / scale
-        _, w0, m2 = _potential_arrays(pot, mass, q, r)
+        _, w0, m2 = _potential_arrays(pot, mass, q, r, dlog)
         pieces.append(Piece(left, right, scale,
                             scale * scale * d2 - w0[:, None] * val,
                             m2[:, None] * val))
-    g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]))
+    g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]), dlog)
     return Leg(float(r_match), float(r_far), tuple(pieces), float(g[0]),
                float(w0[1]), float(m2[1]))
 

@@ -388,6 +388,17 @@ class TestArtifacts:
             "its collocation level is at E="
         )
 
+    def test_series_out_of_float_range_names_energy_and_order(self, tmp_path, capsys):
+        data = demo_config_dict()
+        data["potential"] = {"kind": "coulomb", "z": 1414.0}
+        data["quantum"]["n"] = [0]
+        data["solver"].update(e_lo=-1.1e6, e_hi=-0.9e6, truncation_order=500)
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 1
+        err = capsys.readouterr().err
+        assert "state dim=3 ell=0 n=0 failed: DomainError: the series at E=" in err
+        assert "scale_log10 = " in err and "truncation_order 500" in err
+
     def test_failed_row_names_the_last_failure(self, tmp_path, monkeypatch):
         import pdmradial.cli as cli_mod
         from pdmradial.errors import BracketError

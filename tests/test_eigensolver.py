@@ -325,6 +325,31 @@ class TestScanSpectrum:
         assert abs(res.energy + 0.125) < 1e-10 * 0.125
         assert seen == {"brent": 1, "mismatch": 0, "series": 1}
 
+    def test_one_turning_point_per_energy(self, monkeypatch):
+        # the geometry finds the turning point at the cell's upper energy
+        # once and hands it to tail_radius; the normalization's tail radius
+        # at the root is the only other search
+        import pdmradial.eigensolver as es_mod
+        import pdmradial.tail as tail_mod
+
+        pot, mass, q = make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1)
+        cfg = SolverConfig(e_bracket=(-0.14, -0.11))
+        spectrum = channel_spectrum(pot, mass, q, cfg.e_bracket)
+        calls = []
+        search = tail_mod.outer_turning_radius
+
+        def counting(pot, mass, e):
+            calls.append(e)
+            return search(pot, mass, e)
+
+        monkeypatch.setattr(tail_mod, "outer_turning_radius", counting)
+        cell, e_c = spectrum.cell(q.radial_n)
+        es_mod._build_geometry(pot, mass.extended(64), q, cfg, cell, e_c)
+        assert calls == [cell[1]]
+        calls.clear()
+        res = find_eigenvalue(pot, mass, q, cfg, spectrum)
+        assert calls == [cell[1], res.energy]
+
 
 class TestOrdering:
     def test_cornell_states_ordered_with_exact_node_counts(self):

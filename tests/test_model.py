@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pdmradial.errors import DomainError
 from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
@@ -72,6 +72,41 @@ class TestPotentialConstructors:
         assert pot.value(2.0) == pytest.approx(-1.0 + 1.0 - 1.0)
         arr = pot.value(np.array([1.0, 2.0]))
         assert arr == pytest.approx([-2.5, -1.0])
+
+
+# every potential kind of the config reader; the `general` ones include
+# beta = 3, a power numpy takes through pow (the array path), and alpha = 0
+# with v1 != 0, a constant term
+VALUE_SPECS = [
+    make_coulomb(1.3),
+    make_cornell(0.7, 0.3, -1.1),
+    make_oscillator(1.7),
+    make_linear(0.9),
+    PotentialSpec(0.5, 0.2, 0.1, 1, 3),
+    PotentialSpec(0.5, 0.2, 0.1, 0, 1),
+    PotentialSpec(0.4, 0.6, -0.2, 1, 2),
+    PotentialSpec(0.8, 0.0, 0.3, 0, 0),
+]
+
+
+class TestValueOnFloats:
+    @settings(max_examples=400)
+    @given(
+        pot=st.sampled_from(VALUE_SPECS),
+        r=st.floats(min_value=0.0, allow_nan=False) | st.floats(1e-3, 1e3),
+    )
+    def test_float_equals_array_bit_for_bit(self, pot, r):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = pot.value(np.array([r]))[0]
+            got = pot.value(r)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+
+    def test_coulomb_at_the_origin_is_minus_infinity(self):
+        pot = make_coulomb(1.0)
+        assert pot.value(0.0) == -math.inf
+        with np.errstate(divide="ignore"):
+            assert pot.value(np.array([0.0]))[0] == -math.inf
 
 
 class TestQuantumNumbers:

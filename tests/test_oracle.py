@@ -14,6 +14,7 @@ from pdmradial.tail import (
     integrate_radial,
     make_leg,
     outer_turning_radius,
+    tail_radius,
 )
 
 
@@ -60,10 +61,10 @@ def _piece_values(piece, coeffs, x):
 
 def _exponent(pot, mass, q, a, b, e):
     # the WKB exponent over [a, b] by a fine trapezoid rule
-    from pdmradial.tail import _potential_arrays
+    from pdmradial.tail import _dlog_series, _potential_arrays
 
     r = np.linspace(a, b, 20001)
-    _, w0, m2 = _potential_arrays(pot, mass, q, r)
+    _, w0, m2 = _potential_arrays(pot, mass, q, r, _dlog_series(mass))
     k = np.sqrt(np.maximum(w0 - m2 * e, 0.0))
     return float(np.sum(0.5 * (k[1:] + k[:-1]) * np.diff(r)))
 
@@ -116,13 +117,28 @@ class TestOuterTurningRadius:
         assert outer_turning_radius(pot, constant_mass(1.0), -1.0) == 0.0
 
 
+@pytest.mark.parametrize("pot, mass, e, target", [
+    (make_coulomb(1.0), constant_mass(1.0), -0.11, 14.0),
+    (make_coulomb(1.0), constant_mass(1.0), -0.5, 30.0),
+    (make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64), -0.8, 14.0),
+    (PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0), -15.0, 12.0),
+    (PotentialSpec(0.5, 0.3, 0.0, 1, 3), constant_mass(2.0), -0.2, 14.0),
+])
+def test_tail_radius_with_the_turning_point_given(pot, mass, e, target):
+    r_turn = outer_turning_radius(pot, mass, e)
+    found = tail_radius(pot, mass, e, target)
+    given = tail_radius(pot, mass, e, target, r_turn=r_turn)
+    assert np.float64(given).tobytes() == np.float64(found).tobytes()
+
+
 class TestIntegrateRadial:
     def test_constant_mass_drops_first_derivative_term(self):
-        from pdmradial.tail import _potential_arrays
+        from pdmradial.tail import _dlog_series, _potential_arrays
 
         r = np.linspace(0.1, 5.0, 50)
+        mass = constant_mass(1.0)
         g, _, _ = _potential_arrays(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0), r
+            make_coulomb(1.0), mass, QuantumNumbers(3, 0, 0), r, _dlog_series(mass)
         )
         assert np.all(g == 0.0)
 
@@ -306,6 +322,17 @@ def test_second_derivative_matrix(n):
     d, d2, x = oracle_mod._cheb(n)
     assert np.max(np.abs(d2 - d @ d)) < 1e-13 * np.max(np.abs(d2))
     assert np.max(np.abs(d2 @ x**3 - 6.0 * x)) < 1e-15 * n**4
+
+
+@pytest.mark.parametrize("n", [80, 120])
+def test_differentiation_matrices_built_once_read_only(n):
+    first = oracle_mod._cheb(n)
+    again = oracle_mod._cheb(n)
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_levels_do_not_depend_on_blas_threads():

@@ -291,6 +291,15 @@ class TestGenerateCoefficients:
         assert np.all(np.isfinite(sol.coeffs))
         assert sol.scale_log10 > 0
 
+    def test_underflowed_leading_coefficient_names_energy_and_order(self):
+        # three rescales divide a_0 by more than the float range holds
+        with pytest.raises(DomainError, match=(
+            r"E=-1000000\.0 .*scale_log10 = 4\d\d\.\d\).* "
+            r"truncation_order 500"
+        )):
+            generate_coefficients(make_coulomb(1.0), constant_mass(1.0),
+                                  QuantumNumbers(3, 0, 0), -1e6, 500)
+
 
 class TestBatchedEnergies:
     def test_scalar_call_reports_floats(self):
