@@ -286,11 +286,10 @@ def parse_config(data: dict) -> RunConfig:
     mass = _mass(data["mass"])
     quantum = _quantum(data["quantum"])
     solver = _solver(data["solver"])
-    if mass.kind != "custom-series":  # a closed form extends exactly
-        try:
-            mass = mass.extended(solver.truncation_order)
-        except DomainError as exc:  # only an exponential series can fail
-            raise ConfigError(f"mass.lambda: {exc}") from None
+    try:
+        mass = mass.extended(solver.truncation_order)
+    except DomainError as exc:  # only an exponential series can fail
+        raise ConfigError(f"mass.lambda: {exc}") from None
     output = _output(data.get("output", {}))
     return RunConfig(potential, mass, quantum, solver, output)
 

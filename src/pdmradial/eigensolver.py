@@ -198,16 +198,14 @@ def _build_geometry(
                 f"{trust:.6g} at the level E={e_c!r}; raise truncation_order"
             )
     else:
-        r_match = 1.5 / b_mid
-        if math.isfinite(trust):
-            r_match = min(r_match, 0.9 * trust)
+        r_match = min(1.5 / b_mid, 0.9 * trust)
     if r_match <= 0:
         raise ConfigurationError("match radius collapsed to zero")
 
     # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
     # lengths out and past the outer turning point of the shallowest cell
     # energy; the leg is cut into pieces at the deepest one
-    r_turn = tail.outer_turning_radius(pot, mass, e_hi)
+    r_turn = tail.outer_turning_radius(pot, e_hi)
     r_tail = tail.tail_radius(pot, mass, e_hi, r_turn=r_turn)
     r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
     return tail.make_leg(pot, mass, q, r_match, r_far, e_lo)
@@ -289,8 +287,7 @@ def find_eigenvalue(
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
     cell, e_c = spectrum.cell(q.radial_n)
-    if mass.kind != "custom-series":
-        mass = mass.extended(cfg.truncation_order)
+    mass = mass.extended(cfg.truncation_order)
     geom = _build_geometry(pot, mass, q, cfg, cell, e_c)
 
     args = (pot, mass, q, cfg, geom)
@@ -336,8 +333,7 @@ def find_eigenvalue(
         geom.r_match + _TAIL_LENGTHS / b_mid,
         tail.tail_radius(pot, mass, e_star, target_exponent=12.0),
     )
-    if math.isfinite(wave.eval_cutoff):
-        r_norm = min(r_norm, 0.9 * wave.eval_cutoff)
+    r_norm = min(r_norm, 0.9 * wave.eval_cutoff)
     r_norm = max(r_norm, 1.05 * geom.r_match)
     normalized = normalize(wave, r_norm)
     norm_const = normalized.solution.a0 / sol.a0

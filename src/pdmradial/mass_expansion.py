@@ -37,23 +37,16 @@ def expand_exponential(m0: float, lam: float, order: int = DEFAULT_ORDER) -> Mas
     The mass coefficients are m0 (-lam)**nu / nu! and the log-derivative is
     exactly the constant -lam.
     """
-    if m0 <= 0:
-        raise DomainError("m0 must be positive")
-    if lam <= 0:
-        raise DomainError("exponential mass requires lam > 0")
     if order < 0:
         raise DomainError("order must be >= 0")
-    base = MassProfile(m0, [m0], [-lam], "exponential", lam)
-    return base.extended(order)
+    return MassProfile([m0], [-lam], "exponential", lam).extended(order)
 
 
 def constant_mass(m0: float, order: int = 0) -> MassProfile:
     """Constant mass profile (all series coefficients beyond m0 vanish)."""
-    if m0 <= 0:
-        raise DomainError("m0 must be positive")
-    series = np.zeros(order + 1)
-    series[0] = m0
-    return MassProfile(m0, series, np.zeros(order + 1), "constant")
+    if order < 0:
+        raise DomainError("order must be >= 0")
+    return MassProfile([m0], [0.0], "constant").extended(order)
 
 
 def mass_from_series(coeffs) -> MassProfile:
@@ -68,7 +61,7 @@ def mass_from_series(coeffs) -> MassProfile:
         raise DomainError("mass series must have a positive leading coefficient")
     with np.errstate(over="ignore", invalid="ignore"):  # MassProfile refuses it
         logderiv = logderiv_from_series(c)
-    return MassProfile(float(c[0]), c, logderiv, "custom-series")
+    return MassProfile(c, logderiv, "custom-series")
 
 
 def logderiv_from_series(mass_series, order: int | None = None) -> np.ndarray:

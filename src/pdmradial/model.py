@@ -152,11 +152,12 @@ class MassProfile:
 
     ``mass_series`` holds the coefficients of m(r) (leading entry m0 > 0) and
     ``logderiv_series`` the coefficients of m'(r)/m(r).  ``kind`` tags the
-    closed forms ("constant", "exponential") so integrators can evaluate m
-    exactly; "custom-series" profiles are exact only within their expansion.
+    closed forms ("constant", "exponential"): ``mass_at`` and ``logderiv_at``
+    evaluate them exactly, and ``extended`` carries their series to any
+    order.  A "custom-series" profile is its coefficients, a polynomial mass,
+    and is used as given at every order.
     """
 
-    m0: float
     mass_series: np.ndarray
     logderiv_series: np.ndarray
     kind: str
@@ -167,12 +168,10 @@ class MassProfile:
         object.__setattr__(
             self, "logderiv_series", np.asarray(self.logderiv_series, float)
         )
-        if self.m0 <= 0:
-            raise DomainError("m0 must be positive")
         if self.mass_series.ndim != 1 or self.mass_series.size == 0:
             raise DomainError("mass_series must be a non-empty 1-d coefficient vector")
-        if self.mass_series[0] != self.m0:
-            raise DomainError("mass_series[0] must equal m0")
+        if self.m0 <= 0:
+            raise DomainError("m0 must be positive")
         if self.kind not in ("constant", "exponential", "custom-series"):
             raise DomainError(f"unknown mass profile kind {self.kind!r}")
         if self.kind == "exponential" and self.lam <= 0:
@@ -204,6 +203,10 @@ class MassProfile:
             )
 
     @property
+    def m0(self) -> float:
+        return float(self.mass_series[0])
+
+    @property
     def order(self) -> int:
         return self.mass_series.size - 1
 
@@ -226,31 +229,23 @@ class MassProfile:
         return _horner(self.logderiv_series, r)
 
     def extended(self, order: int) -> "MassProfile":
-        """Profile with the series carried to at least ``order``.
-
-        Exact for the closed-form kinds; custom-series profiles cannot be
-        extended beyond the coefficients they were built with.
-        """
-        if order <= self.order:
+        """Profile with the series carried to at least ``order``: exact for
+        the closed-form kinds; a custom series is returned as given."""
+        if order <= self.order or self.kind == "custom-series":
             return self
         if self.kind == "constant":
             series = np.zeros(order + 1)
             series[0] = self.m0
-            return MassProfile(self.m0, series, np.zeros(order + 1), "constant")
-        if self.kind == "exponential":
-            # m0 (-lam)^nu / nu! via exp/log-gamma so large orders stay finite
-            nu = np.arange(order + 1)
-            signs = np.where(nu % 2 == 0, 1.0, -1.0)
-            log_fact = np.array([math.lgamma(v + 1.0) for v in range(order + 1)])
-            with np.errstate(over="ignore"):  # refused as not finite below
-                series = self.m0 * signs * np.exp(nu * math.log(self.lam) - log_fact)
-            logd = np.zeros(order + 1)
-            logd[0] = -self.lam
-            return MassProfile(self.m0, series, logd, "exponential", self.lam)
-        raise DomainError(
-            f"custom-series mass profile of order {self.order} cannot be "
-            f"extended to order {order}"
-        )
+            return MassProfile(series, np.zeros(order + 1), "constant")
+        # m0 (-lam)^nu / nu! via exp/log-gamma so large orders stay finite
+        nu = np.arange(order + 1)
+        signs = np.where(nu % 2 == 0, 1.0, -1.0)
+        log_fact = np.array([math.lgamma(v + 1.0) for v in range(order + 1)])
+        with np.errstate(over="ignore"):  # refused as not finite below
+            series = self.m0 * signs * np.exp(nu * math.log(self.lam) - log_fact)
+        logd = np.zeros(order + 1)
+        logd[0] = -self.lam
+        return MassProfile(series, logd, "exponential", self.lam)
 
 
 def _horner(coeffs, r, derivs: int = 0):
@@ -284,8 +279,6 @@ class SeriesSolution:
     energy: float
     b: float
     coeffs: np.ndarray
-    a0: float
-    truncation_order: int
     quantum: QuantumNumbers
     scale_log10: float = 0.0
 
@@ -295,16 +288,18 @@ class SeriesSolution:
             raise DomainError("series solutions exist for bound states only (E < 0)")
         if self.b <= 0:
             raise DomainError("decay rate b must be positive")
-        if self.coeffs.shape != (self.truncation_order + 1,):
-            raise DomainError("coefficient vector length must be truncation_order + 1")
-        if self.a0 == 0 or self.coeffs[0] != self.a0:
-            raise DomainError("leading coefficient a0 must be nonzero and equal coeffs[0]")
+        if self.coeffs.ndim != 1 or self.coeffs.size == 0 or self.a0 == 0:
+            raise DomainError("leading coefficient a0 = coeffs[0] must be nonzero")
+
+    @property
+    def a0(self) -> float:
+        return float(self.coeffs[0])
 
     def scaled(self, factor: float) -> "SeriesSolution":
         """Homogeneous rescale of every coefficient (a0 included)."""
         if factor == 0:
             raise DomainError("scale factor must be nonzero")
-        return replace(self, coeffs=self.coeffs * factor, a0=self.a0 * factor)
+        return replace(self, coeffs=self.coeffs * factor)
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,7 @@ def generate_coefficients(
     e = float(e)
     _check_inputs(pot, q, e, order)
     k = q.k
-    if mass.order < order and mass.kind != "custom-series":
-        mass = mass.extended(order)
+    mass = mass.extended(order)
 
     b = b_from_energy(e, mass.m0)
     ell = q.ell
@@ -139,7 +138,7 @@ def generate_coefficients(
                     f"zero at a_{n + 1} of truncation_order {order}"
                 )
 
-    return SeriesSolution(e, b, np.array(a), a[0], order, q, scale_log10)
+    return SeriesSolution(e, b, np.array(a), q, scale_log10)
 
 
 def _trimmed(series: np.ndarray) -> list[float]:
@@ -170,8 +169,7 @@ def expmass_cornell_coefficients(
         raise DomainError("exp-mass Cornell recursion requires an exponential mass profile")
     _check_inputs(pot, q, e, order)
     k = q.k
-    if mass.order < order:
-        mass = mass.extended(order)
+    mass = mass.extended(order)
 
     b = b_from_energy(e, mass.m0)
     ell = q.ell
@@ -210,7 +208,7 @@ def expmass_cornell_coefficients(
         a[n + 1] = num / ((n + 1) * (n + k - 1))
         scale_log10 += _guard_overflow(a, n + 1, divide=(conv,))
         fill_conv(n + 1)
-    return SeriesSolution(e, b, a, float(a[0]), order, q, scale_log10)
+    return SeriesSolution(e, b, a, q, scale_log10)
 
 
 def _guard_overflow(a, i, divide=(), multiply=()) -> float:
@@ -250,8 +248,7 @@ def coefficient_closed_forms_cornell(
     k = q.k
     if k == 1:
         raise DegenerateChannelError("closed forms undefined for k = 1")
-    if mass.kind != "custom-series":
-        mass = mass.extended(2)
+    mass = mass.extended(2)
     b = b_from_energy(e, mass.m0)
     ell = q.ell
     A, B, C = pot.v1, pot.v2, pot.v3

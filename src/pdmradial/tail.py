@@ -77,7 +77,7 @@ def tail_radius(
     caller that has it need not have found again."""
     b = b_from_energy(e, mass.m0)
     if r_turn is None:
-        r_turn = outer_turning_radius(pot, mass, e)
+        r_turn = outer_turning_radius(pot, e)
     r = max(r_turn, 1e-3)
     cap = max(6.0 * r_turn, 40.0 / b)
     # march the radii to the cap in floats, then take the exponent's running
@@ -95,7 +95,7 @@ def tail_radius(
     return radii[int(reached[0]) + 1] if reached.size else radii[-1]
 
 
-def outer_turning_radius(pot: PotentialSpec, mass: MassProfile, e: float) -> float:
+def outer_turning_radius(pot: PotentialSpec, e: float) -> float:
     """Largest radius where V(r) = e, or 0.0 if V - e never changes sign.
 
     Found by scanning a geometric grid outward and bisecting the last sign

@@ -93,7 +93,6 @@ class RadialWavefunction:
 
     solution: SeriesSolution
     eval_cutoff: float
-    normalized: bool = False
 
     @classmethod
     def from_solution(cls, solution: SeriesSolution) -> "RadialWavefunction":
@@ -201,7 +200,7 @@ def normalize(w: RadialWavefunction, r_max: float) -> RadialWavefunction:
             f"normalization integral is degenerate ({integral!r})"
         )
     scale = 1.0 / math.sqrt(integral)
-    return replace(w, solution=sol.scaled(scale), normalized=True)
+    return replace(w, solution=sol.scaled(scale))
 
 
 def ode_residual(

@@ -338,9 +338,9 @@ class TestScanSpectrum:
         calls = []
         search = tail_mod.outer_turning_radius
 
-        def counting(pot, mass, e):
+        def counting(pot, e):
             calls.append(e)
-            return search(pot, mass, e)
+            return search(pot, e)
 
         monkeypatch.setattr(tail_mod, "outer_turning_radius", counting)
         cell, e_c = spectrum.cell(q.radial_n)

@@ -108,13 +108,12 @@ class TestMakeLeg:
 class TestOuterTurningRadius:
     def test_coulomb(self):
         pot = make_coulomb(1.0)
-        mass = constant_mass(1.0)
-        assert outer_turning_radius(pot, mass, -0.5) == pytest.approx(2.0, rel=1e-9)
+        assert outer_turning_radius(pot, -0.5) == pytest.approx(2.0, rel=1e-9)
 
     def test_no_turning_point(self):
         # energy below the potential everywhere: no classical region at all
         pot = PotentialSpec(0.0, 1.0, 0.0, 0, 2)
-        assert outer_turning_radius(pot, constant_mass(1.0), -1.0) == 0.0
+        assert outer_turning_radius(pot, -1.0) == 0.0
 
 
 @pytest.mark.parametrize("pot, mass, e, target", [
@@ -125,7 +124,7 @@ class TestOuterTurningRadius:
     (PotentialSpec(0.5, 0.3, 0.0, 1, 3), constant_mass(2.0), -0.2, 14.0),
 ])
 def test_tail_radius_with_the_turning_point_given(pot, mass, e, target):
-    r_turn = outer_turning_radius(pot, mass, e)
+    r_turn = outer_turning_radius(pot, e)
     found = tail_radius(pot, mass, e, target)
     given = tail_radius(pot, mass, e, target, r_turn=r_turn)
     assert np.float64(given).tobytes() == np.float64(found).tobytes()

@@ -100,7 +100,6 @@ class TestNormalize:
             assert w.solution.a0 == pytest.approx(
                 2.0 * (a_c * m0) ** 1.5, rel=1e-10
             )
-            assert w.normalized
 
     def test_idempotence(self):
         sol, _ = coulomb_state(n=1)
