@@ -14,15 +14,19 @@ r = 0 node is kept: there the equation is the regularity condition
 2p y'(0) = (l g(0) + 2 m(0) rV(0)) y(0), with a zero right-hand side, which
 selects the regular branch r^p without any boundary condition at the
 singular point (Boyd, Chebyshev and Fourier Spectral Methods, 2001).  That
-row is eliminated by its Schur complement and every other row divided by
-its -2 m r, which leaves a standard eigenproblem; its real eigenvalues are
-the levels.
+row is eliminated by its Schur complement, which leaves the pencil
+A y = E diag(d) y with row weights d = -2 m r; every row divided by its
+weight gives a standard eigenproblem, and its real eigenvalues are the
+levels.
 
-``channel_spectrum`` solves the channel once, at two resolutions.  Level n
-places the bracket (its cell) in which the series path looks for state n,
-and the coarser solve checks the level, so one spectrum serves every state
-of the channel.  The coarser solve runs on the first check, so a solve that
-checks nothing makes only the finer one.
+``channel_spectrum`` collocates the channel once, at two resolutions.  The
+finer one is solved in full: level n places the bracket (its cell) in
+which the series path looks for state n, so one spectrum serves every
+state of the channel.  The coarser one only checks the levels, and only
+one of its eigenvalues is read per level, so it is never solved in full:
+on the first check its pencil is built, and shifted inverse iteration at
+every level in the window (``_nearest_levels``) finds the coarse eigenvalue
+nearest each.  A solve that checks nothing builds only the finer one.
 
 This module shares no solver code with the series path: it imports only the
 domain types and ``tail_radius``, which places r_max.
@@ -51,17 +55,25 @@ __all__ = [
     "channel_spectrum",
     "collocation_eigenvalue",
     "collocation_levels",
+    "collocation_pencil",
 ]
 
-# The two (nodes, r_max in tail radii) solves of every channel.  The levels
-# of the finer one are used; the coarser one only checks them, and runs only
-# when a level is checked.
+# The two (nodes, r_max in tail radii) collocations of every channel.  The
+# levels of the finer one are used; the coarser pencil only checks them, by
+# inverse iteration at each level, and is built only when a level is checked.
 _RESOLUTIONS = ((80, 1.0), (120, 1.25))
 # WKB exponent of the tail radius at the window's upper energy: every level
 # in the window has decayed by about e^-30 where y(r_max) = 0 is imposed
 _TAIL_EXPONENT = 30.0
 # largest relative disagreement of the two solves
 _SELF_CHECK_RTOL = 1e-8
+# an inverse iterate that still turns by more than this (1 - |cos|, an angle
+# of about 1.4e-6) in a step has not converged; below it the gap a check
+# reports is good to about that angle, relative
+_TURN_RTOL = 1e-12
+# most solves of one inverse iteration; two converge on every level of the
+# benchmark workloads and demos
+_INVERSE_STEPS = 4
 
 
 @lru_cache(maxsize=None)
@@ -92,15 +104,17 @@ def _cheb(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, d2, x
 
 
-def collocation_levels(
+def collocation_pencil(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
     nodes: int,
     r_max: float,
-) -> np.ndarray:
-    """Every real eigenvalue, ascending, of the radial equation collocated
-    on ``nodes`` + 1 Chebyshev points of [0, r_max]."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The radial equation collocated on ``nodes`` + 1 Chebyshev points of
+    [0, r_max] as a pencil (A, d): A is the operator with the r = 0 row
+    eliminated, d = -2 m r the weight of each row, and the levels are the
+    real eigenvalues of A y = E diag(d) y."""
     if q.k < 2:
         raise DegenerateChannelError(
             "collocation needs k = N + 2l >= 2 (k = 1 has no regularity row)"
@@ -124,30 +138,84 @@ def collocation_levels(
     a = r[:, None] * d2 + (q.k - 1.0 - g * r)[:, None] * d1  # 2p = k - 1
     a[np.diag_indices_from(a)] -= q.ell * g + 2.0 * m * rv
     # the r = 0 row, last, has a zero right-hand side: eliminate its unknown
-    # by the Schur complement, then divide each row by its -2 m r
+    # by the Schur complement
     red = a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1] / a[-1, -1])
-    red /= (-2.0 * m[:-1] * r[:-1])[:, None]
+    return red, -2.0 * m[:-1] * r[:-1]
+
+
+def collocation_levels(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    q: QuantumNumbers,
+    nodes: int,
+    r_max: float,
+) -> np.ndarray:
+    """Every real eigenvalue, ascending, of the radial equation collocated
+    on ``nodes`` + 1 Chebyshev points of [0, r_max]: the pencil's rows
+    divided by their weights, a standard eigenproblem."""
+    red, d = collocation_pencil(pot, mass, q, nodes, r_max)
+    red /= d[:, None]
     w = np.linalg.eigvals(red)
     return np.sort(w[w.imag == 0].real)
+
+
+def _nearest_levels(
+    a: np.ndarray, d: np.ndarray, shifts: np.ndarray
+) -> np.ndarray:
+    """The eigenvalue of the pencil A y = E diag(d) y nearest each shift e,
+    by shifted inverse iteration (Trefethen and Bau, Numerical Linear
+    Algebra, 1997, Lecture 27) on the pencil itself, all shifts as one
+    stack: from a uniform unit x, solve (A - e diag(d)) y = d x, take
+    e + 1/(x . y) and x = y / |y|, and repeat until no iterate turns.
+
+    An iterate that still turns after ``_INVERSE_STEPS`` solves has not
+    converged, and its estimate is inf, so it never passes a check.  A
+    shift that makes its matrix exactly singular is an eigenvalue itself."""
+    n = d.size
+    shifted = np.repeat(a[None], shifts.size, axis=0)
+    diag = np.arange(n)
+    shifted[:, diag, diag] -= shifts[:, None] * d
+    x = np.full((shifts.size, n), 1.0 / np.sqrt(n))
+    try:
+        for step in range(_INVERSE_STEPS):
+            y = np.linalg.solve(shifted, (d * x)[..., None])[..., 0]
+            proj = (x * y).sum(axis=1)
+            norm = np.linalg.norm(y, axis=1)
+            x = y / norm[:, None]
+            converged = np.abs(proj) >= (1.0 - _TURN_RTOL) * norm
+            # the first turn measures only how far the uniform start was
+            if step and converged.all():
+                break
+    except np.linalg.LinAlgError:
+        if shifts.size == 1:
+            return shifts.copy()
+        return np.concatenate([_nearest_levels(a, d, shifts[i:i + 1])
+                               for i in range(shifts.size)])
+    levels = np.full(shifts.size, np.inf)
+    levels[converged] = shifts[converged] + 1.0 / proj[converged]
+    return levels
 
 
 @dataclass(frozen=True)
 class ChannelSpectrum:
     """The collocation levels of one (N, l) channel for an energy window:
-    ``levels`` from the finer solve, ascending, and ``coarse`` from the
-    coarser one, or a function that solves for them.  Level n has n nodes
-    (Sturm oscillation), so its index is the radial quantum number of the
-    state it approximates."""
+    ``levels`` from the finer solve, ascending, and ``coarse_pencil``, a
+    function that builds the coarser solve's pencil (A, d).  Level n has n
+    nodes (Sturm oscillation), so its index is the radial quantum number of
+    the state it approximates."""
 
     window: tuple[float, float]
     levels: np.ndarray
-    coarse: np.ndarray | Callable[[], np.ndarray]
+    coarse_pencil: Callable[[], tuple[np.ndarray, np.ndarray]]
 
     @cached_property
     def check(self) -> np.ndarray:
-        """The coarser solve's levels, solved on first use: only ``checked``
-        reads them."""
-        return self.coarse() if callable(self.coarse) else self.coarse
+        """For each level inside the window, ascending, the coarser pencil's
+        eigenvalue nearest it (``_nearest_levels``), computed on first use:
+        only ``checked`` reads them."""
+        e_lo, e_hi = self.window
+        inside = self.levels[(self.levels >= e_lo) & (self.levels <= e_hi)]
+        return _nearest_levels(*self.coarse_pencil(), inside)
 
     def cell(self, n: int) -> tuple[tuple[float, float], float]:
         """The cell of level n, from the midpoints to its neighbours clipped
@@ -195,7 +263,7 @@ def channel_spectrum(
     return ChannelSpectrum(
         (e_lo, e_hi),
         collocation_levels(pot, mass, q, n_fine, f_fine * r_tail),
-        partial(collocation_levels, pot, mass, q, n_check, f_check * r_tail),
+        partial(collocation_pencil, pot, mass, q, n_check, f_check * r_tail),
     )
 
 
@@ -210,7 +278,8 @@ def collocation_eigenvalue(
 
     r_max follows the WKB tail of the bracket's upper energy.  Raises
     BracketError unless the bracket holds exactly one level, and
-    ResolutionError when the coarser solve has no level that close.
+    ResolutionError when the coarser pencil's nearest eigenvalue is not that
+    close.
     """
     spectrum = channel_spectrum(pot, mass, q, bracket)
     e_lo, e_hi = bracket

@@ -321,6 +321,18 @@ class TestArtifacts:
             golden = GOLDEN.parent / f"coulomb_demo_{name}"
             assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
 
+    @pytest.mark.parametrize("command, name", [("coefficients", "coefficients.csv"),
+                                               ("sample", "wavefunctions.csv")])
+    def test_demo_coefficients_and_samples_match_golden_files(self, tmp_path, command,
+                                                              name):
+        # the files the command line writes for the demo config itself, as
+        # CI compares them
+        data = demo_config_dict()
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert main([command, str(write_config(tmp_path, data))]) == 0
+        golden = GOLDEN.parent / f"coulomb_demo_cli_{name}"
+        assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes()
+
     def test_solve_runs_on_the_parsed_objects(self, monkeypatch):
         # the config is built once: every state of every channel is solved
         # with the very potential, mass and solver settings parse_config made
@@ -345,30 +357,39 @@ class TestArtifacts:
             assert solver is cfg.solver
 
     def test_coarse_collocation_solve_only_when_the_oracle_checks(self, monkeypatch):
-        # the 80-node solve only checks the levels: with the oracle off each
-        # channel makes the 120-node solve alone, with the oracle on both,
-        # and the energies are the same bits either way
+        # each channel makes one full eigensolve, of the 120-node operator,
+        # whether the oracle is on or off; the 80-node pencil is built only
+        # when the oracle checks a level, and the energies are the same bits
+        # either way
         import pdmradial.cli as cli_mod
         import pdmradial.oracle as oracle_mod
 
-        nodes = []
-        original = oracle_mod.collocation_levels
+        pencils, eigensolves = [], []
+        build, eigvals = oracle_mod.collocation_pencil, np.linalg.eigvals
 
-        def counting(pot, mass, q, n, r_max):
-            nodes.append(n)
-            return original(pot, mass, q, n, r_max)
+        def counting_pencil(pot, mass, q, n, r_max):
+            pencils.append(n)
+            return build(pot, mass, q, n, r_max)
 
-        monkeypatch.setattr(oracle_mod, "collocation_levels", counting)
+        def counting_eigvals(a):
+            eigensolves.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(oracle_mod, "collocation_pencil", counting_pencil)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         energies = {}
         for run_oracle in (False, True):
             data = json.loads(EXPMASS_CONFIG.read_text())
             data["solver"]["oracle"] = run_oracle
-            nodes.clear()
+            pencils.clear()
+            eigensolves.clear()
             rows = cli_mod.solve_states(parse_config(data))
             assert all(row.ok for row in rows)
+            assert all((row.result.oracle_gap is not None) == run_oracle for row in rows)
             channels = len(data["quantum"]["ell"])
-            assert sorted(nodes) == ([120] * channels if not run_oracle
-                                     else [80] * channels + [120] * channels)
+            assert eigensolves == [(119, 119)] * channels
+            assert sorted(pencils) == ([120] * channels if not run_oracle
+                                       else [80] * channels + [120] * channels)
             energies[run_oracle] = [row.result.energy for row in rows]
         assert energies[False] == energies[True]
 

@@ -103,7 +103,8 @@ class TestFindEigenvalueErrors:
     def test_bracket_without_sign_change(self):
         # a level placed where the series has no root: neither the narrow
         # bracket nor the whole cell shows a sign change
-        spectrum = ChannelSpectrum((-0.45, -0.2), np.array([-0.3, 0.1]), np.array([]))
+        spectrum = ChannelSpectrum((-0.45, -0.2), np.array([-0.3, 0.1]),
+                                   lambda: pytest.fail("nothing is checked"))
         with pytest.raises(BracketError, match="does not change sign on the cell"):
             find_eigenvalue(
                 make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),

@@ -9,7 +9,7 @@ from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import BracketError, DomainError, ResolutionError
 from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
-from pdmradial.oracle import channel_spectrum, collocation_eigenvalue
+from pdmradial.oracle import ChannelSpectrum, channel_spectrum, collocation_eigenvalue
 from pdmradial.tail import (
     integrate_radial,
     make_leg,
@@ -363,6 +363,78 @@ def test_levels_do_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def _full_coarse_levels(spectrum):
+    """Every real eigenvalue of the coarser pencil by a full eigensolve,
+    rows divided as in ``collocation_levels``."""
+    a, d = spectrum.coarse_pencil()
+    w = np.linalg.eigvals(a / d[:, None])
+    return w[w.imag == 0].real
+
+
+def _window_levels(spectrum):
+    e_lo, e_hi = spectrum.window
+    return spectrum.levels[(spectrum.levels >= e_lo) & (spectrum.levels <= e_hi)]
+
+
+class TestShiftedCheck:
+    """The coarser solve's level nearest each finer level, by shifted
+    inverse iteration on the pencil instead of a full eigensolve."""
+
+    @pytest.mark.parametrize("pot,mass,dim,ell,window", [
+        *[(make_coulomb(1.0), constant_mass(1.0), dim, ell, (-0.6, -0.027))
+          for dim, ell in ((2, 0), (3, 0), (2, 1), (4, 0), (3, 1))],
+        *[(make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64), 3, ell,
+           (-3.4, -0.8)) for ell in (0, 1)],
+        *[(PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0), 3, ell,
+           (-19.5, -8.7)) for ell in (0, 1, 2)],
+    ], ids=["coulomb-k2", "coulomb-k3", "coulomb-k4-N2", "coulomb-k4-N4",
+            "coulomb-k5", "expmass-l0", "expmass-l1", "osc-l0", "osc-l1", "osc-l2"])
+    def test_matches_the_full_coarse_solve(self, pot, mass, dim, ell, window):
+        spectrum = channel_spectrum(pot, mass, QuantumNumbers(dim, ell, 0), window)
+        full = _full_coarse_levels(spectrum)
+        inside = _window_levels(spectrum)
+        assert inside.size >= 2 and spectrum.check.shape == inside.shape
+        for e, got in zip(inside, spectrum.check):
+            nearest = full[np.argmin(np.abs(full - e))]
+            assert abs(got - nearest) <= 1e-12 * abs(nearest), (e, got, nearest)
+            assert spectrum.checked(float(e)) == e
+
+    def test_too_few_nodes_fail_with_the_full_solves_gap(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
+        spectrum = channel_spectrum(*COULOMB, (-0.6, -0.4))
+        (e,) = _window_levels(spectrum)
+        full = _full_coarse_levels(spectrum)
+        full_gap = np.min(np.abs(full - e))
+        gap = abs(spectrum.check[0] - e)
+        assert full_gap > 1e-6 * abs(e)
+        assert abs(gap - full_gap) <= 1e-6 * full_gap
+        with pytest.raises(ResolutionError, match=f"{gap / abs(e):.3e} relative"):
+            spectrum.checked(float(e))
+
+    def test_shift_on_a_coarse_eigenvalue_passes_with_gap_zero(self):
+        # A - e diag(d) is exactly singular at e = -2: the stacked solve
+        # raises LinAlgError, that level is its own check, and the others
+        # are still solved
+        pencil = np.diag([-3.0 + 3e-12, -2.0, -0.5]), np.ones(3)
+        spectrum = ChannelSpectrum((-4.0, -0.2), np.array([-3.0, -2.0, -1.0]),
+                                   lambda: pencil)
+        assert spectrum.check[1] == -2.0
+        assert spectrum.check[0] == pytest.approx(-3.0 + 3e-12, abs=1e-15)
+        assert spectrum.checked(-2.0) == -2.0
+        assert spectrum.checked(-3.0) == -3.0
+        with pytest.raises(ResolutionError):
+            spectrum.checked(-1.0)
+
+    def test_an_unconverged_estimate_never_passes(self):
+        # halfway between two eigenvalues the iterate turns by 90 degrees at
+        # every step: no estimate, whatever x . y reads
+        pencil = np.diag([1.0, 3.0]), np.ones(2)
+        assert oracle_mod._nearest_levels(*pencil, np.array([2.0])).tolist() == [np.inf]
+        spectrum = ChannelSpectrum((1.5, 2.5), np.array([2.0]), lambda: pencil)
+        with pytest.raises(ResolutionError):
+            spectrum.checked(2.0)
 
 
 class TestNumerovEigenvalue:
