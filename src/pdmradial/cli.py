@@ -224,7 +224,7 @@ def _solver(raw) -> SolverConfig:
                _number(_require(s, "e_hi", "solver"), "solver.e_hi"))
     settings = dict(
         truncation_order=number("truncation_order", 64, integer=True),
-        tol_e=number("tol_e", 1e-10),
+        tol_e=number("tol_e", SolverConfig.tol_e),
         max_iter=number("max_iter", 200, integer=True),
         match_radius=number("match_radius", None),
     )

@@ -14,7 +14,7 @@ eigenvalue and stays bounded in between.
 The brackets come from the channel's collocation spectrum
 (``oracle.channel_spectrum``): state n is sought in the cell of level n,
 between the midpoints to its neighbours.  Brent iteration runs first on
-E_n +- 1e-6 |E_n| inside the cell and on the whole cell only when that
+E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
 narrow bracket shows no sign change.  The node count of the converged state
 is verified on the series and on the inward pieces past the match radius.
 """
@@ -62,7 +62,7 @@ __all__ = [
 _E_FLOOR = 1e-12
 
 # half-width of the first Brent bracket around a collocation level, relative
-_NARROW = 1e-6
+_NARROW = 1e-9
 
 # decay lengths 1/b from the match radius to the inward start, at least
 _TAIL_LENGTHS = 10.0
@@ -151,7 +151,7 @@ class SolverConfig:
     e_bracket: tuple[float, float]
     match_radius: float | None = None
     truncation_order: int = 64
-    tol_e: float = 1e-10
+    tol_e: float = 1e-13
     max_iter: int = 200
     run_oracle: bool = False
 

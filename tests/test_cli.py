@@ -22,6 +22,9 @@ DEMO_CONFIG = REPO / "configs" / "coulomb_demo.json"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "coulomb_demo_energies.csv"
 EXPMASS_CONFIG = REPO / "configs" / "expmass_cornell_demo.json"
 EXPMASS_GOLDEN = GOLDEN.parent / "expmass_cornell_energies.csv"
+# a constant-mass Coulomb series terminates at its converged energy and is
+# trusted everywhere; this mass keeps it infinite
+DECAYING_MASS = {"kind": "exponential", "m0": 1.0, "lambda": 0.02}
 
 
 def demo_config_dict():
@@ -308,8 +311,11 @@ class TestArtifacts:
 
     def test_writers_match_golden_files(self, tmp_path):
         # a small Coulomb run whose samples reach past the trust radius, so
-        # the omitted CSV rows and the JSON nulls are pinned too
+        # the omitted CSV rows and the JSON nulls are pinned too: a slowly
+        # decaying mass keeps the series from terminating, as it does at a
+        # converged constant-mass Coulomb energy
         data = demo_config_dict()
+        data["mass"] = DECAYING_MASS
         data["quantum"]["n"] = [0, 1]
         data["solver"]["truncation_order"] = 24
         data["output"]["directory"] = str(tmp_path / "out")
@@ -320,6 +326,8 @@ class TestArtifacts:
                      "wavefunctions.csv", "wavefunctions.json"):
             golden = GOLDEN.parent / f"coulomb_demo_{name}"
             assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
+        waves = json.loads((tmp_path / "out" / "wavefunctions.json").read_text())
+        assert all(None in w["R"] for w in waves)
 
     @pytest.mark.parametrize("command, name", [("coefficients", "coefficients.csv"),
                                                ("sample", "wavefunctions.csv")])
@@ -539,7 +547,8 @@ class TestWavefunctionSamples:
 
     def test_one_evaluation_per_state_and_none_past_trust(self, tmp_path, monkeypatch):
         # the trusted radii of each state are evaluated in one array call,
-        # and radii past the series trust radius read None
+        # and radii past the series trust radius read None (the decaying
+        # mass keeps the series from terminating)
         import pdmradial.cli as cli_mod
 
         calls = []
@@ -551,6 +560,7 @@ class TestWavefunctionSamples:
 
         monkeypatch.setattr(cli_mod, "evaluate", counting)
         data = demo_config_dict()
+        data["mass"] = DECAYING_MASS
         data["quantum"]["n"] = [0, 1]
         data["solver"]["oracle"] = False
         data["solver"]["truncation_order"] = 24

@@ -160,7 +160,7 @@ class TestFindEigenvalueErrors:
             assert abs(res.energy - e_ref) < 1e-10 * abs(e_ref)
             assert res.nodes == n
             (lo, hi), e_c = off.cell(n)
-            half = 1e-6 * abs(e_c)
+            half = es_mod._NARROW * abs(e_c)
             narrow = (max(lo, e_c - half), min(hi, e_c + half))
             assert brackets[-2:] == [narrow, (lo, hi)]
         assert len(brackets) == 6
