@@ -365,8 +365,8 @@ class TestArtifacts:
             assert solver is cfg.solver
 
     def test_coarse_collocation_solve_only_when_the_oracle_checks(self, monkeypatch):
-        # each channel makes one full eigensolve, of the 120-node operator,
-        # whether the oracle is on or off; the 80-node pencil is built only
+        # each channel makes one full eigensolve, of the 80-node operator,
+        # whether the oracle is on or off; the 60-node pencil is built only
         # when the oracle checks a level, and the energies are the same bits
         # either way
         import pdmradial.cli as cli_mod
@@ -395,9 +395,9 @@ class TestArtifacts:
             assert all(row.ok for row in rows)
             assert all((row.result.oracle_gap is not None) == run_oracle for row in rows)
             channels = len(data["quantum"]["ell"])
-            assert eigensolves == [(119, 119)] * channels
-            assert sorted(pencils) == ([120] * channels if not run_oracle
-                                       else [80] * channels + [120] * channels)
+            assert eigensolves == [(79, 79)] * channels
+            assert sorted(pencils) == ([80] * channels if not run_oracle
+                                       else [60] * channels + [80] * channels)
             energies[run_oracle] = [row.result.energy for row in rows]
         assert energies[False] == energies[True]
 
@@ -513,7 +513,7 @@ class TestTwoDimensionalChannels:
         # the message
         import pdmradial.oracle as oracle_mod
 
-        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((12, 1.0), (16, 1.25)))
         for row in self._solve(tmp_path):
             assert row["oracle_gap"] is None
             assert row["message"].startswith("ResolutionError: ")

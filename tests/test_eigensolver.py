@@ -447,7 +447,7 @@ class TestOracleUnavailable:
     def test_two_dimensional_ground_state_keeps_series_energy(self, monkeypatch):
         # an oracle too coarse to pass its own check leaves the series energy
         # standing, and the result says why the check is missing
-        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((12, 1.0), (16, 1.25)))
         res = find_eigenvalue(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 0, 0),
             SolverConfig(e_bracket=(-2.4, -1.6), run_oracle=True),

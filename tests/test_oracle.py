@@ -51,6 +51,9 @@ def test_oracle_imports_no_series_machinery():
 
 
 COULOMB = make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0)
+# (nodes, r_max factor) pairs too coarse to pass the self-check, yet fine
+# enough at 16 nodes to place every bracket of the tests that use them
+TOO_FEW_NODES = ((12, 1.0), (16, 1.25))
 
 
 def _piece_values(piece, coeffs, x):
@@ -366,16 +369,70 @@ def test_levels_do_not_depend_on_blas_threads():
 
 
 def _full_coarse_levels(spectrum):
-    """Every real eigenvalue of the coarser pencil by a full eigensolve,
-    rows divided as in ``collocation_levels``."""
+    """Every real eigenvalue of the coarser pencil by a full QZ solve of the
+    pencil itself.  Not ``numpy.linalg.eigvals`` with the rows divided as in
+    ``collocation_levels``: on the graded grid that solve is off by 3.8e-12
+    relative at the exp-mass demo's level l = 1, n = 2, where a 40-digit
+    inverse iteration on the same pencil gives -0.962791082206724735 and the
+    QZ solve and the shifted estimate are within 5e-14 and 1e-16 of it."""
+    import scipy.linalg
+
     a, d = spectrum.coarse_pencil()
-    w = np.linalg.eigvals(a / d[:, None])
+    w = scipy.linalg.eigvals(a, np.diag(d))
     return w[w.imag == 0].real
 
 
 def _window_levels(spectrum):
     e_lo, e_hi = spectrum.window
     return spectrum.levels[(spectrum.levels >= e_lo) & (spectrum.levels <= e_hi)]
+
+
+class TestGradedLevels:
+    """The finer solve's levels, on the graded grid r = r_max s^2, against
+    closed forms and an independent reference: every level in the window."""
+
+    @pytest.mark.parametrize("dim,ell,window", [
+        (2, 0, (-2.4, -0.06)), (3, 0, (-0.6, -0.027)), (2, 1, (-2.4, -0.06)),
+        (3, 1, (-0.6, -0.027)), (2, 2, (-2.4, -0.06)), (3, 2, (-0.6, -0.027)),
+    ], ids=[f"k{k}" for k in range(2, 8)])
+    def test_coulomb_closed_form(self, dim, ell, window):
+        k = dim + 2 * ell
+        spectrum = channel_spectrum(make_coulomb(1.0), constant_mass(1.0),
+                                    QuantumNumbers(dim, ell, 0), window)
+        levels = _window_levels(spectrum)
+        exact = [-1.0 / (2.0 * (n + (k - 1) / 2.0) ** 2) for n in range(levels.size)]
+        assert levels.size >= 1
+        assert np.max(np.abs(levels / exact - 1.0)) < 2e-12
+
+    @pytest.mark.parametrize("ell", [0, 1, 2], ids=["k3", "k5", "k7"])
+    def test_oscillator_closed_form(self, ell):
+        k = 3 + 2 * ell
+        spectrum = channel_spectrum(PotentialSpec(0.0, 1.0, -20.0, 0, 2),
+                                    constant_mass(1.0), QuantumNumbers(3, ell, 0),
+                                    (-19.5, -8.7))
+        levels = _window_levels(spectrum)
+        exact = [math.sqrt(2.0) * (2 * n + k / 2.0) - 20.0 for n in range(levels.size)]
+        assert levels.size >= 3
+        assert np.max(np.abs(levels / exact - 1.0)) < 2e-12
+
+    # levels n = 0, 1, 2 of the exp-mass demo channels l = 0, 1 from
+    # bench/reference.py, ShootingChannel(3, l, 1, 0.2, -3, 1, 0.2).levels(
+    # -3.4, -0.8, 3): DOP853 shooting, converged to 1e-12 in its match and
+    # outer radii (at rtol 1e-14 they move by at most 1.4e-15)
+    EXPMASS_REFERENCE = {
+        0: (-3.0227172085069602, -2.109049347124596, -1.4362419230311665),
+        1: (-2.241163447017574, -1.5856943595907071, -0.9627910822373024),
+    }
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_expmass_demo_against_the_shooting_reference(self, ell):
+        spectrum = channel_spectrum(make_cornell(1.0, 0.2, -3.0),
+                                    expand_exponential(1.0, 0.2, 64),
+                                    QuantumNumbers(3, ell, 0), (-3.4, -0.8))
+        levels = _window_levels(spectrum)
+        reference = self.EXPMASS_REFERENCE[ell]
+        assert levels.size == 3
+        assert np.max(np.abs(levels / reference - 1.0)) < 2e-12
 
 
 class TestShiftedCheck:
@@ -402,7 +459,7 @@ class TestShiftedCheck:
             assert spectrum.checked(float(e)) == e
 
     def test_too_few_nodes_fail_with_the_full_solves_gap(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", TOO_FEW_NODES)
         spectrum = channel_spectrum(*COULOMB, (-0.6, -0.4))
         (e,) = _window_levels(spectrum)
         full = _full_coarse_levels(spectrum)
@@ -426,6 +483,19 @@ class TestShiftedCheck:
         assert spectrum.checked(-3.0) == -3.0
         with pytest.raises(ResolutionError):
             spectrum.checked(-1.0)
+
+    def test_an_unconverged_iteration_says_so(self, monkeypatch):
+        # at 12 nodes the iteration at the 2-D ground state turns at every
+        # step: the error names the iteration, not an infinite gap
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", TOO_FEW_NODES)
+        spectrum = channel_spectrum(make_coulomb(1.0), constant_mass(1.0),
+                                    QuantumNumbers(2, 0, 0), (-2.4, -0.06))
+        e = float(_window_levels(spectrum)[0])
+        assert spectrum.check[0] == np.inf
+        with pytest.raises(ResolutionError, match=(
+                "the 12-node inverse iteration at E=.* did not converge "
+                f"after {oracle_mod._INVERSE_STEPS} solves")):
+            spectrum.checked(e)
 
     def test_an_unconverged_estimate_never_passes(self):
         # halfway between two eigenvalues the iterate turns by 90 degrees at
@@ -518,8 +588,8 @@ class TestNumerovEigenvalue:
             )
 
     def test_resolution_error_with_too_few_nodes(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((20, 1.0), (24, 1.25)))
-        with pytest.raises(ResolutionError, match="24 and 20 nodes"):
+        monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", TOO_FEW_NODES)
+        with pytest.raises(ResolutionError, match="16 and 12 nodes"):
             collocation_eigenvalue(
                 make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
                 (-0.6, -0.4),

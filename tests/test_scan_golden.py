@@ -19,8 +19,9 @@ import pytest
 
 import numpy as np
 
+import pdmradial.eigensolver as es_mod
 from pdmradial import cli
-from pdmradial.eigensolver import _build_geometry, _mismatch
+from pdmradial.eigensolver import _build_geometry, _mismatch, find_eigenvalue
 from pdmradial.model import QuantumNumbers
 from pdmradial.oracle import channel_spectrum
 
@@ -127,3 +128,25 @@ def test_each_cell_holds_one_level_and_one_sign_change(solved, channel):
         values = [_mismatch(e, pot, mass, q, solver, geom)
                   for e in np.linspace(lo, hi, 33)]
         assert np.count_nonzero(np.diff(np.sign(values))) == 1, (n, values)
+
+
+@pytest.mark.parametrize("channel", sorted(FROZEN))
+def test_the_narrow_bracket_holds_every_root(solved, channel, monkeypatch):
+    # Brent runs once per state, on the level +- _NARROW |E|: it never
+    # falls back to the whole cell
+    cfg, ell, spectrum = solved[channel]
+    calls = []
+    brentq = es_mod.brentq
+
+    def counting(f, a, b, **kwargs):
+        calls.append((a, b))
+        return brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(es_mod, "brentq", counting)
+    for n in cfg.quantum.n:
+        q = QuantumNumbers(cfg.quantum.dim, ell, n)
+        calls.clear()
+        find_eigenvalue(cfg.potential, cfg.mass, q, cfg.solver, spectrum)
+        (lo, hi), e_c = spectrum.cell(n)
+        half = es_mod._NARROW * abs(e_c)
+        assert calls == [(max(lo, e_c - half), min(hi, e_c + half))], n
