@@ -7,11 +7,7 @@ integration, and are cross-validated by an independent Chebyshev collocation
 eigensolve.
 """
 
-from .eigensolver import (
-    SolverConfig,
-    coulomb_reference_energy,
-    find_eigenvalue,
-)
+from .eigensolver import SolverConfig, find_eigenvalue
 from .mass_expansion import (
     constant_mass,
     expand_exponential,
@@ -42,7 +38,6 @@ from .recurrence import (
 from .tail import integrate_radial, make_leg
 from .wavefunction import (
     RadialWavefunction,
-    coulomb_a0_reference,
     count_nodes,
     evaluate,
     normalize,
@@ -79,10 +74,8 @@ __all__ = [
     "normalize",
     "ode_residual",
     "count_nodes",
-    "coulomb_a0_reference",
     "SolverConfig",
     "find_eigenvalue",
-    "coulomb_reference_energy",
     "make_leg",
     "integrate_radial",
     "ChannelSpectrum",

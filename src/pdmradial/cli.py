@@ -38,7 +38,7 @@ from .model import (
     make_oscillator,
 )
 from .oracle import channel_spectrum
-from .wavefunction import RadialWavefunction, evaluate
+from .wavefunction import RadialWavefunction, clamp_to_trust, evaluate
 
 __all__ = ["RunConfig", "load_config", "run_solve", "run_verify", "main"]
 
@@ -414,11 +414,11 @@ def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats)
     radii = np.linspace(0.0, float(grid["r_max"]), points)
     samples = []
     for res, state in ((r.result, r.state()) for r in rows if r.ok):
-        wave = RadialWavefunction.from_solution(res.solution.scaled(res.norm_const))
+        sol = res.solution.scaled(res.norm_const)
         # radii ascend, so the trusted ones come first; the rest read None
-        trusted = radii[radii <= wave.eval_cutoff]
-        vals = evaluate(wave, trusted).tolist() + [None] * (points - trusted.size)
-        samples.append((state, vals))
+        trusted = radii[radii <= clamp_to_trust(sol, float(radii[-1]))]
+        vals = evaluate(RadialWavefunction(sol), trusted).tolist()
+        samples.append((state, vals + [None] * (points - trusted.size)))
     lines = ((*state.values(), x, v) for state, vals in samples
              for x, v in zip(radii, vals) if v is not None)
     r = [float(x) for x in radii]

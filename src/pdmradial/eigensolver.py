@@ -45,17 +45,16 @@ from .model import (
 from .recurrence import generate_coefficients
 from .wavefunction import (
     RadialWavefunction,
+    clamp_to_trust,
     count_nodes,
     normalize,
     sign_changes,
-    trust_radius,
 )
 
 __all__ = [
     "SolverConfig",
     "brentq",
     "find_eigenvalue",
-    "coulomb_reference_energy",
 ]
 
 # The ansatz b = sqrt(-2 m0 E) degenerates as E -> 0-.
@@ -188,17 +187,17 @@ def _build_geometry(
 
     # the series at the collocation level bounds the admissible match radius
     sol = generate_coefficients(pot, mass, q, e_c, cfg.truncation_order)
-    trust = trust_radius(sol)
-
     if cfg.match_radius is not None:
         r_match = cfg.match_radius
-        if r_match > trust:
+        # a trust radius below r_match comes back whole, for the message
+        trust = clamp_to_trust(sol, r_match)
+        if trust < r_match:
             raise ConfigurationError(
                 f"match_radius {r_match:.6g} exceeds the series trust region "
                 f"{trust:.6g} at the level E={e_c!r}; raise truncation_order"
             )
     else:
-        r_match = min(1.5 / b_mid, 0.9 * trust)
+        r_match = clamp_to_trust(sol, 1.5 / b_mid, share=0.9)
     if r_match <= 0:
         raise ConfigurationError("match radius collapsed to zero")
 
@@ -327,15 +326,14 @@ def find_eigenvalue(
     # Normalize over the physical decay region only: r_far is stretched for
     # boundary-condition suppression, and at the (finitely converged) energy
     # the non-terminating residual coefficients pollute the series out there.
-    wave = RadialWavefunction.from_solution(sol)
     b_mid = b_from_energy(0.5 * (cell[0] + cell[1]), mass.m0)
     r_norm = max(
         geom.r_match + _TAIL_LENGTHS / b_mid,
         tail.tail_radius(pot, mass, e_star, target_exponent=12.0),
     )
-    r_norm = min(r_norm, 0.9 * wave.eval_cutoff)
+    r_norm = clamp_to_trust(sol, r_norm, share=0.9)
     r_norm = max(r_norm, 1.05 * geom.r_match)
-    normalized = normalize(wave, r_norm)
+    normalized = normalize(RadialWavefunction(sol), r_norm)
     norm_const = normalized.solution.a0 / sol.a0
 
     # an oracle that cannot check the state leaves the series result
@@ -356,15 +354,3 @@ def find_eigenvalue(
         solution=sol,
         oracle_error=oracle_error,
     )
-
-
-def coulomb_reference_energy(a_coupling: float, m0: float, q: QuantumNumbers) -> float:
-    """Constant-mass Coulomb eigenvalue -A^2 m0 / (2 (n + (k-1)/2)^2).
-
-    The decay rate at the terminating series is b = A m0 / (n + (k-1)/2),
-    which reduces to the familiar A m0/(n + l + 1) in three dimensions.
-    """
-    if a_coupling <= 0 or m0 <= 0:
-        raise DomainError("requires positive coupling and mass")
-    nu = q.radial_n + (q.k - 1) / 2.0
-    return -(a_coupling**2) * m0 / (2.0 * nu * nu)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,17 +26,30 @@ from .model import MassProfile, PotentialSpec, SeriesSolution, _horner
 __all__ = [
     "RadialWavefunction",
     "trust_radius",
+    "clamp_to_trust",
     "evaluate",
     "normalize",
     "ode_residual",
     "count_nodes",
     "sign_changes",
-    "coulomb_a0_reference",
 ]
 
 # A series value is trusted while the last retained term stays below this
 # fraction of the absolute-value envelope of the partial sum.
 TRUST_RATIO = 1e-3
+
+
+def _untrusted(rev: list, last: float, order: int, r: float, ratio: float) -> bool:
+    """Whether |a_M| r^M exceeds ``ratio`` times the envelope (``rev`` holds
+    the |a_i| reversed) at a Python float r, or a side overflows."""
+    envelope = 0.0
+    for c in rev:
+        envelope = envelope * r + c
+    try:
+        val = last * r**order - ratio * envelope
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        return True
+    return val > 0 or not math.isfinite(val)
 
 
 def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
@@ -47,7 +60,8 @@ def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
     the signed partial sum so interior nodes do not produce spurious cutoffs;
     the ratio |a_M| r^M / envelope is monotone in r, so the crossing is
     unique).  A series whose trailing coefficients vanish (a terminated
-    polynomial) is trusted everywhere.
+    polynomial) is trusted everywhere.  A radius is clamped to it by
+    ``clamp_to_trust``, which searches only where the clamp can bind.
     """
     coeffs = solution.coeffs
     last = abs(float(coeffs[-1]))
@@ -76,27 +90,48 @@ def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        envelope = 0.0
-        for c in rev:
-            envelope = envelope * mid + c
-        val = last * mid**order - ratio * envelope
-        if val > 0 or not math.isfinite(val):
+        if _untrusted(rev, last, order, mid, ratio):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
+# clamp_to_trust's relative margin, far above the few ulps within which the
+# float test flips near the crossing and the bisection stops
+_CLAMP_MARGIN = 1e-9
+
+
+def clamp_to_trust(solution: SeriesSolution, r: float, share: float = 1.0) -> float:
+    """min(r, share * trust_radius(solution)), bit for bit, searching the
+    trust radius only where the clamp can bind.
+
+    The ratio |a_M| r^M / envelope is monotone in r, so a series that passes
+    ``trust_radius``'s own test slightly beyond r/share has its trust radius
+    beyond r/share too, and r is returned after one evaluation of the test.
+    Otherwise the full search runs.
+    """
+    rev = np.abs(solution.coeffs)[::-1].tolist()
+    x = r / share * (1.0 + _CLAMP_MARGIN)
+    if _untrusted(rev, rev[0], len(rev) - 1, x, TRUST_RATIO):
+        return min(r, share * trust_radius(solution))
+    return r
+
+
 @dataclass(frozen=True)
 class RadialWavefunction:
-    """A series solution packaged with its evaluation trust cutoff."""
+    """A series solution packaged for evaluation.  Its trust cutoff,
+    ``eval_cutoff``, is searched the first time it is read."""
 
     solution: SeriesSolution
-    eval_cutoff: float
 
     @classmethod
     def from_solution(cls, solution: SeriesSolution) -> "RadialWavefunction":
-        return cls(solution, trust_radius(solution))
+        return cls(solution)
+
+    @cached_property
+    def eval_cutoff(self) -> float:
+        return trust_radius(self.solution)
 
     @property
     def k(self) -> int:
@@ -143,14 +178,17 @@ def evaluate(w: RadialWavefunction, r) -> float | np.ndarray:
     """Truncated-series value of R at radius r >= 0 (scalar or array).
 
     Radii beyond the trust cutoff are evaluated anyway but flagged with an
-    ExtrapolationWarning.
+    ExtrapolationWarning; the cutoff is searched only when the largest
+    radius may lie beyond it (``clamp_to_trust``).
     """
     arr = np.asarray(r, float)
     if np.any(arr < 0):
         raise DomainError("radius must be >= 0")
-    if np.any(arr > w.eval_cutoff):
+    r_top = float(np.fmax.reduce(arr, axis=None, initial=0.0))  # NaN skipped
+    cutoff = clamp_to_trust(w.solution, r_top)
+    if cutoff < r_top:
         warnings.warn(
-            f"evaluating beyond the series trust region (r > {w.eval_cutoff:.6g})",
+            f"evaluating beyond the series trust region (r > {cutoff:.6g})",
             ExtrapolationWarning,
             stacklevel=2,
         )
@@ -260,20 +298,3 @@ def count_nodes(
     with np.errstate(over="ignore", invalid="ignore"):
         sol = w.solution if isinstance(w, RadialWavefunction) else w
         return sign_changes(_horner(sol.coeffs, grid))
-
-
-def coulomb_a0_reference(a_coupling: float, m0: float, n: int, ell: int) -> float:
-    """Closed-form reference scale for the leading 3-d Coulomb coefficient.
-
-    The solver normalizes under the integral of R^2 dr; this reference value
-    follows a different convention, so callers report the ratio of the two
-    rather than asserting equality.
-    """
-    if a_coupling <= 0 or m0 <= 0:
-        raise DomainError("requires positive coupling and mass")
-    nlp = n + ell + 1
-    base = 2.0 * a_coupling * m0 / nlp
-    log_fact = 0.5 * (
-        math.log(a_coupling * m0) + math.lgamma(n + 1) - math.lgamma(n + 2 * ell + 2)
-    )
-    return (base ** (ell + 1)) / nlp * math.exp(log_fact)

@@ -8,12 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from coulomb_reference import coulomb_a0_reference, coulomb_reference_energy
 from pdmradial.cli import run_solve, run_verify
-from pdmradial.eigensolver import (
-    SolverConfig,
-    coulomb_reference_energy,
-    find_eigenvalue,
-)
+from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
 from pdmradial.oracle import channel_spectrum, collocation_eigenvalue
@@ -26,7 +23,6 @@ from pdmradial.recurrence import (
 )
 from pdmradial.wavefunction import (
     RadialWavefunction,
-    coulomb_a0_reference,
     evaluate,
     normalize,
     ode_residual,

@@ -468,18 +468,25 @@ class TestPdmConfig:
 
 
     def test_golden_energies_file(self, tmp_path):
-        # the only golden file with a varying mass
+        # the only golden file with a varying mass; the JSON file pins every
+        # bit of the energies and of norm_const, whose normalization radius
+        # is 0.9 times the trust radius on every state
         data = json.loads(EXPMASS_CONFIG.read_text())
         data["output"]["directory"] = str(tmp_path / "out")
         assert run_solve(str(write_config(tmp_path, data))) == 0
         got = (tmp_path / "out" / "energies.csv").read_bytes()
         assert got == EXPMASS_GOLDEN.read_bytes()
+        got = (tmp_path / "out" / "energies.json").read_bytes()
+        assert got == EXPMASS_GOLDEN.with_suffix(".json").read_bytes()
 
     @pytest.mark.parametrize("command, name", [("coefficients", "coefficients.csv"),
-                                               ("sample", "wavefunctions.csv")])
+                                               ("sample", "wavefunctions.csv"),
+                                               ("coefficients", "coefficients.json"),
+                                               ("sample", "wavefunctions.json")])
     def test_golden_coefficients_and_samples(self, tmp_path, command, name):
         # the demo's series at order 64 with its whole exp-mass table, and its
-        # samples on the default grid, cut at each state's trust radius
+        # samples on the default grid, cut at each state's trust radius; the
+        # JSON files hold every bit
         data = json.loads(EXPMASS_CONFIG.read_text())
         data["output"]["directory"] = str(tmp_path / "out")
         assert main([command, str(write_config(tmp_path, data))]) == 0

@@ -1,14 +1,12 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pdmradial.eigensolver import (
-    SolverConfig,
-    coulomb_reference_energy,
-    find_eigenvalue,
-)
+from coulomb_reference import coulomb_reference_energy
+from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import (
     BracketError,
     ConfigurationError,
@@ -19,6 +17,40 @@ from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
 import pdmradial.oracle as oracle_mod
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum, collocation_eigenvalue
+
+
+def _centre(potential, mass, quantum, solver, output=None):
+    return {"potential": potential, "mass": mass, "quantum": quantum,
+            "solver": solver,
+            "output": output or {"formats": ["csv", "json"], "coefficients": False}}
+
+
+_COULOMB = ({"kind": "coulomb", "z": 1.0}, {"kind": "constant", "m0": 1.0})
+
+# the configs of each benchmark workload at the centre of its coupling range
+BENCHMARK_CENTRES = {
+    "coulomb_oracle": [
+        _centre(*_COULOMB, {"dim": 3, "ell": [0, 1], "n": [0, 1, 2]},
+                {"e_lo": -0.6, "e_hi": -0.027, "truncation_order": 64, "oracle": True}),
+        _centre(*_COULOMB, {"dim": 2, "ell": [0, 1], "n": [0, 1]},
+                {"e_lo": -2.4, "e_hi": -0.06, "truncation_order": 64, "oracle": True}),
+    ],
+    "expmass_cornell": [
+        _centre({"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
+                {"kind": "exponential", "m0": 1.0, "lambda": 0.2},
+                {"dim": 3, "ell": [0, 1], "n": [0, 1, 2]},
+                {"e_lo": -3.4, "e_hi": -0.8, "truncation_order": 64, "oracle": True}),
+    ],
+    "oscillator_series": [
+        _centre({"kind": "oscillator", "omega": 1.0, "v3_offset": -20.0},
+                {"kind": "constant", "m0": 1.0},
+                {"dim": 3, "ell": [0, 1, 2], "n": [0, 1, 2]},
+                {"e_lo": -19.5, "e_hi": -8.7, "truncation_order": 128,
+                 "oracle": False},
+                {"formats": ["csv", "json"], "coefficients": True,
+                 "wavefunction_grid": {"r_max": 5.0, "points": 201}}),
+    ],
+}
 
 
 def bracket_around(e_ref, width=0.15):
@@ -271,9 +303,8 @@ class TestScanSpectrum:
         assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
 
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
-        # one for the geometry, at the level, and one for the
-        # normalization; the node count reads the series alone
-        import pdmradial.eigensolver as es_mod
+        # the match and normalization radii are clamped to the trust radius
+        # (clamp_to_trust), and neither clamp binds on this state: no search
         import pdmradial.wavefunction as wf_mod
 
         calls = []
@@ -283,13 +314,40 @@ class TestScanSpectrum:
             calls.append(sol.energy)
             return trust(sol, *args)
 
-        monkeypatch.setattr(es_mod, "trust_radius", counting)
         monkeypatch.setattr(wf_mod, "trust_radius", counting)
         find_eigenvalue(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
-        assert len(calls) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("workload, searches", [
+        ("coulomb_oracle", 0), ("expmass_cornell", 6), ("oscillator_series", 0),
+    ])
+    def test_trust_radius_searches_per_benchmark_centre_solve(
+        self, tmp_path, monkeypatch, workload, searches
+    ):
+        # one `solve` of each benchmark workload's centre configs, writers
+        # included: only the exp-mass normalization radii, 0.9 times the
+        # trust radius on all six states, search it
+        import pdmradial.wavefunction as wf_mod
+        from pdmradial import cli
+
+        calls = []
+        trust = wf_mod.trust_radius
+
+        def counting(sol, *args):
+            calls.append(sol.energy)
+            return trust(sol, *args)
+
+        monkeypatch.setattr(wf_mod, "trust_radius", counting)
+        for i, data in enumerate(BENCHMARK_CENTRES[workload]):
+            data = {**data, "output": {**data["output"],
+                                       "directory": str(tmp_path / f"out{i}")}}
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(data))
+            assert cli.main(["solve", str(path)]) == 0
+        assert len(calls) == searches
 
     def test_one_evaluation_outside_brent_per_state(self, monkeypatch):
         # a narrow-bracket hit: no mismatch past Brent's own evaluations

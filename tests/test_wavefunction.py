@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulomb_reference import coulomb_a0_reference
 from pdmradial.errors import (
     DegenerateWavefunctionError,
     DomainError,
@@ -10,14 +11,20 @@ from pdmradial.errors import (
     SingularPointError,
 )
 from pdmradial.mass_expansion import constant_mass, expand_exponential
-from pdmradial.model import PotentialSpec, QuantumNumbers, make_coulomb, make_cornell
+from pdmradial.model import (
+    PotentialSpec,
+    QuantumNumbers,
+    SeriesSolution,
+    make_cornell,
+    make_coulomb,
+)
 from pdmradial.recurrence import (
     coulomb_closed_form_coefficients,
     generate_coefficients,
 )
 from pdmradial.wavefunction import (
     RadialWavefunction,
-    coulomb_a0_reference,
+    clamp_to_trust,
     count_nodes,
     evaluate,
     normalize,
@@ -33,6 +40,76 @@ def coulomb_state(a_c=1.0, m0=1.0, n=0, ell=0, order=32):
     e = -(a_c**2) * m0 / (2.0 * (n + ell + 1) ** 2)
     sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, order)
     return sol, e
+
+
+def _centre_series():
+    """Series of the three benchmark-centre problems at orders 24, 64 and
+    128, at energies across their windows."""
+    problems = [
+        (make_coulomb(1.0), lambda order: constant_mass(1.0), QuantumNumbers(3, 0, 0),
+         (-0.45, -0.2, -0.05)),
+        (make_coulomb(1.0), lambda order: constant_mass(1.0), QuantumNumbers(2, 1, 0),
+         (-0.3, -0.08)),
+        (make_cornell(1.0, 0.2, -3.0), lambda order: expand_exponential(1.0, 0.2, order),
+         QuantumNumbers(3, 1, 0), (-3.0, -2.0, -0.9)),
+        (PotentialSpec(0.0, 1.0, -20.0, 0, 2), lambda order: constant_mass(1.0),
+         QuantumNumbers(3, 2, 0), (-19.0, -14.0, -9.0)),
+    ]
+    for pot, mass, q, energies in problems:
+        for order in (24, 64, 128):
+            for e in energies:
+                yield generate_coefficients(pot, mass(order), q, e, order)
+
+
+class TestClampToTrust:
+    @staticmethod
+    def _check(sol, radii, monkeypatch):
+        # min(r, share * trust_radius) bit for bit; no search where a finite
+        # trust radius clearly does not bind (an infinite one is returned at
+        # once, without a scan)
+        import pdmradial.wavefunction as wf_mod
+
+        trust = trust_radius(sol)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return trust_radius(*args)
+
+        monkeypatch.setattr(wf_mod, "trust_radius", counting)
+        for share in (0.9, 1.0):
+            for r in radii(share * trust):
+                calls.clear()
+                got = clamp_to_trust(sol, r, share)
+                assert got.hex() == min(r, share * trust).hex(), (share, r, trust)
+                if r < share * trust * (1.0 - 1e-8) < math.inf:
+                    assert calls == []
+
+    @staticmethod
+    def _around(t):
+        far = [t * f for f in (1e-6, 1e-2, 0.5, 2.0, 1e3)]
+        near = [t * (1.0 + d) for d in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+        ulps = [math.nextafter(t, 0.0), math.nextafter(t, math.inf)]
+        return [r for r in far + near + ulps if math.isfinite(r)] + [1e300, math.inf]
+
+    def test_equals_min_with_the_searched_radius(self, monkeypatch):
+        series = list(_centre_series())
+        assert len(series) == 33
+        for sol in series:
+            assert math.isfinite(trust_radius(sol))
+            self._check(sol, self._around, monkeypatch)
+
+    def test_terminated_polynomial_is_never_clamped(self, monkeypatch):
+        sol, _ = coulomb_state(n=1)
+        assert math.isinf(trust_radius(sol))
+        self._check(sol, lambda t: [1e-3, 1.0, 40.0, 1e300, math.inf], monkeypatch)
+
+    def test_overflowing_series(self, monkeypatch):
+        # scaled by 1e200, the envelope and the last term overflow far out
+        sol, _ = coulomb_state()
+        self._check(sol.scaled(1e200), lambda t: [0.5, 40.0, 1e300], monkeypatch)
+        for sol in list(_centre_series())[::4]:
+            self._check(sol.scaled(1e200), self._around, monkeypatch)
 
 
 class TestEvaluate:
@@ -329,6 +406,15 @@ class TestTrustRadius:
     def test_terminated_series_trusted_everywhere(self):
         sol, _ = coulomb_state(n=1)
         assert math.isinf(trust_radius(sol))
+
+    def test_power_overflow_in_the_bisection_counts_as_untrusted(self):
+        # a subnormal last coefficient stays below the ratio until r^64
+        # overflows, which Python's float power raises as OverflowError
+        coeffs = np.zeros(65)
+        coeffs[0], coeffs[-1] = 1.0, 5e-324
+        sol = SeriesSolution(-0.5, 1.0, coeffs, QuantumNumbers(3, 0, 0))
+        assert trust_radius(sol) == 2.0**16
+        assert clamp_to_trust(sol, 1e6) == 2.0**16
 
     def test_grows_with_order(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
