@@ -330,7 +330,9 @@ class TestArtifacts:
         assert all(None in w["R"] for w in waves)
 
     @pytest.mark.parametrize("command, name", [("coefficients", "coefficients.csv"),
-                                               ("sample", "wavefunctions.csv")])
+                                               ("coefficients", "coefficients.json"),
+                                               ("sample", "wavefunctions.csv"),
+                                               ("sample", "wavefunctions.json")])
     def test_demo_coefficients_and_samples_match_golden_files(self, tmp_path, command,
                                                               name):
         # the files the command line writes for the demo config itself, as
