@@ -379,16 +379,43 @@ def _fmt_csv(x) -> str:
     return str(x)
 
 
+def _json(obj, pad: str = "", seen: dict | None = None) -> str:
+    """``json.dumps(obj, indent=2)`` for a tree of lists and str-keyed dicts.
+    With an indent the standard library encodes in Python; here each list or
+    dict that holds no container is one call of its C encoder, with the
+    newline and indent in the item separator, and a list object met again
+    at the same depth reuses its text (every state's samples share one r)."""
+    if not isinstance(obj, (list, dict)) or not obj:
+        return json.dumps(obj)
+    seen = {} if seen is None else seen
+    key, inner, is_dict = (id(obj), pad), pad + "  ", isinstance(obj, dict)
+    if key not in seen:
+        values = obj.values() if is_dict else obj
+        if any(isinstance(v, (list, dict)) for v in values):
+            items = ([f"{json.dumps(k)}: {_json(v, inner, seen)}" for k, v in obj.items()]
+                     if is_dict else [_json(v, inner, seen) for v in obj])
+            body = (",\n" + inner).join(items)
+        else:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        left, right = "{}" if is_dict else "[]"
+        seen[key] = f"{left}\n{inner}{body}\n{pad}{right}"
+    return seen[key]
+
+
 def _write(outdir: Path, stem: str, formats, columns, lines, payload) -> None:
-    """``stem``.csv, the ``columns`` header and one line per tuple of
-    ``lines`` (read only for csv), and ``stem``.json from ``payload``, in
-    the requested formats."""
+    """``stem``.csv, the ``columns`` header and the text ``lines`` (read
+    only for csv), and ``stem``.json from ``payload``, in the requested
+    formats."""
     if "csv" in formats:
-        text = [",".join(columns)]
-        text.extend(",".join(_fmt_csv(v) for v in line) for line in lines)
-        (outdir / f"{stem}.csv").write_text("\n".join(text) + "\n")
+        text = "\n".join([",".join(columns), *lines]) + "\n"
+        (outdir / f"{stem}.csv").write_text(text)
     if "json" in formats:
-        (outdir / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        (outdir / f"{stem}.json").write_text(_json(payload) + "\n")
+
+
+def _cells(state: dict) -> str:
+    """A state's leading CSV cells, dim,ell,radial_n, and the comma after."""
+    return "".join(f"{v}," for v in state.values())
 
 
 _ENERGY_COLUMNS = ("dim", "ell", "radial_n", "k", *_RESULT_COLUMNS, "status")
@@ -396,15 +423,15 @@ _ENERGY_COLUMNS = ("dim", "ell", "radial_n", "k", *_RESULT_COLUMNS, "status")
 
 def write_energies(rows: list[StateRow], outdir: Path, formats) -> None:
     records = [r.record() for r in rows]
-    lines = ([rec[c] for c in _ENERGY_COLUMNS] for rec in records)
+    lines = (",".join(_fmt_csv(rec[c]) for c in _ENERGY_COLUMNS) for rec in records)
     _write(outdir, "energies", formats, _ENERGY_COLUMNS, lines, records)
 
 
 def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> None:
-    ok = [(r.state(), r.result.solution.coeffs) for r in rows if r.ok]
-    lines = ((*state.values(), i, a) for state, coeffs in ok
+    ok = [(r.state(), r.result.solution.coeffs.tolist()) for r in rows if r.ok]
+    lines = (f"{pre}{i},{a:.12g}" for pre, coeffs in ((_cells(s), c) for s, c in ok)
              for i, a in enumerate(coeffs))
-    payload = [{**state, "coefficients": list(coeffs)} for state, coeffs in ok]
+    payload = [{**state, "coefficients": coeffs} for state, coeffs in ok]
     _write(outdir, "coefficients", formats, ("dim", "ell", "radial_n", "i", "a_i"),
            lines, payload)
 
@@ -419,9 +446,10 @@ def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats)
         trusted = radii[radii <= clamp_to_trust(sol, float(radii[-1]))]
         vals = evaluate(RadialWavefunction(sol), trusted).tolist()
         samples.append((state, vals + [None] * (points - trusted.size)))
-    lines = ((*state.values(), x, v) for state, vals in samples
-             for x, v in zip(radii, vals) if v is not None)
-    r = [float(x) for x in radii]
+    r = radii.tolist()
+    r_cells = [f"{x:.12g}" for x in r]
+    lines = (f"{pre}{x},{v:.12g}" for pre, vals in ((_cells(s), v) for s, v in samples)
+             for x, v in zip(r_cells, vals) if v is not None)
     payload = [{**state, "r": r, "R": vals} for state, vals in samples]
     _write(outdir, "wavefunctions", formats, ("dim", "ell", "radial_n", "r", "R"),
            lines, payload)

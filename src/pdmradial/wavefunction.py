@@ -182,9 +182,9 @@ def evaluate(w: RadialWavefunction, r) -> float | np.ndarray:
     radius may lie beyond it (``clamp_to_trust``).
     """
     arr = np.asarray(r, float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # NaN too
         raise DomainError("radius must be >= 0")
-    r_top = float(np.fmax.reduce(arr, axis=None, initial=0.0))  # NaN skipped
+    r_top = float(arr.max(initial=0.0))
     cutoff = clamp_to_trust(w.solution, r_top)
     if cutoff < r_top:
         warnings.warn(

@@ -138,6 +138,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(RadialWavefunction.from_solution(sol), -1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, [0.0, 1.0, math.nan, 2.0]])
+    def test_rejects_nan_radius(self, r):
+        # NaN < 0 is false, so a sign test alone lets NaN through
+        sol, _ = coulomb_state()
+        with pytest.raises(DomainError):
+            evaluate(RadialWavefunction.from_solution(sol), r)
+
     def test_extrapolation_warning_beyond_cutoff(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         e = math.sqrt(2.0) * 1.5 - 20.0
