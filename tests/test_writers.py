@@ -85,14 +85,11 @@ def rows():
     failed["quantum"]["n"] = [0, 9]
     out = _solve(failed, oracle=False)
     # an oracle that fails its own check reports its error on a solved row
-    coarse = oracle_mod._RESOLUTIONS
-    oracle_mod._RESOLUTIONS = ((12, 1.0), (16, 1.25))
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "_RESOLUTIONS", ((12, 1.0), (16, 1.25)))
         two_d = demo_config_dict()
         two_d["quantum"] = {"dim": 2, "ell": [1], "n": [0, 1]}
         out += _solve(two_d, e_lo=-2.4, e_hi=-0.06)
-    finally:
-        oracle_mod._RESOLUTIONS = coarse
     # a decaying mass keeps the series infinite, so it is clamped at the
     # trust radius on a long grid
     decaying = demo_config_dict()
@@ -110,23 +107,22 @@ def rows():
     return out
 
 
+GRID = {"r_max": 40.0, "points": 41}
+
+
 def test_rows_cover_every_kind(rows):
     assert any(not r.ok for r in rows)
     assert any(r.ok and r.message.startswith("ResolutionError: ") for r in rows)
-    grid = {"r_max": 40.0, "points": 41}
-    clamped = [r for r in rows if r.ok and clamp_to_trust(
-        r.result.solution.scaled(r.result.norm_const), grid["r_max"]) < grid["r_max"]]
-    assert clamped
+    assert any(r.ok and clamp_to_trust(r.result.solution.scaled(r.result.norm_const),
+                                       GRID["r_max"]) < GRID["r_max"] for r in rows)
 
 
 WRITERS = {
     "energies": (cli.write_energies, frozen_write_energies),
     "coefficients": (cli.write_coefficients, frozen_write_coefficients),
     "wavefunctions": (
-        lambda rows, outdir, formats: cli.write_wavefunctions(
-            rows, {"r_max": 40.0, "points": 41}, outdir, formats),
-        lambda rows, outdir, formats: frozen_write_wavefunctions(
-            rows, {"r_max": 40.0, "points": 41}, outdir, formats),
+        lambda rows, outdir, formats: cli.write_wavefunctions(rows, GRID, outdir, formats),
+        lambda rows, outdir, formats: frozen_write_wavefunctions(rows, GRID, outdir, formats),
     ),
 }
 
