@@ -26,7 +26,7 @@ from .model import (
     make_linear,
     make_oscillator,
 )
-from .oracle import ChannelSpectrum, channel_spectrum, collocation_eigenvalue
+from .oracle import ChannelSpectrum, channel_spectrum
 from .recurrence import (
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
@@ -37,7 +37,6 @@ from .recurrence import (
 )
 from .tail import integrate_radial, make_leg
 from .wavefunction import (
-    RadialWavefunction,
     count_nodes,
     evaluate,
     normalize,
@@ -68,7 +67,6 @@ __all__ = [
     "coefficient_closed_forms_expmass",
     "coulomb_closed_form_coefficients",
     "coulomb_expmass_closed_forms",
-    "RadialWavefunction",
     "trust_radius",
     "evaluate",
     "normalize",
@@ -80,5 +78,4 @@ __all__ = [
     "integrate_radial",
     "ChannelSpectrum",
     "channel_spectrum",
-    "collocation_eigenvalue",
 ]

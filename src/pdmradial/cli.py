@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigensolver import SolverConfig, find_eigenvalue
-from .errors import BracketError, ConfigurationError, DomainError, WrongStateError
+from .errors import BracketError, DomainError, WrongStateError
 from .identities import DEFAULT_SEED, run_identity_suite
 from .mass_expansion import constant_mass, expand_exponential, mass_from_series
 from .model import (
@@ -38,7 +38,7 @@ from .model import (
     make_oscillator,
 )
 from .oracle import channel_spectrum
-from .wavefunction import RadialWavefunction, clamp_to_trust, evaluate
+from .wavefunction import clamp_to_trust, evaluate
 
 __all__ = ["RunConfig", "load_config", "run_solve", "run_verify", "main"]
 
@@ -85,7 +85,7 @@ _POTENTIALS = {
 _MASSES = {"constant": ("m0",), "exponential": ("m0", "lambda"), "series": ("coeffs",)}
 
 _SOLVER_FIELDS = ("e_lo", "e_hi", "truncation_order", "tol_e", "max_iter",
-                  "match_radius", "scan_steps", "oracle")
+                  "scan_steps", "oracle")
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,6 @@ def _solver(raw) -> SolverConfig:
         truncation_order=number("truncation_order", 64, integer=True),
         tol_e=number("tol_e", SolverConfig.tol_e),
         max_iter=number("max_iter", 200, integer=True),
-        match_radius=number("match_radius", None),
     )
     # accepted for older configs and ignored: the brackets come from the
     # collocation spectrum, not from a scan.  A value older versions refused
@@ -348,7 +347,7 @@ def _solve_channel(cfg: RunConfig, ell: int) -> dict[int, StateRow]:
         q = QuantumNumbers(dim, ell, n)
         try:
             result = find_eigenvalue(cfg.potential, cfg.mass, q, cfg.solver, spectrum)
-        except (BracketError, WrongStateError, ConfigurationError, DomainError) as exc:
+        except (BracketError, WrongStateError, DomainError) as exc:
             states[n] = StateRow(q, message=f"{type(exc).__name__}: {exc}")
         else:
             states[n] = StateRow(q, result, result.oracle_error or "")
@@ -361,7 +360,7 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
     for ell in cfg.quantum.ell:
         try:
             channel = _solve_channel(cfg, ell)
-        except (BracketError, ConfigurationError, DomainError) as exc:
+        except (BracketError, DomainError) as exc:
             channel = {
                 n: StateRow(QuantumNumbers(cfg.quantum.dim, ell, n),
                             message=f"channel failed: {exc}")
@@ -444,7 +443,7 @@ def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats)
         sol = res.solution.scaled(res.norm_const)
         # radii ascend, so the trusted ones come first; the rest read None
         trusted = radii[radii <= clamp_to_trust(sol, float(radii[-1]))]
-        vals = evaluate(RadialWavefunction(sol), trusted).tolist()
+        vals = evaluate(sol, trusted).tolist()
         samples.append((state, vals + [None] * (points - trusted.size)))
     r = radii.tolist()
     r_cells = [f"{x:.12g}" for x in r]

@@ -15,8 +15,9 @@ The brackets come from the channel's collocation spectrum
 (``oracle.channel_spectrum``): state n is sought in the cell of level n,
 between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
-narrow bracket shows no sign change.  The node count of the converged state
-is verified on the series and on the inward pieces past the match radius.
+narrow bracket shows no sign change or does not converge.  The node count
+of the converged state is verified on the series and on the inward pieces
+past the match radius.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, tail
-from .errors import (
-    BracketError,
-    ConfigurationError,
-    DomainError,
-    ResolutionError,
-    WrongStateError,
-)
+from .errors import BracketError, DomainError, ResolutionError, WrongStateError
 from .model import (
     EigenResult,
     MassProfile,
@@ -43,13 +38,7 @@ from .model import (
     b_from_energy,
 )
 from .recurrence import generate_coefficients
-from .wavefunction import (
-    RadialWavefunction,
-    clamp_to_trust,
-    count_nodes,
-    normalize,
-    sign_changes,
-)
+from .wavefunction import clamp_to_trust, count_nodes, normalize, sign_changes
 
 __all__ = [
     "SolverConfig",
@@ -139,16 +128,15 @@ def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
 class SolverConfig:
     """Knobs of the matching eigensolver.
 
-    ``e_bracket`` is the energy window in which states are sought.
-    ``match_radius`` defaults to 1.5/b at the midpoint of the state's cell,
-    clamped to the series trust region at the state's collocation level.
+    ``e_bracket`` is the energy window in which states are sought.  The
+    match radius is 1.5/b at the midpoint of the state's cell, clamped to
+    the series trust region at the state's collocation level.
     The inward integration starts at r_far, the farthest of ten decay
     lengths 1/b past the match radius, and 1.2 times the outer turning
     radius and ``tail.tail_radius``, both at the cell's upper energy.
     """
 
     e_bracket: tuple[float, float]
-    match_radius: float | None = None
     truncation_order: int = 64
     tol_e: float = 1e-13
     max_iter: int = 200
@@ -164,8 +152,6 @@ class SolverConfig:
             ("truncation_order", self.truncation_order >= 4, "at least 4"),
             ("tol_e", self.tol_e > 0, "positive"),
             ("max_iter", self.max_iter >= 10, "at least 10"),
-            ("match_radius", self.match_radius is None or self.match_radius > 0,
-             "positive"),
         ):
             if not ok:
                 raise DomainError(f"{name}: must be {need}")
@@ -187,19 +173,7 @@ def _build_geometry(
 
     # the series at the collocation level bounds the admissible match radius
     sol = generate_coefficients(pot, mass, q, e_c, cfg.truncation_order)
-    if cfg.match_radius is not None:
-        r_match = cfg.match_radius
-        # a trust radius below r_match comes back whole, for the message
-        trust = clamp_to_trust(sol, r_match)
-        if trust < r_match:
-            raise ConfigurationError(
-                f"match_radius {r_match:.6g} exceeds the series trust region "
-                f"{trust:.6g} at the level E={e_c!r}; raise truncation_order"
-            )
-    else:
-        r_match = clamp_to_trust(sol, 1.5 / b_mid, share=0.9)
-    if r_match <= 0:
-        raise ConfigurationError("match radius collapsed to zero")
+    r_match = clamp_to_trust(sol, 1.5 / b_mid, share=0.9)
 
     # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
     # lengths out and past the outer turning point of the shallowest cell
@@ -279,8 +253,9 @@ def find_eigenvalue(
     ``spectrum`` is the channel's collocation spectrum over the window
     cfg.e_bracket; it is solved here when not given, so a caller solving
     several states of one channel should pass it.  BracketError when level
-    q.radial_n lies outside the window or the mismatch has no sign change in
-    its cell; WrongStateError when the converged state's node count differs
+    q.radial_n lies outside the window, the mismatch has no sign change in
+    its cell, or Brent's method needs more than cfg.max_iter iterations on
+    it; WrongStateError when the converged state's node count differs
     from q.radial_n.
     """
     if spectrum is None:
@@ -309,6 +284,13 @@ def find_eigenvalue(
             raise
         except ValueError:  # no sign change between the ends, or a NaN
             continue
+        except RuntimeError:  # brentq's iteration limit: the cell is next
+            if (e_lo, e_hi) == cell:
+                raise BracketError(
+                    f"Brent's method did not converge in max_iter={cfg.max_iter} "
+                    f"iterations on the cell ({e_lo}, {e_hi}) of level "
+                    f"{q.radial_n} at E={e_c!r}"
+                ) from None
     else:
         f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)
         raise BracketError(
@@ -333,8 +315,7 @@ def find_eigenvalue(
     )
     r_norm = clamp_to_trust(sol, r_norm, share=0.9)
     r_norm = max(r_norm, 1.05 * geom.r_match)
-    normalized = normalize(RadialWavefunction(sol), r_norm)
-    norm_const = normalized.solution.a0 / sol.a0
+    norm_const = normalize(sol, r_norm).a0 / sol.a0
 
     # an oracle that cannot check the state leaves the series result
     # standing and says why

@@ -38,10 +38,6 @@ class WrongStateError(RuntimeError):
         )
 
 
-class ConfigurationError(RuntimeError):
-    """Solver configuration is internally inconsistent (e.g. match radius vs trust region)."""
-
-
 class ResolutionError(RuntimeError):
     """Resolution check failed: the oracle's two collocation solves disagree."""
 

@@ -57,7 +57,6 @@ from .tail import tail_radius
 __all__ = [
     "ChannelSpectrum",
     "channel_spectrum",
-    "collocation_eigenvalue",
     "collocation_levels",
     "collocation_pencil",
 ]
@@ -121,7 +120,9 @@ def collocation_pencil(
     """The radial equation collocated on ``nodes`` + 1 Chebyshev points of
     s in [0, 1], r = r_max s^2, as a pencil (A, d): A is the operator with
     the s = 0 row eliminated, d = -8 m r_max^2 s^3 the weight of each row,
-    and the levels are the real eigenvalues of A y = E diag(d) y."""
+    and the levels are the real eigenvalues of A y = E diag(d) y.
+    DomainError when m(r) underflows at a node: the weights d, which
+    ``collocation_levels`` divides by, would lose every digit."""
     if q.k < 2:
         raise DegenerateChannelError(
             "collocation needs k = N + 2l >= 2 (k = 1 has no regularity row)"
@@ -136,6 +137,11 @@ def collocation_pencil(
     r = r_max * s * s
     g = np.asarray(mass.logderiv_at(r), float)
     m = np.asarray(mass.mass_at(r), float)
+    if np.abs(m).min() < np.finfo(float).tiny:
+        raise DomainError(
+            f"the mass underflows on the collocation grid of r_max={r_max:.6g} "
+            f"(lambda*r_max={mass.lam * r_max:.6g})"
+        )
     rv = pot.v3 * r
     if pot.v1 != 0.0:
         rv = rv - pot.v1 * r ** (1.0 - pot.alpha)
@@ -289,27 +295,3 @@ def channel_spectrum(
         partial(collocation_pencil, pot, mass, q, n_check, f_check * r_tail),
     )
 
-
-def collocation_eigenvalue(
-    pot: PotentialSpec,
-    mass: MassProfile,
-    q: QuantumNumbers,
-    bracket: tuple[float, float],
-) -> float:
-    """The one level inside ``bracket``, from the finer of two collocation
-    solves that must agree to 1e-8 relative.
-
-    r_max follows the WKB tail of the bracket's upper energy.  Raises
-    BracketError unless the bracket holds exactly one level, and
-    ResolutionError when the coarser pencil's nearest eigenvalue is not that
-    close.
-    """
-    spectrum = channel_spectrum(pot, mass, q, bracket)
-    e_lo, e_hi = bracket
-    inside = spectrum._inside
-    if inside.size != 1:
-        raise BracketError(
-            f"{inside.size} collocation levels in bracket ({e_lo}, {e_hi}), "
-            f"need exactly one"
-        )
-    return spectrum.checked(float(inside[0]))

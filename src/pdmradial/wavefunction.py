@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import (
 from .model import MassProfile, PotentialSpec, SeriesSolution, _horner
 
 __all__ = [
-    "RadialWavefunction",
     "trust_radius",
     "clamp_to_trust",
     "evaluate",
@@ -39,23 +37,23 @@ __all__ = [
 TRUST_RATIO = 1e-3
 
 
-def _untrusted(rev: list, last: float, order: int, r: float, ratio: float) -> bool:
-    """Whether |a_M| r^M exceeds ``ratio`` times the envelope (``rev`` holds
-    the |a_i| reversed) at a Python float r, or a side overflows."""
+def _untrusted(rev: list, last: float, order: int, r: float) -> bool:
+    """Whether |a_M| r^M exceeds TRUST_RATIO times the envelope (``rev``
+    holds the |a_i| reversed) at a Python float r, or a side overflows."""
     envelope = 0.0
     for c in rev:
         envelope = envelope * r + c
     try:
-        val = last * r**order - ratio * envelope
+        val = last * r**order - TRUST_RATIO * envelope
     except OverflowError:  # Python's float power raises where numpy's gives inf
         return True
     return val > 0 or not math.isfinite(val)
 
 
-def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
+def trust_radius(solution: SeriesSolution) -> float:
     """Radius up to which the truncated series is considered reliable.
 
-    Defined as the r where the last retained term reaches ``ratio`` times the
+    Defined as the r where the last retained term reaches TRUST_RATIO times the
     absolute-value envelope sum_i |a_i| r^i (the envelope is used instead of
     the signed partial sum so interior nodes do not produce spurious cutoffs;
     the ratio |a_M| r^M / envelope is monotone in r, so the crossing is
@@ -77,7 +75,7 @@ def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
     # result finite and conservative
     radii = np.ldexp(1e-12, np.arange(220))
     with np.errstate(over="ignore", invalid="ignore"):
-        val = last * radii**order - ratio * _horner(abs_coeffs, radii)
+        val = last * radii**order - TRUST_RATIO * _horner(abs_coeffs, radii)
     hit = (val > 0) | ~np.isfinite(val)
     if not hit.any():
         return math.inf
@@ -90,7 +88,7 @@ def trust_radius(solution: SeriesSolution, ratio: float = TRUST_RATIO) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        if _untrusted(rev, last, order, mid, ratio):
+        if _untrusted(rev, last, order, mid):
             hi = mid
         else:
             lo = mid
@@ -113,59 +111,37 @@ def clamp_to_trust(solution: SeriesSolution, r: float, share: float = 1.0) -> fl
     """
     rev = np.abs(solution.coeffs)[::-1].tolist()
     x = r / share * (1.0 + _CLAMP_MARGIN)
-    if _untrusted(rev, rev[0], len(rev) - 1, x, TRUST_RATIO):
+    if _untrusted(rev, rev[0], len(rev) - 1, x):
         return min(r, share * trust_radius(solution))
     return r
 
 
-@dataclass(frozen=True)
-class RadialWavefunction:
-    """A series solution packaged for evaluation.  Its trust cutoff,
-    ``eval_cutoff``, is searched the first time it is read."""
-
-    solution: SeriesSolution
-
-    @classmethod
-    def from_solution(cls, solution: SeriesSolution) -> "RadialWavefunction":
-        return cls(solution)
-
-    @cached_property
-    def eval_cutoff(self) -> float:
-        return trust_radius(self.solution)
-
-    @property
-    def k(self) -> int:
-        return self.solution.quantum.k
-
-    @property
-    def prefactor_power(self) -> float:
-        return (self.k - 1) / 2.0
+def _power(sol: SeriesSolution) -> float:
+    """The prefactor power (k - 1)/2 of R = r^((k-1)/2) e^(-br) u(r)."""
+    return (sol.quantum.k - 1) / 2.0
 
 
-def _eval_R(w: RadialWavefunction, r: float) -> float:
-    p = w.prefactor_power
+def _eval_R(sol: SeriesSolution, r: float) -> float:
+    p = _power(sol)
     if r == 0.0:
         if p > 0:
             return 0.0
         # k = 1: prefactor is r^0
-        return float(w.solution.coeffs[0])
-    b = w.solution.b
-    u = _horner(w.solution.coeffs, r)
-    return math.exp(p * math.log(r) - b * r) * u
+        return float(sol.coeffs[0])
+    u = _horner(sol.coeffs, r)
+    return math.exp(p * math.log(r) - sol.b * r) * u
 
 
-def _eval_R_positive(w: RadialWavefunction, r: np.ndarray) -> np.ndarray:
+def _eval_R_positive(sol: SeriesSolution, r: np.ndarray) -> np.ndarray:
     """R at an array of radii r > 0."""
-    return np.exp(w.prefactor_power * np.log(r) - w.solution.b * r) * _horner(
-        w.solution.coeffs, r
-    )
+    return np.exp(_power(sol) * np.log(r) - sol.b * r) * _horner(sol.coeffs, r)
 
 
-def _eval_R_derivs(w: RadialWavefunction, r: float) -> tuple[float, float, float]:
+def _eval_R_derivs(sol: SeriesSolution, r: float) -> tuple[float, float, float]:
     """R, R', R'' from analytically differentiated series (r > 0)."""
-    p = w.prefactor_power
-    b = w.solution.b
-    u, up, upp = _horner(w.solution.coeffs, r, derivs=2)
+    p = _power(sol)
+    b = sol.b
+    u, up, upp = _horner(sol.coeffs, r, derivs=2)
     g = p / r - b
     pref = math.exp(p * math.log(r) - b * r)
     R = pref * u
@@ -174,7 +150,7 @@ def _eval_R_derivs(w: RadialWavefunction, r: float) -> tuple[float, float, float
     return R, Rp, Rpp
 
 
-def evaluate(w: RadialWavefunction, r) -> float | np.ndarray:
+def evaluate(sol: SeriesSolution, r) -> float | np.ndarray:
     """Truncated-series value of R at radius r >= 0 (scalar or array).
 
     Radii beyond the trust cutoff are evaluated anyway but flagged with an
@@ -185,7 +161,7 @@ def evaluate(w: RadialWavefunction, r) -> float | np.ndarray:
     if not np.all(arr >= 0):  # NaN too
         raise DomainError("radius must be >= 0")
     r_top = float(arr.max(initial=0.0))
-    cutoff = clamp_to_trust(w.solution, r_top)
+    cutoff = clamp_to_trust(sol, r_top)
     if cutoff < r_top:
         warnings.warn(
             f"evaluating beyond the series trust region (r > {cutoff:.6g})",
@@ -193,11 +169,11 @@ def evaluate(w: RadialWavefunction, r) -> float | np.ndarray:
             stacklevel=2,
         )
     if arr.ndim == 0:
-        return _eval_R(w, float(arr))
+        return _eval_R(sol, float(arr))
     out = np.empty_like(arr)
     pos = arr > 0.0
-    out[pos] = _eval_R_positive(w, arr[pos])
-    out[~pos] = _eval_R(w, 0.0)
+    out[pos] = _eval_R_positive(sol, arr[pos])
+    out[~pos] = _eval_R(sol, 0.0)
     return out
 
 
@@ -212,8 +188,8 @@ def _gauss_legendre(size: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def normalize(w: RadialWavefunction, r_max: float) -> RadialWavefunction:
-    """Rescale a0 so that the norm of R over (0, infinity) is one.
+def normalize(sol: SeriesSolution, r_max: float) -> SeriesSolution:
+    """The series rescaled so that the norm of R over (0, infinity) is one.
 
     The integral is a Gauss-Legendre rule for R^2 over (0, r_max) plus the
     exponential-envelope tail estimate R(r_max)^2 / (2b) for the remainder.
@@ -223,13 +199,12 @@ def normalize(w: RadialWavefunction, r_max: float) -> RadialWavefunction:
     """
     if r_max <= 0:
         raise DomainError("r_max must be positive")
-    sol = w.solution
     t, weights = _gauss_legendre(max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _eval_R_positive(w, r_max * t)
+        v = _eval_R_positive(sol, r_max * t)
         # cap instead of overflowing in the sum
         integral = r_max * float((weights * np.minimum(v * v, 1e300)).sum())
-        v_max = _eval_R(w, r_max)
+        v_max = _eval_R(sol, r_max)
         integral += min(v_max * v_max, 1e300) / (2.0 * sol.b)
     if integral >= 1e299:
         integral = math.inf
@@ -237,12 +212,11 @@ def normalize(w: RadialWavefunction, r_max: float) -> RadialWavefunction:
         raise DegenerateWavefunctionError(
             f"normalization integral is degenerate ({integral!r})"
         )
-    scale = 1.0 / math.sqrt(integral)
-    return replace(w, solution=sol.scaled(scale))
+    return sol.scaled(1.0 / math.sqrt(integral))
 
 
 def ode_residual(
-    w: RadialWavefunction,
+    sol: SeriesSolution,
     pot: PotentialSpec,
     mass: MassProfile,
     e: float,
@@ -256,9 +230,9 @@ def ode_residual(
     """
     if r <= 0:
         raise SingularPointError("residual is undefined at the r = 0 singular point")
-    q = w.solution.quantum
+    q = sol.quantum
     k = q.k
-    R, Rp, Rpp = _eval_R_derivs(w, r)
+    R, Rp, Rpp = _eval_R_derivs(sol, r)
     md = mass.logderiv_at(r)
     m = mass.mass_at(r)
     v = pot.value(r)
@@ -278,17 +252,13 @@ def sign_changes(values) -> int:
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
-def count_nodes(
-    w: RadialWavefunction | SeriesSolution, r_max: float, samples: int = 2048
-) -> int:
+def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:
     """Count sign changes of R on (0, r_max).
 
     The prefactor r^((k-1)/2) e^(-br) is positive, so nodes of R are nodes of
     the series factor u, counted as sign changes on a uniform grid of
     ``samples`` points; samples that are exactly zero are skipped so that
-    near-zero touches without an actual crossing are not counted.  The count
-    needs the series alone, so a bare SeriesSolution is accepted as well (no
-    trust radius is computed for it).
+    near-zero touches without an actual crossing are not counted.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
@@ -296,5 +266,4 @@ def count_nodes(
         raise DomainError("r_max must be positive")
     grid = np.linspace(0.0, r_max, samples + 1)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = w.solution if isinstance(w, RadialWavefunction) else w
         return sign_changes(_horner(sol.coeffs, grid))

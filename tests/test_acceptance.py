@@ -13,7 +13,7 @@ from pdmradial.cli import run_solve, run_verify
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
 from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
-from pdmradial.oracle import channel_spectrum, collocation_eigenvalue
+from pdmradial.oracle import channel_spectrum
 from pdmradial.recurrence import (
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
@@ -21,13 +21,7 @@ from pdmradial.recurrence import (
     expmass_cornell_coefficients,
     generate_coefficients,
 )
-from pdmradial.wavefunction import (
-    RadialWavefunction,
-    evaluate,
-    normalize,
-    ode_residual,
-    trust_radius,
-)
+from pdmradial.wavefunction import evaluate, normalize, ode_residual, trust_radius
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -151,9 +145,8 @@ def test_criterion_04_coulomb_wavefunction_closed_form():
                 worst_tail = max(
                     worst_tail, float(np.max(np.abs(sol.coeffs[n + 1 :]))) / scale
                 )
-            wave = RadialWavefunction.from_solution(sol)
             radii = np.linspace(1e-3, 10.0 / (a_c * m0), 60)
-            vals = np.array([evaluate(wave, float(r)) for r in radii])
+            vals = np.array([evaluate(sol, float(r)) for r in radii])
             exact = np.array(
                 [
                     r ** ((q.k - 1) / 2.0)
@@ -250,9 +243,7 @@ def test_criterion_07_residual_convergence():
                 sol = generate_coefficients(
                     pot, mass, QuantumNumbers(3, 0, 0), e, order
                 )
-                res_val = ode_residual(
-                    RadialWavefunction.from_solution(sol), pot, mass, e, r
-                )
+                res_val = ode_residual(sol, pot, mass, e, r)
                 if prev is not None and prev > floor:
                     ratio = res_val / prev
                     worst_ratio = max(worst_ratio, ratio)
@@ -275,10 +266,10 @@ def test_criterion_08_normalization():
         q = QuantumNumbers(3, 0, 0)
         e = coulomb_reference_energy(a_c, m0, q)
         sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, 32)
-        wave = normalize(RadialWavefunction.from_solution(sol), 25.0 / (a_c * m0))
+        a0 = normalize(sol, 25.0 / (a_c * m0)).a0
         target = 2.0 * (a_c * m0) ** 1.5
-        err = abs(wave.solution.a0 - target) / target
-        ratio = wave.solution.a0 / coulomb_a0_reference(a_c, m0, 0, 0)
+        err = abs(a0 - target) / target
+        ratio = a0 / coulomb_a0_reference(a_c, m0, 0, 0)
         passed = passed and err < 1e-8
         details.append(
             f"A={a_c}, m0={m0}: a0 err {err:.2e}, ratio to closed-form "
@@ -301,7 +292,8 @@ def test_criterion_09_oscillator_spacing():
             pot, mass, q, SolverConfig(e_bracket=(-19.0, -4.0)), spectrum
         )
         series.append(res.energy)
-        oracle.append(collocation_eigenvalue(pot, mass, q, spectrum.cell(n)[0]))
+        alone = channel_spectrum(pot, mass, q, spectrum.cell(n)[0])
+        oracle.append(alone.checked(alone.cell(n)[1]))
     s_sp = np.diff(series)
     o_sp = np.diff(oracle)
     s_var = float(np.max(np.abs(s_sp / s_sp[0] - 1.0)))

@@ -430,6 +430,41 @@ class TestArtifacts:
         assert "state dim=3 ell=0 n=0 failed: DomainError: the series at E=" in err
         assert "scale_log10 = " in err and "truncation_order 500" in err
 
+    @pytest.mark.parametrize(
+        "model, solver, rows, message",
+        [
+            # ten Brent iterations do not converge on the state's cell
+            (({"kind": "cornell", "a": 1.2098804125151645, "b_lin": 0.1034177831573367,
+               "c": -4.9488381244064055},
+              {"kind": "exponential", "m0": 1.0, "lambda": 0.3493527885671899},
+              {"dim": 3, "ell": [2], "n": [0]}),
+             {"e_lo": -8.608, "e_hi": -0.1, "truncation_order": 64, "max_iter": 10},
+             1, "BracketError: Brent's method did not converge in max_iter=10 "
+                "iterations on the cell"),
+            # lambda r_max is about 2043 on the oracle's grid, where m(r)
+            # underflows to zero
+            (({"kind": "cornell", "a": 1.369183043945897, "b_lin": 0.005522963132630987,
+               "c": -5.406169294610777},
+              {"kind": "exponential", "m0": 1.0, "lambda": 0.28086386458805035},
+              {"dim": 2, "ell": [0, 1], "n": [0, 1, 2]}),
+             {"e_lo": -10.092824814183157, "e_hi": -0.1, "truncation_order": 96},
+             6, "channel failed: the mass underflows on the collocation grid of "
+                "r_max="),
+        ],
+        ids=["brent-iteration-limit", "mass-underflow"],
+    )
+    def test_numerical_failure_is_an_error_row(self, tmp_path, capsys, model, solver,
+                                               rows, message):
+        potential, mass, quantum = model
+        data = {"potential": potential, "mass": mass, "quantum": quantum,
+                "solver": solver, "output": {"directory": str(tmp_path / "out")}}
+        assert run_solve(str(write_config(tmp_path, data))) == 1
+        records = json.loads((tmp_path / "out" / "energies.json").read_text())
+        assert [r["status"] for r in records] == ["error"] * rows
+        assert all(r["message"].startswith(message) for r in records), records
+        csv_rows = (tmp_path / "out" / "energies.csv").read_text().splitlines()
+        assert len(csv_rows) == rows + 1
+
     def test_failed_row_names_the_last_failure(self, tmp_path, monkeypatch):
         import pdmradial.cli as cli_mod
         from pdmradial.errors import BracketError

@@ -7,16 +7,11 @@ import pytest
 
 from coulomb_reference import coulomb_reference_energy
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
-from pdmradial.errors import (
-    BracketError,
-    ConfigurationError,
-    DomainError,
-    WrongStateError,
-)
+from pdmradial.errors import BracketError, DomainError, WrongStateError
 from pdmradial.mass_expansion import constant_mass, expand_exponential
-from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
+from pdmradial.model import QuantumNumbers, make_cornell, make_coulomb
 import pdmradial.oracle as oracle_mod
-from pdmradial.oracle import ChannelSpectrum, channel_spectrum, collocation_eigenvalue
+from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 
 
 def _centre(potential, mass, quantum, solver, output=None):
@@ -197,18 +192,16 @@ class TestFindEigenvalueErrors:
             assert brackets[-2:] == [narrow, (lo, hi)]
         assert len(brackets) == 6
 
-    def test_match_radius_beyond_trust_region(self):
-        pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
-        e0 = math.sqrt(2.0) * 1.5 - 20.0
-        with pytest.raises(ConfigurationError):
-            find_eigenvalue(
-                pot, constant_mass(1.0), QuantumNumbers(3, 0, 0),
-                SolverConfig(
-                    e_bracket=bracket_around(e0, 0.02),
-                    match_radius=50.0,
-                    truncation_order=16,
-                ),
-            )
+    def test_iteration_limit_is_a_bracket_error(self):
+        # every level 1e-3 relative too shallow: the narrow bracket holds no
+        # root, and ten Brent iterations do not converge on the cell
+        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        q = QuantumNumbers(3, 1, 0)
+        real = channel_spectrum(pot, mass, q, (-0.6, -0.01))
+        off = replace(real, levels=real.levels * (1.0 + 1e-3))
+        cfg = SolverConfig(e_bracket=(-0.6, -0.01), max_iter=10)
+        with pytest.raises(BracketError, match=r"max_iter=10 iterations on the cell"):
+            find_eigenvalue(pot, mass, q, cfg, off)
 
     def test_invalid_brackets_rejected(self):
         with pytest.raises(DomainError):
@@ -217,14 +210,6 @@ class TestFindEigenvalueErrors:
             SolverConfig(e_bracket=(-0.4, 0.1))
         with pytest.raises(DomainError):
             SolverConfig(e_bracket=(-0.4, -1e-14))
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("match_radius", 0.0), ("match_radius", -0.01)],
-    )
-    def test_nonpositive_lengths_rejected(self, field, value):
-        with pytest.raises(DomainError, match=field):
-            SolverConfig(e_bracket=(-0.6, -0.4), **{field: value})
 
 
 class TestScanSpectrum:
@@ -255,7 +240,8 @@ class TestScanSpectrum:
         mass = constant_mass(1.0)
         spectrum = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-4.9, -0.5))
         (ea, eb), _ = spectrum.cell(0)
-        e_oracle = collocation_eigenvalue(pot, mass, QuantumNumbers(3, 0, 0), (ea, eb))
+        alone = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (ea, eb))
+        e_oracle = alone.checked(alone.cell(0)[1])
         assert ea <= e_oracle <= eb
 
     def test_every_bracket_contains_exactly_one_eigenvalue(self):

@@ -27,7 +27,7 @@ from pdmradial.recurrence import (
     expmass_cornell_coefficients,
     generate_coefficients,
 )
-from pdmradial.wavefunction import RadialWavefunction, ode_residual
+from pdmradial.wavefunction import ode_residual
 
 
 class TestFirstCoefficients:
@@ -66,9 +66,8 @@ class TestFirstCoefficients:
         q = QuantumNumbers(3, 0, 0)
         e = -0.7
         sol = generate_coefficients(pot, mass, q, e, 48)
-        wave = RadialWavefunction.from_solution(sol)
         for r in (0.1, 0.4, 0.8, 1.0):
-            assert ode_residual(wave, pot, mass, e, r) < 1e-10
+            assert ode_residual(sol, pot, mass, e, r) < 1e-10
 
 
 class TestClosedFormsCornell:

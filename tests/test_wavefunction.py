@@ -23,7 +23,6 @@ from pdmradial.recurrence import (
     generate_coefficients,
 )
 from pdmradial.wavefunction import (
-    RadialWavefunction,
     clamp_to_trust,
     count_nodes,
     evaluate,
@@ -115,35 +114,33 @@ class TestClampToTrust:
 class TestEvaluate:
     def test_zero_at_origin_for_k_above_one(self):
         sol, _ = coulomb_state()
-        w = RadialWavefunction.from_solution(sol)
-        assert evaluate(w, 0.0) == 0.0
+        assert evaluate(sol, 0.0) == 0.0
 
     def test_coulomb_ground_state_value(self):
         # R = a0 r e^{-A m0 r}, so R(1/(A m0)) = a0 e^{-1} / (A m0)
         a_c, m0 = 1.7, 0.8
         sol, _ = coulomb_state(a_c, m0)
-        w = RadialWavefunction.from_solution(sol)
         r = 1.0 / (a_c * m0)
-        assert evaluate(w, r) == pytest.approx(math.exp(-1.0) / (a_c * m0), rel=1e-13)
+        assert evaluate(sol, r) == pytest.approx(math.exp(-1.0) / (a_c * m0), rel=1e-13)
 
     def test_linearity_in_a0(self):
         sol, _ = coulomb_state(n=1)
-        w1 = RadialWavefunction.from_solution(sol)
-        w2 = RadialWavefunction.from_solution(sol.scaled(2.0))
         for r in (0.3, 1.0, 4.0):
-            assert evaluate(w2, r) == pytest.approx(2.0 * evaluate(w1, r), rel=1e-14)
+            assert evaluate(sol.scaled(2.0), r) == pytest.approx(
+                2.0 * evaluate(sol, r), rel=1e-14
+            )
 
     def test_rejects_negative_radius(self):
         sol, _ = coulomb_state()
         with pytest.raises(DomainError):
-            evaluate(RadialWavefunction.from_solution(sol), -1.0)
+            evaluate(sol, -1.0)
 
     @pytest.mark.parametrize("r", [math.nan, [0.0, 1.0, math.nan, 2.0]])
     def test_rejects_nan_radius(self, r):
         # NaN < 0 is false, so a sign test alone lets NaN through
         sol, _ = coulomb_state()
         with pytest.raises(DomainError):
-            evaluate(RadialWavefunction.from_solution(sol), r)
+            evaluate(sol, r)
 
     def test_extrapolation_warning_beyond_cutoff(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
@@ -152,10 +149,10 @@ class TestEvaluate:
             pot, constant_mass(1.0),
             QuantumNumbers(3, 0, 0), e, 16,
         )
-        w = RadialWavefunction.from_solution(sol)
-        assert math.isfinite(w.eval_cutoff)
+        cutoff = trust_radius(sol)
+        assert math.isfinite(cutoff)
         with pytest.warns(ExtrapolationWarning):
-            evaluate(w, w.eval_cutoff * 1.5)
+            evaluate(sol, cutoff * 1.5)
 
 
     @pytest.mark.parametrize("dim, ell", [(3, 0), (2, 0), (3, 2)])
@@ -166,13 +163,12 @@ class TestEvaluate:
         q = QuantumNumbers(dim, ell, 0)
         e = math.sqrt(2.0) * (dim + 2 * ell) / 2.0 - 20.0
         sol = generate_coefficients(pot, constant_mass(1.0), q, e, 64)
-        w = RadialWavefunction.from_solution(sol)
-        radii = np.linspace(0.0, min(w.eval_cutoff, 6.0), 97)
-        values = evaluate(w, radii)
-        assert values.shape == radii.shape and values[0] == evaluate(w, 0.0)
+        radii = np.linspace(0.0, min(trust_radius(sol), 6.0), 97)
+        values = evaluate(sol, radii)
+        assert values.shape == radii.shape and values[0] == evaluate(sol, 0.0)
         for r, v in zip(radii[1:], values[1:]):
-            assert v == pytest.approx(evaluate(w, float(r)), rel=1e-14, abs=1e-300)
-        assert np.array_equal(evaluate(w, radii.reshape(1, -1))[0], values)
+            assert v == pytest.approx(evaluate(sol, float(r)), rel=1e-14, abs=1e-300)
+        assert np.array_equal(evaluate(sol, radii.reshape(1, -1))[0], values)
 
 
 class TestNormalize:
@@ -180,35 +176,33 @@ class TestNormalize:
         # integral of a0^2 r^2 e^{-2 A m0 r} over (0, inf) = a0^2/(4 (A m0)^3)
         for a_c, m0 in [(1.0, 1.0), (1.3, 0.7)]:
             sol, _ = coulomb_state(a_c, m0)
-            w = normalize(RadialWavefunction.from_solution(sol), 25.0 / (a_c * m0))
-            assert w.solution.a0 == pytest.approx(
+            normed = normalize(sol, 25.0 / (a_c * m0))
+            assert normed.a0 == pytest.approx(
                 2.0 * (a_c * m0) ** 1.5, rel=1e-10
             )
 
     def test_idempotence(self):
         sol, _ = coulomb_state(n=1)
-        w1 = normalize(RadialWavefunction.from_solution(sol), 40.0)
-        w2 = normalize(w1, 40.0)
-        assert w2.solution.a0 == pytest.approx(w1.solution.a0, rel=1e-12)
+        once = normalize(sol, 40.0)
+        twice = normalize(once, 40.0)
+        assert twice.a0 == pytest.approx(once.a0, rel=1e-12)
 
     def test_projective_invariance(self):
         sol, _ = coulomb_state(n=2)
-        w1 = normalize(RadialWavefunction.from_solution(sol), 60.0)
-        w2 = normalize(RadialWavefunction.from_solution(sol.scaled(2.0)), 60.0)
-        assert w2.solution.a0 == pytest.approx(w1.solution.a0, rel=1e-12)
+        a0 = normalize(sol, 60.0).a0
+        assert normalize(sol.scaled(2.0), 60.0).a0 == pytest.approx(a0, rel=1e-12)
 
     def test_reference_scale_ratio_is_one_for_ground_state(self):
         a_c, m0 = 1.1, 0.9
         sol, _ = coulomb_state(a_c, m0)
-        w = normalize(RadialWavefunction.from_solution(sol), 30.0 / (a_c * m0))
-        ratio = w.solution.a0 / coulomb_a0_reference(a_c, m0, 0, 0)
+        normed = normalize(sol, 30.0 / (a_c * m0))
+        ratio = normed.a0 / coulomb_a0_reference(a_c, m0, 0, 0)
         assert ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_degenerate_integral_rejected(self):
         sol, _ = coulomb_state()
-        huge = RadialWavefunction.from_solution(sol.scaled(1e200))
         with pytest.raises(DegenerateWavefunctionError):
-            normalize(huge, 40.0)
+            normalize(sol.scaled(1e200), 40.0)
 
 
 class TestNormalizeRule:
@@ -238,9 +232,9 @@ class TestNormalizeRule:
 
         seen = []
 
-        def recording(w, r_max):
-            seen.append((w, r_max))
-            return normalize(w, r_max)
+        def recording(sol, r_max):
+            seen.append((sol, r_max))
+            return normalize(sol, r_max)
 
         monkeypatch.setattr(es_mod, "normalize", recording)
         make, window = self.FAMILIES[family]
@@ -252,14 +246,14 @@ class TestNormalizeRule:
                 pot, mass, q,
                 SolverConfig(e_bracket=window(k), truncation_order=order),
             )
-            w, r_max = seen[-1]
-            ours = (w.solution.a0 / normalize(w, r_max).solution.a0) ** 2
+            sol, r_max = seen[-1]
+            ours = (sol.a0 / normalize(sol, r_max).a0) ** 2
 
             def r2(x):
-                return evaluate(w, x) ** 2
+                return evaluate(sol, x) ** 2
 
             body, _ = quad(r2, 0.0, r_max, epsabs=0.0, epsrel=1e-13, limit=2000)
-            ref = body + r2(r_max) / (2.0 * w.solution.b)
+            ref = body + r2(r_max) / (2.0 * sol.b)
             assert abs(ours / ref - 1.0) < 1e-13, (k, ours, ref)
         assert len(seen) == 5
 
@@ -270,18 +264,16 @@ class TestOdeResidual:
         mass = constant_mass(1.0)
         for n, ell in [(0, 0), (2, 0), (1, 1)]:
             sol, e = coulomb_state(1.0, 1.0, n, ell)
-            w = RadialWavefunction.from_solution(sol)
-            peak = max(abs(evaluate(w, r)) for r in np.linspace(0.1, 5, 25))
+            peak = max(abs(evaluate(sol, r)) for r in np.linspace(0.1, 5, 25))
             for r in (0.1, 0.7, 2.0, 5.0):
-                assert ode_residual(w, pot, mass, e, r) < 1e-10 * peak
+                assert ode_residual(sol, pot, mass, e, r) < 1e-10 * peak
 
     def test_small_near_origin_off_eigenvalue(self):
         # the series solves the equation formally about the origin for any E
         pot = make_coulomb(1.0)
         mass = constant_mass(1.0)
         sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), -0.41, 48)
-        w = RadialWavefunction.from_solution(sol)
-        assert ode_residual(w, pot, mass, -0.41, 0.05) < 1e-9
+        assert ode_residual(sol, pot, mass, -0.41, 0.05) < 1e-9
 
     def test_constant_mass_term_drops(self):
         # with m' = 0 the first-derivative term vanishes, so the residual
@@ -291,26 +283,23 @@ class TestOdeResidual:
         e = -0.9
         sol_a = generate_coefficients(pot, mass, QuantumNumbers(3, 1, 0), e, 24)
         sol_b = generate_coefficients(pot, mass, QuantumNumbers(5, 0, 0), e, 24)
-        wa = RadialWavefunction.from_solution(sol_a)
-        wb = RadialWavefunction.from_solution(sol_b)
         for r in (0.2, 0.8, 1.5):
-            assert ode_residual(wa, pot, mass, e, r) == ode_residual(wb, pot, mass, e, r)
+            assert (ode_residual(sol_a, pot, mass, e, r)
+                    == ode_residual(sol_b, pot, mass, e, r))
 
     def test_singular_point_rejected(self):
         sol, e = coulomb_state()
-        w = RadialWavefunction.from_solution(sol)
         with pytest.raises(SingularPointError):
-            ode_residual(w, make_coulomb(1.0), constant_mass(1.0), e, 0.0)
+            ode_residual(sol, make_coulomb(1.0), constant_mass(1.0), e, 0.0)
 
     def test_derivative_matches_finite_differences(self):
         from pdmradial.wavefunction import _eval_R_derivs
 
         sol, _ = coulomb_state(n=2)
-        w = RadialWavefunction.from_solution(sol)
         h = 1e-5
         for r in (0.5, 1.5, 4.0):
-            _, rp, _ = _eval_R_derivs(w, r)
-            fd = (evaluate(w, r + h) - evaluate(w, r - h)) / (2 * h)
+            _, rp, _ = _eval_R_derivs(sol, r)
+            fd = (evaluate(sol, r + h) - evaluate(sol, r - h)) / (2 * h)
             assert rp == pytest.approx(fd, rel=1e-6)
 
     def test_residual_decreases_with_order(self):
@@ -320,8 +309,7 @@ class TestOdeResidual:
         prev = None
         for order in (8, 16, 32, 64):
             sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), e, order)
-            w = RadialWavefunction.from_solution(sol)
-            res = ode_residual(w, pot, mass, e, 0.15)
+            res = ode_residual(sol, pot, mass, e, 0.15)
             if prev is not None:
                 assert res <= prev or res < 1e-12
             prev = res
@@ -330,37 +318,34 @@ class TestOdeResidual:
 class TestCountNodes:
     def test_ground_state_nodeless(self):
         sol, _ = coulomb_state()
-        assert count_nodes(RadialWavefunction.from_solution(sol), 20.0) == 0
+        assert count_nodes(sol, 20.0) == 0
 
     def test_two_node_state_against_polynomial_roots(self):
         sol, _ = coulomb_state(n=2)
         roots = np.roots(sol.coeffs[:3][::-1])
         real = roots[np.abs(roots.imag) < 1e-12].real
         assert (real > 0).sum() == 2  # independent oracle for the node count
-        assert count_nodes(RadialWavefunction.from_solution(sol), 40.0) == 2
+        assert count_nodes(sol, 40.0) == 2
 
     def test_sign_flip_invariance(self):
         sol, _ = coulomb_state(n=2)
-        w = RadialWavefunction.from_solution(sol)
-        w_neg = RadialWavefunction.from_solution(sol.scaled(-1.0))
-        assert count_nodes(w, 40.0) == count_nodes(w_neg, 40.0)
+        assert count_nodes(sol, 40.0) == count_nodes(sol.scaled(-1.0), 40.0)
 
     def test_bare_solution_needs_no_trust_radius(self, monkeypatch):
         import pdmradial.wavefunction as wf_mod
 
         sol, _ = coulomb_state(n=2)
-        expected = count_nodes(RadialWavefunction.from_solution(sol), 40.0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("trust_radius called")
 
         monkeypatch.setattr(wf_mod, "trust_radius", forbidden)
-        assert count_nodes(sol, 40.0) == expected == 2
+        assert count_nodes(sol, 40.0) == 2
 
     def test_requires_enough_samples(self):
         sol, _ = coulomb_state()
         with pytest.raises(DomainError):
-            count_nodes(RadialWavefunction.from_solution(sol), 10.0, samples=50)
+            count_nodes(sol, 10.0, samples=50)
 
 
 class TestSignChanges:
@@ -390,13 +375,12 @@ class TestClosedFormEquivalence:
                 continue
             q = QuantumNumbers(3, ell, n)
             sol, e = coulomb_state(a_c, m0, n, ell)
-            w = RadialWavefunction.from_solution(sol)
             b = sol.b
             radii = np.linspace(0.05, 10.0 / (a_c * m0), 40)
             ref_coeffs = [
                 coulomb_closed_form_coefficients(a_c, m0, q, i) for i in range(n + 1)
             ]
-            vals = np.array([evaluate(w, float(r)) for r in radii])
+            vals = np.array([evaluate(sol, float(r)) for r in radii])
             ref = np.array(
                 [
                     r ** ((q.k - 1) / 2.0)

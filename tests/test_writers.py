@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdmradial.oracle as oracle_mod
 from pdmradial import cli
-from pdmradial.wavefunction import RadialWavefunction, clamp_to_trust, evaluate
+from pdmradial.wavefunction import clamp_to_trust, evaluate
 
 from test_cli import DECAYING_MASS, demo_config_dict
 
@@ -60,7 +60,7 @@ def frozen_write_wavefunctions(rows, grid, outdir, formats) -> None:
     for res, state in ((r.result, r.state()) for r in rows if r.ok):
         sol = res.solution.scaled(res.norm_const)
         trusted = radii[radii <= clamp_to_trust(sol, float(radii[-1]))]
-        vals = evaluate(RadialWavefunction(sol), trusted).tolist()
+        vals = evaluate(sol, trusted).tolist()
         samples.append((state, vals + [None] * (points - trusted.size)))
     lines = ((*state.values(), x, v) for state, vals in samples
              for x, v in zip(radii, vals) if v is not None)
