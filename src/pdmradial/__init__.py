@@ -39,7 +39,7 @@ from .tail import integrate_radial, make_leg
 from .wavefunction import (
     count_nodes,
     evaluate,
-    normalize,
+    norm2,
     ode_residual,
     trust_radius,
 )
@@ -69,7 +69,7 @@ __all__ = [
     "coulomb_expmass_closed_forms",
     "trust_radius",
     "evaluate",
-    "normalize",
+    "norm2",
     "ode_residual",
     "count_nodes",
     "SolverConfig",

@@ -363,7 +363,7 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
         except (BracketError, DomainError) as exc:
             channel = {
                 n: StateRow(QuantumNumbers(cfg.quantum.dim, ell, n),
-                            message=f"channel failed: {exc}")
+                            message=f"channel failed: {type(exc).__name__}: {exc}")
                 for n in cfg.quantum.n
             }
         rows.extend(channel[n] for n in cfg.quantum.n)

@@ -16,8 +16,8 @@ The brackets come from the channel's collocation spectrum
 between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
 narrow bracket shows no sign change or does not converge.  The node count
-of the converged state is verified on the series and on the inward pieces
-past the match radius.
+of the converged state is verified, and its norm taken, on one
+eigenfunction: the series on (0, r_match] and the inward pieces beyond.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .model import (
     b_from_energy,
 )
 from .recurrence import generate_coefficients
-from .wavefunction import clamp_to_trust, count_nodes, normalize, sign_changes
+from .wavefunction import clamp_to_trust, count_nodes, norm2, sign_changes
 
 __all__ = [
     "SolverConfig",
@@ -223,23 +223,6 @@ def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
     return out[0]
 
 
-def _combined_node_count(sol, q, geom: tail.Leg, inward: tail.Inward) -> int:
-    """Nodes of the matched eigenfunction: series side on (0, r_match] plus
-    the inward solution's pieces beyond.
-
-    The inward solution is oriented by the sign of the dot product of the
-    two (R, R') vectors at the match radius, which stays well defined when a
-    node sits there (R ~ 0, R' large).  Its count starts from the series
-    value at r_match, so the sample the series already counted is not
-    counted again."""
-    n_series = count_nodes(sol, geom.r_match, samples=_NODE_SAMPLES)
-
-    u_match, up_match = _series_direction(sol, q, geom.r_match)
-    align = math.copysign(1.0, u_match * inward.R + up_match * inward.dR)
-    beyond = inward.samples(_NODE_SAMPLES) * align
-    return n_series + sign_changes(np.append(u_match, beyond))
-
-
 def find_eigenvalue(
     pot: PotentialSpec,
     mass: MassProfile,
@@ -256,7 +239,7 @@ def find_eigenvalue(
     q.radial_n lies outside the window, the mismatch has no sign change in
     its cell, or Brent's method needs more than cfg.max_iter iterations on
     it; WrongStateError when the converged state's node count differs
-    from q.radial_n.
+    from q.radial_n; DomainError when its norm integral is not finite.
     """
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
@@ -301,21 +284,29 @@ def find_eigenvalue(
     # brentq returns an energy it has evaluated: that evaluation holds the
     # converged state's series and inward solution
     residual, sol, inward = evaluated[e_star]
-    nodes = _combined_node_count(sol, q, geom, inward)
+    # one eigenfunction: the series on (0, r_match], and beyond it the inward
+    # solution times sigma, the projection of the series' direction
+    # (u, u' + g u) onto the inward (R, R'), which a node at r_match leaves
+    # well defined.  Its nodes: the series' own, then the sign changes from
+    # the series value at r_match on (that sample is not counted twice)
+    r = geom.r_match
+    u, du = _series_direction(sol, q, r)
+    sigma = (u * inward.R + du * inward.dR) / (inward.R**2 + inward.dR**2)
+    beyond = inward.samples(_NODE_SAMPLES) * math.copysign(1.0, sigma)
+    nodes = (count_nodes(sol, r, samples=_NODE_SAMPLES)
+             + sign_changes(np.append(u, beyond)))
     if nodes != q.radial_n:
         raise WrongStateError(q.radial_n, nodes, e_star)
 
-    # Normalize over the physical decay region only: r_far is stretched for
-    # boundary-condition suppression, and at the (finitely converged) energy
-    # the non-terminating residual coefficients pollute the series out there.
-    b_mid = b_from_energy(0.5 * (cell[0] + cell[1]), mass.m0)
-    r_norm = max(
-        geom.r_match + _TAIL_LENGTHS / b_mid,
-        tail.tail_radius(pot, mass, e_star, target_exponent=12.0),
-    )
-    r_norm = clamp_to_trust(sol, r_norm, share=0.9)
-    r_norm = max(r_norm, 1.05 * geom.r_match)
-    norm_const = normalize(sol, r_norm).a0 / sol.a0
+    # and its norm, with the prefactor r^((k-1)/2) e^(-br) that turns the
+    # series' direction into its (R, R')
+    p_sigma = math.exp((q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
+    integral = norm2(sol, r) + p_sigma * p_sigma * inward.norm2(geom)
+    if not 0.0 < integral < math.inf:
+        raise DomainError(
+            f"the norm integral of the state at E={e_star!r} is {integral!r}"
+        )
+    norm_const = 1.0 / math.sqrt(integral)
 
     # an oracle that cannot check the state leaves the series result
     # standing and says why

@@ -42,9 +42,5 @@ class ResolutionError(RuntimeError):
     """Resolution check failed: the oracle's two collocation solves disagree."""
 
 
-class DegenerateWavefunctionError(RuntimeError):
-    """Normalization integral is zero or non-finite."""
-
-
 class ExtrapolationWarning(UserWarning):
     """Series evaluated beyond its trust region; the result is extrapolative."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -267,6 +268,17 @@ def _horner(coeffs, r, derivs: int = 0):
     return tuple(acc)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``size`` points on [0, 1], read
+    only: every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(size)
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 @dataclass(frozen=True)
 class SeriesSolution:
     """Truncated power-series factor u(r) of the ansatz R = r^((k-1)/2) e^(-br) u(r).
@@ -321,7 +333,7 @@ class EigenResult:
     oracle_error: str | None = None
 
     def __post_init__(self):
-        if self.norm_const <= 0:
+        if not self.norm_const > 0:  # NaN too
             raise DomainError("norm_const must be positive")
 
 

@@ -21,9 +21,10 @@ spans more than e^25 or so, so none loses its far-end sign to rounding, and
 the sign of R at r_match is the product of the pieces' signs of y at their
 right ends.
 
-The eigensolver calls ``integrate_radial`` once per trial energy;
-``tail_radius`` and ``outer_turning_radius`` place the start of the leg in
-the classically forbidden tail.
+The eigensolver calls ``integrate_radial`` once per trial energy, and
+``Inward.norm2`` once for the converged state, whose eigenfunction past
+r_match is this leg; ``tail_radius`` and ``outer_turning_radius`` place the
+start of the leg in the classically forbidden tail.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 from .model import MassProfile, PotentialSpec, QuantumNumbers, b_from_energy
+from .model import _gauss_legendre
 
 __all__ = [
     "Inward",
@@ -176,17 +178,29 @@ def _uniform_vander(points: int, n: int) -> np.ndarray:
     return vander
 
 
+@lru_cache(maxsize=None)
+def _gauss_vander(n: int) -> np.ndarray:
+    """T_0 .. T_{n-1} at the n Gauss-Legendre nodes of [-1, 1], read only."""
+    t, _ = _gauss_legendre(n)
+    vander = npcheb.chebvander(2.0 * t - 1.0, n - 1)
+    vander.flags.writeable = False
+    return vander
+
+
 @dataclass(frozen=True)
 class Piece:
     """One piece [left, right] of the leg: its collocation rows are
     ``rows0 + e * rows_e`` at energy e, from y'' = (w0 - m2 e) y on the
-    interior nodes, and ``scale`` = 2 / (right - left) maps d/dx to d/dr."""
+    interior nodes, and ``scale`` = 2 / (right - left) maps d/dx to d/dr.
+    ``weights`` integrate s^2 y^2 = R^2 over the piece from y at its
+    Gauss-Legendre nodes, with s^2 = m / m(r_match)."""
 
     left: float
     right: float
     scale: float
     rows0: np.ndarray
     rows_e: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -226,6 +240,20 @@ class Inward:
         values = coeffs @ _uniform_vander(per_piece, coeffs.shape[1]).T
         return (values * np.array(self.signs)[:, None]).ravel()[1:]
 
+    def norm2(self, leg: Leg) -> float:
+        """The integral of R^2 over ``leg``, the leg solved on, with
+        R(r_match) = 1: each piece's y (1 at its left end) times the right-end
+        values y(1) = sum(c) of the pieces nearer r_match.  Past r_far R^2 has
+        fallen by e^-28 or more.  No BLAS product: the bits do not follow the
+        thread count."""
+        vander = _gauss_vander(_NODES)
+        total, amp2 = 0.0, 1.0
+        for piece, c in zip(leg.pieces, self.coeffs):
+            y = (vander * c).sum(axis=1)
+            total += amp2 * float((piece.weights * (y * y)).sum())
+            amp2 *= float(c.sum()) ** 2
+        return total
+
 
 def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float, dlog) -> np.ndarray:
     """Radii from r_match to r_far, cut where the WKB exponent at ``e_ref``
@@ -255,6 +283,8 @@ def make_leg(
     if r_far <= r_match:
         raise DomainError("r_far must exceed r_match")
     x, (val, d2, *_) = _operators(_NODES)
+    t, w = _gauss_legendre(_NODES)
+    m_match = mass.mass_at(r_match)
     dlog = _dlog_series(mass)
     cuts = _cuts(pot, mass, q, r_match, r_far, e_ref, dlog)
     pieces = []
@@ -262,9 +292,10 @@ def make_leg(
         scale = 2.0 / (right - left)
         r = left + (x + 1.0) / scale
         _, w0, m2 = _potential_arrays(pot, mass, q, r, dlog)
+        s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
         pieces.append(Piece(left, right, scale,
                             scale * scale * d2 - w0[:, None] * val,
-                            m2[:, None] * val))
+                            m2[:, None] * val, (right - left) * w * s2))
     g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]), dlog)
     return Leg(float(r_match), float(r_far), tuple(pieces), float(g[0]),
                float(w0[1]), float(m2[1]))

@@ -1,4 +1,4 @@
-"""Assembly, evaluation, normalization and residual checks of the radial
+"""Assembly, evaluation, norm and residual checks of the radial
 wavefunction R(r) = r^((k-1)/2) e^(-br) u(r) built from a series solution.
 
 Half-integer prefactor powers (even k) are evaluated through
@@ -10,23 +10,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegenerateWavefunctionError,
-    DomainError,
-    ExtrapolationWarning,
-    SingularPointError,
-)
-from .model import MassProfile, PotentialSpec, SeriesSolution, _horner
+from .errors import DomainError, ExtrapolationWarning, SingularPointError
+from .model import MassProfile, PotentialSpec, SeriesSolution, _gauss_legendre, _horner
 
 __all__ = [
     "trust_radius",
     "clamp_to_trust",
     "evaluate",
-    "normalize",
+    "norm2",
     "ode_residual",
     "count_nodes",
     "sign_changes",
@@ -177,42 +171,17 @@ def evaluate(sol: SeriesSolution, r) -> float | np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``size`` points on [0, 1], read
-    only: every caller shares them."""
-    x, w = np.polynomial.legendre.leggauss(size)
-    rule = 0.5 * (x + 1.0), 0.5 * w
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-def normalize(sol: SeriesSolution, r_max: float) -> SeriesSolution:
-    """The series rescaled so that the norm of R over (0, infinity) is one.
-
-    The integral is a Gauss-Legendre rule for R^2 over (0, r_max) plus the
-    exponential-envelope tail estimate R(r_max)^2 / (2b) for the remainder.
-    R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an exponential, so
-    a fixed rule converges spectrally; it has as many nodes as the series
-    has terms, and at least 64.
-    """
-    if r_max <= 0:
-        raise DomainError("r_max must be positive")
+def norm2(sol: SeriesSolution, r: float) -> float:
+    """The integral of R^2 over (0, r), inf or NaN where the series
+    overflows.  R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an
+    exponential, so a fixed Gauss-Legendre rule converges spectrally; it has
+    as many nodes as the series has terms, and at least 64."""
+    if not r > 0:
+        raise DomainError("r must be positive")
     t, weights = _gauss_legendre(max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _eval_R_positive(sol, r_max * t)
-        # cap instead of overflowing in the sum
-        integral = r_max * float((weights * np.minimum(v * v, 1e300)).sum())
-        v_max = _eval_R(sol, r_max)
-        integral += min(v_max * v_max, 1e300) / (2.0 * sol.b)
-    if integral >= 1e299:
-        integral = math.inf
-    if not math.isfinite(integral) or integral <= 0.0:
-        raise DegenerateWavefunctionError(
-            f"normalization integral is degenerate ({integral!r})"
-        )
-    return sol.scaled(1.0 / math.sqrt(integral))
+        v = _eval_R_positive(sol, r * t)
+        return r * float((weights * (v * v)).sum())
 
 
 def ode_residual(

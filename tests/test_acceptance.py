@@ -21,7 +21,7 @@ from pdmradial.recurrence import (
     expmass_cornell_coefficients,
     generate_coefficients,
 )
-from pdmradial.wavefunction import evaluate, normalize, ode_residual, trust_radius
+from pdmradial.wavefunction import evaluate, ode_residual, trust_radius
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -265,8 +265,10 @@ def test_criterion_08_normalization():
     for a_c, m0 in [(1.0, 1.0), (1.4, 0.8)]:
         q = QuantumNumbers(3, 0, 0)
         e = coulomb_reference_energy(a_c, m0, q)
-        sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, 32)
-        a0 = normalize(sol, 25.0 / (a_c * m0)).a0
+        res = find_eigenvalue(make_coulomb(a_c), constant_mass(m0), q,
+                              SolverConfig(e_bracket=(1.2 * e, 0.8 * e)))
+        # the series' a0 is 1, so norm_const is the normalized a0
+        a0 = res.norm_const * res.solution.a0
         target = 2.0 * (a_c * m0) ** 1.5
         err = abs(a0 - target) / target
         ratio = a0 / coulomb_a0_reference(a_c, m0, 0, 0)

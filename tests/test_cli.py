@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -448,8 +449,8 @@ class TestArtifacts:
               {"kind": "exponential", "m0": 1.0, "lambda": 0.28086386458805035},
               {"dim": 2, "ell": [0, 1], "n": [0, 1, 2]}),
              {"e_lo": -10.092824814183157, "e_hi": -0.1, "truncation_order": 96},
-             6, "channel failed: the mass underflows on the collocation grid of "
-                "r_max="),
+             6, "channel failed: DomainError: the mass underflows on the "
+                "collocation grid of r_max="),
         ],
         ids=["brent-iteration-limit", "mass-underflow"],
     )
@@ -464,6 +465,28 @@ class TestArtifacts:
         assert all(r["message"].startswith(message) for r in records), records
         csv_rows = (tmp_path / "out" / "energies.csv").read_text().splitlines()
         assert len(csv_rows) == rows + 1
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_norm_is_an_error_row(self, tmp_path, monkeypatch, value):
+        # the state whose norm integral is not finite fails alone
+        import pdmradial.tail as tail_mod
+
+        norm2 = tail_mod.Inward.norm2
+        calls = []
+
+        def second_fails(self, leg):
+            calls.append(leg)
+            return value if len(calls) == 2 else norm2(self, leg)
+
+        monkeypatch.setattr(tail_mod.Inward, "norm2", second_fails)
+        data = demo_config_dict()
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 1
+        rows = json.loads((tmp_path / "out" / "energies.json").read_text())
+        assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+        assert rows[1]["message"].startswith(
+            "DomainError: the norm integral of the state at E=")
+        assert rows[1]["norm_const"] is None
 
     def test_failed_row_names_the_last_failure(self, tmp_path, monkeypatch):
         import pdmradial.cli as cli_mod
@@ -506,8 +529,8 @@ class TestPdmConfig:
 
     def test_golden_energies_file(self, tmp_path):
         # the only golden file with a varying mass; the JSON file pins every
-        # bit of the energies and of norm_const, whose normalization radius
-        # is 0.9 times the trust radius on every state
+        # bit of the energies and of norm_const, whose norm past r_match
+        # comes from the inward leg
         data = json.loads(EXPMASS_CONFIG.read_text())
         data["output"]["directory"] = str(tmp_path / "out")
         assert run_solve(str(write_config(tmp_path, data))) == 0
@@ -587,7 +610,9 @@ class TestWavefunctionSamples:
             r = np.array(w["r"])
             R = np.array(w["R"], dtype=float)
             assert np.all(np.isfinite(R))
-            assert abs(np.trapezoid(R * R, r) - 1.0) < 1e-3
+            # the trapezoid rule, written out (np.trapezoid needs numpy 2)
+            r2 = R * R
+            assert abs(float(np.sum(0.5 * (r2[1:] + r2[:-1]) * np.diff(r))) - 1.0) < 1e-3
 
     def test_one_evaluation_per_state_and_none_past_trust(self, tmp_path, monkeypatch):
         # the trusted radii of each state are evaluated in one array call,

@@ -1,11 +1,13 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coulomb_reference import coulomb_reference_energy
+from coulomb_reference import coulomb_norm_reference, coulomb_reference_energy
+from pdmradial import cli
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import BracketError, DomainError, WrongStateError
 from pdmradial.mass_expansion import constant_mass, expand_exponential
@@ -46,6 +48,9 @@ BENCHMARK_CENTRES = {
                  "wavefunction_grid": {"r_max": 5.0, "points": 201}}),
     ],
 }
+
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "coulomb_demo.json"
 
 
 def bracket_around(e_ref, width=0.15):
@@ -124,6 +129,72 @@ class TestNodeAtMatchRadius:
         )
         assert res.nodes == 1
         assert abs(res.energy - e_ref) < 1e-10 * abs(e_ref)
+        # the inward leg is scaled onto the series there by projection,
+        # which a zero of R leaves well defined
+        ref = coulomb_norm_reference(1.0, 1.0, q)
+        assert abs(res.norm_const / ref - 1.0) < 1e-11
+
+
+def _oscillator_norm_reference(q: QuantumNumbers) -> float:
+    """norm_const of the 3-d state of V = r^2 - 20, m = 1: R = N r^(l+1)
+    e^(-beta r^2/2) L_n^(l+1/2)(beta r^2) with beta = sqrt(2), normalized under
+    the integral of R^2 dr, tends to N L_n^(l+1/2)(0) r^(l+1) at the origin;
+    N^2 = 2 beta^(l+3/2) n! / Gamma(n+l+3/2)."""
+    n, ell, beta = q.radial_n, q.ell, math.sqrt(2.0)
+    log_n2 = (math.log(2.0) + (ell + 1.5) * math.log(beta) + math.lgamma(n + 1)
+              - math.lgamma(n + ell + 1.5))
+    log_l0 = math.lgamma(n + ell + 1.5) - math.lgamma(n + 1) - math.lgamma(ell + 1.5)
+    return math.exp(0.5 * log_n2 + log_l0)
+
+
+# norm_const of the exp-mass Cornell centre (a = 1, b = 0.2, c = -3,
+# m = e^(-0.2 r), N = 3), by (l, n), computed without pdmradial: at the
+# levels of bench/reference.py, the regular solution with R / r -> 1 (l = 0)
+# or R / r^2 -> 1 (l = 1) integrated outward from r = 1e-8 and the decaying
+# one inward from a WKB exponent of 20 past the turning point, both by
+# DOP853 at rtol 1e-13 with the integral of R^2 as a third component, the
+# inward one scaled onto the outward one at the turning point; moving the
+# match radius in by 20 %, the outer radius to an exponent of 26 and the
+# start to 1e-9 changes none by more than 9e-14
+EXPMASS_NORM_REFERENCE = {
+    (0, 0): 2.217919212898468, (0, 1): 1.6263240461199506, (0, 2): 1.5563222727584525,
+    (1, 0): 0.6709890073620183, (1, 1): 0.8542555442222091, (1, 2): 1.0265910923392605,
+}
+
+
+class TestNormConst:
+    """norm_const of every state of the Coulomb demo and of the benchmark
+    centres against references computed without the series: the closed
+    forms, and the frozen shooting norms for the exp-mass centre."""
+
+    @staticmethod
+    def _solve(data):
+        """(q, result) of every state of a config dict, as `solve` brackets
+        them, with the oracle off (the norm does not read it)."""
+        cfg = cli.parse_config({**data, "output": {"directory": "unused"}})
+        solver = replace(cfg.solver, run_oracle=False)
+        for ell in cfg.quantum.ell:
+            spectrum = channel_spectrum(cfg.potential, cfg.mass,
+                                        QuantumNumbers(cfg.quantum.dim, ell, 0),
+                                        solver.e_bracket)
+            for n in cfg.quantum.n:
+                q = QuantumNumbers(cfg.quantum.dim, ell, n)
+                yield q, find_eigenvalue(cfg.potential, cfg.mass, q, solver, spectrum)
+
+    @pytest.mark.parametrize("configs, reference, states", [
+        ([json.loads(DEMO_CONFIG.read_text())],
+         lambda q: coulomb_norm_reference(1.0, 1.0, q), 3),
+        (BENCHMARK_CENTRES["coulomb_oracle"],
+         lambda q: coulomb_norm_reference(1.0, 1.0, q), 10),
+        (BENCHMARK_CENTRES["oscillator_series"], _oscillator_norm_reference, 9),
+        (BENCHMARK_CENTRES["expmass_cornell"],
+         lambda q: EXPMASS_NORM_REFERENCE[q.ell, q.radial_n], 6),
+    ], ids=["coulomb_demo", "coulomb", "oscillator", "expmass"])
+    def test_against_reference(self, configs, reference, states):
+        errors = {(q.dim_n, q.ell, q.radial_n): res.norm_const / reference(q) - 1.0
+                  for data in configs for q, res in self._solve(data)}
+        assert len(errors) == states
+        assert max(map(abs, errors.values())) < 1e-11, errors
 
 
 class TestFindEigenvalueErrors:
@@ -191,6 +262,17 @@ class TestFindEigenvalueErrors:
             narrow = (max(lo, e_c - half), min(hi, e_c + half))
             assert brackets[-2:] == [narrow, (lo, hi)]
         assert len(brackets) == 6
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_norm_is_a_domain_error(self, monkeypatch, value):
+        import pdmradial.tail as tail_mod
+
+        monkeypatch.setattr(tail_mod.Inward, "norm2", lambda self, leg: value)
+        with pytest.raises(DomainError, match="the norm integral of the state at E="):
+            find_eigenvalue(
+                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
+                SolverConfig(e_bracket=(-0.14, -0.11)),
+            )
 
     def test_iteration_limit_is_a_bracket_error(self):
         # every level 1e-3 relative too shallow: the narrow bracket holds no
@@ -289,8 +371,8 @@ class TestScanSpectrum:
         assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
 
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
-        # the match and normalization radii are clamped to the trust radius
-        # (clamp_to_trust), and neither clamp binds on this state: no search
+        # the match radius is clamped to the trust radius (clamp_to_trust),
+        # and the clamp does not bind on this state: no search
         import pdmradial.wavefunction as wf_mod
 
         calls = []
@@ -308,14 +390,13 @@ class TestScanSpectrum:
         assert calls == []
 
     @pytest.mark.parametrize("workload, searches", [
-        ("coulomb_oracle", 0), ("expmass_cornell", 6), ("oscillator_series", 0),
+        ("coulomb_oracle", 0), ("expmass_cornell", 0), ("oscillator_series", 0),
     ])
     def test_trust_radius_searches_per_benchmark_centre_solve(
         self, tmp_path, monkeypatch, workload, searches
     ):
         # one `solve` of each benchmark workload's centre configs, writers
-        # included: only the exp-mass normalization radii, 0.9 times the
-        # trust radius on all six states, search it
+        # included: no clamp binds, so nothing searches the trust radius
         import pdmradial.wavefunction as wf_mod
         from pdmradial import cli
 
@@ -372,8 +453,8 @@ class TestScanSpectrum:
 
     def test_one_turning_point_per_energy(self, monkeypatch):
         # the geometry finds the turning point at the cell's upper energy
-        # once and hands it to tail_radius; the normalization's tail radius
-        # at the root is the only other search
+        # once and hands it to tail_radius; the norm comes from the leg the
+        # geometry built, so the solve searches no other
         import pdmradial.eigensolver as es_mod
         import pdmradial.tail as tail_mod
 
@@ -392,8 +473,8 @@ class TestScanSpectrum:
         es_mod._build_geometry(pot, mass.extended(64), q, cfg, cell, e_c)
         assert calls == [cell[1]]
         calls.clear()
-        res = find_eigenvalue(pot, mass, q, cfg, spectrum)
-        assert calls == [cell[1], res.energy]
+        find_eigenvalue(pot, mass, q, cfg, spectrum)
+        assert calls == [cell[1]]
 
 
 class TestOrdering:

@@ -20,24 +20,26 @@ from pdmradial.tail import (
 
 def test_oracle_imports_no_series_machinery():
     # the oracle must stay an independent check: domain types, and from the
-    # tail leg only the radius that places r_max
+    # tail leg only the radius that places r_max; the tail itself imports
+    # nothing of the series either
     import ast
     from pathlib import Path
 
-    tree = ast.parse(Path(oracle_mod.__file__).read_text())
-    modules, from_tail = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            modules.add(node.module or "")
-            modules.update(alias.name for alias in node.names)
-            if node.module == "tail":
-                from_tail.update(alias.name for alias in node.names)
-    assert not any(
-        name in m for m in modules
-        for name in ("recurrence", "wavefunction", "eigensolver")
-    )
+    from_tail = set()
+    for module in (oracle_mod, tail_mod):
+        modules = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module or "")
+                modules.update(alias.name for alias in node.names)
+                if node.module == "tail":
+                    from_tail.update(alias.name for alias in node.names)
+        assert not any(
+            name in m for m in modules
+            for name in ("recurrence", "wavefunction", "eigensolver")
+        ), module.__name__
     assert from_tail == {"tail_radius"}
     # and the tail builds its own Chebyshev operators: a fault in one
     # differentiation matrix must not move both answers the same way

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from coulomb_reference import coulomb_a0_reference
-from pdmradial.errors import (
-    DegenerateWavefunctionError,
-    DomainError,
-    ExtrapolationWarning,
-    SingularPointError,
-)
+from pdmradial.errors import DomainError, ExtrapolationWarning, SingularPointError
 from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import (
     PotentialSpec,
@@ -26,7 +21,7 @@ from pdmradial.wavefunction import (
     clamp_to_trust,
     count_nodes,
     evaluate,
-    normalize,
+    norm2,
     ode_residual,
     sign_changes,
     trust_radius,
@@ -171,46 +166,55 @@ class TestEvaluate:
         assert np.array_equal(evaluate(sol, radii.reshape(1, -1))[0], values)
 
 
+def normalized(sol, r):
+    """The series scaled so that the integral of R^2 over (0, r) is one."""
+    return sol.scaled(1.0 / math.sqrt(norm2(sol, r)))
+
+
 class TestNormalize:
+    # norm2 over radii where R^2 has fallen below 1e-20 of its peak: the
+    # whole norm, to rounding
     def test_coulomb_ground_state_scale(self):
         # integral of a0^2 r^2 e^{-2 A m0 r} over (0, inf) = a0^2/(4 (A m0)^3)
         for a_c, m0 in [(1.0, 1.0), (1.3, 0.7)]:
             sol, _ = coulomb_state(a_c, m0)
-            normed = normalize(sol, 25.0 / (a_c * m0))
+            normed = normalized(sol, 25.0 / (a_c * m0))
             assert normed.a0 == pytest.approx(
                 2.0 * (a_c * m0) ** 1.5, rel=1e-10
             )
 
     def test_idempotence(self):
         sol, _ = coulomb_state(n=1)
-        once = normalize(sol, 40.0)
-        twice = normalize(once, 40.0)
-        assert twice.a0 == pytest.approx(once.a0, rel=1e-12)
+        once = normalized(sol, 40.0)
+        assert norm2(once, 40.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_projective_invariance(self):
         sol, _ = coulomb_state(n=2)
-        a0 = normalize(sol, 60.0).a0
-        assert normalize(sol.scaled(2.0), 60.0).a0 == pytest.approx(a0, rel=1e-12)
+        assert norm2(sol.scaled(2.0), 60.0) == pytest.approx(4.0 * norm2(sol, 60.0),
+                                                            rel=1e-12)
 
     def test_reference_scale_ratio_is_one_for_ground_state(self):
         a_c, m0 = 1.1, 0.9
         sol, _ = coulomb_state(a_c, m0)
-        normed = normalize(sol, 30.0 / (a_c * m0))
+        normed = normalized(sol, 30.0 / (a_c * m0))
         ratio = normed.a0 / coulomb_a0_reference(a_c, m0, 0, 0)
         assert ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_degenerate_integral_rejected(self):
+        # an overflowing series gives a non-finite integral, without a
+        # warning, for find_eigenvalue to refuse; a radius that is not
+        # positive is refused here
         sol, _ = coulomb_state()
-        with pytest.raises(DegenerateWavefunctionError):
-            normalize(sol.scaled(1e200), 40.0)
+        assert norm2(sol.scaled(1e200), 40.0) == math.inf
+        for r in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                norm2(sol, r)
 
 
 class TestNormalizeRule:
     # the fixed Gauss-Legendre rule against a tight adaptive quadrature, on
-    # the (wavefunction, r_max) pairs the eigensolver normalizes: the first
-    # excited state of every channel k = 2..6.  (Higher states can end at
-    # radii where the series has lost digits to cancellation; there neither
-    # rule nor quad is better than a few 1e-13.)
+    # the (series, r_match) pairs whose norm2 the eigensolver takes: the
+    # first excited state of every channel k = 2..6
     FAMILIES = {
         "coulomb": (lambda: (make_coulomb(1.0), constant_mass(1.0)),
                     lambda k: (-2.4 / (k - 1) ** 2, -2.0 / (k + 5) ** 2)),
@@ -232,28 +236,28 @@ class TestNormalizeRule:
 
         seen = []
 
-        def recording(sol, r_max):
-            seen.append((sol, r_max))
-            return normalize(sol, r_max)
+        def recording(sol, r):
+            seen.append((sol, r))
+            return norm2(sol, r)
 
-        monkeypatch.setattr(es_mod, "normalize", recording)
+        monkeypatch.setattr(es_mod, "norm2", recording)
         make, window = self.FAMILIES[family]
         pot, mass = make()
         for k in range(2, 7):
             q = QuantumNumbers(2 + k % 2, (k - 2) // 2, 1)
             assert q.k == k
-            find_eigenvalue(
+            res = find_eigenvalue(
                 pot, mass, q,
                 SolverConfig(e_bracket=window(k), truncation_order=order),
             )
-            sol, r_max = seen[-1]
-            ours = (sol.a0 / normalize(sol, r_max).a0) ** 2
+            sol, r_match = seen[-1]
+            assert sol is res.solution
 
             def r2(x):
                 return evaluate(sol, x) ** 2
 
-            body, _ = quad(r2, 0.0, r_max, epsabs=0.0, epsrel=1e-13, limit=2000)
-            ref = body + r2(r_max) / (2.0 * sol.b)
+            ref, _ = quad(r2, 0.0, r_match, epsabs=0.0, epsrel=1e-13, limit=2000)
+            ours = norm2(sol, r_match)
             assert abs(ours / ref - 1.0) < 1e-13, (k, ours, ref)
         assert len(seen) == 5
 
