@@ -29,8 +29,8 @@ which the series path looks for state n, so one spectrum serves every
 state of the channel.  The coarser one only checks the levels, and only
 one of its eigenvalues is read per level, so it is never solved in full:
 on the first check its pencil is built, and shifted inverse iteration at
-every level in the window (``_nearest_levels``) finds the coarse eigenvalue
-nearest each.  A solve that checks nothing builds only the finer one.
+each checked level (``_nearest_level``) finds the coarse eigenvalue nearest
+it.  A solve that checks nothing builds only the finer one.
 
 This module shares no solver code with the series path: it imports only the
 domain types and ``tail_radius``, which places r_max.
@@ -38,6 +38,7 @@ domain types and ``tail_radius``, which places r_max.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -179,41 +180,35 @@ def collocation_levels(
     return np.sort(ev[ev.imag == 0].real)
 
 
-def _nearest_levels(
-    a: np.ndarray, d: np.ndarray, shifts: np.ndarray
-) -> np.ndarray:
-    """The eigenvalue of the pencil A y = E diag(d) y nearest each shift e,
+def _nearest_level(a: np.ndarray, d: np.ndarray, e: float) -> float:
+    """The eigenvalue of the pencil A y = E diag(d) y nearest the shift e,
     by shifted inverse iteration (Trefethen and Bau, Numerical Linear
-    Algebra, 1997, Lecture 27) on the pencil itself, all shifts as one
-    stack: from a uniform unit x, solve (A - e diag(d)) y = d x, take
-    e + 1/(x . y) and x = y / |y|, and repeat until no iterate turns.
+    Algebra, 1997, Lecture 27) on the pencil itself: from a uniform unit x,
+    solve (A - e diag(d)) y = d x, take e + 1/(x . y) and x = y / |y|, and
+    repeat until the iterate no longer turns.
 
     An iterate that still turns after ``_INVERSE_STEPS`` solves has not
     converged, and its estimate is inf, so it never passes a check.  A
     shift that makes its matrix exactly singular is an eigenvalue itself."""
-    n = d.size
-    shifted = np.repeat(a[None], shifts.size, axis=0)
-    diag = np.arange(n)
-    shifted[:, diag, diag] -= shifts[:, None] * d
-    x = np.full((shifts.size, n), 1.0 / np.sqrt(n))
+    shifted = a.copy()
+    # the diagonal as a strided view, several times cheaper than fancy indexing
+    shifted.reshape(-1)[:: d.size + 1] -= e * d
+    x = np.full(d.size, 1.0 / np.sqrt(d.size))
     try:
         for step in range(_INVERSE_STEPS):
-            y = np.linalg.solve(shifted, (d * x)[..., None])[..., 0]
-            proj = (x * y).sum(axis=1)
-            norm = np.linalg.norm(y, axis=1)
-            x = y / norm[:, None]
-            converged = np.abs(proj) >= (1.0 - _TURN_RTOL) * norm
+            y = np.linalg.solve(shifted, d * x)
+            # elementwise sums, not BLAS dot products: the same bits at
+            # every thread count
+            proj = float((x * y).sum())
+            norm = math.sqrt(float((y * y).sum()))
+            x = y / norm
+            converged = abs(proj) >= (1.0 - _TURN_RTOL) * norm
             # the first turn measures only how far the uniform start was
-            if step and converged.all():
-                break
+            if step and converged:
+                return e + 1.0 / proj
     except np.linalg.LinAlgError:
-        if shifts.size == 1:
-            return shifts.copy()
-        return np.concatenate([_nearest_levels(a, d, shifts[i:i + 1])
-                               for i in range(shifts.size)])
-    levels = np.full(shifts.size, np.inf)
-    levels[converged] = shifts[converged] + 1.0 / proj[converged]
-    return levels
+        return e
+    return math.inf
 
 
 @dataclass(frozen=True)
@@ -229,16 +224,9 @@ class ChannelSpectrum:
     coarse_pencil: Callable[[], tuple[np.ndarray, np.ndarray]]
 
     @cached_property
-    def _inside(self) -> np.ndarray:
-        e_lo, e_hi = self.window
-        return self.levels[(self.levels >= e_lo) & (self.levels <= e_hi)]
-
-    @cached_property
-    def check(self) -> np.ndarray:
-        """For each level inside the window, ascending, the coarser pencil's
-        eigenvalue nearest it (``_nearest_levels``), computed on first use:
-        only ``checked`` reads them."""
-        return _nearest_levels(*self.coarse_pencil(), self._inside)
+    def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coarser pencil, built on the first check."""
+        return self.coarse_pencil()
 
     def cell(self, n: int) -> tuple[tuple[float, float], float]:
         """The cell of level n, from the midpoints to its neighbours clipped
@@ -257,14 +245,14 @@ class ChannelSpectrum:
         )
 
     def checked(self, e: float) -> float:
-        """``e`` once the coarser solve has a level within 1e-8 relative of
-        it, else ResolutionError, which says so when the inverse iteration
-        at ``e`` did not converge."""
-        gap = float(np.min(np.abs(self.check - e))) if self.check.size else np.inf
+        """``e`` once the coarser pencil has an eigenvalue within 1e-8
+        relative of it (``_nearest_level``), else ResolutionError, which
+        says so when the inverse iteration at ``e`` did not converge."""
+        gap = abs(_nearest_level(*self._pencil, e) - e)
         if gap <= _SELF_CHECK_RTOL * abs(e):
             return e
         (n_check, _), (n_fine, _) = _RESOLUTIONS
-        if np.isinf(self.check[self._inside == e]).any():
+        if gap == math.inf:
             raise ResolutionError(
                 f"the {n_check}-node inverse iteration at E={e!r} did not "
                 f"converge after {_INVERSE_STEPS} solves"

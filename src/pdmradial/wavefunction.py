@@ -60,23 +60,20 @@ def trust_radius(solution: SeriesSolution) -> float:
     if last == 0.0 or coeffs.size == 1:
         return math.inf
 
-    abs_coeffs = np.abs(coeffs)
+    rev = np.abs(coeffs)[::-1].tolist()
     order = coeffs.size - 1
 
-    # doubling scan from 1e-12 to the first radius where the ratio is
-    # exceeded; overflow in either side of the comparison means the scan ran
-    # far past any usable radius, and treating it as "exceeded" keeps the
-    # result finite and conservative
-    radii = np.ldexp(1e-12, np.arange(220))
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = last * radii**order - TRUST_RATIO * _horner(abs_coeffs, radii)
-    hit = (val > 0) | ~np.isfinite(val)
-    if not hit.any():
+    # double from 1e-12 to the first radius where the ratio is exceeded;
+    # overflow in either side of the comparison means the search ran far
+    # past any usable radius, and treating it as "exceeded" keeps the result
+    # finite and conservative
+    hi = 1e-12
+    for _ in range(220):
+        if _untrusted(rev, last, order, hi):
+            break
+        hi *= 2.0
+    else:
         return math.inf
-    # the bisection evaluates the envelope on Python floats, with _horner's
-    # operations on a reversed coefficient list built once
-    rev = abs_coeffs[::-1].tolist()
-    hi = float(radii[np.argmax(hit)])
     lo = hi / 2.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -115,17 +112,6 @@ def _power(sol: SeriesSolution) -> float:
     return (sol.quantum.k - 1) / 2.0
 
 
-def _eval_R(sol: SeriesSolution, r: float) -> float:
-    p = _power(sol)
-    if r == 0.0:
-        if p > 0:
-            return 0.0
-        # k = 1: prefactor is r^0
-        return float(sol.coeffs[0])
-    u = _horner(sol.coeffs, r)
-    return math.exp(p * math.log(r) - sol.b * r) * u
-
-
 def _eval_R_positive(sol: SeriesSolution, r: np.ndarray) -> np.ndarray:
     """R at an array of radii r > 0."""
     return np.exp(_power(sol) * np.log(r) - sol.b * r) * _horner(sol.coeffs, r)
@@ -145,15 +131,16 @@ def _eval_R_derivs(sol: SeriesSolution, r: float) -> tuple[float, float, float]:
 
 
 def evaluate(sol: SeriesSolution, r) -> float | np.ndarray:
-    """Truncated-series value of R at radius r >= 0 (scalar or array).
+    """Truncated-series value of R at finite radii r >= 0: a float for a
+    scalar, else an array of the same shape.
 
     Radii beyond the trust cutoff are evaluated anyway but flagged with an
     ExtrapolationWarning; the cutoff is searched only when the largest
     radius may lie beyond it (``clamp_to_trust``).
     """
     arr = np.asarray(r, float)
-    if not np.all(arr >= 0):  # NaN too
-        raise DomainError("radius must be >= 0")
+    if not np.all((arr >= 0) & (arr < math.inf)):  # NaN too
+        raise DomainError("radius must be finite and >= 0")
     r_top = float(arr.max(initial=0.0))
     cutoff = clamp_to_trust(sol, r_top)
     if cutoff < r_top:
@@ -162,13 +149,11 @@ def evaluate(sol: SeriesSolution, r) -> float | np.ndarray:
             ExtrapolationWarning,
             stacklevel=2,
         )
-    if arr.ndim == 0:
-        return _eval_R(sol, float(arr))
-    out = np.empty_like(arr)
+    # R(0) is 0, or a0 when k = 1 and the prefactor is r^0
+    out = np.full(arr.shape, sol.a0 if sol.quantum.k == 1 else 0.0)
     pos = arr > 0.0
     out[pos] = _eval_R_positive(sol, arr[pos])
-    out[~pos] = _eval_R(sol, 0.0)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def norm2(sol: SeriesSolution, r: float) -> float:
@@ -176,8 +161,8 @@ def norm2(sol: SeriesSolution, r: float) -> float:
     overflows.  R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an
     exponential, so a fixed Gauss-Legendre rule converges spectrally; it has
     as many nodes as the series has terms, and at least 64."""
-    if not r > 0:
-        raise DomainError("r must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("r must be positive and finite")
     t, weights = _gauss_legendre(max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
         v = _eval_R_positive(sol, r * t)
@@ -231,8 +216,8 @@ def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
-    if r_max <= 0:
-        raise DomainError("r_max must be positive")
+    if not 0 < r_max < math.inf:
+        raise DomainError("r_max must be positive and finite")
     grid = np.linspace(0.0, r_max, samples + 1)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         return sign_changes(_horner(sol.coeffs, grid))

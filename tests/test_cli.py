@@ -264,9 +264,13 @@ class TestSolveDemo:
             ).read_bytes()
 
     def test_golden_energies_file(self, demo_run):
+        # the JSON file pins every bit of energy, norm_const, tail_residual
+        # and oracle_gap of the one constant-mass demo with the oracle on
         _, outdir = demo_run
         assert GOLDEN.exists(), "golden file missing from the repository"
         assert (outdir / "energies.csv").read_bytes() == GOLDEN.read_bytes()
+        got = (outdir / "energies.json").read_bytes()
+        assert got == GOLDEN.with_suffix(".json").read_bytes()
 
     def test_stops_once_every_state_is_found(self, tmp_path, monkeypatch):
         import pdmradial.cli as cli_mod

@@ -57,6 +57,17 @@ def bracket_around(e_ref, width=0.15):
     return (e_ref * (1.0 + width), e_ref * (1.0 - width))
 
 
+def _solve_centres(tmp_path, workload):
+    """One `solve` of each of the workload's centre configs, writers
+    included."""
+    for i, data in enumerate(BENCHMARK_CENTRES[workload]):
+        data = {**data, "output": {**data["output"],
+                                   "directory": str(tmp_path / f"out{i}")}}
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["solve", str(path)]) == 0
+
+
 class TestCoulombReference:
     def test_three_dimensional_ground_state(self):
         assert coulomb_reference_energy(1.0, 1.0, QuantumNumbers(3, 0, 0)) == -0.5
@@ -395,10 +406,9 @@ class TestScanSpectrum:
     def test_trust_radius_searches_per_benchmark_centre_solve(
         self, tmp_path, monkeypatch, workload, searches
     ):
-        # one `solve` of each benchmark workload's centre configs, writers
-        # included: no clamp binds, so nothing searches the trust radius
+        # one `solve` of each benchmark workload's centre configs: no clamp
+        # binds, so nothing searches the trust radius
         import pdmradial.wavefunction as wf_mod
-        from pdmradial import cli
 
         calls = []
         trust = wf_mod.trust_radius
@@ -408,13 +418,35 @@ class TestScanSpectrum:
             return trust(sol, *args)
 
         monkeypatch.setattr(wf_mod, "trust_radius", counting)
-        for i, data in enumerate(BENCHMARK_CENTRES[workload]):
-            data = {**data, "output": {**data["output"],
-                                       "directory": str(tmp_path / f"out{i}")}}
-            path = tmp_path / f"config{i}.json"
-            path.write_text(json.dumps(data))
-            assert cli.main(["solve", str(path)]) == 0
+        _solve_centres(tmp_path, workload)
         assert len(calls) == searches
+
+    @pytest.mark.parametrize("workload, checks, channels", [
+        ("coulomb_oracle", 10, 4), ("expmass_cornell", 6, 2),
+    ])
+    def test_one_inverse_iteration_per_checked_state(
+        self, tmp_path, monkeypatch, workload, checks, channels
+    ):
+        # the oracle iterates at each checked state's level alone, never at
+        # a level nobody asked for, and builds each channel's coarser
+        # pencil once
+        shifts, coarse = [], []
+        nearest, pencil = oracle_mod._nearest_level, oracle_mod.collocation_pencil
+
+        def counting_nearest(a, d, e):
+            shifts.append(e)
+            return nearest(a, d, e)
+
+        def counting_pencil(pot, mass, q, nodes, r_max):
+            if nodes == oracle_mod._RESOLUTIONS[0][0]:
+                coarse.append(q)
+            return pencil(pot, mass, q, nodes, r_max)
+
+        monkeypatch.setattr(oracle_mod, "_nearest_level", counting_nearest)
+        monkeypatch.setattr(oracle_mod, "collocation_pencil", counting_pencil)
+        _solve_centres(tmp_path, workload)
+        assert len(shifts) == checks
+        assert len(coarse) == len(set(coarse)) == channels
 
     def test_one_evaluation_outside_brent_per_state(self, monkeypatch):
         # a narrow-bracket hit: no mismatch past Brent's own evaluations

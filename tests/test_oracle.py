@@ -350,13 +350,15 @@ def test_levels_do_not_depend_on_blas_threads():
     script = (
         "from pdmradial.mass_expansion import constant_mass, expand_exponential\n"
         "from pdmradial.model import QuantumNumbers, make_cornell, make_coulomb\n"
-        "from pdmradial.oracle import channel_spectrum\n"
-        "for pot, mass, q, window in (\n"
+        "from pdmradial.oracle import _nearest_level, channel_spectrum\n"
+        "for pot, mass, q, (e_lo, e_hi) in (\n"
         "    (make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 1, 0), (-0.6, -0.03)),\n"
         "    (make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64),\n"
         "     QuantumNumbers(3, 1, 0), (-3.4, -0.8))):\n"
-        "    s = channel_spectrum(pot, mass, q, window)\n"
-        "    print(s.levels.tolist(), s.check.tolist())\n"
+        "    s = channel_spectrum(pot, mass, q, (e_lo, e_hi))\n"
+        "    a, d = s.coarse_pencil()\n"
+        "    print(s.levels.tolist(), [_nearest_level(a, d, e)\n"
+        "                              for e in s.levels.tolist() if e_lo <= e <= e_hi])\n"
     )
     src = str(Path(oracle_mod.__file__).resolve().parents[1])
     outputs = []
@@ -439,7 +441,8 @@ class TestGradedLevels:
 
 class TestShiftedCheck:
     """The coarser solve's level nearest each finer level, by shifted
-    inverse iteration on the pencil instead of a full eigensolve."""
+    inverse iteration on the pencil at that level alone instead of a full
+    eigensolve."""
 
     @pytest.mark.parametrize("pot,mass,dim,ell,window", [
         *[(make_coulomb(1.0), constant_mass(1.0), dim, ell, (-0.6, -0.027))
@@ -454,8 +457,10 @@ class TestShiftedCheck:
         spectrum = channel_spectrum(pot, mass, QuantumNumbers(dim, ell, 0), window)
         full = _full_coarse_levels(spectrum)
         inside = _window_levels(spectrum)
-        assert inside.size >= 2 and spectrum.check.shape == inside.shape
-        for e, got in zip(inside, spectrum.check):
+        pencil = spectrum.coarse_pencil()
+        assert inside.size >= 2
+        for e in inside:
+            got = oracle_mod._nearest_level(*pencil, float(e))
             nearest = full[np.argmin(np.abs(full - e))]
             assert abs(got - nearest) <= 1e-12 * abs(nearest), (e, got, nearest)
             assert spectrum.checked(float(e)) == e
@@ -466,21 +471,21 @@ class TestShiftedCheck:
         (e,) = _window_levels(spectrum)
         full = _full_coarse_levels(spectrum)
         full_gap = np.min(np.abs(full - e))
-        gap = abs(spectrum.check[0] - e)
+        gap = abs(oracle_mod._nearest_level(*spectrum.coarse_pencil(), float(e)) - e)
         assert full_gap > 1e-6 * abs(e)
         assert abs(gap - full_gap) <= 1e-6 * full_gap
         with pytest.raises(ResolutionError, match=f"{gap / abs(e):.3e} relative"):
             spectrum.checked(float(e))
 
     def test_shift_on_a_coarse_eigenvalue_passes_with_gap_zero(self):
-        # A - e diag(d) is exactly singular at e = -2: the stacked solve
-        # raises LinAlgError, that level is its own check, and the others
-        # are still solved
+        # A - e diag(d) is exactly singular at e = -2: the solve raises
+        # LinAlgError, and the shift is its own check
         pencil = np.diag([-3.0 + 3e-12, -2.0, -0.5]), np.ones(3)
+        assert oracle_mod._nearest_level(*pencil, -2.0) == -2.0
+        assert oracle_mod._nearest_level(*pencil, -3.0) == pytest.approx(
+            -3.0 + 3e-12, abs=1e-15)
         spectrum = ChannelSpectrum((-4.0, -0.2), np.array([-3.0, -2.0, -1.0]),
                                    lambda: pencil)
-        assert spectrum.check[1] == -2.0
-        assert spectrum.check[0] == pytest.approx(-3.0 + 3e-12, abs=1e-15)
         assert spectrum.checked(-2.0) == -2.0
         assert spectrum.checked(-3.0) == -3.0
         with pytest.raises(ResolutionError):
@@ -493,7 +498,7 @@ class TestShiftedCheck:
         spectrum = channel_spectrum(make_coulomb(1.0), constant_mass(1.0),
                                     QuantumNumbers(2, 0, 0), (-2.4, -0.06))
         e = float(_window_levels(spectrum)[0])
-        assert spectrum.check[0] == np.inf
+        assert oracle_mod._nearest_level(*spectrum.coarse_pencil(), e) == np.inf
         with pytest.raises(ResolutionError, match=(
                 "the 12-node inverse iteration at E=.* did not converge "
                 f"after {oracle_mod._INVERSE_STEPS} solves")):
@@ -503,7 +508,7 @@ class TestShiftedCheck:
         # halfway between two eigenvalues the iterate turns by 90 degrees at
         # every step: no estimate, whatever x . y reads
         pencil = np.diag([1.0, 3.0]), np.ones(2)
-        assert oracle_mod._nearest_levels(*pencil, np.array([2.0])).tolist() == [np.inf]
+        assert oracle_mod._nearest_level(*pencil, 2.0) == np.inf
         spectrum = ChannelSpectrum((1.5, 2.5), np.array([2.0]), lambda: pencil)
         with pytest.raises(ResolutionError):
             spectrum.checked(2.0)

@@ -111,6 +111,12 @@ class TestEvaluate:
         sol, _ = coulomb_state()
         assert evaluate(sol, 0.0) == 0.0
 
+    def test_a0_at_origin_for_k_one(self):
+        # the prefactor is r^0, so R(0) = a0, scalar or array
+        sol = SeriesSolution(-0.5, 1.0, np.array([2.0]), QuantumNumbers(1, 0, 0))
+        assert evaluate(sol, 0.0) == 2.0
+        assert evaluate(sol, [0.0, 1.0])[0] == 2.0
+
     def test_coulomb_ground_state_value(self):
         # R = a0 r e^{-A m0 r}, so R(1/(A m0)) = a0 e^{-1} / (A m0)
         a_c, m0 = 1.7, 0.8
@@ -137,6 +143,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(sol, r)
 
+    @pytest.mark.parametrize("r", [math.inf, [0.0, 1.0, math.inf]],
+                             ids=["scalar", "array"])
+    def test_rejects_infinite_radius(self, r):
+        # inf >= 0 holds, so a sign test alone lets inf through
+        sol, _ = coulomb_state()
+        with pytest.raises(DomainError, match="finite"):
+            evaluate(sol, r)
+
     def test_extrapolation_warning_beyond_cutoff(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         e = math.sqrt(2.0) * 1.5 - 20.0
@@ -149,11 +163,9 @@ class TestEvaluate:
         with pytest.warns(ExtrapolationWarning):
             evaluate(sol, cutoff * 1.5)
 
-
     @pytest.mark.parametrize("dim, ell", [(3, 0), (2, 0), (3, 2)])
     def test_array_equals_scalar_path(self, dim, ell):
-        # the vectorized path runs np.exp/np.log where the scalar one runs
-        # math.exp/math.log: equal to a few roundings, and R(0) as before
+        # a scalar takes the array path: the same bits, returned as a float
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         q = QuantumNumbers(dim, ell, 0)
         e = math.sqrt(2.0) * (dim + 2 * ell) / 2.0 - 20.0
@@ -161,8 +173,9 @@ class TestEvaluate:
         radii = np.linspace(0.0, min(trust_radius(sol), 6.0), 97)
         values = evaluate(sol, radii)
         assert values.shape == radii.shape and values[0] == evaluate(sol, 0.0)
-        for r, v in zip(radii[1:], values[1:]):
-            assert v == pytest.approx(evaluate(sol, float(r)), rel=1e-14, abs=1e-300)
+        for r, v in zip(radii, values):
+            got = evaluate(sol, float(r))
+            assert type(got) is float and got == v
         assert np.array_equal(evaluate(sol, radii.reshape(1, -1))[0], values)
 
 
@@ -209,6 +222,12 @@ class TestNormalize:
         for r in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
                 norm2(sol, r)
+
+    def test_infinite_radius_rejected(self):
+        # inf > 0 holds, and every Gauss-Legendre node r t would be inf
+        sol, _ = coulomb_state()
+        with pytest.raises(DomainError, match="finite"):
+            norm2(sol, math.inf)
 
 
 class TestNormalizeRule:
@@ -350,6 +369,18 @@ class TestCountNodes:
         sol, _ = coulomb_state()
         with pytest.raises(DomainError):
             count_nodes(sol, 10.0, samples=50)
+
+    def test_rejects_nan_radius(self):
+        # NaN <= 0 is false, so a sign test alone lets NaN through
+        sol, _ = coulomb_state(n=2)
+        with pytest.raises(DomainError, match="finite"):
+            count_nodes(sol, math.nan)
+
+    def test_rejects_infinite_radius(self):
+        # np.linspace(0, inf) multiplies 0 by inf
+        sol, _ = coulomb_state(n=2)
+        with pytest.raises(DomainError, match="finite"):
+            count_nodes(sol, math.inf)
 
 
 class TestSignChanges:
