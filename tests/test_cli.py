@@ -23,6 +23,7 @@ DEMO_CONFIG = REPO / "configs" / "coulomb_demo.json"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "coulomb_demo_energies.csv"
 EXPMASS_CONFIG = REPO / "configs" / "expmass_cornell_demo.json"
 EXPMASS_GOLDEN = GOLDEN.parent / "expmass_cornell_energies.csv"
+OSCILLATOR_CONFIG = REPO / "configs" / "oscillator_demo.json"
 # a constant-mass Coulomb series terminates at its converged energy and is
 # trusted everywhere; this mass keeps it infinite
 DECAYING_MASS = {"kind": "exponential", "m0": 1.0, "lambda": 0.02}
@@ -556,6 +557,19 @@ class TestPdmConfig:
         assert main([command, str(write_config(tmp_path, data))]) == 0
         golden = EXPMASS_GOLDEN.parent / f"expmass_cornell_{name}"
         assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes()
+
+
+class TestOscillatorDemo:
+    def test_golden_files(self, tmp_path):
+        # the order-128 path: the oscillator workload's centre problem with
+        # its coefficients and samples on a 201-point grid; the JSON files
+        # hold every bit
+        data = json.loads(OSCILLATOR_CONFIG.read_text())
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        for name in ("energies.json", "coefficients.json", "wavefunctions.json"):
+            golden = GOLDEN.parent / f"oscillator_demo_{name}"
+            assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
 
 
 class TestTwoDimensionalChannels:
