@@ -37,7 +37,7 @@ from .model import (
     _horner,
     b_from_energy,
 )
-from .recurrence import generate_coefficients
+from .recurrence import _stopped_series, generate_coefficients
 from .wavefunction import clamp_to_trust, count_nodes, norm2, sign_changes
 
 __all__ = [
@@ -204,15 +204,18 @@ def _mismatch(
     want_solution: bool = False,
 ):
     """Normalized Wronskian of the series and the inward leg at the match
-    radius."""
-    sol = generate_coefficients(pot, mass, q, e, cfg.truncation_order)
+    radius.  The series stops where its terms at r_match no longer move the
+    value; with ``want_solution`` it comes back with the generator that
+    resumes it to cfg.truncation_order."""
+    series = _stopped_series(pot, mass, q, e, cfg.truncation_order, geom.r_match)
+    sol = next(series)
     us, dus = _series_direction(sol, q, geom.r_match)
     inward = tail.integrate_radial(geom, e)
     w = dus * inward.R - us * inward.dR
     norm = math.hypot(us, dus) * math.hypot(inward.R, inward.dR)
     value = w / norm if norm > 0 else 0.0
     if want_solution:
-        return value, sol, inward
+        return value, sol, series, inward
     return value
 
 
@@ -282,8 +285,9 @@ def find_eigenvalue(
         )
 
     # brentq returns an energy it has evaluated: that evaluation holds the
-    # converged state's series and inward solution
-    residual, sol, inward = evaluated[e_star]
+    # converged state's inward solution and its series, resumed to full order
+    residual, sol, series, inward = evaluated[e_star]
+    sol = next(series, sol)
     # one eigenfunction: the series on (0, r_match], and beyond it the inward
     # solution times sigma, the projection of the series' direction
     # (u, u' + g u) onto the inward (R, R'), which a node at r_match leaves

@@ -46,6 +46,14 @@ __all__ = [
 # Per-step renormalization threshold for the coefficient overflow guard.
 _RESCALE_LIMIT = 1e150
 
+# A series stopped at a radius r ends after three consecutive terms
+# |a_n| r^n at or below this fraction of the envelope sum_i |a_i| r^i.
+_STOP_RATIO = 1e-20
+
+# The table entries a coefficient is first scattered into; the horizon
+# doubles as the recurrence reaches it.
+_HORIZON = 32
+
 
 def _check_inputs(pot, q, e, order) -> None:
     if order < 1:
@@ -77,6 +85,18 @@ def generate_coefficients(
     Coefficients exceeding the overflow guard trigger a homogeneous rescale of
     the whole prefix, recorded in ``scale_log10``.
     """
+    return next(_stopped_series(pot, mass, q, e, order, math.inf))
+
+
+def _stopped_series(pot, mass, q, e, order, r):
+    """The recurrence of :func:`generate_coefficients`, stopped for a radius r.
+
+    A generator: it first yields the series cut after three consecutive
+    terms |a_n| r^n at or below _STOP_RATIO of the running envelope
+    sum_i |a_i| r^i (n >= 4), and, resumed, the series to ``order``, the
+    bits of ``generate_coefficients``.  A series that does not stop (an
+    infinite r never does) is yielded once, whole.
+    """
     e = float(e)
     _check_inputs(pot, q, e, order)
     k = q.k
@@ -94,14 +114,36 @@ def generate_coefficients(
     bmass, blog = (_trimmed(c) for c in (mass.mass_series, mass.logderiv_series))
     lm, lb = len(bmass), len(blog)
     # table entry i sits at list index i + pad, so the lowest index read,
-    # n - beta - 1 at n = 0, lands on a leading zero and none wraps; entries
-    # from order on are never read and are not kept
+    # n - beta - 1 at n = 0, lands on a leading zero and none wraps.  The
+    # tables hold the entries below the horizon: below order for a whole
+    # series (later ones are never read), below _HORIZON at first for a
+    # stopped one, doubled whenever the recurrence reaches it
     pad = beta + 1
-    m_tab, mp_tab, t_tab = ([0.0] * (order + pad) for _ in range(3))
+    stopping = r < math.inf
+    horizon = min(_HORIZON, order) if stopping else order
+    tables = m_tab, mp_tab, t_tab = [[0.0] * (horizon + pad) for _ in range(3)]
+
+    def catch_up(count, new):
+        """Extend the tables to the entries below ``new`` and add a_0 ..
+        a_{count-1} into the new ones in index order, as the scatter would."""
+        lo = horizon + pad
+        for tab in tables:
+            tab.extend([0.0] * (new - horizon))
+        for j in range(max(0, horizon - max(lm, lb) + 1), count):
+            aj, nu = a[j], horizon - j  # entry horizon takes a_j b_nu
+            hi = j + lm + pad
+            m_tab[lo:hi] = [x + aj * y for x, y in zip(m_tab[lo:hi], bmass[nu:])]
+            hi = j + lb + pad
+            mp_tab[lo:hi] = [x + aj * y for x, y in zip(mp_tab[lo:hi], blog[nu:])]
+            t_tab[lo:hi] = [x + j * (aj * y) for x, y in zip(t_tab[lo:hi], blog[nu:])]
+        return new
 
     a = [1.0]
     scale_log10 = 0.0
+    power, envelope, small = 1.0, 1.0, 0  # r^n, sum_i |a_i| r^i, terms at the cut
     for n in range(order):
+        if n == horizon:
+            horizon = catch_up(n, min(2 * horizon, order))
         an = a[n]
         i = n + pad  # list index of table entry n
         # a_n enters M_i, M'_i and T_i for i = n .. n + len(series) - 1; T
@@ -129,7 +171,12 @@ def generate_coefficients(
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a.append(num / denom)
         if abs(a[-1]) > _RESCALE_LIMIT:
-            scale_log10 += _guard_overflow(a, n + 1, multiply=(m_tab, mp_tab, t_tab))
+            # the rescale multiplies every entry: those past the horizon
+            # take their products of a_0 .. a_n first
+            if horizon < order:
+                horizon = catch_up(n + 1, order)
+            envelope /= abs(a[-1])
+            scale_log10 += _guard_overflow(a, n + 1, multiply=tables)
             if a[0] == 0.0:
                 raise DomainError(
                     f"the series at E={e!r} outgrows the float range: the "
@@ -137,8 +184,16 @@ def generate_coefficients(
                     f"(scale_log10 = {scale_log10:.1f}) and it underflows to "
                     f"zero at a_{n + 1} of truncation_order {order}"
                 )
+        if stopping:
+            power *= r
+            term = abs(a[-1]) * power
+            envelope += term
+            small = small + 1 if n >= 3 and term <= _STOP_RATIO * envelope < math.inf else 0
+            if small == 3 and n + 1 < order:
+                yield SeriesSolution(e, b, np.array(a), q, scale_log10)
+                stopping = False
 
-    return SeriesSolution(e, b, np.array(a), q, scale_log10)
+    yield SeriesSolution(e, b, np.array(a), q, scale_log10)
 
 
 def _trimmed(series: np.ndarray) -> list[float]:

@@ -184,6 +184,8 @@ def ode_residual(
     """
     if r <= 0:
         raise SingularPointError("residual is undefined at the r = 0 singular point")
+    if not r < math.inf:  # NaN too
+        raise DomainError(f"radius r={r!r} is not finite")
     q = sol.quantum
     k = q.k
     R, Rp, Rpp = _eval_R_derivs(sol, r)

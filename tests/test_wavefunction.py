@@ -315,6 +315,14 @@ class TestOdeResidual:
         with pytest.raises(SingularPointError):
             ode_residual(sol, make_coulomb(1.0), constant_mass(1.0), e, 0.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, r):
+        # NaN <= 0 is false, so a sign test alone lets NaN through, and inf
+        # reaches p log r - b r = inf - inf
+        sol, e = coulomb_state(n=2)
+        with pytest.raises(DomainError, match="not finite"):
+            ode_residual(sol, make_coulomb(1.0), constant_mass(1.0), e, r)
+
     def test_derivative_matches_finite_differences(self):
         from pdmradial.wavefunction import _eval_R_derivs
 
