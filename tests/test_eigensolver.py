@@ -14,6 +14,7 @@ from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import QuantumNumbers, make_cornell, make_coulomb
 import pdmradial.oracle as oracle_mod
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
+from pdmradial.recurrence import generate_coefficients
 
 
 def _centre(potential, mass, quantum, solver, output=None):
@@ -52,15 +53,19 @@ BENCHMARK_CENTRES = {
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "coulomb_demo.json"
 
+# the Coulomb and exp-mass demo configs, one each
+DEMOS = {name: [json.loads((DEMO_CONFIG.parent / f"{name}.json").read_text())]
+         for name in ("coulomb_demo", "expmass_cornell_demo")}
+
 
 def bracket_around(e_ref, width=0.15):
     return (e_ref * (1.0 + width), e_ref * (1.0 - width))
 
 
 def _solve_centres(tmp_path, workload):
-    """One `solve` of each of the workload's centre configs, writers
-    included."""
-    for i, data in enumerate(BENCHMARK_CENTRES[workload]):
+    """One `solve` of each of the workload's centre configs, or of a demo
+    config, writers included."""
+    for i, data in enumerate({**BENCHMARK_CENTRES, **DEMOS}[workload]):
         data = {**data, "output": {**data["output"],
                                    "directory": str(tmp_path / f"out{i}")}}
         path = tmp_path / f"config{i}.json"
@@ -482,6 +487,53 @@ class TestScanSpectrum:
         )
         assert abs(res.energy + 0.125) < 1e-10 * 0.125
         assert seen == {"brent": 1, "mismatch": 0, "series": 1}
+
+    @staticmethod
+    def _recorded_mismatches(monkeypatch):
+        """Every mismatch evaluated from here on, as (energy, the other
+        arguments, value, series)."""
+        import pdmradial.eigensolver as es_mod
+
+        seen, mismatch = [], es_mod._mismatch
+
+        def recording(e, *args, want_solution=False):
+            out = mismatch(e, *args, want_solution=True)
+            seen.append((e, args, out[0], out[1]))
+            return out if want_solution else out[0]
+
+        monkeypatch.setattr(es_mod, "_mismatch", recording)
+        return seen
+
+    @pytest.mark.parametrize("workload", [*BENCHMARK_CENTRES, *DEMOS])
+    def test_each_mismatch_value_is_the_whole_series_value(
+        self, tmp_path, monkeypatch, workload
+    ):
+        # the mismatch stops its series once the terms at r_match no longer
+        # move it: every value Brent evaluates is, bit for bit, the one the
+        # series to full order gives
+        import pdmradial.eigensolver as es_mod
+
+        mismatch = es_mod._mismatch
+        seen = self._recorded_mismatches(monkeypatch)
+        _solve_centres(tmp_path, workload)
+
+        def whole(pot, mass, q, e, order, r):
+            yield generate_coefficients(pot, mass, q, e, order)
+
+        monkeypatch.setattr(es_mod, "_stopped_series", whole)
+        assert seen
+        for e, args, value, _ in seen:
+            assert float(mismatch(e, *args)).hex() == float(value).hex(), e
+
+    def test_exp_mass_mismatch_series_stop_early(self, tmp_path, monkeypatch):
+        # the saving: on the exp-mass centre no mismatch generates more than
+        # 40 of the 65 coefficients of its order-64 series
+        seen = self._recorded_mismatches(monkeypatch)
+        _solve_centres(tmp_path, "expmass_cornell")
+        assert seen
+        for e, args, _, sol in seen:
+            assert args[3].truncation_order == 64
+            assert sol.coeffs.size <= 40, e
 
     def test_one_turning_point_per_energy(self, monkeypatch):
         # the geometry finds the turning point at the cell's upper energy

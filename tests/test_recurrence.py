@@ -18,8 +18,11 @@ from pdmradial.model import (
     make_coulomb,
     make_oscillator,
 )
+import pdmradial.recurrence as recurrence
 from pdmradial.recurrence import (
+    _HORIZON,
     _RESCALE_LIMIT,
+    _stopped_series,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
     coulomb_closed_form_coefficients,
@@ -311,10 +314,11 @@ class TestBatchedEnergies:
             assert type(value) is float
 
 
-def _array_table_recurrence(pot, mass, q, e, order):
+def _array_table_recurrence(pot, mass, q, e, order, limit=_RESCALE_LIMIT):
     """The master recurrence on numpy tables, as the solver ran it before it
     moved to Python lists: (coefficients, b, scale_log10).  Frozen here as
-    the reference the list version must match bit for bit."""
+    the reference the list version must match bit for bit; ``limit`` stands
+    in for the overflow guard's."""
     k, ell = q.k, q.ell
     if mass.order < order and mass.kind != "custom-series":
         mass = mass.extended(order)
@@ -355,7 +359,7 @@ def _array_table_recurrence(pot, mass, q, e, order):
         )
         a[n + 1] = num / ((n + 1) * (n + k - 1))
         s = abs(float(a[n + 1]))
-        if s > _RESCALE_LIMIT:
+        if s > limit:
             a /= s
             for table in (m_tab, mp_tab, t_tab):
                 table *= 1.0 / s
@@ -429,3 +433,91 @@ class TestListRecurrenceMatchesArrayTables:
         # and the tables are rescaled part way through their sums
         sol = self._assert_same_bits(pot, mass, QuantumNumbers(3, 0, 0), e, 500)
         assert sol.scale_log10 > 0
+
+
+def _stop_and_resume(pot, mass, q, e, order, r):
+    """The series stopped at r, and the same generator resumed."""
+    series = _stopped_series(pot, mass, q, e, order, r)
+    stopped = next(series)
+    return stopped, next(series, stopped)
+
+
+def _first_rescale(pot, mass, q, e, order):
+    """The index of the coefficient that first passes the overflow guard."""
+    return next(m for m in range(1, order + 1)
+                if generate_coefficients(pot, mass, q, e, m).scale_log10 > 0)
+
+
+class TestStoppedSeries:
+    """A series stopped at a radius is a bit-identical prefix of the whole
+    series, and resumed it is the whole series, rescale record included."""
+
+    @staticmethod
+    def _assert_prefix_and_whole(pot, mass, q, e, order, r):
+        want, b, scale_log10 = _array_table_recurrence(pot, mass, q, e, order)
+        stopped, whole = _stop_and_resume(pot, mass, q, e, order, r)
+        assert np.array_equal(stopped.coeffs, want[: stopped.coeffs.size])
+        assert stopped.b == whole.b == b
+        assert np.array_equal(whole.coeffs, want)
+        assert whole.scale_log10 == scale_log10
+        return stopped, whole
+
+    def test_seeded_random_cases(self):
+        rng = np.random.default_rng(20261019)
+        stops = past_horizon = 0
+        for _ in range(240):
+            pot, mass, q, e, _ = _random_case(rng)
+            order = int(rng.integers(8, 129))
+            r = float(rng.uniform(0.2, 3.0)) / b_from_energy(e, mass.m0)
+            stopped, whole = self._assert_prefix_and_whole(pot, mass, q, e, order, r)
+            # no case rescales past its stop
+            assert stopped.scale_log10 == whole.scale_log10
+            stops += stopped.coeffs.size < order + 1
+            past_horizon += _HORIZON < stopped.coeffs.size - 1 < order
+        assert 60 < stops < 240  # most series stop, some run whole
+        assert past_horizon > 20  # many stop after the horizon has grown
+
+    @pytest.mark.parametrize("e, order, rb", [
+        (-5e11, 60, 20.0),  # a_29 passes the guard, before the first growth
+        (-2e8, 128, 60.0),  # a_46 passes it, after the horizon grew at 32
+        (-1e5, 200, 30.0),  # a_117 passes it, then the series stops at a_146
+    ], ids=["before-growth", "after-growth", "before-stop"])
+    def test_rescale_gives_the_same_bits(self, e, order, rb):
+        pot = make_cornell(1.0, 0.2, -3.0)
+        mass = expand_exponential(1.0, 0.2, 0)
+        q = QuantumNumbers(3, 0, 0)
+        first = _first_rescale(pot, mass, q, e, order)
+        stopped, whole = self._assert_prefix_and_whole(
+            pot, mass, q, e, order, rb / b_from_energy(e, 1.0))
+        assert whole.scale_log10 > 0
+        if rb == 30.0:
+            assert first < stopped.coeffs.size - 1 < order
+            assert stopped.scale_log10 == whole.scale_log10
+        else:
+            assert (first < _HORIZON) == (rb == 20.0)
+
+    @pytest.mark.parametrize("limit", [10.0**0.75, 10.0**3.5, 1e9],
+                             ids=["limit-5.6", "limit-3.2e3", "limit-1e9"])
+    def test_rescale_scales_the_entries_past_the_horizon(self, monkeypatch, limit):
+        # a guard this low fires while a slowly decaying mass series still
+        # reaches past the first horizon with products that set bits: those
+        # entries must take them before the rescale, not after
+        pot = make_cornell(1.0, 0.2, -3.0)
+        mass = expand_exponential(1.0, 3.0, 0)
+        q, e = QuantumNumbers(3, 0, 0), -600.0
+        monkeypatch.setattr(recurrence, "_RESCALE_LIMIT", limit)
+        want, b, scale_log10 = _array_table_recurrence(pot, mass, q, e, 64, limit)
+        whole = next(_stopped_series(pot, mass, q, e, 64, 1e3 / b))
+        assert np.array_equal(whole.coeffs, want)
+        assert whole.scale_log10 == scale_log10 > 0
+
+    def test_never_stopping_radius_gives_the_whole_series(self):
+        # the terms at r = 50/b still grow at order 96: one yield, the
+        # whole series
+        pot, mass, q = make_oscillator(1.0), constant_mass(1.0), QuantumNumbers(3, 1, 0)
+        e = -17.0
+        series = _stopped_series(pot, mass, q, e, 96, 50.0 / b_from_energy(e, 1.0))
+        sol = next(series)
+        want, _, scale_log10 = _array_table_recurrence(pot, mass, q, e, 96)
+        assert np.array_equal(sol.coeffs, want) and sol.scale_log10 == scale_log10
+        assert next(series, None) is None
