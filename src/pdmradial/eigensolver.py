@@ -203,10 +203,8 @@ def _mismatch(
     geom: tail.Leg,
     want_solution: bool = False,
 ):
-    """Normalized Wronskian of the series and the inward leg at the match
-    radius.  The series stops where its terms at r_match no longer move the
-    value; with ``want_solution`` it comes back with the generator that
-    resumes it to cfg.truncation_order."""
+    """Normalized Wronskian of the series stopped for r_match and the inward
+    leg there; ``want_solution`` adds the generator that resumes the series."""
     series = _stopped_series(pot, mass, q, e, cfg.truncation_order, geom.r_match)
     sol = next(series)
     us, dus = _series_direction(sol, q, geom.r_match)

@@ -8,15 +8,19 @@ running convolution tables,
     T_i  = sum_{j+nu=i} j a_j b'_nu       (T_0 = 0),
 
 with every negative-index entry equal to zero.  As soon as a_j is fixed it
-is added into every entry it touches, so entries 0..n are complete when
-a_{n+1} is solved for.  The coefficients and the tables are Python lists:
-each step reads a handful of scalars and adds one short product into each
-table, where numpy's cost per call outweighs its arithmetic.  Every sum and
-product is the one an array-slice version performs, in the same order, so
-the two give the same bits; the tests keep that version as the reference.
-The master recurrence is the only generator the solver runs.  The paper's
-own recursion for the exponentially decaying mass and the closed forms below
-are derived apart from it and serve as its references.
+is added into every entry it touches below a horizon, so entries 0..n are
+complete when a_{n+1} is solved for.  A series stopped at a radius keeps 32
+entries, doubled as the recurrence reaches them; new entries take the
+coefficients fixed so far in index order, so each entry sums the same
+products in the same order and the series resumes to the bits of one never
+stopped.  The coefficients and the tables are Python lists: each step reads
+a handful of scalars and adds one short product into each table, where
+numpy's cost per call outweighs its arithmetic.  Every sum and product is
+the one an array-slice version performs, in the same order, so the two give
+the same bits; the tests keep that version as the reference.  The master
+recurrence is the only generator the solver runs.  The paper's own recursion
+for the exponentially decaying mass and the closed forms below are derived
+apart from it and serve as its references.
 """
 
 from __future__ import annotations
@@ -46,12 +50,9 @@ __all__ = [
 # Per-step renormalization threshold for the coefficient overflow guard.
 _RESCALE_LIMIT = 1e150
 
-# A series stopped at a radius r ends after three consecutive terms
-# |a_n| r^n at or below this fraction of the envelope sum_i |a_i| r^i.
+# A term |a_n| r^n at or below this fraction of the envelope is negligible.
 _STOP_RATIO = 1e-20
-
-# The table entries a coefficient is first scattered into; the horizon
-# doubles as the recurrence reaches it.
+# The table entries a stopped series first scatters into, doubled as reached.
 _HORIZON = 32
 
 
@@ -89,14 +90,10 @@ def generate_coefficients(
 
 
 def _stopped_series(pot, mass, q, e, order, r):
-    """The recurrence of :func:`generate_coefficients`, stopped for a radius r.
-
-    A generator: it first yields the series cut after three consecutive
-    terms |a_n| r^n at or below _STOP_RATIO of the running envelope
-    sum_i |a_i| r^i (n >= 4), and, resumed, the series to ``order``, the
-    bits of ``generate_coefficients``.  A series that does not stop (an
-    infinite r never does) is yielded once, whole.
-    """
+    """The recurrence of :func:`generate_coefficients` as a generator: it
+    yields the series stopped after three consecutive terms |a_n| r^n at or
+    below _STOP_RATIO of the running envelope sum_i |a_i| r^i (n >= 4), then,
+    resumed, the whole series; one that never stops is yielded once, whole."""
     e = float(e)
     _check_inputs(pot, q, e, order)
     k = q.k
@@ -114,18 +111,14 @@ def _stopped_series(pot, mass, q, e, order, r):
     bmass, blog = (_trimmed(c) for c in (mass.mass_series, mass.logderiv_series))
     lm, lb = len(bmass), len(blog)
     # table entry i sits at list index i + pad, so the lowest index read,
-    # n - beta - 1 at n = 0, lands on a leading zero and none wraps.  The
-    # tables hold the entries below the horizon: below order for a whole
-    # series (later ones are never read), below _HORIZON at first for a
-    # stopped one, doubled whenever the recurrence reaches it
+    # n - beta - 1 at n = 0, lands on a leading zero and none wraps
     pad = beta + 1
     stopping = r < math.inf
-    horizon = min(_HORIZON, order) if stopping else order
+    horizon = min(_HORIZON, order) if stopping else order  # the entries kept
     tables = m_tab, mp_tab, t_tab = [[0.0] * (horizon + pad) for _ in range(3)]
 
     def catch_up(count, new):
-        """Extend the tables to the entries below ``new`` and add a_0 ..
-        a_{count-1} into the new ones in index order, as the scatter would."""
+        """Grow the tables to ``new`` entries with a_0 .. a_{count-1} in them."""
         lo = horizon + pad
         for tab in tables:
             tab.extend([0.0] * (new - horizon))
@@ -171,10 +164,8 @@ def _stopped_series(pot, mass, q, e, order, r):
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a.append(num / denom)
         if abs(a[-1]) > _RESCALE_LIMIT:
-            # the rescale multiplies every entry: those past the horizon
-            # take their products of a_0 .. a_n first
-            if horizon < order:
-                horizon = catch_up(n + 1, order)
+            # every entry is rescaled, so each takes its a_0 .. a_n first
+            horizon = catch_up(n + 1, order)
             envelope /= abs(a[-1])
             scale_log10 += _guard_overflow(a, n + 1, multiply=tables)
             if a[0] == 0.0:
