@@ -477,12 +477,12 @@ class TestStoppedSeries:
         assert 60 < stops < 240  # most series stop, some run whole
         assert past_horizon > 20  # many stop after the horizon has grown
 
-    @pytest.mark.parametrize("e, order, rb", [
-        (-5e11, 60, 20.0),  # a_29 passes the guard, before the first growth
-        (-2e8, 128, 60.0),  # a_46 passes it, after the horizon grew at 32
-        (-1e5, 200, 30.0),  # a_117 passes it, then the series stops at a_146
+    @pytest.mark.parametrize("e, order, rb, when", [
+        (-5e11, 60, 20.0, "before-growth"),  # a_29 passes the guard
+        (-2e8, 128, 60.0, "after-growth"),  # a_46 passes it
+        (-1e5, 200, 30.0, "before-stop"),  # a_117 passes it, a_146 stops
     ], ids=["before-growth", "after-growth", "before-stop"])
-    def test_rescale_gives_the_same_bits(self, e, order, rb):
+    def test_rescale_gives_the_same_bits(self, e, order, rb, when):
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = expand_exponential(1.0, 0.2, 0)
         q = QuantumNumbers(3, 0, 0)
@@ -490,11 +490,13 @@ class TestStoppedSeries:
         stopped, whole = self._assert_prefix_and_whole(
             pot, mass, q, e, order, rb / b_from_energy(e, 1.0))
         assert whole.scale_log10 > 0
-        if rb == 30.0:
+        if when == "before-growth":
+            assert first < _HORIZON
+        elif when == "after-growth":
+            assert _HORIZON < first and stopped is whole
+        else:
             assert first < stopped.coeffs.size - 1 < order
             assert stopped.scale_log10 == whole.scale_log10
-        else:
-            assert (first < _HORIZON) == (rb == 20.0)
 
     @pytest.mark.parametrize("limit", [10.0**0.75, 10.0**3.5, 1e9],
                              ids=["limit-5.6", "limit-3.2e3", "limit-1e9"])
