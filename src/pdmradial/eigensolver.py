@@ -37,7 +37,7 @@ from .model import (
     _horner,
     b_from_energy,
 )
-from .recurrence import _stopped_series, generate_coefficients
+from .recurrence import _stopped_series
 from .wavefunction import clamp_to_trust, count_nodes, norm2, sign_changes
 
 __all__ = [
@@ -129,8 +129,8 @@ class SolverConfig:
     """Knobs of the matching eigensolver.
 
     ``e_bracket`` is the energy window in which states are sought.  The
-    match radius is 1.5/b at the midpoint of the state's cell, clamped to
-    the series trust region at the state's collocation level.
+    match radius is 1.5/b at the midpoint of the state's cell; the root's
+    series to ``truncation_order`` must be trusted out to r_match / 0.9.
     The inward integration starts at r_far, the farthest of ten decay
     lengths 1/b past the match radius, and 1.2 times the outer turning
     radius and ``tail.tail_radius``, both at the cell's upper energy.
@@ -161,19 +161,14 @@ def _build_geometry(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
-    cfg: SolverConfig,
     cell: tuple[float, float],
-    e_c: float,
 ) -> tail.Leg:
     """The fixed matching geometry of one root solve, the inward leg from
-    r_match to r_far (fixed, it keeps the mismatch continuous in E; its zeros
-    do not depend on these choices)."""
+    r_match = 1.5/b at the cell's midpoint to r_far (fixed, it keeps the
+    mismatch continuous in E; its zeros do not depend on these choices)."""
     e_lo, e_hi = cell
     b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
-
-    # the series at the collocation level bounds the admissible match radius
-    sol = generate_coefficients(pot, mass, q, e_c, cfg.truncation_order)
-    r_match = clamp_to_trust(sol, 1.5 / b_mid, share=0.9)
+    r_match = 1.5 / b_mid
 
     # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
     # lengths out and past the outer turning point of the shallowest cell
@@ -201,10 +196,9 @@ def _mismatch(
     q: QuantumNumbers,
     cfg: SolverConfig,
     geom: tail.Leg,
-    want_solution: bool = False,
 ):
     """Normalized Wronskian of the series stopped for r_match and the inward
-    leg there; ``want_solution`` adds the generator that resumes the series."""
+    solution there, returned with both and the series' resuming generator."""
     series = _stopped_series(pot, mass, q, e, cfg.truncation_order, geom.r_match)
     sol = next(series)
     us, dus = _series_direction(sol, q, geom.r_match)
@@ -212,15 +206,13 @@ def _mismatch(
     w = dus * inward.R - us * inward.dR
     norm = math.hypot(us, dus) * math.hypot(inward.R, inward.dR)
     value = w / norm if norm > 0 else 0.0
-    if want_solution:
-        return value, sol, series, inward
-    return value
+    return value, sol, series, inward
 
 
 def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
     """``_mismatch`` for brentq, keeping each evaluation's series and inward
     solution under its energy."""
-    evaluated[e] = out = _mismatch(e, *args, want_solution=True)
+    evaluated[e] = out = _mismatch(e, *args)
     return out[0]
 
 
@@ -246,7 +238,7 @@ def find_eigenvalue(
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
     cell, e_c = spectrum.cell(q.radial_n)
     mass = mass.extended(cfg.truncation_order)
-    geom = _build_geometry(pot, mass, q, cfg, cell, e_c)
+    geom = _build_geometry(pot, mass, q, cell)
 
     args = (pot, mass, q, cfg, geom)
     evaluated: dict = {}
@@ -276,7 +268,7 @@ def find_eigenvalue(
                     f"{q.radial_n} at E={e_c!r}"
                 ) from None
     else:
-        f_lo, f_hi = _mismatch(e_lo, *args), _mismatch(e_hi, *args)
+        f_lo, f_hi = _mismatch(e_lo, *args)[0], _mismatch(e_hi, *args)[0]
         raise BracketError(
             f"mismatch does not change sign on the cell ({e_lo}, {e_hi}) of "
             f"level {q.radial_n} at E={e_c!r}: ({f_lo:.3e}, {f_hi:.3e})"
@@ -286,12 +278,19 @@ def find_eigenvalue(
     # converged state's inward solution and its series, resumed to full order
     residual, sol, series, inward = evaluated[e_star]
     sol = next(series, sol)
+    r = geom.r_match
+    # the series must be trusted past r_match with a tenth to spare
+    if clamp_to_trust(sol, r / 0.9) != r / 0.9:
+        raise DomainError(
+            f"truncation_order {cfg.truncation_order} is too low for r_match={r!r}: "
+            f"the series at E={e_star!r} is not trusted out to r_match / 0.9"
+        )
+
     # one eigenfunction: the series on (0, r_match], and beyond it the inward
     # solution times sigma, the projection of the series' direction
     # (u, u' + g u) onto the inward (R, R'), which a node at r_match leaves
     # well defined.  Its nodes: the series' own, then the sign changes from
     # the series value at r_match on (that sample is not counted twice)
-    r = geom.r_match
     u, du = _series_direction(sol, q, r)
     sigma = (u * inward.R + du * inward.dR) / (inward.R**2 + inward.dR**2)
     beyond = inward.samples(_NODE_SAMPLES) * math.copysign(1.0, sigma)

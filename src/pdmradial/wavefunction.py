@@ -91,19 +91,19 @@ def trust_radius(solution: SeriesSolution) -> float:
 _CLAMP_MARGIN = 1e-9
 
 
-def clamp_to_trust(solution: SeriesSolution, r: float, share: float = 1.0) -> float:
-    """min(r, share * trust_radius(solution)), bit for bit, searching the
-    trust radius only where the clamp can bind.
+def clamp_to_trust(solution: SeriesSolution, r: float) -> float:
+    """min(r, trust_radius(solution)), bit for bit, searching the trust
+    radius only where the clamp can bind.
 
     The ratio |a_M| r^M / envelope is monotone in r, so a series that passes
-    ``trust_radius``'s own test slightly beyond r/share has its trust radius
-    beyond r/share too, and r is returned after one evaluation of the test.
+    ``trust_radius``'s own test slightly beyond r has its trust radius
+    beyond r too, and r is returned after one evaluation of the test.
     Otherwise the full search runs.
     """
     rev = np.abs(solution.coeffs)[::-1].tolist()
-    x = r / share * (1.0 + _CLAMP_MARGIN)
+    x = r * (1.0 + _CLAMP_MARGIN)
     if _untrusted(rev, rev[0], len(rev) - 1, x):
-        return min(r, share * trust_radius(solution))
+        return min(r, trust_radius(solution))
     return r
 
 

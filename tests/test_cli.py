@@ -428,6 +428,7 @@ class TestArtifacts:
     def test_series_out_of_float_range_names_energy_and_order(self, tmp_path, capsys):
         data = demo_config_dict()
         data["potential"] = {"kind": "coulomb", "z": 1414.0}
+        data["mass"] = DECAYING_MASS
         data["quantum"]["n"] = [0]
         data["solver"].update(e_lo=-1.1e6, e_hi=-0.9e6, truncation_order=500)
         data["output"]["directory"] = str(tmp_path / "out")
@@ -435,6 +436,20 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert "state dim=3 ell=0 n=0 failed: DomainError: the series at E=" in err
         assert "scale_log10 = " in err and "truncation_order 500" in err
+
+    def test_deep_coulomb_state_solves_at_order_500(self, tmp_path):
+        # at constant mass the root's series terminates; only a series at
+        # another energy, such as the collocation level, outgrows the float
+        # range, and the solve generates none
+        data = demo_config_dict()
+        data["potential"] = {"kind": "coulomb", "z": 1414.0}
+        data["quantum"]["n"] = [0]
+        data["solver"].update(e_lo=-1.1e6, e_hi=-0.9e6, truncation_order=500)
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        rows = json.loads((tmp_path / "out" / "energies.json").read_text())
+        assert [r["status"] for r in rows] == ["ok"]
+        assert rows[0]["energy"] == -999698.0  # -z^2 / 2
 
     @pytest.mark.parametrize(
         "model, solver, rows, message",
@@ -456,8 +471,15 @@ class TestArtifacts:
              {"e_lo": -10.092824814183157, "e_hi": -0.1, "truncation_order": 96},
              6, "channel failed: DomainError: the mass underflows on the "
                 "collocation grid of r_max="),
+            # the exp-mass demo's problem at order 6: the root's series is
+            # not trusted out to r_match / 0.9
+            (({"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
+              {"kind": "exponential", "m0": 1.0, "lambda": 0.2},
+              {"dim": 3, "ell": [0], "n": [1, 2]}),
+             {"e_lo": -3.4, "e_hi": -0.8, "truncation_order": 6},
+             2, "DomainError: truncation_order 6 is too low for r_match="),
         ],
-        ids=["brent-iteration-limit", "mass-underflow"],
+        ids=["brent-iteration-limit", "mass-underflow", "order-too-low"],
     )
     def test_numerical_failure_is_an_error_row(self, tmp_path, capsys, model, solver,
                                                rows, message):

@@ -372,23 +372,23 @@ class TestScanSpectrum:
         mass = expand_exponential(1.0, 0.2, 64)
         q = QuantumNumbers(3, 1, 0)
         cfg = SolverConfig(e_bracket=(-3.4, -0.85))
-        e_c = -2.0  # stands for the level; it only sets the trust radius
-        geom = _build_geometry(pot, mass, q, cfg, cfg.e_bracket, e_c)
+        geom = _build_geometry(pot, mass, q, cfg.e_bracket)
         energies = np.linspace(-3.4, -0.85, 40)
-        batch = np.array([_mismatch(float(e), pot, mass, q, cfg, geom) for e in energies])
+        batch = np.array([_mismatch(float(e), pot, mass, q, cfg, geom)[0]
+                          for e in energies])
         single = np.array([
             _mismatch(
                 float(e), pot, mass, q, cfg,
-                _build_geometry(pot, mass, q, cfg, cfg.e_bracket, e_c),
-            )
+                _build_geometry(pot, mass, q, cfg.e_bracket),
+            )[0]
             for e in energies
         ])
         assert np.max(np.abs(batch - single)) < 1e-12
         assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
 
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
-        # the match radius is clamped to the trust radius (clamp_to_trust),
-        # and the clamp does not bind on this state: no search
+        # the root's series is checked to be trusted past r_match
+        # (clamp_to_trust), and it is on this state: no search
         import pdmradial.wavefunction as wf_mod
 
         calls = []
@@ -411,8 +411,9 @@ class TestScanSpectrum:
     def test_trust_radius_searches_per_benchmark_centre_solve(
         self, tmp_path, monkeypatch, workload, searches
     ):
-        # one `solve` of each benchmark workload's centre configs: no clamp
-        # binds, so nothing searches the trust radius
+        # one `solve` of each benchmark workload's centre configs: every
+        # root's series is trusted past r_match, so nothing searches the
+        # trust radius
         import pdmradial.wavefunction as wf_mod
 
         calls = []
@@ -456,9 +457,9 @@ class TestScanSpectrum:
     def test_one_evaluation_outside_brent_per_state(self, monkeypatch):
         # a narrow-bracket hit: no mismatch past Brent's own evaluations
         # (the converged state's solution is Brent's evaluation at the root)
-        # and, past the mismatches, one series (the trust radius at the
-        # level)
+        # and no series past the mismatches
         import pdmradial.eigensolver as es_mod
+        import pdmradial.recurrence as rec_mod
 
         # seen[name]: calls of name made while no call of `inside` is open
         seen = {"brent": 0, "mismatch": 0, "series": 0}
@@ -477,16 +478,44 @@ class TestScanSpectrum:
 
         monkeypatch.setattr(es_mod, "brentq", counting("brent", es_mod.brentq, "brent"))
         monkeypatch.setattr(es_mod, "_mismatch", counting("mismatch", es_mod._mismatch, "brent"))
-        monkeypatch.setattr(
-            es_mod, "generate_coefficients",
-            counting("series", es_mod.generate_coefficients, "mismatch"),
-        )
+        # the recurrence's one generator, under both names it is called by
+        series = counting("series", rec_mod._stopped_series, "mismatch")
+        for module in (rec_mod, es_mod):
+            monkeypatch.setattr(module, "_stopped_series", series)
         res = find_eigenvalue(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
         assert abs(res.energy + 0.125) < 1e-10 * 0.125
-        assert seen == {"brent": 1, "mismatch": 0, "series": 1}
+        assert seen == {"brent": 1, "mismatch": 0, "series": 0}
+
+    @pytest.mark.parametrize("workload", [*BENCHMARK_CENTRES])
+    def test_no_whole_series_per_benchmark_centre_solve(
+        self, tmp_path, monkeypatch, workload
+    ):
+        # one `solve` of each benchmark workload's centre configs runs no
+        # generate_coefficients, which generates a series without a radius:
+        # every series is a mismatch's own, stopped for r_match
+        import pdmradial.eigensolver as es_mod
+        import pdmradial.recurrence as rec_mod
+
+        radii, mismatches = [], []
+        stopped, mismatch = rec_mod._stopped_series, es_mod._mismatch
+
+        def recording_series(pot, mass, q, e, order, r):
+            radii.append(r)
+            return stopped(pot, mass, q, e, order, r)
+
+        def counting_mismatch(e, *args):
+            mismatches.append(e)
+            return mismatch(e, *args)
+
+        for module in (rec_mod, es_mod):
+            monkeypatch.setattr(module, "_stopped_series", recording_series)
+        monkeypatch.setattr(es_mod, "_mismatch", counting_mismatch)
+        _solve_centres(tmp_path, workload)
+        assert mismatches and len(radii) == len(mismatches)
+        assert all(r < math.inf for r in radii)
 
     @staticmethod
     def _recorded_mismatches(monkeypatch):
@@ -496,10 +525,10 @@ class TestScanSpectrum:
 
         seen, mismatch = [], es_mod._mismatch
 
-        def recording(e, *args, want_solution=False):
-            out = mismatch(e, *args, want_solution=True)
+        def recording(e, *args):
+            out = mismatch(e, *args)
             seen.append((e, args, out[0], out[1]))
-            return out if want_solution else out[0]
+            return out
 
         monkeypatch.setattr(es_mod, "_mismatch", recording)
         return seen
@@ -523,7 +552,7 @@ class TestScanSpectrum:
         monkeypatch.setattr(es_mod, "_stopped_series", whole)
         assert seen
         for e, args, value, _ in seen:
-            assert float(mismatch(e, *args)).hex() == float(value).hex(), e
+            assert float(mismatch(e, *args)[0]).hex() == float(value).hex(), e
 
     def test_exp_mass_mismatch_series_stop_early(self, tmp_path, monkeypatch):
         # the saving: on the exp-mass centre no mismatch generates more than
@@ -553,8 +582,8 @@ class TestScanSpectrum:
             return search(pot, e)
 
         monkeypatch.setattr(tail_mod, "outer_turning_radius", counting)
-        cell, e_c = spectrum.cell(q.radial_n)
-        es_mod._build_geometry(pot, mass.extended(64), q, cfg, cell, e_c)
+        cell, _ = spectrum.cell(q.radial_n)
+        es_mod._build_geometry(pot, mass.extended(64), q, cell)
         assert calls == [cell[1]]
         calls.clear()
         find_eigenvalue(pot, mass, q, cfg, spectrum)
@@ -760,14 +789,16 @@ class TestBrentPort:
         cfg = SolverConfig(e_bracket=(-0.6, -0.03))
         for n in range(3):
             q = QuantumNumbers(3, 0, n)
-            cell, e_c = channel_spectrum(pot, mass, q, cfg.e_bracket).cell(n)
-            geom = es_mod._build_geometry(
-                pot, mass.extended(64), q, cfg, cell, e_c
-            )
+            cell, _ = channel_spectrum(pot, mass, q, cfg.e_bracket).cell(n)
+            geom = es_mod._build_geometry(pot, mass.extended(64), q, cell)
             kwargs = dict(args=(pot, mass.extended(64), q, cfg, geom),
                           xtol=abs(cell[1]) * 1e-14, rtol=cfg.tol_e,
                           maxiter=cfg.max_iter)
-            ours = _brent_trace(es_mod.brentq, es_mod._mismatch, *cell, **kwargs)
-            theirs = _brent_trace(scipy_brentq, es_mod._mismatch, *cell, **kwargs)
+
+            def value(e, *args):
+                return es_mod._mismatch(e, *args)[0]
+
+            ours = _brent_trace(es_mod.brentq, value, *cell, **kwargs)
+            theirs = _brent_trace(scipy_brentq, value, *cell, **kwargs)
             assert ours == theirs
             assert len(ours[1]) > 5

@@ -126,8 +126,8 @@ def test_each_cell_holds_one_level_and_one_sign_change(solved, channel):
         assert lo < e_c < hi
         inside = spectrum.levels[(spectrum.levels >= lo) & (spectrum.levels <= hi)]
         assert inside.tolist() == [e_c]
-        geom = _build_geometry(pot, mass, q, solver, (lo, hi), e_c)
-        values = [_mismatch(e, pot, mass, q, solver, geom)
+        geom = _build_geometry(pot, mass, q, (lo, hi))
+        values = [_mismatch(e, pot, mass, q, solver, geom)[0]
                   for e in np.linspace(lo, hi, 33)]
         assert np.count_nonzero(np.diff(np.sign(values))) == 1, (n, values)
 

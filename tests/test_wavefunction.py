@@ -58,9 +58,9 @@ def _centre_series():
 class TestClampToTrust:
     @staticmethod
     def _check(sol, radii, monkeypatch):
-        # min(r, share * trust_radius) bit for bit; no search where a finite
-        # trust radius clearly does not bind (an infinite one is returned at
-        # once, without a scan)
+        # min(r, trust_radius) bit for bit; no search where a finite trust
+        # radius clearly does not bind (an infinite one is returned at once,
+        # without a scan)
         import pdmradial.wavefunction as wf_mod
 
         trust = trust_radius(sol)
@@ -71,13 +71,12 @@ class TestClampToTrust:
             return trust_radius(*args)
 
         monkeypatch.setattr(wf_mod, "trust_radius", counting)
-        for share in (0.9, 1.0):
-            for r in radii(share * trust):
-                calls.clear()
-                got = clamp_to_trust(sol, r, share)
-                assert got.hex() == min(r, share * trust).hex(), (share, r, trust)
-                if r < share * trust * (1.0 - 1e-8) < math.inf:
-                    assert calls == []
+        for r in radii(trust):
+            calls.clear()
+            got = clamp_to_trust(sol, r)
+            assert got.hex() == min(r, trust).hex(), (r, trust)
+            if r < trust * (1.0 - 1e-8) < math.inf:
+                assert calls == []
 
     @staticmethod
     def _around(t):
