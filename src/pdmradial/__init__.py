@@ -41,7 +41,6 @@ from .wavefunction import (
     evaluate,
     norm2,
     ode_residual,
-    trust_radius,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "coefficient_closed_forms_expmass",
     "coulomb_closed_form_coefficients",
     "coulomb_expmass_closed_forms",
-    "trust_radius",
     "evaluate",
     "norm2",
     "ode_residual",

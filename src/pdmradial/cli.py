@@ -38,7 +38,8 @@ from .model import (
     make_oscillator,
 )
 from .oracle import channel_spectrum
-from .wavefunction import clamp_to_trust, evaluate
+from .tail import leg_values
+from .wavefunction import evaluate
 
 __all__ = ["RunConfig", "load_config", "run_solve", "run_verify", "main"]
 
@@ -436,19 +437,22 @@ def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> None:
 
 
 def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats) -> None:
-    points = int(grid["points"])
-    radii = np.linspace(0.0, float(grid["r_max"]), points)
+    """Each solved state's normalized eigenfunction (``EigenResult``): the
+    series on r <= r_match, and every state's inward leg in one pass."""
+    radii = np.linspace(0.0, float(grid["r_max"]), int(grid["points"]))
+    solved = [(r.result, r.state()) for r in rows if r.ok]
+    far = leg_values([(res.inward, radii[radii > res.inward.edges[0]])
+                      for res, _ in solved])
     samples = []
-    for res, state in ((r.result, r.state()) for r in rows if r.ok):
-        sol = res.solution.scaled(res.norm_const)
-        # radii ascend, so the trusted ones come first; the rest read None
-        trusted = radii[radii <= clamp_to_trust(sol, float(radii[-1]))]
-        vals = evaluate(sol, trusted).tolist()
-        samples.append((state, vals + [None] * (points - trusted.size)))
+    for (res, state), beyond in zip(solved, far):
+        near = evaluate(res.solution.scaled(res.norm_const),
+                        radii[radii <= res.inward.edges[0]])
+        vals = np.concatenate((near, res.norm_const * res.p_sigma * beyond))
+        samples.append((state, vals.tolist()))
     r = radii.tolist()
     r_cells = [f"{x:.12g}" for x in r]
     lines = (f"{pre}{x},{v:.12g}" for pre, vals in ((_cells(s), v) for s, v in samples)
-             for x, v in zip(r_cells, vals) if v is not None)
+             for x, v in zip(r_cells, vals))
     payload = [{**state, "r": r, "R": vals} for state, vals in samples]
     _write(outdir, "wavefunctions", formats, ("dim", "ell", "radial_n", "r", "R"),
            lines, payload)

@@ -17,8 +17,8 @@ between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
 narrow bracket shows no sign change or does not converge.  The node count
 of the converged state is verified, and its norm taken, on one
-eigenfunction: the series on (0, r_match] and the inward pieces beyond.
-"""
+eigenfunction, the series on (0, r_match] and the inward leg beyond, which
+the result carries."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .model import (
     b_from_energy,
 )
 from .recurrence import _stopped_series
-from .wavefunction import clamp_to_trust, count_nodes, norm2, sign_changes
+from .wavefunction import count_nodes, norm2, sign_changes, trusted
 
 __all__ = [
     "SolverConfig",
@@ -280,7 +280,7 @@ def find_eigenvalue(
     sol = next(series, sol)
     r = geom.r_match
     # the series must be trusted past r_match with a tenth to spare
-    if clamp_to_trust(sol, r / 0.9) != r / 0.9:
+    if not trusted(sol, r / 0.9):
         raise DomainError(
             f"truncation_order {cfg.truncation_order} is too low for r_match={r!r}: "
             f"the series at E={e_star!r} is not trusted out to r_match / 0.9"
@@ -300,14 +300,18 @@ def find_eigenvalue(
         raise WrongStateError(q.radial_n, nodes, e_star)
 
     # and its norm, with the prefactor r^((k-1)/2) e^(-br) that turns the
-    # series' direction into its (R, R')
+    # series' direction into its (R, R'); the series and sigma are scaled by
+    # 2^shift, which takes the envelope at r_match into [1, 2): the overflow
+    # guard can leave a_0 near the float floor, and 2^shift moves no bit
     p_sigma = math.exp((q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
-    integral = norm2(sol, r) + p_sigma * p_sigma * inward.norm2(geom)
+    shift = 1 - math.frexp(_horner(np.abs(sol.coeffs), r))[1]
+    scaled = math.ldexp(p_sigma, shift)
+    integral = norm2(sol, r, shift) + scaled * scaled * inward.norm2(geom)
     if not 0.0 < integral < math.inf:
         raise DomainError(
             f"the norm integral of the state at E={e_star!r} is {integral!r}"
         )
-    norm_const = 1.0 / math.sqrt(integral)
+    norm_const = math.ldexp(1.0 / math.sqrt(integral), shift)
 
     # an oracle that cannot check the state leaves the series result
     # standing and says why
@@ -326,4 +330,6 @@ def find_eigenvalue(
         oracle_gap=oracle_gap,
         solution=sol,
         oracle_error=oracle_error,
+        inward=inward,
+        p_sigma=p_sigma,
     )

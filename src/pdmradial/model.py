@@ -10,10 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .tail import Inward
 
 __all__ = [
     "PotentialSpec",
@@ -316,10 +320,13 @@ class SeriesSolution:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged eigenvalue with its diagnostics.
+    """Converged eigenvalue with its diagnostics and its eigenfunction.
 
     ``solution`` holds the series at ``energy`` before normalization
-    (``solution.scaled(norm_const)`` is normalized).  ``oracle_error`` names
+    (``solution.scaled(norm_const)`` is normalized) on (0, r_match]; past
+    r_match the eigenfunction is ``norm_const * p_sigma`` times the inward
+    solution ``inward`` (``tail.leg_values``), with ``p_sigma`` the prefactor
+    r^((k-1)/2) e^(-br) times sigma at r_match.  ``oracle_error`` names
     the exception class and message when the oracle was requested but could
     not check the state; ``oracle_gap`` is then None.
     """
@@ -331,6 +338,8 @@ class EigenResult:
     oracle_gap: float | None = None
     solution: SeriesSolution | None = None
     oracle_error: str | None = None
+    inward: Inward | None = None
+    p_sigma: float = 0.0
 
     def __post_init__(self):
         if not self.norm_const > 0:  # NaN too

@@ -23,8 +23,8 @@ right ends.
 
 The eigensolver calls ``integrate_radial`` once per trial energy, and
 ``Inward.norm2`` once for the converged state, whose eigenfunction past
-r_match is this leg; ``tail_radius`` and ``outer_turning_radius`` place the
-start of the leg in the classically forbidden tail.
+r_match is this leg (``leg_values``); ``tail_radius`` and
+``outer_turning_radius`` place the start of the leg in the forbidden tail.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "Leg",
     "Piece",
     "integrate_radial",
+    "leg_values",
     "make_leg",
     "outer_turning_radius",
     "tail_radius",
@@ -206,9 +207,9 @@ class Piece:
 @dataclass(frozen=True)
 class Leg:
     """Energy-independent parts of the inward solve over [r_match, r_far]:
-    the pieces, inner first, G = m'/m at r_match, and w0, m2 at r_far for the
-    decay condition there.  Built once per matching geometry, shared by every
-    energy."""
+    the pieces, inner first, G = m'/m at r_match, w0, m2 at r_far for the
+    decay condition there, and the mass.  Built once per matching geometry,
+    shared by every energy."""
 
     r_match: float
     r_far: float
@@ -216,6 +217,7 @@ class Leg:
     g_match: float
     w0_far: float
     m2_far: float
+    mass: MassProfile
 
 
 @dataclass(frozen=True)
@@ -223,12 +225,17 @@ class Inward:
     """The decaying solution at one energy: ``R`` and ``dR`` at r_match, up
     to a common positive factor, and each piece's Chebyshev coefficients of y
     (with y = 1 at the piece's left end) with its ``signs``, the sign of R on
-    the piece relative to y, inner piece first."""
+    the piece relative to y, inner piece first.  ``edges`` are the pieces'
+    ends from r_match to r_far, and the mass's s = sqrt(m / m(r_match)) turns
+    y into R: with them ``leg_values`` evaluates R, and a result that keeps
+    the solution does not keep the leg's operators."""
 
     R: float
     dR: float
     coeffs: tuple[np.ndarray, ...]
     signs: tuple[float, ...]
+    edges: tuple[float, ...]
+    mass: MassProfile
 
     def samples(self, per_piece: int) -> np.ndarray:
         """Values with the signs of R at ``per_piece`` uniform points of
@@ -253,6 +260,38 @@ class Inward:
             total += amp2 * float((piece.weights * (y * y)).sum())
             amp2 *= float(c.sum()) ** 2
         return total
+
+
+def leg_values(states: list[tuple[Inward, np.ndarray]]) -> list[np.ndarray]:
+    """R at radii r >= r_match of each (inward, r), with R(r_match) =
+    ``inward.R``: s y on each piece times the right-end values y(1) = sum(c)
+    of the pieces nearer r_match, as in ``Inward.norm2``, and 0 past r_far.
+    One elementwise Clenshaw pass serves every radius, with no BLAS product:
+    the bits do not follow the thread count."""
+    outs, parts, xs = [], [], []
+    for inward, r in states:
+        outs.append(np.zeros(r.shape))
+        edges, mass, amp = inward.edges, inward.mass, inward.R
+        m_match = mass.mass_at(edges[0])
+        for left, right, c in zip(edges[:-1], edges[1:], inward.coeffs):
+            inside = np.flatnonzero((r >= left) & (r <= right))
+            s = np.sqrt(np.asarray(mass.mass_at(r[inside]), float) / m_match)
+            parts.append((outs[-1], inside, amp * s, c))
+            xs.append(2.0 / (right - left) * (r[inside] - left) - 1.0)
+            amp *= float(c.sum())
+    if not parts:
+        return outs
+    sizes = [x.size for x in xs]
+    x2 = 2.0 * np.concatenate(xs)
+    rows = np.stack([c for *_, c in parts]).T  # row k: every piece's c_k
+    which = np.repeat(np.arange(len(parts)), sizes)
+    b1 = b2 = np.zeros(x2.size)
+    for ck in rows[:0:-1]:
+        b1, b2 = ck[which] + x2 * b1 - b2, b1
+    y = rows[0][which] + 0.5 * x2 * b1 - b2
+    for (out, inside, scale, _), yi in zip(parts, np.split(y, np.cumsum(sizes)[:-1])):
+        out[inside] = scale * yi
+    return outs
 
 
 def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float, dlog) -> np.ndarray:
@@ -298,7 +337,7 @@ def make_leg(
                             m2[:, None] * val, (right - left) * w * s2))
     g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]), dlog)
     return Leg(float(r_match), float(r_far), tuple(pieces), float(g[0]),
-               float(w0[1]), float(m2[1]))
+               float(w0[1]), float(m2[1]), mass)
 
 
 def integrate_radial(leg: Leg, e: float) -> Inward:
@@ -326,5 +365,6 @@ def integrate_radial(leg: Leg, e: float) -> Inward:
         rho = piece.scale * float(dt_left @ c)
         coeffs.append(c)
         signs.append(sign)
-    return Inward(sign, sign * (rho + 0.5 * leg.g_match),
-                  tuple(reversed(coeffs)), tuple(reversed(signs)))
+    edges = (leg.r_match, *(piece.right for piece in leg.pieces))
+    return Inward(sign, sign * (rho + 0.5 * leg.g_match), tuple(reversed(coeffs)),
+                  tuple(reversed(signs)), edges, leg.mass)

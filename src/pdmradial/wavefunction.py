@@ -17,8 +17,7 @@ from .errors import DomainError, ExtrapolationWarning, SingularPointError
 from .model import MassProfile, PotentialSpec, SeriesSolution, _gauss_legendre, _horner
 
 __all__ = [
-    "trust_radius",
-    "clamp_to_trust",
+    "trusted",
     "evaluate",
     "norm2",
     "ode_residual",
@@ -26,85 +25,27 @@ __all__ = [
     "sign_changes",
 ]
 
-# A series value is trusted while the last retained term stays below this
-# fraction of the absolute-value envelope of the partial sum.
 TRUST_RATIO = 1e-3
 
 
-def _untrusted(rev: list, last: float, order: int, r: float) -> bool:
-    """Whether |a_M| r^M exceeds TRUST_RATIO times the envelope (``rev``
-    holds the |a_i| reversed) at a Python float r, or a side overflows."""
+def trusted(solution: SeriesSolution, r: float) -> bool:
+    """Whether the series is reliable at r: its last term |a_M| r^M stays
+    below TRUST_RATIO times the envelope sum_i |a_i| r^i, which interior
+    nodes do not cut.  The ratio is monotone in r, so a series trusted at r
+    is trusted at every smaller radius.  A terminated series is trusted
+    everywhere; an overflow on either side counts as untrusted."""
+    rev = np.abs(solution.coeffs)[::-1].tolist()
+    last, order, r = rev[0], len(rev) - 1, float(r)
+    if last == 0.0 or order == 0:
+        return True
     envelope = 0.0
     for c in rev:
         envelope = envelope * r + c
     try:
         val = last * r**order - TRUST_RATIO * envelope
     except OverflowError:  # Python's float power raises where numpy's gives inf
-        return True
-    return val > 0 or not math.isfinite(val)
-
-
-def trust_radius(solution: SeriesSolution) -> float:
-    """Radius up to which the truncated series is considered reliable.
-
-    Defined as the r where the last retained term reaches TRUST_RATIO times the
-    absolute-value envelope sum_i |a_i| r^i (the envelope is used instead of
-    the signed partial sum so interior nodes do not produce spurious cutoffs;
-    the ratio |a_M| r^M / envelope is monotone in r, so the crossing is
-    unique).  A series whose trailing coefficients vanish (a terminated
-    polynomial) is trusted everywhere.  A radius is clamped to it by
-    ``clamp_to_trust``, which searches only where the clamp can bind.
-    """
-    coeffs = solution.coeffs
-    last = abs(float(coeffs[-1]))
-    if last == 0.0 or coeffs.size == 1:
-        return math.inf
-
-    rev = np.abs(coeffs)[::-1].tolist()
-    order = coeffs.size - 1
-
-    # double from 1e-12 to the first radius where the ratio is exceeded;
-    # overflow in either side of the comparison means the search ran far
-    # past any usable radius, and treating it as "exceeded" keeps the result
-    # finite and conservative
-    hi = 1e-12
-    for _ in range(220):
-        if _untrusted(rev, last, order, hi):
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = hi / 2.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        if _untrusted(rev, last, order, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-# clamp_to_trust's relative margin, far above the few ulps within which the
-# float test flips near the crossing and the bisection stops
-_CLAMP_MARGIN = 1e-9
-
-
-def clamp_to_trust(solution: SeriesSolution, r: float) -> float:
-    """min(r, trust_radius(solution)), bit for bit, searching the trust
-    radius only where the clamp can bind.
-
-    The ratio |a_M| r^M / envelope is monotone in r, so a series that passes
-    ``trust_radius``'s own test slightly beyond r has its trust radius
-    beyond r too, and r is returned after one evaluation of the test.
-    Otherwise the full search runs.
-    """
-    rev = np.abs(solution.coeffs)[::-1].tolist()
-    x = r * (1.0 + _CLAMP_MARGIN)
-    if _untrusted(rev, rev[0], len(rev) - 1, x):
-        return min(r, trust_radius(solution))
-    return r
+        return False
+    return val <= 0 and math.isfinite(val)
 
 
 def _power(sol: SeriesSolution) -> float:
@@ -134,18 +75,17 @@ def evaluate(sol: SeriesSolution, r) -> float | np.ndarray:
     """Truncated-series value of R at finite radii r >= 0: a float for a
     scalar, else an array of the same shape.
 
-    Radii beyond the trust cutoff are evaluated anyway but flagged with an
-    ExtrapolationWarning; the cutoff is searched only when the largest
-    radius may lie beyond it (``clamp_to_trust``).
+    Radii beyond the series trust region are evaluated anyway but flagged
+    with an ExtrapolationWarning when the series is not ``trusted`` at the
+    largest of them, r_top.
     """
     arr = np.asarray(r, float)
     if not np.all((arr >= 0) & (arr < math.inf)):  # NaN too
         raise DomainError("radius must be finite and >= 0")
     r_top = float(arr.max(initial=0.0))
-    cutoff = clamp_to_trust(sol, r_top)
-    if cutoff < r_top:
+    if not trusted(sol, r_top):
         warnings.warn(
-            f"evaluating beyond the series trust region (r > {cutoff:.6g})",
+            f"evaluating beyond the series trust region (r_top = {r_top:.6g})",
             ExtrapolationWarning,
             stacklevel=2,
         )
@@ -156,16 +96,18 @@ def evaluate(sol: SeriesSolution, r) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def norm2(sol: SeriesSolution, r: float) -> float:
-    """The integral of R^2 over (0, r), inf or NaN where the series
-    overflows.  R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an
-    exponential, so a fixed Gauss-Legendre rule converges spectrally; it has
-    as many nodes as the series has terms, and at least 64."""
+def norm2(sol: SeriesSolution, r: float, shift: int = 0) -> float:
+    """The integral of (2^shift R)^2 over (0, r), inf or NaN where the
+    series overflows; the scale, applied to the values, keeps R^2 of a series
+    near the float floor from underflowing.  R^2 = r^(k-1) e^(-2br) u(r)^2
+    is a polynomial times an exponential, so a fixed Gauss-Legendre rule
+    converges spectrally; it has as many nodes as the series has terms, and
+    at least 64."""
     if not 0 < r < math.inf:
         raise DomainError("r must be positive and finite")
     t, weights = _gauss_legendre(max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _eval_R_positive(sol, r * t)
+        v = np.ldexp(_eval_R_positive(sol, r * t), shift)
         return r * float((weights * (v * v)).sum())
 
 

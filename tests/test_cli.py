@@ -316,10 +316,10 @@ class TestArtifacts:
         assert wf[0]["R"][0] == 0.0  # R(0) = 0 for k > 1
 
     def test_writers_match_golden_files(self, tmp_path):
-        # a small Coulomb run whose samples reach past the trust radius, so
-        # the omitted CSV rows and the JSON nulls are pinned too: a slowly
-        # decaying mass keeps the series from terminating, as it does at a
-        # converged constant-mass Coulomb energy
+        # a small Coulomb run whose samples reach along the inward leg and
+        # past its far end, where they read 0: a slowly decaying mass keeps
+        # the series from terminating, as it does at a converged
+        # constant-mass Coulomb energy
         data = demo_config_dict()
         data["mass"] = DECAYING_MASS
         data["quantum"]["n"] = [0, 1]
@@ -333,7 +333,8 @@ class TestArtifacts:
             golden = GOLDEN.parent / f"coulomb_demo_{name}"
             assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
         waves = json.loads((tmp_path / "out" / "wavefunctions.json").read_text())
-        assert all(None in w["R"] for w in waves)
+        assert not any(None in w["R"] for w in waves)
+        assert waves[0]["R"][-1] == 0.0  # the ground state's r_far is inside
 
     @pytest.mark.parametrize("command, name", [("coefficients", "coefficients.csv"),
                                                ("coefficients", "coefficients.json"),
@@ -572,8 +573,8 @@ class TestPdmConfig:
                                                ("sample", "wavefunctions.json")])
     def test_golden_coefficients_and_samples(self, tmp_path, command, name):
         # the demo's series at order 64 with its whole exp-mass table, and its
-        # samples on the default grid, cut at each state's trust radius; the
-        # JSON files hold every bit
+        # samples on the default grid, the series to r_match and the inward
+        # leg beyond; the JSON files hold every bit
         data = json.loads(EXPMASS_CONFIG.read_text())
         data["output"]["directory"] = str(tmp_path / "out")
         assert main([command, str(write_config(tmp_path, data))]) == 0
@@ -654,19 +655,26 @@ class TestWavefunctionSamples:
             r2 = R * R
             assert abs(float(np.sum(0.5 * (r2[1:] + r2[:-1]) * np.diff(r))) - 1.0) < 1e-3
 
-    def test_one_evaluation_per_state_and_none_past_trust(self, tmp_path, monkeypatch):
-        # the trusted radii of each state are evaluated in one array call,
-        # and radii past the series trust radius read None (the decaying
-        # mass keeps the series from terminating)
+    def test_one_evaluation_per_state_and_the_leg_past_r_match(self, tmp_path,
+                                                                monkeypatch):
+        # the radii up to r_match of each state are evaluated on the series
+        # in one array call, the rest of every state on its inward leg in one
+        # call for the file, and radii past r_far read 0 (the decaying mass
+        # keeps the series from terminating)
         import pdmradial.cli as cli_mod
 
-        calls = []
-        evaluate = cli_mod.evaluate
+        calls, legs = [], []
+        evaluate, leg_values = cli_mod.evaluate, cli_mod.leg_values
 
         def counting(wave, r):
             calls.append(np.size(r))
             return evaluate(wave, r)
 
+        def on_legs(states):
+            legs.append(states)
+            return leg_values(states)
+
+        monkeypatch.setattr(cli_mod, "leg_values", on_legs)
         monkeypatch.setattr(cli_mod, "evaluate", counting)
         data = demo_config_dict()
         data["mass"] = DECAYING_MASS
@@ -674,14 +682,16 @@ class TestWavefunctionSamples:
         data["solver"]["oracle"] = False
         data["solver"]["truncation_order"] = 24
         data["output"]["directory"] = str(tmp_path / "wf")
-        data["output"]["wavefunction_grid"] = {"r_max": 60.0, "points": 121}
+        data["output"]["wavefunction_grid"] = {"r_max": 100.0, "points": 121}
         assert run_solve(str(write_config(tmp_path, data))) == 0
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(legs) == 1 and len(legs[0]) == 2
         waves = json.loads((tmp_path / "wf" / "wavefunctions.json").read_text())
-        for w, n_trusted in zip(waves, calls):
-            assert 0 < n_trusted < 121
-            assert all(v is None for v in w["R"][n_trusted:])
-            assert w["R"][0] == 0.0
+        for w, n_near, (inward, r) in zip(waves, calls, legs[0]):
+            assert 0 < n_near < 121 and n_near + r.size == 121
+            assert w["r"][n_near - 1] <= inward.edges[0] < r[0] == w["r"][n_near]
+            past = np.array(w["r"]) > inward.edges[-1]
+            assert past.any() and not np.any(np.array(w["R"])[past])
+            assert np.all(np.array(w["R"])[~past][1:]) and w["R"][0] == 0.0
 
 
 class TestVerify:

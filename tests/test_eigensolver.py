@@ -212,6 +212,20 @@ class TestNormConst:
         assert len(errors) == states
         assert max(map(abs, errors.values())) < 1e-11, errors
 
+    def test_deep_coulomb_state(self):
+        # the order-500 resume leaves a_0 = 2.8e-302 after the overflow
+        # guard, where R^2 underflows unless the norm scales it by a power
+        # of two first; norm_const * a_0 is the closed form 2 (Z/2)^(3/2)
+        q = QuantumNumbers(3, 0, 1)
+        res = find_eigenvalue(make_coulomb(1414.0), constant_mass(1.0), q,
+                              SolverConfig(e_bracket=(-1.1e6, -1e4), truncation_order=500))
+        assert res.energy == pytest.approx(-249924.5, rel=1e-15)
+        assert res.solution.a0 < 1e-300
+        assert res.norm_const * res.solution.a0 == pytest.approx(
+            coulomb_norm_reference(1414.0, 1.0, q), rel=1e-14)
+        assert res.norm_const * res.solution.a0 == pytest.approx(2.0 * 707.0**1.5,
+                                                                 rel=1e-14)
+
 
 class TestFindEigenvalueErrors:
     def test_bracket_without_sign_change(self):
@@ -387,45 +401,53 @@ class TestScanSpectrum:
         assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
 
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
-        # the root's series is checked to be trusted past r_match
-        # (clamp_to_trust), and it is on this state: no search
-        import pdmradial.wavefunction as wf_mod
+        # the root's series is tested once, at r_match / 0.9, and it is
+        # trusted there on this state
+        import pdmradial.eigensolver as es_mod
 
         calls = []
-        trust = wf_mod.trust_radius
+        trusted = es_mod.trusted
 
-        def counting(sol, *args):
-            calls.append(sol.energy)
-            return trust(sol, *args)
+        def recording(sol, r):
+            calls.append((sol, r))
+            return trusted(sol, r)
 
-        monkeypatch.setattr(wf_mod, "trust_radius", counting)
-        find_eigenvalue(
+        monkeypatch.setattr(es_mod, "trusted", recording)
+        res = find_eigenvalue(
             make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
-        assert calls == []
+        assert calls == [(res.solution, res.inward.edges[0] / 0.9)]
+        assert trusted(res.solution, res.inward.edges[0] / 0.9)
 
-    @pytest.mark.parametrize("workload, searches", [
-        ("coulomb_oracle", 0), ("expmass_cornell", 0), ("oscillator_series", 0),
+    @pytest.mark.parametrize("workload, states", [
+        ("coulomb_oracle", 10), ("expmass_cornell", 6), ("oscillator_series", 9),
     ])
-    def test_trust_radius_searches_per_benchmark_centre_solve(
-        self, tmp_path, monkeypatch, workload, searches
+    def test_one_trust_test_per_benchmark_centre_state(
+        self, tmp_path, monkeypatch, workload, states
     ):
-        # one `solve` of each benchmark workload's centre configs: every
-        # root's series is trusted past r_match, so nothing searches the
-        # trust radius
+        # one `solve` of each benchmark workload's centre configs: the root
+        # checks its series once, at r_match / 0.9, and it is trusted there;
+        # the oscillator's samples test the series once per state, at the
+        # largest sample radius not past r_match
+        import pdmradial.eigensolver as es_mod
         import pdmradial.wavefunction as wf_mod
 
-        calls = []
-        trust = wf_mod.trust_radius
+        roots, samples = [], []
+        trusted = wf_mod.trusted
 
-        def counting(sol, *args):
-            calls.append(sol.energy)
-            return trust(sol, *args)
+        def recording(calls):
+            def wrapper(sol, r):
+                calls.append((sol, r, trusted(sol, r)))
+                return calls[-1][2]
+            return wrapper
 
-        monkeypatch.setattr(wf_mod, "trust_radius", counting)
+        monkeypatch.setattr(es_mod, "trusted", recording(roots))
+        monkeypatch.setattr(wf_mod, "trusted", recording(samples))
         _solve_centres(tmp_path, workload)
-        assert len(calls) == searches
+        assert len(roots) == states and all(ok for _, _, ok in roots)
+        assert len(samples) == (states if workload == "oscillator_series" else 0)
+        assert all(ok for _, _, ok in samples)
 
     @pytest.mark.parametrize("workload, checks, channels", [
         ("coulomb_oracle", 10, 4), ("expmass_cornell", 6, 2),

@@ -12,6 +12,7 @@ from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_co
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.tail import (
     integrate_radial,
+    leg_values,
     make_leg,
     outer_turning_radius,
     tail_radius,
@@ -226,6 +227,25 @@ class TestInwardKernel:
                  for a in (c, np.polynomial.chebyshev.chebder(c)))
         rho = leg.pieces[-1].scale * dy / y
         assert abs(rho + math.sqrt(1.0 - 2.0 / 40.0)) < 1e-6
+
+    def test_leg_values_chain_the_pieces(self):
+        # R = r e^{-r} at E = -1/2 across the pieces of the leg, with
+        # R(r_match) = inward.R and 0 past r_far; states sampled together
+        # give the bits they give alone
+        leg = make_leg(*COULOMB, 0.5, 40.0, -0.5)
+        sol = integrate_radial(leg, -0.5)
+        other = make_leg(*COULOMB, 1.0, 30.0, -0.5)
+        osol = integrate_radial(other, -0.5)
+        r = np.linspace(0.5, 45.0, 891)
+        got, also = leg_values([(sol, r), (osol, r[r >= 1.0])])
+        assert len(leg.pieces) > 1 and abs(got[0] - sol.R) < 1e-14
+        exact = sol.R * r * np.exp(0.5 - r) / 0.5
+        sel = r <= 30.0
+        assert np.max(np.abs(got[sel] - exact[sel])) < 1e-14 * np.max(np.abs(exact))
+        assert np.all(got[r > 40.0] == 0.0) and np.all(got[r <= 40.0] != 0.0)
+        assert np.array_equal(got, leg_values([(sol, r)])[0])
+        assert np.array_equal(also, leg_values([(osol, r[r >= 1.0])])[0])
+        assert leg_values([]) == []
 
     def test_oscillator_growth_spans_several_segments(self):
         # omega = 1, v3 = -20: the inward solution grows by about e^1131, far

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from pdmradial.recurrence import (
     generate_coefficients,
 )
 from pdmradial.wavefunction import (
-    clamp_to_trust,
     count_nodes,
     evaluate,
     norm2,
     ode_residual,
     sign_changes,
-    trust_radius,
+    trusted,
 )
 
 
@@ -53,56 +53,6 @@ def _centre_series():
         for order in (24, 64, 128):
             for e in energies:
                 yield generate_coefficients(pot, mass(order), q, e, order)
-
-
-class TestClampToTrust:
-    @staticmethod
-    def _check(sol, radii, monkeypatch):
-        # min(r, trust_radius) bit for bit; no search where a finite trust
-        # radius clearly does not bind (an infinite one is returned at once,
-        # without a scan)
-        import pdmradial.wavefunction as wf_mod
-
-        trust = trust_radius(sol)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return trust_radius(*args)
-
-        monkeypatch.setattr(wf_mod, "trust_radius", counting)
-        for r in radii(trust):
-            calls.clear()
-            got = clamp_to_trust(sol, r)
-            assert got.hex() == min(r, trust).hex(), (r, trust)
-            if r < trust * (1.0 - 1e-8) < math.inf:
-                assert calls == []
-
-    @staticmethod
-    def _around(t):
-        far = [t * f for f in (1e-6, 1e-2, 0.5, 2.0, 1e3)]
-        near = [t * (1.0 + d) for d in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
-        ulps = [math.nextafter(t, 0.0), math.nextafter(t, math.inf)]
-        return [r for r in far + near + ulps if math.isfinite(r)] + [1e300, math.inf]
-
-    def test_equals_min_with_the_searched_radius(self, monkeypatch):
-        series = list(_centre_series())
-        assert len(series) == 33
-        for sol in series:
-            assert math.isfinite(trust_radius(sol))
-            self._check(sol, self._around, monkeypatch)
-
-    def test_terminated_polynomial_is_never_clamped(self, monkeypatch):
-        sol, _ = coulomb_state(n=1)
-        assert math.isinf(trust_radius(sol))
-        self._check(sol, lambda t: [1e-3, 1.0, 40.0, 1e300, math.inf], monkeypatch)
-
-    def test_overflowing_series(self, monkeypatch):
-        # scaled by 1e200, the envelope and the last term overflow far out
-        sol, _ = coulomb_state()
-        self._check(sol.scaled(1e200), lambda t: [0.5, 40.0, 1e300], monkeypatch)
-        for sol in list(_centre_series())[::4]:
-            self._check(sol.scaled(1e200), self._around, monkeypatch)
 
 
 class TestEvaluate:
@@ -151,16 +101,20 @@ class TestEvaluate:
             evaluate(sol, r)
 
     def test_extrapolation_warning_beyond_cutoff(self):
+        # the warning names the largest radius, at which alone the series is
+        # tested; radii the series is trusted at evaluate silently
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         e = math.sqrt(2.0) * 1.5 - 20.0
         sol = generate_coefficients(
             pot, constant_mass(1.0),
             QuantumNumbers(3, 0, 0), e, 16,
         )
-        cutoff = trust_radius(sol)
-        assert math.isfinite(cutoff)
-        with pytest.warns(ExtrapolationWarning):
-            evaluate(sol, cutoff * 1.5)
+        assert trusted(sol, 0.5) and not trusted(sol, 3.0)
+        with pytest.warns(ExtrapolationWarning, match=r"r_top = 3\b"):
+            evaluate(sol, [0.5, 3.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            evaluate(sol, [0.0, 0.5])
 
     @pytest.mark.parametrize("dim, ell", [(3, 0), (2, 0), (3, 2)])
     def test_array_equals_scalar_path(self, dim, ell):
@@ -169,7 +123,8 @@ class TestEvaluate:
         q = QuantumNumbers(dim, ell, 0)
         e = math.sqrt(2.0) * (dim + 2 * ell) / 2.0 - 20.0
         sol = generate_coefficients(pot, constant_mass(1.0), q, e, 64)
-        radii = np.linspace(0.0, min(trust_radius(sol), 6.0), 97)
+        radii = np.linspace(0.0, 3.0, 97)
+        assert trusted(sol, 3.0)
         values = evaluate(sol, radii)
         assert values.shape == radii.shape and values[0] == evaluate(sol, 0.0)
         for r, v in zip(radii, values):
@@ -199,6 +154,17 @@ class TestNormalize:
         sol, _ = coulomb_state(n=1)
         once = normalized(sol, 40.0)
         assert norm2(once, 40.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_shift_moves_no_bit_and_keeps_a_tiny_series_from_underflowing(self):
+        # values scaled by 2^shift after evaluation: exactly 4^shift times
+        # the integral, also for a series whose square underflows unscaled
+        sol, _ = coulomb_state(n=1)
+        for shift in (-3, 5, 100):
+            assert norm2(sol, 40.0, shift) == math.ldexp(norm2(sol, 40.0), 2 * shift)
+        tiny = sol.scaled(1e-300)
+        assert norm2(tiny, 40.0) == 0.0
+        assert norm2(tiny, 40.0, 997) == pytest.approx(
+            norm2(sol, 40.0) * math.ldexp(1e-300, 997) ** 2, rel=1e-13)
 
     def test_projective_invariance(self):
         sol, _ = coulomb_state(n=2)
@@ -254,9 +220,9 @@ class TestNormalizeRule:
 
         seen = []
 
-        def recording(sol, r):
+        def recording(sol, r, shift=0):
             seen.append((sol, r))
-            return norm2(sol, r)
+            return norm2(sol, r, shift)
 
         monkeypatch.setattr(es_mod, "norm2", recording)
         make, window = self.FAMILIES[family]
@@ -367,9 +333,9 @@ class TestCountNodes:
         sol, _ = coulomb_state(n=2)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("trust_radius called")
+            raise AssertionError("trusted called")
 
-        monkeypatch.setattr(wf_mod, "trust_radius", forbidden)
+        monkeypatch.setattr(wf_mod, "trusted", forbidden)
         assert count_nodes(sol, 40.0) == 2
 
     def test_requires_enough_samples(self):
@@ -436,9 +402,51 @@ class TestClosedFormEquivalence:
 
 
 class TestTrustRadius:
+    """Where the truncated series is trusted, through ``trusted`` at one
+    radius: the last kept term against TRUST_RATIO of the envelope."""
+
+    @staticmethod
+    def _crossing(sol):
+        """The radius where ``trusted`` turns false, to a relative 1e-12,
+        by bisection on a geometric bracket."""
+        lo, hi = 1e-12, 1e-12
+        while trusted(sol, hi):
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if trusted(sol, mid) else (lo, mid)
+        return hi
+
+    def test_flips_once_along_r(self):
+        # the ratio |a_M| r^M / envelope is monotone in r: trusted inside
+        # one radius, untrusted beyond it, for every centre series, also
+        # where its float test flips within a few ulps
+        series = list(_centre_series())
+        assert len(series) == 33
+        for sol in series:
+            t = self._crossing(sol)
+            radii = [t * f for f in (1e-6, 1e-2, 0.5, 1.0 - 1e-9)]
+            assert all(trusted(sol, r) for r in radii), t
+            radii = [t * f for f in (1.0 + 1e-9, 2.0, 1e3)] + [1e300]
+            assert not any(trusted(sol, r) for r in radii), t
+            grid = [trusted(sol, r) for r in np.geomspace(t * 0.999, t * 1.001, 2001)]
+            assert sorted(grid, reverse=True) == grid
+
     def test_terminated_series_trusted_everywhere(self):
+        # a vanishing last coefficient, also where the envelope overflows
         sol, _ = coulomb_state(n=1)
-        assert math.isinf(trust_radius(sol))
+        for r in (0.0, 1e-3, 1.0, 40.0, 1e300):
+            assert trusted(sol, r)
+        assert trusted(sol.scaled(1e200), 1e300)
+
+    def test_overflowing_series(self):
+        # scaled by 1e200 the verdict stays where nothing overflows, and an
+        # envelope or last term that overflows far out is untrusted
+        for sol in list(_centre_series())[::4]:
+            t = self._crossing(sol)
+            for r in (t * 1e-2, t * 0.5, t * 2.0, t * 1e3):
+                assert trusted(sol.scaled(1e200), r) == trusted(sol, r), (r, t)
+            assert not trusted(sol.scaled(1e200), 1e300)
 
     def test_power_overflow_in_the_bisection_counts_as_untrusted(self):
         # a subnormal last coefficient stays below the ratio until r^64
@@ -446,22 +454,17 @@ class TestTrustRadius:
         coeffs = np.zeros(65)
         coeffs[0], coeffs[-1] = 1.0, 5e-324
         sol = SeriesSolution(-0.5, 1.0, coeffs, QuantumNumbers(3, 0, 0))
-        assert trust_radius(sol) == 2.0**16
-        assert clamp_to_trust(sol, 1e6) == 2.0**16
+        assert trusted(sol, math.nextafter(2.0**16, 0.0))
+        assert not trusted(sol, 2.0**16)
+        assert not trusted(sol, 1e6)
+        assert self._crossing(sol) == pytest.approx(2.0**16, rel=1e-12)
 
     def test_grows_with_order(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         e = math.sqrt(2.0) * 1.5 - 20.0
-        r8 = trust_radius(
-            generate_coefficients(
-                pot, constant_mass(1.0),
-                QuantumNumbers(3, 0, 0), e, 8,
-            )
-        )
-        r32 = trust_radius(
-            generate_coefficients(
-                pot, constant_mass(1.0),
-                QuantumNumbers(3, 0, 0), e, 32,
-            )
+        r8, r32 = (
+            self._crossing(generate_coefficients(
+                pot, constant_mass(1.0), QuantumNumbers(3, 0, 0), e, order))
+            for order in (8, 32)
         )
         assert r32 > r8 > 0

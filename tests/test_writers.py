@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import pdmradial.oracle as oracle_mod
 from pdmradial import cli
-from pdmradial.wavefunction import clamp_to_trust, evaluate
+from pdmradial.tail import leg_values
+from pdmradial.wavefunction import evaluate
 
 from test_cli import DECAYING_MASS, demo_config_dict
 
@@ -54,16 +55,19 @@ def frozen_write_coefficients(rows, outdir, formats) -> None:
 
 
 def frozen_write_wavefunctions(rows, grid, outdir, formats) -> None:
-    points = int(grid["points"])
-    radii = np.linspace(0.0, float(grid["r_max"]), points)
+    # the values: the series on r <= r_match, the inward leg beyond
+    radii = np.linspace(0.0, float(grid["r_max"]), int(grid["points"]))
     samples = []
     for res, state in ((r.result, r.state()) for r in rows if r.ok):
-        sol = res.solution.scaled(res.norm_const)
-        trusted = radii[radii <= clamp_to_trust(sol, float(radii[-1]))]
-        vals = evaluate(sol, trusted).tolist()
-        samples.append((state, vals + [None] * (points - trusted.size)))
+        near = radii <= res.inward.edges[0]
+        (beyond,) = leg_values([(res.inward, radii[~near])])
+        vals = np.concatenate((
+            evaluate(res.solution.scaled(res.norm_const), radii[near]),
+            res.norm_const * res.p_sigma * beyond,
+        ))
+        samples.append((state, vals.tolist()))
     lines = ((*state.values(), x, v) for state, vals in samples
-             for x, v in zip(radii, vals) if v is not None)
+             for x, v in zip(radii, vals))
     r = [float(x) for x in radii]
     payload = [{**state, "r": r, "R": vals} for state, vals in samples]
     _frozen_write(outdir, "wavefunctions", formats, ("dim", "ell", "radial_n", "r", "R"),
@@ -78,8 +82,7 @@ def _solve(data, **solver):
 @pytest.fixture(scope="module")
 def rows():
     """Rows of every kind a writer meets: solved, failed, solved with an
-    oracle error, and solved with a series that is not trusted over the
-    whole sample grid."""
+    oracle error, and solved with a sample grid that reaches past r_far."""
     # level 9 lies above the window: an error row with empty result cells
     failed = demo_config_dict()
     failed["quantum"]["n"] = [0, 9]
@@ -90,8 +93,8 @@ def rows():
         two_d = demo_config_dict()
         two_d["quantum"] = {"dim": 2, "ell": [1], "n": [0, 1]}
         out += _solve(two_d, e_lo=-2.4, e_hi=-0.06)
-    # a decaying mass keeps the series infinite, so it is clamped at the
-    # trust radius on a long grid
+    # a decaying mass keeps the series infinite; on a long grid its samples
+    # run along the inward leg and past its far end
     decaying = demo_config_dict()
     decaying["mass"] = DECAYING_MASS
     decaying["quantum"]["n"] = [0, 1]
@@ -113,8 +116,7 @@ GRID = {"r_max": 40.0, "points": 41}
 def test_rows_cover_every_kind(rows):
     assert any(not r.ok for r in rows)
     assert any(r.ok and r.message.startswith("ResolutionError: ") for r in rows)
-    assert any(r.ok and clamp_to_trust(r.result.solution.scaled(r.result.norm_const),
-                                       GRID["r_max"]) < GRID["r_max"] for r in rows)
+    assert any(r.ok and r.result.inward.edges[-1] < GRID["r_max"] for r in rows)
 
 
 WRITERS = {
@@ -142,9 +144,10 @@ def test_artifacts_match_the_frozen_writers(rows, tmp_path, stem, formats):
         assert ((tmp_path / "new" / name).read_bytes()
                 == (tmp_path / "frozen" / name).read_bytes()), name
     if stem == "wavefunctions" and "json" in formats:
-        # the clamped samples read null and are left out of the CSV
+        # no sample reads null; those past r_far read 0
         waves = json.loads((tmp_path / "new" / "wavefunctions.json").read_text())
-        assert any(None in w["R"] for w in waves)
+        assert not any(None in w["R"] for w in waves)
+        assert any(w["R"][-1] == 0.0 for w in waves)
 
 
 def test_empty_rows_match_the_frozen_writers(tmp_path):
