@@ -468,3 +468,22 @@ class TestTrustRadius:
             for order in (8, 32)
         )
         assert r32 > r8 > 0
+
+
+class TestClampToTrust:
+    """Nothing cuts a terminated series short: ``evaluate`` sums all of it
+    at any radius and flags none."""
+
+    def test_terminated_polynomial_is_never_clamped(self):
+        # the n = 1 Coulomb series times its prefactor r is the 2s closed
+        # form r (1 - r/2) e^(-r/2)
+        sol, _ = coulomb_state(n=1)
+        radii = [1e-3, 1.0, 40.0, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            got = [evaluate(sol, r) for r in radii]
+            assert np.array_equal(evaluate(sol, radii), got)
+        for r, val in zip(radii, got):
+            assert val == pytest.approx(
+                (1.0 - r / 2.0) * math.exp(math.log(r) - r / 2.0), rel=1e-12
+            )
