@@ -288,8 +288,9 @@ def parse_config(data: dict) -> RunConfig:
     solver = _solver(data["solver"])
     try:
         mass = mass.extended(solver.truncation_order)
-    except DomainError as exc:  # only an exponential series can fail
-        raise ConfigError(f"mass.lambda: {exc}") from None
+    except DomainError as exc:  # a constant mass never fails here
+        field = "lambda" if mass.lam > 0 else "coeffs"
+        raise ConfigError(f"mass.{field}: {exc}") from None
     output = _output(data.get("output", {}))
     return RunConfig(potential, mass, quantum, solver, output)
 
@@ -445,8 +446,11 @@ def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats)
                       for res, _ in solved])
     samples = []
     for (res, state), beyond in zip(solved, far):
-        near = evaluate(res.solution.scaled(res.norm_const),
-                        radii[radii <= res.inward.edges[0]])
+        # scaled by the mantissa, then by its power of two, exactly: the
+        # coefficients times a norm_const near the float ceiling overflow
+        mant, exp = math.frexp(res.norm_const)
+        near = np.ldexp(evaluate(res.solution.scaled(mant),
+                                 radii[radii <= res.inward.edges[0]]), exp)
         vals = np.concatenate((near, res.norm_const * res.p_sigma * beyond))
         samples.append((state, vals.tolist()))
     r = radii.tolist()

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SeriesDivisionError
 
 if TYPE_CHECKING:
     from .tail import Inward
@@ -30,6 +30,7 @@ __all__ = [
     "make_oscillator",
     "make_linear",
     "b_from_energy",
+    "logderiv_from_series",
 ]
 
 # Absolute floor used by the mass-series consistency check (per coefficient,
@@ -153,34 +154,43 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class MassProfile:
-    """Position-dependent mass as a power series about the origin.
+    """Position-dependent mass m(r) = P(r) e^(-lam r): a polynomial P with
+    P(0) = m0 > 0, its coefficients ``poly`` lowest first, times a decaying
+    exponential (lam >= 0).
 
-    ``mass_series`` holds the coefficients of m(r) (leading entry m0 > 0) and
-    ``logderiv_series`` the coefficients of m'(r)/m(r).  ``kind`` tags the
-    closed forms ("constant", "exponential"): ``mass_at`` and ``logderiv_at``
-    evaluate them exactly, and ``extended`` carries their series to any
-    order.  A "custom-series" profile is its coefficients, a polynomial mass,
-    and is used as given at every order.
+    ``mass_at``, ``logderiv_at`` (m'/m = P'/P - lam) and ``dlogderiv_at``
+    (its derivative, P''/P - (P'/P)^2) are these closed forms at any radius.
+    The recurrence reads the series about the origin: ``mass_series``, P
+    times the Taylor series of e^(-lam r), and ``logderiv_series``, the
+    formal division P'/P minus lam, both carried to ``order`` (raised to the
+    degree of P when that is higher); ``extended`` re-derives them to a
+    higher order.
     """
 
-    mass_series: np.ndarray
-    logderiv_series: np.ndarray
-    kind: str
+    poly: np.ndarray
     lam: float = 0.0
+    order: int = 0
+    mass_series: np.ndarray = field(init=False, repr=False, compare=False)
+    logderiv_series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mass_series", np.asarray(self.mass_series, float))
-        object.__setattr__(
-            self, "logderiv_series", np.asarray(self.logderiv_series, float)
-        )
-        if self.mass_series.ndim != 1 or self.mass_series.size == 0:
-            raise DomainError("mass_series must be a non-empty 1-d coefficient vector")
-        if self.m0 <= 0:
+        poly = np.asarray(self.poly, float)
+        if poly.ndim != 1 or poly.size == 0:
+            raise DomainError("mass polynomial must be a non-empty 1-d coefficient vector")
+        if not poly[0] > 0:
             raise DomainError("m0 must be positive")
-        if self.kind not in ("constant", "exponential", "custom-series"):
-            raise DomainError(f"unknown mass profile kind {self.kind!r}")
-        if self.kind == "exponential" and self.lam <= 0:
-            raise DomainError("exponential mass requires lam > 0")
+        if not self.lam >= 0:
+            raise DomainError("mass decay rate lam must be >= 0")
+        if not isinstance(self.order, (int, np.integer)) or self.order < 0:
+            raise DomainError("order must be an integer >= 0")
+        order = max(int(self.order), poly.size - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            series = np.convolve(poly, _exp_taylor(self.lam, order))[: order + 1]
+            logd = logderiv_from_series(poly, order)
+        logd[0] -= self.lam
+        for name, value in (("poly", poly), ("order", order), ("mass_series", series),
+                            ("logderiv_series", logd)):
+            object.__setattr__(self, name, value)
         self._check_consistency()
 
     def _check_consistency(self):
@@ -209,48 +219,71 @@ class MassProfile:
 
     @property
     def m0(self) -> float:
-        return float(self.mass_series[0])
-
-    @property
-    def order(self) -> int:
-        return self.mass_series.size - 1
+        return float(self.poly[0])
 
     def mass_at(self, r):
-        """m(r), using the closed form when one is known."""
-        if self.kind == "constant":
-            return self.m0 * np.ones_like(np.asarray(r, float)) if np.ndim(r) else self.m0
-        if self.kind == "exponential":
-            return self.m0 * np.exp(-self.lam * np.asarray(r, float)) if np.ndim(r) \
-                else self.m0 * math.exp(-self.lam * r)
-        return _horner(self.mass_series, r)
+        """m(r) = P(r) e^(-lam r)."""
+        if np.ndim(r):
+            r = np.asarray(r, float)
+            return _horner(self.poly, r) * np.exp(-self.lam * r)
+        return _horner(self.poly, r) * math.exp(-self.lam * r)
 
     def logderiv_at(self, r):
-        """m'(r)/m(r), using the closed form when one is known."""
-        if self.kind == "constant":
-            return np.zeros_like(np.asarray(r, float)) if np.ndim(r) else 0.0
-        if self.kind == "exponential":
-            return -self.lam * np.ones_like(np.asarray(r, float)) if np.ndim(r) \
-                else -self.lam
-        return _horner(self.logderiv_series, r)
+        """m'(r)/m(r) = P'/P - lam."""
+        p, dp = _horner(self.poly, r, derivs=1)
+        return dp / p - self.lam
+
+    def dlogderiv_at(self, r):
+        """The derivative of m'/m, P''/P - (P'/P)^2."""
+        p, dp, d2p = _horner(self.poly, r, derivs=2)
+        g = dp / p
+        return d2p / p - g * g
 
     def extended(self, order: int) -> "MassProfile":
-        """Profile with the series carried to at least ``order``: exact for
-        the closed-form kinds; a custom series is returned as given."""
-        if order <= self.order or self.kind == "custom-series":
+        """The same mass with both series carried to at least ``order``."""
+        if order <= self.order:
             return self
-        if self.kind == "constant":
-            series = np.zeros(order + 1)
-            series[0] = self.m0
-            return MassProfile(series, np.zeros(order + 1), "constant")
-        # m0 (-lam)^nu / nu! via exp/log-gamma so large orders stay finite
-        nu = np.arange(order + 1)
-        signs = np.where(nu % 2 == 0, 1.0, -1.0)
-        log_fact = np.array([math.lgamma(v + 1.0) for v in range(order + 1)])
-        with np.errstate(over="ignore"):  # refused as not finite below
-            series = self.m0 * signs * np.exp(nu * math.log(self.lam) - log_fact)
-        logd = np.zeros(order + 1)
-        logd[0] = -self.lam
-        return MassProfile(series, logd, "exponential", self.lam)
+        return MassProfile(self.poly, self.lam, order)
+
+
+def _exp_taylor(lam: float, order: int) -> np.ndarray:
+    """Taylor coefficients (-lam)^nu / nu! of e^(-lam r) to ``order``, via
+    exp/log-gamma so large orders stay finite."""
+    if not lam:  # 1, 0, 0, ...
+        return np.eye(1, order + 1)[0]
+    nu = np.arange(order + 1)
+    signs = np.where(nu % 2 == 0, 1.0, -1.0)
+    log_fact = np.array([math.lgamma(v + 1.0) for v in range(order + 1)])
+    return signs * np.exp(nu * math.log(lam) - log_fact)
+
+
+def logderiv_from_series(mass_series, order: int | None = None) -> np.ndarray:
+    """Formal division m'(r)/m(r) of a mass series.
+
+    Solves (result * mass)[nu] = (nu+1) * mass[nu+1] (Cauchy product) order by
+    order; the input series is treated as an exact polynomial (zero-extended)
+    when ``order`` exceeds its length, the default order being its degree
+    minus one.
+    """
+    b = np.asarray(mass_series, float)
+    if b.ndim != 1 or b.size == 0:
+        raise DomainError("series needs a non-empty 1-d coefficient vector")
+    if not b[0] > 0:
+        raise SeriesDivisionError(
+            "log-derivative needs a positive leading mass coefficient"
+        )
+    b = b.tolist()
+    m = len(b) - 1
+    if order is None:
+        order = max(m - 1, 0)
+    out = []
+    for nu in range(order + 1):
+        acc = (nu + 1) * b[nu + 1] if nu + 1 <= m else 0.0
+        # only the terms with mass[nu - j], j < nu, inside the polynomial
+        for j in range(max(0, nu - m), nu):
+            acc -= out[j] * b[nu - j]
+        out.append(acc / b[0])
+    return np.array(out)
 
 
 def _horner(coeffs, r, derivs: int = 0):

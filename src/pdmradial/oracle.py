@@ -122,8 +122,9 @@ def collocation_pencil(
     s in [0, 1], r = r_max s^2, as a pencil (A, d): A is the operator with
     the s = 0 row eliminated, d = -8 m r_max^2 s^3 the weight of each row,
     and the levels are the real eigenvalues of A y = E diag(d) y.
-    DomainError when m(r) underflows at a node: the weights d, which
-    ``collocation_levels`` divides by, would lose every digit."""
+    DomainError when m(r) underflows or is negative at a node: the weights
+    d, which ``collocation_levels`` divides by, would lose every digit or
+    their sign."""
     if q.k < 2:
         raise DegenerateChannelError(
             "collocation needs k = N + 2l >= 2 (k = 1 has no regularity row)"
@@ -136,13 +137,15 @@ def collocation_pencil(
     # y(r_max) = 0: drop the node x = 1, which comes first; s = (1 + x)/2
     s, d1, d2 = 0.5 * (1.0 + x[1:]), 2.0 * d1[1:, 1:], 4.0 * d2[1:, 1:]
     r = r_max * s * s
-    g = np.asarray(mass.logderiv_at(r), float)
     m = np.asarray(mass.mass_at(r), float)
-    if np.abs(m).min() < np.finfo(float).tiny:
+    bad = np.flatnonzero(m <= np.finfo(float).tiny)
+    if bad.size:
+        i = bad[-1]  # the radii fall along the grid: the nearest the origin
         raise DomainError(
-            f"the mass underflows on the collocation grid of r_max={r_max:.6g} "
-            f"(lambda*r_max={mass.lam * r_max:.6g})"
+            f"the mass {'underflows' if m[i] >= 0 else 'is negative'} on the "
+            f"collocation grid of r_max={r_max:.6g}: m={m[i]:.6g} at r={r[i]:.6g}"
         )
+    g = np.asarray(mass.logderiv_at(r), float)
     rv = pot.v3 * r
     if pot.v1 != 0.0:
         rv = rv - pot.v1 * r ** (1.0 - pot.alpha)

@@ -211,7 +211,7 @@ def expmass_cornell_coefficients(
     e = float(e)
     if pot.alpha != 1 or pot.beta != 1:
         raise DomainError("exp-mass Cornell recursion requires alpha = beta = 1")
-    if mass.kind != "exponential":
+    if mass.lam <= 0 or np.any(mass.poly[1:]):
         raise DomainError("exp-mass Cornell recursion requires an exponential mass profile")
     _check_inputs(pot, q, e, order)
     k = q.k

@@ -35,7 +35,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 from .model import MassProfile, PotentialSpec, QuantumNumbers, b_from_energy
@@ -126,27 +125,19 @@ def outer_turning_radius(pot: PotentialSpec, e: float) -> float:
 
 
 def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers,
-                      r: np.ndarray, dlog: np.ndarray):
+                      r: np.ndarray):
     """G = m'/m and the energy-independent parts of w with y'' = w y, where
     R = s y, s'/s = G/2 and R'' = G R' + F R:
 
         F(r) = -G (N-1)/(2r) + (k-1)(k-3)/(4 r^2) + 2 m (V - e),
-        w(r) = F + G^2/4 - G'/2 = w0 - 2 m e,
-
-    with G' from ``dlog``, the series of the derivative of m'/m
-    (``_dlog_series``)."""
+        w(r) = F + G^2/4 - G'/2 = w0 - 2 m e."""
     k = q.k
     g = np.asarray(mass.logderiv_at(r), float)
-    dg = npoly.polyval(r, dlog)
+    dg = np.asarray(mass.dlogderiv_at(r), float)
     m = np.asarray(mass.mass_at(r), float)
     v = np.asarray(pot.value(r), float)
     f0 = -g * (q.dim_n - 1) / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r) + 2.0 * m * v
     return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m
-
-
-def _dlog_series(mass: MassProfile) -> np.ndarray:
-    """The series of G', the derivative of m'/m."""
-    return npoly.polyder(npoly.polytrim(mass.logderiv_series))
 
 
 @lru_cache(maxsize=None)
@@ -294,11 +285,11 @@ def leg_values(states: list[tuple[Inward, np.ndarray]]) -> list[np.ndarray]:
     return outs
 
 
-def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float, dlog) -> np.ndarray:
+def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float) -> np.ndarray:
     """Radii from r_match to r_far, cut where the WKB exponent at ``e_ref``
     has grown by equal shares of at most ``_PIECE_EXPONENT``."""
     r = np.linspace(r_match, r_far, _CUT_SAMPLES)
-    _, w0, m2 = _potential_arrays(pot, mass, q, r, dlog)
+    _, w0, m2 = _potential_arrays(pot, mass, q, r)
     k = np.sqrt(np.maximum(w0 - m2 * e_ref, 0.0))
     growth = np.concatenate(([0.0], np.cumsum(0.5 * (k[1:] + k[:-1]) * np.diff(r))))
     pieces = max(1, math.ceil(growth[-1] / _PIECE_EXPONENT))
@@ -324,18 +315,17 @@ def make_leg(
     x, (val, d2, *_) = _operators(_NODES)
     t, w = _gauss_legendre(_NODES)
     m_match = mass.mass_at(r_match)
-    dlog = _dlog_series(mass)
-    cuts = _cuts(pot, mass, q, r_match, r_far, e_ref, dlog)
+    cuts = _cuts(pot, mass, q, r_match, r_far, e_ref)
     pieces = []
     for left, right in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         scale = 2.0 / (right - left)
         r = left + (x + 1.0) / scale
-        _, w0, m2 = _potential_arrays(pot, mass, q, r, dlog)
+        _, w0, m2 = _potential_arrays(pot, mass, q, r)
         s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
         pieces.append(Piece(left, right, scale,
                             scale * scale * d2 - w0[:, None] * val,
                             m2[:, None] * val, (right - left) * w * s2))
-    g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]), dlog)
+    g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]))
     return Leg(float(r_match), float(r_far), tuple(pieces), float(g[0]),
                float(w0[1]), float(m2[1]), mass)
 

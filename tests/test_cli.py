@@ -133,6 +133,8 @@ class TestConfigParsing:
             # tolerance comparison refuses
             ("mass", {"kind": "exponential", "m0": 1.0, "lambda": 1e300}, "mass.lambda"),
             ("mass", {"kind": "series", "coeffs": [1.0, 1e300, 1e300]}, "mass.coeffs"),
+            # a series whose m'/m overflows only at the truncation order
+            ("mass", {"kind": "series", "coeffs": [1.0, 1e5]}, "mass.coeffs"),
             # values of the wrong JSON type: a block that is not an object,
             # strings and lists for numbers, and fractions or booleans for
             # integers, which int() would truncate
@@ -154,7 +156,7 @@ class TestConfigParsing:
              "exponential-m0", "constant-lambda", "default-kind-lambda",
              "constant-coeffs", "exponential-coeffs", "series-m0",
              "exponential-lambda-at-order", "exponential-lambda-overflow",
-             "series-overflow", "potential-string", "z-string", "z-nan", "general-alpha-fraction",
+             "series-overflow", "series-at-order", "potential-string", "z-string", "z-nan", "general-alpha-fraction",
              "m0-string", "coeffs-string", "coeffs-entry-string", "n-string",
              "ell-integer-not-list", "ell-fraction", "dim-fraction", "dim-boolean"],
     )
@@ -452,6 +454,26 @@ class TestArtifacts:
         assert [r["status"] for r in rows] == ["ok"]
         assert rows[0]["energy"] == -999698.0  # -z^2 / 2
 
+    def test_deep_coulomb_state_samples_finite(self, tmp_path):
+        # norm_const is about 1.3e306 here: the series near the origin is
+        # scaled by its mantissa, then by its power of two, so no
+        # coefficient overflows (R(0.001) was -Infinity, not valid JSON)
+        z = 1414.0
+        data = demo_config_dict()
+        data["potential"] = {"kind": "coulomb", "z": z}
+        data["quantum"]["n"] = [1]
+        data["solver"].update(e_lo=-1.1e6, e_hi=-1e4, truncation_order=500)
+        data["output"].update(directory=str(tmp_path / "out"),
+                              wavefunction_grid={"r_max": 0.01, "points": 11})
+        assert main(["sample", str(write_config(tmp_path, data))]) == 0
+        rows = json.loads((tmp_path / "out" / "wavefunctions.json").read_text(),
+                          parse_constant=lambda name: pytest.fail(name))
+        r, got = np.array(rows[0]["r"]), np.array(rows[0]["R"])
+        assert r.size == 11 and np.all(np.isfinite(got))
+        # the 2s state, r R(r) = 2 (z/2)^(3/2) r (1 - z r/2) e^(-z r/2)
+        want = 2.0 * (z / 2.0) ** 1.5 * r * (1.0 - z * r / 2.0) * np.exp(-z * r / 2.0)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
     @pytest.mark.parametrize(
         "model, solver, rows, message",
         [
@@ -479,8 +501,16 @@ class TestArtifacts:
               {"dim": 3, "ell": [0], "n": [1, 2]}),
              {"e_lo": -3.4, "e_hi": -0.8, "truncation_order": 6},
              2, "DomainError: truncation_order 6 is too low for r_match="),
+            # m = 1 - 0.2 r vanishes at r = 5, inside the collocation grid
+            (({"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
+              {"kind": "series", "coeffs": [1.0, -0.2]},
+              {"dim": 3, "ell": [0], "n": [0, 1]}),
+             {"e_lo": -6.0, "e_hi": -0.5},
+             2, "channel failed: DomainError: the mass is negative on the "
+                "collocation grid of r_max="),
         ],
-        ids=["brent-iteration-limit", "mass-underflow", "order-too-low"],
+        ids=["brent-iteration-limit", "mass-underflow", "order-too-low",
+             "mass-negative"],
     )
     def test_numerical_failure_is_an_error_row(self, tmp_path, capsys, model, solver,
                                                rows, message):

@@ -167,8 +167,10 @@ class TestMassProfile:
         assert np.all(mass.logderiv_series[1:] == 0.0)
 
     def test_inconsistent_series_rejected(self):
-        with pytest.raises(DomainError):
-            MassProfile([1.0, -1.0], [0.5, 0.0], "custom-series")
+        # the derived series of m0 e^(-50 r) at order 64 miss the Cauchy
+        # identity by more than its tolerance
+        with pytest.raises(DomainError, match="does not match"):
+            expand_exponential(1.0, 50.0, 64)
 
     def test_non_finite_series_rejected(self):
         # the residual of an overflowed series is NaN, which passes any
@@ -176,9 +178,9 @@ class TestMassProfile:
         with pytest.raises(DomainError, match="not finite"):
             expand_exponential(1.0, 1e300, 64)
         with pytest.raises(DomainError, match="not finite"):
-            MassProfile([1.0, np.inf], [np.inf, np.nan], "custom-series")
+            MassProfile([1.0, np.inf])
         with pytest.raises(DomainError, match="not finite"):
-            MassProfile([1.0], [np.nan], "custom-series")
+            MassProfile([1.0, 1e5], order=64)
 
     def test_custom_profile_consistency(self):
         mass = mass_from_series([1.0, 0.3, -0.2, 0.05])
@@ -194,8 +196,24 @@ class TestMassProfile:
         assert mass.mass_series[7] == pytest.approx((-0.3) ** 7 / math.factorial(7))
 
     def test_custom_is_used_as_given(self):
-        mass = mass_from_series([1.0, 0.2])
-        assert mass.extended(5) is mass
+        # a polynomial mass keeps P and carries P'/P = 0.2 / (1 + 0.2 r) to
+        # the new order
+        mass = mass_from_series([1.0, 0.2]).extended(5)
+        assert mass.order == 5
+        assert np.array_equal(mass.poly, [1.0, 0.2])
+        assert np.array_equal(mass.mass_series, [1.0, 0.2, 0.0, 0.0, 0.0, 0.0])
+        assert mass.logderiv_series == pytest.approx(
+            0.2 * (-0.2) ** np.arange(6), rel=1e-14)
+
+    def test_closed_forms_are_exact_for_a_polynomial(self):
+        mass = mass_from_series([1.0, 0.2, 0.01])
+        r = np.array([0.0, 0.5, 3.0, 40.0])
+        p, dp, d2p = 1.0 + 0.2 * r + 0.01 * r * r, 0.2 + 0.02 * r, 0.02
+        np.testing.assert_allclose(mass.mass_at(r), p, rtol=1e-15)
+        np.testing.assert_allclose(mass.logderiv_at(r), dp / p, rtol=1e-15)
+        np.testing.assert_allclose(mass.dlogderiv_at(r), d2p / p - (dp / p) ** 2,
+                                   rtol=1e-14)
+        assert mass.logderiv_at(3.0) == mass.logderiv_at(np.array([3.0]))[0]
 
 
 class TestSeriesSolution:

@@ -67,10 +67,10 @@ def _piece_values(piece, coeffs, x):
 
 def _exponent(pot, mass, q, a, b, e):
     # the WKB exponent over [a, b] by a fine trapezoid rule
-    from pdmradial.tail import _dlog_series, _potential_arrays
+    from pdmradial.tail import _potential_arrays
 
     r = np.linspace(a, b, 20001)
-    _, w0, m2 = _potential_arrays(pot, mass, q, r, _dlog_series(mass))
+    _, w0, m2 = _potential_arrays(pot, mass, q, r)
     k = np.sqrt(np.maximum(w0 - m2 * e, 0.0))
     return float(np.sum(0.5 * (k[1:] + k[:-1]) * np.diff(r)))
 
@@ -138,14 +138,12 @@ def test_tail_radius_with_the_turning_point_given(pot, mass, e, target):
 
 class TestIntegrateRadial:
     def test_constant_mass_drops_first_derivative_term(self):
-        from pdmradial.tail import _dlog_series, _potential_arrays
+        from pdmradial.tail import _potential_arrays
 
         r = np.linspace(0.1, 5.0, 50)
         mass = constant_mass(1.0)
-        g, _, _ = _potential_arrays(
-            make_coulomb(1.0), mass, QuantumNumbers(3, 0, 0), r, _dlog_series(mass)
-        )
-        assert np.all(g == 0.0)
+        g, _, _ = _potential_arrays(make_coulomb(1.0), mass, QuantumNumbers(3, 0, 0), r)
+        assert np.all(g == 0.0) and np.all(mass.dlogderiv_at(r) == 0.0)
 
     def test_inward_decays_toward_large_r(self):
         sol = integrate_radial(make_leg(*COULOMB, 2.0, 60.0, -0.5), -0.5)

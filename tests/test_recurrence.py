@@ -206,6 +206,7 @@ class TestGenerateCoefficients:
         e, order = -0.7, 30
         sol = generate_coefficients(pot, mass, q, e, order)
         a = sol.coeffs
+        mass = mass.extended(order)
         m_tab = np.convolve(a, mass.mass_series)[: order + 1]
         mp_tab = np.convolve(a, mass.logderiv_series)[: order + 1]
         t_tab = np.convolve(np.arange(order + 1) * a, mass.logderiv_series)[
@@ -320,8 +321,7 @@ def _array_table_recurrence(pot, mass, q, e, order, limit=_RESCALE_LIMIT):
     the reference the list version must match bit for bit; ``limit`` stands
     in for the overflow guard's."""
     k, ell = q.k, q.ell
-    if mass.order < order and mass.kind != "custom-series":
-        mass = mass.extended(order)
+    mass = mass.extended(order)
     b = b_from_energy(e, mass.m0)
     a = np.zeros(order + 1)
     a[0] = 1.0
@@ -370,7 +370,8 @@ def _array_table_recurrence(pot, mass, q, e, order, limit=_RESCALE_LIMIT):
 
 def _random_case(rng):
     """A potential, mass, channel, energy and order drawn over alpha 0/1,
-    beta 0-4, the three mass kinds, orders 4-128 and |E| 1e-2 to 3e3."""
+    beta 0-4, constant, exponential and polynomial masses, orders 4-128 and
+    |E| 1e-2 to 3e3."""
     pot = PotentialSpec(
         float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.05, 2.0)),
         float(rng.uniform(-3.0, 3.0)), int(rng.integers(0, 2)), int(rng.integers(0, 5)),
@@ -406,14 +407,15 @@ class TestListRecurrenceMatchesArrayTables:
 
     def test_seeded_random_cases(self):
         rng = np.random.default_rng(20261018)
-        kinds, alphas, betas = set(), set(), set()
+        shapes, alphas, betas = set(), set(), set()
         for _ in range(320):
             pot, mass, q, e, order = _random_case(rng)
             self._assert_same_bits(pot, mass, q, e, order)
-            kinds.add(mass.kind)
+            # (decaying, P of degree >= 1): constant, exponential, polynomial
+            shapes.add((mass.lam > 0, bool(np.any(mass.poly[1:]))))
             alphas.add(pot.alpha)
             betas.add(pot.beta)
-        assert kinds == {"constant", "exponential", "custom-series"}
+        assert shapes == {(False, False), (True, False), (False, True)}
         assert alphas == {0, 1} and betas == {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize(

@@ -4,7 +4,11 @@
 the series-mismatch scan, since replaced by the collocation cells, found on
 the Coulomb and exp-mass demo configs and on the centre problems of the
 three benchmark workloads; the oscillator demo is the oscillator workload's
-centre problem, so its channels hold that problem's brackets.  Each frozen
+centre problem, so its channels hold that problem's brackets.  The
+polynomial-mass demo came after the scan was retired: its brackets are the
+sign changes of the series mismatch on 160 uniform steps of its window, with
+one matching geometry built for the whole window, each labelled by the
+node count of the series and the inward leg at its midpoint.  Each frozen
 bracket holds one sign change of the series mismatch, labelled by the node
 count of its midpoint.  The channel's collocation spectrum must label the
 same states: level n lies in the frozen bracket labelled n, and the window
