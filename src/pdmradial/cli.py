@@ -414,11 +414,6 @@ def _write(outdir: Path, stem: str, formats, columns, lines, payload) -> None:
         (outdir / f"{stem}.json").write_text(_json(payload) + "\n")
 
 
-def _cells(state: dict) -> str:
-    """A state's leading CSV cells, dim,ell,radial_n, and the comma after."""
-    return "".join(f"{v}," for v in state.values())
-
-
 _ENERGY_COLUMNS = ("dim", "ell", "radial_n", "k", *_RESULT_COLUMNS, "status")
 
 
@@ -428,10 +423,17 @@ def write_energies(rows: list[StateRow], outdir: Path, formats) -> None:
     _write(outdir, "energies", formats, _ENERGY_COLUMNS, lines, records)
 
 
+def _block(state: dict, cells, values) -> str:
+    """A state's CSV lines: its leading cells, dim,ell,radial_n, before each
+    of the ``cells``, whose %.12g slots take the ``values``."""
+    pre = "".join(f"{v}," for v in state.values())
+    return (pre + ("\n" + pre).join(cells)) % tuple(values)
+
+
 def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> None:
     ok = [(r.state(), r.result.solution.coeffs.tolist()) for r in rows if r.ok]
-    lines = (f"{pre}{i},{a:.12g}" for pre, coeffs in ((_cells(s), c) for s, c in ok)
-             for i, a in enumerate(coeffs))
+    cells = [f"{i},%.12g" for i in range(max((len(c) for _, c in ok), default=0))]
+    lines = (_block(s, cells[: len(c)], c) for s, c in ok)
     payload = [{**state, "coefficients": coeffs} for state, coeffs in ok]
     _write(outdir, "coefficients", formats, ("dim", "ell", "radial_n", "i", "a_i"),
            lines, payload)
@@ -439,24 +441,23 @@ def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> None:
 
 def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats) -> None:
     """Each solved state's normalized eigenfunction (``EigenResult``): the
-    series on r <= r_match, and every state's inward leg in one pass."""
+    series on r <= r_match and the inward leg beyond, each in one pass for
+    every state."""
     radii = np.linspace(0.0, float(grid["r_max"]), int(grid["points"]))
     solved = [(r.result, r.state()) for r in rows if r.ok]
     far = leg_values([(res.inward, radii[radii > res.inward.edges[0]])
                       for res, _ in solved])
-    samples = []
-    for (res, state), beyond in zip(solved, far):
-        # scaled by the mantissa, then by its power of two, exactly: the
-        # coefficients times a norm_const near the float ceiling overflow
-        mant, exp = math.frexp(res.norm_const)
-        near = np.ldexp(evaluate(res.solution.scaled(mant),
-                                 radii[radii <= res.inward.edges[0]]), exp)
-        vals = np.concatenate((near, res.norm_const * res.p_sigma * beyond))
-        samples.append((state, vals.tolist()))
+    # scaled by the mantissa, then by its power of two, exactly: the
+    # coefficients times a norm_const near the float ceiling overflow
+    scales = [math.frexp(res.norm_const) for res, _ in solved]
+    near = evaluate([(res.solution.scaled(mant), radii[radii <= res.inward.edges[0]])
+                     for (res, _), (mant, _) in zip(solved, scales)])
+    samples = [(state, np.concatenate((np.ldexp(v, exp),
+                                       res.norm_const * res.p_sigma * beyond)).tolist())
+               for (res, state), (_, exp), v, beyond in zip(solved, scales, near, far)]
     r = radii.tolist()
-    r_cells = [f"{x:.12g}" for x in r]
-    lines = (f"{pre}{x},{v:.12g}" for pre, vals in ((_cells(s), v) for s, v in samples)
-             for x, v in zip(r_cells, vals))
+    cells = [f"{x:.12g},%.12g" for x in r]
+    lines = (_block(s, cells, v) for s, v in samples)
     payload = [{**state, "r": r, "R": vals} for state, vals in samples]
     _write(outdir, "wavefunctions", formats, ("dim", "ell", "radial_n", "r", "R"),
            lines, payload)

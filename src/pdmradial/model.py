@@ -233,11 +233,14 @@ class MassProfile:
         p, dp = _horner(self.poly, r, derivs=1)
         return dp / p - self.lam
 
-    def dlogderiv_at(self, r):
-        """The derivative of m'/m, P''/P - (P'/P)^2."""
+    def terms_at(self, r):
+        """m, m'/m and its derivative P''/P - (P'/P)^2 at an array r, from
+        one pass over P, each with the bits of ``mass_at`` and
+        ``logderiv_at``."""
+        r = np.asarray(r, float)
         p, dp, d2p = _horner(self.poly, r, derivs=2)
         g = dp / p
-        return d2p / p - g * g
+        return p * np.exp(-self.lam * r), g - self.lam, d2p / p - g * g
 
     def extended(self, order: int) -> "MassProfile":
         """The same mass with both series carried to at least ``order``."""
@@ -289,9 +292,11 @@ def logderiv_from_series(mass_series, order: int | None = None) -> np.ndarray:
 def _horner(coeffs, r, derivs: int = 0):
     """sum_i coeffs[i] r^i at a float or array ``r``, or with ``derivs`` > 0
     the tuple of it and its first ``derivs`` derivatives.  A scalar ``r`` runs
-    on Python floats, several times faster than numpy scalars."""
+    on Python floats, several times faster than numpy scalars.  ``coeffs``
+    may have further axes after the power's, which broadcast against r."""
     r = np.asarray(r, float) if np.ndim(r) else float(r)
-    rev = np.asarray(coeffs, float)[::-1].tolist()
+    rev = np.asarray(coeffs, float)[::-1]
+    rev = rev.tolist() if rev.ndim == 1 else list(rev)
     if derivs == 0:
         acc = 0.0
         for c in rev:

@@ -132,9 +132,7 @@ def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers,
         F(r) = -G (N-1)/(2r) + (k-1)(k-3)/(4 r^2) + 2 m (V - e),
         w(r) = F + G^2/4 - G'/2 = w0 - 2 m e."""
     k = q.k
-    g = np.asarray(mass.logderiv_at(r), float)
-    dg = np.asarray(mass.dlogderiv_at(r), float)
-    m = np.asarray(mass.mass_at(r), float)
+    m, g, dg = mass.terms_at(r)
     v = np.asarray(pot.value(r), float)
     f0 = -g * (q.dim_n - 1) / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r) + 2.0 * m * v
     return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,9 +54,17 @@ def _power(sol: SeriesSolution) -> float:
     return (sol.quantum.k - 1) / 2.0
 
 
-def _eval_R_positive(sol: SeriesSolution, r: np.ndarray) -> np.ndarray:
-    """R at an array of radii r > 0."""
-    return np.exp(_power(sol) * np.log(r) - sol.b * r) * _horner(sol.coeffs, r)
+def _eval_R_positive(sols: list[SeriesSolution], r: np.ndarray) -> np.ndarray:
+    """R of each solution sols[i] at the radii r[i] > 0, the rows of a 2-D
+    array, in one Horner pass.  Shorter series are padded with zeros at the
+    top, which keep the sum at +0.0 until their first coefficient, so every
+    value has the bits of its own series evaluated alone."""
+    coeffs = np.zeros((max((s.coeffs.size for s in sols), default=0), len(sols), 1))
+    for i, s in enumerate(sols):
+        coeffs[: s.coeffs.size, i, 0] = s.coeffs
+    p = np.array([[_power(s)] for s in sols])
+    b = np.array([[s.b] for s in sols])
+    return np.exp(p * np.log(r) - b * r) * _horner(coeffs, r)
 
 
 def _eval_R_derivs(sol: SeriesSolution, r: float) -> tuple[float, float, float]:
@@ -71,29 +80,43 @@ def _eval_R_derivs(sol: SeriesSolution, r: float) -> tuple[float, float, float]:
     return R, Rp, Rpp
 
 
-def evaluate(sol: SeriesSolution, r) -> float | np.ndarray:
+def evaluate(sol, r=None):
     """Truncated-series value of R at finite radii r >= 0: a float for a
-    scalar, else an array of the same shape.
+    scalar, else an array of the same shape.  ``evaluate(pairs)`` takes a
+    list of (solution, radii) pairs instead and returns the list of their
+    values from one Horner pass, each with the bits of its own call.
 
     Radii beyond the series trust region are evaluated anyway but flagged
-    with an ExtrapolationWarning when the series is not ``trusted`` at the
-    largest of them, r_top.
+    with an ExtrapolationWarning when a series is not ``trusted`` at the
+    largest of its radii, r_top.
     """
-    arr = np.asarray(r, float)
-    if not np.all((arr >= 0) & (arr < math.inf)):  # NaN too
-        raise DomainError("radius must be finite and >= 0")
-    r_top = float(arr.max(initial=0.0))
-    if not trusted(sol, r_top):
-        warnings.warn(
-            f"evaluating beyond the series trust region (r_top = {r_top:.6g})",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
-    # R(0) is 0, or a0 when k = 1 and the prefactor is r^0
-    out = np.full(arr.shape, sol.a0 if sol.quantum.k == 1 else 0.0)
-    pos = arr > 0.0
-    out[pos] = _eval_R_positive(sol, arr[pos])
-    return float(out) if out.ndim == 0 else out
+    pairs = sol if r is None else [(sol, r)]
+    arrs = [np.asarray(radii, float) for _, radii in pairs]
+    for (s, _), arr in zip(pairs, arrs):
+        if not np.all((arr >= 0) & (arr < math.inf)):  # NaN too
+            raise DomainError("radius must be finite and >= 0")
+        r_top = float(arr.max(initial=0.0))
+        if not trusted(s, r_top):
+            warnings.warn(
+                f"evaluating beyond the series trust region (r_top = {r_top:.6g})",
+                ExtrapolationWarning,
+                stacklevel=2,
+            )
+    # one row of positive radii per state, padded with the least positive
+    # float, at which nothing overflows
+    pos = [arr[arr > 0.0] for arr in arrs]
+    grid = np.full((len(pos), max((a.size for a in pos), default=0)), math.ulp(0.0))
+    for row, a in zip(grid, pos):
+        row[: a.size] = a
+    rows = _eval_R_positive([s for s, _ in pairs], grid)
+    out = []
+    for (s, _), arr, a, row in zip(pairs, arrs, pos, rows):
+        # R(0) is 0, or a0 when k = 1 and the prefactor is r^0
+        out.append(np.full(arr.shape, s.a0 if s.quantum.k == 1 else 0.0))
+        out[-1][arr > 0.0] = row[: a.size]
+    if r is None:
+        return out
+    return float(out[0]) if out[0].ndim == 0 else out[0]
 
 
 def norm2(sol: SeriesSolution, r: float, shift: int = 0) -> float:
@@ -107,7 +130,7 @@ def norm2(sol: SeriesSolution, r: float, shift: int = 0) -> float:
         raise DomainError("r must be positive and finite")
     t, weights = _gauss_legendre(max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.ldexp(_eval_R_positive(sol, r * t), shift)
+        v = np.ldexp(_eval_R_positive([sol], r * t[None])[0], shift)
         return r * float((weights * (v * v)).sum())
 
 
@@ -150,18 +173,35 @@ def sign_changes(values) -> int:
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
+@lru_cache(maxsize=2)
+def _powers(samples: int, size: int) -> np.ndarray:
+    """x_j^i on x_j = j / samples (j = 1 .. samples, i < size), a column per
+    power from a running product; read only, shared by every count."""
+    x = np.arange(1, samples + 1) / samples
+    powers = np.empty((samples, size), order="F")
+    powers[:, 0] = 1.0
+    for i in range(1, size):
+        np.multiply(powers[:, i - 1], x, out=powers[:, i])
+    powers.flags.writeable = False
+    return powers
+
+
 def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:
     """Count sign changes of R on (0, r_max).
 
     The prefactor r^((k-1)/2) e^(-br) is positive, so nodes of R are nodes of
     the series factor u, counted as sign changes on a uniform grid of
     ``samples`` points; samples that are exactly zero are skipped so that
-    near-zero touches without an actual crossing are not counted.
+    near-zero touches without an actual crossing are not counted.  At
+    r = x r_max, u is sum_i t_i x^i, one product with the cached powers of x,
+    where t_i = a_i r_max^i is formed in logs and scaled to a largest of 1.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
     if not 0 < r_max < math.inf:
         raise DomainError("r_max must be positive and finite")
-    grid = np.linspace(0.0, r_max, samples + 1)[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return sign_changes(_horner(sol.coeffs, grid))
+    a = sol.coeffs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.abs(a)) + np.arange(a.size) * math.log(r_max)
+        t = np.sign(a) * np.exp(logs - logs.max())
+    return sign_changes(_powers(samples, a.size) @ t)

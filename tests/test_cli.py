@@ -616,11 +616,12 @@ class TestOscillatorDemo:
     def test_golden_files(self, tmp_path):
         # the order-128 path: the oscillator workload's centre problem with
         # its coefficients and samples on a 201-point grid; the JSON files
-        # hold every bit
+        # hold every bit, the CSV files pin the text rows
         data = json.loads(OSCILLATOR_CONFIG.read_text())
         data["output"]["directory"] = str(tmp_path / "out")
         assert run_solve(str(write_config(tmp_path, data))) == 0
-        for name in ("energies.json", "coefficients.json", "wavefunctions.json"):
+        for name in ("energies.json", "coefficients.json", "wavefunctions.json",
+                     "energies.csv", "coefficients.csv", "wavefunctions.csv"):
             golden = GOLDEN.parent / f"oscillator_demo_{name}"
             assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
 
@@ -687,18 +688,18 @@ class TestWavefunctionSamples:
 
     def test_one_evaluation_per_state_and_the_leg_past_r_match(self, tmp_path,
                                                                 monkeypatch):
-        # the radii up to r_match of each state are evaluated on the series
-        # in one array call, the rest of every state on its inward leg in one
-        # call for the file, and radii past r_far read 0 (the decaying mass
-        # keeps the series from terminating)
+        # the radii up to r_match of every state are evaluated on its series
+        # in one call for the file, the rest of every state on its inward
+        # leg in one call for the file, and radii past r_far read 0 (the
+        # decaying mass keeps the series from terminating)
         import pdmradial.cli as cli_mod
 
         calls, legs = [], []
         evaluate, leg_values = cli_mod.evaluate, cli_mod.leg_values
 
-        def counting(wave, r):
-            calls.append(np.size(r))
-            return evaluate(wave, r)
+        def counting(pairs):
+            calls.append([np.size(r) for _, r in pairs])
+            return evaluate(pairs)
 
         def on_legs(states):
             legs.append(states)
@@ -714,9 +715,10 @@ class TestWavefunctionSamples:
         data["output"]["directory"] = str(tmp_path / "wf")
         data["output"]["wavefunction_grid"] = {"r_max": 100.0, "points": 121}
         assert run_solve(str(write_config(tmp_path, data))) == 0
-        assert len(calls) == 2 and len(legs) == 1 and len(legs[0]) == 2
+        assert len(calls) == 1 and len(calls[0]) == 2
+        assert len(legs) == 1 and len(legs[0]) == 2
         waves = json.loads((tmp_path / "wf" / "wavefunctions.json").read_text())
-        for w, n_near, (inward, r) in zip(waves, calls, legs[0]):
+        for w, n_near, (inward, r) in zip(waves, calls[0], legs[0]):
             assert 0 < n_near < 121 and n_near + r.size == 121
             assert w["r"][n_near - 1] <= inward.edges[0] < r[0] == w["r"][n_near]
             past = np.array(w["r"]) > inward.edges[-1]

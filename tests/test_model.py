@@ -211,9 +211,24 @@ class TestMassProfile:
         p, dp, d2p = 1.0 + 0.2 * r + 0.01 * r * r, 0.2 + 0.02 * r, 0.02
         np.testing.assert_allclose(mass.mass_at(r), p, rtol=1e-15)
         np.testing.assert_allclose(mass.logderiv_at(r), dp / p, rtol=1e-15)
-        np.testing.assert_allclose(mass.dlogderiv_at(r), d2p / p - (dp / p) ** 2,
+        np.testing.assert_allclose(mass.terms_at(r)[2], d2p / p - (dp / p) ** 2,
                                    rtol=1e-14)
         assert mass.logderiv_at(3.0) == mass.logderiv_at(np.array([3.0]))[0]
+
+    @pytest.mark.parametrize("poly, lam", [([1.3], 0.0), ([1.0, 0.2, 0.01], 0.0),
+                                           ([0.9], 0.25), ([1.0, -0.1, 0.03], 0.4)])
+    def test_terms_in_one_pass_keep_the_bits(self, poly, lam):
+        # m and m'/m from the one pass over P are the bits of mass_at and
+        # logderiv_at, and (m'/m)' is P''/P - (P'/P)^2, lam dropping out
+        mass = MassProfile(np.array(poly), lam)
+        r = np.linspace(0.01, 30.0, 97)
+        m, g, dg = mass.terms_at(r)
+        assert m.tobytes() == mass.mass_at(r).tobytes()
+        assert g.tobytes() == mass.logderiv_at(r).tobytes()
+        p = np.polyval(poly[::-1], r)
+        dp = np.polyval(np.polyder(poly[::-1]), r)
+        d2p = np.polyval(np.polyder(poly[::-1], 2), r)
+        np.testing.assert_allclose(dg, d2p / p - (dp / p) ** 2, rtol=1e-12, atol=1e-15)
 
 
 class TestSeriesSolution:

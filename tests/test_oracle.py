@@ -143,7 +143,7 @@ class TestIntegrateRadial:
         r = np.linspace(0.1, 5.0, 50)
         mass = constant_mass(1.0)
         g, _, _ = _potential_arrays(make_coulomb(1.0), mass, QuantumNumbers(3, 0, 0), r)
-        assert np.all(g == 0.0) and np.all(mass.dlogderiv_at(r) == 0.0)
+        assert np.all(g == 0.0) and np.all(mass.terms_at(r)[2] == 0.0)
 
     def test_inward_decays_toward_large_r(self):
         sol = integrate_radial(make_leg(*COULOMB, 2.0, 60.0, -0.5), -0.5)

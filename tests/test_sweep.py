@@ -12,6 +12,8 @@ import re
 
 import pdmradial.errors as errors
 from pdmradial import cli
+from pdmradial.wavefunction import count_nodes
+from test_wavefunction import horner_count, recorded_node_counts
 
 # a failed row's message: the error's class name, after the channel prefix
 # when the whole channel failed
@@ -56,3 +58,13 @@ def test_every_state_solves_or_fails_with_a_typed_error():
     # the order-6 and order-8 problems reach the series' trust check
     assert any(row.ok for row in rows)
     assert any("truncation_order" in row.message for row in rows if not row.ok)
+
+
+def test_node_counts_equal_the_horner_count_on_every_root(monkeypatch):
+    # every series the solver counts nodes on in the draw: the product
+    # with the cached powers gives the Horner loop's count
+    calls, rows = recorded_node_counts(monkeypatch, _problems(25))
+    assert len(rows) == 75 and len(calls) >= sum(row.ok for row in rows) > 0
+    assert {sol.coeffs.size for sol, _, _ in calls} >= {65, 97}
+    for sol, r, samples in calls:
+        assert count_nodes(sol, r, samples=samples) == horner_count(sol, r, samples)

@@ -55,6 +55,45 @@ def _centre_series():
                 yield generate_coefficients(pot, mass(order), q, e, order)
 
 
+def horner_count(sol, r_max, samples=2048):
+    """The node count as a Horner loop over the grid: the reference."""
+    grid = np.linspace(0.0, r_max, samples + 1)[1:]
+    u = np.zeros(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in sol.coeffs[::-1]:
+            u = u * grid + c
+    return sign_changes(u)
+
+
+def recorded_node_counts(monkeypatch, configs):
+    """(solution, r_max, samples) of every node count the solver takes on
+    ``configs``, with the solved rows."""
+    import pdmradial.eigensolver as eig_mod
+    from pdmradial import cli
+
+    calls = []
+
+    def recording(sol, r_max, samples=2048):
+        calls.append((sol, r_max, samples))
+        return count_nodes(sol, r_max, samples=samples)
+
+    monkeypatch.setattr(eig_mod, "count_nodes", recording)
+    rows = [row for data in configs for row in cli.solve_states(cli.parse_config(data))]
+    return calls, rows
+
+
+def horner_R(sol, r):
+    """R at radii r >= 0, one series alone, by a Horner loop: the reference."""
+    r = np.asarray(r, float)
+    pos = r[r > 0.0]
+    u = 0.0
+    for c in sol.coeffs[::-1].tolist():
+        u = u * pos + c
+    out = np.full(r.shape, sol.a0 if sol.quantum.k == 1 else 0.0)
+    out[r > 0.0] = np.exp((sol.quantum.k - 1) / 2.0 * np.log(pos) - sol.b * pos) * u
+    return out
+
+
 class TestEvaluate:
     def test_zero_at_origin_for_k_above_one(self):
         sol, _ = coulomb_state()
@@ -131,6 +170,57 @@ class TestEvaluate:
             got = evaluate(sol, float(r))
             assert type(got) is float and got == v
         assert np.array_equal(evaluate(sol, radii.reshape(1, -1))[0], values)
+
+
+    def _mixed(self):
+        """Series of 9, 25, 65 and 129 terms with radii of different counts,
+        r = 0 among them, and one state with k = 1."""
+        osc = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
+        e = math.sqrt(2.0) * 1.5 - 20.0
+        return [
+            (coulomb_state(n=1, order=8)[0], np.linspace(0.0, 6.0, 13)),
+            (generate_coefficients(osc, constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                                   e, 128), np.linspace(0.0, 2.5, 41)),
+            (generate_coefficients(make_cornell(1.0, 0.2, -3.0),
+                                   expand_exponential(1.0, 0.2, 64),
+                                   QuantumNumbers(3, 1, 0), -2.0, 64), [0.0, 0.3, 1.1]),
+            (SeriesSolution(-0.5, 1.0, np.array([2.0, -0.5] + [0.1] * 23),
+                            QuantumNumbers(1, 0, 0)), np.array([0.0, 0.25, 0.5])),
+        ]
+
+    def test_pairs_keep_the_bits_of_each_series(self):
+        # zeros padded at the top of the shorter series and radii padded at
+        # the end of the shorter rows change no value's bits
+        pairs = self._mixed()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            got = evaluate(pairs)
+        assert len(got) == len(pairs)
+        for (sol, r), vals in zip(pairs, got):
+            want = horner_R(sol, r)
+            assert vals.shape == want.shape and vals.tobytes() == want.tobytes()
+            assert vals.tobytes() == evaluate(sol, r).tobytes()
+        assert got[-1][0] == 2.0 and got[0][0] == 0.0
+        assert evaluate([]) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_pairs_reject_a_non_finite_radius(self, bad):
+        pairs = self._mixed()
+        pairs[2] = (pairs[2][0], [0.0, bad])
+        with pytest.raises(DomainError, match="finite"):
+            evaluate(pairs)
+
+    def test_pairs_warn_for_the_untrusted_state_alone(self):
+        # each state is tested at its own r_top, and the warning names it
+        pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
+        e = math.sqrt(2.0) * 1.5 - 20.0
+        sol = generate_coefficients(pot, constant_mass(1.0), QuantumNumbers(3, 0, 0), e, 16)
+        assert trusted(sol, 0.5) and not trusted(sol, 3.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate([(sol, [0.0, 0.5]), (sol, [0.5, 3.0, 1.0]), (sol, [0.25])])
+        assert [w.category for w in caught] == [ExtrapolationWarning]
+        assert "r_top = 3)" in str(caught[0].message)
 
 
 def normalized(sol, r):
@@ -354,6 +444,72 @@ class TestCountNodes:
         sol, _ = coulomb_state(n=2)
         with pytest.raises(DomainError, match="finite"):
             count_nodes(sol, math.inf)
+
+
+    def test_equals_the_horner_count(self):
+        # the centre series at orders 24 to 128 across their windows, at
+        # radii inside and past their nodes, a terminated polynomial and the
+        # same polynomial flipped in sign
+        sol, _ = coulomb_state(n=2)
+        cases = [(sol, 40.0), (sol.scaled(-1.0), 40.0), (sol, 3.0)]
+        cases += [(s, r) for s in _centre_series() for r in (1.0, 3.0, 6.0)]
+        for s, r in cases:
+            assert count_nodes(s, r) == horner_count(s, r), (s.energy, r)
+        assert count_nodes(sol, 40.0) == 2
+
+    def test_deep_coulomb_states(self, monkeypatch):
+        # z = 1414 at order 500: the 2s series is kept 10^301.5 below its
+        # true scale, so its terms a_i r_max^i run below the float floor;
+        # scaled in logs, the largest is 1
+        calls, rows = recorded_node_counts(monkeypatch, [
+            {"potential": {"kind": "coulomb", "z": 1414.0},
+             "mass": {"kind": "constant", "m0": 1.0},
+             "quantum": {"dim": 3, "ell": [0], "n": [n]},
+             "solver": {"e_lo": -1.1e6, "e_hi": e_hi, "truncation_order": 500,
+                        "oracle": False},
+             "output": {"directory": "unused"}}
+            for n, e_hi in ((0, -0.9e6), (1, -1e4))])
+        assert [row.ok for row in rows] == [True, True]
+        assert [sol.coeffs.size for sol, _, _ in calls] == [501, 501]
+        assert [count_nodes(sol, r, samples=s) for sol, r, s in calls] == [0, 1]
+        assert [horner_count(sol, r, samples=s) for sol, r, s in calls] == [0, 1]
+        sol, r, _ = calls[1]
+        with np.errstate(under="ignore"):
+            terms = np.abs(sol.coeffs) * r ** np.arange(sol.coeffs.size)
+        assert sol.scale_log10 > 300 and terms.max() < 1e-300
+
+    def test_counts_do_not_depend_on_blas_threads(self):
+        # only signs of the product are read, and at 1 and 2 BLAS threads
+        # they give the same counts, the Horner loop's
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pdmradial
+
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_wavefunction import _centre_series, horner_count\n"
+            "from pdmradial.wavefunction import count_nodes\n"
+            "cases = [(s, r) for s in _centre_series() for r in (1.0, 3.0, 6.0)]\n"
+            "print([count_nodes(s, r) for s, r in cases])\n"
+            "print([horner_count(s, r) for s, r in cases])\n"
+        )
+        src = str(Path(pdmradial.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(Path(__file__).resolve().parent)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            counts, reference = done.stdout.splitlines()
+            assert counts == reference
+            outputs.append(counts)
+        assert outputs[0] == outputs[1]
 
 
 class TestSignChanges:
