@@ -37,7 +37,7 @@ from .model import (
     make_linear,
     make_oscillator,
 )
-from .oracle import channel_spectrum
+from .oracle import channel_spectrum, window_tail_radius
 from .tail import leg_values
 from .wavefunction import evaluate
 
@@ -336,14 +336,13 @@ class StateRow:
         }
 
 
-def _solve_channel(cfg: RunConfig, ell: int) -> dict[int, StateRow]:
+def _solve_channel(cfg: RunConfig, ell: int, r_tail: float) -> dict[int, StateRow]:
     """Every requested radial state of one angular channel, bracketed by one
-    collocation spectrum; a state that fails gets an error row naming the
-    exception."""
+    collocation spectrum on the window's tail radius ``r_tail``; a state
+    that fails gets an error row naming the exception."""
     dim = cfg.quantum.dim
-    spectrum = channel_spectrum(
-        cfg.potential, cfg.mass, QuantumNumbers(dim, ell, 0), cfg.solver.e_bracket
-    )
+    spectrum = channel_spectrum(cfg.potential, cfg.mass, QuantumNumbers(dim, ell, 0),
+                                cfg.solver.e_bracket, r_tail)
     states: dict[int, StateRow] = {}
     for n in dict.fromkeys(cfg.quantum.n):
         q = QuantumNumbers(dim, ell, n)
@@ -359,9 +358,11 @@ def _solve_channel(cfg: RunConfig, ell: int) -> dict[int, StateRow]:
 def solve_states(cfg: RunConfig) -> list[StateRow]:
     """Solve all (ell, n) rows requested by the config, in config order."""
     rows: list[StateRow] = []
+    # r_max does not depend on l: one tail radius serves every channel
+    r_tail = window_tail_radius(cfg.potential, cfg.mass, cfg.solver.e_bracket)
     for ell in cfg.quantum.ell:
         try:
-            channel = _solve_channel(cfg, ell)
+            channel = _solve_channel(cfg, ell, r_tail)
         except (BracketError, DomainError) as exc:
             channel = {
                 n: StateRow(QuantumNumbers(cfg.quantum.dim, ell, n),

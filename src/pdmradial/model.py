@@ -158,8 +158,9 @@ class MassProfile:
     P(0) = m0 > 0, its coefficients ``poly`` lowest first, times a decaying
     exponential (lam >= 0).
 
-    ``mass_at``, ``logderiv_at`` (m'/m = P'/P - lam) and ``dlogderiv_at``
-    (its derivative, P''/P - (P'/P)^2) are these closed forms at any radius.
+    ``mass_at``, ``logderiv_at`` (m'/m = P'/P - lam) and ``terms_at`` (m,
+    m'/m and its derivative, P''/P - (P'/P)^2, from one pass over P) are
+    these closed forms at any radius.
     The recurrence reads the series about the origin: ``mass_series``, P
     times the Taylor series of e^(-lam r), and ``logderiv_series``, the
     formal division P'/P minus lam, both carried to ``order`` (raised to the

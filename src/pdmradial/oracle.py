@@ -60,6 +60,7 @@ __all__ = [
     "channel_spectrum",
     "collocation_levels",
     "collocation_pencil",
+    "window_tail_radius",
 ]
 
 # The two (nodes, r_max in tail radii) collocations of every channel.  The
@@ -266,19 +267,30 @@ class ChannelSpectrum:
         )
 
 
+def window_tail_radius(
+    pot: PotentialSpec, mass: MassProfile, window: tuple[float, float]
+) -> float:
+    """The WKB tail radius of the window's upper energy, which places r_max
+    for every channel of the window: it does not depend on l."""
+    return tail_radius(pot, mass, window[1], _TAIL_EXPONENT)
+
+
 def channel_spectrum(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
     window: tuple[float, float],
+    r_tail: float | None = None,
 ) -> ChannelSpectrum:
     """The collocation solves of the channel of ``q``, the coarser one
-    deferred to the first check, with r_max from the WKB tail of the
-    window's upper energy."""
+    deferred to the first check, with r_max from ``r_tail``, the window's
+    ``window_tail_radius``; it is found here when not given, so a caller
+    solving several channels of one window should pass it."""
     e_lo, e_hi = window
     if not (e_lo < e_hi < 0):
         raise DomainError("window must satisfy e_lo < e_hi < 0")
-    r_tail = tail_radius(pot, mass, e_hi, _TAIL_EXPONENT)
+    if r_tail is None:
+        r_tail = window_tail_radius(pot, mass, window)
     (n_check, f_check), (n_fine, f_fine) = _RESOLUTIONS
     return ChannelSpectrum(
         (e_lo, e_hi),

@@ -7,25 +7,27 @@ running convolution tables,
     M'_i = sum_{j+nu=i} a_j b'_nu         (wavefunction x log-derivative),
     T_i  = sum_{j+nu=i} j a_j b'_nu       (T_0 = 0),
 
-with every negative-index entry equal to zero.  As soon as a_j is fixed it
-is added into every entry it touches below a horizon, so entries 0..n are
-complete when a_{n+1} is solved for.  A series stopped at a radius keeps 32
-entries, doubled as the recurrence reaches them; new entries take the
-coefficients fixed so far in index order, so each entry sums the same
-products in the same order and the series resumes to the bits of one never
-stopped.  The coefficients and the tables are Python lists: each step reads
-a handful of scalars and adds one short product into each table, where
-numpy's cost per call outweighs its arithmetic.  Every sum and product is
-the one an array-slice version performs, in the same order, so the two give
-the same bits; the tests keep that version as the reference.  The master
-recurrence is the only generator the solver runs.  The paper's own recursion
-for the exponentially decaying mass and the closed forms below are derived
-apart from it and serve as its references.
+with every negative-index entry equal to zero.  Step n sums entry n of each
+table once, before a_{n+1} is solved for: an ordered fold from 0.0 over j
+ascending, each term taken with a_j as step j read it.  An overflow rescale
+at step n multiplies the entries already summed by 1/s, and every later
+entry takes 1/s after its term j = n, so each entry sums the same products
+in the same order as one that took every a_j as soon as it was fixed, and a
+series stopped at a radius resumes to the bits of one never stopped.  The
+coefficients and the tables are Python lists and each fold an explicit loop
+(not ``sum``, whose float rounding changed in Python 3.12): a step reads a
+handful of scalars, where numpy's cost per call outweighs its arithmetic.
+Every sum and product is the one an array-slice version performs, in the
+same order, so the two give the same bits; the tests keep that version as
+the reference.  The master recurrence is the only generator the solver runs.
+The paper's own recursion for the exponentially decaying mass and the closed
+forms below are derived apart from it and serve as its references.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -52,8 +54,6 @@ _RESCALE_LIMIT = 1e150
 
 # A term |a_n| r^n at or below this fraction of the envelope is negligible.
 _STOP_RATIO = 1e-20
-# The table entries a stopped series first scatters into, doubled as reached.
-_HORIZON = 32
 
 
 def _check_inputs(pot, q, e, order) -> None:
@@ -107,44 +107,55 @@ def _stopped_series(pot, mass, q, e, order, r):
     b2 = b * b
 
     # trailing zeros of the mass series (all of a constant mass's beyond m0)
-    # add nothing to the tables, so they are dropped
-    bmass, blog = (_trimmed(c) for c in (mass.mass_series, mass.logderiv_series))
-    lm, lb = len(bmass), len(blog)
+    # add nothing to the tables, so they are dropped; reversed, so that
+    # entry n pairs a_j with b_{n-j} in one forward pass
+    rmass, rlog = (_trimmed(c)[::-1] for c in (mass.mass_series, mass.logderiv_series))
+    lm, lb = len(rmass), len(rlog)
     # table entry i sits at list index i + pad, so the lowest index read,
     # n - beta - 1 at n = 0, lands on a leading zero and none wraps
     pad = beta + 1
-    stopping = r < math.inf
-    horizon = min(_HORIZON, order) if stopping else order  # the entries kept
-    tables = m_tab, mp_tab, t_tab = [[0.0] * (horizon + pad) for _ in range(3)]
-
-    def catch_up(count, new):
-        """Grow the tables to ``new`` entries with a_0 .. a_{count-1} in them."""
-        lo = horizon + pad
-        for tab in tables:
-            tab.extend([0.0] * (new - horizon))
-        for j in range(max(0, horizon - max(lm, lb) + 1), count):
-            aj, nu = a[j], horizon - j  # entry horizon takes a_j b_nu
-            hi = j + lm + pad
-            m_tab[lo:hi] = [x + aj * y for x, y in zip(m_tab[lo:hi], bmass[nu:])]
-            hi = j + lb + pad
-            mp_tab[lo:hi] = [x + aj * y for x, y in zip(mp_tab[lo:hi], blog[nu:])]
-            t_tab[lo:hi] = [x + j * (aj * y) for x, y in zip(t_tab[lo:hi], blog[nu:])]
-        return new
+    tables = m_tab, mp_tab, t_tab = [[0.0] * pad for _ in range(3)]
+    read = []  # a_j as step j read it
+    rescales = []  # (n, 1/s) of each overflow rescale at step n
 
     a = [1.0]
     scale_log10 = 0.0
+    stopping = r < math.inf
     power, envelope, small = 1.0, 1.0, 0  # r^n, sum_i |a_i| r^i, terms at the cut
     for n in range(order):
-        if n == horizon:
-            horizon = catch_up(n, min(2 * horizon, order))
         an = a[n]
-        i = n + pad  # list index of table entry n
-        # a_n enters M_i, M'_i and T_i for i = n .. n + len(series) - 1; T
-        # takes n times the product M' takes, n (a_n b'_nu)
-        m_tab[i : i + lm] = [x + an * y for x, y in zip(m_tab[i : i + lm], bmass)]
+        read.append(an)
+        # entry n of M, M' and T: the products a_j b_{n-j} and a_j b'_{n-j}
+        # (T takes j times the latter) added to 0.0 for j ascending, each
+        # with a_j as step j read it; the sums take each rescale's 1/s after
+        # the term of its step
+        m = mp = t = 0.0
+        jm, jw = n + 1 - lm, n + 1 - lb  # the lowest j of each fold, if not negative
+        lo = 0  # the first j after the last rescale
+        for cut, inv in rescales:
+            j0 = jm if jm > lo else lo
+            for p in map(mul, read[j0 : cut + 1], rmass[j0 - jm :]):
+                m += p
+            j0 = jw if jw > lo else lo
+            for j, p in enumerate(map(mul, read[j0 : cut + 1], rlog[j0 - jw :]), j0):
+                mp += p
+                t += j * p
+            m *= inv
+            mp *= inv
+            t *= inv
+            lo = cut + 1
+        j0 = jm if jm > lo else lo
+        for p in map(mul, read[j0:], rmass[j0 - jm :]):
+            m += p
         if lb:
-            mp_tab[i : i + lb] = [x + an * y for x, y in zip(mp_tab[i : i + lb], blog)]
-            t_tab[i : i + lb] = [x + n * (an * y) for x, y in zip(t_tab[i : i + lb], blog)]
+            j0 = jw if jw > lo else lo
+            for j, p in enumerate(map(mul, read[j0:], rlog[j0 - jw :]), j0):
+                mp += p
+                t += j * p
+        m_tab.append(m)
+        mp_tab.append(mp)
+        t_tab.append(t)
+        i = n + pad  # list index of table entry n
         an1 = a[n - 1] if n >= 1 else 0.0
         base = (
             ((k - 1) + 2.0 * n) * b * an
@@ -164,8 +175,8 @@ def _stopped_series(pot, mass, q, e, order, r):
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a.append(num / denom)
         if abs(a[-1]) > _RESCALE_LIMIT:
-            # every entry is rescaled, so each takes its a_0 .. a_n first
-            horizon = catch_up(n + 1, order)
+            # entries 0 .. n take 1/s now, later ones after their term j = n
+            rescales.append((n, 1.0 / abs(a[-1])))
             envelope /= abs(a[-1])
             scale_log10 += _guard_overflow(a, n + 1, multiply=tables)
             if a[0] == 0.0:

@@ -17,6 +17,7 @@ from pdmradial.cli import (
     run_verify,
 )
 from pdmradial.model import make_coulomb
+import pdmradial.oracle as oracle
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = REPO / "configs" / "coulomb_demo.json"
@@ -624,6 +625,23 @@ class TestOscillatorDemo:
                      "energies.csv", "coefficients.csv", "wavefunctions.csv"):
             golden = GOLDEN.parent / f"oscillator_demo_{name}"
             assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
+
+    def test_one_oracle_tail_radius_for_three_channels(self, tmp_path, monkeypatch):
+        # r_max depends on the window, not on l: the three channels share one
+        # search, and the energies keep their bits
+        calls, tail_radius = [], oracle.tail_radius
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tail_radius(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "tail_radius", counted)
+        data = json.loads(OSCILLATOR_CONFIG.read_text())
+        data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        assert len(calls) == 1 and len(data["quantum"]["ell"]) == 3
+        golden = GOLDEN.parent / "oscillator_demo_energies.json"
+        assert (tmp_path / "out" / "energies.json").read_bytes() == golden.read_bytes()
 
 
 class TestTwoDimensionalChannels:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pdmradial.cli import run_solve
+from pdmradial.cli import main, run_solve
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.mass_expansion import mass_from_series
 from pdmradial.model import QuantumNumbers, make_cornell
@@ -15,6 +15,7 @@ from pdmradial.model import QuantumNumbers, make_cornell
 REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "configs" / "polynomial_mass_demo.json"
 GOLDEN = REPO / "tests" / "golden" / "polynomial_mass_energies"
+COEFFICIENTS = REPO / "tests" / "golden" / "polynomial_mass_coefficients"
 
 # problem -> (Cornell c, P, window); Cornell a = 1, b = 0.2, N = 3, l = 0
 PROBLEMS = {
@@ -64,12 +65,26 @@ def test_demo_golden_energies_match_the_reference():
         assert abs(row["energy"] / ref - 1.0) < 1e-11
 
 
-def test_demo_reproduces_its_golden_files(tmp_path):
+def _demo_config(tmp_path):
+    """The demo config, writing into tmp_path / "out"."""
     data = json.loads(CONFIG.read_text())
     data["output"]["directory"] = str(tmp_path / "out")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
-    assert run_solve(str(config)) == 0
+    return str(config)
+
+
+def test_demo_reproduces_its_golden_files(tmp_path):
+    assert run_solve(_demo_config(tmp_path)) == 0
     for suffix in (".csv", ".json"):
         got = (tmp_path / "out" / f"energies{suffix}").read_bytes()
         assert got == GOLDEN.with_suffix(suffix).read_bytes(), suffix
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_demo_coefficients_match_their_golden_files(tmp_path, suffix):
+    # the only demo whose m'/m series runs to full order, so the recurrence's
+    # M' and T tables sum as many terms as the series has
+    assert main(["coefficients", _demo_config(tmp_path)]) == 0
+    got = (tmp_path / "out" / f"coefficients{suffix}").read_bytes()
+    assert got == COEFFICIENTS.with_suffix(suffix).read_bytes()

@@ -20,7 +20,6 @@ from pdmradial.model import (
 )
 import pdmradial.recurrence as recurrence
 from pdmradial.recurrence import (
-    _HORIZON,
     _RESCALE_LIMIT,
     _stopped_series,
     coefficient_closed_forms_cornell,
@@ -466,24 +465,26 @@ class TestStoppedSeries:
 
     def test_seeded_random_cases(self):
         rng = np.random.default_rng(20261019)
-        stops = past_horizon = 0
+        stops = varying_stops = 0
         for _ in range(240):
             pot, mass, q, e, _ = _random_case(rng)
             order = int(rng.integers(8, 129))
             r = float(rng.uniform(0.2, 3.0)) / b_from_energy(e, mass.m0)
             stopped, whole = self._assert_prefix_and_whole(pot, mass, q, e, order, r)
-            # no case rescales past its stop
-            assert stopped.scale_log10 == whole.scale_log10
-            stops += stopped.coeffs.size < order + 1
-            past_horizon += _HORIZON < stopped.coeffs.size - 1 < order
+            # no case rescales, before its stop or after it: the cases
+            # below place the rescales
+            assert stopped.scale_log10 == whole.scale_log10 == 0.0
+            stopped_early = stopped.coeffs.size < order + 1
+            stops += stopped_early
+            varying_stops += stopped_early and (mass.lam > 0 or bool(np.any(mass.poly[1:])))
         assert 60 < stops < 240  # most series stop, some run whole
-        assert past_horizon > 20  # many stop after the horizon has grown
+        assert varying_stops > 40  # many stop with folds of more than one term
 
     @pytest.mark.parametrize("e, order, rb, when", [
-        (-5e11, 60, 20.0, "before-growth"),  # a_29 passes the guard
-        (-2e8, 128, 60.0, "after-growth"),  # a_46 passes it
+        (-5e11, 60, 20.0, "unstopped"),  # a_29 passes the guard, no stop
+        (-2e8, 128, 60.0, "unstopped"),  # a_46 passes it, no stop
         (-1e5, 200, 30.0, "before-stop"),  # a_117 passes it, a_146 stops
-    ], ids=["before-growth", "after-growth", "before-stop"])
+    ], ids=["unstopped-a29", "unstopped-a46", "before-stop"])
     def test_rescale_gives_the_same_bits(self, e, order, rb, when):
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = expand_exponential(1.0, 0.2, 0)
@@ -492,20 +493,39 @@ class TestStoppedSeries:
         stopped, whole = self._assert_prefix_and_whole(
             pot, mass, q, e, order, rb / b_from_energy(e, 1.0))
         assert whole.scale_log10 > 0
-        if when == "before-growth":
-            assert first < _HORIZON
-        elif when == "after-growth":
-            assert _HORIZON < first and stopped is whole
+        if when == "unstopped":
+            assert first < order and stopped is whole
         else:
             assert first < stopped.coeffs.size - 1 < order
             assert stopped.scale_log10 == whole.scale_log10
 
+    def test_two_rescales_before_the_stop_split_the_log_folds(self, monkeypatch):
+        # a polynomial mass has an m'/m series to full order, so both
+        # rescales (at a_48 and a_107, before the stop at a_113) fall inside
+        # every later M' and T fold as well as the short M folds
+        pot = make_cornell(1.0, 0.2, -2.0)
+        mass = mass_from_series([1.0, 0.2, 0.01])
+        q, e, order = QuantumNumbers(3, 0, 0), -1e8, 128
+        steps, guard = [], recurrence._guard_overflow
+
+        def recorded_guard(a, i, **kwargs):
+            steps.append(i)
+            return guard(a, i, **kwargs)
+
+        monkeypatch.setattr(recurrence, "_guard_overflow", recorded_guard)
+        stopped, whole = self._assert_prefix_and_whole(
+            pot, mass, q, e, order, 20.0 / b_from_energy(e, 1.0))
+        assert steps == [48, 107]
+        assert stopped.coeffs.size - 1 == 113
+        assert stopped.scale_log10 == whole.scale_log10 > 300
+
     @pytest.mark.parametrize("limit", [10.0**0.75, 10.0**3.5, 1e9],
                              ids=["limit-5.6", "limit-3.2e3", "limit-1e9"])
-    def test_rescale_scales_the_entries_past_the_horizon(self, monkeypatch, limit):
-        # a guard this low fires while a slowly decaying mass series still
-        # reaches past the first horizon with products that set bits: those
-        # entries must take them before the rescale, not after
+    def test_rescale_splits_the_later_folds(self, monkeypatch, limit):
+        # a guard this low fires at a_1, a_3 or a_9 while a slowly decaying
+        # mass series still pairs the coefficients before it with terms that
+        # set bits in every later entry: those products must take the 1/s,
+        # the ones after it must not
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = expand_exponential(1.0, 3.0, 0)
         q, e = QuantumNumbers(3, 0, 0), -600.0
