@@ -8,12 +8,6 @@ eigensolve.
 """
 
 from .eigensolver import SolverConfig, find_eigenvalue
-from .mass_expansion import (
-    constant_mass,
-    expand_exponential,
-    logderiv_from_series,
-    mass_from_series,
-)
 from .model import (
     EigenResult,
     MassProfile,
@@ -21,6 +15,7 @@ from .model import (
     QuantumNumbers,
     SeriesSolution,
     b_from_energy,
+    logderiv_from_series,
     make_cornell,
     make_coulomb,
     make_linear,
@@ -56,9 +51,6 @@ __all__ = [
     "make_oscillator",
     "make_linear",
     "b_from_energy",
-    "expand_exponential",
-    "constant_mass",
-    "mass_from_series",
     "logderiv_from_series",
     "generate_coefficients",
     "expmass_cornell_coefficients",

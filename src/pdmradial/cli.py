@@ -26,7 +26,6 @@ import numpy as np
 from .eigensolver import SolverConfig, find_eigenvalue
 from .errors import BracketError, DomainError, WrongStateError
 from .identities import DEFAULT_SEED, run_identity_suite
-from .mass_expansion import constant_mass, expand_exponential, mass_from_series
 from .model import (
     EigenResult,
     MassProfile,
@@ -85,8 +84,7 @@ _POTENTIALS = {
 # mass kind -> the fields it reads
 _MASSES = {"constant": ("m0",), "exponential": ("m0", "lambda"), "series": ("coeffs",)}
 
-_SOLVER_FIELDS = ("e_lo", "e_hi", "truncation_order", "tol_e", "max_iter",
-                  "scan_steps", "oracle")
+_SOLVER_FIELDS = ("e_lo", "e_hi", "truncation_order", "scan_steps", "oracle")
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,8 @@ def _potential(raw) -> PotentialSpec:
 
 
 def _mass(raw) -> MassProfile:
-    """The mass profile at its lowest order; parse_config carries it to the
-    truncation order once the solver block is read."""
+    """The mass profile, checked at the degree of P; parse_config checks its
+    series at the truncation order once the solver block is read."""
     given = _object(raw, "mass")
     kind = str(given.pop("kind", "constant"))
     m0 = _number(given.get("m0", 1.0), "mass.m0")
@@ -178,16 +176,19 @@ def _mass(raw) -> MassProfile:
         raise ConfigError(f"mass.{unused[0]}: not used by kind {kind!r}")
     try:
         if kind == "constant":
-            return constant_mass(m0)
+            return MassProfile([m0])
         if kind == "exponential":
             if lam is None:
                 raise ConfigError("mass.lambda: required for exponential mass")
-            return expand_exponential(m0, lam, 0)
+            mass = MassProfile([m0], lam)  # refuses m0 <= 0 before lam < 0
+            if not lam > 0:
+                raise DomainError("exponential mass requires lam > 0")
+            return mass
         if not coeffs:
             raise ConfigError("mass.coeffs: required for series mass")
-        return mass_from_series(coeffs)
+        return MassProfile(coeffs)
     except DomainError as exc:
-        # the constructors check m0 before lambda
+        # MassProfile checks m0 before lambda
         field = "coeffs" if kind == "series" else "lambda" if m0 > 0 else "m0"
         raise ConfigError(f"mass.{field}: {exc}") from None
 
@@ -223,11 +224,7 @@ def _solver(raw) -> SolverConfig:
 
     bracket = (_number(_require(s, "e_lo", "solver"), "solver.e_lo"),
                _number(_require(s, "e_hi", "solver"), "solver.e_hi"))
-    settings = dict(
-        truncation_order=number("truncation_order", 64, integer=True),
-        tol_e=number("tol_e", SolverConfig.tol_e),
-        max_iter=number("max_iter", 200, integer=True),
-    )
+    order = number("truncation_order", 64, integer=True)
     # accepted for older configs and ignored: the brackets come from the
     # collocation spectrum, not from a scan.  A value older versions refused
     # is still refused, so no config changes from invalid to valid.
@@ -236,7 +233,7 @@ def _solver(raw) -> SolverConfig:
     if scan_steps is not None and scan_steps < 10:
         raise ConfigError("solver.scan_steps: must be at least 10")
     try:
-        return SolverConfig(e_bracket=bracket, run_oracle=run_oracle, **settings)
+        return SolverConfig(bracket, truncation_order=order, run_oracle=run_oracle)
     except DomainError as exc:
         # SolverConfig's messages start with the offending field's name
         raise ConfigError(f"solver.{exc}") from None
@@ -287,7 +284,7 @@ def parse_config(data: dict) -> RunConfig:
     quantum = _quantum(data["quantum"])
     solver = _solver(data["solver"])
     try:
-        mass = mass.extended(solver.truncation_order)
+        mass.series(solver.truncation_order)
     except DomainError as exc:  # a constant mass never fails here
         field = "lambda" if mass.lam > 0 else "coeffs"
         raise ConfigError(f"mass.{field}: {exc}") from None
@@ -297,9 +294,13 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config path is a directory: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 (byte {exc.start}): {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     return parse_config(data)
@@ -473,11 +474,15 @@ def run_solve(config_path: str, artifacts: tuple = ("energies",)) -> int:
     """Solve per config and write the requested artifact files."""
     try:
         cfg = load_config(config_path)
+        outdir = Path(cfg.output.directory)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:  # a file is in the way
+            raise ConfigError(f"output.directory: cannot make {str(outdir)!r}: "
+                              f"{exc.strerror}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(cfg.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = solve_states(cfg)
 
     wanted = set(artifacts)

@@ -58,6 +58,10 @@ _TAIL_LENGTHS = 10.0
 # samples per piece of the inward solution when its nodes are counted
 _NODE_SAMPLES = 2048
 
+# Brent's relative energy tolerance and iteration limit
+_TOL_E = 1e-13
+_MAX_ITER = 200
+
 
 def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
            maxiter=100):
@@ -138,8 +142,6 @@ class SolverConfig:
 
     e_bracket: tuple[float, float]
     truncation_order: int = 64
-    tol_e: float = 1e-13
-    max_iter: int = 200
     run_oracle: bool = False
 
     def __post_init__(self):
@@ -150,8 +152,6 @@ class SolverConfig:
             ("e_hi", abs(e_hi) >= _E_FLOOR,
              f"below -{_E_FLOOR}: the decay-rate ansatz breaks down near E = 0"),
             ("truncation_order", self.truncation_order >= 4, "at least 4"),
-            ("tol_e", self.tol_e > 0, "positive"),
-            ("max_iter", self.max_iter >= 10, "at least 10"),
         ):
             if not ok:
                 raise DomainError(f"{name}: must be {need}")
@@ -230,14 +230,13 @@ def find_eigenvalue(
     cfg.e_bracket; it is solved here when not given, so a caller solving
     several states of one channel should pass it.  BracketError when level
     q.radial_n lies outside the window, the mismatch has no sign change in
-    its cell, or Brent's method needs more than cfg.max_iter iterations on
+    its cell, or Brent's method needs more than _MAX_ITER iterations on
     it; WrongStateError when the converged state's node count differs
     from q.radial_n; DomainError when its norm integral is not finite.
     """
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
     cell, e_c = spectrum.cell(q.radial_n)
-    mass = mass.extended(cfg.truncation_order)
     geom = _build_geometry(pot, mass, q, cell)
 
     args = (pot, mass, q, cfg, geom)
@@ -252,8 +251,8 @@ def find_eigenvalue(
                 e_hi,
                 args=(evaluated, *args),
                 xtol=abs(e_hi) * 1e-14,
-                rtol=max(cfg.tol_e, 1e-15),
-                maxiter=cfg.max_iter,
+                rtol=_TOL_E,
+                maxiter=_MAX_ITER,
             )
             break
         except DomainError:
@@ -263,7 +262,7 @@ def find_eigenvalue(
         except RuntimeError:  # brentq's iteration limit: the cell is next
             if (e_lo, e_hi) == cell:
                 raise BracketError(
-                    f"Brent's method did not converge in max_iter={cfg.max_iter} "
+                    f"Brent's method did not converge in {_MAX_ITER} "
                     f"iterations on the cell ({e_lo}, {e_hi}) of level "
                     f"{q.radial_n} at E={e_c!r}"
                 ) from None

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mass_expansion import constant_mass, expand_exponential, mass_from_series
-from .model import PotentialSpec, QuantumNumbers, make_cornell
+from .model import MassProfile, PotentialSpec, QuantumNumbers, make_cornell
 from .recurrence import (
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
@@ -66,7 +65,7 @@ def _random_quantum(rng, n_max: int = 0) -> QuantumNumbers:
 def _random_custom_mass(rng):
     m0 = float(rng.uniform(0.5, 2.0))
     extra = rng.uniform(-0.3, 0.3, size=3)
-    return mass_from_series(np.concatenate([[m0], extra]))
+    return MassProfile(np.concatenate([[m0], extra]))
 
 
 def _random_cornell(rng) -> PotentialSpec:
@@ -102,7 +101,7 @@ def check_expmass_closed_forms(rng, trials: int = 50) -> IdentityResult:
         pot = _random_cornell(rng)
         m0 = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(0.02, 1.0))
-        mass = expand_exponential(m0, lam, 8)
+        mass = MassProfile([m0], lam)
         q = _random_quantum(rng)
         e = -float(rng.uniform(0.1, 3.0))
         sol = expmass_cornell_coefficients(pot, mass, q, e, 4)
@@ -122,7 +121,7 @@ def check_expmass_vs_general(rng, trials: int = 20, order: int = 20) -> Identity
         pot = _random_cornell(rng)
         m0 = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(0.02, 1.0))
-        mass = expand_exponential(m0, lam, order)
+        mass = MassProfile([m0], lam)
         q = _random_quantum(rng)
         e = -float(rng.uniform(0.1, 3.0))
         s_exp = expmass_cornell_coefficients(pot, mass, q, e, order)
@@ -146,7 +145,7 @@ def check_coulomb_polynomial(rng, trials: int = 25) -> IdentityResult:
         order = max(n + 6, 10)
         sol = generate_coefficients(
             PotentialSpec(a_c, 0.0, 0.0, 1, 0),
-            constant_mass(m0),
+            MassProfile([m0]),
             q,
             e,
             order,

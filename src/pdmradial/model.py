@@ -160,19 +160,12 @@ class MassProfile:
 
     ``mass_at``, ``logderiv_at`` (m'/m = P'/P - lam) and ``terms_at`` (m,
     m'/m and its derivative, P''/P - (P'/P)^2, from one pass over P) are
-    these closed forms at any radius.
-    The recurrence reads the series about the origin: ``mass_series``, P
-    times the Taylor series of e^(-lam r), and ``logderiv_series``, the
-    formal division P'/P minus lam, both carried to ``order`` (raised to the
-    degree of P when that is higher); ``extended`` re-derives them to a
-    higher order.
+    these closed forms at any radius.  ``series`` is the view the
+    recurrence reads, the two series about the origin at a given order.
     """
 
     poly: np.ndarray
     lam: float = 0.0
-    order: int = 0
-    mass_series: np.ndarray = field(init=False, repr=False, compare=False)
-    logderiv_series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         poly = np.asarray(self.poly, float)
@@ -182,41 +175,19 @@ class MassProfile:
             raise DomainError("m0 must be positive")
         if not self.lam >= 0:
             raise DomainError("mass decay rate lam must be >= 0")
-        if not isinstance(self.order, (int, np.integer)) or self.order < 0:
-            raise DomainError("order must be an integer >= 0")
-        order = max(int(self.order), poly.size - 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            series = np.convolve(poly, _exp_taylor(self.lam, order))[: order + 1]
-            logd = logderiv_from_series(poly, order)
-        logd[0] -= self.lam
-        for name, value in (("poly", poly), ("order", order), ("mass_series", series),
-                            ("logderiv_series", logd)):
-            object.__setattr__(self, name, value)
-        self._check_consistency()
+        object.__setattr__(self, "poly", poly)
+        self.series(0)  # P's own series must pass the checks of ``series``
 
-    def _check_consistency(self):
-        # Cauchy product of m'/m and m must reproduce the derivative series
-        # of m, coefficient by coefficient, for every retained order.
-        b = self.mass_series
-        bp = self.logderiv_series
-        # an overflowed series would make the residual NaN, which no
-        # comparison refuses
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(bp))):
-            raise DomainError(
-                "inconsistent mass profile: mass_series or logderiv_series "
-                "is not finite"
-            )
-        order = b.size - 1
-        if order == 0:
-            return
-        prod = np.convolve(bp, b)[:order]
-        deriv = np.arange(1, order + 1) * b[1:]
-        scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(bp))))
-        if np.max(np.abs(prod - deriv)) > _CONSISTENCY_TOL * scale:
-            raise DomainError(
-                "inconsistent mass profile: logderiv_series * mass_series "
-                "does not match the derivative of mass_series"
-            )
+    def series(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(mass_series, logderiv_series)``, read only: P times the Taylor
+        series of e^(-lam r), and the formal division P'/P minus lam, both
+        carried to ``order``, or to the degree of P when that is higher.
+        DomainError when either is not finite or their Cauchy product misses
+        the derivative of the mass series."""
+        if not isinstance(order, (int, np.integer)) or order < 0:
+            raise DomainError("order must be an integer >= 0")
+        order = max(int(order), self.poly.size - 1)
+        return _series(self.poly.tobytes(), self.lam, math.copysign(1.0, self.lam), order)
 
     @property
     def m0(self) -> float:
@@ -243,12 +214,6 @@ class MassProfile:
         g = dp / p
         return p * np.exp(-self.lam * r), g - self.lam, d2p / p - g * g
 
-    def extended(self, order: int) -> "MassProfile":
-        """The same mass with both series carried to at least ``order``."""
-        if order <= self.order:
-            return self
-        return MassProfile(self.poly, self.lam, order)
-
 
 def _exp_taylor(lam: float, order: int) -> np.ndarray:
     """Taylor coefficients (-lam)^nu / nu! of e^(-lam r) to ``order``, via
@@ -259,6 +224,40 @@ def _exp_taylor(lam: float, order: int) -> np.ndarray:
     signs = np.where(nu % 2 == 0, 1.0, -1.0)
     log_fact = np.array([math.lgamma(v + 1.0) for v in range(order + 1)])
     return signs * np.exp(nu * math.log(lam) - log_fact)
+
+
+# typed, and keyed on the sign of lam as well, so that 0.0 and -0.0, or 1
+# and 1.0, are separate entries; masses come from callers, so it is bounded
+@lru_cache(maxsize=128, typed=True)
+def _series(poly: bytes, lam: float, sign: float, order: int):
+    """The series of ``MassProfile.series`` for the bits of P, derived and
+    checked once per (P, lam, order)."""
+    poly = np.frombuffer(poly)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        b = np.convolve(poly, _exp_taylor(lam, order))[: order + 1]
+        bp = logderiv_from_series(poly, order)
+    bp[0] -= lam
+    # an overflowed series would make the residual NaN, which no comparison
+    # refuses
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(bp))):
+        raise DomainError(
+            "inconsistent mass profile: mass_series or logderiv_series "
+            "is not finite"
+        )
+    # the Cauchy product of m'/m and m must reproduce the derivative series
+    # of m, coefficient by coefficient, for every retained order
+    if order:
+        prod = np.convolve(bp, b)[:order]
+        deriv = np.arange(1, order + 1) * b[1:]
+        scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(bp))))
+        if np.max(np.abs(prod - deriv)) > _CONSISTENCY_TOL * scale:
+            raise DomainError(
+                "inconsistent mass profile: logderiv_series * mass_series "
+                "does not match the derivative of mass_series"
+            )
+    for a in (b, bp):
+        a.flags.writeable = False
+    return b, bp
 
 
 def logderiv_from_series(mass_series, order: int | None = None) -> np.ndarray:

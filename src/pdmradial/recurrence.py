@@ -97,7 +97,6 @@ def _stopped_series(pot, mass, q, e, order, r):
     e = float(e)
     _check_inputs(pot, q, e, order)
     k = q.k
-    mass = mass.extended(order)
 
     b = b_from_energy(e, mass.m0)
     ell = q.ell
@@ -109,7 +108,7 @@ def _stopped_series(pot, mass, q, e, order, r):
     # trailing zeros of the mass series (all of a constant mass's beyond m0)
     # add nothing to the tables, so they are dropped; reversed, so that
     # entry n pairs a_j with b_{n-j} in one forward pass
-    rmass, rlog = (_trimmed(c)[::-1] for c in (mass.mass_series, mass.logderiv_series))
+    rmass, rlog = (_trimmed(c)[::-1] for c in mass.series(order))
     lm, lb = len(rmass), len(rlog)
     # table entry i sits at list index i + pad, so the lowest index read,
     # n - beta - 1 at n = 0, lands on a leading zero and none wraps
@@ -226,7 +225,6 @@ def expmass_cornell_coefficients(
         raise DomainError("exp-mass Cornell recursion requires an exponential mass profile")
     _check_inputs(pot, q, e, order)
     k = q.k
-    mass = mass.extended(order)
 
     b = b_from_energy(e, mass.m0)
     ell = q.ell
@@ -236,7 +234,7 @@ def expmass_cornell_coefficients(
     a[0] = 1.0
     scale_log10 = 0.0
 
-    mseries = mass.mass_series
+    mseries = mass.series(order)[0]
     conv = np.zeros_like(a)  # running sum_{j+nu=i} m_nu a_j
 
     def fill_conv(i: int):
@@ -284,10 +282,6 @@ def _guard_overflow(a, i, divide=(), multiply=()) -> float:
     return math.log10(s)
 
 
-def _series_at(arr: np.ndarray, i: int) -> float:
-    return float(arr[i]) if i < arr.size else 0.0
-
-
 def coefficient_closed_forms_cornell(
     pot: PotentialSpec,
     mass: MassProfile,
@@ -305,16 +299,13 @@ def coefficient_closed_forms_cornell(
     k = q.k
     if k == 1:
         raise DegenerateChannelError("closed forms undefined for k = 1")
-    mass = mass.extended(2)
     b = b_from_energy(e, mass.m0)
     ell = q.ell
     A, B, C = pot.v1, pot.v2, pot.v3
     m0 = mass.m0
-    b1 = _series_at(mass.mass_series, 1)
-    b2 = _series_at(mass.mass_series, 2)
-    bp0 = _series_at(mass.logderiv_series, 0)
-    bp1 = _series_at(mass.logderiv_series, 1)
-    bp2 = _series_at(mass.logderiv_series, 2)
+    mass_series, logderiv_series = mass.series(2)
+    b1, b2 = mass_series[1:3].tolist()
+    bp0, bp1, bp2 = logderiv_series[:3].tolist()
 
     a1 = (b + (ell * bp0 - 2.0 * A * m0) / (k - 1)) * a0
     a2 = ((k + 1) * b + (ell + 1) * bp0 - 2.0 * A * m0) / (2.0 * k) * a1 + (

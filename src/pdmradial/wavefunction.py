@@ -35,13 +35,11 @@ def trusted(solution: SeriesSolution, r: float) -> bool:
     nodes do not cut.  The ratio is monotone in r, so a series trusted at r
     is trusted at every smaller radius.  A terminated series is trusted
     everywhere; an overflow on either side counts as untrusted."""
-    rev = np.abs(solution.coeffs)[::-1].tolist()
-    last, order, r = rev[0], len(rev) - 1, float(r)
+    coeffs = np.abs(solution.coeffs)
+    last, order, r = float(coeffs[-1]), coeffs.size - 1, float(r)
     if last == 0.0 or order == 0:
         return True
-    envelope = 0.0
-    for c in rev:
-        envelope = envelope * r + c
+    envelope = _horner(coeffs, r)
     try:
         val = last * r**order - TRUST_RATIO * envelope
     except OverflowError:  # Python's float power raises where numpy's gives inf

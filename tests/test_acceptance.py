@@ -11,8 +11,7 @@ import numpy as np
 from coulomb_reference import coulomb_a0_reference, coulomb_reference_energy
 from pdmradial.cli import run_solve, run_verify
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
-from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
-from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
+from pdmradial.model import MassProfile, PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
 from pdmradial.oracle import channel_spectrum
 from pdmradial.recurrence import (
     coefficient_closed_forms_cornell,
@@ -48,9 +47,7 @@ def test_criterion_01_closed_form_coefficient_identities():
         e = -float(rng.uniform(0.1, 3.0))
 
         # general mass series against the Cornell closed forms
-        mass = mass_from_series(
-            np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.3, 0.3, 3)])
-        )
+        mass = MassProfile(np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.3, 0.3, 3)]))
         sol = generate_coefficients(pot, mass, q, e, 4)
         closed = coefficient_closed_forms_cornell(pot, mass, q, e)
         worst = max(worst, max(abs(sol.coeffs[i + 1] - closed[i]) for i in range(3)))
@@ -58,7 +55,7 @@ def test_criterion_01_closed_form_coefficient_identities():
         # exponentially decaying mass against its dedicated closed forms
         m0 = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(0.02, 1.0))
-        mass_e = expand_exponential(m0, lam, 8)
+        mass_e = MassProfile([m0], lam)
         sol_e = generate_coefficients(pot, mass_e, q, e, 4)
         closed_e = coefficient_closed_forms_expmass(pot, m0, lam, q, e)
         worst = max(
@@ -82,7 +79,7 @@ def test_criterion_02_dual_derivation_consistency():
         )
         m0 = float(rng.uniform(0.5, 2.0))
         lam = float(rng.uniform(0.02, 1.0))
-        mass = expand_exponential(m0, lam, 20)
+        mass = MassProfile([m0], lam)
         q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
         e = -float(rng.uniform(0.1, 3.0))
         s_exp = expmass_cornell_coefficients(pot, mass, q, e, 20)
@@ -104,7 +101,7 @@ def test_criterion_02_dual_derivation_consistency():
 def test_criterion_03_coulomb_exactness():
     t0 = time.time()
     pot = make_coulomb(1.0)
-    mass = constant_mass(1.0)
+    mass = MassProfile([1.0])
     worst = 0.0
     count = 0
     for dim in (2, 3, 4, 5):
@@ -129,7 +126,7 @@ def test_criterion_04_coulomb_wavefunction_closed_form():
     t0 = time.time()
     a_c, m0 = 1.0, 1.0
     pot = make_coulomb(a_c)
-    mass = constant_mass(m0)
+    mass = MassProfile([m0])
     worst_coeff = worst_tail = worst_point = 0.0
     for ell in range(5):
         for n in range(5 - ell):
@@ -170,7 +167,7 @@ def test_criterion_04_coulomb_wavefunction_closed_form():
 def test_criterion_05_k_degeneracy():
     t0 = time.time()
     pot = make_cornell(1.0, 0.25, -4.0)
-    mass = constant_mass(1.0)
+    mass = MassProfile([1.0])
     # k = 4 admits exactly two (N, l) pairs with N >= 1; all existing pairs
     # are checked for it
     families = {
@@ -198,7 +195,7 @@ def test_criterion_06_pdm_oracle_agreement():
     worst = 0.0
     count = 0
     for lam in (0.05, 0.2):
-        mass = expand_exponential(1.0, lam, 64)
+        mass = MassProfile([1.0], lam)
         for ell in (0, 1):
             for n in range(2):
                 res = find_eigenvalue(
@@ -216,7 +213,7 @@ def test_criterion_06_pdm_oracle_agreement():
 
 def test_criterion_07_residual_convergence():
     t0 = time.time()
-    mass = constant_mass(1.0)
+    mass = MassProfile([1.0])
     cases = {
         "coulomb": (make_coulomb(1.0), (-0.6, -0.4)),
         "oscillator": (PotentialSpec(0.0, 1.0, -20.0, 0, 2), (-18.5, -17.0)),
@@ -268,7 +265,7 @@ def test_criterion_08_normalization():
     for a_c, m0 in [(1.0, 1.0), (1.4, 0.8)]:
         q = QuantumNumbers(3, 0, 0)
         e = coulomb_reference_energy(a_c, m0, q)
-        res = find_eigenvalue(make_coulomb(a_c), constant_mass(m0), q,
+        res = find_eigenvalue(make_coulomb(a_c), MassProfile([m0]), q,
                               SolverConfig(e_bracket=(1.2 * e, 0.8 * e)))
         # the series' a0 is 1, so norm_const is the normalized a0
         a0 = res.norm_const * res.solution.a0
@@ -286,7 +283,7 @@ def test_criterion_08_normalization():
 def test_criterion_09_oscillator_spacing():
     t0 = time.time()
     pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
-    mass = constant_mass(1.0)
+    mass = MassProfile([1.0])
     q0 = QuantumNumbers(3, 0, 0)
     spectrum = channel_spectrum(pot, mass, q0, (-19.0, -4.0))
     series = []

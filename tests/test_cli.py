@@ -16,6 +16,7 @@ from pdmradial.cli import (
     run_solve,
     run_verify,
 )
+from pdmradial import eigensolver
 from pdmradial.model import make_coulomb
 import pdmradial.oracle as oracle
 
@@ -91,26 +92,31 @@ class TestConfigParsing:
             parse_config(data)
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, problem",
         [
-            ("truncation_order", 2),
-            ("scan_steps", 5),
-            ("tol_e", -1),
-            ("max_iter", 3),
-            ("match_radius", -1.0),
-            ("oracle_points", 10),
-            ("tol_e", None),
-            ("truncation_order", 64.5),
-            ("e_lo", float("-inf")),
-            ("max_iter", 200.5),
+            ("truncation_order", 2, "must be at least 4"),
+            ("scan_steps", 5, "must be at least 10"),
+            # Brent's tolerance and iteration limit are constants now
+            ("tol_e", -1, "unknown field"),
+            ("max_iter", 3, "unknown field"),
+            ("match_radius", -1.0, "unknown field"),
+            ("oracle_points", 10, "unknown field"),
+            ("tol_e", None, "unknown field"),
+            ("truncation_order", 64.5, "must be an integer"),
+            ("e_lo", float("-inf"), "must be a number"),
+            ("max_iter", 200.5, "unknown field"),
         ],
+        ids=["truncation_order-2", "scan_steps-5", "tol_e--1", "max_iter-3",
+             "match_radius--1.0", "oracle_points-10", "tol_e-None",
+             "truncation_order-64.5", "e_lo--inf", "max_iter-200.5"],
     )
-    def test_bad_solver_value_is_config_error(self, tmp_path, capsys, field, value):
+    def test_bad_solver_value_is_config_error(self, tmp_path, capsys, field, value,
+                                              problem):
         data = demo_config_dict()
         data["solver"][field] = value
         data["output"]["directory"] = str(tmp_path / "out")
         assert run_solve(str(write_config(tmp_path, data))) == 2
-        assert f"solver.{field}" in capsys.readouterr().err
+        assert f"config error: solver.{field}: {problem}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "block, changes, field",
@@ -235,6 +241,24 @@ class TestConfigParsing:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("no/such/config.json")
+
+    @pytest.mark.parametrize("case", ["config-directory", "config-not-utf8",
+                                      "output-directory-is-a-file"])
+    def test_unreadable_input_is_config_error(self, tmp_path, capsys, case):
+        # each of these ended in a traceback, not in exit 2
+        data = demo_config_dict()
+        data["output"]["directory"] = str(tmp_path / "taken")
+        path = write_config(tmp_path, data)
+        if case == "config-directory":
+            path, message = tmp_path, f"config path is a directory: {tmp_path}"
+        elif case == "config-not-utf8":
+            path.write_bytes(b'{"potential": "\xff"}')
+            message = f"config file is not UTF-8 (byte 15): {path}"
+        else:
+            (tmp_path / "taken").write_text("")
+            message = f"output.directory: cannot make {str(tmp_path / 'taken')!r}: "
+        assert run_solve(str(path)) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestSolveDemo:
@@ -476,15 +500,15 @@ class TestArtifacts:
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
-        "model, solver, rows, message",
+        "model, solver, max_iter, rows, message",
         [
             # ten Brent iterations do not converge on the state's cell
             (({"kind": "cornell", "a": 1.2098804125151645, "b_lin": 0.1034177831573367,
                "c": -4.9488381244064055},
               {"kind": "exponential", "m0": 1.0, "lambda": 0.3493527885671899},
               {"dim": 3, "ell": [2], "n": [0]}),
-             {"e_lo": -8.608, "e_hi": -0.1, "truncation_order": 64, "max_iter": 10},
-             1, "BracketError: Brent's method did not converge in max_iter=10 "
+             {"e_lo": -8.608, "e_hi": -0.1, "truncation_order": 64}, 10,
+             1, "BracketError: Brent's method did not converge in 10 "
                 "iterations on the cell"),
             # lambda r_max is about 2043 on the oracle's grid, where m(r)
             # underflows to zero
@@ -492,7 +516,7 @@ class TestArtifacts:
                "c": -5.406169294610777},
               {"kind": "exponential", "m0": 1.0, "lambda": 0.28086386458805035},
               {"dim": 2, "ell": [0, 1], "n": [0, 1, 2]}),
-             {"e_lo": -10.092824814183157, "e_hi": -0.1, "truncation_order": 96},
+             {"e_lo": -10.092824814183157, "e_hi": -0.1, "truncation_order": 96}, 200,
              6, "channel failed: DomainError: the mass underflows on the "
                 "collocation grid of r_max="),
             # the exp-mass demo's problem at order 6: the root's series is
@@ -500,21 +524,22 @@ class TestArtifacts:
             (({"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
               {"kind": "exponential", "m0": 1.0, "lambda": 0.2},
               {"dim": 3, "ell": [0], "n": [1, 2]}),
-             {"e_lo": -3.4, "e_hi": -0.8, "truncation_order": 6},
+             {"e_lo": -3.4, "e_hi": -0.8, "truncation_order": 6}, 200,
              2, "DomainError: truncation_order 6 is too low for r_match="),
             # m = 1 - 0.2 r vanishes at r = 5, inside the collocation grid
             (({"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
               {"kind": "series", "coeffs": [1.0, -0.2]},
               {"dim": 3, "ell": [0], "n": [0, 1]}),
-             {"e_lo": -6.0, "e_hi": -0.5},
+             {"e_lo": -6.0, "e_hi": -0.5}, 200,
              2, "channel failed: DomainError: the mass is negative on the "
                 "collocation grid of r_max="),
         ],
         ids=["brent-iteration-limit", "mass-underflow", "order-too-low",
              "mass-negative"],
     )
-    def test_numerical_failure_is_an_error_row(self, tmp_path, capsys, model, solver,
-                                               rows, message):
+    def test_numerical_failure_is_an_error_row(self, tmp_path, capsys, monkeypatch,
+                                               model, solver, max_iter, rows, message):
+        monkeypatch.setattr(eigensolver, "_MAX_ITER", max_iter)
         potential, mass, quantum = model
         data = {"potential": potential, "mass": mass, "quantum": quantum,
                 "solver": solver, "output": {"directory": str(tmp_path / "out")}}
@@ -585,6 +610,26 @@ class TestPdmConfig:
         for ell, energies in by_channel.items():
             assert energies[0] < energies[1] < 0
 
+
+    def test_one_round_derives_each_mass_series_once(self, monkeypatch):
+        # every series the round reads, (P, lam, order), is derived once and
+        # then read from the cache: once for P's degree at construction and
+        # once at the truncation order, however many energies are tried
+        import pdmradial.cli as cli_mod
+        import pdmradial.model as model_mod
+
+        derived = []
+        taylor = model_mod._exp_taylor
+
+        def recording(lam, order):
+            derived.append((lam, order))
+            return taylor(lam, order)
+
+        monkeypatch.setattr(model_mod, "_exp_taylor", recording)
+        model_mod._series.cache_clear()
+        cli_mod.solve_states(load_config(EXPMASS_CONFIG))
+        assert derived == [(0.2, 0), (0.2, 64)]
+        assert model_mod._series.cache_info().hits > 0
 
     def test_golden_energies_file(self, tmp_path):
         # the only golden file with a varying mass; the JSON file pins every

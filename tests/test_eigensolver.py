@@ -10,8 +10,7 @@ from coulomb_reference import coulomb_norm_reference, coulomb_reference_energy
 from pdmradial import cli
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import BracketError, DomainError, WrongStateError
-from pdmradial.mass_expansion import constant_mass, expand_exponential
-from pdmradial.model import QuantumNumbers, make_cornell, make_coulomb
+from pdmradial.model import MassProfile, QuantumNumbers, make_cornell, make_coulomb
 import pdmradial.oracle as oracle_mod
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.recurrence import generate_coefficients
@@ -91,7 +90,7 @@ class TestCoulombReference:
 class TestFindEigenvalueCoulomb:
     def test_ground_state(self):
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
             SolverConfig(e_bracket=(-0.6, -0.4)),
         )
         assert res.energy == pytest.approx(-0.5, rel=1e-8)
@@ -101,7 +100,7 @@ class TestFindEigenvalueCoulomb:
 
     def test_first_excited_state(self):
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
         assert res.energy == pytest.approx(-0.125, rel=1e-8)
@@ -109,7 +108,7 @@ class TestFindEigenvalueCoulomb:
 
     def test_five_dimensions(self):
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(5, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(5, 0, 0),
             SolverConfig(e_bracket=(-0.15, -0.11)),
         )
         assert res.energy == pytest.approx(-0.125, rel=1e-8)
@@ -117,7 +116,7 @@ class TestFindEigenvalueCoulomb:
     def test_two_dimensions_half_integer_prefactor(self):
         # k = 2: R ~ sqrt(r) near the origin; E = -2 A^2 m0 for the ground state
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(2, 0, 0),
             SolverConfig(e_bracket=(-2.3, -1.7)),
         )
         assert res.energy == pytest.approx(-2.0, rel=1e-8)
@@ -125,7 +124,7 @@ class TestFindEigenvalueCoulomb:
 
     def test_oracle_gap_populated(self):
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
             SolverConfig(e_bracket=(-0.6, -0.4), run_oracle=True),
         )
         assert res.oracle_gap is not None
@@ -140,7 +139,7 @@ class TestNodeAtMatchRadius:
         q = QuantumNumbers(dim, ell, 1)
         e_ref = coulomb_reference_energy(1.0, 1.0, q)
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), q,
+            make_coulomb(1.0), MassProfile([1.0]), q,
             SolverConfig(e_bracket=bracket_around(e_ref)),
         )
         assert res.nodes == 1
@@ -217,7 +216,7 @@ class TestNormConst:
         # guard, where R^2 underflows unless the norm scales it by a power
         # of two first; norm_const * a_0 is the closed form 2 (Z/2)^(3/2)
         q = QuantumNumbers(3, 0, 1)
-        res = find_eigenvalue(make_coulomb(1414.0), constant_mass(1.0), q,
+        res = find_eigenvalue(make_coulomb(1414.0), MassProfile([1.0]), q,
                               SolverConfig(e_bracket=(-1.1e6, -1e4), truncation_order=500))
         assert res.energy == pytest.approx(-249924.5, rel=1e-15)
         assert res.solution.a0 < 1e-300
@@ -235,21 +234,21 @@ class TestFindEigenvalueErrors:
                                    lambda: pytest.fail("nothing is checked"))
         with pytest.raises(BracketError, match="does not change sign on the cell"):
             find_eigenvalue(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
                 SolverConfig(e_bracket=(-0.45, -0.2)), spectrum,
             )
 
     def test_level_outside_the_window(self):
         with pytest.raises(BracketError, match=r"state n=0 not found in the window"):
             find_eigenvalue(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
                 SolverConfig(e_bracket=(-0.45, -0.35)),
             )
 
     def test_wrong_state_reports_found_nodes(self):
         # three spurious levels below the spectrum label the ground state 3;
         # the series side counts its nodes on its own and refuses it
-        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        pot, mass = make_coulomb(1.0), MassProfile([1.0])
         real = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-0.6, -0.4))
         mislabelled = replace(
             real, levels=np.concatenate(([-3.0, -2.0, -1.0], real.levels))
@@ -268,7 +267,7 @@ class TestFindEigenvalueErrors:
         # the cell
         import pdmradial.eigensolver as es_mod
 
-        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        pot, mass = make_coulomb(1.0), MassProfile([1.0])
         real = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-0.6, -0.03))
         off = replace(real, levels=real.levels * (1.0 + 1e-4))
         brackets = []
@@ -300,19 +299,22 @@ class TestFindEigenvalueErrors:
         monkeypatch.setattr(tail_mod.Inward, "norm2", lambda self, leg: value)
         with pytest.raises(DomainError, match="the norm integral of the state at E="):
             find_eigenvalue(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
+                make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1),
                 SolverConfig(e_bracket=(-0.14, -0.11)),
             )
 
-    def test_iteration_limit_is_a_bracket_error(self):
+    def test_iteration_limit_is_a_bracket_error(self, monkeypatch):
         # every level 1e-3 relative too shallow: the narrow bracket holds no
         # root, and ten Brent iterations do not converge on the cell
-        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        import pdmradial.eigensolver as es_mod
+
+        monkeypatch.setattr(es_mod, "_MAX_ITER", 10)
+        pot, mass = make_coulomb(1.0), MassProfile([1.0])
         q = QuantumNumbers(3, 1, 0)
         real = channel_spectrum(pot, mass, q, (-0.6, -0.01))
         off = replace(real, levels=real.levels * (1.0 + 1e-3))
-        cfg = SolverConfig(e_bracket=(-0.6, -0.01), max_iter=10)
-        with pytest.raises(BracketError, match=r"max_iter=10 iterations on the cell"):
+        cfg = SolverConfig(e_bracket=(-0.6, -0.01))
+        with pytest.raises(BracketError, match=r"converge in 10 iterations on the cell"):
             find_eigenvalue(pot, mass, q, cfg, off)
 
     def test_invalid_brackets_rejected(self):
@@ -330,7 +332,7 @@ class TestScanSpectrum:
 
     def test_coulomb_brackets(self):
         spectrum = channel_spectrum(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
             (-0.6, -0.01),
         )
         for n, target in enumerate((-0.5, -0.125, -1.0 / 18.0, -1.0 / 32.0)):
@@ -340,7 +342,7 @@ class TestScanSpectrum:
 
     def test_range_below_spectrum_is_empty(self):
         spectrum = channel_spectrum(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
             (-5.0, -1.0),
         )
         assert not np.any((spectrum.levels >= -5.0) & (spectrum.levels <= -1.0))
@@ -349,7 +351,7 @@ class TestScanSpectrum:
 
     def test_cornell_bracket_exists_and_matches_oracle(self):
         pot = make_cornell(0.52, 0.18, -5.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         spectrum = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-4.9, -0.5))
         (ea, eb), _ = spectrum.cell(0)
         alone = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (ea, eb))
@@ -361,7 +363,7 @@ class TestScanSpectrum:
         # and levels inside the range are not missed
         a_c = 1.3
         spectrum = channel_spectrum(
-            make_coulomb(a_c), constant_mass(1.0), QuantumNumbers(3, 1, 0),
+            make_coulomb(a_c), MassProfile([1.0]), QuantumNumbers(3, 1, 0),
             (-0.5, -0.02),
         )
         levels = [
@@ -383,7 +385,7 @@ class TestScanSpectrum:
         from pdmradial.eigensolver import _build_geometry, _mismatch
 
         pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 0.2, 64)
+        mass = MassProfile([1.0], 0.2)
         q = QuantumNumbers(3, 1, 0)
         cfg = SolverConfig(e_bracket=(-3.4, -0.85))
         geom = _build_geometry(pot, mass, q, cfg.e_bracket)
@@ -414,7 +416,7 @@ class TestScanSpectrum:
 
         monkeypatch.setattr(es_mod, "trusted", recording)
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
         assert calls == [(res.solution, res.inward.edges[0] / 0.9)]
@@ -505,7 +507,7 @@ class TestScanSpectrum:
         for module in (rec_mod, es_mod):
             monkeypatch.setattr(module, "_stopped_series", series)
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
         assert abs(res.energy + 0.125) < 1e-10 * 0.125
@@ -593,7 +595,7 @@ class TestScanSpectrum:
         import pdmradial.eigensolver as es_mod
         import pdmradial.tail as tail_mod
 
-        pot, mass, q = make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 1)
+        pot, mass, q = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1)
         cfg = SolverConfig(e_bracket=(-0.14, -0.11))
         spectrum = channel_spectrum(pot, mass, q, cfg.e_bracket)
         calls = []
@@ -605,7 +607,7 @@ class TestScanSpectrum:
 
         monkeypatch.setattr(tail_mod, "outer_turning_radius", counting)
         cell, _ = spectrum.cell(q.radial_n)
-        es_mod._build_geometry(pot, mass.extended(64), q, cell)
+        es_mod._build_geometry(pot, mass, q, cell)
         assert calls == [cell[1]]
         calls.clear()
         find_eigenvalue(pot, mass, q, cfg, spectrum)
@@ -615,7 +617,7 @@ class TestScanSpectrum:
 class TestOrdering:
     def test_cornell_states_ordered_with_exact_node_counts(self):
         pot = make_cornell(1.0, 0.3, -5.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         spectrum = channel_spectrum(pot, mass, QuantumNumbers(3, 0, 0), (-5.4, -0.3))
         energies = []
         for n in range(3):
@@ -635,7 +637,7 @@ class TestKDegeneracy:
     ])
     def test_constant_mass_energies_depend_only_on_k(self, k, pairs):
         pot = make_cornell(1.0, 0.25, -4.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         energies = []
         for dim, ell in pairs:
             assert dim + 2 * ell == k
@@ -651,12 +653,12 @@ class TestKDegeneracy:
 class TestPdm:
     def test_lambda_continuity(self):
         pot = make_cornell(1.0, 0.2, -3.0)
-        mass0 = constant_mass(1.0)
+        mass0 = MassProfile([1.0])
         window = SolverConfig(e_bracket=(-3.4, -2.5))
         res0 = find_eigenvalue(pot, mass0, QuantumNumbers(3, 0, 0), window)
         gaps = []
         for lam in (0.1, 0.01, 0.001):
-            mass = expand_exponential(1.0, lam, 64)
+            mass = MassProfile([1.0], lam)
             res = find_eigenvalue(pot, mass, QuantumNumbers(3, 0, 0), window)
             gaps.append(abs(res.energy - res0.energy))
         assert gaps[0] > gaps[1] > gaps[2]
@@ -664,7 +666,7 @@ class TestPdm:
 
     def test_pdm_matches_oracle(self):
         pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 0.2, 64)
+        mass = MassProfile([1.0], 0.2)
         res = find_eigenvalue(
             pot, mass, QuantumNumbers(3, 0, 0),
             SolverConfig(e_bracket=(-3.2, -1.0), run_oracle=True),
@@ -673,10 +675,8 @@ class TestPdm:
 
     def test_custom_polynomial_mass_matches_oracle(self):
         # a linearly growing mass, exact as a polynomial everywhere
-        from pdmradial.mass_expansion import mass_from_series
-
         pot = make_cornell(1.0, 0.2, -2.0)
-        mass = mass_from_series([1.0, 0.1])
+        mass = MassProfile([1.0, 0.1])
         q = QuantumNumbers(3, 0, 0)
         res = find_eigenvalue(
             pot, mass, q,
@@ -689,11 +689,9 @@ class TestPdm:
         # m = 1 + 0.2 r + 0.01 r^2 has log-derivative series (0.2, -0.02), so
         # the oracle's Liouville term -G'/2 is nonzero; dropping it moves the
         # oracle energy by about 5e-4 relative
-        from pdmradial.mass_expansion import mass_from_series
-
         pot = make_cornell(1.0, 0.2, -2.0)
-        mass = mass_from_series([1.0, 0.2, 0.01])
-        assert mass.logderiv_series[:2] == pytest.approx([0.2, -0.02], rel=1e-12)
+        mass = MassProfile([1.0, 0.2, 0.01])
+        assert mass.series(1)[1][:2] == pytest.approx([0.2, -0.02], rel=1e-12)
         q = QuantumNumbers(3, 0, 0)
         res = find_eigenvalue(
             pot, mass, q,
@@ -709,7 +707,7 @@ class TestOracleUnavailable:
         # standing, and the result says why the check is missing
         monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", ((12, 1.0), (16, 1.25)))
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(2, 0, 0),
             SolverConfig(e_bracket=(-2.4, -1.6), run_oracle=True),
         )
         assert abs(res.energy + 2.0) <= 1e-8 * 2.0
@@ -719,7 +717,7 @@ class TestOracleUnavailable:
     def test_solution_is_the_series_at_the_energy(self):
         from pdmradial.recurrence import generate_coefficients
 
-        pot, mass, q = make_coulomb(1.0), constant_mass(1.0, 64), QuantumNumbers(3, 0, 1)
+        pot, mass, q = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1)
         res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-0.15, -0.1)))
         again = generate_coefficients(pot, mass, q, res.energy, 64)
         assert res.solution.energy == res.energy
@@ -732,7 +730,7 @@ class TestHigherStates:
         q = QuantumNumbers(3, 0, 8)
         e_ref = coulomb_reference_energy(1.0, 1.0, q)  # -1/162
         res = find_eigenvalue(
-            make_coulomb(1.0), constant_mass(1.0), q,
+            make_coulomb(1.0), MassProfile([1.0]), q,
             SolverConfig(e_bracket=(1.1 * e_ref, 0.9 * e_ref)),
         )
         assert res.energy == pytest.approx(e_ref, rel=1e-7)
@@ -807,15 +805,15 @@ class TestBrentPort:
 
         import pdmradial.eigensolver as es_mod
 
-        pot, mass = make_coulomb(1.0), constant_mass(1.0)
+        pot, mass = make_coulomb(1.0), MassProfile([1.0])
         cfg = SolverConfig(e_bracket=(-0.6, -0.03))
         for n in range(3):
             q = QuantumNumbers(3, 0, n)
             cell, _ = channel_spectrum(pot, mass, q, cfg.e_bracket).cell(n)
-            geom = es_mod._build_geometry(pot, mass.extended(64), q, cell)
-            kwargs = dict(args=(pot, mass.extended(64), q, cfg, geom),
-                          xtol=abs(cell[1]) * 1e-14, rtol=cfg.tol_e,
-                          maxiter=cfg.max_iter)
+            geom = es_mod._build_geometry(pot, mass, q, cell)
+            kwargs = dict(args=(pot, mass, q, cfg, geom),
+                          xtol=abs(cell[1]) * 1e-14, rtol=es_mod._TOL_E,
+                          maxiter=es_mod._MAX_ITER)
 
             def value(e, *args):
                 return es_mod._mismatch(e, *args)[0]

@@ -4,35 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdmradial import cli
 from pdmradial.errors import DomainError, SeriesDivisionError
-from pdmradial.mass_expansion import (
-    constant_mass,
-    expand_exponential,
-    logderiv_from_series,
-    mass_from_series,
-)
-from pdmradial.model import _horner
+from pdmradial.model import MassProfile, _horner, logderiv_from_series
 
 
 class TestExpandExponential:
+    # the series of the exponential mass m0 e^(-lam r), MassProfile([m0], lam)
     def test_taylor_of_exp_minus_r(self):
-        mass = expand_exponential(1.0, 1.0, 3)
-        assert mass.mass_series == pytest.approx([1.0, -1.0, 0.5, -1.0 / 6.0])
+        mass_series, _ = MassProfile([1.0], 1.0).series(3)
+        assert mass_series == pytest.approx([1.0, -1.0, 0.5, -1.0 / 6.0])
 
     def test_order_zero_keeps_logderiv(self):
-        mass = expand_exponential(1.0, 0.1, 0)
-        assert mass.mass_series == pytest.approx([1.0])
-        assert mass.logderiv_series == pytest.approx([-0.1])
+        mass_series, logderiv_series = MassProfile([1.0], 0.1).series(0)
+        assert mass_series == pytest.approx([1.0])
+        assert logderiv_series == pytest.approx([-0.1])
 
     def test_linear_term(self):
-        mass = expand_exponential(2.0, 1.0, 1)
-        assert mass.mass_series == pytest.approx([2.0, -2.0])
+        mass_series, _ = MassProfile([2.0], 1.0).series(1)
+        assert mass_series == pytest.approx([2.0, -2.0])
 
     def test_rejects_nonpositive_lambda(self):
+        # a mass block of kind exponential needs lam > 0; MassProfile itself
+        # takes lam = 0 as the constant mass and refuses lam < 0
+        with pytest.raises(cli.ConfigError, match="mass.lambda: .*lam > 0"):
+            cli._mass({"kind": "exponential", "m0": 1.0, "lambda": 0.0})
         with pytest.raises(DomainError):
-            expand_exponential(1.0, 0.0, 4)
-        with pytest.raises(DomainError):
-            expand_exponential(1.0, -0.3, 4)
+            MassProfile([1.0], -0.3)
 
 
 class TestLogderivFromSeries:
@@ -41,8 +39,8 @@ class TestLogderivFromSeries:
 
     def test_exponential_series_gives_constant(self):
         lam = 0.37
-        mass = expand_exponential(1.0, lam, 4)
-        logd = logderiv_from_series(mass.mass_series)
+        mass_series, _ = MassProfile([1.0], lam).series(4)
+        logd = logderiv_from_series(mass_series)
         expected = np.zeros(4)
         expected[0] = -lam
         assert logd == pytest.approx(expected, abs=1e-12)
@@ -83,8 +81,8 @@ class TestEvalSeries:
         assert _horner(np.array([1.0, -1.0, 0.5]), 0.0) == 1.0
 
     def test_exponential_partial_sum(self):
-        mass = expand_exponential(1.0, 1.0, 20)
-        assert _horner(mass.mass_series, 1.0) == pytest.approx(
+        mass_series, _ = MassProfile([1.0], 1.0).series(20)
+        assert _horner(mass_series, 1.0) == pytest.approx(
             math.exp(-1.0), abs=1e-12
         )
 
@@ -94,9 +92,9 @@ class TestEvalSeries:
 
     def test_exponential_profile_matches_closed_form(self):
         lam = 0.8
-        mass = expand_exponential(1.3, lam, 40)
+        mass_series, _ = MassProfile([1.3], lam).series(40)
         for r in np.linspace(0.1, 5.0 / lam, 7):
-            assert _horner(mass.mass_series, r) == pytest.approx(
+            assert _horner(mass_series, r) == pytest.approx(
                 1.3 * math.exp(-lam * r), rel=1e-10
             )
 
@@ -105,17 +103,17 @@ class TestSeriesVector:
     def test_validates_shape(self):
         # mass coefficients come from a config: a 2-d or empty array is refused
         with pytest.raises(DomainError):
-            mass_from_series(np.ones((2, 2)))
+            MassProfile(np.ones((2, 2)))
         with pytest.raises(DomainError):
-            mass_from_series([])
-        assert mass_from_series([1.0, 2.0]).mass_series.size == 2
+            MassProfile([])
+        assert MassProfile([1.0, 2.0]).series(0)[0].size == 2
 
 
 def test_mass_from_series_requires_positive_leading():
     with pytest.raises(DomainError):
-        mass_from_series([0.0, 1.0])
+        MassProfile([0.0, 1.0])
 
 
 def test_constant_mass_rejects_nonpositive():
     with pytest.raises(DomainError):
-        constant_mass(0.0)
+        MassProfile([0.0])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdmradial.errors import DomainError
-from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
 from pdmradial.model import (
     EigenResult,
     MassProfile,
@@ -151,62 +150,63 @@ class TestBFromEnergy:
 
 class TestMassProfile:
     def test_constant_profile(self):
-        mass = constant_mass(1.5, order=4)
+        mass = MassProfile([1.5])
+        mass_series, logderiv_series = mass.series(4)
         assert mass.m0 == 1.5 and type(mass.m0) is float
-        assert np.all(mass.mass_series[1:] == 0.0)
-        assert np.all(mass.logderiv_series == 0.0)
+        assert np.all(mass_series[1:] == 0.0)
+        assert np.all(logderiv_series == 0.0)
         assert mass.mass_at(3.0) == 1.5
         assert mass.logderiv_at(3.0) == 0.0
 
     def test_exponential_profile_coefficients(self):
-        mass = expand_exponential(2.0, 0.5, 4)
+        mass_series, logderiv_series = MassProfile([2.0], 0.5).series(4)
         nu = np.arange(5)
         expected = 2.0 * (-0.5) ** nu / np.array([1, 1, 2, 6, 24])
-        assert mass.mass_series == pytest.approx(expected, rel=1e-14)
-        assert mass.logderiv_series[0] == -0.5
-        assert np.all(mass.logderiv_series[1:] == 0.0)
+        assert mass_series == pytest.approx(expected, rel=1e-14)
+        assert logderiv_series[0] == -0.5
+        assert np.all(logderiv_series[1:] == 0.0)
 
     def test_inconsistent_series_rejected(self):
         # the derived series of m0 e^(-50 r) at order 64 miss the Cauchy
         # identity by more than its tolerance
         with pytest.raises(DomainError, match="does not match"):
-            expand_exponential(1.0, 50.0, 64)
+            MassProfile([1.0], 50.0).series(64)
 
     def test_non_finite_series_rejected(self):
         # the residual of an overflowed series is NaN, which passes any
         # tolerance comparison; the series itself is refused
         with pytest.raises(DomainError, match="not finite"):
-            expand_exponential(1.0, 1e300, 64)
+            MassProfile([1.0], 1e300).series(64)
         with pytest.raises(DomainError, match="not finite"):
             MassProfile([1.0, np.inf])
         with pytest.raises(DomainError, match="not finite"):
-            MassProfile([1.0, 1e5], order=64)
+            MassProfile([1.0, 1e5]).series(64)
 
     def test_custom_profile_consistency(self):
-        mass = mass_from_series([1.0, 0.3, -0.2, 0.05])
-        b, bp = mass.mass_series, mass.logderiv_series
+        b, bp = MassProfile([1.0, 0.3, -0.2, 0.05]).series(0)
         order = b.size - 1
         prod = np.convolve(bp, b)[:order]
         deriv = np.arange(1, order + 1) * b[1:]
         assert prod == pytest.approx(deriv, abs=1e-12)
 
     def test_extended_is_exact_for_closed_forms(self):
-        mass = expand_exponential(1.0, 0.3, 2).extended(10)
-        assert mass.order == 10
-        assert mass.mass_series[7] == pytest.approx((-0.3) ** 7 / math.factorial(7))
+        mass_series, _ = MassProfile([1.0], 0.3).series(10)
+        assert mass_series.size == 11
+        assert mass_series[7] == pytest.approx((-0.3) ** 7 / math.factorial(7))
 
     def test_custom_is_used_as_given(self):
         # a polynomial mass keeps P and carries P'/P = 0.2 / (1 + 0.2 r) to
         # the new order
-        mass = mass_from_series([1.0, 0.2]).extended(5)
-        assert mass.order == 5
+        mass = MassProfile([1.0, 0.2])
+        mass_series, logderiv_series = mass.series(5)
+        assert mass_series.size == 6
         assert np.array_equal(mass.poly, [1.0, 0.2])
-        assert np.array_equal(mass.mass_series, [1.0, 0.2, 0.0, 0.0, 0.0, 0.0])
-        assert mass.logderiv_series == pytest.approx(
+        assert np.array_equal(mass_series, [1.0, 0.2, 0.0, 0.0, 0.0, 0.0])
+        assert logderiv_series == pytest.approx(
             0.2 * (-0.2) ** np.arange(6), rel=1e-14)
 
     def test_closed_forms_are_exact_for_a_polynomial(self):
-        mass = mass_from_series([1.0, 0.2, 0.01])
+        mass = MassProfile([1.0, 0.2, 0.01])
         r = np.array([0.0, 0.5, 3.0, 40.0])
         p, dp, d2p = 1.0 + 0.2 * r + 0.01 * r * r, 0.2 + 0.02 * r, 0.02
         np.testing.assert_allclose(mass.mass_at(r), p, rtol=1e-15)
@@ -229,6 +229,35 @@ class TestMassProfile:
         dp = np.polyval(np.polyder(poly[::-1]), r)
         d2p = np.polyval(np.polyder(poly[::-1], 2), r)
         np.testing.assert_allclose(dg, d2p / p - (dp / p) ** 2, rtol=1e-12, atol=1e-15)
+
+
+    @pytest.mark.parametrize("poly, lam", [([1.3], 0.0), ([0.9], 0.25),
+                                           ([1.0, 0.2, 0.01], 0.0),
+                                           ([1.0, -0.1, 0.03], 0.4)],
+                             ids=["constant", "exponential", "polynomial",
+                                  "polynomial-exponential"])
+    def test_series_is_a_prefix_of_a_longer_one(self, poly, lam):
+        # a lower order is the same entries, bit for bit, not a re-rounding
+        mass = MassProfile(poly, lam)
+        for n, m in ((0, 1), (1, 2), (2, 5), (5, 64), (0, 128)):
+            for short, long in zip(mass.series(n), mass.series(m)):
+                assert short.size == max(n, len(poly) - 1) + 1
+                assert long.size == max(m, len(poly) - 1) + 1
+                assert short.tobytes() == long[: short.size].tobytes()
+
+    def test_series_is_read_only_and_derived_once(self):
+        mass = MassProfile([1.0, 0.2], 0.5)
+        mass_series, logderiv_series = mass.series(8)
+        for a in (mass_series, logderiv_series):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 2.0
+        # an equal mass shares the entry; one whose lam differs only in the
+        # sign of zero or in its type has its own
+        assert MassProfile(np.array([1.0, 0.2]), 0.5).series(8)[0] is mass_series
+        assert MassProfile([1.0], 0.0).series(3)[1] is not MassProfile([1.0], -0.0).series(3)[1]
+        assert MassProfile([1.0], 1).series(3)[0] is not MassProfile([1.0], 1.0).series(3)[0]
+        with pytest.raises(DomainError, match="order must be an integer >= 0"):
+            mass.series(-1)
 
 
 class TestSeriesSolution:

@@ -7,8 +7,7 @@ import pdmradial.oracle as oracle_mod
 import pdmradial.tail as tail_mod
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import BracketError, DomainError, ResolutionError
-from pdmradial.mass_expansion import constant_mass, expand_exponential
-from pdmradial.model import PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
+from pdmradial.model import MassProfile, PotentialSpec, QuantumNumbers, make_cornell, make_coulomb
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.tail import (
     integrate_radial,
@@ -53,7 +52,7 @@ def test_oracle_imports_no_series_machinery():
     )
 
 
-COULOMB = make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0)
+COULOMB = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0)
 # (nodes, r_max factor) pairs too coarse to pass the self-check, yet fine
 # enough at 16 nodes to place every bracket of the tests that use them
 TOO_FEW_NODES = ((12, 1.0), (16, 1.25))
@@ -75,7 +74,7 @@ def _exponent(pot, mass, q, a, b, e):
     return float(np.sum(0.5 * (k[1:] + k[:-1]) * np.diff(r)))
 
 
-OSCILLATOR = (PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0),
+OSCILLATOR = (PotentialSpec(0.0, 1.0, -20.0, 0, 2), MassProfile([1.0]),
               QuantumNumbers(3, 0, 0))
 # the oscillator's ground state, R = r e^{-r^2/sqrt(2)}
 OSCILLATOR_E0 = 3.0 / math.sqrt(2.0) - 20.0
@@ -123,11 +122,11 @@ class TestOuterTurningRadius:
 
 
 @pytest.mark.parametrize("pot, mass, e, target", [
-    (make_coulomb(1.0), constant_mass(1.0), -0.11, 14.0),
-    (make_coulomb(1.0), constant_mass(1.0), -0.5, 30.0),
-    (make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64), -0.8, 14.0),
-    (PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0), -15.0, 12.0),
-    (PotentialSpec(0.5, 0.3, 0.0, 1, 3), constant_mass(2.0), -0.2, 14.0),
+    (make_coulomb(1.0), MassProfile([1.0]), -0.11, 14.0),
+    (make_coulomb(1.0), MassProfile([1.0]), -0.5, 30.0),
+    (make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2), -0.8, 14.0),
+    (PotentialSpec(0.0, 1.0, -20.0, 0, 2), MassProfile([1.0]), -15.0, 12.0),
+    (PotentialSpec(0.5, 0.3, 0.0, 1, 3), MassProfile([2.0]), -0.2, 14.0),
 ])
 def test_tail_radius_with_the_turning_point_given(pot, mass, e, target):
     r_turn = outer_turning_radius(pot, e)
@@ -141,7 +140,7 @@ class TestIntegrateRadial:
         from pdmradial.tail import _potential_arrays
 
         r = np.linspace(0.1, 5.0, 50)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         g, _, _ = _potential_arrays(make_coulomb(1.0), mass, QuantumNumbers(3, 0, 0), r)
         assert np.all(g == 0.0) and np.all(mass.terms_at(r)[2] == 0.0)
 
@@ -181,7 +180,7 @@ class TestIntegrateRadial:
         # started at r_far from the same decay condition the tail imposes
         from scipy.integrate import solve_ivp
 
-        pot, mass = make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64)
+        pot, mass = make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2)
         q, e, r_match, r_far = QuantumNumbers(3, 1, 0), -2.0, 1.2, 45.0
         sol = integrate_radial(make_leg(pot, mass, q, r_match, r_far, -3.4), e)
 
@@ -332,10 +331,10 @@ class TestBatchedInwardLeg:
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_match_values_equal_single_runs(self):
-        self._check(constant_mass(1.0), np.linspace(-19.0, -9.0, 11))
+        self._check(MassProfile([1.0]), np.linspace(-19.0, -9.0, 11))
 
     def test_varying_mass(self):
-        self._check(expand_exponential(1.0, 0.05, 64), np.linspace(-19.0, -12.0, 5))
+        self._check(MassProfile([1.0], 0.05), np.linspace(-19.0, -12.0, 5))
 
 
 @pytest.mark.parametrize("n", [8, 80, 120])
@@ -366,12 +365,11 @@ def test_levels_do_not_depend_on_blas_threads():
     from pathlib import Path
 
     script = (
-        "from pdmradial.mass_expansion import constant_mass, expand_exponential\n"
-        "from pdmradial.model import QuantumNumbers, make_cornell, make_coulomb\n"
+        "from pdmradial.model import MassProfile, QuantumNumbers, make_cornell, make_coulomb\n"
         "from pdmradial.oracle import _nearest_level, channel_spectrum\n"
         "for pot, mass, q, (e_lo, e_hi) in (\n"
-        "    (make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(2, 1, 0), (-0.6, -0.03)),\n"
-        "    (make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64),\n"
+        "    (make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(2, 1, 0), (-0.6, -0.03)),\n"
+        "    (make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2),\n"
         "     QuantumNumbers(3, 1, 0), (-3.4, -0.8))):\n"
         "    s = channel_spectrum(pot, mass, q, (e_lo, e_hi))\n"
         "    a, d = s.coarse_pencil()\n"
@@ -419,7 +417,7 @@ class TestGradedLevels:
     ], ids=[f"k{k}" for k in range(2, 8)])
     def test_coulomb_closed_form(self, dim, ell, window):
         k = dim + 2 * ell
-        spectrum = channel_spectrum(make_coulomb(1.0), constant_mass(1.0),
+        spectrum = channel_spectrum(make_coulomb(1.0), MassProfile([1.0]),
                                     QuantumNumbers(dim, ell, 0), window)
         levels = _window_levels(spectrum)
         exact = [-1.0 / (2.0 * (n + (k - 1) / 2.0) ** 2) for n in range(levels.size)]
@@ -430,7 +428,7 @@ class TestGradedLevels:
     def test_oscillator_closed_form(self, ell):
         k = 3 + 2 * ell
         spectrum = channel_spectrum(PotentialSpec(0.0, 1.0, -20.0, 0, 2),
-                                    constant_mass(1.0), QuantumNumbers(3, ell, 0),
+                                    MassProfile([1.0]), QuantumNumbers(3, ell, 0),
                                     (-19.5, -8.7))
         levels = _window_levels(spectrum)
         exact = [math.sqrt(2.0) * (2 * n + k / 2.0) - 20.0 for n in range(levels.size)]
@@ -449,7 +447,7 @@ class TestGradedLevels:
     @pytest.mark.parametrize("ell", [0, 1])
     def test_expmass_demo_against_the_shooting_reference(self, ell):
         spectrum = channel_spectrum(make_cornell(1.0, 0.2, -3.0),
-                                    expand_exponential(1.0, 0.2, 64),
+                                    MassProfile([1.0], 0.2),
                                     QuantumNumbers(3, ell, 0), (-3.4, -0.8))
         levels = _window_levels(spectrum)
         reference = self.EXPMASS_REFERENCE[ell]
@@ -463,11 +461,11 @@ class TestShiftedCheck:
     eigensolve."""
 
     @pytest.mark.parametrize("pot,mass,dim,ell,window", [
-        *[(make_coulomb(1.0), constant_mass(1.0), dim, ell, (-0.6, -0.027))
+        *[(make_coulomb(1.0), MassProfile([1.0]), dim, ell, (-0.6, -0.027))
           for dim, ell in ((2, 0), (3, 0), (2, 1), (4, 0), (3, 1))],
-        *[(make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 64), 3, ell,
+        *[(make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2), 3, ell,
            (-3.4, -0.8)) for ell in (0, 1)],
-        *[(PotentialSpec(0.0, 1.0, -20.0, 0, 2), constant_mass(1.0), 3, ell,
+        *[(PotentialSpec(0.0, 1.0, -20.0, 0, 2), MassProfile([1.0]), 3, ell,
            (-19.5, -8.7)) for ell in (0, 1, 2)],
     ], ids=["coulomb-k2", "coulomb-k3", "coulomb-k4-N2", "coulomb-k4-N4",
             "coulomb-k5", "expmass-l0", "expmass-l1", "osc-l0", "osc-l1", "osc-l2"])
@@ -513,7 +511,7 @@ class TestShiftedCheck:
         # at 12 nodes the iteration at the 2-D ground state turns at every
         # step: the error names the iteration, not an infinite gap
         monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", TOO_FEW_NODES)
-        spectrum = channel_spectrum(make_coulomb(1.0), constant_mass(1.0),
+        spectrum = channel_spectrum(make_coulomb(1.0), MassProfile([1.0]),
                                     QuantumNumbers(2, 0, 0), (-2.4, -0.06))
         e = float(_window_levels(spectrum)[0])
         assert oracle_mod._nearest_level(*spectrum.coarse_pencil(), e) == np.inf
@@ -545,7 +543,7 @@ class TestNumerovEigenvalue:
 
     def test_hydrogen_ground_state(self):
         e = oracle_level(
-            make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+            make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
             (-0.6, -0.4),
         )
         assert e == pytest.approx(-0.5, rel=1e-10)
@@ -558,7 +556,7 @@ class TestNumerovEigenvalue:
             nu = n + (dim + 2 * ell - 1) / 2.0
             e_ref = -1.0 / (2.0 * nu * nu)
             e = oracle_level(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(dim, ell, n),
+                make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(dim, ell, n),
                 (1.05 * e_ref, 0.95 * e_ref),
             )
             assert abs(e - e_ref) < 1e-10 * abs(e_ref), (n, e)
@@ -568,7 +566,7 @@ class TestNumerovEigenvalue:
         # the demo's exponential-mass Cornell channels with k <= 4, against
         # the series energies (error about 1e-12)
         pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 0.2, 64)
+        mass = MassProfile([1.0], 0.2)
         cfg = SolverConfig(e_bracket=(-8.0, -0.8))
         spectrum = channel_spectrum(
             pot, mass, QuantumNumbers(dim, ell, 0), cfg.e_bracket
@@ -581,7 +579,7 @@ class TestNumerovEigenvalue:
 
     def test_oscillator_spacing_is_constant(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         energies = []
         for n in range(4):
             e_ref = math.sqrt(2.0) * (2 * n + 1.5) - 20.0
@@ -599,7 +597,7 @@ class TestNumerovEigenvalue:
         # comparison at a bound-state-friendly offset covers the zero-offset
         # claim exactly
         pot = make_cornell(0.52, 0.18, -5.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         q = QuantumNumbers(3, 0, 0)
         (ea, eb), _ = channel_spectrum(pot, mass, q, (-4.95, -2.0)).cell(0)
         res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-4.95, -2.0)))
@@ -609,7 +607,7 @@ class TestNumerovEigenvalue:
     def test_bracket_error(self):
         with pytest.raises(BracketError):
             oracle_level(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
                 (-0.45, -0.35),
             )
 
@@ -617,14 +615,14 @@ class TestNumerovEigenvalue:
         monkeypatch.setattr(oracle_mod, "_RESOLUTIONS", TOO_FEW_NODES)
         with pytest.raises(ResolutionError, match="16 and 12 nodes"):
             oracle_level(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
                 (-0.6, -0.4),
             )
 
     def test_invalid_bracket(self):
         with pytest.raises(DomainError):
             oracle_level(
-                make_coulomb(1.0), constant_mass(1.0), QuantumNumbers(3, 0, 0),
+                make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0),
                 (-0.4, -0.6),
             )
 
@@ -638,4 +636,4 @@ class TestNumerovEigenvalue:
     )
     def test_outside_the_domain(self, pot, q):
         with pytest.raises(DomainError):
-            oracle_level(pot, constant_mass(1.0), q, (-0.6, -0.4))
+            oracle_level(pot, MassProfile([1.0]), q, (-0.6, -0.4))

@@ -9,8 +9,7 @@ import pytest
 
 from pdmradial.cli import main, run_solve
 from pdmradial.eigensolver import SolverConfig, find_eigenvalue
-from pdmradial.mass_expansion import mass_from_series
-from pdmradial.model import QuantumNumbers, make_cornell
+from pdmradial.model import MassProfile, QuantumNumbers, make_cornell
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "configs" / "polynomial_mass_demo.json"
@@ -35,7 +34,7 @@ POLYMASS_REFERENCE = {
 
 def _level(problem, n, poly=None):
     c, given, window = PROBLEMS[problem]
-    return find_eigenvalue(make_cornell(1.0, 0.2, c), mass_from_series(poly or given),
+    return find_eigenvalue(make_cornell(1.0, 0.2, c), MassProfile(poly or given),
                            QuantumNumbers(3, 0, n),
                            SolverConfig(e_bracket=window, run_oracle=True))
 

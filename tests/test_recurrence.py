@@ -9,8 +9,8 @@ from pdmradial.errors import (
     DomainError,
     UnsupportedExponentError,
 )
-from pdmradial.mass_expansion import constant_mass, expand_exponential, mass_from_series
 from pdmradial.model import (
+    MassProfile,
     PotentialSpec,
     QuantumNumbers,
     b_from_energy,
@@ -37,7 +37,7 @@ class TestFirstCoefficients:
         A, m0, e = 0.9, 1.2, -0.8
         pot = make_cornell(A, 0.4, 0.1)
         q = QuantumNumbers(3, 1, 0)  # k = 5
-        sol = generate_coefficients(pot, constant_mass(m0), q, e, 4)
+        sol = generate_coefficients(pot, MassProfile([m0]), q, e, 4)
         b = b_from_energy(e, m0)
         assert sol.coeffs[1] == pytest.approx(b - 2 * A * m0 / (q.k - 1), rel=1e-14)
 
@@ -45,7 +45,7 @@ class TestFirstCoefficients:
         A, B, C, m0, e = 0.7, 0.3, -0.2, 1.0, -1.1
         pot = make_cornell(A, B, C)
         q = QuantumNumbers(4, 0, 0)  # k = 4
-        sol = generate_coefficients(pot, constant_mass(m0), q, e, 4)
+        sol = generate_coefficients(pot, MassProfile([m0]), q, e, 4)
         b = b_from_energy(e, m0)
         k = q.k
         a1 = b - 2 * A * m0 / (k - 1)
@@ -56,7 +56,7 @@ class TestFirstCoefficients:
         A, m0, lam, e = 1.1, 0.9, 0.4, -0.6
         pot = make_cornell(A, 0.2, 0.0)
         q = QuantumNumbers(3, 2, 0)  # k = 7, l = 2
-        mass = expand_exponential(m0, lam, 8)
+        mass = MassProfile([m0], lam)
         sol = expmass_cornell_coefficients(pot, mass, q, e, 4)
         b = b_from_energy(e, m0)
         expected = b - (q.ell * lam + 2 * A * m0) / (q.k - 1)
@@ -64,7 +64,7 @@ class TestFirstCoefficients:
 
     def test_free_particle_series_solves_ode(self):
         pot = PotentialSpec.free()
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         q = QuantumNumbers(3, 0, 0)
         e = -0.7
         sol = generate_coefficients(pot, mass, q, e, 48)
@@ -79,9 +79,7 @@ class TestClosedFormsCornell:
             pot = make_cornell(
                 rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.5), rng.uniform(-1, 1)
             )
-            mass = mass_from_series(
-                np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.3, 0.3, 3)])
-            )
+            mass = MassProfile(np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.3, 0.3, 3)]))
             q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
             e = -rng.uniform(0.1, 3.0)
             sol = generate_coefficients(pot, mass, q, e, 4)
@@ -92,7 +90,7 @@ class TestClosedFormsCornell:
     def test_a1_reduces_to_b_without_coupling(self):
         # constant mass, A = 0, C = 0: a1 = b a0
         pot = make_cornell(0.0, 0.5, 0.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         q = QuantumNumbers(3, 0, 0)
         e = -0.9
         a1, _, _ = coefficient_closed_forms_cornell(pot, mass, q, e)
@@ -102,7 +100,7 @@ class TestClosedFormsCornell:
         pot = make_cornell(1.0, 0.1, 0.0)
         with pytest.raises(DegenerateChannelError):
             coefficient_closed_forms_cornell(
-                pot, constant_mass(1.0), QuantumNumbers(1, 0, 0), -0.5
+                pot, MassProfile([1.0]), QuantumNumbers(1, 0, 0), -0.5
             )
 
 
@@ -113,7 +111,7 @@ class TestClosedFormsExpmass:
         pot = make_cornell(0.8, 0.3, -0.4)
         q = QuantumNumbers(4, 1, 0)
         m0, e = 1.3, -0.7
-        ref = coefficient_closed_forms_cornell(pot, constant_mass(m0), q, e)
+        ref = coefficient_closed_forms_cornell(pot, MassProfile([m0]), q, e)
         got = coefficient_closed_forms_expmass(pot, m0, 1e-9, q, e)
         assert got == pytest.approx(ref, rel=1e-6)
 
@@ -123,7 +121,7 @@ class TestClosedFormsExpmass:
         pot = make_cornell(0.6, 0.25, 0.15)
         q = QuantumNumbers(3, 1, 0)
         m0, lam, e = 1.1, 0.35, -0.9
-        mass = expand_exponential(m0, lam, 4)
+        mass = MassProfile([m0], lam)
         ref = coefficient_closed_forms_cornell(pot, mass, q, e)
         got = coefficient_closed_forms_expmass(pot, m0, lam, q, e)
         assert got == pytest.approx(ref, rel=1e-13)
@@ -132,7 +130,7 @@ class TestClosedFormsExpmass:
         pot = make_cornell(1.4, 0.6, -0.3)
         q = QuantumNumbers(5, 0, 0)
         m0, lam, e = 0.8, 0.22, -1.4
-        mass = expand_exponential(m0, lam, 8)
+        mass = MassProfile([m0], lam)
         sol = expmass_cornell_coefficients(pot, mass, q, e, 4)
         closed = coefficient_closed_forms_expmass(pot, m0, lam, q, e)
         for i in range(3):
@@ -162,7 +160,7 @@ class TestCoulombClosedForm:
         for n, ell in [(0, 0), (1, 0), (2, 1), (4, 0)]:
             q = QuantumNumbers(3, ell, n)
             e = -(a_c**2) * m0 / (2.0 * (n + ell + 1) ** 2)
-            sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, 24)
+            sol = generate_coefficients(make_coulomb(a_c), MassProfile([m0]), q, e, 24)
             scale = np.max(np.abs(sol.coeffs))
             assert np.max(np.abs(sol.coeffs[n + 1 :])) < 1e-10 * scale
 
@@ -189,7 +187,7 @@ class TestGenerateCoefficients:
     @given(scale=st.floats(min_value=0.1, max_value=100.0))
     def test_homogeneity_in_a0(self, scale):
         pot = make_cornell(1.0, 0.2, 0.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         q = QuantumNumbers(3, 0, 0)
         sol = generate_coefficients(pot, mass, q, -0.8, 12)
         scaled = sol.scaled(scale)
@@ -200,15 +198,15 @@ class TestGenerateCoefficients:
         # vector and check that every generated a_{n+1} satisfies the master
         # recurrence with them
         pot = make_cornell(0.8, 0.4, -0.1)
-        mass = mass_from_series([1.0, -0.5, 0.125, 0.3])
+        mass = MassProfile([1.0, -0.5, 0.125, 0.3])
         q = QuantumNumbers(3, 1, 0)
         e, order = -0.7, 30
         sol = generate_coefficients(pot, mass, q, e, order)
         a = sol.coeffs
-        mass = mass.extended(order)
-        m_tab = np.convolve(a, mass.mass_series)[: order + 1]
-        mp_tab = np.convolve(a, mass.logderiv_series)[: order + 1]
-        t_tab = np.convolve(np.arange(order + 1) * a, mass.logderiv_series)[
+        mass_series, logderiv_series = mass.series(order)
+        m_tab = np.convolve(a, mass_series)[: order + 1]
+        mp_tab = np.convolve(a, logderiv_series)[: order + 1]
+        t_tab = np.convolve(np.arange(order + 1) * a, logderiv_series)[
             : order + 1
         ]
 
@@ -236,21 +234,21 @@ class TestGenerateCoefficients:
         pot = PotentialSpec(1.0, 0.0, 0.0, 2, 0)
         with pytest.raises(UnsupportedExponentError):
             generate_coefficients(
-                pot, constant_mass(1.0),
+                pot, MassProfile([1.0]),
                 QuantumNumbers(3, 0, 0), -0.5, 8,
             )
 
     def test_k_one_rejected(self):
         with pytest.raises(DegenerateChannelError):
             generate_coefficients(
-                make_coulomb(1.0), constant_mass(1.0),
+                make_coulomb(1.0), MassProfile([1.0]),
                 QuantumNumbers(1, 0, 0), -0.5, 8,
             )
 
     def test_nonnegative_energy_rejected(self):
         with pytest.raises(DomainError):
             generate_coefficients(
-                make_coulomb(1.0), constant_mass(1.0),
+                make_coulomb(1.0), MassProfile([1.0]),
                 QuantumNumbers(3, 0, 0), 0.5, 8,
             )
 
@@ -260,12 +258,12 @@ class TestGenerateCoefficients:
         with pytest.raises(DomainError):
             expmass_cornell_coefficients(
                 make_coulomb(1.0),
-                expand_exponential(1.0, 0.2, 8), QuantumNumbers(3, 0, 0), -0.5, 8,
+                MassProfile([1.0], 0.2), QuantumNumbers(3, 0, 0), -0.5, 8,
             )
         with pytest.raises(DomainError):
             expmass_cornell_coefficients(
                 make_cornell(1.0, 0.5, 0.0),
-                constant_mass(1.0), QuantumNumbers(3, 0, 0), -0.5, 8,
+                MassProfile([1.0]), QuantumNumbers(3, 0, 0), -0.5, 8,
             )
 
     def test_expmass_consistency_to_order_20(self):
@@ -275,7 +273,7 @@ class TestGenerateCoefficients:
                 rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.5), rng.uniform(-1, 1)
             )
             m0, lam = rng.uniform(0.5, 2.0), rng.uniform(0.02, 1.0)
-            mass = expand_exponential(m0, lam, 20)
+            mass = MassProfile([m0], lam)
             q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
             e = -rng.uniform(0.1, 3.0)
             s1 = expmass_cornell_coefficients(pot, mass, q, e, 20)
@@ -287,7 +285,7 @@ class TestGenerateCoefficients:
     def test_overflow_guard_rescales(self):
         # a deep trial energy makes coefficients peak around exp(2b) >> 1e150
         pot = make_coulomb(1.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         e = -16000.0  # b ~ 179, peak coefficient ~ e^358
         sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), e, 500)
         assert np.all(np.isfinite(sol.coeffs))
@@ -299,14 +297,14 @@ class TestGenerateCoefficients:
             r"E=-1000000\.0 .*scale_log10 = 4\d\d\.\d\).* "
             r"truncation_order 500"
         )):
-            generate_coefficients(make_coulomb(1.0), constant_mass(1.0),
+            generate_coefficients(make_coulomb(1.0), MassProfile([1.0]),
                                   QuantumNumbers(3, 0, 0), -1e6, 500)
 
 
 class TestBatchedEnergies:
     def test_scalar_call_reports_floats(self):
         sol = generate_coefficients(
-            make_coulomb(1.3), constant_mass(0.9),
+            make_coulomb(1.3), MassProfile([0.9]),
             QuantumNumbers(3, 1, 0), -0.4, 16,
         )
         assert sol.coeffs.shape == (17,)
@@ -320,13 +318,13 @@ def _array_table_recurrence(pot, mass, q, e, order, limit=_RESCALE_LIMIT):
     the reference the list version must match bit for bit; ``limit`` stands
     in for the overflow guard's."""
     k, ell = q.k, q.ell
-    mass = mass.extended(order)
     b = b_from_energy(e, mass.m0)
     a = np.zeros(order + 1)
     a[0] = 1.0
     scale_log10 = 0.0
-    bmass = np.trim_zeros(mass.mass_series, "b")
-    blog = np.trim_zeros(mass.logderiv_series, "b")
+    mass_series, logderiv_series = mass.series(order)
+    bmass = np.trim_zeros(mass_series, "b")
+    blog = np.trim_zeros(logderiv_series, "b")
     lm, lb = len(bmass), len(blog)
     size = order + 1 + max(lm, lb)
     m_tab, mp_tab, t_tab = (np.zeros(size) for _ in range(3))
@@ -378,13 +376,13 @@ def _random_case(rng):
     kind = int(rng.integers(0, 3))
     m0 = float(rng.uniform(0.5, 2.0))
     if kind == 0:
-        mass = constant_mass(m0)
+        mass = MassProfile([m0])
     elif kind == 1:
-        mass = expand_exponential(m0, float(rng.uniform(0.01, 1.0)), 0)
+        mass = MassProfile([m0], float(rng.uniform(0.01, 1.0)))
     else:  # a polynomial mass, sometimes with zero entries inside or at the end
         tail = rng.uniform(-0.3, 0.3, int(rng.integers(0, 6)))
         tail[rng.uniform(size=tail.size) < 0.3] = 0.0
-        mass = mass_from_series([m0, *tail.tolist()])
+        mass = MassProfile([m0, *tail.tolist()])
     q = QuantumNumbers(int(rng.integers(2, 6)), int(rng.integers(0, 4)), 0)
     e = -float(10.0 ** rng.uniform(-2.0, math.log10(3e3)))
     return pot, mass, q, e, int(rng.integers(4, 129))
@@ -420,11 +418,11 @@ class TestListRecurrenceMatchesArrayTables:
     @pytest.mark.parametrize(
         "pot, mass, e",
         [
-            (make_coulomb(1.0), constant_mass(1.0), -16000.0),
-            (make_oscillator(1.0), constant_mass(1.0), -16000.0),
-            (make_cornell(1.0, 0.2, -3.0), expand_exponential(1.0, 0.2, 0), -1e5),
-            (make_coulomb(1.0), mass_from_series([1.0, 0.5, 0.125]), -16000.0),
-            (make_coulomb(1.0), mass_from_series([1.0, -0.5, 0.125]), -1e5),
+            (make_coulomb(1.0), MassProfile([1.0]), -16000.0),
+            (make_oscillator(1.0), MassProfile([1.0]), -16000.0),
+            (make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2), -1e5),
+            (make_coulomb(1.0), MassProfile([1.0, 0.5, 0.125]), -16000.0),
+            (make_coulomb(1.0), MassProfile([1.0, -0.5, 0.125]), -1e5),
         ],
         ids=["coulomb", "oscillator", "expmass-cornell", "series-mass",
              "series-mass-twice"],
@@ -487,7 +485,7 @@ class TestStoppedSeries:
     ], ids=["unstopped-a29", "unstopped-a46", "before-stop"])
     def test_rescale_gives_the_same_bits(self, e, order, rb, when):
         pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 0.2, 0)
+        mass = MassProfile([1.0], 0.2)
         q = QuantumNumbers(3, 0, 0)
         first = _first_rescale(pot, mass, q, e, order)
         stopped, whole = self._assert_prefix_and_whole(
@@ -504,7 +502,7 @@ class TestStoppedSeries:
         # rescales (at a_48 and a_107, before the stop at a_113) fall inside
         # every later M' and T fold as well as the short M folds
         pot = make_cornell(1.0, 0.2, -2.0)
-        mass = mass_from_series([1.0, 0.2, 0.01])
+        mass = MassProfile([1.0, 0.2, 0.01])
         q, e, order = QuantumNumbers(3, 0, 0), -1e8, 128
         steps, guard = [], recurrence._guard_overflow
 
@@ -527,7 +525,7 @@ class TestStoppedSeries:
         # set bits in every later entry: those products must take the 1/s,
         # the ones after it must not
         pot = make_cornell(1.0, 0.2, -3.0)
-        mass = expand_exponential(1.0, 3.0, 0)
+        mass = MassProfile([1.0], 3.0)
         q, e = QuantumNumbers(3, 0, 0), -600.0
         monkeypatch.setattr(recurrence, "_RESCALE_LIMIT", limit)
         want, b, scale_log10 = _array_table_recurrence(pot, mass, q, e, 64, limit)
@@ -538,7 +536,7 @@ class TestStoppedSeries:
     def test_never_stopping_radius_gives_the_whole_series(self):
         # the terms at r = 50/b still grow at order 96: one yield, the
         # whole series
-        pot, mass, q = make_oscillator(1.0), constant_mass(1.0), QuantumNumbers(3, 1, 0)
+        pot, mass, q = make_oscillator(1.0), MassProfile([1.0]), QuantumNumbers(3, 1, 0)
         e = -17.0
         series = _stopped_series(pot, mass, q, e, 96, 50.0 / b_from_energy(e, 1.0))
         sol = next(series)

@@ -6,8 +6,8 @@ import pytest
 
 from coulomb_reference import coulomb_a0_reference
 from pdmradial.errors import DomainError, ExtrapolationWarning, SingularPointError
-from pdmradial.mass_expansion import constant_mass, expand_exponential
 from pdmradial.model import (
+    MassProfile,
     PotentialSpec,
     QuantumNumbers,
     SeriesSolution,
@@ -32,7 +32,7 @@ def coulomb_state(a_c=1.0, m0=1.0, n=0, ell=0, order=32):
     """Exact terminating Coulomb series state at its eigenvalue (N = 3)."""
     q = QuantumNumbers(3, ell, n)
     e = -(a_c**2) * m0 / (2.0 * (n + ell + 1) ** 2)
-    sol = generate_coefficients(make_coulomb(a_c), constant_mass(m0), q, e, order)
+    sol = generate_coefficients(make_coulomb(a_c), MassProfile([m0]), q, e, order)
     return sol, e
 
 
@@ -40,13 +40,13 @@ def _centre_series():
     """Series of the three benchmark-centre problems at orders 24, 64 and
     128, at energies across their windows."""
     problems = [
-        (make_coulomb(1.0), lambda order: constant_mass(1.0), QuantumNumbers(3, 0, 0),
+        (make_coulomb(1.0), lambda order: MassProfile([1.0]), QuantumNumbers(3, 0, 0),
          (-0.45, -0.2, -0.05)),
-        (make_coulomb(1.0), lambda order: constant_mass(1.0), QuantumNumbers(2, 1, 0),
+        (make_coulomb(1.0), lambda order: MassProfile([1.0]), QuantumNumbers(2, 1, 0),
          (-0.3, -0.08)),
-        (make_cornell(1.0, 0.2, -3.0), lambda order: expand_exponential(1.0, 0.2, order),
+        (make_cornell(1.0, 0.2, -3.0), lambda order: MassProfile([1.0], 0.2),
          QuantumNumbers(3, 1, 0), (-3.0, -2.0, -0.9)),
-        (PotentialSpec(0.0, 1.0, -20.0, 0, 2), lambda order: constant_mass(1.0),
+        (PotentialSpec(0.0, 1.0, -20.0, 0, 2), lambda order: MassProfile([1.0]),
          QuantumNumbers(3, 2, 0), (-19.0, -14.0, -9.0)),
     ]
     for pot, mass, q, energies in problems:
@@ -145,7 +145,7 @@ class TestEvaluate:
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         e = math.sqrt(2.0) * 1.5 - 20.0
         sol = generate_coefficients(
-            pot, constant_mass(1.0),
+            pot, MassProfile([1.0]),
             QuantumNumbers(3, 0, 0), e, 16,
         )
         assert trusted(sol, 0.5) and not trusted(sol, 3.0)
@@ -161,7 +161,7 @@ class TestEvaluate:
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         q = QuantumNumbers(dim, ell, 0)
         e = math.sqrt(2.0) * (dim + 2 * ell) / 2.0 - 20.0
-        sol = generate_coefficients(pot, constant_mass(1.0), q, e, 64)
+        sol = generate_coefficients(pot, MassProfile([1.0]), q, e, 64)
         radii = np.linspace(0.0, 3.0, 97)
         assert trusted(sol, 3.0)
         values = evaluate(sol, radii)
@@ -179,10 +179,10 @@ class TestEvaluate:
         e = math.sqrt(2.0) * 1.5 - 20.0
         return [
             (coulomb_state(n=1, order=8)[0], np.linspace(0.0, 6.0, 13)),
-            (generate_coefficients(osc, constant_mass(1.0), QuantumNumbers(3, 0, 0),
+            (generate_coefficients(osc, MassProfile([1.0]), QuantumNumbers(3, 0, 0),
                                    e, 128), np.linspace(0.0, 2.5, 41)),
             (generate_coefficients(make_cornell(1.0, 0.2, -3.0),
-                                   expand_exponential(1.0, 0.2, 64),
+                                   MassProfile([1.0], 0.2),
                                    QuantumNumbers(3, 1, 0), -2.0, 64), [0.0, 0.3, 1.1]),
             (SeriesSolution(-0.5, 1.0, np.array([2.0, -0.5] + [0.1] * 23),
                             QuantumNumbers(1, 0, 0)), np.array([0.0, 0.25, 0.5])),
@@ -214,7 +214,7 @@ class TestEvaluate:
         # each state is tested at its own r_top, and the warning names it
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
         e = math.sqrt(2.0) * 1.5 - 20.0
-        sol = generate_coefficients(pot, constant_mass(1.0), QuantumNumbers(3, 0, 0), e, 16)
+        sol = generate_coefficients(pot, MassProfile([1.0]), QuantumNumbers(3, 0, 0), e, 16)
         assert trusted(sol, 0.5) and not trusted(sol, 3.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -290,13 +290,13 @@ class TestNormalizeRule:
     # the (series, r_match) pairs whose norm2 the eigensolver takes: the
     # first excited state of every channel k = 2..6
     FAMILIES = {
-        "coulomb": (lambda: (make_coulomb(1.0), constant_mass(1.0)),
+        "coulomb": (lambda: (make_coulomb(1.0), MassProfile([1.0])),
                     lambda k: (-2.4 / (k - 1) ** 2, -2.0 / (k + 5) ** 2)),
         "oscillator": (lambda: (PotentialSpec(0.0, 1.0, -20.0, 0, 2),
-                                constant_mass(1.0)),
+                                MassProfile([1.0])),
                        lambda k: (-19.5, -1.0)),
         "expmass-cornell": (lambda: (make_cornell(1.0, 0.2, -3.0),
-                                     expand_exponential(1.0, 0.2)),
+                                     MassProfile([1.0], 0.2)),
                             lambda k: (-4.4, -0.8)),
     }
 
@@ -339,7 +339,7 @@ class TestNormalizeRule:
 class TestOdeResidual:
     def test_exact_polynomial_solution(self):
         pot = make_coulomb(1.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         for n, ell in [(0, 0), (2, 0), (1, 1)]:
             sol, e = coulomb_state(1.0, 1.0, n, ell)
             peak = max(abs(evaluate(sol, r)) for r in np.linspace(0.1, 5, 25))
@@ -349,7 +349,7 @@ class TestOdeResidual:
     def test_small_near_origin_off_eigenvalue(self):
         # the series solves the equation formally about the origin for any E
         pot = make_coulomb(1.0)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), -0.41, 48)
         assert ode_residual(sol, pot, mass, -0.41, 0.05) < 1e-9
 
@@ -357,7 +357,7 @@ class TestOdeResidual:
         # with m' = 0 the first-derivative term vanishes, so the residual
         # depends on (N, l) only through k: same-k channels agree exactly
         pot = make_cornell(1.0, 0.3, -0.5)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         e = -0.9
         sol_a = generate_coefficients(pot, mass, QuantumNumbers(3, 1, 0), e, 24)
         sol_b = generate_coefficients(pot, mass, QuantumNumbers(5, 0, 0), e, 24)
@@ -368,7 +368,7 @@ class TestOdeResidual:
     def test_singular_point_rejected(self):
         sol, e = coulomb_state()
         with pytest.raises(SingularPointError):
-            ode_residual(sol, make_coulomb(1.0), constant_mass(1.0), e, 0.0)
+            ode_residual(sol, make_coulomb(1.0), MassProfile([1.0]), e, 0.0)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_rejects_non_finite_radius(self, r):
@@ -376,7 +376,7 @@ class TestOdeResidual:
         # reaches p log r - b r = inf - inf
         sol, e = coulomb_state(n=2)
         with pytest.raises(DomainError, match="not finite"):
-            ode_residual(sol, make_coulomb(1.0), constant_mass(1.0), e, r)
+            ode_residual(sol, make_coulomb(1.0), MassProfile([1.0]), e, r)
 
     def test_derivative_matches_finite_differences(self):
         from pdmradial.wavefunction import _eval_R_derivs
@@ -390,7 +390,7 @@ class TestOdeResidual:
 
     def test_residual_decreases_with_order(self):
         pot = PotentialSpec(0.0, 1.0, -20.0, 0, 2)
-        mass = constant_mass(1.0)
+        mass = MassProfile([1.0])
         e = math.sqrt(2.0) * 1.5 - 20.0
         prev = None
         for order in (8, 16, 32, 64):
@@ -620,7 +620,7 @@ class TestTrustRadius:
         e = math.sqrt(2.0) * 1.5 - 20.0
         r8, r32 = (
             self._crossing(generate_coefficients(
-                pot, constant_mass(1.0), QuantumNumbers(3, 0, 0), e, order))
+                pot, MassProfile([1.0]), QuantumNumbers(3, 0, 0), e, order))
             for order in (8, 32)
         )
         assert r32 > r8 > 0
