@@ -9,7 +9,8 @@ Subcommands:
 
 Configs are JSON files with ``potential``, ``mass``, ``quantum``, ``solver``
 and ``output`` blocks; see configs/coulomb_demo.json.  Exit codes: 0 success,
-1 solver failure (partial results are still written), 2 config error.
+1 solver failure or a state left out of the coefficient dump (partial
+results are still written), 2 config error.
 """
 
 from __future__ import annotations
@@ -325,6 +326,9 @@ class StateRow:
     def state(self) -> dict:
         return {"dim": self.q.dim_n, "ell": self.q.ell, "radial_n": self.q.radial_n}
 
+    def describe(self) -> str:
+        return f"state dim={self.q.dim_n} ell={self.q.ell} n={self.q.radial_n}"
+
     def record(self) -> dict:
         """The row of energies.json; energies.csv drops the message."""
         return {
@@ -432,13 +436,26 @@ def _block(state: dict, cells, values) -> str:
     return (pre + ("\n" + pre).join(cells)) % tuple(values)
 
 
-def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> None:
-    ok = [(r.state(), r.result.solution.coeffs.tolist()) for r in rows if r.ok]
+def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> list[str]:
+    """Each solved state's coefficients a_i in r; a state with an a_i out of
+    the float range is left out, and a message for it returned."""
+    ok, refused = [], []
+    for row in (r for r in rows if r.ok):
+        sol = row.result.solution
+        with np.errstate(over="ignore"):  # refused below
+            a = np.ldexp(sol.coeffs, -sol.x_exp * np.arange(sol.coeffs.size))
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            refused.append(f"{row.describe()} coefficients leave the float range "
+                           f"at a_{bad[0]} (truncation_order {a.size - 1})")
+        else:
+            ok.append((row.state(), a.tolist()))
     cells = [f"{i},%.12g" for i in range(max((len(c) for _, c in ok), default=0))]
     lines = (_block(s, cells[: len(c)], c) for s, c in ok)
     payload = [{**state, "coefficients": coeffs} for state, coeffs in ok]
     _write(outdir, "coefficients", formats, ("dim", "ell", "radial_n", "i", "a_i"),
            lines, payload)
+    return refused
 
 
 def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats) -> None:
@@ -449,14 +466,10 @@ def write_wavefunctions(rows: list[StateRow], grid: dict, outdir: Path, formats)
     solved = [(r.result, r.state()) for r in rows if r.ok]
     far = leg_values([(res.inward, radii[radii > res.inward.edges[0]])
                       for res, _ in solved])
-    # scaled by the mantissa, then by its power of two, exactly: the
-    # coefficients times a norm_const near the float ceiling overflow
-    scales = [math.frexp(res.norm_const) for res, _ in solved]
-    near = evaluate([(res.solution.scaled(mant), radii[radii <= res.inward.edges[0]])
-                     for (res, _), (mant, _) in zip(solved, scales)])
-    samples = [(state, np.concatenate((np.ldexp(v, exp),
-                                       res.norm_const * res.p_sigma * beyond)).tolist())
-               for (res, state), (_, exp), v, beyond in zip(solved, scales, near, far)]
+    near = evaluate([(res.solution.scaled(res.norm_const), radii[radii <= res.inward.edges[0]])
+                     for res, _ in solved])
+    samples = [(state, np.concatenate((v, res.norm_const * res.p_sigma * beyond)).tolist())
+               for (res, state), v, beyond in zip(solved, near, far)]
     r = radii.tolist()
     cells = [f"{x:.12g},%.12g" for x in r]
     lines = (_block(s, cells, v) for s, v in samples)
@@ -493,19 +506,17 @@ def run_solve(config_path: str, artifacts: tuple = ("energies",)) -> int:
             wanted.add("coefficients")
         if cfg.output.wavefunction_grid is not None:
             wanted.add("wavefunctions")
+    refused = []
     if "coefficients" in wanted:
-        write_coefficients(rows, outdir, cfg.output.formats)
+        refused = write_coefficients(rows, outdir, cfg.output.formats)
     if "wavefunctions" in wanted:
         grid = cfg.output.wavefunction_grid or {"r_max": 10.0, "points": 201}
         write_wavefunctions(rows, grid, outdir, cfg.output.formats)
 
-    failures = [r for r in rows if not r.ok]
-    for r in failures:
-        print(
-            f"state dim={r.q.dim_n} ell={r.q.ell} n={r.q.radial_n} failed: {r.message}",
-            file=sys.stderr,
-        )
-    return 1 if failures else 0
+    failures = [f"{r.describe()} failed: {r.message}" for r in rows if not r.ok]
+    for line in failures + refused:
+        print(line, file=sys.stderr)
+    return 1 if failures or refused else 0
 
 
 def run_verify(seed: int = DEFAULT_SEED) -> int:

@@ -183,10 +183,10 @@ def _series_direction(
     sol, q: QuantumNumbers, r: float
 ) -> tuple[float, float]:
     """(R, R') direction of the series solution at r, up to a positive factor."""
-    u, up = _horner(sol.coeffs, r, derivs=1)
+    u, up = _horner(sol.coeffs, math.ldexp(r, -sol.x_exp), derivs=1)
     p = (q.k - 1) / 2.0
     g = p / r - sol.b
-    return u, up + g * u
+    return u, math.ldexp(up, -sol.x_exp) + g * u
 
 
 def _mismatch(
@@ -299,18 +299,14 @@ def find_eigenvalue(
         raise WrongStateError(q.radial_n, nodes, e_star)
 
     # and its norm, with the prefactor r^((k-1)/2) e^(-br) that turns the
-    # series' direction into its (R, R'); the series and sigma are scaled by
-    # 2^shift, which takes the envelope at r_match into [1, 2): the overflow
-    # guard can leave a_0 near the float floor, and 2^shift moves no bit
+    # series' direction into its (R, R')
     p_sigma = math.exp((q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
-    shift = 1 - math.frexp(_horner(np.abs(sol.coeffs), r))[1]
-    scaled = math.ldexp(p_sigma, shift)
-    integral = norm2(sol, r, shift) + scaled * scaled * inward.norm2(geom)
+    integral = norm2(sol, r) + p_sigma * p_sigma * inward.norm2(geom)
     if not 0.0 < integral < math.inf:
         raise DomainError(
             f"the norm integral of the state at E={e_star!r} is {integral!r}"
         )
-    norm_const = math.ldexp(1.0 / math.sqrt(integral), shift)
+    norm_const = 1.0 / math.sqrt(integral)
 
     # an oracle that cannot check the state leaves the series result
     # standing and says why

@@ -323,18 +323,18 @@ def _gauss_legendre(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated power-series factor u(r) of the ansatz R = r^((k-1)/2) e^(-br) u(r).
+    """Truncated power-series factor u of the ansatz R = r^((k-1)/2) e^(-br) u.
 
-    ``scale_log10`` records any overflow-guard rescaling applied during
-    generation; the stored coefficients are the true ones times
-    10**(-scale_log10).
+    ``coeffs`` are the coefficients of u in x = r/2^x_exp, a_i 2^(x_exp i)
+    for the coefficients a_i in r, so that a deep state's terms stay in the
+    float range; ``b`` is the decay rate in r.
     """
 
     energy: float
     b: float
     coeffs: np.ndarray
     quantum: QuantumNumbers
-    scale_log10: float = 0.0
+    x_exp: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, float))

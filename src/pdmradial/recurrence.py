@@ -9,19 +9,22 @@ running convolution tables,
 
 with every negative-index entry equal to zero.  Step n sums entry n of each
 table once, before a_{n+1} is solved for: an ordered fold from 0.0 over j
-ascending, each term taken with a_j as step j read it.  An overflow rescale
-at step n multiplies the entries already summed by 1/s, and every later
-entry takes 1/s after its term j = n, so each entry sums the same products
-in the same order as one that took every a_j as soon as it was fixed, and a
-series stopped at a radius resumes to the bits of one never stopped.  The
-coefficients and the tables are Python lists and each fold an explicit loop
-(not ``sum``, whose float rounding changed in Python 3.12): a step reads a
-handful of scalars, where numpy's cost per call outweighs its arithmetic.
-Every sum and product is the one an array-slice version performs, in the
-same order, so the two give the same bits; the tests keep that version as
-the reference.  The master recurrence is the only generator the solver runs.
-The paper's own recursion for the exponentially decaying mass and the closed
-forms below are derived apart from it and serve as its references.
+ascending, so a series stopped at a radius resumes to the bits of one never
+stopped.  The loop runs in x = r/2^x_exp, with 2^x_exp set by the radius
+the series is for: b, the mass series and the couplings take powers of two,
+and the coefficients come out as a_n 2^(x_exp n).  A power of two moves no
+bit, so each scaled back is a_n as the recurrence in r computes it, while
+the coefficients in x are of the size of the terms a_n r^n, which stay in
+the float range for a deep state whose a_n alone leave it: no guard is
+needed.  The coefficients and the tables
+are Python lists and each fold an explicit loop (not ``sum``, whose float
+rounding changed in Python 3.12): a step reads a handful of scalars, where
+numpy's cost per call outweighs its arithmetic.  Every sum and product is
+the one an array-slice version performs, in the same order, so the two give
+the same bits; the tests keep that version as the reference.  The master
+recurrence is the only generator the solver runs.  The paper's own
+recursion for the exponentially decaying mass and the closed forms below
+are derived apart from it and serve as its references.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ __all__ = [
     "coulomb_expmass_closed_forms",
 ]
 
-# Per-step renormalization threshold for the coefficient overflow guard.
-_RESCALE_LIMIT = 1e150
-
 # A term |a_n| r^n at or below this fraction of the envelope is negligible.
 _STOP_RATIO = 1e-20
 
@@ -71,6 +71,15 @@ def _check_inputs(pot, q, e, order) -> None:
         )
 
 
+def _finite(sol: SeriesSolution, order: int) -> SeriesSolution:
+    """``sol``, or DomainError naming its first coefficient that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(sol.coeffs))
+    if bad.size:
+        raise DomainError(f"the series at E={sol.energy!r} leaves the float range at "
+                          f"a_{bad[0]} of truncation_order {order}")
+    return sol
+
+
 def generate_coefficients(
     pot: PotentialSpec,
     mass: MassProfile,
@@ -78,19 +87,20 @@ def generate_coefficients(
     e: float,
     order: int,
 ) -> SeriesSolution:
-    """Generate a_0 .. a_order (a_0 = 1) at trial energy e < 0.
+    """Generate a_0 .. a_order (a_0 = 1) in r at trial energy e < 0.
 
     The coefficient of a_{n+1} in the recurrence is (n+1)(n+k-1); solving for
     a_{n+1} is explicit only while the singular-term convolution M_{n+alpha-1}
     involves no coefficient beyond a_n, which restricts alpha to {0, 1}.
-    Coefficients exceeding the overflow guard trigger a homogeneous rescale of
-    the whole prefix, recorded in ``scale_log10``.
+    DomainError when some a_i leaves the float range, as a deep state's do
+    at a high order; the solver holds such a series in x = r/2^x_exp.
     """
-    return next(_stopped_series(pot, mass, q, e, order, math.inf))
+    return _finite(next(_stopped_series(pot, mass, q, e, order, math.inf)), order)
 
 
 def _stopped_series(pot, mass, q, e, order, r):
-    """The recurrence of :func:`generate_coefficients` as a generator: it
+    """The recurrence of :func:`generate_coefficients` in x = r/2^x_exp, with
+    2^x_exp the power of two nearest r (1 for r = inf), as a generator: it
     yields the series stopped after three consecutive terms |a_n| r^n at or
     below _STOP_RATIO of the running envelope sum_i |a_i| r^i (n >= 4), then,
     resumed, the whole series; one that never stops is yielded once, whole."""
@@ -98,57 +108,46 @@ def _stopped_series(pot, mass, q, e, order, r):
     _check_inputs(pot, q, e, order)
     k = q.k
 
-    b = b_from_energy(e, mass.m0)
+    # in x: with b 2^x_exp, b_nu 2^(x_exp(nu+2)), b'_nu 2^(x_exp(nu+1)),
+    # v1 2^(-x_exp alpha) and v2 2^(x_exp beta), every term of step n is
+    # 2^(x_exp(n+1)) times its value in r, and a_n comes out times 2^(x_exp n)
+    x_exp = round(math.log2(r)) if r < math.inf else 0
+    x = math.ldexp(r, -x_exp)
+    b_r = b_from_energy(e, mass.m0)
+    b = math.ldexp(b_r, x_exp)
     ell = q.ell
     alpha, beta = int(pot.alpha), int(pot.beta)
     # the products left to right as the recurrence reads, 2 v1 M = (2 v1) M
-    e2, v1_2, v2_2, v3_2 = 2.0 * e, 2.0 * pot.v1, 2.0 * pot.v2, 2.0 * pot.v3
+    e2, v3_2 = 2.0 * e, 2.0 * pot.v3
+    v1_2 = math.ldexp(2.0 * pot.v1, -x_exp * alpha)
+    v2_2 = math.ldexp(2.0 * pot.v2, x_exp * beta)
     b2 = b * b
 
     # trailing zeros of the mass series (all of a constant mass's beyond m0)
     # add nothing to the tables, so they are dropped; reversed, so that
     # entry n pairs a_j with b_{n-j} in one forward pass
-    rmass, rlog = (_trimmed(c)[::-1] for c in mass.series(order))
+    rmass, rlog = (_trimmed(np.ldexp(c, x_exp * np.arange(lift, c.size + lift)))[::-1]
+                   for c, lift in zip(mass.series(order), (2, 1)))
     lm, lb = len(rmass), len(rlog)
     # table entry i sits at list index i + pad, so the lowest index read,
     # n - beta - 1 at n = 0, lands on a leading zero and none wraps
     pad = beta + 1
-    tables = m_tab, mp_tab, t_tab = [[0.0] * pad for _ in range(3)]
-    read = []  # a_j as step j read it
-    rescales = []  # (n, 1/s) of each overflow rescale at step n
+    m_tab, mp_tab, t_tab = [[0.0] * pad for _ in range(3)]
 
     a = [1.0]
-    scale_log10 = 0.0
-    stopping = r < math.inf
-    power, envelope, small = 1.0, 1.0, 0  # r^n, sum_i |a_i| r^i, terms at the cut
+    stopping = x < math.inf
+    power, envelope, small = 1.0, 1.0, 0  # x^n, sum_i |a_i| x^i, terms at the cut
     for n in range(order):
-        an = a[n]
-        read.append(an)
         # entry n of M, M' and T: the products a_j b_{n-j} and a_j b'_{n-j}
-        # (T takes j times the latter) added to 0.0 for j ascending, each
-        # with a_j as step j read it; the sums take each rescale's 1/s after
-        # the term of its step
+        # (T takes j times the latter) added to 0.0 for j ascending
         m = mp = t = 0.0
         jm, jw = n + 1 - lm, n + 1 - lb  # the lowest j of each fold, if not negative
-        lo = 0  # the first j after the last rescale
-        for cut, inv in rescales:
-            j0 = jm if jm > lo else lo
-            for p in map(mul, read[j0 : cut + 1], rmass[j0 - jm :]):
-                m += p
-            j0 = jw if jw > lo else lo
-            for j, p in enumerate(map(mul, read[j0 : cut + 1], rlog[j0 - jw :]), j0):
-                mp += p
-                t += j * p
-            m *= inv
-            mp *= inv
-            t *= inv
-            lo = cut + 1
-        j0 = jm if jm > lo else lo
-        for p in map(mul, read[j0:], rmass[j0 - jm :]):
+        j0 = jm if jm > 0 else 0
+        for p in map(mul, a[j0:], rmass[j0 - jm :]):
             m += p
         if lb:
-            j0 = jw if jw > lo else lo
-            for j, p in enumerate(map(mul, read[j0:], rlog[j0 - jw :]), j0):
+            j0 = jw if jw > 0 else 0
+            for j, p in enumerate(map(mul, a[j0:], rlog[j0 - jw :]), j0):
                 mp += p
                 t += j * p
         m_tab.append(m)
@@ -157,7 +156,7 @@ def _stopped_series(pot, mass, q, e, order, r):
         i = n + pad  # list index of table entry n
         an1 = a[n - 1] if n >= 1 else 0.0
         base = (
-            ((k - 1) + 2.0 * n) * b * an
+            ((k - 1) + 2.0 * n) * b * a[n]
             + ell * mp_tab[i]
             - b * mp_tab[i - 1]
             + t_tab[i]
@@ -173,28 +172,16 @@ def _stopped_series(pot, mass, q, e, order, r):
         denom = (n + 1) * (n + k - 1)
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a.append(num / denom)
-        if abs(a[-1]) > _RESCALE_LIMIT:
-            # entries 0 .. n take 1/s now, later ones after their term j = n
-            rescales.append((n, 1.0 / abs(a[-1])))
-            envelope /= abs(a[-1])
-            scale_log10 += _guard_overflow(a, n + 1, multiply=tables)
-            if a[0] == 0.0:
-                raise DomainError(
-                    f"the series at E={e!r} outgrows the float range: the "
-                    f"overflow guard has divided a_0 by 10^{scale_log10:.1f} "
-                    f"(scale_log10 = {scale_log10:.1f}) and it underflows to "
-                    f"zero at a_{n + 1} of truncation_order {order}"
-                )
         if stopping:
-            power *= r
+            power *= x
             term = abs(a[-1]) * power
             envelope += term
             small = small + 1 if n >= 3 and term <= _STOP_RATIO * envelope < math.inf else 0
             if small == 3 and n + 1 < order:
-                yield SeriesSolution(e, b, np.array(a), q, scale_log10)
+                yield SeriesSolution(e, b_r, np.array(a), q, x_exp)
                 stopping = False
 
-    yield SeriesSolution(e, b, np.array(a), q, scale_log10)
+    yield SeriesSolution(e, b_r, np.array(a), q, x_exp)
 
 
 def _trimmed(series: np.ndarray) -> list[float]:
@@ -232,7 +219,6 @@ def expmass_cornell_coefficients(
 
     a = np.zeros(order + 1)
     a[0] = 1.0
-    scale_log10 = 0.0
 
     mseries = mass.series(order)[0]
     conv = np.zeros_like(a)  # running sum_{j+nu=i} m_nu a_j
@@ -261,25 +247,8 @@ def expmass_cornell_coefficients(
             + 2.0 * C * cn1
         )
         a[n + 1] = num / ((n + 1) * (n + k - 1))
-        scale_log10 += _guard_overflow(a, n + 1, divide=(conv,))
         fill_conv(n + 1)
-    return SeriesSolution(e, b, a, q, scale_log10)
-
-
-def _guard_overflow(a, i, divide=(), multiply=()) -> float:
-    """When a_i exceeds the overflow guard, divide the coefficients and the
-    ``divide`` tables by |a_i| and the ``multiply`` tables through the
-    reciprocal, in place (lists or arrays); returns log10 of the divisor, or
-    0.0."""
-    s = abs(float(a[i]))
-    if not s > _RESCALE_LIMIT:
-        return 0.0
-    for seq in (a, *divide):
-        seq[:] = [x / s for x in seq]
-    inv = 1.0 / s
-    for seq in multiply:
-        seq[:] = [x * inv for x in seq]
-    return math.log10(s)
+    return _finite(SeriesSolution(e, b, a, q), order)
 
 
 def coefficient_closed_forms_cornell(

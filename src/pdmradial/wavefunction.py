@@ -36,12 +36,13 @@ def trusted(solution: SeriesSolution, r: float) -> bool:
     is trusted at every smaller radius.  A terminated series is trusted
     everywhere; an overflow on either side counts as untrusted."""
     coeffs = np.abs(solution.coeffs)
-    last, order, r = float(coeffs[-1]), coeffs.size - 1, float(r)
+    last, order = float(coeffs[-1]), coeffs.size - 1
     if last == 0.0 or order == 0:
         return True
-    envelope = _horner(coeffs, r)
+    x = math.ldexp(float(r), -solution.x_exp)
+    envelope = _horner(coeffs, x)
     try:
-        val = last * r**order - TRUST_RATIO * envelope
+        val = last * x**order - TRUST_RATIO * envelope
     except OverflowError:  # Python's float power raises where numpy's gives inf
         return False
     return val <= 0 and math.isfinite(val)
@@ -54,22 +55,25 @@ def _power(sol: SeriesSolution) -> float:
 
 def _eval_R_positive(sols: list[SeriesSolution], r: np.ndarray) -> np.ndarray:
     """R of each solution sols[i] at the radii r[i] > 0, the rows of a 2-D
-    array, in one Horner pass.  Shorter series are padded with zeros at the
-    top, which keep the sum at +0.0 until their first coefficient, so every
-    value has the bits of its own series evaluated alone."""
+    array, in one Horner pass over the rows scaled to each series' x.
+    Shorter series are padded with zeros at the top, which keep the sum at
+    +0.0 until their first coefficient, so every value has the bits of its
+    own series evaluated alone."""
     coeffs = np.zeros((max((s.coeffs.size for s in sols), default=0), len(sols), 1))
     for i, s in enumerate(sols):
         coeffs[: s.coeffs.size, i, 0] = s.coeffs
     p = np.array([[_power(s)] for s in sols])
     b = np.array([[s.b] for s in sols])
-    return np.exp(p * np.log(r) - b * r) * _horner(coeffs, r)
+    x = np.ldexp(r, -np.array([[s.x_exp] for s in sols], int))
+    return np.exp(p * np.log(r) - b * r) * _horner(coeffs, x)
 
 
 def _eval_R_derivs(sol: SeriesSolution, r: float) -> tuple[float, float, float]:
     """R, R', R'' from analytically differentiated series (r > 0)."""
     p = _power(sol)
     b = sol.b
-    u, up, upp = _horner(sol.coeffs, r, derivs=2)
+    u, up, upp = _horner(sol.coeffs, math.ldexp(r, -sol.x_exp), derivs=2)
+    up, upp = math.ldexp(up, -sol.x_exp), math.ldexp(upp, -2 * sol.x_exp)
     g = p / r - b
     pref = math.exp(p * math.log(r) - b * r)
     R = pref * u
@@ -117,18 +121,16 @@ def evaluate(sol, r=None):
     return float(out[0]) if out[0].ndim == 0 else out[0]
 
 
-def norm2(sol: SeriesSolution, r: float, shift: int = 0) -> float:
-    """The integral of (2^shift R)^2 over (0, r), inf or NaN where the
-    series overflows; the scale, applied to the values, keeps R^2 of a series
-    near the float floor from underflowing.  R^2 = r^(k-1) e^(-2br) u(r)^2
-    is a polynomial times an exponential, so a fixed Gauss-Legendre rule
-    converges spectrally; it has as many nodes as the series has terms, and
-    at least 64."""
+def norm2(sol: SeriesSolution, r: float) -> float:
+    """The integral of R^2 over (0, r), inf or NaN where the series
+    overflows.  R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an
+    exponential, so a fixed Gauss-Legendre rule converges spectrally; it has
+    as many nodes as the series has terms, and at least 64."""
     if not 0 < r < math.inf:
         raise DomainError("r must be positive and finite")
     t, weights = _gauss_legendre(max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.ldexp(_eval_R_positive([sol], r * t[None])[0], shift)
+        v = _eval_R_positive([sol], r * t[None])[0]
         return r * float((weights * (v * v)).sum())
 
 
@@ -173,13 +175,13 @@ def sign_changes(values) -> int:
 
 @lru_cache(maxsize=2)
 def _powers(samples: int, size: int) -> np.ndarray:
-    """x_j^i on x_j = j / samples (j = 1 .. samples, i < size), a column per
+    """y_j^i on y_j = j / samples (j = 1 .. samples, i < size), a column per
     power from a running product; read only, shared by every count."""
-    x = np.arange(1, samples + 1) / samples
+    y = np.arange(1, samples + 1) / samples
     powers = np.empty((samples, size), order="F")
     powers[:, 0] = 1.0
     for i in range(1, size):
-        np.multiply(powers[:, i - 1], x, out=powers[:, i])
+        np.multiply(powers[:, i - 1], y, out=powers[:, i])
     powers.flags.writeable = False
     return powers
 
@@ -191,15 +193,18 @@ def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:
     the series factor u, counted as sign changes on a uniform grid of
     ``samples`` points; samples that are exactly zero are skipped so that
     near-zero touches without an actual crossing are not counted.  At
-    r = x r_max, u is sum_i t_i x^i, one product with the cached powers of x,
-    where t_i = a_i r_max^i is formed in logs and scaled to a largest of 1.
+    r = y r_max, u is sum_i t_i y^i, one product with the cached powers of y,
+    where t_i = a_i x_max^i is the i-th term at x_max = r_max/2^x_exp.
+    DomainError when a term leaves the float range, as it does for a radius
+    far past the one the series was generated for.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
     if not 0 < r_max < math.inf:
         raise DomainError("r_max must be positive and finite")
     a = sol.coeffs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.abs(a)) + np.arange(a.size) * math.log(r_max)
-        t = np.sign(a) * np.exp(logs - logs.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = a * math.ldexp(r_max, -sol.x_exp) ** np.arange(a.size)
+    if not np.all(np.isfinite(t)):
+        raise DomainError(f"the series terms at r_max={r_max!r} leave the float range")
     return sign_changes(_powers(samples, a.size) @ t)

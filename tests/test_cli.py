@@ -453,22 +453,65 @@ class TestArtifacts:
             "its collocation level is at E="
         )
 
-    def test_series_out_of_float_range_names_energy_and_order(self, tmp_path, capsys):
+    def test_deep_expmass_state_solves_at_order_500(self, tmp_path):
+        # z = 1414 with a decaying mass: the series resumed to order 500 in
+        # x = r/2^x_exp stays in the float range, and the state solves
         data = demo_config_dict()
         data["potential"] = {"kind": "coulomb", "z": 1414.0}
         data["mass"] = DECAYING_MASS
         data["quantum"]["n"] = [0]
         data["solver"].update(e_lo=-1.1e6, e_hi=-0.9e6, truncation_order=500)
         data["output"]["directory"] = str(tmp_path / "out")
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        rows = json.loads((tmp_path / "out" / "energies.json").read_text())
+        assert [r["status"] for r in rows] == ["ok"]
+        assert rows[0]["oracle_gap"] <= 1e-12 * abs(rows[0]["energy"])
+
+    def test_dump_refuses_a_state_out_of_the_float_range(self, tmp_path, capsys):
+        # z = 4000 at order 500: the l = 0 state solves, but its
+        # coefficients in r, a_i = 2^(-x_exp i) times the series' own with
+        # x_exp = -11, pass the float ceiling; the dump leaves it out, says
+        # so and exits 1, and still writes the l = 1 state
+        data = demo_config_dict()
+        data["potential"] = {"kind": "coulomb", "z": 4000.0}
+        data["mass"] = DECAYING_MASS
+        data["quantum"].update(ell=[0, 1], n=[0])
+        data["solver"].update(e_lo=-9e6, e_hi=-1.5e6, truncation_order=500)
+        data["output"].update(directory=str(tmp_path / "out"), coefficients=True)
         assert run_solve(str(write_config(tmp_path, data))) == 1
-        err = capsys.readouterr().err
-        assert "state dim=3 ell=0 n=0 failed: DomainError: the series at E=" in err
-        assert "scale_log10 = " in err and "truncation_order 500" in err
+        rows = json.loads((tmp_path / "out" / "energies.json").read_text())
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert capsys.readouterr().err == (
+            "state dim=3 ell=0 n=0 coefficients leave the float range at a_154 "
+            "(truncation_order 500)\n")
+        dumped = json.loads((tmp_path / "out" / "coefficients.json").read_text())
+        assert [(d["ell"], d["radial_n"]) for d in dumped] == [(1, 0)]
+        assert dumped[0]["coefficients"][0] == 1.0
+
+    def test_deep_coulomb_state_dumps_its_coefficients_in_r(self, tmp_path, capsys):
+        # the 2s state at z = 1414, order 500: a_0 = 1, so norm_const is the
+        # closed form 2 (Z/2)^(3/2) itself, and the dump holds
+        # u = 1 - (Z/2) r; every a_i is finite, so nothing is refused
+        z = 1414.0
+        data = demo_config_dict()
+        data["potential"] = {"kind": "coulomb", "z": z}
+        data["quantum"]["n"] = [1]
+        data["solver"].update(e_lo=-1.1e6, e_hi=-1e4, truncation_order=500)
+        data["output"].update(directory=str(tmp_path / "out"), coefficients=True)
+        assert run_solve(str(write_config(tmp_path, data))) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "out" / "energies.json").read_text())
+        assert [r["status"] for r in rows] == ["ok"]
+        assert rows[0]["norm_const"] == pytest.approx(2.0 * (z / 2.0) ** 1.5, rel=1e-14)
+        (dumped,) = json.loads((tmp_path / "out" / "coefficients.json").read_text())
+        a = dumped["coefficients"]
+        assert len(a) == 501 and all(map(math.isfinite, a))
+        assert a[:3] == [1.0, -z / 2.0, 0.0]
 
     def test_deep_coulomb_state_solves_at_order_500(self, tmp_path):
-        # at constant mass the root's series terminates; only a series at
-        # another energy, such as the collocation level, outgrows the float
-        # range, and the solve generates none
+        # at constant mass the root's series terminates, and in x = r/2^x_exp
+        # the series at every other energy the solve tries stays in the
+        # float range too
         data = demo_config_dict()
         data["potential"] = {"kind": "coulomb", "z": 1414.0}
         data["quantum"]["n"] = [0]
@@ -480,9 +523,8 @@ class TestArtifacts:
         assert rows[0]["energy"] == -999698.0  # -z^2 / 2
 
     def test_deep_coulomb_state_samples_finite(self, tmp_path):
-        # norm_const is about 1.3e306 here: the series near the origin is
-        # scaled by its mantissa, then by its power of two, so no
-        # coefficient overflows (R(0.001) was -Infinity, not valid JSON)
+        # the series in x = r/2^x_exp times norm_const, about 3.8e4: no
+        # coefficient overflows (R(0.001) was once -Infinity, not valid JSON)
         z = 1414.0
         data = demo_config_dict()
         data["potential"] = {"kind": "coulomb", "z": z}

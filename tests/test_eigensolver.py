@@ -212,14 +212,14 @@ class TestNormConst:
         assert max(map(abs, errors.values())) < 1e-11, errors
 
     def test_deep_coulomb_state(self):
-        # the order-500 resume leaves a_0 = 2.8e-302 after the overflow
-        # guard, where R^2 underflows unless the norm scales it by a power
-        # of two first; norm_const * a_0 is the closed form 2 (Z/2)^(3/2)
+        # the order-500 resume runs in x = r/2^x_exp, where a_0 = 1 and no
+        # term leaves the float range; norm_const is the closed form
+        # 2 (Z/2)^(3/2)
         q = QuantumNumbers(3, 0, 1)
         res = find_eigenvalue(make_coulomb(1414.0), MassProfile([1.0]), q,
                               SolverConfig(e_bracket=(-1.1e6, -1e4), truncation_order=500))
         assert res.energy == pytest.approx(-249924.5, rel=1e-15)
-        assert res.solution.a0 < 1e-300
+        assert res.solution.a0 == 1.0
         assert res.norm_const * res.solution.a0 == pytest.approx(
             coulomb_norm_reference(1414.0, 1.0, q), rel=1e-14)
         assert res.norm_const * res.solution.a0 == pytest.approx(2.0 * 707.0**1.5,
@@ -720,8 +720,11 @@ class TestOracleUnavailable:
         pot, mass, q = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1)
         res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-0.15, -0.1)))
         again = generate_coefficients(pot, mass, q, res.energy, 64)
-        assert res.solution.energy == res.energy
-        assert list(res.solution.coeffs) == list(again.coeffs)
+        assert res.solution.energy == res.energy and res.solution.b == again.b
+        # the solver's series in x = r/2^x_exp, scaled back: a_i in r
+        sol = res.solution
+        in_r = np.ldexp(sol.coeffs, -sol.x_exp * np.arange(sol.coeffs.size))
+        assert list(in_r) == list(again.coeffs)
         assert res.oracle_gap is None and res.oracle_error is None
 
 

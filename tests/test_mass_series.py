@@ -9,7 +9,7 @@ from pdmradial.errors import DomainError, SeriesDivisionError
 from pdmradial.model import MassProfile, _horner, logderiv_from_series
 
 
-class TestExpandExponential:
+class TestExponentialMassSeries:
     # the series of the exponential mass m0 e^(-lam r), MassProfile([m0], lam)
     def test_taylor_of_exp_minus_r(self):
         mass_series, _ = MassProfile([1.0], 1.0).series(3)
@@ -75,7 +75,7 @@ class TestLogderivFromSeries:
         assert prod == pytest.approx(deriv, abs=1e-12 * scale)
 
 
-class TestEvalSeries:
+class TestHornerOnMassSeries:
     # the one series evaluator, model._horner, on mass series
     def test_constant_term_at_origin(self):
         assert _horner(np.array([1.0, -1.0, 0.5]), 0.0) == 1.0
@@ -99,7 +99,7 @@ class TestEvalSeries:
             )
 
 
-class TestSeriesVector:
+class TestMassCoefficientShape:
     def test_validates_shape(self):
         # mass coefficients come from a config: a 2-d or empty array is refused
         with pytest.raises(DomainError):
@@ -109,11 +109,11 @@ class TestSeriesVector:
         assert MassProfile([1.0, 2.0]).series(0)[0].size == 2
 
 
-def test_mass_from_series_requires_positive_leading():
+def test_profile_requires_positive_leading_coefficient():
     with pytest.raises(DomainError):
         MassProfile([0.0, 1.0])
 
 
-def test_constant_mass_rejects_nonpositive():
+def test_zero_constant_mass_rejected():
     with pytest.raises(DomainError):
         MassProfile([0.0])

@@ -537,9 +537,8 @@ def oracle_level(pot, mass, q, bracket):
     return spectrum.checked(spectrum.cell(q.radial_n)[1])
 
 
-class TestNumerovEigenvalue:
-    """The oracle on its own, ``oracle_level``.  The class name predates the
-    collocation oracle; it is kept so that the tests' ids stay stable."""
+class TestCollocationEigenvalue:
+    """The collocation oracle on its own, ``oracle_level``."""
 
     def test_hydrogen_ground_state(self):
         e = oracle_level(

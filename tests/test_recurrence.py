@@ -18,9 +18,7 @@ from pdmradial.model import (
     make_coulomb,
     make_oscillator,
 )
-import pdmradial.recurrence as recurrence
 from pdmradial.recurrence import (
-    _RESCALE_LIMIT,
     _stopped_series,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
@@ -282,23 +280,24 @@ class TestGenerateCoefficients:
             rel = np.abs(s1.coeffs - s2.coeffs) / np.maximum(scale, 1e-300)
             assert np.max(rel) < 1e-12
 
-    def test_overflow_guard_rescales(self):
-        # a deep trial energy makes coefficients peak around exp(2b) >> 1e150
-        pot = make_coulomb(1.0)
-        mass = MassProfile([1.0])
-        e = -16000.0  # b ~ 179, peak coefficient ~ e^358
-        sol = generate_coefficients(pot, mass, QuantumNumbers(3, 0, 0), e, 500)
-        assert np.all(np.isfinite(sol.coeffs))
-        assert sol.scale_log10 > 0
+    def test_deep_energy_is_refused_in_r_and_held_in_x(self):
+        # at E = -1e5 with a decaying mass the coefficients in r pass the
+        # float ceiling near exp(2b), b ~ 447, before order 500; in
+        # x = r/2^x_exp at the solver's match radius 1.5/b none does
+        pot, mass, q, e = make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2), \
+            QuantumNumbers(3, 0, 0), -1e5
+        with pytest.raises(DomainError, match="leaves the float range"):
+            generate_coefficients(pot, mass, q, e, 500)
+        whole = _whole(pot, mass, q, e, 500, 1.5 / b_from_energy(e, 1.0))
+        assert whole.x_exp == -8 and np.all(np.isfinite(whole.coeffs))
 
-    def test_underflowed_leading_coefficient_names_energy_and_order(self):
-        # three rescales divide a_0 by more than the float range holds
+    def test_out_of_range_names_energy_index_and_order(self):
         with pytest.raises(DomainError, match=(
-            r"E=-1000000\.0 .*scale_log10 = 4\d\d\.\d\).* "
-            r"truncation_order 500"
+            r"^the series at E=-1000000\.0 leaves the float range at a_\d+ "
+            r"of truncation_order 500$"
         )):
             generate_coefficients(make_coulomb(1.0), MassProfile([1.0]),
-                                  QuantumNumbers(3, 0, 0), -1e6, 500)
+                                  QuantumNumbers(3, 0, 1), -1e6, 500)
 
 
 class TestBatchedEnergies:
@@ -308,20 +307,20 @@ class TestBatchedEnergies:
             QuantumNumbers(3, 1, 0), -0.4, 16,
         )
         assert sol.coeffs.shape == (17,)
-        for value in (sol.energy, sol.b, sol.a0, sol.scale_log10):
+        for value in (sol.energy, sol.b, sol.a0):
             assert type(value) is float
+        assert sol.x_exp == 0 and type(sol.x_exp) is int
 
 
-def _array_table_recurrence(pot, mass, q, e, order, limit=_RESCALE_LIMIT):
-    """The master recurrence on numpy tables, as the solver ran it before it
-    moved to Python lists: (coefficients, b, scale_log10).  Frozen here as
-    the reference the list version must match bit for bit; ``limit`` stands
-    in for the overflow guard's."""
+def _array_table_recurrence(pot, mass, q, e, order):
+    """The master recurrence in r on numpy tables, as the solver ran it
+    before it moved to Python lists: (coefficients, b).  Frozen here as the
+    reference the list version must match bit for bit; past the float
+    ceiling its coefficients are inf or NaN."""
     k, ell = q.k, q.ell
     b = b_from_energy(e, mass.m0)
     a = np.zeros(order + 1)
     a[0] = 1.0
-    scale_log10 = 0.0
     mass_series, logderiv_series = mass.series(order)
     bmass = np.trim_zeros(mass_series, "b")
     blog = np.trim_zeros(logderiv_series, "b")
@@ -340,29 +339,44 @@ def _array_table_recurrence(pot, mass, q, e, order, limit=_RESCALE_LIMIT):
         return table[i] if i >= 0 else 0.0
 
     add_to_tables(0)
-    for n in range(order):
-        an = a[n]
-        an1 = a[n - 1] if n >= 1 else 0.0
-        num = (
-            ((k - 1) + 2.0 * n) * b * an
-            + ell * mp_tab[n]
-            - b * at(mp_tab, n - 1)
-            + t_tab[n]
-            - 2.0 * e * at(m_tab, n - 1)
-            - b * b * an1
-            - 2.0 * pot.v1 * at(m_tab, n + pot.alpha - 1)
-            + 2.0 * pot.v2 * at(m_tab, n - pot.beta - 1)
-            + 2.0 * pot.v3 * at(m_tab, n - 1)
-        )
-        a[n + 1] = num / ((n + 1) * (n + k - 1))
-        s = abs(float(a[n + 1]))
-        if s > limit:
-            a /= s
-            for table in (m_tab, mp_tab, t_tab):
-                table *= 1.0 / s
-            scale_log10 += math.log10(s)
-        add_to_tables(n + 1)
-    return a, b, scale_log10
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(order):
+            an = a[n]
+            an1 = a[n - 1] if n >= 1 else 0.0
+            num = (
+                ((k - 1) + 2.0 * n) * b * an
+                + ell * mp_tab[n]
+                - b * at(mp_tab, n - 1)
+                + t_tab[n]
+                - 2.0 * e * at(m_tab, n - 1)
+                - b * b * an1
+                - 2.0 * pot.v1 * at(m_tab, n + pot.alpha - 1)
+                + 2.0 * pot.v2 * at(m_tab, n - pot.beta - 1)
+                + 2.0 * pot.v3 * at(m_tab, n - 1)
+            )
+            a[n + 1] = num / ((n + 1) * (n + k - 1))
+            add_to_tables(n + 1)
+    return a, b
+
+
+def _in_r(sol):
+    """The coefficients a_i in r of a series held in x = r/2^x_exp."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(sol.coeffs, -sol.x_exp * np.arange(sol.coeffs.size))
+
+
+def _reference_stop(a, r, order):
+    """The index at which the stop rule of ``_stopped_series`` cuts the
+    coefficients ``a`` in r, or ``order`` where it does not."""
+    power, envelope, small = 1.0, 1.0, 0
+    for n in range(1, order + 1):
+        power *= r
+        term = abs(a[n]) * power
+        envelope += term
+        small = small + 1 if n >= 4 and term <= 1e-20 * envelope < math.inf else 0
+        if small == 3 and n < order:
+            return n
+    return order
 
 
 def _random_case(rng):
@@ -389,17 +403,16 @@ def _random_case(rng):
 
 
 class TestListRecurrenceMatchesArrayTables:
-    """The recurrence on Python lists gives the coefficients, decay rate and
-    rescale record of the array-table recurrence bit for bit."""
+    """The recurrence on Python lists gives the coefficients and decay rate
+    of the array-table recurrence bit for bit, in r and, scaled back, in x."""
 
     @staticmethod
     def _assert_same_bits(pot, mass, q, e, order):
-        want, b, scale_log10 = _array_table_recurrence(pot, mass, q, e, order)
+        want, b = _array_table_recurrence(pot, mass, q, e, order)
         sol = generate_coefficients(pot, mass, q, e, order)
         assert np.array_equal(sol.coeffs, want)
-        assert sol.b == b
-        assert sol.scale_log10 == scale_log10
-        assert type(sol.a0) is float and type(sol.scale_log10) is float
+        assert sol.b == b and sol.x_exp == 0
+        assert type(sol.a0) is float
         return sol
 
     def test_seeded_random_cases(self):
@@ -425,13 +438,23 @@ class TestListRecurrenceMatchesArrayTables:
             (make_coulomb(1.0), MassProfile([1.0, -0.5, 0.125]), -1e5),
         ],
         ids=["coulomb", "oscillator", "expmass-cornell", "series-mass",
-             "series-mass-twice"],
+             "series-mass-neg"],
     )
-    def test_deep_energy_rescales_identically(self, pot, mass, e):
-        # b >= 179: the coefficients pass the overflow guard at order 500,
-        # and the tables are rescaled part way through their sums
-        sol = self._assert_same_bits(pot, mass, QuantumNumbers(3, 0, 0), e, 500)
-        assert sol.scale_log10 > 0
+    def test_deep_energy_in_x(self, pot, mass, e):
+        # b >= 179 at order 500, held in x at the solver's match radius
+        # 1.5/b: no coefficient is out of range, and scaled back each equals
+        # the reference in r wherever that is finite, up to where the
+        # x-series' own tail, below 1e-300 of its largest term, underflows
+        q, order = QuantumNumbers(3, 0, 0), 500
+        want, b = _array_table_recurrence(pot, mass, q, e, order)
+        sol = _whole(pot, mass, q, e, order, 1.5 / b)
+        a = sol.coeffs
+        assert sol.b == b and sol.x_exp < 0 and np.all(np.isfinite(a))
+        tiny = np.abs(a) < np.finfo(float).tiny
+        cut = int(np.argmax(tiny | ~np.isfinite(want)))
+        assert cut >= 200
+        assert np.array_equal(_in_r(sol)[:cut], want[:cut])
+        assert np.max(np.abs(a[cut:]), initial=0.0) < 1e-300 * np.max(np.abs(a))
 
 
 def _stop_and_resume(pot, mass, q, e, order, r):
@@ -441,97 +464,77 @@ def _stop_and_resume(pot, mass, q, e, order, r):
     return stopped, next(series, stopped)
 
 
-def _first_rescale(pot, mass, q, e, order):
-    """The index of the coefficient that first passes the overflow guard."""
-    return next(m for m in range(1, order + 1)
-                if generate_coefficients(pot, mass, q, e, m).scale_log10 > 0)
+def _whole(pot, mass, q, e, order, r):
+    """The series generated for the radius r, resumed to full order."""
+    return _stop_and_resume(pot, mass, q, e, order, r)[1]
 
 
 class TestStoppedSeries:
-    """A series stopped at a radius is a bit-identical prefix of the whole
-    series, and resumed it is the whole series, rescale record included."""
+    """A series stopped at a radius is, scaled back to r, a bit-identical
+    prefix of the reference series, cut at the reference's stop index, and
+    resumed it is the whole series."""
 
     @staticmethod
     def _assert_prefix_and_whole(pot, mass, q, e, order, r):
-        want, b, scale_log10 = _array_table_recurrence(pot, mass, q, e, order)
+        want, b = _array_table_recurrence(pot, mass, q, e, order)
         stopped, whole = _stop_and_resume(pot, mass, q, e, order, r)
-        assert np.array_equal(stopped.coeffs, want[: stopped.coeffs.size])
+        assert stopped.coeffs.size - 1 == _reference_stop(want, r, order)
+        assert np.array_equal(_in_r(stopped), want[: stopped.coeffs.size])
         assert stopped.b == whole.b == b
-        assert np.array_equal(whole.coeffs, want)
-        assert whole.scale_log10 == scale_log10
+        assert stopped.x_exp == whole.x_exp == round(math.log2(r))
+        assert np.array_equal(_in_r(whole), want)
         return stopped, whole
 
     def test_seeded_random_cases(self):
         rng = np.random.default_rng(20261019)
         stops = varying_stops = 0
+        exps = set()
         for _ in range(240):
             pot, mass, q, e, _ = _random_case(rng)
             order = int(rng.integers(8, 129))
             r = float(rng.uniform(0.2, 3.0)) / b_from_energy(e, mass.m0)
             stopped, whole = self._assert_prefix_and_whole(pot, mass, q, e, order, r)
-            # no case rescales, before its stop or after it: the cases
-            # below place the rescales
-            assert stopped.scale_log10 == whole.scale_log10 == 0.0
+            exps.add(whole.x_exp)
             stopped_early = stopped.coeffs.size < order + 1
             stops += stopped_early
             varying_stops += stopped_early and (mass.lam > 0 or bool(np.any(mass.poly[1:])))
         assert 60 < stops < 240  # most series stop, some run whole
         assert varying_stops > 40  # many stop with folds of more than one term
+        assert min(exps) < -3 and max(exps) > 3  # radii both sides of 1
 
-    @pytest.mark.parametrize("e, order, rb, when", [
-        (-5e11, 60, 20.0, "unstopped"),  # a_29 passes the guard, no stop
-        (-2e8, 128, 60.0, "unstopped"),  # a_46 passes it, no stop
-        (-1e5, 200, 30.0, "before-stop"),  # a_117 passes it, a_146 stops
-    ], ids=["unstopped-a29", "unstopped-a46", "before-stop"])
-    def test_rescale_gives_the_same_bits(self, e, order, rb, when):
+    @pytest.mark.parametrize("e, order, rb, stop", [
+        (-5e11, 60, 20.0, 60),
+        (-2e8, 128, 60.0, 128),
+        (-1e5, 200, 30.0, 146),
+    ], ids=["unstopped-order-60", "unstopped-order-128", "stopped-at-146"])
+    def test_deep_energy_gives_the_same_bits(self, e, order, rb, stop):
+        # coefficients in r up to 1e300 (the E = -2e8 series passes the
+        # float ceiling past a_120); in x the series is finite, and where
+        # the reference is finite it has its bits and its stop
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = MassProfile([1.0], 0.2)
         q = QuantumNumbers(3, 0, 0)
-        first = _first_rescale(pot, mass, q, e, order)
-        stopped, whole = self._assert_prefix_and_whole(
-            pot, mass, q, e, order, rb / b_from_energy(e, 1.0))
-        assert whole.scale_log10 > 0
-        if when == "unstopped":
-            assert first < order and stopped is whole
-        else:
-            assert first < stopped.coeffs.size - 1 < order
-            assert stopped.scale_log10 == whole.scale_log10
+        r = rb / b_from_energy(e, 1.0)
+        want, b = _array_table_recurrence(pot, mass, q, e, order)
+        stopped, whole = _stop_and_resume(pot, mass, q, e, order, r)
+        assert stopped.coeffs.size - 1 == stop == _reference_stop(want, r, order)
+        assert (stopped is whole) == (stop == order)
+        assert np.all(np.isfinite(whole.coeffs)) and whole.b == b
+        finite = np.isfinite(want)
+        assert np.array_equal(_in_r(whole)[finite], want[finite])
 
-    def test_two_rescales_before_the_stop_split_the_log_folds(self, monkeypatch):
-        # a polynomial mass has an m'/m series to full order, so both
-        # rescales (at a_48 and a_107, before the stop at a_113) fall inside
-        # every later M' and T fold as well as the short M folds
-        pot = make_cornell(1.0, 0.2, -2.0)
-        mass = MassProfile([1.0, 0.2, 0.01])
-        q, e, order = QuantumNumbers(3, 0, 0), -1e8, 128
-        steps, guard = [], recurrence._guard_overflow
-
-        def recorded_guard(a, i, **kwargs):
-            steps.append(i)
-            return guard(a, i, **kwargs)
-
-        monkeypatch.setattr(recurrence, "_guard_overflow", recorded_guard)
-        stopped, whole = self._assert_prefix_and_whole(
-            pot, mass, q, e, order, 20.0 / b_from_energy(e, 1.0))
-        assert steps == [48, 107]
-        assert stopped.coeffs.size - 1 == 113
-        assert stopped.scale_log10 == whole.scale_log10 > 300
-
-    @pytest.mark.parametrize("limit", [10.0**0.75, 10.0**3.5, 1e9],
-                             ids=["limit-5.6", "limit-3.2e3", "limit-1e9"])
-    def test_rescale_splits_the_later_folds(self, monkeypatch, limit):
-        # a guard this low fires at a_1, a_3 or a_9 while a slowly decaying
-        # mass series still pairs the coefficients before it with terms that
-        # set bits in every later entry: those products must take the 1/s,
-        # the ones after it must not
+    @pytest.mark.parametrize("r", [0.016, 0.75, 25.0], ids=["x_exp-6", "x_exp0", "x_exp5"])
+    def test_every_power_of_two_gives_the_same_bits(self, r):
+        # a slowly decaying mass series pairs every earlier coefficient with
+        # a term that sets bits in each later fold: held in x at radii
+        # below, near and above 1, the series scaled back is the reference
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = MassProfile([1.0], 3.0)
         q, e = QuantumNumbers(3, 0, 0), -600.0
-        monkeypatch.setattr(recurrence, "_RESCALE_LIMIT", limit)
-        want, b, scale_log10 = _array_table_recurrence(pot, mass, q, e, 64, limit)
-        whole = next(_stopped_series(pot, mass, q, e, 64, 1e3 / b))
-        assert np.array_equal(whole.coeffs, want)
-        assert whole.scale_log10 == scale_log10 > 0
+        want, b = _array_table_recurrence(pot, mass, q, e, 64)
+        whole = _whole(pot, mass, q, e, 64, r)
+        assert whole.x_exp == {0.016: -6, 0.75: 0, 25.0: 5}[r]
+        assert np.array_equal(_in_r(whole), want) and whole.b == b
 
     def test_never_stopping_radius_gives_the_whole_series(self):
         # the terms at r = 50/b still grow at order 96: one yield, the
@@ -540,6 +543,6 @@ class TestStoppedSeries:
         e = -17.0
         series = _stopped_series(pot, mass, q, e, 96, 50.0 / b_from_energy(e, 1.0))
         sol = next(series)
-        want, _, scale_log10 = _array_table_recurrence(pot, mass, q, e, 96)
-        assert np.array_equal(sol.coeffs, want) and sol.scale_log10 == scale_log10
+        want, _ = _array_table_recurrence(pot, mass, q, e, 96)
+        assert np.array_equal(_in_r(sol), want)
         assert next(series, None) is None

@@ -56,8 +56,9 @@ def _centre_series():
 
 
 def horner_count(sol, r_max, samples=2048):
-    """The node count as a Horner loop over the grid: the reference."""
-    grid = np.linspace(0.0, r_max, samples + 1)[1:]
+    """The node count as a Horner loop over the grid, in the series' x: the
+    reference."""
+    grid = np.ldexp(np.linspace(0.0, r_max, samples + 1)[1:], -sol.x_exp)
     u = np.zeros(samples)
     with np.errstate(over="ignore", invalid="ignore"):
         for c in sol.coeffs[::-1]:
@@ -83,12 +84,14 @@ def recorded_node_counts(monkeypatch, configs):
 
 
 def horner_R(sol, r):
-    """R at radii r >= 0, one series alone, by a Horner loop: the reference."""
+    """R at radii r >= 0, one series alone, by a Horner loop in the series'
+    x: the reference."""
     r = np.asarray(r, float)
     pos = r[r > 0.0]
+    x = np.ldexp(pos, -sol.x_exp)
     u = 0.0
     for c in sol.coeffs[::-1].tolist():
-        u = u * pos + c
+        u = u * x + c
     out = np.full(r.shape, sol.a0 if sol.quantum.k == 1 else 0.0)
     out[r > 0.0] = np.exp((sol.quantum.k - 1) / 2.0 * np.log(pos) - sol.b * pos) * u
     return out
@@ -245,17 +248,6 @@ class TestNormalize:
         once = normalized(sol, 40.0)
         assert norm2(once, 40.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_shift_moves_no_bit_and_keeps_a_tiny_series_from_underflowing(self):
-        # values scaled by 2^shift after evaluation: exactly 4^shift times
-        # the integral, also for a series whose square underflows unscaled
-        sol, _ = coulomb_state(n=1)
-        for shift in (-3, 5, 100):
-            assert norm2(sol, 40.0, shift) == math.ldexp(norm2(sol, 40.0), 2 * shift)
-        tiny = sol.scaled(1e-300)
-        assert norm2(tiny, 40.0) == 0.0
-        assert norm2(tiny, 40.0, 997) == pytest.approx(
-            norm2(sol, 40.0) * math.ldexp(1e-300, 997) ** 2, rel=1e-13)
-
     def test_projective_invariance(self):
         sol, _ = coulomb_state(n=2)
         assert norm2(sol.scaled(2.0), 60.0) == pytest.approx(4.0 * norm2(sol, 60.0),
@@ -310,9 +302,9 @@ class TestNormalizeRule:
 
         seen = []
 
-        def recording(sol, r, shift=0):
+        def recording(sol, r):
             seen.append((sol, r))
-            return norm2(sol, r, shift)
+            return norm2(sol, r)
 
         monkeypatch.setattr(es_mod, "norm2", recording)
         make, window = self.FAMILIES[family]
@@ -458,9 +450,9 @@ class TestCountNodes:
         assert count_nodes(sol, 40.0) == 2
 
     def test_deep_coulomb_states(self, monkeypatch):
-        # z = 1414 at order 500: the 2s series is kept 10^301.5 below its
-        # true scale, so its terms a_i r_max^i run below the float floor;
-        # scaled in logs, the largest is 1
+        # z = 1414 at order 500: in x = r/2^x_exp the 2s series keeps its
+        # true scale, a_0 = 1, and its terms a_i x_max^i, taken directly,
+        # are of the size of its value
         calls, rows = recorded_node_counts(monkeypatch, [
             {"potential": {"kind": "coulomb", "z": 1414.0},
              "mass": {"kind": "constant", "m0": 1.0},
@@ -474,9 +466,18 @@ class TestCountNodes:
         assert [count_nodes(sol, r, samples=s) for sol, r, s in calls] == [0, 1]
         assert [horner_count(sol, r, samples=s) for sol, r, s in calls] == [0, 1]
         sol, r, _ = calls[1]
-        with np.errstate(under="ignore"):
-            terms = np.abs(sol.coeffs) * r ** np.arange(sol.coeffs.size)
-        assert sol.scale_log10 > 300 and terms.max() < 1e-300
+        x = math.ldexp(r, -sol.x_exp)
+        terms = np.abs(sol.coeffs) * x ** np.arange(sol.coeffs.size)
+        assert sol.a0 == 1.0 and 1.0 <= terms.max() < 2.0
+
+    def test_terms_out_of_float_range_are_a_domain_error(self):
+        # a radius far past the one the series was generated for: its terms
+        # a_i x_max^i overflow, and the count is refused, not guessed
+        sol = generate_coefficients(make_coulomb(1.0), MassProfile([1.0]),
+                                    QuantumNumbers(3, 0, 0), -0.3, 128)
+        assert count_nodes(sol, 20.0) == horner_count(sol, 20.0)
+        with pytest.raises(DomainError, match="leave the float range"):
+            count_nodes(sol, 1e6)
 
     def test_counts_do_not_depend_on_blas_threads(self):
         # only signs of the product are read, and at 1 and 2 BLAS threads
@@ -555,6 +556,30 @@ class TestClosedFormEquivalence:
             )
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(vals - ref)) < 1e-10 * scale
+
+
+class TestSeriesInX:
+    @pytest.mark.parametrize("r", [0.3, 3.0], ids=["x_exp-2", "x_exp2"])
+    def test_every_reader_gives_the_bits_in_r(self, r):
+        # the exp-mass demo's series held in x = r/2^x_exp and the same
+        # series in r: powers of two move no bit, so each reader, its
+        # derivatives scaled back, gives the same values
+        from pdmradial.eigensolver import _series_direction
+        from pdmradial.recurrence import _stopped_series
+
+        pot, mass, q, e = make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2), \
+            QuantumNumbers(3, 1, 0), -2.0
+        series = _stopped_series(pot, mass, q, e, 64, r)
+        stopped = next(series)
+        in_x = next(series, stopped)  # resumed to order 64
+        in_r = generate_coefficients(pot, mass, q, e, 64)
+        assert in_x.x_exp == round(math.log2(r)) != 0 and in_r.x_exp == 0
+        radii = np.linspace(0.0, r, 50)
+        assert np.array_equal(evaluate(in_x, radii), evaluate(in_r, radii))
+        for reader in (trusted, norm2, count_nodes):
+            assert reader(in_x, r) == reader(in_r, r), reader.__name__
+        assert _series_direction(in_x, q, r) == _series_direction(in_r, q, r)
+        assert ode_residual(in_x, pot, mass, e, r / 2) == ode_residual(in_r, pot, mass, e, r / 2)
 
 
 class TestTrustRadius:

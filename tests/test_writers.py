@@ -46,7 +46,9 @@ def frozen_write_energies(rows, outdir, formats) -> None:
 
 
 def frozen_write_coefficients(rows, outdir, formats) -> None:
-    ok = [(r.state(), r.result.solution.coeffs) for r in rows if r.ok]
+    # the coefficients in r, the solver's series in x = r/2^x_exp scaled back
+    ok = [(r.state(), np.ldexp(sol.coeffs, -sol.x_exp * np.arange(sol.coeffs.size)))
+          for r in rows if r.ok for sol in [r.result.solution]]
     lines = ((*state.values(), i, a) for state, coeffs in ok
              for i, a in enumerate(coeffs))
     payload = [{**state, "coefficients": list(coeffs)} for state, coeffs in ok]
