@@ -38,6 +38,7 @@ from .model import (
     make_oscillator,
 )
 from .oracle import channel_spectrum, window_tail_radius
+from .recurrence import _series
 from .tail import leg_values
 from .wavefunction import evaluate
 
@@ -436,25 +437,30 @@ def _block(state: dict, cells, values) -> str:
     return (pre + ("\n" + pre).join(cells)) % tuple(values)
 
 
-def write_coefficients(rows: list[StateRow], outdir: Path, formats) -> list[str]:
-    """Each solved state's coefficients a_i in r; a state with an a_i out of
-    the float range is left out, and a message for it returned."""
+def write_coefficients(rows: list[StateRow], cfg: RunConfig, outdir: Path) -> list[str]:
+    """Each solved state's coefficients a_0 .. a_order in r, order the
+    config's truncation order, regenerated at its energy in the x of its
+    series (which stopped where its terms at r_match were negligible); a
+    state with an a_i out of the float range is left out, and a message
+    for it returned."""
     ok, refused = [], []
+    order = cfg.solver.truncation_order
     for row in (r for r in rows if r.ok):
-        sol = row.result.solution
+        x_exp = row.result.solution.x_exp
+        sol = _series(cfg.potential, cfg.mass, row.q, row.result.energy, order, x_exp)
         with np.errstate(over="ignore"):  # refused below
-            a = np.ldexp(sol.coeffs, -sol.x_exp * np.arange(sol.coeffs.size))
+            a = np.ldexp(sol.coeffs, -x_exp * np.arange(sol.coeffs.size))
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:
             refused.append(f"{row.describe()} coefficients leave the float range "
-                           f"at a_{bad[0]} (truncation_order {a.size - 1})")
+                           f"at a_{bad[0]} (truncation_order {order})")
         else:
             ok.append((row.state(), a.tolist()))
     cells = [f"{i},%.12g" for i in range(max((len(c) for _, c in ok), default=0))]
     lines = (_block(s, cells[: len(c)], c) for s, c in ok)
     payload = [{**state, "coefficients": coeffs} for state, coeffs in ok]
-    _write(outdir, "coefficients", formats, ("dim", "ell", "radial_n", "i", "a_i"),
-           lines, payload)
+    _write(outdir, "coefficients", cfg.output.formats,
+           ("dim", "ell", "radial_n", "i", "a_i"), lines, payload)
     return refused
 
 
@@ -508,7 +514,7 @@ def run_solve(config_path: str, artifacts: tuple = ("energies",)) -> int:
             wanted.add("wavefunctions")
     refused = []
     if "coefficients" in wanted:
-        refused = write_coefficients(rows, outdir, cfg.output.formats)
+        refused = write_coefficients(rows, cfg, outdir)
     if "wavefunctions" in wanted:
         grid = cfg.output.wavefunction_grid or {"r_max": 10.0, "points": 201}
         write_wavefunctions(rows, grid, outdir, cfg.output.formats)

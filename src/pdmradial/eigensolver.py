@@ -38,7 +38,7 @@ from .model import (
     b_from_energy,
 )
 from .recurrence import _stopped_series
-from .wavefunction import count_nodes, norm2, sign_changes, trusted
+from .wavefunction import count_nodes, norm2, sign_changes
 
 __all__ = [
     "SolverConfig",
@@ -133,8 +133,10 @@ class SolverConfig:
     """Knobs of the matching eigensolver.
 
     ``e_bracket`` is the energy window in which states are sought.  The
-    match radius is 1.5/b at the midpoint of the state's cell; the root's
-    series to ``truncation_order`` must be trusted out to r_match / 0.9.
+    match radius is 1.5/b at the midpoint of the state's cell.  The series
+    stops where its terms at r_match are negligible; ``truncation_order``
+    caps it, and the root's series must stop below the cap.  It is also
+    the length of the coefficient dump.
     The inward integration starts at r_far, the farthest of ten decay
     lengths 1/b past the match radius, and 1.2 times the outer turning
     radius and ``tail.tail_radius``, both at the cell's upper energy.
@@ -198,15 +200,14 @@ def _mismatch(
     geom: tail.Leg,
 ):
     """Normalized Wronskian of the series stopped for r_match and the inward
-    solution there, returned with both and the series' resuming generator."""
-    series = _stopped_series(pot, mass, q, e, cfg.truncation_order, geom.r_match)
-    sol = next(series)
+    solution there, returned with both."""
+    sol = _stopped_series(pot, mass, q, e, cfg.truncation_order, geom.r_match)
     us, dus = _series_direction(sol, q, geom.r_match)
     inward = tail.integrate_radial(geom, e)
     w = dus * inward.R - us * inward.dR
     norm = math.hypot(us, dus) * math.hypot(inward.R, inward.dR)
     value = w / norm if norm > 0 else 0.0
-    return value, sol, series, inward
+    return value, sol, inward
 
 
 def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
@@ -231,8 +232,10 @@ def find_eigenvalue(
     several states of one channel should pass it.  BracketError when level
     q.radial_n lies outside the window, the mismatch has no sign change in
     its cell, or Brent's method needs more than _MAX_ITER iterations on
-    it; WrongStateError when the converged state's node count differs
-    from q.radial_n; DomainError when its norm integral is not finite.
+    it; DomainError when the root's series has not converged at r_match
+    by cfg.truncation_order; WrongStateError when the converged state's
+    node count differs from q.radial_n; DomainError when its norm integral
+    is not finite.
     """
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
@@ -274,15 +277,14 @@ def find_eigenvalue(
         )
 
     # brentq returns an energy it has evaluated: that evaluation holds the
-    # converged state's inward solution and its series, resumed to full order
-    residual, sol, series, inward = evaluated[e_star]
-    sol = next(series, sol)
+    # converged state's inward solution and its series, which must have
+    # stopped, its terms at r_match negligible, before truncation_order
+    residual, sol, inward = evaluated[e_star]
     r = geom.r_match
-    # the series must be trusted past r_match with a tenth to spare
-    if not trusted(sol, r / 0.9):
+    if sol.coeffs.size > cfg.truncation_order:
         raise DomainError(
             f"truncation_order {cfg.truncation_order} is too low for r_match={r!r}: "
-            f"the series at E={e_star!r} is not trusted out to r_match / 0.9"
+            f"the series at E={e_star!r} has not converged there"
         )
 
     # one eigenfunction: the series on (0, r_match], and beyond it the inward
@@ -299,9 +301,11 @@ def find_eigenvalue(
         raise WrongStateError(q.radial_n, nodes, e_star)
 
     # and its norm, with the prefactor r^((k-1)/2) e^(-br) that turns the
-    # series' direction into its (R, R')
+    # series' direction into its (R, R'); the series' Gauss-Legendre size
+    # follows the order, not where the series stopped
     p_sigma = math.exp((q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
-    integral = norm2(sol, r) + p_sigma * p_sigma * inward.norm2(geom)
+    integral = (norm2(sol, r, max(64, cfg.truncation_order + 1))
+                + p_sigma * p_sigma * inward.norm2(geom))
     if not 0.0 < integral < math.inf:
         raise DomainError(
             f"the norm integral of the state at E={e_star!r} is {integral!r}"

@@ -361,7 +361,8 @@ class EigenResult:
     """Converged eigenvalue with its diagnostics and its eigenfunction.
 
     ``solution`` holds the series at ``energy`` before normalization
-    (``solution.scaled(norm_const)`` is normalized) on (0, r_match]; past
+    (``solution.scaled(norm_const)`` is normalized) on (0, r_match], as it
+    stopped where its terms at r_match became negligible; past
     r_match the eigenfunction is ``norm_const * p_sigma`` times the inward
     solution ``inward`` (``tail.leg_values``), with ``p_sigma`` the prefactor
     r^((k-1)/2) e^(-br) times sigma at r_match.  ``oracle_error`` names

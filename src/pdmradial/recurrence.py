@@ -9,27 +9,29 @@ running convolution tables,
 
 with every negative-index entry equal to zero.  Step n sums entry n of each
 table once, before a_{n+1} is solved for: an ordered fold from 0.0 over j
-ascending, so a series stopped at a radius resumes to the bits of one never
-stopped.  The loop runs in x = r/2^x_exp, with 2^x_exp set by the radius
-the series is for: b, the mass series and the couplings take powers of two,
-and the coefficients come out as a_n 2^(x_exp n).  A power of two moves no
-bit, so each scaled back is a_n as the recurrence in r computes it, while
-the coefficients in x are of the size of the terms a_n r^n, which stay in
-the float range for a deep state whose a_n alone leave it: no guard is
-needed.  The coefficients and the tables
-are Python lists and each fold an explicit loop (not ``sum``, whose float
-rounding changed in Python 3.12): a step reads a handful of scalars, where
-numpy's cost per call outweighs its arithmetic.  Every sum and product is
-the one an array-slice version performs, in the same order, so the two give
-the same bits; the tests keep that version as the reference.  The master
-recurrence is the only generator the solver runs.  The paper's own
-recursion for the exponentially decaying mass and the closed forms below
-are derived apart from it and serve as its references.
+ascending, so a series stopped at a radius is, bit for bit, the start of
+the one never stopped.  The loop runs in x = r/2^x_exp, with 2^x_exp set by
+the radius the series is for: b, the mass series and the couplings take
+powers of two, and the coefficients come out as a_n 2^(x_exp n).  A power
+of two moves no bit, so each scaled back is a_n as the recurrence in r
+computes it, while the coefficients in x are of the size of the terms
+a_n r^n, which stay in the float range for a deep state whose a_n alone
+leave it: no guard is needed.  The coefficients, the tables and the scaled
+mass series are Python sequences and each fold an explicit loop (not
+``sum``, whose float rounding changed in Python 3.12): a step reads a
+handful of scalars, where numpy's cost per call outweighs its arithmetic.
+Every sum and product is the one an array-slice version performs, in the
+same order, so the two give the same bits; the tests keep that version as
+the reference.  The master recurrence is the only generator the solver
+runs.  The paper's own recursion for the exponentially decaying mass and
+the closed forms below are derived apart from it and serve as its
+references.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -40,6 +42,7 @@ from .model import (
     PotentialSpec,
     QuantumNumbers,
     SeriesSolution,
+    _series as _mass_series,
     b_from_energy,
 )
 
@@ -95,15 +98,36 @@ def generate_coefficients(
     DomainError when some a_i leaves the float range, as a deep state's do
     at a high order; the solver holds such a series in x = r/2^x_exp.
     """
-    return _finite(next(_stopped_series(pot, mass, q, e, order, math.inf)), order)
+    return _finite(_series(pot, mass, q, e, order, 0), order)
 
 
 def _stopped_series(pot, mass, q, e, order, r):
-    """The recurrence of :func:`generate_coefficients` in x = r/2^x_exp, with
-    2^x_exp the power of two nearest r (1 for r = inf), as a generator: it
-    yields the series stopped after three consecutive terms |a_n| r^n at or
-    below _STOP_RATIO of the running envelope sum_i |a_i| r^i (n >= 4), then,
-    resumed, the whole series; one that never stops is yielded once, whole."""
+    """The series of :func:`generate_coefficients` in x = r/2^x_exp, with
+    2^x_exp the power of two nearest r, stopped after three consecutive
+    terms |a_n| r^n at or below _STOP_RATIO of the running envelope
+    sum_i |a_i| r^i (n >= 4), before a_order: it has order + 1 coefficients
+    only when it has not converged at r."""
+    x_exp = round(math.log2(r))
+    return _series(pot, mass, q, e, order, x_exp, math.ldexp(r, -x_exp))
+
+
+# keyed like model._series, and on the power of two as well; bounded, as
+# masses come from callers
+@lru_cache(maxsize=128, typed=True)
+def _reversed_tables(poly: bytes, lam: float, sign: float, order: int, x_exp: int):
+    """The mass series and m'/m's series of ``MassProfile.series`` in x =
+    r/2^x_exp, m_nu 2^(x_exp(nu+2)) and g_nu 2^(x_exp(nu+1)), without their
+    trailing zeros (all of a constant mass's beyond m0 add nothing to the
+    tables), reversed so that entry n pairs a_j with the (n-j)-th in one
+    forward pass; derived once per (P, lam, order, x_exp)."""
+    series = _mass_series(poly, lam, sign, order)
+    return tuple(_trimmed(np.ldexp(c, x_exp * np.arange(lift, c.size + lift)))[::-1]
+                 for c, lift in zip(series, (2, 1)))
+
+
+def _series(pot, mass, q, e, order, x_exp, x_stop=math.inf):
+    """The recurrence of :func:`generate_coefficients` in x = r/2^x_exp,
+    stopped as :func:`_stopped_series` says at x_stop (never at inf)."""
     e = float(e)
     _check_inputs(pot, q, e, order)
     k = q.k
@@ -111,8 +135,6 @@ def _stopped_series(pot, mass, q, e, order, r):
     # in x: with b 2^x_exp, b_nu 2^(x_exp(nu+2)), b'_nu 2^(x_exp(nu+1)),
     # v1 2^(-x_exp alpha) and v2 2^(x_exp beta), every term of step n is
     # 2^(x_exp(n+1)) times its value in r, and a_n comes out times 2^(x_exp n)
-    x_exp = round(math.log2(r)) if r < math.inf else 0
-    x = math.ldexp(r, -x_exp)
     b_r = b_from_energy(e, mass.m0)
     b = math.ldexp(b_r, x_exp)
     ell = q.ell
@@ -123,20 +145,19 @@ def _stopped_series(pot, mass, q, e, order, r):
     v2_2 = math.ldexp(2.0 * pot.v2, x_exp * beta)
     b2 = b * b
 
-    # trailing zeros of the mass series (all of a constant mass's beyond m0)
-    # add nothing to the tables, so they are dropped; reversed, so that
-    # entry n pairs a_j with b_{n-j} in one forward pass
-    rmass, rlog = (_trimmed(np.ldexp(c, x_exp * np.arange(lift, c.size + lift)))[::-1]
-                   for c, lift in zip(mass.series(order), (2, 1)))
+    poly = mass.poly
+    rmass, rlog = _reversed_tables(poly.tobytes(), mass.lam, math.copysign(1.0, mass.lam),
+                                   max(int(order), poly.size - 1), x_exp)
     lm, lb = len(rmass), len(rlog)
+
     # table entry i sits at list index i + pad, so the lowest index read,
     # n - beta - 1 at n = 0, lands on a leading zero and none wraps
     pad = beta + 1
     m_tab, mp_tab, t_tab = [[0.0] * pad for _ in range(3)]
 
     a = [1.0]
-    stopping = x < math.inf
-    power, envelope, small = 1.0, 1.0, 0  # x^n, sum_i |a_i| x^i, terms at the cut
+    # x_stop^n, sum_i |a_i| x_stop^i and the terms at the cut so far
+    power, envelope, small = 1.0, 1.0, 0
     for n in range(order):
         # entry n of M, M' and T: the products a_j b_{n-j} and a_j b'_{n-j}
         # (T takes j times the latter) added to 0.0 for j ascending
@@ -172,22 +193,20 @@ def _stopped_series(pot, mass, q, e, order, r):
         denom = (n + 1) * (n + k - 1)
         assert denom != 0, "recurrence denominator vanished (k < 2 should be rejected)"
         a.append(num / denom)
-        if stopping:
-            power *= x
+        if x_stop < math.inf:
+            power *= x_stop
             term = abs(a[-1]) * power
             envelope += term
             small = small + 1 if n >= 3 and term <= _STOP_RATIO * envelope < math.inf else 0
             if small == 3 and n + 1 < order:
-                yield SeriesSolution(e, b_r, np.array(a), q, x_exp)
-                stopping = False
-
-    yield SeriesSolution(e, b_r, np.array(a), q, x_exp)
+                break
+    return SeriesSolution(e, b_r, np.array(a), q, x_exp)
 
 
-def _trimmed(series: np.ndarray) -> list[float]:
-    """``series`` without its trailing zeros, as a list."""
+def _trimmed(series: np.ndarray) -> tuple[float, ...]:
+    """``series`` without its trailing zeros, as a tuple."""
     nonzero = np.flatnonzero(series)
-    return series[: nonzero[-1] + 1].tolist() if nonzero.size else []
+    return tuple(series[: nonzero[-1] + 1].tolist()) if nonzero.size else ()
 
 
 def expmass_cornell_coefficients(

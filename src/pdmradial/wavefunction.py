@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
@@ -121,14 +120,15 @@ def evaluate(sol, r=None):
     return float(out[0]) if out[0].ndim == 0 else out[0]
 
 
-def norm2(sol: SeriesSolution, r: float) -> float:
+def norm2(sol: SeriesSolution, r: float, nodes: int | None = None) -> float:
     """The integral of R^2 over (0, r), inf or NaN where the series
     overflows.  R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an
     exponential, so a fixed Gauss-Legendre rule converges spectrally; it has
-    as many nodes as the series has terms, and at least 64."""
+    ``nodes`` nodes, by default as many as the series has terms and at
+    least 64."""
     if not 0 < r < math.inf:
         raise DomainError("r must be positive and finite")
-    t, weights = _gauss_legendre(max(64, sol.coeffs.size))
+    t, weights = _gauss_legendre(nodes or max(64, sol.coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):
         v = _eval_R_positive([sol], r * t[None])[0]
         return r * float((weights * (v * v)).sum())
@@ -173,17 +173,28 @@ def sign_changes(values) -> int:
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
-@lru_cache(maxsize=2)
+# sample count -> its read-only power matrix, with the most powers asked so far
+_POWERS: dict[int, np.ndarray] = {}
+
+
 def _powers(samples: int, size: int) -> np.ndarray:
     """y_j^i on y_j = j / samples (j = 1 .. samples, i < size), a column per
-    power from a running product; read only, shared by every count."""
-    y = np.arange(1, samples + 1) / samples
-    powers = np.empty((samples, size), order="F")
-    powers[:, 0] = 1.0
-    for i in range(1, size):
-        np.multiply(powers[:, i - 1], y, out=powers[:, i])
-    powers.flags.writeable = False
-    return powers
+    power from a running product: the first ``size`` columns, a contiguous
+    view, of one Fortran-order matrix per sample count, rebuilt only when a
+    count asks for more powers than it holds; read only, shared by every
+    count."""
+    powers = _POWERS.get(samples)
+    if powers is None or powers.shape[1] < size:
+        y = np.arange(1, samples + 1) / samples
+        powers = np.empty((samples, size), order="F")
+        powers[:, 0] = 1.0
+        for i in range(1, size):
+            np.multiply(powers[:, i - 1], y, out=powers[:, i])
+        powers.flags.writeable = False
+        if samples not in _POWERS and len(_POWERS) >= 2:  # callers pick the count
+            _POWERS.clear()
+        _POWERS[samples] = powers
+    return powers[:, :size]
 
 
 def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:

@@ -454,7 +454,7 @@ class TestArtifacts:
         )
 
     def test_deep_expmass_state_solves_at_order_500(self, tmp_path):
-        # z = 1414 with a decaying mass: the series resumed to order 500 in
+        # z = 1414 with a decaying mass at order 500: the series in
         # x = r/2^x_exp stays in the float range, and the state solves
         data = demo_config_dict()
         data["potential"] = {"kind": "coulomb", "z": 1414.0}
@@ -561,8 +561,8 @@ class TestArtifacts:
              {"e_lo": -10.092824814183157, "e_hi": -0.1, "truncation_order": 96}, 200,
              6, "channel failed: DomainError: the mass underflows on the "
                 "collocation grid of r_max="),
-            # the exp-mass demo's problem at order 6: the root's series is
-            # not trusted out to r_match / 0.9
+            # the exp-mass demo's problem at order 6: the root's series has
+            # not converged at r_match by the truncation order
             (({"kind": "cornell", "a": 1.0, "b_lin": 0.2, "c": -3.0},
               {"kind": "exponential", "m0": 1.0, "lambda": 0.2},
               {"dim": 3, "ell": [0], "n": [1, 2]}),
@@ -656,9 +656,12 @@ class TestPdmConfig:
     def test_one_round_derives_each_mass_series_once(self, monkeypatch):
         # every series the round reads, (P, lam, order), is derived once and
         # then read from the cache: once for P's degree at construction and
-        # once at the truncation order, however many energies are tried
+        # once at the truncation order, however many energies are tried; the
+        # recurrence's tables scaled to x = r/2^x_exp are derived from it
+        # once per power of two of the states' match radii
         import pdmradial.cli as cli_mod
         import pdmradial.model as model_mod
+        import pdmradial.recurrence as rec_mod
 
         derived = []
         taylor = model_mod._exp_taylor
@@ -669,9 +672,12 @@ class TestPdmConfig:
 
         monkeypatch.setattr(model_mod, "_exp_taylor", recording)
         model_mod._series.cache_clear()
-        cli_mod.solve_states(load_config(EXPMASS_CONFIG))
+        rec_mod._reversed_tables.cache_clear()
+        rows = cli_mod.solve_states(load_config(EXPMASS_CONFIG))
         assert derived == [(0.2, 0), (0.2, 64)]
-        assert model_mod._series.cache_info().hits > 0
+        scaled = rec_mod._reversed_tables.cache_info()
+        assert scaled.misses == len({row.result.solution.x_exp for row in rows})
+        assert scaled.hits > 0 and model_mod._series.cache_info().hits == scaled.misses
 
     def test_golden_energies_file(self, tmp_path):
         # the only golden file with a varying mass; the JSON file pins every

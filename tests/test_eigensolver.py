@@ -14,6 +14,7 @@ from pdmradial.model import MassProfile, QuantumNumbers, make_cornell, make_coul
 import pdmradial.oracle as oracle_mod
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.recurrence import generate_coefficients
+from pdmradial.wavefunction import trusted
 
 
 def _centre(potential, mass, quantum, solver, output=None):
@@ -212,7 +213,7 @@ class TestNormConst:
         assert max(map(abs, errors.values())) < 1e-11, errors
 
     def test_deep_coulomb_state(self):
-        # the order-500 resume runs in x = r/2^x_exp, where a_0 = 1 and no
+        # the order-500 series runs in x = r/2^x_exp, where a_0 = 1 and no
         # term leaves the float range; norm_const is the closed form
         # 2 (Z/2)^(3/2)
         q = QuantumNumbers(3, 0, 1)
@@ -403,24 +404,24 @@ class TestScanSpectrum:
         assert np.count_nonzero(np.diff(np.sign(single))) >= 2  # levels inside
 
     def test_trust_radius_only_where_it_is_read(self, monkeypatch):
-        # the root's series is tested once, at r_match / 0.9, and it is
-        # trusted there on this state
-        import pdmradial.eigensolver as es_mod
+        # the solve takes no trust test: the root's series stopped below
+        # its cap, its last three terms at r_match negligible, and that is
+        # the trust rule; only evaluate, which warns, reads `trusted`
+        import pdmradial.wavefunction as wf_mod
 
-        calls = []
-        trusted = es_mod.trusted
+        def forbidden(*args):
+            raise AssertionError("trusted called")
 
-        def recording(sol, r):
-            calls.append((sol, r))
-            return trusted(sol, r)
-
-        monkeypatch.setattr(es_mod, "trusted", recording)
+        monkeypatch.setattr(wf_mod, "trusted", forbidden)
         res = find_eigenvalue(
             make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1),
             SolverConfig(e_bracket=(-0.14, -0.11)),
         )
-        assert calls == [(res.solution, res.inward.edges[0] / 0.9)]
-        assert trusted(res.solution, res.inward.edges[0] / 0.9)
+        sol, r = res.solution, res.inward.edges[0]
+        assert sol.coeffs.size <= 64
+        terms = np.abs(sol.coeffs) * math.ldexp(r, -sol.x_exp) ** np.arange(sol.coeffs.size)
+        assert np.all(terms[-3:] <= 1e-20 * terms.sum())
+        assert trusted(sol, r / 0.9)
 
     @pytest.mark.parametrize("workload, states", [
         ("coulomb_oracle", 10), ("expmass_cornell", 6), ("oscillator_series", 9),
@@ -428,26 +429,30 @@ class TestScanSpectrum:
     def test_one_trust_test_per_benchmark_centre_state(
         self, tmp_path, monkeypatch, workload, states
     ):
-        # one `solve` of each benchmark workload's centre configs: the root
-        # checks its series once, at r_match / 0.9, and it is trusted there;
-        # the oscillator's samples test the series once per state, at the
-        # largest sample radius not past r_match
-        import pdmradial.eigensolver as es_mod
+        # one `solve` of each benchmark workload's centre configs: every
+        # root's series stopped below the truncation order, which is its
+        # trust rule, and the solve takes no trust test; the oscillator's
+        # samples test the series once per state, at the largest sample
+        # radius not past r_match, and it is trusted there
+        import pdmradial.cli as cli_mod
         import pdmradial.wavefunction as wf_mod
 
         roots, samples = [], []
-        trusted = wf_mod.trusted
+        trusted, solve = wf_mod.trusted, cli_mod.find_eigenvalue
 
-        def recording(calls):
-            def wrapper(sol, r):
-                calls.append((sol, r, trusted(sol, r)))
-                return calls[-1][2]
-            return wrapper
+        def recording_solve(pot, mass, q, cfg, spectrum):
+            roots.append((solve(pot, mass, q, cfg, spectrum), cfg.truncation_order))
+            return roots[-1][0]
 
-        monkeypatch.setattr(es_mod, "trusted", recording(roots))
-        monkeypatch.setattr(wf_mod, "trusted", recording(samples))
+        def recording(sol, r):
+            samples.append((sol, r, trusted(sol, r)))
+            return samples[-1][2]
+
+        monkeypatch.setattr(cli_mod, "find_eigenvalue", recording_solve)
+        monkeypatch.setattr(wf_mod, "trusted", recording)
         _solve_centres(tmp_path, workload)
-        assert len(roots) == states and all(ok for _, _, ok in roots)
+        assert len(roots) == states
+        assert all(res.solution.coeffs.size <= order for res, order in roots)
         assert len(samples) == (states if workload == "oscillator_series" else 0)
         assert all(ok for _, _, ok in samples)
 
@@ -502,7 +507,7 @@ class TestScanSpectrum:
 
         monkeypatch.setattr(es_mod, "brentq", counting("brent", es_mod.brentq, "brent"))
         monkeypatch.setattr(es_mod, "_mismatch", counting("mismatch", es_mod._mismatch, "brent"))
-        # the recurrence's one generator, under both names it is called by
+        # the stopped series, in its module and where the eigensolver reads it
         series = counting("series", rec_mod._stopped_series, "mismatch")
         for module in (rec_mod, es_mod):
             monkeypatch.setattr(module, "_stopped_series", series)
@@ -517,14 +522,22 @@ class TestScanSpectrum:
     def test_no_whole_series_per_benchmark_centre_solve(
         self, tmp_path, monkeypatch, workload
     ):
-        # one `solve` of each benchmark workload's centre configs runs no
-        # generate_coefficients, which generates a series without a radius:
-        # every series is a mismatch's own, stopped for r_match
+        # one `solve` of each benchmark workload's centre configs generates
+        # no series without a radius while it solves: every series is a
+        # mismatch's own, stopped for r_match; only the coefficient dump,
+        # which the oscillator writes, generates a whole series, one per
+        # state at its energy in the x of its root's series
+        import pdmradial.cli as cli_mod
         import pdmradial.eigensolver as es_mod
         import pdmradial.recurrence as rec_mod
 
-        radii, mismatches = [], []
-        stopped, mismatch = rec_mod._stopped_series, es_mod._mismatch
+        radii, mismatches, dumped = [], [], []
+        stopped, mismatch, whole = (rec_mod._stopped_series, es_mod._mismatch,
+                                    cli_mod._series)
+
+        def recording_whole(pot, mass, q, e, order, x_exp):
+            dumped.append((q, e, order, x_exp))
+            return whole(pot, mass, q, e, order, x_exp)
 
         def recording_series(pot, mass, q, e, order, r):
             radii.append(r)
@@ -537,9 +550,15 @@ class TestScanSpectrum:
         for module in (rec_mod, es_mod):
             monkeypatch.setattr(module, "_stopped_series", recording_series)
         monkeypatch.setattr(es_mod, "_mismatch", counting_mismatch)
+        monkeypatch.setattr(cli_mod, "_series", recording_whole)
         _solve_centres(tmp_path, workload)
         assert mismatches and len(radii) == len(mismatches)
         assert all(r < math.inf for r in radii)
+        if workload == "oscillator_series":
+            assert len(dumped) == 9 and {order for *_, order, _ in dumped} == {128}
+            assert all(e in mismatches for _, e, _, _ in dumped)
+        else:
+            assert dumped == []
 
     @staticmethod
     def _recorded_mismatches(monkeypatch):
@@ -571,7 +590,7 @@ class TestScanSpectrum:
         _solve_centres(tmp_path, workload)
 
         def whole(pot, mass, q, e, order, r):
-            yield generate_coefficients(pot, mass, q, e, order)
+            return generate_coefficients(pot, mass, q, e, order)
 
         monkeypatch.setattr(es_mod, "_stopped_series", whole)
         assert seen
@@ -721,10 +740,12 @@ class TestOracleUnavailable:
         res = find_eigenvalue(pot, mass, q, SolverConfig(e_bracket=(-0.15, -0.1)))
         again = generate_coefficients(pot, mass, q, res.energy, 64)
         assert res.solution.energy == res.energy and res.solution.b == again.b
-        # the solver's series in x = r/2^x_exp, scaled back: a_i in r
+        # the solver's series in x = r/2^x_exp, scaled back, is the start of
+        # the series in r, up to where it stopped below the order
         sol = res.solution
         in_r = np.ldexp(sol.coeffs, -sol.x_exp * np.arange(sol.coeffs.size))
-        assert list(in_r) == list(again.coeffs)
+        assert 4 < in_r.size <= 64
+        assert list(in_r) == list(again.coeffs[: in_r.size])
         assert res.oracle_gap is None and res.oracle_error is None
 
 

@@ -19,6 +19,7 @@ from pdmradial.model import (
     make_oscillator,
 )
 from pdmradial.recurrence import (
+    _series,
     _stopped_series,
     coefficient_closed_forms_cornell,
     coefficient_closed_forms_expmass,
@@ -457,27 +458,27 @@ class TestListRecurrenceMatchesArrayTables:
         assert np.max(np.abs(a[cut:]), initial=0.0) < 1e-300 * np.max(np.abs(a))
 
 
-def _stop_and_resume(pot, mass, q, e, order, r):
-    """The series stopped at r, and the same generator resumed."""
-    series = _stopped_series(pot, mass, q, e, order, r)
-    stopped = next(series)
-    return stopped, next(series, stopped)
+def _stop_and_whole(pot, mass, q, e, order, r):
+    """The series stopped at r, and the whole series in the same x, as the
+    coefficient dump regenerates it."""
+    stopped = _stopped_series(pot, mass, q, e, order, r)
+    return stopped, _series(pot, mass, q, e, order, stopped.x_exp)
 
 
 def _whole(pot, mass, q, e, order, r):
-    """The series generated for the radius r, resumed to full order."""
-    return _stop_and_resume(pot, mass, q, e, order, r)[1]
+    """The series generated in the x of the radius r, to full order."""
+    return _stop_and_whole(pot, mass, q, e, order, r)[1]
 
 
 class TestStoppedSeries:
     """A series stopped at a radius is, scaled back to r, a bit-identical
     prefix of the reference series, cut at the reference's stop index, and
-    resumed it is the whole series."""
+    generated whole in the same x it is the whole series."""
 
     @staticmethod
     def _assert_prefix_and_whole(pot, mass, q, e, order, r):
         want, b = _array_table_recurrence(pot, mass, q, e, order)
-        stopped, whole = _stop_and_resume(pot, mass, q, e, order, r)
+        stopped, whole = _stop_and_whole(pot, mass, q, e, order, r)
         assert stopped.coeffs.size - 1 == _reference_stop(want, r, order)
         assert np.array_equal(_in_r(stopped), want[: stopped.coeffs.size])
         assert stopped.b == whole.b == b
@@ -516,9 +517,9 @@ class TestStoppedSeries:
         q = QuantumNumbers(3, 0, 0)
         r = rb / b_from_energy(e, 1.0)
         want, b = _array_table_recurrence(pot, mass, q, e, order)
-        stopped, whole = _stop_and_resume(pot, mass, q, e, order, r)
+        stopped, whole = _stop_and_whole(pot, mass, q, e, order, r)
         assert stopped.coeffs.size - 1 == stop == _reference_stop(want, r, order)
-        assert (stopped is whole) == (stop == order)
+        assert np.array_equal(stopped.coeffs, whole.coeffs) == (stop == order)
         assert np.all(np.isfinite(whole.coeffs)) and whole.b == b
         finite = np.isfinite(want)
         assert np.array_equal(_in_r(whole)[finite], want[finite])
@@ -537,12 +538,11 @@ class TestStoppedSeries:
         assert np.array_equal(_in_r(whole), want) and whole.b == b
 
     def test_never_stopping_radius_gives_the_whole_series(self):
-        # the terms at r = 50/b still grow at order 96: one yield, the
-        # whole series
+        # the terms at r = 50/b still grow at order 96: the whole series, all
+        # order + 1 coefficients, which is how the solver tells it apart
         pot, mass, q = make_oscillator(1.0), MassProfile([1.0]), QuantumNumbers(3, 1, 0)
         e = -17.0
-        series = _stopped_series(pot, mass, q, e, 96, 50.0 / b_from_energy(e, 1.0))
-        sol = next(series)
+        sol = _stopped_series(pot, mass, q, e, 96, 50.0 / b_from_energy(e, 1.0))
         want, _ = _array_table_recurrence(pot, mass, q, e, 96)
+        assert sol.coeffs.size == 97
         assert np.array_equal(_in_r(sol), want)
-        assert next(series, None) is None

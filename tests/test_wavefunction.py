@@ -302,9 +302,9 @@ class TestNormalizeRule:
 
         seen = []
 
-        def recording(sol, r):
-            seen.append((sol, r))
-            return norm2(sol, r)
+        def recording(sol, r, nodes):
+            seen.append((sol, r, nodes))
+            return norm2(sol, r, nodes)
 
         monkeypatch.setattr(es_mod, "norm2", recording)
         make, window = self.FAMILIES[family]
@@ -316,14 +316,16 @@ class TestNormalizeRule:
                 pot, mass, q,
                 SolverConfig(e_bracket=window(k), truncation_order=order),
             )
-            sol, r_match = seen[-1]
-            assert sol is res.solution
+            sol, r_match, nodes = seen[-1]
+            # the series stopped at r_match, its rule sized by the order
+            assert sol is res.solution and sol.coeffs.size <= order
+            assert nodes == max(64, order + 1)
 
             def r2(x):
                 return evaluate(sol, x) ** 2
 
             ref, _ = quad(r2, 0.0, r_match, epsabs=0.0, epsrel=1e-13, limit=2000)
-            ours = norm2(sol, r_match)
+            ours = norm2(sol, r_match, nodes)
             assert abs(ours / ref - 1.0) < 1e-13, (k, ours, ref)
         assert len(seen) == 5
 
@@ -462,7 +464,10 @@ class TestCountNodes:
              "output": {"directory": "unused"}}
             for n, e_hi in ((0, -0.9e6), (1, -1e4))])
         assert [row.ok for row in rows] == [True, True]
-        assert [sol.coeffs.size for sol, _, _ in calls] == [501, 501]
+        # each counted on its series stopped at r_match, far below order
+        # 500: the 1s series after three zero terms, the 2s one once the
+        # rounding residue past its a_1 is negligible
+        assert [sol.coeffs.size for sol, _, _ in calls] == [7, 11]
         assert [count_nodes(sol, r, samples=s) for sol, r, s in calls] == [0, 1]
         assert [horner_count(sol, r, samples=s) for sol, r, s in calls] == [0, 1]
         sol, r, _ = calls[1]
@@ -565,13 +570,12 @@ class TestSeriesInX:
         # series in r: powers of two move no bit, so each reader, its
         # derivatives scaled back, gives the same values
         from pdmradial.eigensolver import _series_direction
-        from pdmradial.recurrence import _stopped_series
+        from pdmradial.recurrence import _series, _stopped_series
 
         pot, mass, q, e = make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2), \
             QuantumNumbers(3, 1, 0), -2.0
-        series = _stopped_series(pot, mass, q, e, 64, r)
-        stopped = next(series)
-        in_x = next(series, stopped)  # resumed to order 64
+        stopped = _stopped_series(pot, mass, q, e, 64, r)
+        in_x = _series(pot, mass, q, e, 64, stopped.x_exp)  # the whole series
         in_r = generate_coefficients(pot, mass, q, e, 64)
         assert in_x.x_exp == round(math.log2(r)) != 0 and in_r.x_exp == 0
         radii = np.linspace(0.0, r, 50)

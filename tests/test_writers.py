@@ -9,6 +9,7 @@ frozen here as the reference every artifact must match byte for byte.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdmradial.oracle as oracle_mod
 from pdmradial import cli
+from pdmradial.recurrence import generate_coefficients
 from pdmradial.tail import leg_values
 from pdmradial.wavefunction import evaluate
 
@@ -45,10 +47,13 @@ def frozen_write_energies(rows, outdir, formats) -> None:
     _frozen_write(outdir, "energies", formats, cli._ENERGY_COLUMNS, lines, records)
 
 
-def frozen_write_coefficients(rows, outdir, formats) -> None:
-    # the coefficients in r, the solver's series in x = r/2^x_exp scaled back
-    ok = [(r.state(), np.ldexp(sol.coeffs, -sol.x_exp * np.arange(sol.coeffs.size)))
-          for r in rows if r.ok for sol in [r.result.solution]]
+def frozen_write_coefficients(rows, cfg, outdir, formats) -> None:
+    # the coefficients a_0 .. a_order in r, generated in r at each state's
+    # energy (the solver's series in x = r/2^x_exp stops at r_match)
+    order = cfg.solver.truncation_order
+    ok = [(r.state(), generate_coefficients(cfg.potential, cfg.mass, r.q,
+                                            r.result.energy, order).coeffs)
+          for r in rows if r.ok]
     lines = ((*state.values(), i, a) for state, coeffs in ok
              for i, a in enumerate(coeffs))
     payload = [{**state, "coefficients": list(coeffs)} for state, coeffs in ok]
@@ -77,30 +82,33 @@ def frozen_write_wavefunctions(rows, grid, outdir, formats) -> None:
 
 
 def _solve(data, **solver):
+    """The parsed config and its rows."""
     data["solver"].update(solver)
-    return cli.solve_states(cli.parse_config(data))
+    cfg = cli.parse_config(data)
+    return cfg, cli.solve_states(cfg)
 
 
 @pytest.fixture(scope="module")
-def rows():
-    """Rows of every kind a writer meets: solved, failed, solved with an
-    oracle error, and solved with a sample grid that reaches past r_far."""
+def groups():
+    """(config, rows) of every kind of row a writer meets: solved, failed,
+    solved with an oracle error, and solved with a sample grid that reaches
+    past r_far."""
     # level 9 lies above the window: an error row with empty result cells
     failed = demo_config_dict()
     failed["quantum"]["n"] = [0, 9]
-    out = _solve(failed, oracle=False)
+    out = [_solve(failed, oracle=False)]
     # an oracle that fails its own check reports its error on a solved row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle_mod, "_RESOLUTIONS", ((12, 1.0), (16, 1.25)))
         two_d = demo_config_dict()
         two_d["quantum"] = {"dim": 2, "ell": [1], "n": [0, 1]}
-        out += _solve(two_d, e_lo=-2.4, e_hi=-0.06)
+        out.append(_solve(two_d, e_lo=-2.4, e_hi=-0.06))
     # a decaying mass keeps the series infinite; on a long grid its samples
     # run along the inward leg and past its far end
     decaying = demo_config_dict()
     decaying["mass"] = DECAYING_MASS
     decaying["quantum"]["n"] = [0, 1]
-    out += _solve(decaying, truncation_order=24)
+    out.append(_solve(decaying, truncation_order=24))
     oscillator = {
         "potential": {"kind": "oscillator", "omega": 1.0, "v3_offset": -20.0},
         "mass": {"kind": "constant", "m0": 1.0},
@@ -108,55 +116,72 @@ def rows():
         "solver": {"e_lo": -19.5, "e_hi": -8.7, "truncation_order": 128,
                    "oracle": False},
     }
-    out += _solve(oscillator)
+    out.append(_solve(oscillator))
     return out
 
 
 GRID = {"r_max": 40.0, "points": 41}
 
 
-def test_rows_cover_every_kind(rows):
+def test_rows_cover_every_kind(groups):
+    rows = [r for _, group in groups for r in group]
     assert any(not r.ok for r in rows)
     assert any(r.ok and r.message.startswith("ResolutionError: ") for r in rows)
     assert any(r.ok and r.result.inward.edges[-1] < GRID["r_max"] for r in rows)
 
 
+# stem -> (writer, frozen writer), each called with (rows, config, outdir,
+# formats); the coefficient dump reads the config's model and order
 WRITERS = {
-    "energies": (cli.write_energies, frozen_write_energies),
-    "coefficients": (cli.write_coefficients, frozen_write_coefficients),
+    "energies": (
+        lambda rows, cfg, outdir, formats: cli.write_energies(rows, outdir, formats),
+        lambda rows, cfg, outdir, formats: frozen_write_energies(rows, outdir, formats),
+    ),
+    "coefficients": (
+        lambda rows, cfg, outdir, formats: cli.write_coefficients(
+            rows, replace(cfg, output=replace(cfg.output, formats=formats)), outdir),
+        frozen_write_coefficients,
+    ),
     "wavefunctions": (
-        lambda rows, outdir, formats: cli.write_wavefunctions(rows, GRID, outdir, formats),
-        lambda rows, outdir, formats: frozen_write_wavefunctions(rows, GRID, outdir, formats),
+        lambda rows, cfg, outdir, formats: cli.write_wavefunctions(
+            rows, GRID, outdir, formats),
+        lambda rows, cfg, outdir, formats: frozen_write_wavefunctions(
+            rows, GRID, outdir, formats),
     ),
 }
 
 
 @pytest.mark.parametrize("formats", [("csv", "json"), ("csv",), ("json",)])
 @pytest.mark.parametrize("stem", sorted(WRITERS))
-def test_artifacts_match_the_frozen_writers(rows, tmp_path, stem, formats):
+def test_artifacts_match_the_frozen_writers(groups, tmp_path, stem, formats):
+    # each config's rows written into a directory of their own
     write, frozen = WRITERS[stem]
-    (tmp_path / "new").mkdir()
-    (tmp_path / "frozen").mkdir()
-    write(rows, tmp_path / "new", formats)
-    frozen(rows, tmp_path / "frozen", formats)
-    names = sorted(p.name for p in (tmp_path / "frozen").iterdir())
-    assert names == sorted(f"{stem}.{fmt}" for fmt in formats)
-    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == names
-    for name in names:
-        assert ((tmp_path / "new" / name).read_bytes()
-                == (tmp_path / "frozen" / name).read_bytes()), name
-    if stem == "wavefunctions" and "json" in formats:
+    waves = []
+    for i, (cfg, rows) in enumerate(groups):
+        new, old = tmp_path / f"new{i}", tmp_path / f"frozen{i}"
+        new.mkdir()
+        old.mkdir()
+        write(rows, cfg, new, formats)
+        frozen(rows, cfg, old, formats)
+        names = sorted(p.name for p in old.iterdir())
+        assert names == sorted(f"{stem}.{fmt}" for fmt in formats)
+        assert sorted(p.name for p in new.iterdir()) == names
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes(), (i, name)
+        if stem == "wavefunctions" and "json" in formats:
+            waves += json.loads((new / "wavefunctions.json").read_text())
+    if waves:
         # no sample reads null; those past r_far read 0
-        waves = json.loads((tmp_path / "new" / "wavefunctions.json").read_text())
         assert not any(None in w["R"] for w in waves)
         assert any(w["R"][-1] == 0.0 for w in waves)
 
 
 def test_empty_rows_match_the_frozen_writers(tmp_path):
+    cfg = cli.parse_config(demo_config_dict())
     for stem, (write, frozen) in WRITERS.items():
         for d, writer in (("new", write), ("frozen", frozen)):
             (tmp_path / d).mkdir(exist_ok=True)
-            writer([], tmp_path / d, ("csv", "json"))
+            writer([], cfg, tmp_path / d, ("csv", "json"))
         for fmt in ("csv", "json"):
             name = f"{stem}.{fmt}"
             assert ((tmp_path / "new" / name).read_bytes()
