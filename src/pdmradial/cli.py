@@ -20,13 +20,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import SolverConfig, find_eigenvalue
-from .errors import BracketError, DomainError, WrongStateError
-from .identities import DEFAULT_SEED, run_identity_suite
+from .eigensolver import SolverConfig, finish, search_root
+from .errors import BracketError, DomainError
 from .model import (
     EigenResult,
     MassProfile,
@@ -39,7 +39,7 @@ from .model import (
 )
 from .oracle import channel_spectrum, window_tail_radius
 from .recurrence import _series
-from .tail import leg_values
+from .tail import leg_values, outer_turning_radius
 from .wavefunction import evaluate
 
 __all__ = ["RunConfig", "load_config", "run_solve", "run_verify", "main"]
@@ -342,41 +342,42 @@ class StateRow:
         }
 
 
-def _solve_channel(cfg: RunConfig, ell: int, r_tail: float) -> dict[int, StateRow]:
-    """Every requested radial state of one angular channel, bracketed by one
-    collocation spectrum on the window's tail radius ``r_tail``; a state
-    that fails gets an error row naming the exception."""
-    dim = cfg.quantum.dim
-    spectrum = channel_spectrum(cfg.potential, cfg.mass, QuantumNumbers(dim, ell, 0),
-                                cfg.solver.e_bracket, r_tail)
-    states: dict[int, StateRow] = {}
-    for n in dict.fromkeys(cfg.quantum.n):
-        q = QuantumNumbers(dim, ell, n)
-        try:
-            result = find_eigenvalue(cfg.potential, cfg.mass, q, cfg.solver, spectrum)
-        except (BracketError, WrongStateError, DomainError) as exc:
-            states[n] = StateRow(q, message=f"{type(exc).__name__}: {exc}")
-        else:
-            states[n] = StateRow(q, result, result.oracle_error or "")
-    return states
+def _failed(q: QuantumNumbers, exc: Exception, prefix: str = "") -> StateRow:
+    return StateRow(q, message=f"{prefix}{type(exc).__name__}: {exc}")
 
 
 def solve_states(cfg: RunConfig) -> list[StateRow]:
-    """Solve all (ell, n) rows requested by the config, in config order."""
-    rows: list[StateRow] = []
-    # r_max does not depend on l: one tail radius serves every channel
-    r_tail = window_tail_radius(cfg.potential, cfg.mass, cfg.solver.e_bracket)
-    for ell in cfg.quantum.ell:
+    """Solve all (ell, n) rows requested by the config, in config order:
+    the root of every state of every channel, each channel bracketed by one
+    collocation spectrum, then one finishing pass over every root.  A
+    state that fails gets an error row naming the exception, and a channel
+    whose spectrum fails an error row for each of its states."""
+    pot, mass, solver, dim = cfg.potential, cfg.mass, cfg.solver, cfg.quantum.dim
+    # the window's upper energy places r_max for every channel (r_max does
+    # not depend on l) and the inward start of a state whose cell reaches it
+    r_turn = outer_turning_radius(pot, solver.e_bracket[1])
+    r_tail = window_tail_radius(pot, mass, solver.e_bracket, r_turn)
+    rows: dict[tuple[int, int], StateRow] = {}
+    roots = {}
+    for ell in dict.fromkeys(cfg.quantum.ell):
         try:
-            channel = _solve_channel(cfg, ell, r_tail)
+            spectrum = channel_spectrum(pot, mass, QuantumNumbers(dim, ell, 0),
+                                        solver.e_bracket, r_tail)
         except (BracketError, DomainError) as exc:
-            channel = {
-                n: StateRow(QuantumNumbers(cfg.quantum.dim, ell, n),
-                            message=f"channel failed: {type(exc).__name__}: {exc}")
-                for n in cfg.quantum.n
-            }
-        rows.extend(channel[n] for n in cfg.quantum.n)
-    return rows
+            for n in cfg.quantum.n:
+                rows[ell, n] = _failed(QuantumNumbers(dim, ell, n), exc, "channel failed: ")
+            continue
+        for n in dict.fromkeys(cfg.quantum.n):
+            q = QuantumNumbers(dim, ell, n)
+            try:
+                roots[ell, n] = search_root(pot, mass, q, solver, spectrum, r_turn)
+            except (BracketError, DomainError) as exc:
+                rows[ell, n] = _failed(q, exc)
+    for (ell, n), result in zip(roots, finish(list(roots.values()))):
+        q = QuantumNumbers(dim, ell, n)
+        rows[ell, n] = (_failed(q, result) if isinstance(result, Exception)
+                        else StateRow(q, result, result.oracle_error or ""))
+    return [rows[ell, n] for ell in cfg.quantum.ell for n in cfg.quantum.n]
 
 
 def _fmt_csv(x) -> str:
@@ -525,8 +526,13 @@ def run_solve(config_path: str, artifacts: tuple = ("energies",)) -> int:
     return 1 if failures or refused else 0
 
 
-def run_verify(seed: int = DEFAULT_SEED) -> int:
-    """Randomized closed-form identity report; nonzero exit on any failure."""
+def run_verify(seed: int | None = None) -> int:
+    """Randomized closed-form identity report, with the suite's default
+    seed when ``seed`` is None; nonzero exit on any failure.  The suite is
+    imported here: no other subcommand loads it."""
+    from .identities import DEFAULT_SEED, run_identity_suite
+
+    seed = DEFAULT_SEED if seed is None else seed
     results = run_identity_suite(seed)
     print(f"identity verification (seed={seed})")
     ok = True
@@ -541,7 +547,10 @@ def run_verify(seed: int = DEFAULT_SEED) -> int:
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call of ``main`` and
+    reused by every later one in the process."""
     parser = argparse.ArgumentParser(
         prog="pdmradial",
         description="Bound states of the N-dimensional position-dependent-mass "
@@ -550,11 +559,14 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", help="solve energies per config").add_argument("config")
     sub.add_parser("verify", help="run the closed-form identity suite").add_argument(
-        "--seed", type=int, default=DEFAULT_SEED)
+        "--seed", type=int, default=None)
     sub.add_parser("coefficients", help="dump series coefficients").add_argument("config")
     sub.add_parser("sample", help="dump wavefunction samples").add_argument("config")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return run_verify(args.seed)
     return run_solve(args.config, _ARTIFACTS[args.command])

@@ -15,10 +15,12 @@ The brackets come from the channel's collocation spectrum
 (``oracle.channel_spectrum``): state n is sought in the cell of level n,
 between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
-narrow bracket shows no sign change or does not converge.  The node count
-of the converged state is verified, and its norm taken, on one
-eigenfunction, the series on (0, r_match] and the inward leg beyond, which
-the result carries."""
+narrow bracket shows no sign change or does not converge
+(``search_root``).  The node count of the converged state is verified, and
+its norm taken, on one eigenfunction, the series on (0, r_match] and the
+inward leg beyond, which the result carries; ``finish`` does this for a
+list of roots at once, every state of a config in one pass, and
+``find_eigenvalue`` is its one-state case."""
 
 from __future__ import annotations
 
@@ -34,16 +36,20 @@ from .model import (
     MassProfile,
     PotentialSpec,
     QuantumNumbers,
+    SeriesSolution,
     _horner,
     b_from_energy,
 )
 from .recurrence import _stopped_series
-from .wavefunction import count_nodes, norm2, sign_changes
+from .wavefunction import node_counts, norms2, sign_changes
 
 __all__ = [
+    "Root",
     "SolverConfig",
     "brentq",
     "find_eigenvalue",
+    "finish",
+    "search_root",
 ]
 
 # The ansatz b = sqrt(-2 m0 E) degenerates as E -> 0-.
@@ -164,10 +170,13 @@ def _build_geometry(
     mass: MassProfile,
     q: QuantumNumbers,
     cell: tuple[float, float],
+    r_turn: float | None = None,
 ) -> tail.Leg:
     """The fixed matching geometry of one root solve, the inward leg from
     r_match = 1.5/b at the cell's midpoint to r_far (fixed, it keeps the
-    mismatch continuous in E; its zeros do not depend on these choices)."""
+    mismatch continuous in E; its zeros do not depend on these choices).
+    ``r_turn``, when given, is the outer turning radius at the cell's upper
+    energy."""
     e_lo, e_hi = cell
     b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
     r_match = 1.5 / b_mid
@@ -175,7 +184,8 @@ def _build_geometry(
     # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
     # lengths out and past the outer turning point of the shallowest cell
     # energy; the leg is cut into pieces at the deepest one
-    r_turn = tail.outer_turning_radius(pot, e_hi)
+    if r_turn is None:
+        r_turn = tail.outer_turning_radius(pot, e_hi)
     r_tail = tail.tail_radius(pot, mass, e_hi, r_turn=r_turn)
     r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
     return tail.make_leg(pot, mass, q, r_match, r_far, e_lo)
@@ -217,30 +227,50 @@ def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
     return out[0]
 
 
-def find_eigenvalue(
+@dataclass(frozen=True)
+class Root:
+    """One state's converged energy before its checks: the state, the
+    settings and channel spectrum it was sought with, its collocation
+    ``level``, the matching geometry ``leg``, and Brent's evaluation at the
+    root, its |mismatch| ``residual``, its series and its inward solution."""
+
+    q: QuantumNumbers
+    cfg: SolverConfig
+    spectrum: oracle.ChannelSpectrum
+    level: float
+    leg: tail.Leg
+    energy: float
+    residual: float
+    solution: SeriesSolution
+    inward: tail.Inward
+
+
+def search_root(
     pot: PotentialSpec,
     mass: MassProfile,
     q: QuantumNumbers,
     cfg: SolverConfig,
     spectrum: oracle.ChannelSpectrum | None = None,
-) -> EigenResult:
-    """Locate state q.radial_n in the cell of its collocation level and
-    verify its node count.
+    r_turn: float | None = None,
+) -> Root:
+    """The root of the mismatch for state q.radial_n in the cell of its
+    collocation level, unchecked (``finish`` checks it).
 
     ``spectrum`` is the channel's collocation spectrum over the window
     cfg.e_bracket; it is solved here when not given, so a caller solving
-    several states of one channel should pass it.  BracketError when level
-    q.radial_n lies outside the window, the mismatch has no sign change in
-    its cell, or Brent's method needs more than _MAX_ITER iterations on
-    it; DomainError when the root's series has not converged at r_match
-    by cfg.truncation_order; WrongStateError when the converged state's
-    node count differs from q.radial_n; DomainError when its norm integral
-    is not finite.
+    several states of one channel should pass it.  ``r_turn``, when given,
+    is ``tail.outer_turning_radius`` at the window's upper energy, which the
+    state whose cell reaches the window's top need not search again.
+    BracketError when level q.radial_n lies outside the window, the
+    mismatch has no sign change in its cell, or Brent's method needs more
+    than _MAX_ITER iterations on it; DomainError when the geometry or a
+    trial energy leaves its domain (r_far not in the forbidden tail).
     """
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
     cell, e_c = spectrum.cell(q.radial_n)
-    geom = _build_geometry(pot, mass, q, cell)
+    top = cell[1] == spectrum.window[1]
+    geom = _build_geometry(pot, mass, q, cell, r_turn if top else None)
 
     args = (pot, mass, q, cfg, geom)
     evaluated: dict = {}
@@ -277,58 +307,107 @@ def find_eigenvalue(
         )
 
     # brentq returns an energy it has evaluated: that evaluation holds the
-    # converged state's inward solution and its series, which must have
-    # stopped, its terms at r_match negligible, before truncation_order
+    # converged state's inward solution and its series
     residual, sol, inward = evaluated[e_star]
-    r = geom.r_match
-    if sol.coeffs.size > cfg.truncation_order:
-        raise DomainError(
-            f"truncation_order {cfg.truncation_order} is too low for r_match={r!r}: "
-            f"the series at E={e_star!r} has not converged there"
-        )
+    return Root(q, cfg, spectrum, e_c, geom, e_star, abs(residual), sol, inward)
 
-    # one eigenfunction: the series on (0, r_match], and beyond it the inward
-    # solution times sigma, the projection of the series' direction
-    # (u, u' + g u) onto the inward (R, R'), which a node at r_match leaves
-    # well defined.  Its nodes: the series' own, then the sign changes from
-    # the series value at r_match on (that sample is not counted twice)
-    u, du = _series_direction(sol, q, r)
-    sigma = (u * inward.R + du * inward.dR) / (inward.R**2 + inward.dR**2)
-    beyond = inward.samples(_NODE_SAMPLES) * math.copysign(1.0, sigma)
-    nodes = (count_nodes(sol, r, samples=_NODE_SAMPLES)
-             + sign_changes(np.append(u, beyond)))
-    if nodes != q.radial_n:
-        raise WrongStateError(q.radial_n, nodes, e_star)
+
+def finish(roots: list[Root]) -> list[EigenResult | Exception]:
+    """Each root's ``EigenResult``, or the error that refuses it, in order:
+    DomainError when its series has not stopped, its terms at r_match
+    negligible, before cfg.truncation_order; WrongStateError when its node
+    count differs from q.radial_n; DomainError when its norm integral is
+    not finite.  Each step serves every root still standing at once (one
+    product counts every series' nodes, one every inward leg's, one pass
+    takes every series norm), and each value has the bits of its root's
+    own pass: a root's result does not depend on the others."""
+    out: list = [None] * len(roots)
+
+    # one eigenfunction per root: the series on (0, r_match], and beyond it
+    # the inward solution times sigma, the projection of the series'
+    # direction (u, u' + g u) onto the inward (R, R'), which a node at
+    # r_match leaves well defined
+    converged = []
+    for i, root in enumerate(roots):
+        sol, inward, r = root.solution, root.inward, root.leg.r_match
+        if sol.coeffs.size > root.cfg.truncation_order:
+            out[i] = DomainError(
+                f"truncation_order {root.cfg.truncation_order} is too low for "
+                f"r_match={r!r}: the series at E={root.energy!r} has not "
+                "converged there"
+            )
+            continue
+        u, du = _series_direction(sol, root.q, r)
+        sigma = (u * inward.R + du * inward.dR) / (inward.R**2 + inward.dR**2)
+        converged.append((i, root, u, sigma))
+
+    # its nodes: the series' own, then the sign changes from the series
+    # value at r_match on (that sample is not counted twice)
+    in_series = node_counts([(root.solution, root.leg.r_match)
+                             for _, root, *_ in converged], _NODE_SAMPLES)
+    legs = tail.leg_samples([root.inward for _, root, *_ in converged], _NODE_SAMPLES)
+    counted = []
+    for (i, root, u, sigma), nodes, beyond in zip(converged, in_series, legs):
+        if isinstance(nodes, DomainError):
+            out[i] = nodes
+            continue
+        nodes += sign_changes(np.append(u, beyond * math.copysign(1.0, sigma)))
+        if nodes != root.q.radial_n:
+            out[i] = WrongStateError(root.q.radial_n, nodes, root.energy)
+            continue
+        counted.append((i, root, sigma, nodes))
 
     # and its norm, with the prefactor r^((k-1)/2) e^(-br) that turns the
     # series' direction into its (R, R'); the series' Gauss-Legendre size
     # follows the order, not where the series stopped
-    p_sigma = math.exp((q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
-    integral = (norm2(sol, r, max(64, cfg.truncation_order + 1))
-                + p_sigma * p_sigma * inward.norm2(geom))
-    if not 0.0 < integral < math.inf:
-        raise DomainError(
-            f"the norm integral of the state at E={e_star!r} is {integral!r}"
+    series_norms = norms2([(root.solution, root.leg.r_match,
+                            max(64, root.cfg.truncation_order + 1))
+                           for _, root, *_ in counted])
+    for (i, root, sigma, nodes), series_norm in zip(counted, series_norms):
+        sol, r, e_star = root.solution, root.leg.r_match, root.energy
+        p_sigma = math.exp((root.q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
+        integral = series_norm + p_sigma * p_sigma * root.inward.norm2(root.leg)
+        if not 0.0 < integral < math.inf:
+            out[i] = DomainError(
+                f"the norm integral of the state at E={e_star!r} is {integral!r}"
+            )
+            continue
+
+        # an oracle that cannot check the state leaves the series result
+        # standing and says why
+        oracle_gap = oracle_error = None
+        if root.cfg.run_oracle:
+            try:
+                oracle_gap = abs(e_star - root.spectrum.checked(root.level))
+            except ResolutionError as exc:
+                oracle_error = f"{type(exc).__name__}: {exc}"
+
+        out[i] = EigenResult(
+            energy=float(e_star),
+            nodes=nodes,
+            norm_const=float(1.0 / math.sqrt(integral)),
+            tail_residual=root.residual,
+            oracle_gap=oracle_gap,
+            solution=sol,
+            oracle_error=oracle_error,
+            inward=root.inward,
+            p_sigma=p_sigma,
         )
-    norm_const = 1.0 / math.sqrt(integral)
+    return out
 
-    # an oracle that cannot check the state leaves the series result
-    # standing and says why
-    oracle_gap = oracle_error = None
-    if cfg.run_oracle:
-        try:
-            oracle_gap = abs(e_star - spectrum.checked(e_c))
-        except ResolutionError as exc:
-            oracle_error = f"{type(exc).__name__}: {exc}"
 
-    return EigenResult(
-        energy=float(e_star),
-        nodes=nodes,
-        norm_const=float(norm_const),
-        tail_residual=abs(residual),
-        oracle_gap=oracle_gap,
-        solution=sol,
-        oracle_error=oracle_error,
-        inward=inward,
-        p_sigma=p_sigma,
-    )
+def find_eigenvalue(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    q: QuantumNumbers,
+    cfg: SolverConfig,
+    spectrum: oracle.ChannelSpectrum | None = None,
+) -> EigenResult:
+    """Locate state q.radial_n in the cell of its collocation level and
+    verify its node count: ``finish`` of the one root of ``search_root``.
+    Raises the error that refuses the state, ``search_root``'s or the one
+    ``finish`` returns in its place."""
+    (result,) = finish([search_root(pot, mass, q, cfg, spectrum)])
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -21,10 +21,13 @@ spans more than e^25 or so, so none loses its far-end sign to rounding, and
 the sign of R at r_match is the product of the pieces' signs of y at their
 right ends.
 
-The eigensolver calls ``integrate_radial`` once per trial energy, and
+The eigensolver builds a leg (``make_leg``, every piece in one stacked
+pass) once per state, calls ``integrate_radial`` once per trial energy, and
 ``Inward.norm2`` once for the converged state, whose eigenfunction past
-r_match is this leg (``leg_values``); ``tail_radius`` and
-``outer_turning_radius`` place the start of the leg in the forbidden tail.
+r_match is this leg (``leg_values``); ``leg_samples`` gives the signs its
+nodes are counted on, for every converged state at once.  ``tail_radius``
+and ``outer_turning_radius`` place the start of the leg in the forbidden
+tail.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "Leg",
     "Piece",
     "integrate_radial",
+    "leg_samples",
     "leg_values",
     "make_leg",
     "outer_turning_radius",
@@ -226,16 +230,6 @@ class Inward:
     edges: tuple[float, ...]
     mass: MassProfile
 
-    def samples(self, per_piece: int) -> np.ndarray:
-        """Values with the signs of R at ``per_piece`` uniform points of
-        each piece, r_match itself left out (their magnitudes are on each
-        piece's own scale), from one product with a cached Chebyshev matrix
-        of the points.  Callers read only the signs: the product's rounding
-        may follow the BLAS, which only a value at rounding level could show."""
-        coeffs = np.stack(self.coeffs)
-        values = coeffs @ _uniform_vander(per_piece, coeffs.shape[1]).T
-        return (values * np.array(self.signs)[:, None]).ravel()[1:]
-
     def norm2(self, leg: Leg) -> float:
         """The integral of R^2 over ``leg``, the leg solved on, with
         R(r_match) = 1: each piece's y (1 at its left end) times the right-end
@@ -249,6 +243,23 @@ class Inward:
             total += amp2 * float((piece.weights * (y * y)).sum())
             amp2 *= float(c.sum()) ** 2
         return total
+
+
+def leg_samples(inwards: list[Inward], per_piece: int) -> list[np.ndarray]:
+    """Values with the signs of R at ``per_piece`` uniform points of each
+    piece of each inward solution, r_match itself left out (their
+    magnitudes are on each piece's own scale), every piece of every one a
+    row of one product with a cached Chebyshev matrix of the points.
+    Callers read only the signs: the product's rounding may follow the BLAS
+    and the rows stacked with it, which only a value at rounding level
+    could show."""
+    if not inwards:
+        return []
+    coeffs = np.array([c for inward in inwards for c in inward.coeffs])
+    values = coeffs @ _uniform_vander(per_piece, coeffs.shape[1]).T
+    values *= np.array([s for inward in inwards for s in inward.signs])[:, None]
+    ends = np.cumsum([len(inward.coeffs) for inward in inwards])[:-1]
+    return [rows.ravel()[1:] for rows in np.split(values, ends)]
 
 
 def leg_values(states: list[tuple[Inward, np.ndarray]]) -> list[np.ndarray]:
@@ -314,18 +325,22 @@ def make_leg(
     t, w = _gauss_legendre(_NODES)
     m_match = mass.mass_at(r_match)
     cuts = _cuts(pot, mass, q, r_match, r_far, e_ref)
-    pieces = []
-    for left, right in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        scale = 2.0 / (right - left)
-        r = left + (x + 1.0) / scale
-        _, w0, m2 = _potential_arrays(pot, mass, q, r)
-        s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
-        pieces.append(Piece(left, right, scale,
-                            scale * scale * d2 - w0[:, None] * val,
-                            m2[:, None] * val, (right - left) * w * s2))
-    g, w0, m2 = _potential_arrays(pot, mass, q, np.array([r_match, r_far]))
-    return Leg(float(r_match), float(r_far), tuple(pieces), float(g[0]),
-               float(w0[1]), float(m2[1]), mass)
+    # every piece at once, a row each: its interior nodes, then r_match and
+    # r_far, in one pass; elementwise, so each value has its own bits
+    left, right = cuts[:-1, None], cuts[1:, None]
+    scale = 2.0 / (right - left)
+    r = left + (x + 1.0) / scale
+    g, w0, m2 = _potential_arrays(pot, mass, q, np.append(r, [r_match, r_far]))
+    s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
+    w0_nodes, m2_nodes = (a[:-2].reshape(r.shape)[:, :, None] for a in (w0, m2))
+    rows0 = (scale * scale)[:, :, None] * d2 - w0_nodes * val
+    rows_e = m2_nodes * val
+    weights = (right - left) * w * s2
+    pieces = tuple(Piece(a, b, s, *rows) for a, b, s, *rows in zip(
+        cuts[:-1].tolist(), cuts[1:].tolist(), scale[:, 0].tolist(),
+        rows0, rows_e, weights))
+    return Leg(float(r_match), float(r_far), pieces, float(g[-2]),
+               float(w0[-1]), float(m2[-1]), mass)
 
 
 def integrate_radial(leg: Leg, e: float) -> Inward:

@@ -20,8 +20,10 @@ __all__ = [
     "trusted",
     "evaluate",
     "norm2",
+    "norms2",
     "ode_residual",
     "count_nodes",
+    "node_counts",
     "sign_changes",
 ]
 
@@ -125,13 +127,27 @@ def norm2(sol: SeriesSolution, r: float, nodes: int | None = None) -> float:
     overflows.  R^2 = r^(k-1) e^(-2br) u(r)^2 is a polynomial times an
     exponential, so a fixed Gauss-Legendre rule converges spectrally; it has
     ``nodes`` nodes, by default as many as the series has terms and at
-    least 64."""
-    if not 0 < r < math.inf:
+    least 64.  The one-state case of ``norms2``."""
+    return norms2([(sol, r, nodes or max(64, sol.coeffs.size))])[0]
+
+
+def norms2(states: list[tuple[SeriesSolution, float, int]]) -> list[float]:
+    """``norm2`` of each (solution, r, nodes), one ``_eval_R_positive`` pass
+    per node count over a row per state, each sum a row's own reduction:
+    every value has the bits of its state's call alone."""
+    if not all(0 < r < math.inf for _, r, _ in states):
         raise DomainError("r must be positive and finite")
-    t, weights = _gauss_legendre(nodes or max(64, sol.coeffs.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _eval_R_positive([sol], r * t[None])[0]
-        return r * float((weights * (v * v)).sum())
+    out = [0.0] * len(states)
+    for nodes in dict.fromkeys(n for *_, n in states):
+        rows = [i for i, (*_, n) in enumerate(states) if n == nodes]
+        t, weights = _gauss_legendre(nodes)
+        r = np.array([states[i][1] for i in rows])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _eval_R_positive([states[i][0] for i in rows], r * t)
+            sums = (weights * (v * v)).sum(axis=1)
+            for i, value in zip(rows, (r[:, 0] * sums).tolist()):
+                out[i] = value
+    return out
 
 
 def ode_residual(
@@ -204,18 +220,45 @@ def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:
     the series factor u, counted as sign changes on a uniform grid of
     ``samples`` points; samples that are exactly zero are skipped so that
     near-zero touches without an actual crossing are not counted.  At
-    r = y r_max, u is sum_i t_i y^i, one product with the cached powers of y,
+    r = y r_max, u is sum_i t_i y^i, a product with the cached powers of y,
     where t_i = a_i x_max^i is the i-th term at x_max = r_max/2^x_exp.
     DomainError when a term leaves the float range, as it does for a radius
-    far past the one the series was generated for.
+    far past the one the series was generated for.  The one-state case of
+    ``node_counts``.
     """
+    (count,) = node_counts([(sol, r_max)], samples)
+    if isinstance(count, DomainError):
+        raise count
+    return count
+
+
+def node_counts(states: list[tuple[SeriesSolution, float]],
+                samples: int = 2048) -> list[int | DomainError]:
+    """``count_nodes`` of each (solution, r_max), every state's terms a
+    column of one product with the cached powers, zero below the shorter
+    series; a state whose terms leave the float range has its DomainError
+    in place of a count.  Only the signs of the product are read: its
+    rounding may follow the BLAS and the columns beside it."""
     if samples < 100:
         raise DomainError("need at least 100 samples")
-    if not 0 < r_max < math.inf:
+    if not all(0 < r_max < math.inf for _, r_max in states):
         raise DomainError("r_max must be positive and finite")
-    a = sol.coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = a * math.ldexp(r_max, -sol.x_exp) ** np.arange(a.size)
-    if not np.all(np.isfinite(t)):
-        raise DomainError(f"the series terms at r_max={r_max!r} leave the float range")
-    return sign_changes(_powers(samples, a.size) @ t)
+    out, terms = [], []
+    for sol, r_max in states:
+        a = sol.coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = a * math.ldexp(r_max, -sol.x_exp) ** np.arange(a.size)
+        if np.all(np.isfinite(t)):
+            out.append(len(terms))
+            terms.append(t)
+        else:
+            out.append(DomainError(
+                f"the series terms at r_max={r_max!r} leave the float range"))
+    if not terms:
+        return out
+    size = max(t.size for t in terms)
+    columns = np.zeros((size, len(terms)), order="F")
+    for j, t in enumerate(terms):
+        columns[: t.size, j] = t
+    values = _powers(samples, size) @ columns
+    return [sign_changes(values[:, j]) if isinstance(j, int) else j for j in out]

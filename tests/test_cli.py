@@ -304,13 +304,13 @@ class TestSolveDemo:
         import pdmradial.cli as cli_mod
 
         solved = []
-        original = cli_mod.find_eigenvalue
+        original = cli_mod.search_root
 
-        def counting(pot, mass, q, cfg, spectrum):
+        def counting(pot, mass, q, cfg, spectrum, r_turn):
             solved.append(q.radial_n)
-            return original(pot, mass, q, cfg, spectrum)
+            return original(pot, mass, q, cfg, spectrum, r_turn)
 
-        monkeypatch.setattr(cli_mod, "find_eigenvalue", counting)
+        monkeypatch.setattr(cli_mod, "search_root", counting)
         data = demo_config_dict()
         data["output"]["directory"] = str(tmp_path / "out")
         assert run_solve(str(write_config(tmp_path, data))) == 0
@@ -383,13 +383,13 @@ class TestArtifacts:
         import pdmradial.cli as cli_mod
 
         seen = []
-        original = cli_mod.find_eigenvalue
+        original = cli_mod.search_root
 
-        def recording(pot, mass, q, cfg, spectrum):
+        def recording(pot, mass, q, cfg, spectrum, r_turn):
             seen.append((pot, mass, cfg))
-            return original(pot, mass, q, cfg, spectrum)
+            return original(pot, mass, q, cfg, spectrum, r_turn)
 
-        monkeypatch.setattr(cli_mod, "find_eigenvalue", recording)
+        monkeypatch.setattr(cli_mod, "search_root", recording)
         data = json.loads(EXPMASS_CONFIG.read_text())
         data["solver"]["oracle"] = False
         cfg = parse_config(data)
@@ -618,10 +618,10 @@ class TestArtifacts:
         import pdmradial.cli as cli_mod
         from pdmradial.errors import BracketError
 
-        def failing(pot, mass, q, cfg, spectrum):
+        def failing(pot, mass, q, cfg, spectrum, r_turn):
             raise BracketError(f"no sign change for n={q.radial_n}")
 
-        monkeypatch.setattr(cli_mod, "find_eigenvalue", failing)
+        monkeypatch.setattr(cli_mod, "search_root", failing)
         data = demo_config_dict()
         data["quantum"]["n"] = [0]
         data["output"]["directory"] = str(tmp_path / "fail")
@@ -851,6 +851,40 @@ class TestVerify:
 class TestMain:
     def test_main_verify(self):
         assert main(["verify", "--seed", "11"]) == 0
+
+    def test_second_call_builds_no_parser(self, tmp_path, monkeypatch):
+        # the parser is built once per process, on the first call
+        import argparse
+
+        data = demo_config_dict()
+        data["quantum"]["n"] = [0]
+        data["output"]["directory"] = str(tmp_path / "out")
+        config = str(write_config(tmp_path, data))
+        assert main(["solve", config]) == 0
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", Counting)
+        assert main(["solve", config]) == 0
+        assert main(["verify", "--seed", "11"]) == 0
+        assert built == []
+
+    def test_importing_the_cli_leaves_the_identity_suite_out(self):
+        # a fresh interpreter: only `verify` loads the identity suite
+        script = (
+            "import sys\n"
+            "import pdmradial.cli\n"
+            "print('pdmradial.identities' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_main_unknown_config(self, capsys):
         assert main(["solve", "does/not/exist.json"]) == 2

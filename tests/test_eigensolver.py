@@ -438,17 +438,19 @@ class TestScanSpectrum:
         import pdmradial.wavefunction as wf_mod
 
         roots, samples = [], []
-        trusted, solve = wf_mod.trusted, cli_mod.find_eigenvalue
+        trusted, finish = wf_mod.trusted, cli_mod.finish
 
-        def recording_solve(pot, mass, q, cfg, spectrum):
-            roots.append((solve(pot, mass, q, cfg, spectrum), cfg.truncation_order))
-            return roots[-1][0]
+        def recording_finish(found):
+            results = finish(found)
+            roots.extend((res, root.cfg.truncation_order)
+                         for res, root in zip(results, found))
+            return results
 
         def recording(sol, r):
             samples.append((sol, r, trusted(sol, r)))
             return samples[-1][2]
 
-        monkeypatch.setattr(cli_mod, "find_eigenvalue", recording_solve)
+        monkeypatch.setattr(cli_mod, "finish", recording_finish)
         monkeypatch.setattr(wf_mod, "trusted", recording)
         _solve_centres(tmp_path, workload)
         assert len(roots) == states
@@ -631,6 +633,35 @@ class TestScanSpectrum:
         calls.clear()
         find_eigenvalue(pot, mass, q, cfg, spectrum)
         assert calls == [cell[1]]
+
+
+    @pytest.mark.parametrize("workload, searches", [
+        ("coulomb_oracle", 11), ("expmass_cornell", 6), ("oscillator_series", 9),
+    ])
+    def test_one_turning_point_search_per_energy_of_a_config(
+        self, monkeypatch, workload, searches
+    ):
+        # each config searches its window's upper energy once, for r_max,
+        # and the state whose cell reaches the window's top reuses it; every
+        # other state searches its own cell's upper energy once
+        import pdmradial.tail as tail_mod
+
+        calls = []
+        search = tail_mod.outer_turning_radius
+
+        def counting(pot, e):
+            calls.append(e)
+            return search(pot, e)
+
+        monkeypatch.setattr(tail_mod, "outer_turning_radius", counting)
+        monkeypatch.setattr(cli, "outer_turning_radius", counting)
+        tops = []
+        for data in BENCHMARK_CENTRES[workload]:
+            cfg = cli.parse_config({**data, "output": {"directory": "unused"}})
+            cli.solve_states(cfg)
+            tops.append(cfg.solver.e_bracket[1])
+        assert len(calls) == searches
+        assert len(set(calls)) == len(calls) and set(tops) <= set(calls)
 
 
 class TestOrdering:

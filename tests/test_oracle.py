@@ -11,6 +11,7 @@ from pdmradial.model import MassProfile, PotentialSpec, QuantumNumbers, make_cor
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.tail import (
     integrate_radial,
+    leg_samples,
     leg_values,
     make_leg,
     outer_turning_radius,
@@ -102,6 +103,38 @@ class TestMakeLeg:
         shares = [_exponent(*OSCILLATOR, a, b, OSCILLATOR_E0) for a, b in ends]
         assert max(shares) < 25.0 * (1 + 1e-3)
         assert np.allclose(shares, total / len(shares), rtol=1e-3)
+
+    @pytest.mark.parametrize("mass, far", [
+        (MassProfile([1.0]), (12.0, 40.0, 52.0, 64.0)),
+        (MassProfile([1.0], 0.02), (12.0, 42.0, 62.0, 82.0)),
+        (MassProfile([1.0, 0.3, 0.05]), (12.0, 21.0, 25.0, 28.0)),
+    ], ids=["constant", "exponential", "polynomial"])
+    def test_stacked_pieces_have_the_per_piece_bits(self, mass, far):
+        # every piece of a leg built in one stacked pass has the bits that
+        # the piece's own formula gives, on legs of 1 to 4 pieces
+        from pdmradial.model import _gauss_legendre
+        from pdmradial.tail import _NODES, _operators, _potential_arrays
+
+        pot, q = make_cornell(1.0, 0.05, -1.0), QuantumNumbers(3, 1, 0)
+        x, (val, d2, *_) = _operators(_NODES)
+        t, w = _gauss_legendre(_NODES)
+        counts = set()
+        for r_far in far:
+            leg = make_leg(pot, mass, q, 1.5, r_far, -0.6)
+            counts.add(len(leg.pieces))
+            m_match = mass.mass_at(1.5)
+            for piece in leg.pieces:
+                left, right = piece.left, piece.right
+                scale = 2.0 / (right - left)
+                _, w0, m2 = _potential_arrays(pot, mass, q, left + (x + 1.0) / scale)
+                s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
+                assert type(piece.scale) is float and piece.scale == scale
+                assert np.array_equal(piece.rows0, scale * scale * d2 - w0[:, None] * val)
+                assert np.array_equal(piece.rows_e, m2[:, None] * val)
+                assert np.array_equal(piece.weights, (right - left) * w * s2)
+            g, w0, m2 = _potential_arrays(pot, mass, q, np.array([1.5, r_far]))
+            assert (leg.g_match, leg.w0_far, leg.m2_far) == (g[0], w0[1], m2[1])
+        assert counts == {1, 2, 3, 4}, counts
 
     def test_short_leg_is_one_piece(self):
         # e^-14 of decay fits one solve
@@ -294,7 +327,7 @@ class TestInwardKernel:
                          for c, sign in zip(sol.coeffs, sol.signs)])
         # each piece's values on its own scale
         scale = np.repeat(np.max(np.abs(rows), axis=1), per_piece)[1:]
-        want, got = rows.ravel()[1:], sol.samples(per_piece)
+        want, got = rows.ravel()[1:], leg_samples([sol], per_piece)[0]
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
         clear = np.abs(want) > 1e-10 * scale

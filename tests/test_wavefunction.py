@@ -21,7 +21,9 @@ from pdmradial.recurrence import (
 from pdmradial.wavefunction import (
     count_nodes,
     evaluate,
+    node_counts,
     norm2,
+    norms2,
     ode_residual,
     sign_changes,
     trusted,
@@ -68,17 +70,17 @@ def horner_count(sol, r_max, samples=2048):
 
 def recorded_node_counts(monkeypatch, configs):
     """(solution, r_max, samples) of every node count the solver takes on
-    ``configs``, with the solved rows."""
+    ``configs``, in the order of its batches, with the solved rows."""
     import pdmradial.eigensolver as eig_mod
     from pdmradial import cli
 
     calls = []
 
-    def recording(sol, r_max, samples=2048):
-        calls.append((sol, r_max, samples))
-        return count_nodes(sol, r_max, samples=samples)
+    def recording(states, samples=2048):
+        calls.extend((sol, r_max, samples) for sol, r_max in states)
+        return node_counts(states, samples)
 
-    monkeypatch.setattr(eig_mod, "count_nodes", recording)
+    monkeypatch.setattr(eig_mod, "node_counts", recording)
     rows = [row for data in configs for row in cli.solve_states(cli.parse_config(data))]
     return calls, rows
 
@@ -302,11 +304,11 @@ class TestNormalizeRule:
 
         seen = []
 
-        def recording(sol, r, nodes):
-            seen.append((sol, r, nodes))
-            return norm2(sol, r, nodes)
+        def recording(states):
+            seen.extend(states)
+            return norms2(states)
 
-        monkeypatch.setattr(es_mod, "norm2", recording)
+        monkeypatch.setattr(es_mod, "norms2", recording)
         make, window = self.FAMILIES[family]
         pot, mass = make()
         for k in range(2, 7):
