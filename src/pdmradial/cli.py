@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .model import (
 )
 from .oracle import channel_spectrum, window_tail_radius
 from .recurrence import _series
-from .tail import leg_values, outer_turning_radius
+from .tail import leg_values
 from .wavefunction import evaluate
 
 __all__ = ["RunConfig", "load_config", "run_solve", "run_verify", "main"]
@@ -353,10 +352,8 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
     state that fails gets an error row naming the exception, and a channel
     whose spectrum fails an error row for each of its states."""
     pot, mass, solver, dim = cfg.potential, cfg.mass, cfg.solver, cfg.quantum.dim
-    # the window's upper energy places r_max for every channel (r_max does
-    # not depend on l) and the inward start of a state whose cell reaches it
-    r_turn = outer_turning_radius(pot, solver.e_bracket[1])
-    r_tail = window_tail_radius(pot, mass, solver.e_bracket, r_turn)
+    # r_max does not depend on l: one tail radius serves every channel
+    r_tail = window_tail_radius(pot, mass, solver.e_bracket)
     rows: dict[tuple[int, int], StateRow] = {}
     roots = {}
     for ell in dict.fromkeys(cfg.quantum.ell):
@@ -370,7 +367,7 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
         for n in dict.fromkeys(cfg.quantum.n):
             q = QuantumNumbers(dim, ell, n)
             try:
-                roots[ell, n] = search_root(pot, mass, q, solver, spectrum, r_turn)
+                roots[ell, n] = search_root(pot, mass, q, solver, spectrum)
             except (BracketError, DomainError) as exc:
                 rows[ell, n] = _failed(q, exc)
     for (ell, n), result in zip(roots, finish(list(roots.values()))):
@@ -547,10 +544,7 @@ def run_verify(seed: int | None = None) -> int:
     return 0 if ok else 1
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The command line's parser, built on the first call of ``main`` and
-    reused by every later one in the process."""
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pdmradial",
         description="Bound states of the N-dimensional position-dependent-mass "
@@ -562,11 +556,8 @@ def _parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None)
     sub.add_parser("coefficients", help="dump series coefficients").add_argument("config")
     sub.add_parser("sample", help="dump wavefunction samples").add_argument("config")
-    return parser
 
-
-def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
     if args.command == "verify":
         return run_verify(args.seed)
     return run_solve(args.config, _ARTIFACTS[args.command])

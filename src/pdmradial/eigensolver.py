@@ -170,13 +170,10 @@ def _build_geometry(
     mass: MassProfile,
     q: QuantumNumbers,
     cell: tuple[float, float],
-    r_turn: float | None = None,
 ) -> tail.Leg:
     """The fixed matching geometry of one root solve, the inward leg from
     r_match = 1.5/b at the cell's midpoint to r_far (fixed, it keeps the
-    mismatch continuous in E; its zeros do not depend on these choices).
-    ``r_turn``, when given, is the outer turning radius at the cell's upper
-    energy."""
+    mismatch continuous in E; its zeros do not depend on these choices)."""
     e_lo, e_hi = cell
     b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
     r_match = 1.5 / b_mid
@@ -184,8 +181,7 @@ def _build_geometry(
     # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
     # lengths out and past the outer turning point of the shallowest cell
     # energy; the leg is cut into pieces at the deepest one
-    if r_turn is None:
-        r_turn = tail.outer_turning_radius(pot, e_hi)
+    r_turn = tail.outer_turning_radius(pot, e_hi)
     r_tail = tail.tail_radius(pot, mass, e_hi, r_turn=r_turn)
     r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
     return tail.make_leg(pot, mass, q, r_match, r_far, e_lo)
@@ -231,18 +227,22 @@ def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
 class Root:
     """One state's converged energy before its checks: the state, the
     settings and channel spectrum it was sought with, its collocation
-    ``level``, the matching geometry ``leg``, and Brent's evaluation at the
-    root, its |mismatch| ``residual``, its series and its inward solution."""
+    ``level``, the match radius, and Brent's evaluation at the root, its
+    |mismatch| ``residual``, its series, its inward solution and that
+    solution's ``Inward.norm2`` over its leg.  The leg is not kept: its
+    stacked pieces would be held for every state of a config until the
+    config is finished."""
 
     q: QuantumNumbers
     cfg: SolverConfig
     spectrum: oracle.ChannelSpectrum
     level: float
-    leg: tail.Leg
+    r_match: float
     energy: float
     residual: float
     solution: SeriesSolution
     inward: tail.Inward
+    inward_norm2: float
 
 
 def search_root(
@@ -251,16 +251,13 @@ def search_root(
     q: QuantumNumbers,
     cfg: SolverConfig,
     spectrum: oracle.ChannelSpectrum | None = None,
-    r_turn: float | None = None,
 ) -> Root:
     """The root of the mismatch for state q.radial_n in the cell of its
     collocation level, unchecked (``finish`` checks it).
 
     ``spectrum`` is the channel's collocation spectrum over the window
     cfg.e_bracket; it is solved here when not given, so a caller solving
-    several states of one channel should pass it.  ``r_turn``, when given,
-    is ``tail.outer_turning_radius`` at the window's upper energy, which the
-    state whose cell reaches the window's top need not search again.
+    several states of one channel should pass it.
     BracketError when level q.radial_n lies outside the window, the
     mismatch has no sign change in its cell, or Brent's method needs more
     than _MAX_ITER iterations on it; DomainError when the geometry or a
@@ -269,8 +266,7 @@ def search_root(
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
     cell, e_c = spectrum.cell(q.radial_n)
-    top = cell[1] == spectrum.window[1]
-    geom = _build_geometry(pot, mass, q, cell, r_turn if top else None)
+    geom = _build_geometry(pot, mass, q, cell)
 
     args = (pot, mass, q, cfg, geom)
     evaluated: dict = {}
@@ -309,7 +305,8 @@ def search_root(
     # brentq returns an energy it has evaluated: that evaluation holds the
     # converged state's inward solution and its series
     residual, sol, inward = evaluated[e_star]
-    return Root(q, cfg, spectrum, e_c, geom, e_star, abs(residual), sol, inward)
+    return Root(q, cfg, spectrum, e_c, geom.r_match, e_star, abs(residual), sol,
+                inward, inward.norm2(geom))
 
 
 def finish(roots: list[Root]) -> list[EigenResult | Exception]:
@@ -317,10 +314,12 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
     DomainError when its series has not stopped, its terms at r_match
     negligible, before cfg.truncation_order; WrongStateError when its node
     count differs from q.radial_n; DomainError when its norm integral is
-    not finite.  Each step serves every root still standing at once (one
-    product counts every series' nodes, one every inward leg's, one pass
-    takes every series norm), and each value has the bits of its root's
-    own pass: a root's result does not depend on the others."""
+    not finite, or when the oracle's coarser pencil cannot be built (its
+    ResolutionError is carried on the result instead).  Each step serves
+    every root still standing at once (one product counts every series'
+    nodes, one every inward leg's, one pass takes every series norm), and
+    each value has the bits of its root's own pass: a root's result does
+    not depend on the others."""
     out: list = [None] * len(roots)
 
     # one eigenfunction per root: the series on (0, r_match], and beyond it
@@ -329,7 +328,7 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
     # r_match leaves well defined
     converged = []
     for i, root in enumerate(roots):
-        sol, inward, r = root.solution, root.inward, root.leg.r_match
+        sol, inward, r = root.solution, root.inward, root.r_match
         if sol.coeffs.size > root.cfg.truncation_order:
             out[i] = DomainError(
                 f"truncation_order {root.cfg.truncation_order} is too low for "
@@ -343,7 +342,7 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
 
     # its nodes: the series' own, then the sign changes from the series
     # value at r_match on (that sample is not counted twice)
-    in_series = node_counts([(root.solution, root.leg.r_match)
+    in_series = node_counts([(root.solution, root.r_match)
                              for _, root, *_ in converged], _NODE_SAMPLES)
     legs = tail.leg_samples([root.inward for _, root, *_ in converged], _NODE_SAMPLES)
     counted = []
@@ -360,13 +359,13 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
     # and its norm, with the prefactor r^((k-1)/2) e^(-br) that turns the
     # series' direction into its (R, R'); the series' Gauss-Legendre size
     # follows the order, not where the series stopped
-    series_norms = norms2([(root.solution, root.leg.r_match,
+    series_norms = norms2([(root.solution, root.r_match,
                             max(64, root.cfg.truncation_order + 1))
                            for _, root, *_ in counted])
     for (i, root, sigma, nodes), series_norm in zip(counted, series_norms):
-        sol, r, e_star = root.solution, root.leg.r_match, root.energy
+        sol, r, e_star = root.solution, root.r_match, root.energy
         p_sigma = math.exp((root.q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
-        integral = series_norm + p_sigma * p_sigma * root.inward.norm2(root.leg)
+        integral = series_norm + p_sigma * p_sigma * root.inward_norm2
         if not 0.0 < integral < math.inf:
             out[i] = DomainError(
                 f"the norm integral of the state at E={e_star!r} is {integral!r}"
@@ -381,6 +380,9 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
                 oracle_gap = abs(e_star - root.spectrum.checked(root.level))
             except ResolutionError as exc:
                 oracle_error = f"{type(exc).__name__}: {exc}"
+            except DomainError as exc:  # the mass fails on the coarser grid
+                out[i] = exc
+                continue
 
         out[i] = EigenResult(
             energy=float(e_star),

@@ -268,15 +268,11 @@ class ChannelSpectrum:
 
 
 def window_tail_radius(
-    pot: PotentialSpec,
-    mass: MassProfile,
-    window: tuple[float, float],
-    r_turn: float | None = None,
+    pot: PotentialSpec, mass: MassProfile, window: tuple[float, float]
 ) -> float:
     """The WKB tail radius of the window's upper energy, which places r_max
-    for every channel of the window: it does not depend on l.  ``r_turn``,
-    when given, is the outer turning radius at that energy."""
-    return tail_radius(pot, mass, window[1], _TAIL_EXPONENT, r_turn)
+    for every channel of the window: it does not depend on l."""
+    return tail_radius(pot, mass, window[1], _TAIL_EXPONENT)
 
 
 def channel_spectrum(

@@ -306,9 +306,9 @@ class TestSolveDemo:
         solved = []
         original = cli_mod.search_root
 
-        def counting(pot, mass, q, cfg, spectrum, r_turn):
+        def counting(pot, mass, q, cfg, spectrum):
             solved.append(q.radial_n)
-            return original(pot, mass, q, cfg, spectrum, r_turn)
+            return original(pot, mass, q, cfg, spectrum)
 
         monkeypatch.setattr(cli_mod, "search_root", counting)
         data = demo_config_dict()
@@ -385,9 +385,9 @@ class TestArtifacts:
         seen = []
         original = cli_mod.search_root
 
-        def recording(pot, mass, q, cfg, spectrum, r_turn):
+        def recording(pot, mass, q, cfg, spectrum):
             seen.append((pot, mass, cfg))
-            return original(pot, mass, q, cfg, spectrum, r_turn)
+            return original(pot, mass, q, cfg, spectrum)
 
         monkeypatch.setattr(cli_mod, "search_root", recording)
         data = json.loads(EXPMASS_CONFIG.read_text())
@@ -618,7 +618,7 @@ class TestArtifacts:
         import pdmradial.cli as cli_mod
         from pdmradial.errors import BracketError
 
-        def failing(pot, mass, q, cfg, spectrum, r_turn):
+        def failing(pot, mass, q, cfg, spectrum):
             raise BracketError(f"no sign change for n={q.radial_n}")
 
         monkeypatch.setattr(cli_mod, "search_root", failing)
@@ -851,27 +851,6 @@ class TestVerify:
 class TestMain:
     def test_main_verify(self):
         assert main(["verify", "--seed", "11"]) == 0
-
-    def test_second_call_builds_no_parser(self, tmp_path, monkeypatch):
-        # the parser is built once per process, on the first call
-        import argparse
-
-        data = demo_config_dict()
-        data["quantum"]["n"] = [0]
-        data["output"]["directory"] = str(tmp_path / "out")
-        config = str(write_config(tmp_path, data))
-        assert main(["solve", config]) == 0
-        built = []
-
-        class Counting(argparse.ArgumentParser):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("prog"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(argparse, "ArgumentParser", Counting)
-        assert main(["solve", config]) == 0
-        assert main(["verify", "--seed", "11"]) == 0
-        assert built == []
 
     def test_importing_the_cli_leaves_the_identity_suite_out(self):
         # a fresh interpreter: only `verify` loads the identity suite

@@ -635,35 +635,6 @@ class TestScanSpectrum:
         assert calls == [cell[1]]
 
 
-    @pytest.mark.parametrize("workload, searches", [
-        ("coulomb_oracle", 11), ("expmass_cornell", 6), ("oscillator_series", 9),
-    ])
-    def test_one_turning_point_search_per_energy_of_a_config(
-        self, monkeypatch, workload, searches
-    ):
-        # each config searches its window's upper energy once, for r_max,
-        # and the state whose cell reaches the window's top reuses it; every
-        # other state searches its own cell's upper energy once
-        import pdmradial.tail as tail_mod
-
-        calls = []
-        search = tail_mod.outer_turning_radius
-
-        def counting(pot, e):
-            calls.append(e)
-            return search(pot, e)
-
-        monkeypatch.setattr(tail_mod, "outer_turning_radius", counting)
-        monkeypatch.setattr(cli, "outer_turning_radius", counting)
-        tops = []
-        for data in BENCHMARK_CENTRES[workload]:
-            cfg = cli.parse_config({**data, "output": {"directory": "unused"}})
-            cli.solve_states(cfg)
-            tops.append(cfg.solver.e_bracket[1])
-        assert len(calls) == searches
-        assert len(set(calls)) == len(calls) and set(tops) <= set(calls)
-
-
 class TestOrdering:
     def test_cornell_states_ordered_with_exact_node_counts(self):
         pot = make_cornell(1.0, 0.3, -5.0)

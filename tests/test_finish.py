@@ -122,3 +122,39 @@ def test_failing_states_leave_the_others_untouched():
         assert type(alone) is type(out[i]) and str(alone) == str(out[i])
     assert finish([]) == []
 
+
+
+def test_a_coarse_pencil_domain_error_fails_only_its_channels_states(monkeypatch):
+    # the oracle's coarser pencil is built on the first check, in the
+    # finishing pass: a mass that fails on its grid refuses every state of
+    # that channel with its DomainError, as a solve of the state alone
+    # does, and the other channel's states keep their bits
+    import pdmradial.oracle as oracle_mod
+
+    cfg = cli.parse_config(json.loads((CONFIGS / "expmass_cornell_demo.json").read_text()))
+    before = cli.solve_states(cfg)
+    (n_check, _), _ = oracle_mod._RESOLUTIONS
+    pencil = oracle_mod.collocation_pencil
+    message = "the mass is negative on the collocation grid of r_max=1: m=-1 at r=1"
+
+    def failing(pot, mass, q, nodes, r_max):
+        if q.ell == 1 and nodes == n_check:
+            raise DomainError(message)
+        return pencil(pot, mass, q, nodes, r_max)
+
+    monkeypatch.setattr(oracle_mod, "collocation_pencil", failing)
+    after = cli.solve_states(cfg)
+    assert [row.q for row in after] == [row.q for row in before]
+    for old, new in zip(before, after):
+        assert old.ok
+        if new.q.ell == 1:
+            assert not new.ok and new.message == f"DomainError: {message}"
+        else:
+            assert new.ok and _bits(new.result) == _bits(old.result)
+    q = QuantumNumbers(cfg.quantum.dim, 1, 0)
+    try:
+        find_eigenvalue(cfg.potential, cfg.mass, q, cfg.solver)
+    except DomainError as exc:
+        assert str(exc) == message
+    else:
+        raise AssertionError("the state alone solved")
