@@ -30,7 +30,7 @@ from .recurrence import (
     expmass_cornell_coefficients,
     generate_coefficients,
 )
-from .tail import integrate_radial, make_leg
+from .tail import integrate_radial, leg_cuts, make_leg
 from .wavefunction import (
     count_nodes,
     evaluate,
@@ -64,6 +64,7 @@ __all__ = [
     "count_nodes",
     "SolverConfig",
     "find_eigenvalue",
+    "leg_cuts",
     "make_leg",
     "integrate_radial",
     "ChannelSpectrum",

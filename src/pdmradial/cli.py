@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import SolverConfig, finish, search_root
+from .eigensolver import SolverConfig, finish, place_legs, search_root
 from .errors import BracketError, DomainError
 from .model import (
     EigenResult,
@@ -36,7 +36,7 @@ from .model import (
     make_linear,
     make_oscillator,
 )
-from .oracle import channel_spectrum, window_tail_radius
+from .oracle import channel_spectra
 from .recurrence import _series
 from .tail import leg_values
 from .wavefunction import evaluate
@@ -347,29 +347,34 @@ def _failed(q: QuantumNumbers, exc: Exception, prefix: str = "") -> StateRow:
 
 def solve_states(cfg: RunConfig) -> list[StateRow]:
     """Solve all (ell, n) rows requested by the config, in config order:
-    the root of every state of every channel, each channel bracketed by one
-    collocation spectrum, then one finishing pass over every root.  A
-    state that fails gets an error row naming the exception, and a channel
-    whose spectrum fails an error row for each of its states."""
+    every channel bracketed by its collocation spectrum (the window's radii
+    found once), every state's leg placed in one pass, the root of each
+    state, then one finishing pass over every root.  A state that fails
+    gets an error row naming the exception, and a channel whose spectrum
+    fails an error row for each of its states."""
     pot, mass, solver, dim = cfg.potential, cfg.mass, cfg.solver, cfg.quantum.dim
-    # r_max does not depend on l: one tail radius serves every channel
-    r_tail = window_tail_radius(pot, mass, solver.e_bracket)
+    ells, ns = list(dict.fromkeys(cfg.quantum.ell)), list(dict.fromkeys(cfg.quantum.n))
+    spectra = channel_spectra(pot, mass, [QuantumNumbers(dim, ell, 0) for ell in ells],
+                              solver.e_bracket)
     rows: dict[tuple[int, int], StateRow] = {}
-    roots = {}
-    for ell in dict.fromkeys(cfg.quantum.ell):
-        try:
-            spectrum = channel_spectrum(pot, mass, QuantumNumbers(dim, ell, 0),
-                                        solver.e_bracket, r_tail)
-        except (BracketError, DomainError) as exc:
-            for n in cfg.quantum.n:
-                rows[ell, n] = _failed(QuantumNumbers(dim, ell, n), exc, "channel failed: ")
+    states = []
+    for ell, spectrum in zip(ells, spectra):
+        if isinstance(spectrum, Exception):
+            for n in ns:
+                rows[ell, n] = _failed(QuantumNumbers(dim, ell, n), spectrum,
+                                       "channel failed: ")
             continue
-        for n in dict.fromkeys(cfg.quantum.n):
-            q = QuantumNumbers(dim, ell, n)
-            try:
-                roots[ell, n] = search_root(pot, mass, q, solver, spectrum)
-            except (BracketError, DomainError) as exc:
-                rows[ell, n] = _failed(q, exc)
+        states += [(QuantumNumbers(dim, ell, n), spectrum) for n in ns]
+    roots = {}
+    for (q, spectrum), cuts in zip(states, place_legs(pot, mass, states)):
+        key = q.ell, q.radial_n
+        if isinstance(cuts, Exception):
+            rows[key] = _failed(q, cuts)
+            continue
+        try:
+            roots[key] = search_root(pot, mass, q, solver, spectrum, cuts)
+        except (BracketError, DomainError) as exc:
+            rows[key] = _failed(q, exc)
     for (ell, n), result in zip(roots, finish(list(roots.values()))):
         q = QuantumNumbers(dim, ell, n)
         rows[ell, n] = (_failed(q, result) if isinstance(result, Exception)

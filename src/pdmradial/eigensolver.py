@@ -16,11 +16,12 @@ The brackets come from the channel's collocation spectrum
 between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
 narrow bracket shows no sign change or does not converge
-(``search_root``).  The node count of the converged state is verified, and
-its norm taken, on one eigenfunction, the series on (0, r_match] and the
-inward leg beyond, which the result carries; ``finish`` does this for a
-list of roots at once, every state of a config in one pass, and
-``find_eigenvalue`` is its one-state case."""
+(``search_root``), on the leg that ``place_legs`` placed for every state
+of a config in one pass.  The node count of the converged state is
+verified, and its norm taken, on one eigenfunction, the series on
+(0, r_match] and the inward leg beyond, which the result carries;
+``finish`` does this for a list of roots at once, every state of a config
+in one pass, and ``find_eigenvalue`` is its one-state case."""
 
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ __all__ = [
     "brentq",
     "find_eigenvalue",
     "finish",
+    "place_legs",
     "search_root",
 ]
 
@@ -145,7 +147,8 @@ class SolverConfig:
     the length of the coefficient dump.
     The inward integration starts at r_far, the farthest of ten decay
     lengths 1/b past the match radius, and 1.2 times the outer turning
-    radius and ``tail.tail_radius``, both at the cell's upper energy.
+    radius and the tail radius (``tail.tail_radius``), both at the cell's
+    upper energy (``place_legs``).
     """
 
     e_bracket: tuple[float, float]
@@ -165,26 +168,52 @@ class SolverConfig:
                 raise DomainError(f"{name}: must be {need}")
 
 
-def _build_geometry(
+def place_legs(
     pot: PotentialSpec,
     mass: MassProfile,
-    q: QuantumNumbers,
-    cell: tuple[float, float],
-) -> tail.Leg:
-    """The fixed matching geometry of one root solve, the inward leg from
-    r_match = 1.5/b at the cell's midpoint to r_far (fixed, it keeps the
-    mismatch continuous in E; its zeros do not depend on these choices)."""
-    e_lo, e_hi = cell
-    b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
-    r_match = 1.5 / b_mid
+    states: list[tuple[QuantumNumbers, oracle.ChannelSpectrum]],
+) -> list[np.ndarray | Exception]:
+    """The fixed matching geometry of each (q, spectrum) state, the cuts of
+    its inward leg (``tail.leg_cuts``) from r_match = 1.5/b at the midpoint
+    of the cell of level q.radial_n to r_far, or in its place the error
+    that refuses it: BracketError when the level lies outside the window,
+    DomainError when the leg leaves its domain.  The geometry is fixed, so
+    the mismatch stays continuous in E; its zeros do not depend on these
+    choices.
 
-    # the inward start must sit in the forbidden tail: _TAIL_LENGTHS decay
-    # lengths out and past the outer turning point of the shallowest cell
-    # energy; the leg is cut into pieces at the deepest one
-    r_turn = tail.outer_turning_radius(pot, e_hi)
-    r_tail = tail.tail_radius(pot, mass, e_hi, r_turn=r_turn)
-    r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
-    return tail.make_leg(pot, mass, q, r_match, r_far, e_lo)
+    The inward start must sit in the forbidden tail: ``_TAIL_LENGTHS`` decay
+    lengths out and past the outer turning point and the tail radius of the
+    cell's upper energy; the leg is cut into pieces at its lower one.  Every
+    state of a config is placed in one pass: each distinct upper energy's
+    turning point is searched once, and not at all at a window's top, which
+    its spectrum carries; every state's tail radius and cuts come from
+    stacked, elementwise evaluations with each state's running sums its
+    own, so a state's geometry does not depend on the others."""
+    out: list = [None] * len(states)
+    cells, turns = [], {}
+    for i, (q, spectrum) in enumerate(states):
+        try:
+            cell, _ = spectrum.cell(q.radial_n)
+        except BracketError as exc:
+            out[i] = exc
+            continue
+        cells.append((i, q, cell))
+        if spectrum.r_turn is not None:
+            turns[spectrum.window[1]] = spectrum.r_turn
+    tops = [e_hi for _, _, (_, e_hi) in cells]
+    missing = [e for e in dict.fromkeys(tops) if e not in turns]
+    turns.update(zip(missing, tail.outer_turning_radii(pot, missing)))
+    r_turns = [turns[e] for e in tops]
+    legs = []
+    for (_, q, (e_lo, e_hi)), r_turn, r_tail in zip(
+            cells, r_turns, tail._tail_radii(pot, mass, tops, r_turns)):
+        b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
+        r_match = 1.5 / b_mid
+        r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
+        legs.append((q, r_match, r_far, e_lo))
+    for (i, *_), cuts in zip(cells, tail.leg_cuts(pot, mass, legs)):
+        out[i] = cuts
+    return out
 
 
 def _series_direction(
@@ -251,13 +280,17 @@ def search_root(
     q: QuantumNumbers,
     cfg: SolverConfig,
     spectrum: oracle.ChannelSpectrum | None = None,
+    cuts: np.ndarray | None = None,
 ) -> Root:
     """The root of the mismatch for state q.radial_n in the cell of its
     collocation level, unchecked (``finish`` checks it).
 
     ``spectrum`` is the channel's collocation spectrum over the window
     cfg.e_bracket; it is solved here when not given, so a caller solving
-    several states of one channel should pass it.
+    several states of one channel should pass it.  ``cuts`` is the state's
+    geometry from ``place_legs``, which places it here when not given, so a
+    caller solving several states should place them in one pass.  The leg
+    is built from the cuts here, and not kept past the search.
     BracketError when level q.radial_n lies outside the window, the
     mismatch has no sign change in its cell, or Brent's method needs more
     than _MAX_ITER iterations on it; DomainError when the geometry or a
@@ -265,8 +298,12 @@ def search_root(
     """
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
+    if cuts is None:
+        (cuts,) = place_legs(pot, mass, [(q, spectrum)])
+        if isinstance(cuts, Exception):
+            raise cuts
     cell, e_c = spectrum.cell(q.radial_n)
-    geom = _build_geometry(pot, mass, q, cell)
+    geom = tail.make_leg(pot, mass, q, cuts)
 
     args = (pot, mass, q, cfg, geom)
     evaluated: dict = {}

@@ -57,6 +57,7 @@ from .tail import tail_radius
 
 __all__ = [
     "ChannelSpectrum",
+    "channel_spectra",
     "channel_spectrum",
     "collocation_levels",
     "collocation_pencil",
@@ -218,14 +219,17 @@ def _nearest_level(a: np.ndarray, d: np.ndarray, e: float) -> float:
 @dataclass(frozen=True)
 class ChannelSpectrum:
     """The collocation levels of one (N, l) channel for an energy window:
-    ``levels`` from the finer solve, ascending, and ``coarse_pencil``, a
-    function that builds the coarser solve's pencil (A, d).  Level n has n
-    nodes (Sturm oscillation), so its index is the radial quantum number of
-    the state it approximates."""
+    ``levels`` from the finer solve, ascending, ``coarse_pencil``, a
+    function that builds the coarser solve's pencil (A, d), and ``r_turn``,
+    the outer turning radius at the window's upper energy, found with r_max
+    (the series path places the leg of a state at the window's top with
+    it; None when unknown).  Level n has n nodes (Sturm oscillation), so its
+    index is the radial quantum number of the state it approximates."""
 
     window: tuple[float, float]
     levels: np.ndarray
     coarse_pencil: Callable[[], tuple[np.ndarray, np.ndarray]]
+    r_turn: float | None = None
 
     @cached_property
     def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,10 +273,41 @@ class ChannelSpectrum:
 
 def window_tail_radius(
     pot: PotentialSpec, mass: MassProfile, window: tuple[float, float]
-) -> float:
-    """The WKB tail radius of the window's upper energy, which places r_max
-    for every channel of the window: it does not depend on l."""
+) -> tuple[float, float]:
+    """The outer turning radius at the window's upper energy and the WKB
+    tail radius past it, which places r_max for every channel of the
+    window: neither depends on l."""
     return tail_radius(pot, mass, window[1], _TAIL_EXPONENT)
+
+
+def channel_spectra(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    channels: list[QuantumNumbers],
+    window: tuple[float, float],
+) -> list[ChannelSpectrum | DomainError]:
+    """The collocation solves of each channel of ``channels`` over one
+    window, the coarser one deferred to the first check, or in its place
+    the DomainError that refuses the channel.  The window's radii are found
+    once, for every channel."""
+    e_lo, e_hi = window
+    if not (e_lo < e_hi < 0):
+        raise DomainError("window must satisfy e_lo < e_hi < 0")
+    r_turn, r_tail = window_tail_radius(pot, mass, window)
+    (n_check, f_check), (n_fine, f_fine) = _RESOLUTIONS
+    out: list = []
+    for q in channels:
+        try:
+            levels = collocation_levels(pot, mass, q, n_fine, f_fine * r_tail)
+        except DomainError as exc:
+            out.append(exc)
+            continue
+        out.append(ChannelSpectrum(
+            (e_lo, e_hi), levels,
+            partial(collocation_pencil, pot, mass, q, n_check, f_check * r_tail),
+            r_turn,
+        ))
+    return out
 
 
 def channel_spectrum(
@@ -280,21 +315,11 @@ def channel_spectrum(
     mass: MassProfile,
     q: QuantumNumbers,
     window: tuple[float, float],
-    r_tail: float | None = None,
 ) -> ChannelSpectrum:
-    """The collocation solves of the channel of ``q``, the coarser one
-    deferred to the first check, with r_max from ``r_tail``, the window's
-    ``window_tail_radius``; it is found here when not given, so a caller
-    solving several channels of one window should pass it."""
-    e_lo, e_hi = window
-    if not (e_lo < e_hi < 0):
-        raise DomainError("window must satisfy e_lo < e_hi < 0")
-    if r_tail is None:
-        r_tail = window_tail_radius(pot, mass, window)
-    (n_check, f_check), (n_fine, f_fine) = _RESOLUTIONS
-    return ChannelSpectrum(
-        (e_lo, e_hi),
-        collocation_levels(pot, mass, q, n_fine, f_fine * r_tail),
-        partial(collocation_pencil, pot, mass, q, n_check, f_check * r_tail),
-    )
-
+    """The collocation solves of the channel of ``q``: the one-channel case
+    of ``channel_spectra``, which a caller solving several channels of one
+    window should call instead."""
+    (spectrum,) = channel_spectra(pot, mass, [q], window)
+    if isinstance(spectrum, Exception):
+        raise spectrum
+    return spectrum

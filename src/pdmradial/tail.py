@@ -21,13 +21,15 @@ spans more than e^25 or so, so none loses its far-end sign to rounding, and
 the sign of R at r_match is the product of the pieces' signs of y at their
 right ends.
 
-The eigensolver builds a leg (``make_leg``, every piece in one stacked
-pass) once per state, calls ``integrate_radial`` once per trial energy, and
+The eigensolver places every leg of a config in one pass: the outer
+turning radii (``outer_turning_radii``) and tail radii (``tail_radius``'s
+march) place the start of each leg in the forbidden tail, and ``leg_cuts``
+cuts every leg at once.  It builds one state's leg from its cuts
+(``make_leg``, every piece in one stacked pass) right before that state's
+search, calls ``integrate_radial`` once per trial energy, and
 ``Inward.norm2`` once for the converged state, whose eigenfunction past
 r_match is this leg (``leg_values``); ``leg_samples`` gives the signs its
-nodes are counted on, for every converged state at once.  ``tail_radius``
-and ``outer_turning_radius`` place the start of the leg in the forbidden
-tail.
+nodes are counted on, for every converged state at once.
 """
 
 from __future__ import annotations
@@ -48,9 +50,11 @@ __all__ = [
     "Leg",
     "Piece",
     "integrate_radial",
+    "leg_cuts",
     "leg_samples",
     "leg_values",
     "make_leg",
+    "outer_turning_radii",
     "outer_turning_radius",
     "tail_radius",
 ]
@@ -64,6 +68,8 @@ _NODES = 96
 _PIECE_EXPONENT = 25.0
 # samples of the exponent integral that places the cuts
 _CUT_SAMPLES = 1025
+# WKB exponent of a leg's far end past the outer turning point
+_TAIL_EXPONENT = 14.0
 # the geometric grid whose last sign change of V - e brackets the outer
 # turning point, read only
 _PROBES = np.geomspace(1e-4, 1e7, 500)
@@ -74,41 +80,70 @@ def tail_radius(
     pot: PotentialSpec,
     mass: MassProfile,
     e: float,
-    target_exponent: float = 14.0,
-    r_turn: float | None = None,
-) -> float:
-    """Radius where the integral of sqrt(2 m (V - e)) past the turning point
-    reaches ``target_exponent`` (capped for slowly decaying tails).
-    ``r_turn``, when given, is ``outer_turning_radius`` at ``e``, which a
-    caller that has it need not have found again."""
-    b = b_from_energy(e, mass.m0)
-    if r_turn is None:
-        r_turn = outer_turning_radius(pot, e)
-    r = max(r_turn, 1e-3)
-    cap = max(6.0 * r_turn, 40.0 / b)
-    # march the radii to the cap in floats, then take the exponent's running
-    # sum (sequential, as a loop would add it) in one array evaluation
-    radii, steps = [r], []
-    while r < cap:
-        dr = 0.01 * max(r, 0.1)
-        steps.append(dr)
-        r += dr
-        radii.append(r)
-    x = np.asarray(radii[:-1])
-    q2 = 2.0 * np.asarray(mass.mass_at(x), float) * (pot.value(x) - e)
-    total = np.cumsum(np.sqrt(np.where(q2 > 0, q2, 0.0)) * np.asarray(steps))
-    reached = np.flatnonzero(total >= target_exponent)
-    return radii[int(reached[0]) + 1] if reached.size else radii[-1]
+    target_exponent: float = _TAIL_EXPONENT,
+) -> tuple[float, float]:
+    """The outer turning radius at ``e`` and the radius past it where the
+    integral of sqrt(2 m (V - e)) reaches ``target_exponent`` (capped for
+    slowly decaying tails): the one-energy case of ``_tail_radii``."""
+    r_turn = outer_turning_radius(pot, e)
+    return r_turn, _tail_radii(pot, mass, [e], [r_turn], target_exponent)[0]
+
+
+def _tail_radii(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    energies: list[float],
+    r_turns: list[float],
+    target_exponent: float = _TAIL_EXPONENT,
+) -> list[float]:
+    """``tail_radius`` at each energy, from its outer turning radius.  Each
+    march to its cap runs on Python floats, in steps of 0.01 max(r, 0.1);
+    the steps and the exponent at every march radius of every energy come
+    from one stacked evaluation, elementwise, and each energy's running sum
+    is taken over its own slice (sequential, as a loop would add it)."""
+    marches, x, de = [], [], []
+    for e, r_turn in zip(energies, r_turns):
+        b = b_from_energy(e, mass.m0)
+        r = max(r_turn, 1e-3)
+        cap = max(6.0 * r_turn, 40.0 / b)
+        radii = [r]
+        while r < cap:
+            r += 0.01 * (0.1 if 0.1 > r else r)  # max(r, 0.1) without the call
+            radii.append(r)
+        x += radii[:-1]
+        de += [e] * (len(radii) - 1)
+        marches.append(radii)
+    x = np.asarray(x, float)
+    q2 = 2.0 * np.asarray(mass.mass_at(x), float) * (pot.value(x) - np.asarray(de, float))
+    terms = np.sqrt(np.where(q2 > 0, q2, 0.0)) * (0.01 * np.maximum(x, 0.1))
+    out, start = [], 0
+    for radii in marches:
+        stop = start + len(radii) - 1
+        reached = np.flatnonzero(np.cumsum(terms[start:stop]) >= target_exponent)
+        out.append(radii[int(reached[0]) + 1] if reached.size else radii[-1])
+        start = stop
+    return out
 
 
 def outer_turning_radius(pot: PotentialSpec, e: float) -> float:
-    """Largest radius where V(r) = e, or 0.0 if V - e never changes sign.
+    """Largest radius where V(r) = e, or 0.0 if V - e never changes sign:
+    the one-energy case of ``outer_turning_radii``."""
+    return outer_turning_radii(pot, [e])[0]
 
-    Found by scanning a geometric grid outward and bisecting the last sign
-    change; used to place matching radii and grid ends in the classically
-    forbidden tail.
-    """
-    diff = pot.value(_PROBES) - e
+
+def outer_turning_radii(pot: PotentialSpec, energies: list[float]) -> list[float]:
+    """``outer_turning_radius`` at each energy: V on a geometric grid once,
+    then each energy's last sign change of V - e bisected on Python floats.
+    Used to place matching radii and grid ends in the classically
+    forbidden tail."""
+    if not energies:
+        return []
+    v = pot.value(_PROBES)
+    return [_turning_radius(pot, e, v - e) for e in energies]
+
+
+def _turning_radius(pot: PotentialSpec, e: float, diff: np.ndarray) -> float:
+    """The outer turning radius at ``e``, with V - e on the probes given."""
     neg = np.nonzero(diff <= 0)[0]
     if neg.size == 0:
         return 0.0
@@ -128,17 +163,17 @@ def outer_turning_radius(pot: PotentialSpec, e: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _potential_arrays(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers,
-                      r: np.ndarray):
+def _potential_arrays(pot: PotentialSpec, mass: MassProfile, dim_n, k, r: np.ndarray):
     """G = m'/m and the energy-independent parts of w with y'' = w y, where
     R = s y, s'/s = G/2 and R'' = G R' + F R:
 
         F(r) = -G (N-1)/(2r) + (k-1)(k-3)/(4 r^2) + 2 m (V - e),
-        w(r) = F + G^2/4 - G'/2 = w0 - 2 m e."""
-    k = q.k
+        w(r) = F + G^2/4 - G'/2 = w0 - 2 m e,
+
+    with N = ``dim_n`` and k, numbers or columns broadcasting against r."""
     m, g, dg = mass.terms_at(r)
     v = np.asarray(pot.value(r), float)
-    f0 = -g * (q.dim_n - 1) / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r) + 2.0 * m * v
+    f0 = -g * (dim_n - 1) / (2.0 * r) + (k - 1) * (k - 3) / (4.0 * r * r) + 2.0 * m * v
     return g, f0 + (0.25 * g * g - 0.5 * dg), 2.0 * m
 
 
@@ -294,43 +329,59 @@ def leg_values(states: list[tuple[Inward, np.ndarray]]) -> list[np.ndarray]:
     return outs
 
 
-def _cuts(pot, mass, q, r_match: float, r_far: float, e_ref: float) -> np.ndarray:
-    """Radii from r_match to r_far, cut where the WKB exponent at ``e_ref``
-    has grown by equal shares of at most ``_PIECE_EXPONENT``."""
-    r = np.linspace(r_match, r_far, _CUT_SAMPLES)
-    _, w0, m2 = _potential_arrays(pot, mass, q, r)
-    k = np.sqrt(np.maximum(w0 - m2 * e_ref, 0.0))
-    growth = np.concatenate(([0.0], np.cumsum(0.5 * (k[1:] + k[:-1]) * np.diff(r))))
-    pieces = max(1, math.ceil(growth[-1] / _PIECE_EXPONENT))
-    marks = growth[-1] * np.arange(1, pieces) / pieces
-    return np.concatenate(([r_match], np.interp(marks, growth, r), [r_far]))
-
-
-def make_leg(
+def leg_cuts(
     pot: PotentialSpec,
     mass: MassProfile,
-    q: QuantumNumbers,
-    r_match: float,
-    r_far: float,
-    e_ref: float,
-) -> Leg:
-    """The pieces of the inward solve over [r_match, r_far], cut by the WKB
-    exponent at ``e_ref`` (the lowest energy it will be solved at, where the
-    tail decays fastest)."""
-    if r_match <= 0:
-        raise DomainError("r_match must be positive (the origin is singular)")
-    if r_far <= r_match:
-        raise DomainError("r_far must exceed r_match")
+    legs: list[tuple[QuantumNumbers, float, float, float]],
+) -> list[np.ndarray | DomainError]:
+    """For each leg (q, r_match, r_far, e_ref), the radii from r_match to
+    r_far that cut it where the WKB exponent at ``e_ref`` (the lowest energy
+    it will be solved at, where the tail decays fastest) has grown by equal
+    shares of at most ``_PIECE_EXPONENT``, or in its place the DomainError
+    that refuses the leg.  Every leg's exponent samples come from one
+    stacked evaluation, elementwise, and each leg's running sum is its own
+    row's: a leg's cuts do not depend on the others."""
+    out: list = [None] * len(legs)
+    kept = []
+    for i, (q, r_match, r_far, e_ref) in enumerate(legs):
+        if r_match <= 0:
+            out[i] = DomainError("r_match must be positive (the origin is singular)")
+        elif r_far <= r_match:
+            out[i] = DomainError("r_far must exceed r_match")
+        else:
+            kept.append(i)
+    if not kept:
+        return out
+    qs, starts, ends, e_refs = zip(*(legs[i] for i in kept))
+    dim_n = np.array([[q.dim_n] for q in qs], float)
+    k = np.array([[q.k] for q in qs], float)
+    r = np.linspace(starts, ends, _CUT_SAMPLES, axis=1)
+    _, w0, m2 = _potential_arrays(pot, mass, dim_n, k, r)
+    wkb = np.sqrt(np.maximum(w0 - m2 * np.array(e_refs, float)[:, None], 0.0))
+    grown = np.cumsum(0.5 * (wkb[:, 1:] + wkb[:, :-1]) * np.diff(r, axis=1), axis=1)
+    for i, row, radii, start, end in zip(kept, grown, r, starts, ends):
+        growth = np.concatenate(([0.0], row))
+        pieces = max(1, math.ceil(growth[-1] / _PIECE_EXPONENT))
+        marks = growth[-1] * np.arange(1, pieces) / pieces
+        out[i] = np.concatenate(([start], np.interp(marks, growth, radii), [end]))
+    return out
+
+
+def make_leg(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers,
+             cuts: np.ndarray) -> Leg:
+    """The pieces of the inward solve over [r_match, r_far], one between
+    each pair of neighbouring ``cuts`` (``leg_cuts``, r_match first and
+    r_far last), every piece in one stacked pass."""
     x, (val, d2, *_) = _operators(_NODES)
     t, w = _gauss_legendre(_NODES)
+    r_match, r_far = float(cuts[0]), float(cuts[-1])
     m_match = mass.mass_at(r_match)
-    cuts = _cuts(pot, mass, q, r_match, r_far, e_ref)
     # every piece at once, a row each: its interior nodes, then r_match and
     # r_far, in one pass; elementwise, so each value has its own bits
     left, right = cuts[:-1, None], cuts[1:, None]
     scale = 2.0 / (right - left)
     r = left + (x + 1.0) / scale
-    g, w0, m2 = _potential_arrays(pot, mass, q, np.append(r, [r_match, r_far]))
+    g, w0, m2 = _potential_arrays(pot, mass, q.dim_n, q.k, np.append(r, [r_match, r_far]))
     s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
     w0_nodes, m2_nodes = (a[:-2].reshape(r.shape)[:, :, None] for a in (w0, m2))
     rows0 = (scale * scale)[:, :, None] * d2 - w0_nodes * val
@@ -339,8 +390,7 @@ def make_leg(
     pieces = tuple(Piece(a, b, s, *rows) for a, b, s, *rows in zip(
         cuts[:-1].tolist(), cuts[1:].tolist(), scale[:, 0].tolist(),
         rows0, rows_e, weights))
-    return Leg(float(r_match), float(r_far), pieces, float(g[-2]),
-               float(w0[-1]), float(m2[-1]), mass)
+    return Leg(r_match, r_far, pieces, float(g[-2]), float(w0[-1]), float(m2[-1]), mass)
 
 
 def integrate_radial(leg: Leg, e: float) -> Inward:

@@ -306,9 +306,9 @@ class TestSolveDemo:
         solved = []
         original = cli_mod.search_root
 
-        def counting(pot, mass, q, cfg, spectrum):
+        def counting(pot, mass, q, cfg, spectrum, cuts):
             solved.append(q.radial_n)
-            return original(pot, mass, q, cfg, spectrum)
+            return original(pot, mass, q, cfg, spectrum, cuts)
 
         monkeypatch.setattr(cli_mod, "search_root", counting)
         data = demo_config_dict()
@@ -385,9 +385,9 @@ class TestArtifacts:
         seen = []
         original = cli_mod.search_root
 
-        def recording(pot, mass, q, cfg, spectrum):
+        def recording(pot, mass, q, cfg, spectrum, cuts):
             seen.append((pot, mass, cfg))
-            return original(pot, mass, q, cfg, spectrum)
+            return original(pot, mass, q, cfg, spectrum, cuts)
 
         monkeypatch.setattr(cli_mod, "search_root", recording)
         data = json.loads(EXPMASS_CONFIG.read_text())
@@ -618,7 +618,7 @@ class TestArtifacts:
         import pdmradial.cli as cli_mod
         from pdmradial.errors import BracketError
 
-        def failing(pot, mass, q, cfg, spectrum):
+        def failing(pot, mass, q, cfg, spectrum, cuts):
             raise BracketError(f"no sign change for n={q.radial_n}")
 
         monkeypatch.setattr(cli_mod, "search_root", failing)

@@ -8,12 +8,13 @@ import pytest
 
 from coulomb_reference import coulomb_norm_reference, coulomb_reference_energy
 from pdmradial import cli
-from pdmradial.eigensolver import SolverConfig, find_eigenvalue
+from pdmradial.eigensolver import SolverConfig, find_eigenvalue, place_legs
 from pdmradial.errors import BracketError, DomainError, WrongStateError
 from pdmradial.model import MassProfile, QuantumNumbers, make_cornell, make_coulomb
 import pdmradial.oracle as oracle_mod
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.recurrence import generate_coefficients
+from pdmradial.tail import make_leg
 from pdmradial.wavefunction import trusted
 
 
@@ -56,6 +57,13 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "coulomb_demo.js
 # the Coulomb and exp-mass demo configs, one each
 DEMOS = {name: [json.loads((DEMO_CONFIG.parent / f"{name}.json").read_text())]
          for name in ("coulomb_demo", "expmass_cornell_demo")}
+
+
+def _placed_leg(pot, mass, q, spectrum):
+    """State q's leg, placed and built as ``search_root`` places and builds
+    it."""
+    (cuts,) = place_legs(pot, mass, [(q, spectrum)])
+    return make_leg(pot, mass, q, cuts)
 
 
 def bracket_around(e_ref, width=0.15):
@@ -383,20 +391,21 @@ class TestScanSpectrum:
         # Brent's trial energies share one geometry; on a Cornell problem
         # whose mass varies, the mismatch it gives at every energy equals
         # the one from a geometry built for that energy alone
-        from pdmradial.eigensolver import _build_geometry, _mismatch
+        from pdmradial.eigensolver import _mismatch
 
         pot = make_cornell(1.0, 0.2, -3.0)
         mass = MassProfile([1.0], 0.2)
         q = QuantumNumbers(3, 1, 0)
         cfg = SolverConfig(e_bracket=(-3.4, -0.85))
-        geom = _build_geometry(pot, mass, q, cfg.e_bracket)
+        # one level inside the window: its cell is the whole window
+        spectrum = ChannelSpectrum(cfg.e_bracket, np.array([-2.0]), None)
+        geom = _placed_leg(pot, mass, q, spectrum)
         energies = np.linspace(-3.4, -0.85, 40)
         batch = np.array([_mismatch(float(e), pot, mass, q, cfg, geom)[0]
                           for e in energies])
         single = np.array([
             _mismatch(
-                float(e), pot, mass, q, cfg,
-                _build_geometry(pot, mass, q, cfg.e_bracket),
+                float(e), pot, mass, q, cfg, _placed_leg(pot, mass, q, spectrum),
             )[0]
             for e in energies
         ])
@@ -610,29 +619,34 @@ class TestScanSpectrum:
             assert sol.coeffs.size <= 40, e
 
     def test_one_turning_point_per_energy(self, monkeypatch):
-        # the geometry finds the turning point at the cell's upper energy
-        # once and hands it to tail_radius; the norm comes from the leg the
-        # geometry built, so the solve searches no other
+        # the geometry searches the turning point at the cell's upper energy
+        # once, and not at all at the window's top, whose spectrum carries
+        # the one found with r_max; the norm comes from the leg the geometry
+        # built, so the solve searches no other
         import pdmradial.eigensolver as es_mod
         import pdmradial.tail as tail_mod
 
         pot, mass, q = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1)
         cfg = SolverConfig(e_bracket=(-0.14, -0.11))
         spectrum = channel_spectrum(pot, mass, q, cfg.e_bracket)
-        calls = []
-        search = tail_mod.outer_turning_radius
-
-        def counting(pot, e):
-            calls.append(e)
-            return search(pot, e)
-
-        monkeypatch.setattr(tail_mod, "outer_turning_radius", counting)
         cell, _ = spectrum.cell(q.radial_n)
-        es_mod._build_geometry(pot, mass, q, cell)
+        assert cell[1] == cfg.e_bracket[1]
+        assert spectrum.r_turn == tail_mod.outer_turning_radius(pot, cell[1])
+        calls = []
+        search = tail_mod._turning_radius
+
+        def counting(pot, e, diff):
+            calls.append(e)
+            return search(pot, e, diff)
+
+        monkeypatch.setattr(tail_mod, "_turning_radius", counting)
+        (searched,) = es_mod.place_legs(pot, mass, [(q, replace(spectrum, r_turn=None))])
         assert calls == [cell[1]]
         calls.clear()
+        (carried,) = es_mod.place_legs(pot, mass, [(q, spectrum)])
+        assert calls == [] and np.array_equal(carried, searched)
         find_eigenvalue(pot, mass, q, cfg, spectrum)
-        assert calls == [cell[1]]
+        assert calls == []
 
 
 class TestOrdering:
@@ -835,8 +849,9 @@ class TestBrentPort:
         cfg = SolverConfig(e_bracket=(-0.6, -0.03))
         for n in range(3):
             q = QuantumNumbers(3, 0, n)
-            cell, _ = channel_spectrum(pot, mass, q, cfg.e_bracket).cell(n)
-            geom = es_mod._build_geometry(pot, mass, q, cell)
+            spectrum = channel_spectrum(pot, mass, q, cfg.e_bracket)
+            cell, _ = spectrum.cell(n)
+            geom = _placed_leg(pot, mass, q, spectrum)
             kwargs = dict(args=(pot, mass, q, cfg, geom),
                           xtol=abs(cell[1]) * 1e-14, rtol=es_mod._TOL_E,
                           maxiter=es_mod._MAX_ITER)

@@ -11,12 +11,23 @@ from pdmradial.model import MassProfile, PotentialSpec, QuantumNumbers, make_cor
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.tail import (
     integrate_radial,
+    leg_cuts,
     leg_samples,
     leg_values,
     make_leg,
+    outer_turning_radii,
     outer_turning_radius,
     tail_radius,
 )
+
+
+def _leg(pot, mass, q, r_match, r_far, e_ref):
+    """The leg over [r_match, r_far] cut at e_ref, or the DomainError that
+    refuses it, raised."""
+    (cuts,) = leg_cuts(pot, mass, [(q, r_match, r_far, e_ref)])
+    if isinstance(cuts, Exception):
+        raise cuts
+    return make_leg(pot, mass, q, cuts)
 
 
 def test_oracle_imports_no_series_machinery():
@@ -70,7 +81,7 @@ def _exponent(pot, mass, q, a, b, e):
     from pdmradial.tail import _potential_arrays
 
     r = np.linspace(a, b, 20001)
-    _, w0, m2 = _potential_arrays(pot, mass, q, r)
+    _, w0, m2 = _potential_arrays(pot, mass, q.dim_n, q.k, r)
     k = np.sqrt(np.maximum(w0 - m2 * e, 0.0))
     return float(np.sum(0.5 * (k[1:] + k[:-1]) * np.diff(r)))
 
@@ -83,18 +94,18 @@ OSCILLATOR_E0 = 3.0 / math.sqrt(2.0) - 20.0
 
 class TestMakeLeg:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            make_leg(*COULOMB, 0.0, 10.0, -0.5)
-        with pytest.raises(DomainError):
-            make_leg(*COULOMB, 1.0, 0.5, -0.5)
-        with pytest.raises(DomainError):
-            make_leg(*COULOMB, 1.0, 1.0, -0.5)
+        with pytest.raises(DomainError, match="r_match must be positive"):
+            _leg(*COULOMB, 0.0, 10.0, -0.5)
+        with pytest.raises(DomainError, match="r_far must exceed r_match"):
+            _leg(*COULOMB, 1.0, 0.5, -0.5)
+        with pytest.raises(DomainError, match="r_far must exceed r_match"):
+            _leg(*COULOMB, 1.0, 1.0, -0.5)
 
     def test_pieces_tile_the_leg(self):
         # the pieces run from r_match to r_far without gap or overlap, and
         # the WKB exponent at the reference energy is shared equally among
         # them, none above 25 (plus the cut's sampling error)
-        leg = make_leg(*OSCILLATOR, 0.5, 12.0, OSCILLATOR_E0)
+        leg = _leg(*OSCILLATOR, 0.5, 12.0, OSCILLATOR_E0)
         ends = [(p.left, p.right) for p in leg.pieces]
         assert ends[0][0] == 0.5 and ends[-1][1] == 12.0
         assert all(a[1] == b[0] for a, b in zip(ends[:-1], ends[1:]))
@@ -120,25 +131,26 @@ class TestMakeLeg:
         t, w = _gauss_legendre(_NODES)
         counts = set()
         for r_far in far:
-            leg = make_leg(pot, mass, q, 1.5, r_far, -0.6)
+            leg = _leg(pot, mass, q, 1.5, r_far, -0.6)
             counts.add(len(leg.pieces))
             m_match = mass.mass_at(1.5)
             for piece in leg.pieces:
                 left, right = piece.left, piece.right
                 scale = 2.0 / (right - left)
-                _, w0, m2 = _potential_arrays(pot, mass, q, left + (x + 1.0) / scale)
+                _, w0, m2 = _potential_arrays(pot, mass, q.dim_n, q.k,
+                                              left + (x + 1.0) / scale)
                 s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
                 assert type(piece.scale) is float and piece.scale == scale
                 assert np.array_equal(piece.rows0, scale * scale * d2 - w0[:, None] * val)
                 assert np.array_equal(piece.rows_e, m2[:, None] * val)
                 assert np.array_equal(piece.weights, (right - left) * w * s2)
-            g, w0, m2 = _potential_arrays(pot, mass, q, np.array([1.5, r_far]))
+            g, w0, m2 = _potential_arrays(pot, mass, q.dim_n, q.k, np.array([1.5, r_far]))
             assert (leg.g_match, leg.w0_far, leg.m2_far) == (g[0], w0[1], m2[1])
         assert counts == {1, 2, 3, 4}, counts
 
     def test_short_leg_is_one_piece(self):
         # e^-14 of decay fits one solve
-        leg = make_leg(*COULOMB, 2.0, 16.0, -0.5)
+        leg = _leg(*COULOMB, 2.0, 16.0, -0.5)
         assert len(leg.pieces) == 1
         assert (leg.pieces[0].left, leg.pieces[0].right) == (2.0, 16.0)
 
@@ -162,10 +174,15 @@ class TestOuterTurningRadius:
     (PotentialSpec(0.5, 0.3, 0.0, 1, 3), MassProfile([2.0]), -0.2, 14.0),
 ])
 def test_tail_radius_with_the_turning_point_given(pot, mass, e, target):
-    r_turn = outer_turning_radius(pot, e)
-    found = tail_radius(pot, mass, e, target)
-    given = tail_radius(pot, mass, e, target, r_turn=r_turn)
-    assert np.float64(given).tobytes() == np.float64(found).tobytes()
+    # the stacked march, given each energy's turning point, gives every
+    # energy the bits of tail_radius alone, whatever energies it runs with
+    energies = [e, 2.0 * e, 0.5 * e]
+    r_turns = outer_turning_radii(pot, energies)
+    stacked = tail_mod._tail_radii(pot, mass, energies, r_turns, target)
+    for x, r_turn, r_tail in zip(energies, r_turns, stacked):
+        alone = tail_radius(pot, mass, x, target)
+        assert np.float64(alone[0]).tobytes() == np.float64(r_turn).tobytes()
+        assert np.float64(alone[1]).tobytes() == np.float64(r_tail).tobytes()
 
 
 class TestIntegrateRadial:
@@ -174,11 +191,12 @@ class TestIntegrateRadial:
 
         r = np.linspace(0.1, 5.0, 50)
         mass = MassProfile([1.0])
-        g, _, _ = _potential_arrays(make_coulomb(1.0), mass, QuantumNumbers(3, 0, 0), r)
+        q = QuantumNumbers(3, 0, 0)
+        g, _, _ = _potential_arrays(make_coulomb(1.0), mass, q.dim_n, q.k, r)
         assert np.all(g == 0.0) and np.all(mass.terms_at(r)[2] == 0.0)
 
     def test_inward_decays_toward_large_r(self):
-        sol = integrate_radial(make_leg(*COULOMB, 2.0, 60.0, -0.5), -0.5)
+        sol = integrate_radial(_leg(*COULOMB, 2.0, 60.0, -0.5), -0.5)
         assert len(sol.coeffs) > 1
         for c in sol.coeffs:
             y = np.polynomial.chebyshev.chebval(np.array([-1.0, 1.0]), c)
@@ -200,7 +218,7 @@ class TestIntegrateRadial:
         pieces = set()
         for r_match, lengths in ((1.0, 20.0), (3.0, 40.0), (0.5, 70.0)):
             r_far = r_match + lengths * decay
-            leg = make_leg(*COULOMB, r_match, r_far, e)
+            leg = _leg(*COULOMB, r_match, r_far, e)
             sol = integrate_radial(leg, e)
             pieces.add(len(leg.pieces))
             assert sol.R == math.copysign(1.0, shape(r_match) * shape(r_far))
@@ -215,7 +233,7 @@ class TestIntegrateRadial:
 
         pot, mass = make_cornell(1.0, 0.2, -3.0), MassProfile([1.0], 0.2)
         q, e, r_match, r_far = QuantumNumbers(3, 1, 0), -2.0, 1.2, 45.0
-        sol = integrate_radial(make_leg(pot, mass, q, r_match, r_far, -3.4), e)
+        sol = integrate_radial(_leg(pot, mass, q, r_match, r_far, -3.4), e)
 
         g, k = -0.2, 5  # G = m'/m, k = N + 2l
 
@@ -240,7 +258,7 @@ class TestInwardKernel:
     def test_coulomb_ground_state_tail(self):
         # R = r e^{-r} at E = -1/2: on every piece y is the closed form
         # scaled to 1 at the piece's left end, to rounding of that scale
-        leg = make_leg(*COULOMB, 0.5, 40.0, -0.5)
+        leg = _leg(*COULOMB, 0.5, 40.0, -0.5)
         sol = integrate_radial(leg, -0.5)
         assert len(leg.pieces) > 1
         x = np.linspace(-1.0, 1.0, 201)
@@ -262,9 +280,9 @@ class TestInwardKernel:
         # R = r e^{-r} at E = -1/2 across the pieces of the leg, with
         # R(r_match) = inward.R and 0 past r_far; states sampled together
         # give the bits they give alone
-        leg = make_leg(*COULOMB, 0.5, 40.0, -0.5)
+        leg = _leg(*COULOMB, 0.5, 40.0, -0.5)
         sol = integrate_radial(leg, -0.5)
-        other = make_leg(*COULOMB, 1.0, 30.0, -0.5)
+        other = _leg(*COULOMB, 1.0, 30.0, -0.5)
         osol = integrate_radial(other, -0.5)
         r = np.linspace(0.5, 45.0, 891)
         got, also = leg_values([(sol, r), (osol, r[r >= 1.0])])
@@ -283,7 +301,7 @@ class TestInwardKernel:
         # scale.  On each, log|y| of the ground state must follow
         # ln r - r^2/sqrt(2) wherever y stands clear of rounding, and the
         # log-derivatives handed from piece to piece must arrive intact.
-        leg = make_leg(*OSCILLATOR, 0.5, 40.0, OSCILLATOR_E0)
+        leg = _leg(*OSCILLATOR, 0.5, 40.0, OSCILLATOR_E0)
         sol = integrate_radial(leg, OSCILLATOR_E0)
         assert len(leg.pieces) > 30
         assert all(s == 1.0 for s in sol.signs)
@@ -300,7 +318,7 @@ class TestInwardKernel:
         # near E = -1/8 the node of the inward solution crosses r_match = 2:
         # R changes sign there while R' keeps its sign, and the direction
         # (R, R') turns smoothly instead of flipping
-        leg = make_leg(*COULOMB, 2.0, 40.0, -0.13)
+        leg = _leg(*COULOMB, 2.0, 40.0, -0.13)
         directions = []
         for e in np.linspace(-0.1252, -0.1248, 41):
             sol = integrate_radial(leg, float(e))
@@ -319,7 +337,7 @@ class TestInwardKernel:
     def test_samples_are_each_piece_at_uniform_points(self, system, geometry):
         # the node-count samples: per_piece uniform points of every piece,
         # inner piece first, with the piece's sign, r_match left out
-        leg = make_leg(*(COULOMB if system == "coulomb" else OSCILLATOR), *geometry)
+        leg = _leg(*(COULOMB if system == "coulomb" else OSCILLATOR), *geometry)
         sol = integrate_radial(leg, geometry[2])
         per_piece = 257
         x = np.linspace(-1.0, 1.0, per_piece)
@@ -336,7 +354,7 @@ class TestInwardKernel:
     def test_far_end_in_the_allowed_region_names_the_radius(self):
         # at E = -1/2 the Coulomb turning point is r = 2: a leg ending at
         # r = 1.5 cannot start from a decaying tail
-        leg = make_leg(*COULOMB, 0.5, 1.5, -0.5)
+        leg = _leg(*COULOMB, 0.5, 1.5, -0.5)
         with pytest.raises(DomainError, match=r"far end r=1\.5 "):
             integrate_radial(leg, -0.5)
 
@@ -352,12 +370,12 @@ class TestBatchedInwardLeg:
         # one leg serves every trial energy of a root solve; each solve on it
         # must equal a solve on a leg built for that energy alone, and leave
         # the leg as it was
-        leg = make_leg(self.POT, mass, self.Q, *self.GEOMETRY)
+        leg = _leg(self.POT, mass, self.Q, *self.GEOMETRY)
         before = [np.copy(a) for p in leg.pieces for a in (p.rows0, p.rows_e)]
         for e in energies:
             shared = integrate_radial(leg, float(e))
             single = integrate_radial(
-                make_leg(self.POT, mass, self.Q, *self.GEOMETRY), float(e))
+                _leg(self.POT, mass, self.Q, *self.GEOMETRY), float(e))
             assert (shared.R, shared.dR, shared.signs) == (single.R, single.dR, single.signs)
             assert all(np.array_equal(a, b) for a, b in zip(shared.coeffs, single.coeffs))
         after = [a for p in leg.pieces for a in (p.rows0, p.rows_e)]
