@@ -17,10 +17,13 @@ between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
 narrow bracket shows no sign change or does not converge
 (``search_root``), on the leg that ``place_legs`` placed for every state
-of a config in one pass.  The node count of the converged state is
-verified, and its norm taken, on one eigenfunction, the series on
-(0, r_match] and the inward leg beyond, which the result carries;
-``finish`` does this for a list of roots at once, every state of a config
+of a config in one pass.  On the narrow bracket Brent returns its current
+point once its next step points into the bracket and is shorter than half
+its tolerance, without the evaluation that would confirm it, so a state
+found there costs three mismatches: the bracket's ends and one step.  The
+node count of the converged state is verified, and its norm taken, on one
+eigenfunction, the series on (0, r_match] and the inward leg beyond, which
+the result carries; ``finish`` does this for a list of roots at once, every state of a config
 in one pass, and ``find_eigenvalue`` is its one-state case."""
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ _MAX_ITER = 200
 
 
 def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
-           maxiter=100):
+           maxiter=100, *, accept_short_step=False):
     """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
     Follows scipy.optimize.brentq (its C routine in ``zeros.c``) operation
@@ -80,6 +83,17 @@ def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
     root bit for bit.  ValueError when f(xa) and f(xb) have the same sign or
     an evaluation is NaN; RuntimeError after ``maxiter`` iterations.  The
     tolerances are not checked: scipy requires xtol > 0 and rtol >= 4 eps.
+
+    ``accept_short_step`` is the one departure from scipy, off by default.
+    When it is on, and the interpolation or extrapolation step ``stry``
+    from the current point x points into the bracket and is shorter than
+    delta/2, delta = (xtol + rtol |x|)/2 being Brent's tolerance, x is
+    returned at once.  scipy would take a step of delta instead, in the
+    same direction, and land farther past the predicted root x + stry than
+    x lies before it: its own model predicts a sign change there with a
+    larger |f|, after which scipy returns x.  The rule saves that
+    confirming evaluation; wherever the model holds that far, the root is
+    scipy's and the evaluations are scipy's without the last.
     """
 
     def call(x):
@@ -118,6 +132,8 @@ def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = (-fcur * (fblk * dblk - fpre * dpre)
                         / (dblk * dpre * (fblk - fpre)))
+            if accept_short_step and 2 * abs(stry) < delta and stry * sbis > 0:
+                return xcur
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -279,29 +295,24 @@ def search_root(
     mass: MassProfile,
     q: QuantumNumbers,
     cfg: SolverConfig,
-    spectrum: oracle.ChannelSpectrum | None = None,
-    cuts: np.ndarray | None = None,
+    spectrum: oracle.ChannelSpectrum,
+    cuts: np.ndarray,
 ) -> Root:
     """The root of the mismatch for state q.radial_n in the cell of its
     collocation level, unchecked (``finish`` checks it).
 
     ``spectrum`` is the channel's collocation spectrum over the window
-    cfg.e_bracket; it is solved here when not given, so a caller solving
-    several states of one channel should pass it.  ``cuts`` is the state's
-    geometry from ``place_legs``, which places it here when not given, so a
-    caller solving several states should place them in one pass.  The leg
-    is built from the cuts here, and not kept past the search.
+    cfg.e_bracket, and ``cuts`` the state's geometry from ``place_legs``,
+    which places every state of a config in one pass.  The leg is built
+    from the cuts here, and not kept past the search.  On the narrow
+    bracket Brent accepts a step shorter than half its tolerance without
+    the confirming evaluation (``brentq``'s ``accept_short_step``), so a
+    state found there costs three mismatches; on the cell it runs as scipy.
     BracketError when level q.radial_n lies outside the window, the
     mismatch has no sign change in its cell, or Brent's method needs more
     than _MAX_ITER iterations on it; DomainError when the geometry or a
     trial energy leaves its domain (r_far not in the forbidden tail).
     """
-    if spectrum is None:
-        spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
-    if cuts is None:
-        (cuts,) = place_legs(pot, mass, [(q, spectrum)])
-        if isinstance(cuts, Exception):
-            raise cuts
     cell, e_c = spectrum.cell(q.radial_n)
     geom = tail.make_leg(pot, mass, q, cuts)
 
@@ -319,6 +330,7 @@ def search_root(
                 xtol=abs(e_hi) * 1e-14,
                 rtol=_TOL_E,
                 maxiter=_MAX_ITER,
+                accept_short_step=(e_lo, e_hi) != cell,
             )
             break
         except DomainError:
@@ -333,7 +345,9 @@ def search_root(
                     f"{q.radial_n} at E={e_c!r}"
                 ) from None
     else:
-        f_lo, f_hi = _mismatch(e_lo, *args)[0], _mismatch(e_hi, *args)[0]
+        # Brent evaluated the cell's ends, the second unless the first was NaN
+        f_lo, f_hi = (evaluated[e][0] if e in evaluated else _mismatch(e, *args)[0]
+                      for e in cell)
         raise BracketError(
             f"mismatch does not change sign on the cell ({e_lo}, {e_hi}) of "
             f"level {q.radial_n} at E={e_c!r}: ({f_lo:.3e}, {f_hi:.3e})"
@@ -443,10 +457,18 @@ def find_eigenvalue(
     spectrum: oracle.ChannelSpectrum | None = None,
 ) -> EigenResult:
     """Locate state q.radial_n in the cell of its collocation level and
-    verify its node count: ``finish`` of the one root of ``search_root``.
-    Raises the error that refuses the state, ``search_root``'s or the one
-    ``finish`` returns in its place."""
-    (result,) = finish([search_root(pot, mass, q, cfg, spectrum)])
+    verify its node count: ``finish`` of the one root of ``search_root``,
+    on the state's leg placed alone.  ``spectrum`` is the channel's over
+    cfg.e_bracket, solved here when not given, so a caller solving several
+    states of one channel should pass it.  Raises the error that refuses
+    the state: ``place_legs``', ``search_root``'s or the one ``finish``
+    returns in its place."""
+    if spectrum is None:
+        spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
+    (cuts,) = place_legs(pot, mass, [(q, spectrum)])
+    if isinstance(cuts, Exception):
+        raise cuts
+    (result,) = finish([search_root(pot, mass, q, cfg, spectrum, cuts)])
     if isinstance(result, Exception):
         raise result
     return result

@@ -247,6 +247,56 @@ class TestFindEigenvalueErrors:
                 SolverConfig(e_bracket=(-0.45, -0.2)), spectrum,
             )
 
+    @staticmethod
+    def _no_sign_change(monkeypatch, nan_at=None):
+        """find_eigenvalue on a cell with no sign change: the BracketError's
+        message, the energies evaluated outside brentq, the cell and the
+        mismatch at its ends; ``nan_at`` makes the mismatch NaN there."""
+        import pdmradial.eigensolver as es_mod
+
+        pot, mass, q = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0)
+        cfg = SolverConfig(e_bracket=(-0.45, -0.2))
+        spectrum = ChannelSpectrum(cfg.e_bracket, np.array([-0.3, 0.1]), None)
+        mismatch, brentq = es_mod._mismatch, es_mod.brentq
+        outside, depth = [], [0]
+
+        def recording(e, *args):
+            if not depth[0]:
+                outside.append(e)
+            out = mismatch(e, *args)
+            return (math.nan, *out[1:]) if e == nan_at else out
+
+        def nested(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return brentq(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(es_mod, "_mismatch", recording)
+        monkeypatch.setattr(es_mod, "brentq", nested)
+        with pytest.raises(BracketError) as exc:
+            find_eigenvalue(pot, mass, q, cfg, spectrum)
+        (cell, _) = spectrum.cell(0)
+        leg = _placed_leg(pot, mass, q, spectrum)
+        ends = [mismatch(e, pot, mass, q, cfg, leg)[0] for e in cell]
+        return str(exc.value), outside, cell, ends
+
+    def test_no_sign_change_reports_the_ends_brent_evaluated(self, monkeypatch):
+        # the message's values at the cell's ends are Brent's own
+        # evaluations there: no mismatch is evaluated again to report them
+        message, outside, (lo, hi), (f_lo, f_hi) = self._no_sign_change(monkeypatch)
+        assert outside == []
+        assert message == (f"mismatch does not change sign on the cell ({lo}, {hi}) "
+                           f"of level 0 at E=-0.3: ({f_lo:.3e}, {f_hi:.3e})")
+
+    def test_an_end_brent_never_reached_is_evaluated_for_the_report(self, monkeypatch):
+        # a NaN at the cell's lower end stops Brent before the upper end:
+        # that end alone is evaluated for the message
+        message, outside, (lo, hi), (_, f_hi) = self._no_sign_change(monkeypatch, -0.45)
+        assert outside == [hi]
+        assert message.endswith(f"of level 0 at E=-0.3: (nan, {f_hi:.3e})")
+
     def test_level_outside_the_window(self):
         with pytest.raises(BracketError, match=r"state n=0 not found in the window"):
             find_eigenvalue(
@@ -528,6 +578,60 @@ class TestScanSpectrum:
         )
         assert abs(res.energy + 0.125) < 1e-10 * 0.125
         assert seen == {"brent": 1, "mismatch": 0, "series": 0}
+
+    @pytest.mark.parametrize("workload, states", [
+        ("coulomb_oracle", 10), ("expmass_cornell", 6), ("oscillator_series", 9),
+        ("coulomb_demo", 3), ("expmass_cornell_demo", 4),
+    ])
+    def test_three_mismatches_per_state(self, tmp_path, monkeypatch, workload, states):
+        # Brent's two ends of the narrow bracket and one step: the short
+        # step from there is accepted without the confirming evaluation
+        import pdmradial.eigensolver as es_mod
+
+        calls, mismatch = [], es_mod._mismatch
+
+        def counting(e, pot, mass, q, *args):
+            calls.append(q)
+            return mismatch(e, pot, mass, q, *args)
+
+        monkeypatch.setattr(es_mod, "_mismatch", counting)
+        _solve_centres(tmp_path, workload)
+        per_state = {q: calls.count(q) for q in calls}
+        assert len(per_state) == states
+        assert set(per_state.values()) == {3}, per_state
+
+    def test_short_step_acceptance_leaves_every_row(self, monkeypatch):
+        # every row of the benchmark centres, the demos and the sweep's
+        # 25-problem draw, with the narrow bracket's early return and with
+        # scipy's confirming evaluation: the same texts and the same bits
+        import pdmradial.eigensolver as es_mod
+        from test_sweep import _problems
+
+        def bits(row):
+            res = row.result
+            if res is None:
+                return row.q, row.message
+            return (row.q, row.message, res.nodes, res.oracle_error,
+                    *(repr(getattr(res, c)) for c in (
+                        "energy", "norm_const", "p_sigma", "tail_residual",
+                        "oracle_gap")),
+                    res.solution.coeffs.tobytes(),
+                    b"".join(c.tobytes() for c in res.inward.coeffs))
+
+        configs = [data for group in (*BENCHMARK_CENTRES.values(), *DEMOS.values())
+                   for data in group] + list(_problems(25))
+        parsed = [cli.parse_config({**data, "output": {"directory": "unused"}})
+                  for data in configs]
+        early = [bits(row) for cfg in parsed for row in cli.solve_states(cfg)]
+        brentq = es_mod.brentq
+
+        def confirming(*args, **kwargs):
+            return brentq(*args, **{**kwargs, "accept_short_step": False})
+
+        monkeypatch.setattr(es_mod, "brentq", confirming)
+        scipy_path = [bits(row) for cfg in parsed for row in cli.solve_states(cfg)]
+        assert len(early) == 10 + 6 + 9 + 3 + 4 + 75
+        assert early == scipy_path
 
     @pytest.mark.parametrize("workload", [*BENCHMARK_CENTRES])
     def test_no_whole_series_per_benchmark_centre_solve(
@@ -863,3 +967,34 @@ class TestBrentPort:
             theirs = _brent_trace(scipy_brentq, value, *cell, **kwargs)
             assert ours == theirs
             assert len(ours[1]) > 5
+
+    def test_narrow_bracket_drops_only_scipys_confirming_evaluation(self):
+        # with the short step accepted, Brent on the narrow bracket of each
+        # Coulomb state evaluates where scipy does, without scipy's last
+        # evaluation, and returns scipy's root bit for bit
+        from scipy.optimize import brentq as scipy_brentq
+
+        import pdmradial.eigensolver as es_mod
+
+        pot, mass = make_coulomb(1.0), MassProfile([1.0])
+        cfg = SolverConfig(e_bracket=(-0.6, -0.03))
+        for n in range(3):
+            q = QuantumNumbers(3, 0, n)
+            spectrum = channel_spectrum(pot, mass, q, cfg.e_bracket)
+            (lo, hi), e_c = spectrum.cell(n)
+            half = es_mod._NARROW * abs(e_c)
+            narrow = (max(lo, e_c - half), min(hi, e_c + half))
+            geom = _placed_leg(pot, mass, q, spectrum)
+            kwargs = dict(args=(pot, mass, q, cfg, geom),
+                          xtol=abs(narrow[1]) * 1e-14, rtol=es_mod._TOL_E,
+                          maxiter=es_mod._MAX_ITER)
+
+            def value(e, *args):
+                return es_mod._mismatch(e, *args)[0]
+
+            root, xs = _brent_trace(es_mod.brentq, value, *narrow,
+                                    accept_short_step=True, **kwargs)
+            scipy_root, scipy_xs = _brent_trace(scipy_brentq, value, *narrow, **kwargs)
+            assert len(xs) == 3
+            assert xs == scipy_xs[:-1]
+            assert root.hex() == scipy_root.hex()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pdmradial
 from pdmradial import cli
-from pdmradial.eigensolver import find_eigenvalue, finish, search_root
+from pdmradial.eigensolver import find_eigenvalue, finish, place_legs, search_root
 from pdmradial.errors import BracketError, DomainError, WrongStateError
 from pdmradial.model import QuantumNumbers
 from pdmradial.oracle import channel_spectrum
@@ -89,8 +89,10 @@ def _demo_roots():
     cfg = cli.parse_config(json.loads((CONFIGS / "coulomb_demo.json").read_text()))
     q0 = QuantumNumbers(cfg.quantum.dim, 0, 0)
     spectrum = channel_spectrum(cfg.potential, cfg.mass, q0, cfg.solver.e_bracket)
-    return [search_root(cfg.potential, cfg.mass, replace(q0, radial_n=n), cfg.solver,
-                        spectrum) for n in (0, 1, 2)], cfg
+    states = [(replace(q0, radial_n=n), spectrum) for n in (0, 1, 2)]
+    cuts = place_legs(cfg.potential, cfg.mass, states)
+    return [search_root(cfg.potential, cfg.mass, q, cfg.solver, spectrum, c)
+            for (q, _), c in zip(states, cuts)], cfg
 
 
 def test_failing_states_leave_the_others_untouched():
