@@ -15,19 +15,17 @@ Run from the repository root, against the package on PYTHONPATH:
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
-and compare the printed lines of two runs with ``diff``.  ``--out DIR``
-keeps the files in DIR (emptied first); by default they go to a temporary
-directory that is removed.
+and compare the printed lines of two runs with ``diff``.  The files are
+written into a temporary directory, which is removed afterwards.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
-import shutil
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -84,7 +82,9 @@ def write_outputs(out: Path) -> None:
     status = []
     configs = out / "configs"
     configs.mkdir(parents=True, exist_ok=True)
-    with contextlib.chdir(out):
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
         for name, data in _configs().items():
             for command in cli._ARTIFACTS:
                 config = configs / f"{name}_{command}.json"
@@ -93,6 +93,8 @@ def write_outputs(out: Path) -> None:
                 with contextlib.redirect_stderr(printed):
                     code = cli.main([command, str(config)])
                 status.append(f"{name} {command} exit {code}\n{printed.getvalue()}")
+    finally:
+        os.chdir(cwd)
     (out / "status.txt").write_text("".join(status))
     with open(out / "sweep.jsonl", "w") as sweep:
         for count, orders in SWEEP_DRAWS:
@@ -101,18 +103,9 @@ def write_outputs(out: Path) -> None:
                     sweep.write(json.dumps(row.record()) + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", type=Path, default=None,
-                    help="keep the files here (emptied first)")
-    args = ap.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        if args.out is None:
-            out = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        else:
-            out = args.out.resolve()
-            shutil.rmtree(out, ignore_errors=True)
-        out.mkdir(parents=True, exist_ok=True)
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp).resolve()
         write_outputs(out)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
