@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigensolver import SolverConfig, finish, place_legs, search_root
-from .errors import BracketError, DomainError
+from .eigensolver import SolverConfig, solve
+from .errors import DomainError
 from .model import (
     EigenResult,
     MassProfile,
@@ -347,11 +347,10 @@ def _failed(q: QuantumNumbers, exc: Exception, prefix: str = "") -> StateRow:
 
 def solve_states(cfg: RunConfig) -> list[StateRow]:
     """Solve all (ell, n) rows requested by the config, in config order:
-    every channel bracketed by its collocation spectrum (the window's radii
-    found once), every state's leg placed in one pass, the root of each
-    state, then one finishing pass over every root.  A state that fails
-    gets an error row naming the exception, and a channel whose spectrum
-    fails an error row for each of its states."""
+    every channel bracketed by its collocation spectrum, then every state of
+    every channel in one ``solve``.  A state that fails gets an error row
+    naming the exception, and a channel whose spectrum fails an error row
+    for each of its states."""
     pot, mass, solver, dim = cfg.potential, cfg.mass, cfg.solver, cfg.quantum.dim
     ells, ns = list(dict.fromkeys(cfg.quantum.ell)), list(dict.fromkeys(cfg.quantum.n))
     spectra = channel_spectra(pot, mass, [QuantumNumbers(dim, ell, 0) for ell in ells],
@@ -365,20 +364,9 @@ def solve_states(cfg: RunConfig) -> list[StateRow]:
                                        "channel failed: ")
             continue
         states += [(QuantumNumbers(dim, ell, n), spectrum) for n in ns]
-    roots = {}
-    for (q, spectrum), cuts in zip(states, place_legs(pot, mass, states)):
-        key = q.ell, q.radial_n
-        if isinstance(cuts, Exception):
-            rows[key] = _failed(q, cuts)
-            continue
-        try:
-            roots[key] = search_root(pot, mass, q, solver, spectrum, cuts)
-        except (BracketError, DomainError) as exc:
-            rows[key] = _failed(q, exc)
-    for (ell, n), result in zip(roots, finish(list(roots.values()))):
-        q = QuantumNumbers(dim, ell, n)
-        rows[ell, n] = (_failed(q, result) if isinstance(result, Exception)
-                        else StateRow(q, result, result.oracle_error or ""))
+    for (q, _), result in zip(states, solve(pot, mass, states, solver)):
+        rows[q.ell, q.radial_n] = (_failed(q, result) if isinstance(result, Exception)
+                                   else StateRow(q, result, result.oracle_error or ""))
     return [rows[ell, n] for ell in cfg.quantum.ell for n in cfg.quantum.n]
 
 

@@ -16,15 +16,18 @@ The brackets come from the channel's collocation spectrum
 between the midpoints to its neighbours.  Brent iteration runs first on
 E_n +- 1e-9 |E_n| inside the cell and on the whole cell only when that
 narrow bracket shows no sign change or does not converge
-(``search_root``), on the leg that ``place_legs`` placed for every state
-of a config in one pass.  On the narrow bracket Brent returns its current
-point once its next step points into the bracket and is shorter than half
-its tolerance, without the evaluation that would confirm it, so a state
-found there costs three mismatches: the bracket's ends and one step.  The
-node count of the converged state is verified, and its norm taken, on one
-eigenfunction, the series on (0, r_match] and the inward leg beyond, which
-the result carries; ``finish`` does this for a list of roots at once, every state of a config
-in one pass, and ``find_eigenvalue`` is its one-state case."""
+(``search_root``), on the leg that ``tail.place_legs`` placed for every
+state of a config in one pass.  On the narrow bracket Brent returns its
+current point once its next step points into the bracket and is shorter
+than half its tolerance, without the evaluation that would confirm it, so a
+state found there costs three mismatches: the bracket's ends and one step.
+The node count of the converged state is verified, and its norm taken, on
+one eigenfunction, the series on (0, r_match] and the inward leg beyond,
+which the result carries; ``finish`` does this for a list of roots at once.
+
+``solve`` is the solve of one config: every state's cell, every leg placed
+in one pass, every state's root, then one ``finish`` over every root.
+``find_eigenvalue`` is its one-state case."""
 
 from __future__ import annotations
 
@@ -42,7 +45,6 @@ from .model import (
     QuantumNumbers,
     SeriesSolution,
     _horner,
-    b_from_energy,
 )
 from .recurrence import _stopped_series
 from .wavefunction import node_counts, norms2, sign_changes
@@ -53,8 +55,8 @@ __all__ = [
     "brentq",
     "find_eigenvalue",
     "finish",
-    "place_legs",
     "search_root",
+    "solve",
 ]
 
 # The ansatz b = sqrt(-2 m0 E) degenerates as E -> 0-.
@@ -62,9 +64,6 @@ _E_FLOOR = 1e-12
 
 # half-width of the first Brent bracket around a collocation level, relative
 _NARROW = 1e-9
-
-# decay lengths 1/b from the match radius to the inward start, at least
-_TAIL_LENGTHS = 10.0
 
 # samples per piece of the inward solution when its nodes are counted
 _NODE_SAMPLES = 2048
@@ -156,15 +155,11 @@ def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
 class SolverConfig:
     """Knobs of the matching eigensolver.
 
-    ``e_bracket`` is the energy window in which states are sought.  The
-    match radius is 1.5/b at the midpoint of the state's cell.  The series
-    stops where its terms at r_match are negligible; ``truncation_order``
-    caps it, and the root's series must stop below the cap.  It is also
-    the length of the coefficient dump.
-    The inward integration starts at r_far, the farthest of ten decay
-    lengths 1/b past the match radius, and 1.2 times the outer turning
-    radius and the tail radius (``tail.tail_radius``), both at the cell's
-    upper energy (``place_legs``).
+    ``e_bracket`` is the energy window in which states are sought; the
+    matching geometry follows from each state's cell (``tail.place_legs``).
+    The series stops where its terms at the match radius are negligible;
+    ``truncation_order`` caps it, and the root's series must stop below the
+    cap.  It is also the length of the coefficient dump.
     """
 
     e_bracket: tuple[float, float]
@@ -182,54 +177,6 @@ class SolverConfig:
         ):
             if not ok:
                 raise DomainError(f"{name}: must be {need}")
-
-
-def place_legs(
-    pot: PotentialSpec,
-    mass: MassProfile,
-    states: list[tuple[QuantumNumbers, oracle.ChannelSpectrum]],
-) -> list[np.ndarray | Exception]:
-    """The fixed matching geometry of each (q, spectrum) state, the cuts of
-    its inward leg (``tail.leg_cuts``) from r_match = 1.5/b at the midpoint
-    of the cell of level q.radial_n to r_far, or in its place the error
-    that refuses it: BracketError when the level lies outside the window,
-    DomainError when the leg leaves its domain.  The geometry is fixed, so
-    the mismatch stays continuous in E; its zeros do not depend on these
-    choices.
-
-    The inward start must sit in the forbidden tail: ``_TAIL_LENGTHS`` decay
-    lengths out and past the outer turning point and the tail radius of the
-    cell's upper energy; the leg is cut into pieces at its lower one.  Every
-    state of a config is placed in one pass: each distinct upper energy's
-    turning point is searched once, and not at all at a window's top, which
-    its spectrum carries; every state's tail radius and cuts come from
-    stacked, elementwise evaluations with each state's running sums its
-    own, so a state's geometry does not depend on the others."""
-    out: list = [None] * len(states)
-    cells, turns = [], {}
-    for i, (q, spectrum) in enumerate(states):
-        try:
-            cell, _ = spectrum.cell(q.radial_n)
-        except BracketError as exc:
-            out[i] = exc
-            continue
-        cells.append((i, q, cell))
-        if spectrum.r_turn is not None:
-            turns[spectrum.window[1]] = spectrum.r_turn
-    tops = [e_hi for _, _, (_, e_hi) in cells]
-    missing = [e for e in dict.fromkeys(tops) if e not in turns]
-    turns.update(zip(missing, tail.outer_turning_radii(pot, missing)))
-    r_turns = [turns[e] for e in tops]
-    legs = []
-    for (_, q, (e_lo, e_hi)), r_turn, r_tail in zip(
-            cells, r_turns, tail._tail_radii(pot, mass, tops, r_turns)):
-        b_mid = b_from_energy(0.5 * (e_lo + e_hi), mass.m0)
-        r_match = 1.5 / b_mid
-        r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
-        legs.append((q, r_match, r_far, e_lo))
-    for (i, *_), cuts in zip(cells, tail.leg_cuts(pot, mass, legs)):
-        out[i] = cuts
-    return out
 
 
 def _series_direction(
@@ -302,12 +249,13 @@ def search_root(
     collocation level, unchecked (``finish`` checks it).
 
     ``spectrum`` is the channel's collocation spectrum over the window
-    cfg.e_bracket, and ``cuts`` the state's geometry from ``place_legs``,
-    which places every state of a config in one pass.  The leg is built
-    from the cuts here, and not kept past the search.  On the narrow
-    bracket Brent accepts a step shorter than half its tolerance without
-    the confirming evaluation (``brentq``'s ``accept_short_step``), so a
-    state found there costs three mismatches; on the cell it runs as scipy.
+    cfg.e_bracket, and ``cuts`` the state's geometry from
+    ``tail.place_legs``, which places every state of a config in one pass.
+    The leg is built from the cuts here, and not kept past the search.  On
+    the narrow bracket Brent accepts a step shorter than half its tolerance
+    without the confirming evaluation (``brentq``'s ``accept_short_step``),
+    so a state found there costs three mismatches; on the cell it runs as
+    scipy.
     BracketError when level q.radial_n lies outside the window, the
     mismatch has no sign change in its cell, or Brent's method needs more
     than _MAX_ITER iterations on it; DomainError when the geometry or a
@@ -449,6 +397,39 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
     return out
 
 
+def solve(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    states: list[tuple[QuantumNumbers, oracle.ChannelSpectrum]],
+    cfg: SolverConfig,
+) -> list[EigenResult | Exception]:
+    """Each (q, spectrum) state's ``EigenResult``, or the error that refuses
+    it, in order: the cell of every state (BracketError when its level lies
+    outside the window), every leg placed in one pass (``tail.place_legs``),
+    the root of each state (``search_root``), then one ``finish`` over every
+    root.  A state's result does not depend on the others."""
+    out: list = [None] * len(states)
+    cells = []
+    for i, (q, spectrum) in enumerate(states):
+        try:
+            cells.append((i, q, spectrum, spectrum.cell(q.radial_n)[0]))
+        except BracketError as exc:
+            out[i] = exc
+    legs = tail.place_legs(pot, mass, [(q, cell) for _, q, _, cell in cells])
+    roots = []
+    for (i, q, spectrum, _), cuts in zip(cells, legs):
+        if isinstance(cuts, Exception):
+            out[i] = cuts
+            continue
+        try:
+            roots.append((i, search_root(pot, mass, q, cfg, spectrum, cuts)))
+        except (BracketError, DomainError) as exc:
+            out[i] = exc
+    for (i, _), result in zip(roots, finish([root for _, root in roots])):
+        out[i] = result
+    return out
+
+
 def find_eigenvalue(
     pot: PotentialSpec,
     mass: MassProfile,
@@ -457,18 +438,13 @@ def find_eigenvalue(
     spectrum: oracle.ChannelSpectrum | None = None,
 ) -> EigenResult:
     """Locate state q.radial_n in the cell of its collocation level and
-    verify its node count: ``finish`` of the one root of ``search_root``,
-    on the state's leg placed alone.  ``spectrum`` is the channel's over
-    cfg.e_bracket, solved here when not given, so a caller solving several
-    states of one channel should pass it.  Raises the error that refuses
-    the state: ``place_legs``', ``search_root``'s or the one ``finish``
-    returns in its place."""
+    verify its node count: ``solve`` of the one state.  ``spectrum`` is the
+    channel's over cfg.e_bracket, solved here when not given, so a caller
+    solving several states of one channel should pass it.  Raises the error
+    that refuses the state."""
     if spectrum is None:
         spectrum = oracle.channel_spectrum(pot, mass, q, cfg.e_bracket)
-    (cuts,) = place_legs(pot, mass, [(q, spectrum)])
-    if isinstance(cuts, Exception):
-        raise cuts
-    (result,) = finish([search_root(pot, mass, q, cfg, spectrum, cuts)])
+    (result,) = solve(pot, mass, [(q, spectrum)], cfg)
     if isinstance(result, Exception):
         raise result
     return result

@@ -61,7 +61,6 @@ __all__ = [
     "channel_spectrum",
     "collocation_levels",
     "collocation_pencil",
-    "window_tail_radius",
 ]
 
 # The two (nodes, r_max in tail radii) collocations of every channel.  The
@@ -219,17 +218,14 @@ def _nearest_level(a: np.ndarray, d: np.ndarray, e: float) -> float:
 @dataclass(frozen=True)
 class ChannelSpectrum:
     """The collocation levels of one (N, l) channel for an energy window:
-    ``levels`` from the finer solve, ascending, ``coarse_pencil``, a
-    function that builds the coarser solve's pencil (A, d), and ``r_turn``,
-    the outer turning radius at the window's upper energy, found with r_max
-    (the series path places the leg of a state at the window's top with
-    it; None when unknown).  Level n has n nodes (Sturm oscillation), so its
-    index is the radial quantum number of the state it approximates."""
+    ``levels`` from the finer solve, ascending, and ``coarse_pencil``, a
+    function that builds the coarser solve's pencil (A, d).  Level n has n
+    nodes (Sturm oscillation), so its index is the radial quantum number of
+    the state it approximates."""
 
     window: tuple[float, float]
     levels: np.ndarray
     coarse_pencil: Callable[[], tuple[np.ndarray, np.ndarray]]
-    r_turn: float | None = None
 
     @cached_property
     def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
@@ -271,15 +267,6 @@ class ChannelSpectrum:
         )
 
 
-def window_tail_radius(
-    pot: PotentialSpec, mass: MassProfile, window: tuple[float, float]
-) -> tuple[float, float]:
-    """The outer turning radius at the window's upper energy and the WKB
-    tail radius past it, which places r_max for every channel of the
-    window: neither depends on l."""
-    return tail_radius(pot, mass, window[1], _TAIL_EXPONENT)
-
-
 def channel_spectra(
     pot: PotentialSpec,
     mass: MassProfile,
@@ -288,12 +275,13 @@ def channel_spectra(
 ) -> list[ChannelSpectrum | DomainError]:
     """The collocation solves of each channel of ``channels`` over one
     window, the coarser one deferred to the first check, or in its place
-    the DomainError that refuses the channel.  The window's radii are found
-    once, for every channel."""
+    the DomainError that refuses the channel.  r_max follows from the WKB
+    tail radius at the window's upper energy, which does not depend on l,
+    so it is found once, for every channel."""
     e_lo, e_hi = window
     if not (e_lo < e_hi < 0):
         raise DomainError("window must satisfy e_lo < e_hi < 0")
-    r_turn, r_tail = window_tail_radius(pot, mass, window)
+    r_tail = tail_radius(pot, mass, e_hi, _TAIL_EXPONENT)
     (n_check, f_check), (n_fine, f_fine) = _RESOLUTIONS
     out: list = []
     for q in channels:
@@ -305,7 +293,6 @@ def channel_spectra(
         out.append(ChannelSpectrum(
             (e_lo, e_hi), levels,
             partial(collocation_pencil, pot, mass, q, n_check, f_check * r_tail),
-            r_turn,
         ))
     return out
 

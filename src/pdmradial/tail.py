@@ -21,15 +21,16 @@ spans more than e^25 or so, so none loses its far-end sign to rounding, and
 the sign of R at r_match is the product of the pieces' signs of y at their
 right ends.
 
-The eigensolver places every leg of a config in one pass: the outer
-turning radii (``outer_turning_radii``) and tail radii (``tail_radius``'s
-march) place the start of each leg in the forbidden tail, and ``leg_cuts``
-cuts every leg at once.  It builds one state's leg from its cuts
-(``make_leg``, every piece in one stacked pass) right before that state's
-search, calls ``integrate_radial`` once per trial energy, and
-``Inward.norm2`` once for the converged state, whose eigenfunction past
-r_match is this leg (``leg_values``); ``leg_samples`` gives the signs its
-nodes are counted on, for every converged state at once.
+``place_legs`` owns the matching geometry: it places every leg of a config
+in one pass, r_match from the state's cell, r_far in the forbidden tail past
+the outer turning radius (``outer_turning_radii``) and the tail radius
+(``tail_radius``'s march), and cuts every leg at once (``leg_cuts``).  The
+eigensolver builds one state's leg from its cuts (``make_leg``, every piece
+in one stacked pass) right before that state's search, calls
+``integrate_radial`` once per trial energy, and ``Inward.norm2`` once for
+the converged state, whose eigenfunction past r_match is this leg
+(``leg_values``); ``leg_samples`` gives the signs its nodes are counted on,
+for every converged state at once.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
     "leg_values",
     "make_leg",
     "outer_turning_radii",
-    "outer_turning_radius",
+    "place_legs",
     "tail_radius",
 ]
 
@@ -70,6 +71,8 @@ _PIECE_EXPONENT = 25.0
 _CUT_SAMPLES = 1025
 # WKB exponent of a leg's far end past the outer turning point
 _TAIL_EXPONENT = 14.0
+# decay lengths 1/b from the match radius to the far end, at least
+_TAIL_LENGTHS = 10.0
 # the geometric grid whose last sign change of V - e brackets the outer
 # turning point, read only
 _PROBES = np.geomspace(1e-4, 1e7, 500)
@@ -81,12 +84,12 @@ def tail_radius(
     mass: MassProfile,
     e: float,
     target_exponent: float = _TAIL_EXPONENT,
-) -> tuple[float, float]:
-    """The outer turning radius at ``e`` and the radius past it where the
-    integral of sqrt(2 m (V - e)) reaches ``target_exponent`` (capped for
-    slowly decaying tails): the one-energy case of ``_tail_radii``."""
-    r_turn = outer_turning_radius(pot, e)
-    return r_turn, _tail_radii(pot, mass, [e], [r_turn], target_exponent)[0]
+) -> float:
+    """The radius past the outer turning radius at ``e`` where the integral
+    of sqrt(2 m (V - e)) reaches ``target_exponent`` (capped for slowly
+    decaying tails): the one-energy case of ``_tail_radii``."""
+    r_turns = outer_turning_radii(pot, [e])
+    return _tail_radii(pot, mass, [e], r_turns, target_exponent)[0]
 
 
 def _tail_radii(
@@ -125,16 +128,11 @@ def _tail_radii(
     return out
 
 
-def outer_turning_radius(pot: PotentialSpec, e: float) -> float:
-    """Largest radius where V(r) = e, or 0.0 if V - e never changes sign:
-    the one-energy case of ``outer_turning_radii``."""
-    return outer_turning_radii(pot, [e])[0]
-
-
 def outer_turning_radii(pot: PotentialSpec, energies: list[float]) -> list[float]:
-    """``outer_turning_radius`` at each energy: V on a geometric grid once,
-    then each energy's last sign change of V - e bisected on Python floats.
-    Used to place matching radii and grid ends in the classically
+    """The largest radius where V(r) = e at each energy, or 0.0 where V - e
+    never changes sign: V on a geometric grid once, then each energy's last
+    sign change of V - e bisected on Python floats.  Used to place the
+    legs' far ends and the collocation grid's end in the classically
     forbidden tail."""
     if not energies:
         return []
@@ -364,6 +362,52 @@ def leg_cuts(
         pieces = max(1, math.ceil(growth[-1] / _PIECE_EXPONENT))
         marks = growth[-1] * np.arange(1, pieces) / pieces
         out[i] = np.concatenate(([start], np.interp(marks, growth, radii), [end]))
+    return out
+
+
+def place_legs(
+    pot: PotentialSpec,
+    mass: MassProfile,
+    cells: list[tuple[QuantumNumbers, tuple[float, float]]],
+) -> list[np.ndarray | DomainError]:
+    """The matching geometry of each (q, cell) state, the cuts of its leg
+    (``leg_cuts``) from r_match to r_far, or in its place the DomainError
+    that refuses it.  With b at the midpoint of the cell (e_lo, e_hi),
+    r_match = 1.5/b; r_far, which must sit in the forbidden tail, is the
+    farthest of ``_TAIL_LENGTHS`` decay lengths past r_match and 1.2 times
+    the outer turning radius and the tail radius, both at e_hi; the leg is
+    cut at e_lo.  The geometry is fixed, so the mismatch stays continuous in
+    E; its zeros do not depend on these choices.  A cell where b overflows
+    at the midpoint is refused.
+
+    Every state of a config is placed in one pass: each distinct upper
+    energy's turning point and tail radius are found once, and every
+    state's cuts come from one stacked, elementwise evaluation with each
+    state's running sums its own, so a state's geometry does not depend on
+    the others."""
+    out: list = [None] * len(cells)
+    kept = []
+    for i, (q, (e_lo, e_hi)) in enumerate(cells):
+        e_mid = 0.5 * (e_lo + e_hi)
+        b_mid = b_from_energy(e_mid, mass.m0)
+        if math.isfinite(b_mid):
+            kept.append((i, q, b_mid, e_lo, e_hi))
+        else:
+            out[i] = DomainError(
+                f"the decay rate b = sqrt(-2 m0 E) overflows at E={e_mid}, "
+                f"the midpoint of the cell ({e_lo}, {e_hi})"
+            )
+    tops = list(dict.fromkeys(e_hi for *_, e_hi in kept))
+    r_turns = outer_turning_radii(pot, tops)
+    radii = dict(zip(tops, zip(r_turns, _tail_radii(pot, mass, tops, r_turns))))
+    legs = []
+    for _, q, b_mid, e_lo, e_hi in kept:
+        r_turn, r_tail = radii[e_hi]
+        r_match = 1.5 / b_mid
+        r_far = max(r_match + _TAIL_LENGTHS / b_mid, 1.2 * r_turn, r_tail)
+        legs.append((q, r_match, r_far, e_lo))
+    for (i, *_), cuts in zip(kept, leg_cuts(pot, mass, legs)):
+        out[i] = cuts
     return out
 
 

@@ -301,16 +301,14 @@ class TestSolveDemo:
         assert got == GOLDEN.with_suffix(".json").read_bytes()
 
     def test_stops_once_every_state_is_found(self, tmp_path, monkeypatch):
-        import pdmradial.cli as cli_mod
-
         solved = []
-        original = cli_mod.search_root
+        original = eigensolver.search_root
 
         def counting(pot, mass, q, cfg, spectrum, cuts):
             solved.append(q.radial_n)
             return original(pot, mass, q, cfg, spectrum, cuts)
 
-        monkeypatch.setattr(cli_mod, "search_root", counting)
+        monkeypatch.setattr(eigensolver, "search_root", counting)
         data = demo_config_dict()
         data["output"]["directory"] = str(tmp_path / "out")
         assert run_solve(str(write_config(tmp_path, data))) == 0
@@ -383,13 +381,13 @@ class TestArtifacts:
         import pdmradial.cli as cli_mod
 
         seen = []
-        original = cli_mod.search_root
+        original = eigensolver.search_root
 
         def recording(pot, mass, q, cfg, spectrum, cuts):
             seen.append((pot, mass, cfg))
             return original(pot, mass, q, cfg, spectrum, cuts)
 
-        monkeypatch.setattr(cli_mod, "search_root", recording)
+        monkeypatch.setattr(eigensolver, "search_root", recording)
         data = json.loads(EXPMASS_CONFIG.read_text())
         data["solver"]["oracle"] = False
         cfg = parse_config(data)
@@ -615,13 +613,12 @@ class TestArtifacts:
         assert rows[1]["norm_const"] is None
 
     def test_failed_row_names_the_last_failure(self, tmp_path, monkeypatch):
-        import pdmradial.cli as cli_mod
         from pdmradial.errors import BracketError
 
         def failing(pot, mass, q, cfg, spectrum, cuts):
             raise BracketError(f"no sign change for n={q.radial_n}")
 
-        monkeypatch.setattr(cli_mod, "search_root", failing)
+        monkeypatch.setattr(eigensolver, "search_root", failing)
         data = demo_config_dict()
         data["quantum"]["n"] = [0]
         data["output"]["directory"] = str(tmp_path / "fail")

@@ -8,13 +8,13 @@ import pytest
 
 from coulomb_reference import coulomb_norm_reference, coulomb_reference_energy
 from pdmradial import cli
-from pdmradial.eigensolver import SolverConfig, find_eigenvalue, place_legs
+from pdmradial.eigensolver import SolverConfig, find_eigenvalue
 from pdmradial.errors import BracketError, DomainError, WrongStateError
 from pdmradial.model import MassProfile, QuantumNumbers, make_cornell, make_coulomb
 import pdmradial.oracle as oracle_mod
 from pdmradial.oracle import ChannelSpectrum, channel_spectrum
 from pdmradial.recurrence import generate_coefficients
-from pdmradial.tail import make_leg
+from pdmradial.tail import make_leg, place_legs
 from pdmradial.wavefunction import trusted
 
 
@@ -62,7 +62,7 @@ DEMOS = {name: [json.loads((DEMO_CONFIG.parent / f"{name}.json").read_text())]
 def _placed_leg(pot, mass, q, spectrum):
     """State q's leg, placed and built as ``search_root`` places and builds
     it."""
-    (cuts,) = place_legs(pot, mass, [(q, spectrum)])
+    (cuts,) = place_legs(pot, mass, [(q, spectrum.cell(q.radial_n)[0])])
     return make_leg(pot, mass, q, cuts)
 
 
@@ -493,11 +493,11 @@ class TestScanSpectrum:
         # trust rule, and the solve takes no trust test; the oscillator's
         # samples test the series once per state, at the largest sample
         # radius not past r_match, and it is trusted there
-        import pdmradial.cli as cli_mod
+        import pdmradial.eigensolver as es_mod
         import pdmradial.wavefunction as wf_mod
 
         roots, samples = [], []
-        trusted, finish = wf_mod.trusted, cli_mod.finish
+        trusted, finish = wf_mod.trusted, es_mod.finish
 
         def recording_finish(found):
             results = finish(found)
@@ -509,7 +509,7 @@ class TestScanSpectrum:
             samples.append((sol, r, trusted(sol, r)))
             return samples[-1][2]
 
-        monkeypatch.setattr(cli_mod, "finish", recording_finish)
+        monkeypatch.setattr(es_mod, "finish", recording_finish)
         monkeypatch.setattr(wf_mod, "trusted", recording)
         _solve_centres(tmp_path, workload)
         assert len(roots) == states
@@ -722,35 +722,22 @@ class TestScanSpectrum:
             assert args[3].truncation_order == 64
             assert sol.coeffs.size <= 40, e
 
-    def test_one_turning_point_per_energy(self, monkeypatch):
-        # the geometry searches the turning point at the cell's upper energy
-        # once, and not at all at the window's top, whose spectrum carries
-        # the one found with r_max; the norm comes from the leg the geometry
-        # built, so the solve searches no other
+    def test_the_geometry_has_one_owner(self):
+        # the leg geometry is the tail's: the eigensolver reads no private
+        # name of it, and the spectrum carries no turning radius to it
+        import ast
+        from dataclasses import fields
+
         import pdmradial.eigensolver as es_mod
-        import pdmradial.tail as tail_mod
 
-        pot, mass, q = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 1)
-        cfg = SolverConfig(e_bracket=(-0.14, -0.11))
-        spectrum = channel_spectrum(pot, mass, q, cfg.e_bracket)
-        cell, _ = spectrum.cell(q.radial_n)
-        assert cell[1] == cfg.e_bracket[1]
-        assert spectrum.r_turn == tail_mod.outer_turning_radius(pot, cell[1])
-        calls = []
-        search = tail_mod._turning_radius
-
-        def counting(pot, e, diff):
-            calls.append(e)
-            return search(pot, e, diff)
-
-        monkeypatch.setattr(tail_mod, "_turning_radius", counting)
-        (searched,) = es_mod.place_legs(pot, mass, [(q, replace(spectrum, r_turn=None))])
-        assert calls == [cell[1]]
-        calls.clear()
-        (carried,) = es_mod.place_legs(pot, mass, [(q, spectrum)])
-        assert calls == [] and np.array_equal(carried, searched)
-        find_eigenvalue(pot, mass, q, cfg, spectrum)
-        assert calls == []
+        tree = ast.parse(Path(es_mod.__file__).read_text())
+        used = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "tail"}
+        assert "place_legs" in used
+        assert not [name for name in used if name.startswith("_")]
+        assert [f.name for f in fields(ChannelSpectrum)] == [
+            "window", "levels", "coarse_pencil"]
 
 
 class TestOrdering:

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pdmradial
 from pdmradial import cli
-from pdmradial.eigensolver import find_eigenvalue, finish, place_legs, search_root
+from pdmradial.eigensolver import find_eigenvalue, finish, search_root
 from pdmradial.errors import BracketError, DomainError, WrongStateError
 from pdmradial.model import QuantumNumbers
 from pdmradial.oracle import channel_spectrum
+from pdmradial.tail import place_legs
 from test_sweep import _problems
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -90,7 +91,8 @@ def _demo_roots():
     q0 = QuantumNumbers(cfg.quantum.dim, 0, 0)
     spectrum = channel_spectrum(cfg.potential, cfg.mass, q0, cfg.solver.e_bracket)
     states = [(replace(q0, radial_n=n), spectrum) for n in (0, 1, 2)]
-    cuts = place_legs(cfg.potential, cfg.mass, states)
+    cuts = place_legs(cfg.potential, cfg.mass,
+                      [(q, spectrum.cell(q.radial_n)[0]) for q, _ in states])
     return [search_root(cfg.potential, cfg.mass, q, cfg.solver, spectrum, c)
             for (q, _), c in zip(states, cuts)], cfg
 

@@ -1,6 +1,6 @@
 """The per-config placement of every state's inward leg.
 
-``eigensolver.place_legs`` finds the turning points, tail radii and cuts of
+``tail.place_legs`` finds the turning points, tail radii and cuts of
 every state of a config in one pass, and ``tail.make_leg`` builds one
 state's leg from its cuts.  Each value must have the bits of the per-state
 formula that this module keeps as its reference (the geometry as it was
@@ -22,11 +22,11 @@ import pytest
 
 import pdmradial.tail as tail_mod
 from pdmradial import cli
-from pdmradial.eigensolver import place_legs, search_root
+from pdmradial.eigensolver import search_root
 from pdmradial.errors import BracketError, DomainError
 from pdmradial.model import QuantumNumbers, _gauss_legendre, b_from_energy
 from pdmradial.oracle import channel_spectra
-from pdmradial.tail import _NODES, _operators, make_leg
+from pdmradial.tail import _NODES, _operators, make_leg, place_legs
 from test_eigensolver import BENCHMARK_CENTRES
 from test_sweep import _problems
 
@@ -151,6 +151,21 @@ def _states(cfg):
             for n in dict.fromkeys(cfg.quantum.n)]
 
 
+def _placed(pot, mass, states):
+    """``place_legs`` of the (q, spectrum) states whose level lies in the
+    window, as ``solve`` places them, with each other state's BracketError
+    in its place."""
+    out, cells = [], []
+    for q, spectrum in states:
+        try:
+            cells.append((q, spectrum.cell(q.radial_n)[0]))
+            out.append(None)
+        except BracketError as exc:
+            out.append(exc)
+    legs = iter(place_legs(pot, mass, cells))
+    return [next(legs) if c is None else c for c in out]
+
+
 def _check_every_state():
     """Assert the reference bits of every state of ``_configs``; the number
     of legs checked and the mass kinds they cover."""
@@ -158,7 +173,7 @@ def _check_every_state():
     for cfg in _configs():
         pot, mass = cfg.potential, cfg.mass
         states = _states(cfg)
-        for (q, spectrum), cuts in zip(states, place_legs(pot, mass, states)):
+        for (q, spectrum), cuts in zip(states, _placed(pot, mass, states)):
             try:
                 cell, _ = spectrum.cell(q.radial_n)
             except BracketError as exc:
@@ -194,13 +209,13 @@ def test_a_state_is_placed_alone_as_with_its_config():
     for cfg in _configs():
         pot, mass = cfg.potential, cfg.mass
         states = _states(cfg)
-        placed = place_legs(pot, mass, states)
+        placed = _placed(pot, mass, states)
         together = [_bits(c) if isinstance(c, np.ndarray) else str(c) for c in placed]
         pieces.update(c.size - 1 for c in placed if isinstance(c, np.ndarray))
 
         def bits(states):
             return [_bits(c) if isinstance(c, np.ndarray) else str(c)
-                    for c in place_legs(pot, mass, states)]
+                    for c in _placed(pot, mass, states)]
 
         assert [bits([state])[0] for state in states] == together
         order = list(range(len(states)))
@@ -211,8 +226,8 @@ def test_a_state_is_placed_alone_as_with_its_config():
 
 
 # Coulomb at m0 = 4 over (-1e308, -0.15): the ground state's cell reaches
-# down to -1e308, where b = sqrt(-2 m0 E) overflows and r_match = 1.5/b is 0;
-# n = 9 has no level in the window; n = 1 and 2 solve
+# down to -1e308, and b = sqrt(-2 m0 E) overflows at its midpoint; n = 9 has
+# no level in the window; n = 1 and 2 solve
 ISOLATION = {
     "potential": {"kind": "coulomb", "z": 1.0},
     "mass": {"kind": "constant", "m0": 4.0},
@@ -226,28 +241,32 @@ def test_a_failed_state_leaves_the_others_bits():
     cfg = cli.parse_config(ISOLATION)
     pot, mass = cfg.potential, cfg.mass
     states = _states(cfg)
-    placed = place_legs(pot, mass, states)
+    placed = _placed(pot, mass, states)
     domain, bracket = placed[1], placed[2]
+    cell, _ = states[1][1].cell(0)
+    overflow = (f"the decay rate b = sqrt(-2 m0 E) overflows at "
+                f"E={0.5 * (cell[0] + cell[1])}, the midpoint of the cell "
+                f"({cell[0]}, {cell[1]})")
     assert isinstance(domain, DomainError)
-    assert str(domain) == "r_match must be positive (the origin is singular)"
+    assert str(domain) == overflow
     assert isinstance(bracket, BracketError)
     assert str(bracket).startswith("state n=9 not found in the window (-1e+308, -0.15):")
     # the solved states, placed with and without the failed ones between
     solved = [states[0], states[3]]
     assert ([_bits(c) for c in (placed[0], placed[3])]
-            == [_bits(c) for c in place_legs(pot, mass, solved)])
-    for (q, spectrum), cuts in zip(solved, place_legs(pot, mass, solved)):
+            == [_bits(c) for c in _placed(pot, mass, solved)])
+    for (q, spectrum), cuts in zip(solved, _placed(pot, mass, solved)):
         cell, _ = spectrum.cell(q.radial_n)
         _assert_leg_has_the_reference_bits(pot, mass, q, cell, cuts)
         root = search_root(pot, mass, q, cfg.solver, spectrum, cuts)
-        (alone,) = place_legs(pot, mass, [(q, spectrum)])
+        (alone,) = place_legs(pot, mass, [(q, cell)])
         assert root.energy == search_root(pot, mass, q, cfg.solver, spectrum,
                                           alone).energy
         assert root.energy == pytest.approx(-2.0 / (q.radial_n + 1) ** 2, rel=1e-13)
     # the rows of solve: the same texts, and the solved rows' bits
     rows = cli.solve_states(cfg)
     assert [r.message for r in rows[1:3]] == [
-        "DomainError: r_match must be positive (the origin is singular)",
+        f"DomainError: {overflow}",
         f"BracketError: {bracket}"]
     alone = cli.solve_states(cli.parse_config(
         {**ISOLATION, "quantum": {"dim": 3, "ell": [0], "n": [1, 2]}}))
@@ -256,12 +275,12 @@ def test_a_failed_state_leaves_the_others_bits():
 
 
 @pytest.mark.parametrize("workload, searches", [
-    ("coulomb_oracle", 11), ("expmass_cornell", 6), ("oscillator_series", 9)])
+    ("coulomb_oracle", 12), ("expmass_cornell", 7), ("oscillator_series", 10)])
 def test_one_turning_point_search_per_energy_of_a_config(workload, searches,
                                                         monkeypatch):
     # a round of the workload's centre configs searches each distinct upper
-    # cell energy of a config once, and the window's top once, for r_max
-    # and for the state at the top of the window together
+    # cell energy of a config once, for its legs, and the window's top once
+    # more, for r_max
     calls = []
     search = tail_mod._turning_radius
 
@@ -273,7 +292,7 @@ def test_one_turning_point_search_per_energy_of_a_config(workload, searches,
     total = 0
     for data in BENCHMARK_CENTRES[workload]:
         cfg = cli.parse_config(data)
-        tops = {cfg.solver.e_bracket[1]}
+        tops = set()
         for q, spectrum in _states(cfg):
             try:
                 tops.add(spectrum.cell(q.radial_n)[0][1])
@@ -281,6 +300,6 @@ def test_one_turning_point_search_per_energy_of_a_config(workload, searches,
                 continue
         calls.clear()
         cli.solve_states(cfg)
-        assert sorted(calls) == sorted(tops)
+        assert sorted(calls) == sorted([*tops, cfg.solver.e_bracket[1]])
         total += len(calls)
     assert total == searches

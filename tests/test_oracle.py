@@ -16,7 +16,6 @@ from pdmradial.tail import (
     leg_values,
     make_leg,
     outer_turning_radii,
-    outer_turning_radius,
     tail_radius,
 )
 
@@ -158,12 +157,12 @@ class TestMakeLeg:
 class TestOuterTurningRadius:
     def test_coulomb(self):
         pot = make_coulomb(1.0)
-        assert outer_turning_radius(pot, -0.5) == pytest.approx(2.0, rel=1e-9)
+        assert outer_turning_radii(pot, [-0.5]) == [pytest.approx(2.0, rel=1e-9)]
 
     def test_no_turning_point(self):
         # energy below the potential everywhere: no classical region at all
         pot = PotentialSpec(0.0, 1.0, 0.0, 0, 2)
-        assert outer_turning_radius(pot, -1.0) == 0.0
+        assert outer_turning_radii(pot, [-1.0]) == [0.0]
 
 
 @pytest.mark.parametrize("pot, mass, e, target", [
@@ -179,10 +178,9 @@ def test_tail_radius_with_the_turning_point_given(pot, mass, e, target):
     energies = [e, 2.0 * e, 0.5 * e]
     r_turns = outer_turning_radii(pot, energies)
     stacked = tail_mod._tail_radii(pot, mass, energies, r_turns, target)
-    for x, r_turn, r_tail in zip(energies, r_turns, stacked):
+    for x, r_tail in zip(energies, stacked):
         alone = tail_radius(pot, mass, x, target)
-        assert np.float64(alone[0]).tobytes() == np.float64(r_turn).tobytes()
-        assert np.float64(alone[1]).tobytes() == np.float64(r_tail).tobytes()
+        assert np.float64(alone).tobytes() == np.float64(r_tail).tobytes()
 
 
 class TestIntegrateRadial:

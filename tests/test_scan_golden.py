@@ -27,10 +27,10 @@ import numpy as np
 
 import pdmradial.eigensolver as es_mod
 from pdmradial import cli
-from pdmradial.eigensolver import _mismatch, find_eigenvalue, place_legs
+from pdmradial.eigensolver import _mismatch, find_eigenvalue
 from pdmradial.model import QuantumNumbers
 from pdmradial.oracle import channel_spectrum
-from pdmradial.tail import make_leg
+from pdmradial.tail import make_leg, place_legs
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden" / "scan_brackets.json"
@@ -131,7 +131,7 @@ def test_each_cell_holds_one_level_and_one_sign_change(solved, channel):
         assert lo < e_c < hi
         inside = spectrum.levels[(spectrum.levels >= lo) & (spectrum.levels <= hi)]
         assert inside.tolist() == [e_c]
-        (cuts,) = place_legs(pot, mass, [(q, spectrum)])
+        (cuts,) = place_legs(pot, mass, [(q, (lo, hi))])
         geom = make_leg(pot, mass, q, cuts)
         values = [_mismatch(e, pot, mass, q, solver, geom)[0]
                   for e in np.linspace(lo, hi, 33)]
