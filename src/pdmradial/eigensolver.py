@@ -21,9 +21,11 @@ state of a config in one pass.  On the narrow bracket Brent returns its
 current point once its next step points into the bracket and is shorter
 than half its tolerance, without the evaluation that would confirm it, so a
 state found there costs three mismatches: the bracket's ends and one step.
-The node count of the converged state is verified, and its norm taken, on
-one eigenfunction, the series on (0, r_match] and the inward leg beyond,
-which the result carries; ``finish`` does this for a list of roots at once.
+``search_root`` refuses a root whose series has not converged at r_match
+before the truncation order.  The node count of each root is verified, and
+its norm taken, on one eigenfunction, the series on (0, r_match] and the
+inward leg beyond, which the result carries; ``finish`` does this for a
+list of roots at once, in three stacked passes and one loop.
 
 ``solve`` is the solve of one config: every state's cell, every leg placed
 in one pass, every state's root, then one ``finish`` over every root.
@@ -169,11 +171,14 @@ class SolverConfig:
     def __post_init__(self):
         # every message starts with the name of the offending field
         e_lo, e_hi = self.e_bracket
+        order = self.truncation_order
+        is_int = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
         for name, ok, need in (
             ("e_lo/e_hi", e_lo < e_hi < 0, "ordered as e_lo < e_hi < 0"),
             ("e_hi", abs(e_hi) >= _E_FLOOR,
              f"below -{_E_FLOOR}: the decay-rate ansatz breaks down near E = 0"),
-            ("truncation_order", self.truncation_order >= 4, "at least 4"),
+            ("truncation_order", is_int, "an integer"),
+            ("truncation_order", is_int and order >= 4, "at least 4"),
         ):
             if not ok:
                 raise DomainError(f"{name}: must be {need}")
@@ -199,8 +204,9 @@ def _mismatch(
 ):
     """Normalized Wronskian of the series stopped for r_match and the inward
     solution there, returned with both."""
-    sol = _stopped_series(pot, mass, q, e, cfg.truncation_order, geom.r_match)
-    us, dus = _series_direction(sol, q, geom.r_match)
+    r_match = float(geom.cuts[0])
+    sol = _stopped_series(pot, mass, q, e, cfg.truncation_order, r_match)
+    us, dus = _series_direction(sol, q, r_match)
     inward = tail.integrate_radial(geom, e)
     w = dus * inward.R - us * inward.dR
     norm = math.hypot(us, dus) * math.hypot(inward.R, inward.dR)
@@ -208,22 +214,15 @@ def _mismatch(
     return value, sol, inward
 
 
-def _recorded_mismatch(e: float, evaluated: dict, *args) -> float:
-    """``_mismatch`` for brentq, keeping each evaluation's series and inward
-    solution under its energy."""
-    evaluated[e] = out = _mismatch(e, *args)
-    return out[0]
-
-
 @dataclass(frozen=True)
 class Root:
     """One state's converged energy before its checks: the state, the
     settings and channel spectrum it was sought with, its collocation
     ``level``, the match radius, and Brent's evaluation at the root, its
-    |mismatch| ``residual``, its series, its inward solution and that
-    solution's ``Inward.norm2`` over its leg.  The leg is not kept: its
-    stacked pieces would be held for every state of a config until the
-    config is finished."""
+    |mismatch| ``residual``, its series, which has converged at r_match,
+    its inward solution and that solution's ``Inward.norm2`` over its leg.
+    The leg is not kept: its stacked rows would be held for every state of
+    a config until the config is finished."""
 
     q: QuantumNumbers
     cfg: SolverConfig
@@ -259,22 +258,31 @@ def search_root(
     BracketError when level q.radial_n lies outside the window, the
     mismatch has no sign change in its cell, or Brent's method needs more
     than _MAX_ITER iterations on it; DomainError when the geometry or a
-    trial energy leaves its domain (r_far not in the forbidden tail).
+    trial energy leaves its domain (r_far not in the forbidden tail), or
+    when the root's series has not stopped, its terms at r_match
+    negligible, before cfg.truncation_order.
     """
     cell, e_c = spectrum.cell(q.radial_n)
     geom = tail.make_leg(pot, mass, q, cuts)
 
     args = (pot, mass, q, cfg, geom)
     evaluated: dict = {}
+
+    def recorded(e: float) -> float:
+        # each evaluation's series and inward solution, kept under its
+        # energy; _mismatch is looked up at every call, so a wrapper
+        # installed on the module sees each one
+        evaluated[e] = out = _mismatch(e, *args)
+        return out[0]
+
     half = _NARROW * abs(e_c)
     narrow = (max(cell[0], e_c - half), min(cell[1], e_c + half))
     for e_lo, e_hi in (narrow, cell):
         try:
             e_star = brentq(
-                _recorded_mismatch,
+                recorded,
                 e_lo,
                 e_hi,
-                args=(evaluated, *args),
                 xtol=abs(e_hi) * 1e-14,
                 rtol=_TOL_E,
                 maxiter=_MAX_ITER,
@@ -304,71 +312,61 @@ def search_root(
     # brentq returns an energy it has evaluated: that evaluation holds the
     # converged state's inward solution and its series
     residual, sol, inward = evaluated[e_star]
-    return Root(q, cfg, spectrum, e_c, geom.r_match, e_star, abs(residual), sol,
+    r_match = float(cuts[0])
+    if sol.coeffs.size > cfg.truncation_order:
+        raise DomainError(
+            f"truncation_order {cfg.truncation_order} is too low for "
+            f"r_match={r_match!r}: the series at E={e_star!r} has not "
+            "converged there"
+        )
+    return Root(q, cfg, spectrum, e_c, r_match, e_star, abs(residual), sol,
                 inward, inward.norm2(geom))
 
 
 def finish(roots: list[Root]) -> list[EigenResult | Exception]:
-    """Each root's ``EigenResult``, or the error that refuses it, in order:
-    DomainError when its series has not stopped, its terms at r_match
-    negligible, before cfg.truncation_order; WrongStateError when its node
-    count differs from q.radial_n; DomainError when its norm integral is
-    not finite, or when the oracle's coarser pencil cannot be built (its
-    ResolutionError is carried on the result instead).  Each step serves
-    every root still standing at once (one product counts every series'
-    nodes, one every inward leg's, one pass takes every series norm), and
-    each value has the bits of its root's own pass: a root's result does
-    not depend on the others."""
-    out: list = [None] * len(roots)
-
+    """Each root's ``EigenResult``, or the error that refuses it, in order.
+    Every root's series has converged at r_match (``search_root`` refuses
+    one that has not).  WrongStateError when its node count differs from
+    q.radial_n (or the DomainError of a series whose terms leave the float
+    range there); DomainError when its norm integral is not finite, or when
+    the oracle's coarser pencil cannot be built (its ResolutionError is
+    carried on the result instead).  Three stacked passes serve every root
+    at once (one product counts every series' nodes, one every inward leg's,
+    one pass takes every series norm), then one loop decides each root; each
+    value has the bits of its root's own pass, so a root's result does not
+    depend on the others."""
     # one eigenfunction per root: the series on (0, r_match], and beyond it
     # the inward solution times sigma, the projection of the series'
     # direction (u, u' + g u) onto the inward (R, R'), which a node at
-    # r_match leaves well defined
-    converged = []
-    for i, root in enumerate(roots):
-        sol, inward, r = root.solution, root.inward, root.r_match
-        if sol.coeffs.size > root.cfg.truncation_order:
-            out[i] = DomainError(
-                f"truncation_order {root.cfg.truncation_order} is too low for "
-                f"r_match={r!r}: the series at E={root.energy!r} has not "
-                "converged there"
-            )
-            continue
+    # r_match leaves well defined.  Its nodes are the series' own, then the
+    # sign changes from the series value at r_match on (that sample is not
+    # counted twice); its norm takes the prefactor r^((k-1)/2) e^(-br) that
+    # turns the series' direction into its (R, R'), and the series'
+    # Gauss-Legendre size follows the order, not where the series stopped
+    in_series = node_counts([(root.solution, root.r_match) for root in roots],
+                            _NODE_SAMPLES)
+    legs = tail.leg_samples([root.inward for root in roots], _NODE_SAMPLES)
+    series_norms = norms2([(root.solution, root.r_match,
+                            max(64, root.cfg.truncation_order + 1))
+                           for root in roots])
+    out: list = []
+    for root, nodes, beyond, series_norm in zip(roots, in_series, legs, series_norms):
+        sol, inward, r, e_star = root.solution, root.inward, root.r_match, root.energy
         u, du = _series_direction(sol, root.q, r)
         sigma = (u * inward.R + du * inward.dR) / (inward.R**2 + inward.dR**2)
-        converged.append((i, root, u, sigma))
-
-    # its nodes: the series' own, then the sign changes from the series
-    # value at r_match on (that sample is not counted twice)
-    in_series = node_counts([(root.solution, root.r_match)
-                             for _, root, *_ in converged], _NODE_SAMPLES)
-    legs = tail.leg_samples([root.inward for _, root, *_ in converged], _NODE_SAMPLES)
-    counted = []
-    for (i, root, u, sigma), nodes, beyond in zip(converged, in_series, legs):
         if isinstance(nodes, DomainError):
-            out[i] = nodes
+            out.append(nodes)
             continue
         nodes += sign_changes(np.append(u, beyond * math.copysign(1.0, sigma)))
         if nodes != root.q.radial_n:
-            out[i] = WrongStateError(root.q.radial_n, nodes, root.energy)
+            out.append(WrongStateError(root.q.radial_n, nodes, e_star))
             continue
-        counted.append((i, root, sigma, nodes))
-
-    # and its norm, with the prefactor r^((k-1)/2) e^(-br) that turns the
-    # series' direction into its (R, R'); the series' Gauss-Legendre size
-    # follows the order, not where the series stopped
-    series_norms = norms2([(root.solution, root.r_match,
-                            max(64, root.cfg.truncation_order + 1))
-                           for _, root, *_ in counted])
-    for (i, root, sigma, nodes), series_norm in zip(counted, series_norms):
-        sol, r, e_star = root.solution, root.r_match, root.energy
         p_sigma = math.exp((root.q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
         integral = series_norm + p_sigma * p_sigma * root.inward_norm2
         if not 0.0 < integral < math.inf:
-            out[i] = DomainError(
+            out.append(DomainError(
                 f"the norm integral of the state at E={e_star!r} is {integral!r}"
-            )
+            ))
             continue
 
         # an oracle that cannot check the state leaves the series result
@@ -380,10 +378,10 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
             except ResolutionError as exc:
                 oracle_error = f"{type(exc).__name__}: {exc}"
             except DomainError as exc:  # the mass fails on the coarser grid
-                out[i] = exc
+                out.append(exc)
                 continue
 
-        out[i] = EigenResult(
+        out.append(EigenResult(
             energy=float(e_star),
             nodes=nodes,
             norm_const=float(1.0 / math.sqrt(integral)),
@@ -391,9 +389,9 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
             oracle_gap=oracle_gap,
             solution=sol,
             oracle_error=oracle_error,
-            inward=root.inward,
+            inward=inward,
             p_sigma=p_sigma,
-        )
+        ))
     return out
 
 

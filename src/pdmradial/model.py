@@ -55,6 +55,10 @@ class PotentialSpec:
     allow_free: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("v1", "v2", "v3"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"potential {name} must be finite, not {value!r}")
         if self.v1 < 0 or self.v2 < 0:
             raise DomainError("potential couplings v1, v2 must be >= 0")
         for name in ("alpha", "beta"):

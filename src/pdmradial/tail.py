@@ -26,11 +26,11 @@ in one pass, r_match from the state's cell, r_far in the forbidden tail past
 the outer turning radius (``outer_turning_radii``) and the tail radius
 (``tail_radius``'s march), and cuts every leg at once (``leg_cuts``).  The
 eigensolver builds one state's leg from its cuts (``make_leg``, every piece
-in one stacked pass) right before that state's search, calls
-``integrate_radial`` once per trial energy, and ``Inward.norm2`` once for
-the converged state, whose eigenfunction past r_match is this leg
-(``leg_values``); ``leg_samples`` gives the signs its nodes are counted on,
-for every converged state at once.
+in one stacked pass, kept as a row of each of the leg's arrays) right before
+that state's search, calls ``integrate_radial`` once per trial energy, and
+``Inward.norm2`` once for the root, whose eigenfunction past r_match is this
+leg (``leg_values``); ``leg_samples`` gives the signs its nodes are counted
+on, for every root of a config at once.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .model import _gauss_legendre
 __all__ = [
     "Inward",
     "Leg",
-    "Piece",
     "integrate_radial",
     "leg_cuts",
     "leg_samples",
@@ -215,31 +214,22 @@ def _gauss_vander(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Piece:
-    """One piece [left, right] of the leg: its collocation rows are
-    ``rows0 + e * rows_e`` at energy e, from y'' = (w0 - m2 e) y on the
-    interior nodes, and ``scale`` = 2 / (right - left) maps d/dx to d/dr.
-    ``weights`` integrate s^2 y^2 = R^2 over the piece from y at its
-    Gauss-Legendre nodes, with s^2 = m / m(r_match)."""
+class Leg:
+    """Energy-independent parts of the inward solve over [r_match, r_far],
+    a row per piece, inner piece first: ``cuts`` from r_match to r_far, and
+    on each piece ``scale`` = 2 / (right - left), which maps d/dx to d/dr,
+    the collocation rows ``rows0 + e * rows_e`` at energy e from
+    y'' = (w0 - m2 e) y on the interior nodes, shape (pieces, n - 2, n), and
+    ``weights``, which integrate s^2 y^2 = R^2 over the piece from y at its
+    Gauss-Legendre nodes, with s^2 = m / m(r_match).  Then G = m'/m at
+    r_match, w0, m2 at r_far for the decay condition there, and the mass.
+    Built once per matching geometry, shared by every energy."""
 
-    left: float
-    right: float
-    scale: float
+    cuts: np.ndarray
+    scale: np.ndarray
     rows0: np.ndarray
     rows_e: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class Leg:
-    """Energy-independent parts of the inward solve over [r_match, r_far]:
-    the pieces, inner first, G = m'/m at r_match, w0, m2 at r_far for the
-    decay condition there, and the mass.  Built once per matching geometry,
-    shared by every energy."""
-
-    r_match: float
-    r_far: float
-    pieces: tuple[Piece, ...]
     g_match: float
     w0_far: float
     m2_far: float
@@ -249,18 +239,18 @@ class Leg:
 @dataclass(frozen=True)
 class Inward:
     """The decaying solution at one energy: ``R`` and ``dR`` at r_match, up
-    to a common positive factor, and each piece's Chebyshev coefficients of y
-    (with y = 1 at the piece's left end) with its ``signs``, the sign of R on
-    the piece relative to y, inner piece first.  ``edges`` are the pieces'
-    ends from r_match to r_far, and the mass's s = sqrt(m / m(r_match)) turns
-    y into R: with them ``leg_values`` evaluates R, and a result that keeps
-    the solution does not keep the leg's operators."""
+    to a common positive factor, and a row per piece, inner piece first, of
+    its Chebyshev coefficients of y (with y = 1 at the piece's left end),
+    ``coeffs``, with its ``signs``, the sign of R on the piece relative to
+    y.  ``edges`` are the leg's cuts, and the mass's s = sqrt(m / m(r_match))
+    turns y into R: with them ``leg_values`` evaluates R, and a result that
+    keeps the solution does not keep the leg's operators."""
 
     R: float
     dR: float
-    coeffs: tuple[np.ndarray, ...]
-    signs: tuple[float, ...]
-    edges: tuple[float, ...]
+    coeffs: np.ndarray
+    signs: np.ndarray
+    edges: np.ndarray
     mass: MassProfile
 
     def norm2(self, leg: Leg) -> float:
@@ -271,9 +261,9 @@ class Inward:
         thread count."""
         vander = _gauss_vander(_NODES)
         total, amp2 = 0.0, 1.0
-        for piece, c in zip(leg.pieces, self.coeffs):
+        for weights, c in zip(leg.weights, self.coeffs):
             y = (vander * c).sum(axis=1)
-            total += amp2 * float((piece.weights * (y * y)).sum())
+            total += amp2 * float((weights * (y * y)).sum())
             amp2 *= float(c.sum()) ** 2
         return total
 
@@ -288,9 +278,9 @@ def leg_samples(inwards: list[Inward], per_piece: int) -> list[np.ndarray]:
     could show."""
     if not inwards:
         return []
-    coeffs = np.array([c for inward in inwards for c in inward.coeffs])
+    coeffs = np.concatenate([inward.coeffs for inward in inwards])
     values = coeffs @ _uniform_vander(per_piece, coeffs.shape[1]).T
-    values *= np.array([s for inward in inwards for s in inward.signs])[:, None]
+    values *= np.concatenate([inward.signs for inward in inwards])[:, None]
     ends = np.cumsum([len(inward.coeffs) for inward in inwards])[:-1]
     return [rows.ravel()[1:] for rows in np.split(values, ends)]
 
@@ -431,10 +421,8 @@ def make_leg(pot: PotentialSpec, mass: MassProfile, q: QuantumNumbers,
     rows0 = (scale * scale)[:, :, None] * d2 - w0_nodes * val
     rows_e = m2_nodes * val
     weights = (right - left) * w * s2
-    pieces = tuple(Piece(a, b, s, *rows) for a, b, s, *rows in zip(
-        cuts[:-1].tolist(), cuts[1:].tolist(), scale[:, 0].tolist(),
-        rows0, rows_e, weights))
-    return Leg(r_match, r_far, pieces, float(g[-2]), float(w0[-1]), float(m2[-1]), mass)
+    return Leg(cuts, scale[:, 0], rows0, rows_e, weights,
+               float(g[-2]), float(w0[-1]), float(m2[-1]), mass)
 
 
 def integrate_radial(leg: Leg, e: float) -> Inward:
@@ -444,7 +432,7 @@ def integrate_radial(leg: Leg, e: float) -> Inward:
     w_far = leg.w0_far - leg.m2_far * e
     if not w_far > 0:
         raise DomainError(
-            f"the inward leg's far end r={leg.r_far:.6g} is not in the "
+            f"the inward leg's far end r={leg.cuts[-1]:.6g} is not in the "
             f"forbidden tail at E={e!r} (w = {w_far:.3g})"
         )
     _, (_, _, t_left, dt_left, dt_right) = _operators(_NODES)
@@ -452,16 +440,14 @@ def integrate_radial(leg: Leg, e: float) -> Inward:
     rhs[0] = 1.0
     a = np.empty((_NODES, _NODES))
     rho, sign = -math.sqrt(w_far), 1.0
-    coeffs, signs = [], []
-    for piece in reversed(leg.pieces):
+    coeffs, signs = np.empty(leg.weights.shape), np.empty(len(leg.scale))
+    for i in reversed(range(len(leg.scale))):
+        scale = float(leg.scale[i])
         a[0] = t_left
-        np.add(piece.rows0, e * piece.rows_e, out=a[1:-1])
-        a[-1] = piece.scale * dt_right - rho
-        c = np.linalg.solve(a, rhs)
+        np.add(leg.rows0[i], e * leg.rows_e[i], out=a[1:-1])
+        a[-1] = scale * dt_right - rho
+        coeffs[i] = c = np.linalg.solve(a, rhs)
         sign *= math.copysign(1.0, float(c.sum()))  # y(right) = sum of c
-        rho = piece.scale * float(dt_left @ c)
-        coeffs.append(c)
-        signs.append(sign)
-    edges = (leg.r_match, *(piece.right for piece in leg.pieces))
-    return Inward(sign, sign * (rho + 0.5 * leg.g_match), tuple(reversed(coeffs)),
-                  tuple(reversed(signs)), edges, leg.mass)
+        signs[i] = sign
+        rho = scale * float(dt_left @ c)
+    return Inward(sign, sign * (rho + 0.5 * leg.g_match), coeffs, signs, leg.cuts, leg.mass)

@@ -384,6 +384,14 @@ class TestFindEigenvalueErrors:
         with pytest.raises(DomainError):
             SolverConfig(e_bracket=(-0.4, -1e-14))
 
+    @pytest.mark.parametrize("order", [64.0, True, "64", None],
+                             ids=["float", "bool", "str", "none"])
+    def test_truncation_order_must_be_an_integer(self, order):
+        # a float order would reach the recurrence and fail there with a
+        # TypeError; a string must not fail the comparison with 4 first
+        with pytest.raises(DomainError, match="^truncation_order: must be an integer$"):
+            SolverConfig(e_bracket=(-0.6, -0.4), truncation_order=order)
+
 
 class TestScanSpectrum:
     """Brackets from the channel's collocation spectrum: the cell of each

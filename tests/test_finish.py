@@ -5,14 +5,17 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import pdmradial
 from pdmradial import cli
-from pdmradial.eigensolver import find_eigenvalue, finish, search_root
+from pdmradial.eigensolver import find_eigenvalue, finish, search_root, solve
 from pdmradial.errors import BracketError, DomainError, WrongStateError
 from pdmradial.model import QuantumNumbers
 from pdmradial.oracle import channel_spectrum
@@ -98,34 +101,56 @@ def _demo_roots():
 
 
 def test_failing_states_leave_the_others_untouched():
-    # a wrong node count, a series that had not stopped below the
-    # truncation order and a norm that overflows, each between solved
+    # a wrong node count and a norm that overflows, each between solved
     # states: each fails alone, with its own error, and every solved state
     # has the bits of its root finished alone
-    (r0, r1, r2), cfg = _demo_roots()
+    (r0, r1, r2), _ = _demo_roots()
     wrong = replace(r1, q=replace(r1.q, radial_n=2))
-    short = replace(r2, cfg=replace(cfg.solver,
-                                    truncation_order=r2.solution.coeffs.size - 1))
     huge = replace(r0, solution=r0.solution.scaled(1e200))
-    roots = [r0, wrong, r1, short, r2, huge, r0]
+    roots = [r0, wrong, r1, r2, huge, r0]
     out = finish(roots)
     assert isinstance(out[1], WrongStateError)
     assert (out[1].expected, out[1].found) == (2, 1)
-    assert isinstance(out[3], DomainError)
-    assert str(out[3]).startswith(
-        f"truncation_order {r2.solution.coeffs.size - 1} is too low for r_match=")
-    assert isinstance(out[5], DomainError)
-    assert str(out[5]).startswith("the norm integral of the state at E=")
-    for i in (0, 2, 4, 6):
+    assert isinstance(out[4], DomainError)
+    assert str(out[4]).startswith("the norm integral of the state at E=")
+    for i in (0, 2, 3, 5):
         (alone,) = finish([roots[i]])
         assert _bits(out[i]) == _bits(alone)
-    assert [r.nodes for r in out[::2]] == [0, 1, 2, 0]
+    assert [out[i].nodes for i in (0, 2, 3, 5)] == [0, 1, 2, 0]
     # and each error is the one its root alone gives
-    for i in (1, 3, 5):
+    for i in (1, 4):
         (alone,) = finish([roots[i]])
         assert type(alone) is type(out[i]) and str(alone) == str(out[i])
     assert finish([]) == []
 
+
+def test_a_series_short_of_its_order_fails_alone():
+    # the exp-mass demo's l = 1, n = 1 series needs 25 terms and the other
+    # states' at most 24: at truncation_order 24 the search refuses that
+    # root, and solve puts the refusal in the state's place while the other
+    # states keep the bits they have without it
+    cfg = cli.parse_config(json.loads((CONFIGS / "expmass_cornell_demo.json").read_text()))
+    pot, mass, dim = cfg.potential, cfg.mass, cfg.quantum.dim
+    short = replace(cfg.solver, truncation_order=24)
+    spectra = [channel_spectrum(pot, mass, QuantumNumbers(dim, ell, 0), short.e_bracket)
+               for ell in (0, 1)]
+    states = [(QuantumNumbers(dim, ell, n), spectra[ell])
+              for ell, n in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    q, spectrum = states[3]
+    (cuts,) = place_legs(pot, mass, [(q, spectrum.cell(1)[0])])
+    with pytest.raises(DomainError) as info:
+        search_root(pot, mass, q, short, spectrum, cuts)
+    refused = str(info.value)
+    energy = re.fullmatch(
+        rf"truncation_order 24 is too low for r_match={float(cuts[0])!r}: "
+        r"the series at E=(\S+) has not converged there", refused).group(1)
+    full = solve(pot, mass, states, cfg.solver)
+    assert abs(float(energy) - full[3].energy) < 1e-9 * abs(full[3].energy)
+    out = solve(pot, mass, states, short)
+    assert isinstance(out[3], DomainError) and str(out[3]) == refused
+    alone = [solve(pot, mass, [state], short)[0] for state in states[:3]]
+    assert [_bits(res) for res in out[:3]] == [_bits(res) for res in alone]
+    assert [res.energy for res in out[:3]] == [res.energy for res in full[:3]]
 
 
 def test_a_coarse_pencil_domain_error_fails_only_its_channels_states(monkeypatch):

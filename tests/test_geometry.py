@@ -112,19 +112,22 @@ def _assert_leg_has_the_reference_bits(pot, mass, q, cell, cuts):
     r_match, r_far, ref_cuts = _ref_geometry(pot, mass, q, cell)
     assert _bits(cuts) == _bits(ref_cuts)
     leg = make_leg(pot, mass, q, cuts)
-    assert _bits([leg.r_match, leg.r_far]) == _bits([r_match, r_far])
+    assert _bits(leg.cuts) == _bits(ref_cuts)
+    assert _bits(leg.cuts[[0, -1]]) == _bits([r_match, r_far])
     x, (val, d2, *_) = _operators(_NODES)
     t, w = _gauss_legendre(_NODES)
     m_match = mass.mass_at(r_match)
-    assert len(leg.pieces) == ref_cuts.size - 1
-    for piece, left, right in zip(leg.pieces, ref_cuts[:-1], ref_cuts[1:]):
+    pieces = ref_cuts.size - 1
+    assert leg.scale.shape == (pieces,) and leg.weights.shape == (pieces, _NODES)
+    assert leg.rows0.shape == leg.rows_e.shape == (pieces, _NODES - 2, _NODES)
+    for i, (left, right) in enumerate(zip(ref_cuts[:-1], ref_cuts[1:])):
         scale = 2.0 / (right - left)
         _, w0, m2 = _ref_arrays(pot, mass, q, left + (x + 1.0) / scale)
         s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
-        assert _bits([piece.left, piece.right, piece.scale]) == _bits([left, right, scale])
-        assert _bits(piece.rows0) == _bits(scale * scale * d2 - w0[:, None] * val)
-        assert _bits(piece.rows_e) == _bits(m2[:, None] * val)
-        assert _bits(piece.weights) == _bits((right - left) * w * s2)
+        assert _bits(leg.scale[i]) == _bits(scale)
+        assert _bits(leg.rows0[i]) == _bits(scale * scale * d2 - w0[:, None] * val)
+        assert _bits(leg.rows_e[i]) == _bits(m2[:, None] * val)
+        assert _bits(leg.weights[i]) == _bits((right - left) * w * s2)
     g, w0, m2 = _ref_arrays(pot, mass, q, np.array([r_match, r_far]))
     assert _bits([leg.g_match, leg.w0_far, leg.m2_far]) == _bits([g[0], w0[1], m2[1]])
 

@@ -60,6 +60,16 @@ class TestPotentialConstructors:
         pot = PotentialSpec.free(v3=1.0)
         assert pot.v3 == 1.0
 
+    @pytest.mark.parametrize("fields", [
+        (math.nan, 1.0, 0.0), (1.0, math.inf, 0.0), (1.0, 1.0, -math.inf),
+        (1.0, math.nan, 0.0), (0.0, 1.0, math.nan),
+    ], ids=["nan-v1", "inf-v2", "inf-v3", "nan-v2", "nan-v3"])
+    def test_couplings_and_offset_must_be_finite(self, fields):
+        # a NaN or infinite term would reach the collocation eigensolve
+        # and fail there with numpy's LinAlgError
+        with pytest.raises(DomainError, match=r"potential v[123] must be finite"):
+            PotentialSpec(*fields, 1, 1)
+
     def test_exponents_must_be_nonnegative_integers(self):
         with pytest.raises(DomainError):
             PotentialSpec(1.0, 0.0, 0.0, -1, 0)

@@ -69,9 +69,9 @@ COULOMB = make_coulomb(1.0), MassProfile([1.0]), QuantumNumbers(3, 0, 0)
 TOO_FEW_NODES = ((12, 1.0), (16, 1.25))
 
 
-def _piece_values(piece, coeffs, x):
-    """r and y on ``piece`` at reference points x in [-1, 1]."""
-    r = piece.left + (x + 1.0) / piece.scale
+def _piece_values(leg, i, coeffs, x):
+    """r and y on piece ``i`` of ``leg`` at reference points x in [-1, 1]."""
+    r = leg.cuts[i] + (x + 1.0) / leg.scale[i]
     return r, np.polynomial.chebyshev.chebval(x, coeffs)
 
 
@@ -105,11 +105,11 @@ class TestMakeLeg:
         # the WKB exponent at the reference energy is shared equally among
         # them, none above 25 (plus the cut's sampling error)
         leg = _leg(*OSCILLATOR, 0.5, 12.0, OSCILLATOR_E0)
-        ends = [(p.left, p.right) for p in leg.pieces]
+        ends = list(zip(leg.cuts[:-1].tolist(), leg.cuts[1:].tolist()))
         assert ends[0][0] == 0.5 and ends[-1][1] == 12.0
-        assert all(a[1] == b[0] for a, b in zip(ends[:-1], ends[1:]))
+        assert all(a < b for a, b in ends)
         total = _exponent(*OSCILLATOR, 0.5, 12.0, OSCILLATOR_E0)
-        assert len(leg.pieces) == math.ceil(total / 25.0) > 1
+        assert len(ends) == math.ceil(total / 25.0) > 1
         shares = [_exponent(*OSCILLATOR, a, b, OSCILLATOR_E0) for a, b in ends]
         assert max(shares) < 25.0 * (1 + 1e-3)
         assert np.allclose(shares, total / len(shares), rtol=1e-3)
@@ -131,18 +131,21 @@ class TestMakeLeg:
         counts = set()
         for r_far in far:
             leg = _leg(pot, mass, q, 1.5, r_far, -0.6)
-            counts.add(len(leg.pieces))
+            pieces = leg.cuts.size - 1
+            counts.add(pieces)
+            assert leg.scale.shape == (pieces,)
+            assert leg.rows0.shape == leg.rows_e.shape == (pieces, _NODES - 2, _NODES)
+            assert leg.weights.shape == (pieces, _NODES)
             m_match = mass.mass_at(1.5)
-            for piece in leg.pieces:
-                left, right = piece.left, piece.right
+            for i, (left, right) in enumerate(zip(leg.cuts[:-1], leg.cuts[1:])):
                 scale = 2.0 / (right - left)
                 _, w0, m2 = _potential_arrays(pot, mass, q.dim_n, q.k,
                                               left + (x + 1.0) / scale)
                 s2 = np.asarray(mass.mass_at(left + (right - left) * t), float) / m_match
-                assert type(piece.scale) is float and piece.scale == scale
-                assert np.array_equal(piece.rows0, scale * scale * d2 - w0[:, None] * val)
-                assert np.array_equal(piece.rows_e, m2[:, None] * val)
-                assert np.array_equal(piece.weights, (right - left) * w * s2)
+                assert leg.scale[i] == scale
+                assert np.array_equal(leg.rows0[i], scale * scale * d2 - w0[:, None] * val)
+                assert np.array_equal(leg.rows_e[i], m2[:, None] * val)
+                assert np.array_equal(leg.weights[i], (right - left) * w * s2)
             g, w0, m2 = _potential_arrays(pot, mass, q.dim_n, q.k, np.array([1.5, r_far]))
             assert (leg.g_match, leg.w0_far, leg.m2_far) == (g[0], w0[1], m2[1])
         assert counts == {1, 2, 3, 4}, counts
@@ -150,8 +153,8 @@ class TestMakeLeg:
     def test_short_leg_is_one_piece(self):
         # e^-14 of decay fits one solve
         leg = _leg(*COULOMB, 2.0, 16.0, -0.5)
-        assert len(leg.pieces) == 1
-        assert (leg.pieces[0].left, leg.pieces[0].right) == (2.0, 16.0)
+        assert leg.cuts.tolist() == [2.0, 16.0]
+        assert leg.scale.tolist() == [2.0 / 14.0] and len(leg.rows0) == 1
 
 
 class TestOuterTurningRadius:
@@ -218,7 +221,7 @@ class TestIntegrateRadial:
             r_far = r_match + lengths * decay
             leg = _leg(*COULOMB, r_match, r_far, e)
             sol = integrate_radial(leg, e)
-            pieces.add(len(leg.pieces))
+            pieces.add(len(leg.scale))
             assert sol.R == math.copysign(1.0, shape(r_match) * shape(r_far))
             assert abs(sol.dR / sol.R - log_derivative(r_match)) < 1e-12, r_match
         assert pieces == {1, 2, 3}
@@ -258,11 +261,11 @@ class TestInwardKernel:
         # scaled to 1 at the piece's left end, to rounding of that scale
         leg = _leg(*COULOMB, 0.5, 40.0, -0.5)
         sol = integrate_radial(leg, -0.5)
-        assert len(leg.pieces) > 1
+        assert len(leg.scale) > 1
         x = np.linspace(-1.0, 1.0, 201)
-        for piece, c in zip(leg.pieces, sol.coeffs):
-            r, y = _piece_values(piece, c, x)
-            exact = r * np.exp(piece.left - r) / piece.left
+        for i, c in enumerate(sol.coeffs):
+            r, y = _piece_values(leg, i, c, x)
+            exact = r * np.exp(leg.cuts[i] - r) / leg.cuts[i]
             # the decay condition at r_far is WKB's, exact only far inward
             sel = r <= 30.0
             assert np.max(np.abs(y[sel] - exact[sel]), initial=0.0) < 1e-14
@@ -271,7 +274,7 @@ class TestInwardKernel:
         c = sol.coeffs[-1]
         y, dy = (np.polynomial.chebyshev.chebval(1.0, a)
                  for a in (c, np.polynomial.chebyshev.chebder(c)))
-        rho = leg.pieces[-1].scale * dy / y
+        rho = leg.scale[-1] * dy / y
         assert abs(rho + math.sqrt(1.0 - 2.0 / 40.0)) < 1e-6
 
     def test_leg_values_chain_the_pieces(self):
@@ -284,7 +287,7 @@ class TestInwardKernel:
         osol = integrate_radial(other, -0.5)
         r = np.linspace(0.5, 45.0, 891)
         got, also = leg_values([(sol, r), (osol, r[r >= 1.0])])
-        assert len(leg.pieces) > 1 and abs(got[0] - sol.R) < 1e-14
+        assert len(leg.scale) > 1 and abs(got[0] - sol.R) < 1e-14
         exact = sol.R * r * np.exp(0.5 - r) / 0.5
         sel = r <= 30.0
         assert np.max(np.abs(got[sel] - exact[sel])) < 1e-14 * np.max(np.abs(exact))
@@ -301,15 +304,16 @@ class TestInwardKernel:
         # log-derivatives handed from piece to piece must arrive intact.
         leg = _leg(*OSCILLATOR, 0.5, 40.0, OSCILLATOR_E0)
         sol = integrate_radial(leg, OSCILLATOR_E0)
-        assert len(leg.pieces) > 30
-        assert all(s == 1.0 for s in sol.signs)
+        assert len(leg.scale) > 30
+        assert sol.coeffs.shape == leg.weights.shape
+        assert np.array_equal(sol.edges, leg.cuts) and np.all(sol.signs == 1.0)
         assert abs(sol.dR / sol.R - (2.0 - math.sqrt(2.0) * 0.5)) < 1e-12
         x = np.linspace(-1.0, 1.0, 101)
-        for piece, c in zip(leg.pieces, sol.coeffs):
-            r, y = _piece_values(piece, c, x)
+        for i, c in enumerate(sol.coeffs):
+            r, y = _piece_values(leg, i, c, x)
             shape = np.log(np.abs(y)) + r**2 / math.sqrt(2.0) - np.log(r)
             clear = np.abs(y) > 1e-6
-            assert np.max(np.abs(shape[clear] - shape[0])) < 1e-9, piece.left
+            assert np.max(np.abs(shape[clear] - shape[0])) < 1e-9, leg.cuts[i]
 
     def test_sign_continuous_across_a_node_at_r_match(self):
         # the first excited k = 3 Coulomb state has its node at r = 2, so
@@ -369,14 +373,15 @@ class TestBatchedInwardLeg:
         # must equal a solve on a leg built for that energy alone, and leave
         # the leg as it was
         leg = _leg(self.POT, mass, self.Q, *self.GEOMETRY)
-        before = [np.copy(a) for p in leg.pieces for a in (p.rows0, p.rows_e)]
+        before = [np.copy(a) for a in (leg.rows0, leg.rows_e)]
         for e in energies:
             shared = integrate_radial(leg, float(e))
             single = integrate_radial(
                 _leg(self.POT, mass, self.Q, *self.GEOMETRY), float(e))
-            assert (shared.R, shared.dR, shared.signs) == (single.R, single.dR, single.signs)
-            assert all(np.array_equal(a, b) for a, b in zip(shared.coeffs, single.coeffs))
-        after = [a for p in leg.pieces for a in (p.rows0, p.rows_e)]
+            assert (shared.R, shared.dR) == (single.R, single.dR)
+            assert np.array_equal(shared.signs, single.signs)
+            assert np.array_equal(shared.coeffs, single.coeffs)
+        after = [leg.rows0, leg.rows_e]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_match_values_equal_single_runs(self):
