@@ -22,10 +22,13 @@ current point once its next step points into the bracket and is shorter
 than half its tolerance, without the evaluation that would confirm it, so a
 state found there costs three mismatches: the bracket's ends and one step.
 ``search_root`` refuses a root whose series has not converged at r_match
-before the truncation order.  The node count of each root is verified, and
-its norm taken, on one eigenfunction, the series on (0, r_match] and the
-inward leg beyond, which the result carries; ``finish`` does this for a
-list of roots at once, in three stacked passes and one loop.
+before the truncation order; its ``Root`` holds each value once (the state
+and the energy in its series, r_match as its inward solution's first edge)
+and, like every record with an array, compares by identity.  The node count
+of each root is verified, and its norm taken, on one eigenfunction, the
+series on (0, r_match] and the inward leg beyond, which the result carries;
+``finish`` does this for a list of roots at once, in three stacked passes
+and one loop.
 
 ``solve`` is the solve of one config: every state's cell, every leg placed
 in one pass, every state's root, then one ``finish`` over every root.
@@ -49,7 +52,7 @@ from .model import (
     _horner,
 )
 from .recurrence import _stopped_series
-from .wavefunction import node_counts, norms2, sign_changes
+from .wavefunction import NODE_SAMPLES, _power, node_counts, norms2, sign_changes
 
 __all__ = [
     "Root",
@@ -67,17 +70,14 @@ _E_FLOOR = 1e-12
 # half-width of the first Brent bracket around a collocation level, relative
 _NARROW = 1e-9
 
-# samples per piece of the inward solution when its nodes are counted
-_NODE_SAMPLES = 2048
-
 # Brent's relative energy tolerance and iteration limit
 _TOL_E = 1e-13
 _MAX_ITER = 200
 
 
-def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
+def brentq(f, xa, xb, xtol=2e-12, rtol=8.881784197001252e-16,
            maxiter=100, *, accept_short_step=False):
-    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4).
+    """Root of f(x) on [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
     Follows scipy.optimize.brentq (its C routine in ``zeros.c``) operation
     for operation, so it evaluates f at the same points and returns the same
@@ -98,7 +98,7 @@ def brentq(f, xa, xb, args=(), xtol=2e-12, rtol=8.881784197001252e-16,
     """
 
     def call(x):
-        fx = float(f(x, *args))
+        fx = float(f(x))
         if fx != fx:
             raise ValueError(f"the function value at x={x} is NaN")
         return fx
@@ -184,13 +184,10 @@ class SolverConfig:
                 raise DomainError(f"{name}: must be {need}")
 
 
-def _series_direction(
-    sol, q: QuantumNumbers, r: float
-) -> tuple[float, float]:
+def _series_direction(sol: SeriesSolution, r: float) -> tuple[float, float]:
     """(R, R') direction of the series solution at r, up to a positive factor."""
     u, up = _horner(sol.coeffs, math.ldexp(r, -sol.x_exp), derivs=1)
-    p = (q.k - 1) / 2.0
-    g = p / r - sol.b
+    g = _power(sol) / r - sol.b
     return u, math.ldexp(up, -sol.x_exp) + g * u
 
 
@@ -206,7 +203,7 @@ def _mismatch(
     solution there, returned with both."""
     r_match = float(geom.cuts[0])
     sol = _stopped_series(pot, mass, q, e, cfg.truncation_order, r_match)
-    us, dus = _series_direction(sol, q, r_match)
+    us, dus = _series_direction(sol, r_match)
     inward = tail.integrate_radial(geom, e)
     w = dus * inward.R - us * inward.dR
     norm = math.hypot(us, dus) * math.hypot(inward.R, inward.dR)
@@ -214,22 +211,19 @@ def _mismatch(
     return value, sol, inward
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Root:
-    """One state's converged energy before its checks: the state, the
-    settings and channel spectrum it was sought with, its collocation
-    ``level``, the match radius, and Brent's evaluation at the root, its
-    |mismatch| ``residual``, its series, which has converged at r_match,
-    its inward solution and that solution's ``Inward.norm2`` over its leg.
-    The leg is not kept: its stacked rows would be held for every state of
-    a config until the config is finished."""
+    """One state's converged energy before its checks: the settings and
+    channel spectrum it was sought with, its collocation ``level``, and
+    Brent's evaluation at the root, its |mismatch| ``residual``, its series
+    (converged at r_match; its ``quantum`` and ``energy`` are the state's),
+    its inward solution (``edges[0]`` is r_match) and that solution's
+    ``Inward.norm2`` over its leg.  The leg is not kept: its stacked rows
+    would be held for every state of a config until it is finished."""
 
-    q: QuantumNumbers
     cfg: SolverConfig
     spectrum: oracle.ChannelSpectrum
     level: float
-    r_match: float
-    energy: float
     residual: float
     solution: SeriesSolution
     inward: tail.Inward
@@ -312,29 +306,27 @@ def search_root(
     # brentq returns an energy it has evaluated: that evaluation holds the
     # converged state's inward solution and its series
     residual, sol, inward = evaluated[e_star]
-    r_match = float(cuts[0])
     if sol.coeffs.size > cfg.truncation_order:
         raise DomainError(
             f"truncation_order {cfg.truncation_order} is too low for "
-            f"r_match={r_match!r}: the series at E={e_star!r} has not "
+            f"r_match={float(cuts[0])!r}: the series at E={e_star!r} has not "
             "converged there"
         )
-    return Root(q, cfg, spectrum, e_c, r_match, e_star, abs(residual), sol,
-                inward, inward.norm2(geom))
+    return Root(cfg, spectrum, e_c, abs(residual), sol, inward, inward.norm2(geom))
 
 
 def finish(roots: list[Root]) -> list[EigenResult | Exception]:
     """Each root's ``EigenResult``, or the error that refuses it, in order.
     Every root's series has converged at r_match (``search_root`` refuses
     one that has not).  WrongStateError when its node count differs from
-    q.radial_n (or the DomainError of a series whose terms leave the float
-    range there); DomainError when its norm integral is not finite, or when
-    the oracle's coarser pencil cannot be built (its ResolutionError is
-    carried on the result instead).  Three stacked passes serve every root
-    at once (one product counts every series' nodes, one every inward leg's,
-    one pass takes every series norm), then one loop decides each root; each
-    value has the bits of its root's own pass, so a root's result does not
-    depend on the others."""
+    the state's radial_n (or the DomainError of a series whose terms leave
+    the float range there); DomainError when its norm integral is not
+    finite, or when the oracle's coarser pencil cannot be built (its
+    ResolutionError is carried on the result instead).  Three stacked passes
+    serve every root at once (one product counts every series' nodes, one
+    every inward leg's, one pass takes every series norm), then one loop
+    decides each root; each value has the bits of its root's own pass, so a
+    root's result does not depend on the others."""
     # one eigenfunction per root: the series on (0, r_match], and beyond it
     # the inward solution times sigma, the projection of the series'
     # direction (u, u' + g u) onto the inward (R, R'), which a node at
@@ -343,25 +335,25 @@ def finish(roots: list[Root]) -> list[EigenResult | Exception]:
     # counted twice); its norm takes the prefactor r^((k-1)/2) e^(-br) that
     # turns the series' direction into its (R, R'), and the series'
     # Gauss-Legendre size follows the order, not where the series stopped
-    in_series = node_counts([(root.solution, root.r_match) for root in roots],
-                            _NODE_SAMPLES)
-    legs = tail.leg_samples([root.inward for root in roots], _NODE_SAMPLES)
-    series_norms = norms2([(root.solution, root.r_match,
-                            max(64, root.cfg.truncation_order + 1))
-                           for root in roots])
+    r_match = [float(root.inward.edges[0]) for root in roots]
+    in_series = node_counts([(root.solution, r) for root, r in zip(roots, r_match)])
+    legs = tail.leg_samples([root.inward for root in roots], NODE_SAMPLES)
+    series_norms = norms2([(root.solution, r, max(64, root.cfg.truncation_order + 1))
+                           for root, r in zip(roots, r_match)])
     out: list = []
-    for root, nodes, beyond, series_norm in zip(roots, in_series, legs, series_norms):
-        sol, inward, r, e_star = root.solution, root.inward, root.r_match, root.energy
-        u, du = _series_direction(sol, root.q, r)
+    for root, r, nodes, beyond, series_norm in zip(roots, r_match, in_series, legs,
+                                                   series_norms):
+        sol, inward, e_star = root.solution, root.inward, root.solution.energy
+        u, du = _series_direction(sol, r)
         sigma = (u * inward.R + du * inward.dR) / (inward.R**2 + inward.dR**2)
         if isinstance(nodes, DomainError):
             out.append(nodes)
             continue
         nodes += sign_changes(np.append(u, beyond * math.copysign(1.0, sigma)))
-        if nodes != root.q.radial_n:
-            out.append(WrongStateError(root.q.radial_n, nodes, e_star))
+        if nodes != sol.quantum.radial_n:
+            out.append(WrongStateError(sol.quantum.radial_n, nodes, e_star))
             continue
-        p_sigma = math.exp((root.q.k - 1) / 2.0 * math.log(r) - sol.b * r) * sigma
+        p_sigma = math.exp(_power(sol) * math.log(r) - sol.b * r) * sigma
         integral = series_norm + p_sigma * p_sigma * root.inward_norm2
         if not 0.0 < integral < math.inf:
             out.append(DomainError(

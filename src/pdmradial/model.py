@@ -2,7 +2,9 @@
 profiles, series solutions and solver results.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``, so instances can be shared freely between threads.
+``__post_init__``, so instances can be shared freely between threads.  The
+results of a solve, ``SeriesSolution`` and ``EigenResult``, hold arrays and
+compare by identity; the inputs compare by value.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ def _gauss_legendre(size: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesSolution:
     """Truncated power-series factor u of the ansatz R = r^((k-1)/2) e^(-br) u.
 
@@ -360,7 +362,7 @@ class SeriesSolution:
         return replace(self, coeffs=self.coeffs * factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Converged eigenvalue with its diagnostics and its eigenfunction.
 

@@ -215,7 +215,7 @@ def _nearest_level(a: np.ndarray, d: np.ndarray, e: float) -> float:
     return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpectrum:
     """The collocation levels of one (N, l) channel for an energy window:
     ``levels`` from the finer solve, ascending, and ``coarse_pencil``, a

@@ -213,7 +213,7 @@ def _gauss_vander(n: int) -> np.ndarray:
     return vander
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Leg:
     """Energy-independent parts of the inward solve over [r_match, r_far],
     a row per piece, inner piece first: ``cuts`` from r_match to r_far, and
@@ -236,7 +236,7 @@ class Leg:
     mass: MassProfile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Inward:
     """The decaying solution at one energy: ``R`` and ``dR`` at r_match, up
     to a common positive factor, and a row per piece, inner piece first, of

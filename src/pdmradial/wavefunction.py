@@ -3,7 +3,8 @@ wavefunction R(r) = r^((k-1)/2) e^(-br) u(r) built from a series solution.
 
 Half-integer prefactor powers (even k) are evaluated through
 exp(p * ln r) for r > 0 with the r -> 0 limit special-cased, which avoids
-pow-of-negative pitfalls and keeps precision.
+pow-of-negative pitfalls and keeps precision; p = (k - 1)/2 is written
+once, in ``_power``, which the eigensolver reads too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 TRUST_RATIO = 1e-3
+
+# the uniform grid on which ``count_nodes``, ``node_counts`` and the
+# eigensolver's node count read signs
+NODE_SAMPLES = 2048
 
 
 def trusted(solution: SeriesSolution, r: float) -> bool:
@@ -213,7 +218,7 @@ def _powers(samples: int, size: int) -> np.ndarray:
     return powers[:, :size]
 
 
-def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:
+def count_nodes(sol: SeriesSolution, r_max: float, samples: int = NODE_SAMPLES) -> int:
     """Count sign changes of R on (0, r_max).
 
     The prefactor r^((k-1)/2) e^(-br) is positive, so nodes of R are nodes of
@@ -233,7 +238,7 @@ def count_nodes(sol: SeriesSolution, r_max: float, samples: int = 2048) -> int:
 
 
 def node_counts(states: list[tuple[SeriesSolution, float]],
-                samples: int = 2048) -> list[int | DomainError]:
+                samples: int = NODE_SAMPLES) -> list[int | DomainError]:
     """``count_nodes`` of each (solution, r_max), every state's terms a
     column of one product with the cached powers, zero below the shorter
     series; a state whose terms leave the float range has its DomainError

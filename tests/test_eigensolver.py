@@ -951,11 +951,10 @@ class TestBrentPort:
             spectrum = channel_spectrum(pot, mass, q, cfg.e_bracket)
             cell, _ = spectrum.cell(n)
             geom = _placed_leg(pot, mass, q, spectrum)
-            kwargs = dict(args=(pot, mass, q, cfg, geom),
-                          xtol=abs(cell[1]) * 1e-14, rtol=es_mod._TOL_E,
+            kwargs = dict(xtol=abs(cell[1]) * 1e-14, rtol=es_mod._TOL_E,
                           maxiter=es_mod._MAX_ITER)
 
-            def value(e, *args):
+            def value(e, args=(pot, mass, q, cfg, geom)):
                 return es_mod._mismatch(e, *args)[0]
 
             ours = _brent_trace(es_mod.brentq, value, *cell, **kwargs)
@@ -980,11 +979,10 @@ class TestBrentPort:
             half = es_mod._NARROW * abs(e_c)
             narrow = (max(lo, e_c - half), min(hi, e_c + half))
             geom = _placed_leg(pot, mass, q, spectrum)
-            kwargs = dict(args=(pot, mass, q, cfg, geom),
-                          xtol=abs(narrow[1]) * 1e-14, rtol=es_mod._TOL_E,
+            kwargs = dict(xtol=abs(narrow[1]) * 1e-14, rtol=es_mod._TOL_E,
                           maxiter=es_mod._MAX_ITER)
 
-            def value(e, *args):
+            def value(e, args=(pot, mass, q, cfg, geom)):
                 return es_mod._mismatch(e, *args)[0]
 
             root, xs = _brent_trace(es_mod.brentq, value, *narrow,

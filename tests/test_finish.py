@@ -105,7 +105,8 @@ def test_failing_states_leave_the_others_untouched():
     # states: each fails alone, with its own error, and every solved state
     # has the bits of its root finished alone
     (r0, r1, r2), _ = _demo_roots()
-    wrong = replace(r1, q=replace(r1.q, radial_n=2))
+    sol = r1.solution
+    wrong = replace(r1, solution=replace(sol, quantum=replace(sol.quantum, radial_n=2)))
     huge = replace(r0, solution=r0.solution.scaled(1e200))
     roots = [r0, wrong, r1, r2, huge, r0]
     out = finish(roots)

@@ -263,9 +263,9 @@ def test_a_failed_state_leaves_the_others_bits():
         _assert_leg_has_the_reference_bits(pot, mass, q, cell, cuts)
         root = search_root(pot, mass, q, cfg.solver, spectrum, cuts)
         (alone,) = place_legs(pot, mass, [(q, cell)])
-        assert root.energy == search_root(pot, mass, q, cfg.solver, spectrum,
-                                          alone).energy
-        assert root.energy == pytest.approx(-2.0 / (q.radial_n + 1) ** 2, rel=1e-13)
+        assert root.solution.energy == search_root(pot, mass, q, cfg.solver, spectrum,
+                                                   alone).solution.energy
+        assert root.solution.energy == pytest.approx(-2.0 / (q.radial_n + 1) ** 2, rel=1e-13)
     # the rows of solve: the same texts, and the solved rows' bits
     rows = cli.solve_states(cfg)
     assert [r.message for r in rows[1:3]] == [

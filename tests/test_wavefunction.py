@@ -584,7 +584,7 @@ class TestSeriesInX:
         assert np.array_equal(evaluate(in_x, radii), evaluate(in_r, radii))
         for reader in (trusted, norm2, count_nodes):
             assert reader(in_x, r) == reader(in_r, r), reader.__name__
-        assert _series_direction(in_x, q, r) == _series_direction(in_r, q, r)
+        assert _series_direction(in_x, r) == _series_direction(in_r, r)
         assert ode_residual(in_x, pot, mass, e, r / 2) == ode_residual(in_r, pot, mass, e, r / 2)
 
 

@@ -6,10 +6,11 @@ the four demo configs and for each benchmark workload's configs at seeds 1
 to 3 (``bench/workloads.py``, imported, not changed), with the coefficient
 dump and a 41-point wavefunction grid forced on; each command writes into
 its own directory.  The exit codes and the messages the commands print
-go to ``status.txt``.  Then every row of the sweep's two draws
-(``tests/test_sweep.py``: 150 problems at orders 64 and 96, 60 at orders 4
-to 16, 630 rows) goes to ``sweep.jsonl``, one ``StateRow.record()`` a line,
-whose JSON floats carry every bit.
+go to ``status.txt``.  The report and the exit code of ``verify``, at the
+suite's default seed and at seeds 1 to 3, go to ``verify.txt``.  Then every
+row of the sweep's two draws (``tests/test_sweep.py``: 150 problems at
+orders 64 and 96, 60 at orders 4 to 16, 630 rows) goes to ``sweep.jsonl``,
+one ``StateRow.record()`` a line, whose JSON floats carry every bit.
 
 Run from the repository root, against the package on PYTHONPATH:
 
@@ -96,6 +97,13 @@ def write_outputs(out: Path) -> None:
     finally:
         os.chdir(cwd)
     (out / "status.txt").write_text("".join(status))
+    reports = []
+    for argv in [["verify"]] + [["verify", "--seed", str(seed)] for seed in SEEDS]:
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli.main(argv)
+        reports.append(f"{' '.join(argv)} exit {code}\n{printed.getvalue()}")
+    (out / "verify.txt").write_text("".join(reports))
     with open(out / "sweep.jsonl", "w") as sweep:
         for count, orders in SWEEP_DRAWS:
             for data in _problems(count, orders):
